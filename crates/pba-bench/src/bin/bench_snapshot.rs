@@ -5,8 +5,8 @@
 //! `route_instrumented_vs_bare` overhead guard) and `BENCH_serve.json`
 //! (the serving-path trajectory: zero-alloc codec ns/line, reactor req/s by
 //! connection count, `release` vs grouped `release_many` ns/op, and the
-//! old-vs-new front-end guard), so the serving-layer numbers the repo ships
-//! are regenerable with one command.
+//! session ≡ reactor ≡ reactor-fallback guard), so the serving-layer numbers
+//! the repo ships are regenerable with one command.
 //!
 //! Usage:
 //!   cargo run --release -p pba-bench --bin bench_snapshot            # print to stdout

@@ -19,11 +19,12 @@
 //!   under one lock and decrements bins in grouped atomic passes, so its
 //!   per-ticket cost must fall as the group grows; the observer-visible
 //!   event stream is asserted bit-identical to the looped run.
-//! * **GUARD** — old-vs-new front-end: the *same* deterministic pipelined
-//!   session driven through the blocking [`SocketServer`] and the
-//!   [`ReactorServer`], asserting byte-identical reply streams and identical
-//!   router statistics. The reactor is a faster server, never a different
-//!   one.
+//! * **GUARD** — one protocol, three transports: the *same* deterministic
+//!   pipelined session driven through a [`Session`] in-process (no socket at
+//!   all), through the [`ReactorServer`] on the platform poller, and through
+//!   the reactor on the portable fallback poller, asserting byte-identical
+//!   reply streams and identical router statistics. The transport moves
+//!   bytes; it never changes an answer.
 //!
 //! Timing columns (ns/op, req/s, ratios) are machine-dependent — on a 1-core
 //! container reactor threads and clients serialise — so the committed
@@ -31,7 +32,7 @@
 //! workload-shape and invariant columns and drops every timing cell.
 //!
 //! [`ReactorServer`]: pba_net::ReactorServer
-//! [`SocketServer`]: pba_stream::SocketServer
+//! [`Session`]: pba_net::Session
 //! [`ConcurrentRouter`]: pba_stream::ConcurrentRouter
 
 use std::io::{BufRead, BufReader, Write};
@@ -44,10 +45,10 @@ use pba_model::router::{ReleaseEvent, RouterObserver, Ticket};
 use pba_net::codec::{
     parse_request, write_err_unknown_ticket, write_ok_bin, write_ok_route, write_stats, Request,
 };
-use pba_net::{ReactorConfig, ReactorServer};
+use pba_net::{ReactorConfig, ReactorServer, Session};
 use pba_obs::MetricsRegistry;
 use pba_stats::{Align, Cell, Table};
-use pba_stream::{ConcurrentRouter, ServerConfig, SocketServer, StreamConfig};
+use pba_stream::{ConcurrentRouter, StreamConfig};
 
 /// Bins (= batch size) of the benchmark router.
 const BINS: usize = 256;
@@ -470,17 +471,18 @@ fn release_all(router: &ConcurrentRouter, tickets: &[Ticket], group: usize) {
 // ---------------------------------------------------------------------------
 
 /// Drives one deterministic mixed pipeline (ROUTE runs, RELEASE runs, STATS
-/// and FLUSH interleaved) against `addr` and returns the full reply stream.
-fn guard_session(addr: std::net::SocketAddr, seed: u64, keys: u64) -> std::io::Result<String> {
+/// and FLUSH interleaved) and returns the full reply stream. `exchange`
+/// is the transport: it delivers one pipelined request window and returns
+/// the reply lines (`expect` of them) that window produced.
+fn guard_session(
+    seed: u64,
+    keys: u64,
+    mut exchange: impl FnMut(&str, usize) -> std::io::Result<String>,
+) -> std::io::Result<String> {
     use std::fmt::Write as _;
-    let raw = TcpStream::connect(addr)?;
-    raw.set_nodelay(true)?;
-    let mut writer = raw.try_clone()?;
-    let mut reader = BufReader::new(raw);
     let mut rng = SplitMix64::for_stream(seed, 0x6a5d, 0);
     let window = 32usize;
     let mut replies = String::new();
-    let mut line = String::new();
     let mut ids: Vec<u64> = Vec::new();
     let mut sent = 0u64;
     while sent < keys {
@@ -492,29 +494,19 @@ fn guard_session(addr: std::net::SocketAddr, seed: u64, keys: u64) -> std::io::R
         // Every window ends with a STATS probe riding the same pipeline, so
         // the guard also pins the interleaving of batched and single verbs.
         request.push_str("STATS\n");
-        writer.write_all(request.as_bytes())?;
-        for i in 0..=take {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                return Err(std::io::ErrorKind::UnexpectedEof.into());
-            }
-            replies.push_str(&line);
-            if i < take {
-                let id: u64 = line
-                    .trim_end()
-                    .rsplit(' ')
-                    .next()
-                    .and_then(|id| id.parse().ok())
-                    .ok_or(std::io::ErrorKind::InvalidData)?;
-                ids.push(id);
-            }
+        let reply = exchange(&request, take + 1)?;
+        for line in reply.lines().take(take) {
+            let id: u64 = line
+                .rsplit(' ')
+                .next()
+                .and_then(|id| id.parse().ok())
+                .ok_or(std::io::ErrorKind::InvalidData)?;
+            ids.push(id);
         }
+        replies.push_str(&reply);
         sent += take as u64;
     }
-    writer.write_all(b"FLUSH\n")?;
-    line.clear();
-    reader.read_line(&mut line)?;
-    replies.push_str(&line);
+    replies.push_str(&exchange("FLUSH\n", 1)?);
     // Release everything in pipelined windows, with one bogus id spliced in
     // to pin the grouped-release error path to the looped semantics.
     ids.insert(ids.len() / 2, u64::MAX);
@@ -523,24 +515,34 @@ fn guard_session(addr: std::net::SocketAddr, seed: u64, keys: u64) -> std::io::R
         for id in chunk {
             let _ = writeln!(request, "RELEASE {id}");
         }
-        writer.write_all(request.as_bytes())?;
-        for _ in 0..chunk.len() {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                return Err(std::io::ErrorKind::UnexpectedEof.into());
-            }
-            replies.push_str(&line);
-        }
+        replies.push_str(&exchange(&request, chunk.len())?);
     }
-    writer.write_all(b"STATS\n")?;
-    line.clear();
-    reader.read_line(&mut line)?;
-    replies.push_str(&line);
+    replies.push_str(&exchange("STATS\n", 1)?);
     Ok(replies)
 }
 
-/// The GUARD table: the same deterministic session through the blocking
-/// server and the reactor, reply streams asserted byte-identical.
+/// The TCP transport of [`guard_session`]: write the window, read its reply
+/// lines back.
+fn guard_over_tcp(addr: std::net::SocketAddr, seed: u64, keys: u64) -> std::io::Result<String> {
+    let raw = TcpStream::connect(addr)?;
+    raw.set_nodelay(true)?;
+    let mut writer = raw.try_clone()?;
+    let mut reader = BufReader::new(raw);
+    guard_session(seed, keys, |request, expect| {
+        writer.write_all(request.as_bytes())?;
+        let mut reply = String::new();
+        for _ in 0..expect {
+            if reader.read_line(&mut reply)? == 0 {
+                return Err(std::io::ErrorKind::UnexpectedEof.into());
+            }
+        }
+        Ok(reply)
+    })
+}
+
+/// The GUARD table: the same deterministic session through an in-process
+/// [`Session`] and through the reactor on both pollers, reply streams
+/// asserted byte-identical.
 pub fn server_guard(quick: bool) -> Table {
     server_guard_sized(per_unit(quick) / 8)
 }
@@ -548,7 +550,7 @@ pub fn server_guard(quick: bool) -> Table {
 fn server_guard_sized(keys: u64) -> Table {
     let seed = 29u64;
     let mut table = Table::with_alignments(
-        "GUARD: old vs new front-end — identical session, identical replies (timing smoke on 1-core)",
+        "GUARD: one protocol, three transports — identical session, identical replies (timing smoke on 1-core)",
         &[
             ("server", Align::Left),
             ("requests", Align::Right),
@@ -562,7 +564,7 @@ fn server_guard_sized(keys: u64) -> Table {
         ],
     );
     let mut reference: Option<String> = None;
-    for kind in ["thread", "reactor"] {
+    for kind in ["session", "reactor", "reactor-fallback"] {
         let registry = Arc::new(MetricsRegistry::new());
         let router = ConcurrentRouter::with_metrics(
             StreamConfig::new(BINS)
@@ -571,22 +573,33 @@ fn server_guard_sized(keys: u64) -> Table {
                 .shards(8),
             Arc::clone(&registry),
         );
-        let (addr, shutdown): (std::net::SocketAddr, Box<dyn FnOnce()>) = match kind {
-            "thread" => {
-                let server =
-                    SocketServer::start(router, ServerConfig::default()).expect("bind loopback");
-                (server.local_addr(), Box::new(move || server.shutdown()))
-            }
-            _ => {
-                let server =
-                    ReactorServer::start(router, ReactorConfig::default()).expect("bind loopback");
-                (server.local_addr(), Box::new(move || server.shutdown()))
-            }
+        // Only the session itself is on the clock, never server start-up or
+        // shutdown.
+        let (replies, seconds) = if kind == "session" {
+            let mut session = Session::new(router);
+            let mut conn = session.connect();
+            let start = Instant::now();
+            let replies = guard_session(seed, keys, |request, _| {
+                let mut reply = Vec::new();
+                session.feed(&mut conn, request.as_bytes(), &mut reply);
+                String::from_utf8(reply).map_err(|_| std::io::ErrorKind::InvalidData.into())
+            });
+            let seconds = start.elapsed().as_secs_f64();
+            session.flush_latency(&mut conn);
+            (replies, seconds)
+        } else {
+            let config = ReactorConfig {
+                force_fallback_poller: kind == "reactor-fallback",
+                ..ReactorConfig::default()
+            };
+            let server = ReactorServer::start(router, config).expect("bind loopback");
+            let start = Instant::now();
+            let replies = guard_over_tcp(server.local_addr(), seed, keys);
+            let seconds = start.elapsed().as_secs_f64();
+            server.shutdown();
+            (replies, seconds)
         };
-        let start = Instant::now();
-        let replies = guard_session(addr, seed, keys).expect("guard session");
-        let seconds = start.elapsed().as_secs_f64();
-        shutdown();
+        let replies = replies.expect("guard session");
         let snap = registry.snapshot();
         let routed = snap.counter("route.routed");
         let released = snap.counter("route.released");
@@ -688,7 +701,7 @@ mod tests {
         }
 
         let guard = server_guard_sized(512);
-        assert_eq!(guard.n_rows(), 2);
+        assert_eq!(guard.n_rows(), 3, "session, reactor, reactor-fallback");
         for row in guard.rows() {
             assert_eq!(row[6].0, "1", "exactly the spliced bogus release");
             assert_eq!(row[7].0, "yes", "conserved on {}", row[0].0);

@@ -1,23 +1,62 @@
-//! Zero-allocation line-protocol codec.
+//! The wire protocol and its zero-allocation codec.
 //!
-//! The wire format is exactly the one `pba_stream::server` speaks (see its
-//! module docs for the verb table); what changes here is the *machinery*:
-//! requests are parsed straight from the byte slice of a complete line
+//! One request per `\n`-terminated line, one reply line per request:
+//!
+//! | request | reply | meaning |
+//! |---|---|---|
+//! | `ROUTE <key>` | `OK <bin> <id>` | route one ball; the ticket is parked server-side under `<id>` |
+//! | `RELEASE <id>` | `OK <bin>` or `ERR unknown-ticket` | redeem a parked ticket |
+//! | `FLUSH` | `OK <boundaries>` | close the open batch (boundaries produced by this flush) |
+//! | `STATS` | `OK routed <r> released <d> resident <n> batches <b>` | aggregate counters |
+//! | `ADD <weight> [tier]` | `OK staged` | stage commissioning one bin of weight `weight·2^tier` (tier defaults to 0, max [`MAX_ADD_TIER`]) |
+//! | `DRAIN <bin>` | `OK staged` | stage draining `<bin>` out of the sampling set |
+//! | `REMOVE <bin>` | `OK staged` | stage retiring a drained, empty `<bin>` |
+//! | `MIGRATE` | `OK <count>` | force-migrate ticketed residents off draining bins |
+//! | anything else | `ERR bad-request` | counted, never silently dropped |
+//!
+//! The membership verbs stage a [`pba_membership::MembershipPlan`] on the
+//! shared router; like every scale event it applies at the next batch
+//! boundary, and illegal transitions (draining the last bin, removing an
+//! occupied one) are *rejected there*, visible in the
+//! `membership.rejected_*` counters — `OK staged` acknowledges staging, not
+//! acceptance.
+//!
+//! Tickets are opaque to the wire: clients hold only the arrival id, and the
+//! server parks the real [`Ticket`](pba_model::router::Ticket) in an
+//! id-sharded map (see [`crate::session`]). A `RELEASE` for an id the server
+//! does not hold (never issued, already released, or a forgery) is an
+//! `ERR unknown-ticket` — and increments `server.unknown_ticket`, per the
+//! no-silent-drops rule.
+//!
+//! ## The codec
+//!
+//! Requests are parsed straight from the byte slice of a complete line
 //! sitting in a reusable per-connection read buffer, and replies are
 //! rendered with a small itoa-style integer writer into a reusable reply
 //! buffer. In steady state neither direction allocates: no `String`, no
 //! `format!`, no per-request `Vec` — the counting-allocator test
 //! (`tests/zero_alloc_codec.rs`) pins that down.
 //!
-//! Divergence from the `&str` path is confined to inputs the old path could
-//! not even represent: a line that is not valid UTF-8 parses as
-//! [`Request::Bad`] (`ERR bad-request`) where `BufRead::read_line` would
-//! have errored and hung up the connection. On every `&str`-representable
-//! line — valid or malformed — the two parsers agree, property-tested in
+//! A line that is not valid UTF-8 parses as [`Request::Bad`]
+//! (`ERR bad-request`), never a hangup. On every `&str`-representable line —
+//! valid or malformed — the parser agrees with a plain
+//! `split_ascii_whitespace` reference, property-tested in
 //! `tests/serving_properties.rs`.
 
-use pba_stream::MAX_ADD_TIER;
-pub use pba_stream::MAX_LINE_LEN;
+/// Largest accepted `tier` of the `ADD <weight> [tier]` verb. A tier is a
+/// power-of-two capacity-class exponent (the wire analogue of
+/// [`pba_model::weights::BinWeights::power_of_two_tiers`]); `2^32` already
+/// dwarfs any realistic heterogeneity, and capping here keeps the staged
+/// weight `weight·2^tier` comfortably finite.
+pub const MAX_ADD_TIER: u32 = 32;
+
+/// Longest accepted request line in bytes (newline excluded). The longest
+/// legitimate request (`ADD <f64> <tier>`) fits in well under 64 bytes; the
+/// cap exists so a hostile client writing an endless unterminated "line"
+/// cannot balloon the server's read buffer. An oversized line is answered
+/// with `ERR bad-request` (counted under `server.bad_request`), its bytes
+/// are discarded up to the next newline, and the connection keeps serving.
+pub const MAX_LINE_LEN: usize = 1024;
 
 /// One parsed request line. Malformed lines — unknown verbs, garbage
 /// numbers, trailing tokens, out-of-range tiers — uniformly parse as
@@ -63,13 +102,11 @@ pub enum Request {
 }
 
 /// Parses one complete request line (newline already stripped) from raw
-/// bytes. Mirrors the blocking server's `&str` parsing token for token —
-/// same whitespace splitting, same strict field validation — without
-/// allocating.
+/// bytes: whitespace-split tokens over the verb table, every field
+/// validated strictly, without allocating.
 pub fn parse_request(line: &[u8]) -> Request {
     // The protocol is ASCII; `from_utf8` is a validation pass, not a copy.
-    // Invalid UTF-8 cannot be a well-formed request, so it is a bad request
-    // (the old `read_line` path could only hang up on such input).
+    // Invalid UTF-8 cannot be a well-formed request, so it is a bad request.
     let Ok(line) = std::str::from_utf8(line) else {
         return Request::Bad;
     };
@@ -200,7 +237,7 @@ mod tests {
         assert_eq!(parse_request(b"DRAIN 3"), Request::Drain { bin: 3 });
         assert_eq!(parse_request(b"REMOVE 3"), Request::Remove { bin: 3 });
         assert_eq!(parse_request(b"MIGRATE"), Request::Migrate);
-        // Leading/trailing whitespace splits exactly like the `&str` path.
+        // Leading, trailing and repeated whitespace is insignificant.
         assert_eq!(parse_request(b"  ROUTE  42  "), Request::Route { key: 42 });
     }
 

@@ -1,35 +1,41 @@
 //! # pba-net
 //!
-//! The **event-driven serving path**: a reactor TCP front-end over
-//! [`pba_stream::ConcurrentRouter`], replacing thread-per-connection
-//! blocking I/O with a small fixed pool of reactor threads driving
-//! nonblocking sockets through readiness polling.
+//! The **serving path**: the line protocol of
+//! [`pba_stream::ConcurrentRouter`], its executor, and the TCP front-end
+//! that carries it. This crate is the single home of the wire protocol —
+//! one parser, one park map, one verb dispatcher.
 //!
-//! * [`reactor`] — [`ReactorServer`]: the front-end itself. Same wire
-//!   protocol, same metric names, and bit-identical router effects as
-//!   `pba_stream::SocketServer` (a [`pba_stream::LineClient`] works against
-//!   either), but contiguous pipelined `ROUTE` runs execute through
-//!   `route_many` and contiguous `RELEASE` runs through the new
-//!   `release_many` — the departure-side twin of the batched arrival path.
+//! * [`codec`] — the wire protocol (verb table, [`MAX_LINE_LEN`],
+//!   [`MAX_ADD_TIER`]) and its zero-allocation codec: requests parse from
+//!   byte slices in reusable per-connection buffers, replies render through
+//!   itoa-style integer writers into a reusable reply buffer. No `String`,
+//!   no `format!` in steady state.
+//! * [`session`] — [`Session`]: the socket-free request executor. Takes
+//!   request bytes in arbitrary chunks, appends reply bytes to a
+//!   caller-owned buffer; owns the parked-ticket map, line splitting with
+//!   the oversized-line discard, and the batching of contiguous pipelined
+//!   `ROUTE` runs through `route_many` and `RELEASE` runs through
+//!   `release_many`. Protocol tests and in-process embeddings drive it
+//!   directly — no TCP, no ports, no sleeps.
+//! * [`reactor`] — [`ReactorServer`]: the TCP front-end. A small fixed pool
+//!   of reactor threads drives nonblocking sockets through readiness polling
+//!   and hands every byte to a [`Session`].
 //! * [`poller`] — the [`Poller`] trait with two implementations: raw
 //!   level-triggered `epoll` via `extern "C"` bindings on Linux
 //!   ([`EpollPoller`]) and a portable nonblocking poll loop
 //!   ([`FallbackPoller`]) so tests pass anywhere.
-//! * [`codec`] — the zero-allocation line-protocol codec: requests parse
-//!   from byte slices in reusable per-connection buffers, replies render
-//!   through itoa-style integer writers into a reusable reply buffer. No
-//!   `String`, no `format!` in steady state.
+//! * [`client`] — [`LineClient`]: a blocking client for tests, examples and
+//!   load generators.
 //!
-//! This crate exists (rather than a `pba_stream::net` module) because
-//! `pba-stream` forbids `unsafe`, and the epoll bindings need exactly one
-//! well-fenced unsafe block per syscall. All unsafe in this crate lives in
-//! [`poller`].
+//! `pba-stream` forbids `unsafe` and never touches `std::net`; the epoll
+//! bindings need exactly one well-fenced unsafe block per syscall. All
+//! unsafe in this crate lives in [`poller`].
 //!
 //! ## Quick start
 //!
 //! ```no_run
-//! use pba_net::{ReactorConfig, ReactorServer};
-//! use pba_stream::{ConcurrentRouter, LineClient, Policy, StreamConfig};
+//! use pba_net::{LineClient, ReactorConfig, ReactorServer};
+//! use pba_stream::{ConcurrentRouter, Policy, StreamConfig};
 //!
 //! let router = ConcurrentRouter::new(
 //!     StreamConfig::new(64).policy(Policy::TwoChoice).batch_size(128).seed(7),
@@ -44,12 +50,16 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod client;
 pub mod codec;
 pub mod poller;
 pub mod reactor;
+pub mod session;
 
-pub use codec::{parse_request, Request, MAX_LINE_LEN};
+pub use client::LineClient;
+pub use codec::{parse_request, Request, MAX_ADD_TIER, MAX_LINE_LEN};
 #[cfg(target_os = "linux")]
 pub use poller::EpollPoller;
 pub use poller::{new_poller, FallbackPoller, Poller};
 pub use reactor::{ReactorConfig, ReactorServer};
+pub use session::{ConnState, Session};

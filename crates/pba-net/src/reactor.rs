@@ -2,86 +2,50 @@
 //! threads, each owning a set of nonblocking connections, driven by
 //! readiness polling through the [`Poller`] trait.
 //!
-//! This is the serving face of [`pba_stream::ConcurrentRouter`], speaking
-//! exactly the line protocol of the blocking `pba_stream::server` (same verb
-//! table, same replies, same metric names) with a different execution model:
+//! This is the TCP face of [`pba_stream::ConcurrentRouter`]. It owns
+//! **sockets only**: every byte it reads goes to a [`Session`], which splits
+//! lines, batches `ROUTE`/`RELEASE` runs and renders replies (see
+//! [`crate::session`] for the executor and [`crate::codec`] for the wire
+//! protocol); every byte the session renders goes back out through
+//! `flush_writes`.
 //!
-//! * **thread-per-connection → reactor pool.** `ReactorConfig::reactors`
-//!   threads serve every connection; the acceptor hands each new socket to a
-//!   reactor round-robin via a per-reactor inbox. A thousand idle
-//!   connections cost a thousand parked epoll registrations, not a thousand
-//!   stacks.
-//! * **blocking reads → readiness polling.** Each reactor parks in
-//!   [`Poller::poll`] (raw `epoll` on Linux, a portable nonblocking poll
-//!   loop elsewhere — see [`crate::poller`]) and only touches sockets with
-//!   bytes waiting.
-//! * **`String`/`format!` codec → zero-allocation codec.** Requests parse
-//!   straight from the byte slices of complete lines in a reusable
-//!   per-connection read buffer ([`crate::codec::parse_request`]); replies
-//!   render through itoa-style writers into a reusable reply buffer. The
-//!   steady-state request path performs **no heap allocation per request**:
-//!   the only allocations are O(1) per *batch* (the `Vec<Placement>` a
-//!   `route_many` group returns) and amortized buffer growth, both of which
-//!   vanish per-request as pipelines deepen. `tests/zero_alloc_codec.rs`
-//!   pins the codec itself to literally zero.
-//! * **per-line routing → batched runs.** Contiguous already-buffered
-//!   `ROUTE` lines execute as one [`route_many`] group (as the blocking
-//!   server already did) and — new here — contiguous `RELEASE` lines execute
-//!   as one [`release_many`] group, paying one ledger-shard lock per touched
-//!   shard and grouped atomic decrements instead of per-ticket overhead.
-//!   Grouping never reorders replies: one reply line per request, in order.
+//! * **A reactor pool, not a thread per connection.**
+//!   `ReactorConfig::reactors` threads serve every connection; the acceptor
+//!   hands each new socket to a reactor round-robin via a per-reactor inbox.
+//!   A thousand idle connections cost a thousand parked epoll registrations,
+//!   not a thousand stacks.
+//! * **Readiness polling.** Each reactor parks in [`Poller::poll`] (raw
+//!   `epoll` on Linux, a portable nonblocking poll loop elsewhere — see
+//!   [`crate::poller`]) and only touches sockets with bytes waiting.
+//! * **Reused buffers.** One read scratch per reactor, one reply buffer per
+//!   connection, the session's scratch vectors per reactor: the steady-state
+//!   request path performs no heap allocation per request.
 //!
-//! [`route_many`]: pba_stream::ConcurrentRouter::route_many
-//! [`release_many`]: pba_stream::ConcurrentRouter::release_many
+//! ## Truncated lines
 //!
-//! ## Oversized and truncated lines
-//!
-//! A request line longer than [`MAX_LINE_LEN`] bytes is answered with
-//! `ERR bad-request` (counted under `server.bad_request`), its bytes are
-//! discarded up to the next newline, and the connection keeps serving — a
-//! hostile unterminated "line" can never balloon the read buffer. A line
-//! truncated by the peer closing mid-write is dropped and counted, exactly
-//! like the blocking server.
-//!
-//! ## Metrics
-//!
-//! With an instrumented router the reactor resolves the same handles the
-//! blocking server resolves — `server.connections`, `server.requests`,
-//! `server.bad_request`, `server.unknown_ticket`, the
-//! `server.route_latency_ns` histogram — so E17 and dashboards work
-//! unchanged, plus per-reactor `server.reactor{i}.requests` /
-//! `server.reactor{i}.route_latency_ns` for spotting imbalance across the
-//! pool. Route latency is recorded in a per-connection
-//! [`LocalHistogram`] and fanned out every `MERGE_EVERY` requests:
-//! copy-merged into the shared aggregate, drain-merged into the reactor's
-//! own histogram.
+//! A line truncated by the peer closing mid-write is dropped and counted
+//! ([`Session::end_of_input`]); the server keeps serving everyone else.
 
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use pba_membership::MembershipPlan;
-use pba_model::router::{RouteError, Ticket};
-use pba_obs::{Counter, HistogramHandle, LocalHistogram, MetricsRegistry};
-use pba_stream::{ConcurrentRouter, MAX_LINE_LEN};
+use pba_stream::ConcurrentRouter;
 
-use crate::codec::{
-    parse_request, write_err_bad_request, write_err_unknown_ticket, write_ok_bin, write_ok_count,
-    write_ok_route, write_ok_staged, write_stats, Request,
-};
 use crate::poller::{new_poller, Poller};
-
-/// Requests between fan-outs of a connection's local latency histogram into
-/// the shared and per-reactor histograms (same cadence as the blocking
-/// server).
-const MERGE_EVERY: u64 = 4096;
+use crate::session::{ConnState, Session};
 
 /// Bytes read per `read` call into a reactor's reusable scratch buffer.
 const READ_CHUNK: usize = 8192;
+
+/// Upper bound on one readiness poll — the latency with which an idle
+/// reactor notices shutdown or a newly accepted connection. Also the
+/// acceptor's poll interval. Connections with buffered bytes never wait on
+/// it (level-triggered polling reports them immediately).
+const POLL_INTERVAL: Duration = Duration::from_millis(1);
 
 /// Configuration for [`ReactorServer::start`].
 #[derive(Debug, Clone)]
@@ -93,13 +57,6 @@ pub struct ReactorConfig {
     /// the router on small machines; scale with core count for fan-in
     /// benchmarks.
     pub reactors: usize,
-    /// Upper bound on one readiness poll — the latency with which an idle
-    /// reactor notices shutdown or a newly accepted connection. Also the
-    /// acceptor's poll interval. Connections with buffered bytes never wait
-    /// on it (level-triggered polling reports them immediately).
-    pub poll_interval: Duration,
-    /// Shards of the parked-ticket map (contention control; clamped ≥ 1).
-    pub ticket_shards: usize,
     /// Forces the portable [`FallbackPoller`](crate::poller::FallbackPoller)
     /// even where epoll is available — tests use this to exercise both
     /// implementations on one machine.
@@ -111,92 +68,25 @@ impl Default for ReactorConfig {
         Self {
             addr: "127.0.0.1:0".to_string(),
             reactors: 2,
-            poll_interval: Duration::from_millis(1),
-            ticket_shards: 16,
             force_fallback_poller: false,
         }
     }
 }
 
-/// Server-wide metric handles (resolved iff the router carries a registry);
-/// the names are shared with the blocking server so both front-ends feed the
-/// same dashboards.
-#[derive(Debug, Clone)]
-struct NetMetrics {
-    connections: Counter,
-    requests: Counter,
-    bad_request: Counter,
-    unknown_ticket: Counter,
-    route_latency: HistogramHandle,
-}
-
-impl NetMetrics {
-    fn resolve(registry: &MetricsRegistry) -> Self {
-        Self {
-            connections: registry.counter("server.connections"),
-            requests: registry.counter("server.requests"),
-            bad_request: registry.counter("server.bad_request"),
-            unknown_ticket: registry.counter("server.unknown_ticket"),
-            route_latency: registry.histogram("server.route_latency_ns"),
-        }
-    }
-}
-
-/// Per-reactor metric handles: `server.reactor{i}.*`.
-#[derive(Debug, Clone)]
-struct ReactorMetrics {
-    requests: Counter,
-    route_latency: HistogramHandle,
-}
-
-impl ReactorMetrics {
-    fn resolve(registry: &MetricsRegistry, index: usize) -> Self {
-        Self {
-            requests: registry.counter(&format!("server.reactor{index}.requests")),
-            route_latency: registry.histogram(&format!("server.reactor{index}.route_latency_ns")),
-        }
-    }
-}
-
-/// Shared state every reactor works against.
+/// What the acceptor and the reactors share besides the session state.
 struct NetShared {
-    router: ConcurrentRouter,
-    /// Parked tickets, sharded by `id % shards`. Clients speak ids; only the
-    /// server holds real tickets.
-    tickets: Vec<Mutex<HashMap<u64, Ticket>>>,
     /// One inbox per reactor: the acceptor pushes new sockets, the owning
     /// reactor drains them at its next tick.
     inboxes: Vec<Mutex<Vec<TcpStream>>>,
-    metrics: Option<NetMetrics>,
     shutdown: AtomicBool,
 }
 
-impl NetShared {
-    fn park(&self, ticket: Ticket) {
-        let shard = (ticket.id() as usize) % self.tickets.len();
-        self.tickets[shard]
-            .lock()
-            .expect("ticket shard lock")
-            .insert(ticket.id(), ticket);
-    }
-
-    fn unpark(&self, id: u64) -> Option<Ticket> {
-        let shard = (id as usize) % self.tickets.len();
-        self.tickets[shard]
-            .lock()
-            .expect("ticket shard lock")
-            .remove(&id)
-    }
-}
-
 /// A running reactor TCP front-end over one [`ConcurrentRouter`] (see the
-/// [module docs](self) for how it differs from
-/// [`pba_stream::SocketServer`]). The wire protocol is identical, so
-/// [`pba_stream::LineClient`] works against either.
+/// [module docs](self)).
 ///
 /// ```no_run
-/// use pba_net::{ReactorConfig, ReactorServer};
-/// use pba_stream::{ConcurrentRouter, LineClient, Policy, StreamConfig};
+/// use pba_net::{LineClient, ReactorConfig, ReactorServer};
+/// use pba_stream::{ConcurrentRouter, Policy, StreamConfig};
 ///
 /// let router = ConcurrentRouter::new(
 ///     StreamConfig::new(64).policy(Policy::TwoChoice).batch_size(128).seed(7),
@@ -210,6 +100,7 @@ impl NetShared {
 /// ```
 pub struct ReactorServer {
     shared: Arc<NetShared>,
+    router: ConcurrentRouter,
     local_addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
     reactors: Vec<JoinHandle<()>>,
@@ -233,34 +124,27 @@ impl ReactorServer {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let reactors = config.reactors.max(1);
-        let metrics = router.metrics().map(|m| NetMetrics::resolve(&m.registry));
-        let registry = router.metrics().map(|m| Arc::clone(&m.registry));
+        let session = Session::new(router.clone());
         let shared = Arc::new(NetShared {
-            router,
-            tickets: (0..config.ticket_shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
             inboxes: (0..reactors).map(|_| Mutex::new(Vec::new())).collect(),
-            metrics,
             shutdown: AtomicBool::new(false),
         });
         let mut reactor_handles = Vec::with_capacity(reactors);
         for index in 0..reactors {
             let shared = Arc::clone(&shared);
             let poller = new_poller(config.force_fallback_poller)?;
-            let reactor_metrics = registry.as_ref().map(|r| ReactorMetrics::resolve(r, index));
-            let poll_interval = config.poll_interval;
+            let session = session.for_reactor(index);
             reactor_handles.push(std::thread::spawn(move || {
-                Reactor::new(index, shared, poller, reactor_metrics, poll_interval).run()
+                Reactor::new(index, shared, poller, session).run()
             }));
         }
         let acceptor = {
             let shared = Arc::clone(&shared);
-            let poll = config.poll_interval;
-            std::thread::spawn(move || accept_loop(listener, shared, poll))
+            std::thread::spawn(move || accept_loop(listener, shared))
         };
         Ok(Self {
             shared,
+            router,
             local_addr,
             acceptor: Some(acceptor),
             reactors: reactor_handles,
@@ -274,7 +158,7 @@ impl ReactorServer {
 
     /// The router this server drives.
     pub fn router(&self) -> &ConcurrentRouter {
-        &self.shared.router
+        &self.router
     }
 
     /// Stops accepting, wakes every reactor at its next poll timeout, and
@@ -302,7 +186,7 @@ impl Drop for ReactorServer {
 
 /// Polls the non-blocking listener and deals each connection to a reactor
 /// inbox round-robin, until shutdown.
-fn accept_loop(listener: TcpListener, shared: Arc<NetShared>, poll: Duration) {
+fn accept_loop(listener: TcpListener, shared: Arc<NetShared>) {
     let mut next = 0usize;
     while !shared.shutdown.load(Ordering::Acquire) {
         match listener.accept() {
@@ -320,7 +204,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<NetShared>, poll: Duration) {
                 next = (next + 1) % shared.inboxes.len();
             }
             Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(poll);
+                std::thread::sleep(POLL_INTERVAL);
             }
             Err(_) => break,
         }
@@ -330,51 +214,26 @@ fn accept_loop(listener: TcpListener, shared: Arc<NetShared>, poll: Duration) {
 /// One connection owned by a reactor.
 struct Conn {
     stream: TcpStream,
-    /// Unconsumed request bytes; complete lines are parsed and drained in
-    /// place, so in steady state this holds at most one partial line.
-    read_buf: Vec<u8>,
+    /// Partial-line, discard and latency state between reads.
+    state: ConnState,
     /// Rendered-but-unsent reply bytes (`write_at` marks the sent prefix);
     /// retried every tick until drained.
     write_buf: Vec<u8>,
     write_at: usize,
-    /// An oversized line was answered; bytes are being dropped until the
-    /// next newline.
-    discarding: bool,
-    local_latency: LocalHistogram,
-    since_merge: u64,
 }
 
-impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        Self {
-            stream,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            write_at: 0,
-            discarding: false,
-            local_latency: LocalHistogram::new(),
-            since_merge: 0,
-        }
-    }
-}
-
-/// One reactor thread: a poller, a slab of connections, and the reusable
-/// scratch buffers that keep the request path allocation-free.
+/// One reactor thread: a poller, a slab of connections, the read scratch,
+/// and the session that executes what the sockets deliver.
 struct Reactor {
     index: usize,
     shared: Arc<NetShared>,
     poller: Box<dyn Poller>,
-    metrics: Option<ReactorMetrics>,
-    poll_interval: Duration,
+    session: Session,
     /// Slab: token == slot index; `None` slots are on the free list.
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     ready: Vec<usize>,
     scratch: Vec<u8>,
-    requests: Vec<Request>,
-    route_keys: Vec<u64>,
-    unparked: Vec<Option<Ticket>>,
-    release_run: Vec<Ticket>,
 }
 
 impl Reactor {
@@ -382,23 +241,17 @@ impl Reactor {
         index: usize,
         shared: Arc<NetShared>,
         poller: Box<dyn Poller>,
-        metrics: Option<ReactorMetrics>,
-        poll_interval: Duration,
+        session: Session,
     ) -> Self {
         Self {
             index,
             shared,
             poller,
-            metrics,
-            poll_interval,
+            session,
             conns: Vec::new(),
             free: Vec::new(),
             ready: Vec::new(),
             scratch: vec![0u8; READ_CHUNK],
-            requests: Vec::new(),
-            route_keys: Vec::new(),
-            unparked: Vec::new(),
-            release_run: Vec::new(),
         }
     }
 
@@ -406,7 +259,7 @@ impl Reactor {
         while !self.shared.shutdown.load(Ordering::Acquire) {
             self.adopt_new_connections();
             let mut ready = std::mem::take(&mut self.ready);
-            if self.poller.poll(&mut ready, self.poll_interval).is_err() {
+            if self.poller.poll(&mut ready, POLL_INTERVAL).is_err() {
                 // A broken poller leaves only the portable behaviour:
                 // treat everything as ready so no connection starves.
                 ready.clear();
@@ -427,7 +280,7 @@ impl Reactor {
         // Shutdown: fan out whatever latency samples are still local.
         for slot in 0..self.conns.len() {
             if let Some(mut conn) = self.conns[slot].take() {
-                self.merge_latency(&mut conn);
+                self.session.flush_latency(&mut conn.state);
             }
         }
     }
@@ -447,35 +300,33 @@ impl Reactor {
                 self.free.push(slot);
                 continue;
             }
-            if let Some(metrics) = &self.shared.metrics {
-                metrics.connections.inc();
-            }
-            self.conns[slot] = Some(Conn::new(stream));
+            self.conns[slot] = Some(Conn {
+                stream,
+                state: self.session.connect(),
+                write_buf: Vec::new(),
+                write_at: 0,
+            });
         }
     }
 
-    /// Reads everything currently buffered on `slot`'s socket, executes the
-    /// complete lines, and writes replies. Closes the connection on EOF or
+    /// Reads everything currently buffered on `slot`'s socket, feeds it to
+    /// the session, and writes the replies. Closes the connection on EOF or
     /// I/O error.
     fn handle_readable(&mut self, slot: usize) {
         let Some(mut conn) = self.conns.get_mut(slot).and_then(Option::take) else {
             return; // spurious token (fallback poller, or already closed)
         };
         let mut close = false;
-        let mut truncated = false;
         loop {
             match (&conn.stream).read(&mut self.scratch) {
                 Ok(0) => {
                     close = true;
-                    // EOF with a partial line buffered: the request is
-                    // truncated — the client may have died halfway through
-                    // writing it — so drop it, visibly.
-                    truncated = !conn.read_buf.is_empty() && !conn.discarding;
+                    self.session.end_of_input(&conn.state);
                     break;
                 }
                 Ok(n) => {
-                    conn.read_buf.extend_from_slice(&self.scratch[..n]);
-                    self.process_lines(&mut conn);
+                    self.session
+                        .feed(&mut conn.state, &self.scratch[..n], &mut conn.write_buf);
                     if n < READ_CHUNK {
                         break;
                     }
@@ -488,278 +339,21 @@ impl Reactor {
                 }
             }
         }
-        if truncated {
-            if let Some(metrics) = &self.shared.metrics {
-                metrics.bad_request.inc();
-            }
-        }
         if flush_writes(&mut conn).is_err() {
             close = true;
         }
         if close {
-            let _ = self.poller.deregister(&conn.stream, slot);
-            self.merge_latency(&mut conn);
-            self.free.push(slot);
-            // conn drops here, closing the socket.
+            self.drop_conn(conn, slot);
         } else {
             self.conns[slot] = Some(conn);
         }
     }
 
-    /// Parses every complete line in `conn.read_buf` into the reusable
-    /// request vector (handling the oversized-line discard mode), then
-    /// executes them with run batching.
-    fn process_lines(&mut self, conn: &mut Conn) {
-        self.requests.clear();
-        let buf = &mut conn.read_buf;
-        let mut start = 0usize;
-        loop {
-            if conn.discarding {
-                match buf[start..].iter().position(|&b| b == b'\n') {
-                    Some(nl) => {
-                        start += nl + 1;
-                        conn.discarding = false;
-                    }
-                    None => {
-                        start = buf.len();
-                        break;
-                    }
-                }
-                continue;
-            }
-            match buf[start..].iter().position(|&b| b == b'\n') {
-                Some(nl) => {
-                    let line = &buf[start..start + nl];
-                    if line.len() > MAX_LINE_LEN {
-                        self.requests.push(Request::Bad);
-                    } else {
-                        self.requests.push(parse_request(line));
-                    }
-                    start += nl + 1;
-                }
-                None => {
-                    if buf.len() - start > MAX_LINE_LEN {
-                        // An unterminated line already over the cap: answer
-                        // now, drop bytes until its newline finally shows up.
-                        self.requests.push(Request::Bad);
-                        conn.discarding = true;
-                        start = buf.len();
-                    }
-                    break;
-                }
-            }
-        }
-        buf.drain(..start);
-        if !self.requests.is_empty() {
-            self.execute(conn);
-        }
-    }
-
-    /// Executes the parsed requests in order, batching contiguous `ROUTE`
-    /// runs through `route_many` and contiguous `RELEASE` runs through
-    /// `release_many`. One reply line per request, in request order.
-    fn execute(&mut self, conn: &mut Conn) {
-        let requests = std::mem::take(&mut self.requests);
-        let mut i = 0;
-        while i < requests.len() {
-            match requests[i] {
-                Request::Route { .. } => {
-                    let mut end = i + 1;
-                    while end < requests.len() && matches!(requests[end], Request::Route { .. }) {
-                        end += 1;
-                    }
-                    self.route_keys.clear();
-                    for request in &requests[i..end] {
-                        if let Request::Route { key } = request {
-                            self.route_keys.push(*key);
-                        }
-                    }
-                    self.count_requests(self.route_keys.len() as u64);
-                    let start = Instant::now();
-                    let placements = self
-                        .shared
-                        .router
-                        .route_many(&self.route_keys)
-                        .expect("routing is infallible");
-                    let per_route =
-                        start.elapsed().as_nanos() as u64 / self.route_keys.len().max(1) as u64;
-                    for placement in placements {
-                        conn.local_latency.record(per_route);
-                        write_ok_route(&mut conn.write_buf, placement.bin, placement.ticket.id());
-                        self.shared.park(placement.ticket);
-                    }
-                    conn.since_merge += (end - i) as u64;
-                    i = end;
-                }
-                Request::Release { .. } => {
-                    let mut end = i + 1;
-                    while end < requests.len() && matches!(requests[end], Request::Release { .. }) {
-                        end += 1;
-                    }
-                    self.unparked.clear();
-                    for request in &requests[i..end] {
-                        if let Request::Release { id } = request {
-                            self.unparked.push(self.shared.unpark(*id));
-                        }
-                    }
-                    self.count_requests((end - i) as u64);
-                    let unparked = std::mem::take(&mut self.unparked);
-                    let mut j = 0;
-                    while j < unparked.len() {
-                        match unparked[j] {
-                            None => {
-                                // Never issued (or already released): the
-                                // router never saw it, so the server-side
-                                // counter is its only trace.
-                                self.count_unknown_ticket();
-                                write_err_unknown_ticket(&mut conn.write_buf);
-                                j += 1;
-                            }
-                            Some(_) => {
-                                self.release_run.clear();
-                                while j < unparked.len() {
-                                    match unparked[j] {
-                                        Some(ticket) => {
-                                            self.release_run.push(ticket);
-                                            j += 1;
-                                        }
-                                        None => break,
-                                    }
-                                }
-                                let run = std::mem::take(&mut self.release_run);
-                                self.release_batch(&run, conn);
-                                self.release_run = run;
-                            }
-                        }
-                    }
-                    self.unparked = unparked;
-                    conn.since_merge += (end - i) as u64;
-                    i = end;
-                }
-                other => {
-                    self.count_requests(1);
-                    self.execute_single(other, conn);
-                    conn.since_merge += 1;
-                    i += 1;
-                }
-            }
-        }
-        self.requests = requests;
-        if conn.since_merge >= MERGE_EVERY {
-            self.merge_latency(conn);
-            conn.since_merge = 0;
-        }
-    }
-
-    /// Releases one maximal run of parked tickets through `release_many`,
-    /// preserving the looped semantics exactly: `release_many` stops at the
-    /// first failing ticket with everything before it committed, so on error
-    /// the prefix gets its `OK` replies, the failing ticket gets
-    /// `ERR unknown-ticket`, and the remainder retries as a smaller group.
-    fn release_batch(&mut self, run: &[Ticket], conn: &mut Conn) {
-        let mut rest = run;
-        while !rest.is_empty() {
-            match self.shared.router.release_many(rest) {
-                Ok(()) => {
-                    for ticket in rest {
-                        write_ok_bin(&mut conn.write_buf, ticket.bin());
-                    }
-                    return;
-                }
-                Err(RouteError::UnknownTicket { ticket }) => {
-                    // The router's own `route.rejected_unknown_ticket` has
-                    // already counted this.
-                    let failed = rest.iter().position(|t| t.id() == ticket.id()).unwrap_or(0);
-                    for ticket in &rest[..failed] {
-                        write_ok_bin(&mut conn.write_buf, ticket.bin());
-                    }
-                    self.count_unknown_ticket();
-                    write_err_unknown_ticket(&mut conn.write_buf);
-                    rest = &rest[failed + 1..];
-                }
-                Err(RouteError::Exhausted { .. }) => {
-                    // Releases cannot exhaust capacity; fail the remainder
-                    // visibly rather than loop forever.
-                    for _ in rest {
-                        self.count_unknown_ticket();
-                        write_err_unknown_ticket(&mut conn.write_buf);
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Executes one non-batchable request, mirroring the blocking server's
-    /// `respond` verb for verb.
-    fn execute_single(&mut self, request: Request, conn: &mut Conn) {
-        let router = &self.shared.router;
-        match request {
-            Request::Route { .. } | Request::Release { .. } => {
-                unreachable!("batched by execute()")
-            }
-            Request::Flush => write_ok_count(&mut conn.write_buf, router.flush() as u64),
-            Request::Stats => {
-                let stats = router.stats();
-                write_stats(
-                    &mut conn.write_buf,
-                    stats.routed,
-                    stats.released,
-                    stats.resident,
-                    stats.batches,
-                );
-            }
-            Request::Add { weight } => {
-                router.stage_membership(MembershipPlan::new().add(weight));
-                write_ok_staged(&mut conn.write_buf);
-            }
-            Request::Drain { bin } => {
-                router.stage_membership(MembershipPlan::new().drain(bin));
-                write_ok_staged(&mut conn.write_buf);
-            }
-            Request::Remove { bin } => {
-                router.stage_membership(MembershipPlan::new().remove(bin));
-                write_ok_staged(&mut conn.write_buf);
-            }
-            Request::Migrate => write_ok_count(&mut conn.write_buf, router.migrate_drained()),
-            Request::Bad => {
-                if let Some(metrics) = &self.shared.metrics {
-                    metrics.bad_request.inc();
-                }
-                write_err_bad_request(&mut conn.write_buf);
-            }
-        }
-    }
-
-    fn count_requests(&self, n: u64) {
-        if let Some(metrics) = &self.shared.metrics {
-            metrics.requests.add(n);
-        }
-        if let Some(metrics) = &self.metrics {
-            metrics.requests.add(n);
-        }
-    }
-
-    fn count_unknown_ticket(&self) {
-        if let Some(metrics) = &self.shared.metrics {
-            metrics.unknown_ticket.inc();
-        }
-    }
-
-    /// Fans the connection's local latency histogram out: copy-merge into
-    /// the shared `server.route_latency_ns` aggregate, drain-merge into this
-    /// reactor's own histogram. Every sample lands in both exactly once.
-    fn merge_latency(&self, conn: &mut Conn) {
-        if let Some(metrics) = &self.shared.metrics {
-            metrics.route_latency.merge_local_copy(&conn.local_latency);
-        }
-        if let Some(metrics) = &self.metrics {
-            metrics.route_latency.merge_local(&mut conn.local_latency);
-        } else if self.shared.metrics.is_some() {
-            // No per-reactor sink: still reset so the copy-merge above
-            // cannot double-count on the next merge.
-            conn.local_latency = LocalHistogram::new();
-        }
+    /// Deregisters and closes `conn` (the socket closes when it drops).
+    fn drop_conn(&mut self, mut conn: Conn, slot: usize) {
+        let _ = self.poller.deregister(&conn.stream, slot);
+        self.session.flush_latency(&mut conn.state);
+        self.free.push(slot);
     }
 
     fn retry_pending_writes(&mut self) {
@@ -772,9 +366,7 @@ impl Reactor {
             }
             let mut conn = self.conns[slot].take().expect("checked above");
             if flush_writes(&mut conn).is_err() {
-                let _ = self.poller.deregister(&conn.stream, slot);
-                self.merge_latency(&mut conn);
-                self.free.push(slot);
+                self.drop_conn(conn, slot);
             } else {
                 self.conns[slot] = Some(conn);
             }
@@ -803,7 +395,9 @@ fn flush_writes(conn: &mut Conn) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pba_stream::{LineClient, Policy, StreamConfig};
+    use crate::{LineClient, MAX_LINE_LEN};
+    use pba_obs::MetricsRegistry;
+    use pba_stream::{Policy, StreamConfig};
     use std::io::{BufRead, BufReader};
 
     fn instrumented_server(bins: usize, batch: usize, config: ReactorConfig) -> ReactorServer {

@@ -1,0 +1,696 @@
+//! The socket-free request executor: everything the serving path does
+//! between "bytes arrived" and "reply bytes are ready", with no socket, no
+//! poller and no thread in sight.
+//!
+//! A [`Session`] takes request bytes in whatever chunks the transport
+//! delivers them and appends reply bytes to a caller-owned buffer. The
+//! [`reactor`](crate::reactor) is one caller (one `Session` per reactor
+//! thread, one [`ConnState`] per socket); tests, the GUARD bench and any
+//! in-process embedding are the others. Because replies depend only on the
+//! request *stream* — never on how it was chunked — a session driven
+//! in-process answers byte for byte what the same stream gets over TCP.
+//!
+//! What lives here:
+//!
+//! * **The park map.** Clients speak arrival ids; the real
+//!   [`Ticket`]s are parked in one id-sharded map shared by every session of
+//!   a server, so a ticket routed on one connection redeems on any other.
+//! * **Line splitting.** Complete lines are parsed in place out of the
+//!   connection's read buffer ([`parse_request`]); in steady state the buffer
+//!   holds at most one partial line. A line longer than [`MAX_LINE_LEN`] is
+//!   answered with `ERR bad-request` as soon as the cap is crossed and its
+//!   bytes are discarded up to the next newline — a hostile unterminated
+//!   "line" can never balloon the buffer, and the connection keeps serving.
+//! * **Run batching.** Contiguous already-buffered `ROUTE` lines execute as
+//!   one [`route_many`] group and contiguous `RELEASE` lines as one
+//!   [`release_many`] group, paying one ledger-shard lock per touched shard
+//!   and grouped atomic updates instead of per-request overhead. Grouping
+//!   never waits for more input and never reorders replies: one reply line
+//!   per request, in order.
+//! * **No heap allocation per request.** Scratch vectors belong to the
+//!   session, line and latency state to the connection, the reply buffer to
+//!   the caller; all are reused. What remains is O(1) per *batch* (the
+//!   `Vec<Placement>` a `route_many` group returns) and amortized growth.
+//!
+//! ## Metrics
+//!
+//! With an instrumented router the session resolves `server.connections`,
+//! `server.requests`, `server.bad_request`, `server.unknown_ticket` and the
+//! `server.route_latency_ns` histogram against the router's registry; a
+//! reactor's session adds `server.reactor{i}.requests` /
+//! `server.reactor{i}.route_latency_ns` for spotting imbalance across the
+//! pool. Route latency is recorded in the connection's [`LocalHistogram`]
+//! (plain integer arithmetic on the request path) and fanned out every
+//! `MERGE_EVERY` requests, and by [`Session::flush_latency`] when the
+//! connection goes away.
+//!
+//! [`route_many`]: pba_stream::ConcurrentRouter::route_many
+//! [`release_many`]: pba_stream::ConcurrentRouter::release_many
+
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
+
+use pba_membership::MembershipPlan;
+use pba_model::router::{RouteError, Ticket};
+use pba_obs::{Counter, HistogramHandle, LocalHistogram, MetricsRegistry};
+use pba_stream::ConcurrentRouter;
+
+use crate::codec::{
+    parse_request, write_err_bad_request, write_err_unknown_ticket, write_ok_bin, write_ok_count,
+    write_ok_route, write_ok_staged, write_stats, Request, MAX_LINE_LEN,
+};
+
+/// Requests between fan-outs of a connection's local latency histogram into
+/// the shared and per-reactor histograms.
+const MERGE_EVERY: u64 = 4096;
+
+/// Shards of the parked-ticket map (contention control between reactors).
+const TICKET_SHARDS: usize = 16;
+
+/// Server-wide metric handles (resolved iff the router carries a registry).
+struct ServerMetrics {
+    connections: Counter,
+    requests: Counter,
+    bad_request: Counter,
+    unknown_ticket: Counter,
+    route_latency: HistogramHandle,
+}
+
+impl ServerMetrics {
+    fn resolve(registry: &MetricsRegistry) -> Self {
+        Self {
+            connections: registry.counter("server.connections"),
+            requests: registry.counter("server.requests"),
+            bad_request: registry.counter("server.bad_request"),
+            unknown_ticket: registry.counter("server.unknown_ticket"),
+            route_latency: registry.histogram("server.route_latency_ns"),
+        }
+    }
+}
+
+/// Per-reactor metric handles: `server.reactor{i}.*`.
+struct ReactorMetrics {
+    requests: Counter,
+    route_latency: HistogramHandle,
+}
+
+impl ReactorMetrics {
+    fn resolve(registry: &MetricsRegistry, index: usize) -> Self {
+        Self {
+            requests: registry.counter(&format!("server.reactor{index}.requests")),
+            route_latency: registry.histogram(&format!("server.reactor{index}.route_latency_ns")),
+        }
+    }
+}
+
+/// State every session of one server works against.
+struct Shared {
+    router: ConcurrentRouter,
+    /// Parked tickets, sharded by `id % shards`. Clients speak ids; only the
+    /// server holds real tickets.
+    tickets: Vec<Mutex<HashMap<u64, Ticket>>>,
+    metrics: Option<ServerMetrics>,
+}
+
+impl Shared {
+    fn park(&self, ticket: Ticket) {
+        let shard = (ticket.id() as usize) % self.tickets.len();
+        self.tickets[shard]
+            .lock()
+            .expect("ticket shard lock")
+            .insert(ticket.id(), ticket);
+    }
+
+    fn unpark(&self, id: u64) -> Option<Ticket> {
+        let shard = (id as usize) % self.tickets.len();
+        self.tickets[shard]
+            .lock()
+            .expect("ticket shard lock")
+            .remove(&id)
+    }
+}
+
+/// The protocol state of one connection: what survives between two
+/// [`Session::feed`] calls on the same byte stream. Obtained from
+/// [`Session::connect`].
+#[derive(Debug)]
+pub struct ConnState {
+    /// Unconsumed request bytes; complete lines are parsed and drained in
+    /// place, so in steady state this holds at most one partial line.
+    read_buf: Vec<u8>,
+    /// An oversized line was answered; bytes are being dropped until the
+    /// next newline.
+    discarding: bool,
+    local_latency: LocalHistogram,
+    since_merge: u64,
+}
+
+/// The request executor over one [`ConcurrentRouter`] (see the
+/// [module docs](self)).
+///
+/// ```
+/// use pba_net::Session;
+/// use pba_stream::{ConcurrentRouter, Policy, StreamConfig};
+///
+/// let router = ConcurrentRouter::new(
+///     StreamConfig::new(64).policy(Policy::TwoChoice).batch_size(128).seed(7),
+/// );
+/// let mut session = Session::new(router);
+/// let mut conn = session.connect();
+/// let mut replies = Vec::new();
+/// // Chunk boundaries are arbitrary: a line may arrive in pieces.
+/// session.feed(&mut conn, b"ROUTE 42\nSTA", &mut replies);
+/// session.feed(&mut conn, b"TS\n", &mut replies);
+/// let replies = String::from_utf8(replies).unwrap();
+/// assert!(replies.starts_with("OK "));
+/// assert!(replies.ends_with("OK routed 1 released 0 resident 1 batches 0\n"));
+/// ```
+pub struct Session {
+    shared: Arc<Shared>,
+    reactor_metrics: Option<ReactorMetrics>,
+    // Reusable scratch, so the request path stays allocation-free.
+    requests: Vec<Request>,
+    route_keys: Vec<u64>,
+    unparked: Vec<Option<Ticket>>,
+    release_run: Vec<Ticket>,
+}
+
+impl Session {
+    /// A session driving `router` (a cheap handle clone; the caller keeps
+    /// its own for direct inspection) with a fresh, empty park map.
+    pub fn new(router: ConcurrentRouter) -> Self {
+        let metrics = router
+            .metrics()
+            .map(|m| ServerMetrics::resolve(&m.registry));
+        Self::over(
+            Arc::new(Shared {
+                router,
+                tickets: (0..TICKET_SHARDS)
+                    .map(|_| Mutex::new(HashMap::new()))
+                    .collect(),
+                metrics,
+            }),
+            None,
+        )
+    }
+
+    /// A sibling session for reactor thread `index`: same router, same park
+    /// map, its own scratch and `server.reactor{index}.*` handles.
+    pub(crate) fn for_reactor(&self, index: usize) -> Self {
+        let reactor_metrics = self
+            .shared
+            .router
+            .metrics()
+            .map(|m| ReactorMetrics::resolve(&m.registry, index));
+        Self::over(Arc::clone(&self.shared), reactor_metrics)
+    }
+
+    fn over(shared: Arc<Shared>, reactor_metrics: Option<ReactorMetrics>) -> Self {
+        Self {
+            shared,
+            reactor_metrics,
+            requests: Vec::new(),
+            route_keys: Vec::new(),
+            unparked: Vec::new(),
+            release_run: Vec::new(),
+        }
+    }
+
+    /// The router this session drives.
+    pub fn router(&self) -> &ConcurrentRouter {
+        &self.shared.router
+    }
+
+    /// Opens the protocol state of one new connection (counted under
+    /// `server.connections`).
+    pub fn connect(&self) -> ConnState {
+        if let Some(metrics) = &self.shared.metrics {
+            metrics.connections.inc();
+        }
+        ConnState {
+            read_buf: Vec::new(),
+            discarding: false,
+            local_latency: LocalHistogram::new(),
+            since_merge: 0,
+        }
+    }
+
+    /// Consumes the next `bytes` of `conn`'s request stream: executes every
+    /// line they complete (with run batching) and appends one reply line per
+    /// request to `replies`, in order. A trailing partial line stays
+    /// buffered in `conn` for the next call.
+    pub fn feed(&mut self, conn: &mut ConnState, bytes: &[u8], replies: &mut Vec<u8>) {
+        conn.read_buf.extend_from_slice(bytes);
+        self.requests.clear();
+        let buf = &mut conn.read_buf;
+        let mut start = 0usize;
+        loop {
+            if conn.discarding {
+                match buf[start..].iter().position(|&b| b == b'\n') {
+                    Some(nl) => {
+                        start += nl + 1;
+                        conn.discarding = false;
+                    }
+                    None => {
+                        start = buf.len();
+                        break;
+                    }
+                }
+                continue;
+            }
+            match buf[start..].iter().position(|&b| b == b'\n') {
+                Some(nl) => {
+                    let line = &buf[start..start + nl];
+                    if line.len() > MAX_LINE_LEN {
+                        self.requests.push(Request::Bad);
+                    } else {
+                        self.requests.push(parse_request(line));
+                    }
+                    start += nl + 1;
+                }
+                None => {
+                    if buf.len() - start > MAX_LINE_LEN {
+                        // An unterminated line already over the cap: answer
+                        // now, drop bytes until its newline finally shows up.
+                        self.requests.push(Request::Bad);
+                        conn.discarding = true;
+                        start = buf.len();
+                    }
+                    break;
+                }
+            }
+        }
+        buf.drain(..start);
+        if !self.requests.is_empty() {
+            self.execute(conn, replies);
+        }
+    }
+
+    /// The peer stopped sending. A partial line still buffered is a
+    /// truncated request — the client may have died halfway through writing
+    /// it — so it is dropped, visibly (`server.bad_request`), never executed.
+    pub fn end_of_input(&self, conn: &ConnState) {
+        if !conn.read_buf.is_empty() && !conn.discarding {
+            if let Some(metrics) = &self.shared.metrics {
+                metrics.bad_request.inc();
+            }
+        }
+    }
+
+    /// Executes the parsed requests in order, batching contiguous `ROUTE`
+    /// runs through `route_many` and contiguous `RELEASE` runs through
+    /// `release_many`. One reply line per request, in request order.
+    fn execute(&mut self, conn: &mut ConnState, replies: &mut Vec<u8>) {
+        let mut i = 0;
+        while i < self.requests.len() {
+            match self.requests[i] {
+                Request::Route { .. } => {
+                    let mut end = i + 1;
+                    while matches!(self.requests.get(end), Some(Request::Route { .. })) {
+                        end += 1;
+                    }
+                    self.route_keys.clear();
+                    for request in &self.requests[i..end] {
+                        if let Request::Route { key } = request {
+                            self.route_keys.push(*key);
+                        }
+                    }
+                    self.count_requests(self.route_keys.len() as u64);
+                    let start = Instant::now();
+                    let placements = self
+                        .shared
+                        .router
+                        .route_many(&self.route_keys)
+                        .expect("routing is infallible");
+                    let per_route =
+                        start.elapsed().as_nanos() as u64 / self.route_keys.len().max(1) as u64;
+                    for placement in placements {
+                        conn.local_latency.record(per_route);
+                        write_ok_route(replies, placement.bin, placement.ticket.id());
+                        self.shared.park(placement.ticket);
+                    }
+                    conn.since_merge += (end - i) as u64;
+                    i = end;
+                }
+                Request::Release { .. } => {
+                    let mut end = i + 1;
+                    while matches!(self.requests.get(end), Some(Request::Release { .. })) {
+                        end += 1;
+                    }
+                    self.unparked.clear();
+                    for request in &self.requests[i..end] {
+                        if let Request::Release { id } = request {
+                            self.unparked.push(self.shared.unpark(*id));
+                        }
+                    }
+                    self.count_requests((end - i) as u64);
+                    // Maximal runs of parked tickets, split at every id the
+                    // server does not hold.
+                    for run in self.unparked.chunk_by(|a, b| a.is_some() && b.is_some()) {
+                        if run[0].is_none() {
+                            // Never issued (or already released): the router
+                            // never saw it, so the server-side counter is
+                            // its only trace.
+                            self.count_unknown_ticket();
+                            write_err_unknown_ticket(replies);
+                            continue;
+                        }
+                        self.release_run.clear();
+                        self.release_run.extend(run.iter().flatten());
+                        self.release_batch(&self.release_run, replies);
+                    }
+                    conn.since_merge += (end - i) as u64;
+                    i = end;
+                }
+                other => {
+                    self.count_requests(1);
+                    self.execute_single(other, replies);
+                    conn.since_merge += 1;
+                    i += 1;
+                }
+            }
+        }
+        if conn.since_merge >= MERGE_EVERY {
+            self.flush_latency(conn);
+            conn.since_merge = 0;
+        }
+    }
+
+    /// Releases one maximal run of parked tickets through `release_many`,
+    /// preserving the looped semantics exactly: `release_many` stops at the
+    /// first failing ticket with everything before it committed, so on error
+    /// the prefix gets its `OK` replies, the failing ticket gets
+    /// `ERR unknown-ticket`, and the remainder retries as a smaller group.
+    fn release_batch(&self, run: &[Ticket], replies: &mut Vec<u8>) {
+        let mut rest = run;
+        while !rest.is_empty() {
+            match self.shared.router.release_many(rest) {
+                Ok(()) => {
+                    for ticket in rest {
+                        write_ok_bin(replies, ticket.bin());
+                    }
+                    return;
+                }
+                Err(RouteError::UnknownTicket { ticket }) => {
+                    // The router's own `route.rejected_unknown_ticket` has
+                    // already counted this.
+                    let failed = rest.iter().position(|t| t.id() == ticket.id()).unwrap_or(0);
+                    for ticket in &rest[..failed] {
+                        write_ok_bin(replies, ticket.bin());
+                    }
+                    self.count_unknown_ticket();
+                    write_err_unknown_ticket(replies);
+                    rest = &rest[failed + 1..];
+                }
+                Err(RouteError::Exhausted { .. }) => {
+                    // Releases cannot exhaust capacity; fail the remainder
+                    // visibly rather than loop forever.
+                    for _ in rest {
+                        self.count_unknown_ticket();
+                        write_err_unknown_ticket(replies);
+                    }
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Executes one non-batchable request.
+    fn execute_single(&self, request: Request, replies: &mut Vec<u8>) {
+        let router = &self.shared.router;
+        match request {
+            Request::Route { .. } | Request::Release { .. } => {
+                unreachable!("batched by execute()")
+            }
+            Request::Flush => write_ok_count(replies, router.flush() as u64),
+            Request::Stats => {
+                let stats = router.stats();
+                write_stats(
+                    replies,
+                    stats.routed,
+                    stats.released,
+                    stats.resident,
+                    stats.batches,
+                );
+            }
+            Request::Add { weight } => {
+                router.stage_membership(MembershipPlan::new().add(weight));
+                write_ok_staged(replies);
+            }
+            Request::Drain { bin } => {
+                router.stage_membership(MembershipPlan::new().drain(bin));
+                write_ok_staged(replies);
+            }
+            Request::Remove { bin } => {
+                router.stage_membership(MembershipPlan::new().remove(bin));
+                write_ok_staged(replies);
+            }
+            Request::Migrate => write_ok_count(replies, router.migrate_drained()),
+            Request::Bad => {
+                if let Some(metrics) = &self.shared.metrics {
+                    metrics.bad_request.inc();
+                }
+                write_err_bad_request(replies);
+            }
+        }
+    }
+
+    fn count_requests(&self, n: u64) {
+        if let Some(metrics) = &self.shared.metrics {
+            metrics.requests.add(n);
+        }
+        if let Some(metrics) = &self.reactor_metrics {
+            metrics.requests.add(n);
+        }
+    }
+
+    fn count_unknown_ticket(&self) {
+        if let Some(metrics) = &self.shared.metrics {
+            metrics.unknown_ticket.inc();
+        }
+    }
+
+    /// Fans out whatever latency samples `conn` still holds locally:
+    /// copy-merge into the shared `server.route_latency_ns` aggregate,
+    /// drain-merge into this reactor's own histogram. Every sample lands in
+    /// both exactly once. Runs by itself every `MERGE_EVERY` requests; call
+    /// it once more when the connection goes away.
+    pub fn flush_latency(&self, conn: &mut ConnState) {
+        if let Some(metrics) = &self.shared.metrics {
+            metrics.route_latency.merge_local_copy(&conn.local_latency);
+        }
+        if let Some(metrics) = &self.reactor_metrics {
+            metrics.route_latency.merge_local(&mut conn.local_latency);
+        } else if self.shared.metrics.is_some() {
+            // No per-reactor sink: still reset so the copy-merge above
+            // cannot double-count on the next merge.
+            conn.local_latency = LocalHistogram::new();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pba_obs::MetricsSnapshot;
+    use pba_stream::{Policy, StreamConfig};
+
+    /// One instrumented session with one open connection; `say` feeds whole
+    /// lines and returns the reply lines they produced.
+    struct Harness {
+        session: Session,
+        conn: ConnState,
+    }
+
+    impl Harness {
+        fn new(config: StreamConfig) -> Self {
+            let router = ConcurrentRouter::with_metrics(
+                config.policy(Policy::TwoChoice).seed(11),
+                Arc::new(MetricsRegistry::new()),
+            );
+            let session = Session::new(router);
+            let conn = session.connect();
+            Self { session, conn }
+        }
+
+        fn say(&mut self, bytes: &[u8]) -> Vec<String> {
+            let mut replies = Vec::new();
+            self.session.feed(&mut self.conn, bytes, &mut replies);
+            String::from_utf8(replies)
+                .expect("replies are ASCII")
+                .lines()
+                .map(str::to_string)
+                .collect()
+        }
+
+        /// `ROUTE key` → the issued id.
+        fn route(&mut self, key: u64) -> u64 {
+            let replies = self.say(format!("ROUTE {key}\n").as_bytes());
+            let mut parts = replies[0].split(' ');
+            assert_eq!(parts.next(), Some("OK"), "{replies:?}");
+            parts.nth(1).expect("id field").parse().expect("id")
+        }
+
+        fn router(&self) -> &ConcurrentRouter {
+            self.session.router()
+        }
+
+        fn finish(mut self) -> MetricsSnapshot {
+            self.session.flush_latency(&mut self.conn);
+            let metrics = self.session.router().metrics().expect("instrumented");
+            metrics.registry.snapshot()
+        }
+    }
+
+    #[test]
+    fn unknown_tickets_and_bad_requests_are_counted_not_dropped() {
+        let mut h = Harness::new(StreamConfig::new(8).batch_size(8));
+        assert_eq!(h.say(b"RELEASE 99999\n"), ["ERR unknown-ticket"]);
+        assert_eq!(h.say(b"NONSENSE line\n"), ["ERR bad-request"]);
+        assert_eq!(h.say(b"ROUTE notanumber\n"), ["ERR bad-request"]);
+        let id = h.route(7);
+        let release = format!("RELEASE {id}\n");
+        assert!(h.say(release.as_bytes())[0].starts_with("OK "));
+        // Double release: the server no longer holds the ticket.
+        assert_eq!(h.say(release.as_bytes()), ["ERR unknown-ticket"]);
+        // Bad membership requests are counted, not staged.
+        assert_eq!(h.say(b"ADD -1\nDRAIN x\n"), ["ERR bad-request"; 2]);
+        let snap = h.finish();
+        assert_eq!(snap.counter("server.unknown_ticket"), 2);
+        assert_eq!(snap.counter("server.bad_request"), 4);
+        assert_eq!(
+            snap.counter("server.requests"),
+            8,
+            "every line is one request"
+        );
+        assert_eq!(snap.counter("server.connections"), 1);
+        // Neither forged release reached the router.
+        assert_eq!(snap.counter("route.rejected_unknown_ticket"), 0);
+    }
+
+    #[test]
+    fn empty_and_malformed_lines_get_bad_request_and_the_session_survives() {
+        let mut h = Harness::new(StreamConfig::new(8).batch_size(8));
+        // An empty line is a request like any other: one reply, counted.
+        assert_eq!(h.say(b"\n"), ["ERR bad-request"]);
+        // A key that overflows u64 must not panic the parser.
+        assert_eq!(
+            h.say(b"ROUTE 99999999999999999999999\n"),
+            ["ERR bad-request"]
+        );
+        // Whitespace-only and trailing-garbage lines too.
+        assert_eq!(h.say(b"   \n"), ["ERR bad-request"]);
+        assert_eq!(h.say(b"ROUTE 1 2\n"), ["ERR bad-request"]);
+        // The connection is still healthy afterwards.
+        let id = h.route(5);
+        assert!(h.say(format!("RELEASE {id}\n").as_bytes())[0].starts_with("OK "));
+        let snap = h.finish();
+        assert_eq!(snap.counter("server.bad_request"), 4);
+        assert_eq!(snap.counter("server.requests"), 6);
+        assert_eq!(snap.counter("route.routed"), 1);
+    }
+
+    #[test]
+    fn oversized_lines_get_bad_request_terminated_or_not() {
+        let mut h = Harness::new(StreamConfig::new(8).batch_size(8));
+        // Case 1: a complete oversized line, newline included, one chunk.
+        let mut big = vec![b'x'; MAX_LINE_LEN * 2];
+        big.push(b'\n');
+        assert_eq!(h.say(&big), ["ERR bad-request"]);
+        // Case 2: an unterminated oversized line is answered as soon as the
+        // cap is crossed, holds no memory while its tail trickles in, and
+        // the request after its newline is served normally.
+        assert_eq!(h.say(&vec![b'y'; MAX_LINE_LEN + 1]), ["ERR bad-request"]);
+        assert!(h.say(&vec![b'y'; MAX_LINE_LEN * 2]).is_empty());
+        assert!(h.conn.read_buf.is_empty(), "discarded, not buffered");
+        let replies = h.say(b"tail\nROUTE 5\n");
+        assert_eq!(replies.len(), 1, "{replies:?}");
+        assert!(replies[0].starts_with("OK "), "{replies:?}");
+        assert_eq!(h.router().stats().routed, 1);
+        let snap = h.finish();
+        assert_eq!(snap.counter("server.bad_request"), 2);
+        assert_eq!(snap.counter("server.requests"), 3);
+    }
+
+    #[test]
+    fn pipelined_routes_batch_through_route_many_and_stay_ordered() {
+        // A whole pipeline of ROUTE lines in one chunk executes as one
+        // `route_many` group; replies come back one per line, in order,
+        // with distinct ids, and the router sees every ball.
+        let mut h = Harness::new(StreamConfig::new(32).batch_size(16));
+        let mut request = String::new();
+        for key in 0..40u64 {
+            request.push_str(&format!("ROUTE {key}\n"));
+        }
+        request.push_str("STATS\n");
+        let replies = h.say(request.as_bytes());
+        assert_eq!(replies.len(), 41);
+        let mut ids = std::collections::HashSet::new();
+        for (i, reply) in replies[..40].iter().enumerate() {
+            let mut parts = reply.split(' ');
+            assert_eq!(parts.next(), Some("OK"), "reply {i}: {reply}");
+            let bin: usize = parts.next().unwrap().parse().unwrap();
+            assert!(bin < 32);
+            assert!(ids.insert(parts.next().unwrap().parse::<u64>().unwrap()));
+        }
+        assert!(
+            replies[40].starts_with("OK routed 40 released 0 resident 40"),
+            "{}",
+            replies[40]
+        );
+        // Full 16-ball batches closed exactly as a one-at-a-time client
+        // would close them: ⌊40/16⌋ = 2 boundaries.
+        assert_eq!(h.router().batches(), 2);
+        let snap = h.finish();
+        assert_eq!(snap.counter("route.routed"), 40);
+        // Every grouped route is still one request and one latency sample —
+        // and one group means one shared per-route figure.
+        assert_eq!(snap.counter("server.requests"), 41);
+        let latency = snap.histogram("server.route_latency_ns").expect("recorded");
+        assert_eq!(latency.count, 40);
+        assert_eq!(latency.p50, latency.max, "one route_many group");
+    }
+
+    #[test]
+    fn add_verb_accepts_a_tier_and_rejects_garbage() {
+        let mut h = Harness::new(StreamConfig::new(8).batch_size(8).reserve_bins(1));
+        // Tiered add: weight 1.5 in capacity class 2^3 stages weight 12.
+        assert_eq!(h.say(b"ADD 1.5 3\n"), ["OK staged"]);
+        for key in 0..4u64 {
+            h.route(key);
+        }
+        assert_eq!(h.say(b"FLUSH\n"), ["OK 1"]);
+        assert_eq!(
+            h.router().slot_weight(8),
+            12.0,
+            "staged weight is weight·2^tier"
+        );
+        // Tier validation: non-integer, negative, oversized, and trailing
+        // garbage are all bad requests — counted, never staged.
+        let over_cap = format!("ADD 1.0 {}\n", crate::MAX_ADD_TIER + 1);
+        for garbage in [
+            "ADD 1.0 x\n",
+            "ADD 1.0 -2\n",
+            over_cap.as_str(),
+            "ADD 1.0 2 extra\n",
+            "ADD nope 2\n",
+        ] {
+            assert_eq!(h.say(garbage.as_bytes()), ["ERR bad-request"], "{garbage}");
+        }
+        let snap = h.finish();
+        assert_eq!(snap.counter("server.bad_request"), 5);
+        assert_eq!(snap.counter("membership.adds"), 1);
+    }
+
+    #[test]
+    fn flush_closes_the_open_partial_batch() {
+        let mut h = Harness::new(StreamConfig::new(16).batch_size(64));
+        for key in 0..10u64 {
+            h.route(key);
+        }
+        assert_eq!(h.say(b"FLUSH\n"), ["OK 1"]);
+        assert_eq!(h.router().batches(), 1);
+        assert_eq!(h.say(b"FLUSH\n"), ["OK 0"], "nothing left open");
+    }
+}

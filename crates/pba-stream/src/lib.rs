@@ -106,7 +106,6 @@ pub mod metrics;
 pub mod observer;
 pub mod policy;
 pub mod scenario;
-pub mod server;
 pub mod shard;
 pub mod snapshot;
 
@@ -120,7 +119,6 @@ pub use metrics::{MembershipCounters, PolicyCounters, StreamMetrics};
 pub use observer::{GapTrajectoryObserver, ReweightLog, ReweightRecord};
 pub use policy::{candidate_bins, choose_bin, ChoiceCtx, Policy};
 pub use scenario::{run_scenario, run_scenario_on, ChurnMode, ScenarioConfig, ScenarioReport};
-pub use server::{LineClient, ServerConfig, SocketServer, MAX_ADD_TIER, MAX_LINE_LEN};
 pub use shard::{ShardStats, ShardedBins};
 pub use snapshot::StreamSnapshot;
 

@@ -1337,9 +1337,8 @@ pub fn e16_concurrent_routing(quick: bool) -> Table {
 
 /// E17 — the observability layer under serving load: loopback clients drive
 /// a metrics-instrumented [`ConcurrentRouter`](pba_stream::ConcurrentRouter)
-/// **through both TCP line-protocol front-ends** — the thread-per-connection
-/// [`SocketServer`](pba_stream::SocketServer) and the event-driven
-/// [`ReactorServer`](pba_net::ReactorServer) — each connection routing its
+/// through the TCP line-protocol front-end
+/// ([`ReactorServer`](pba_net::ReactorServer)), each connection routing its
 /// keys and then releasing every ticket. The latency columns come from the
 /// server's own `server.route_latency_ns` histogram (log-bucketed, ≤ 12.5 %
 /// relative error), so the experiment also exercises the full metrics path:
@@ -1347,51 +1346,22 @@ pub fn e16_concurrent_routing(quick: bool) -> Table {
 /// route/release, and the no-silent-drops ledger — the drops column sums
 /// every rejection/fallback counter and must read 0 for this well-behaved
 /// workload, while conservation (`routed − released == resident == 0`) must
-/// hold at every caller count on both servers. Throughput scales with
-/// callers only on multi-core hardware; on a 1-core container the threads
-/// serialise and the req/s column is a smoke number — read the structural
-/// columns (identical between the two servers for 1 caller) instead.
+/// hold at every caller count. Throughput scales with callers only on
+/// multi-core hardware; on a 1-core container the threads serialise and the
+/// req/s column is a smoke number — read the structural columns instead.
 pub fn e17_socket_serving(quick: bool) -> Table {
-    use pba_net::{ReactorConfig, ReactorServer};
-    use pba_stream::{ConcurrentRouter, LineClient, ServerConfig, SocketServer};
+    use pba_net::{LineClient, ReactorConfig, ReactorServer};
+    use pba_stream::ConcurrentRouter;
     use std::sync::Arc;
     use std::time::Instant;
 
-    /// Either front-end behind one seam, so both run the identical workload.
-    enum Front {
-        Thread(SocketServer),
-        Reactor(ReactorServer),
-    }
-
-    impl Front {
-        fn local_addr(&self) -> std::net::SocketAddr {
-            match self {
-                Front::Thread(s) => s.local_addr(),
-                Front::Reactor(s) => s.local_addr(),
-            }
-        }
-        fn router(&self) -> &ConcurrentRouter {
-            match self {
-                Front::Thread(s) => s.router(),
-                Front::Reactor(s) => s.router(),
-            }
-        }
-        fn shutdown(self) {
-            match self {
-                Front::Thread(s) => s.shutdown(),
-                Front::Reactor(s) => s.shutdown(),
-            }
-        }
-    }
-
-    let (n, per_caller_quick): (usize, u64) = if quick { (64, 512) } else { (256, 4_096) };
+    let (n, per_caller): (usize, u64) = if quick { (64, 512) } else { (256, 4_096) };
     let batch = n;
     let callers_list: &[u64] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8] };
     let seed = 17u64;
     let mut table = Table::with_alignments(
-        "E17: observability under load — route/release through both TCP front-ends, latency from the server's own histogram",
+        "E17: observability under load — route/release through the TCP front-end, latency from the server's own histogram",
         &[
-            ("server", Align::Left),
             ("callers", Align::Right),
             ("requests", Align::Right),
             ("wall ms", Align::Right),
@@ -1407,81 +1377,69 @@ pub fn e17_socket_serving(quick: bool) -> Table {
     );
 
     for &callers in callers_list {
-        for kind in ["thread", "reactor"] {
-            let per_caller = per_caller_quick;
-            let registry = Arc::new(pba_obs::MetricsRegistry::new());
-            let router = ConcurrentRouter::with_metrics(
-                StreamConfig::new(n).batch_size(batch).seed(seed),
-                Arc::clone(&registry),
-            );
-            let server = match kind {
-                "thread" => Front::Thread(
-                    SocketServer::start(router, ServerConfig::default()).expect("bind loopback"),
-                ),
-                _ => Front::Reactor(
-                    ReactorServer::start(router, ReactorConfig::default()).expect("bind loopback"),
-                ),
-            };
-            let addr = server.local_addr();
-            let start = Instant::now();
-            std::thread::scope(|scope| {
-                for t in 0..callers {
-                    scope.spawn(move || {
-                        let mut client = LineClient::connect(addr).expect("connect loopback");
-                        let mut keys = pba_model::rng::SplitMix64::for_stream(seed, 0xe17, t);
-                        let mut ids = Vec::with_capacity(per_caller as usize);
-                        for _ in 0..per_caller {
-                            let (_bin, id) = client.route(keys.next_u64()).expect("route over tcp");
-                            ids.push(id);
-                        }
-                        for id in ids {
-                            assert!(
-                                client.release(id).expect("release over tcp").is_some(),
-                                "every issued id releases once"
-                            );
-                        }
-                    });
-                }
-            });
-            let seconds = start.elapsed().as_secs_f64();
-            let requests = 2 * callers * per_caller; // one route + one release each
-            let mut client = LineClient::connect(addr).expect("connect for flush");
-            client.flush().expect("flush over tcp");
-            let stats = server.router().stats();
-            let conserved = server.router().conserves_balls() && server.router().resident() == 0;
-            // Shutting down joins every handler/reactor, which merges the
-            // per-connection latency histograms — only then is the snapshot
-            // complete.
-            server.shutdown();
-            let snap = registry.snapshot();
-            let latency = *snap
-                .histogram("server.route_latency_ns")
-                .expect("every row routes");
-            debug_assert_eq!(latency.count, callers * per_caller);
-            // The no-silent-drops ledger: every rejection/fallback counter in
-            // one number. 0 here — and a test forces each path to prove it
-            // counts.
-            let drops = snap.counter("route.rejected_unknown_ticket")
-                + snap.counter("server.unknown_ticket")
-                + snap.counter("server.bad_request")
-                + snap.counter("ingress.late_arrivals")
-                + snap.counter("observer.errors")
-                + snap.sum_counters("policy.");
-            table.push_row([
-                Cell::from(kind),
-                Cell::from(callers),
-                Cell::from(requests),
-                Cell::from(seconds * 1e3),
-                Cell::from(requests as f64 / seconds),
-                Cell::from(latency.p50 as f64 / 1e3),
-                Cell::from(latency.p90 as f64 / 1e3),
-                Cell::from(latency.p99 as f64 / 1e3),
-                Cell::from(stats.batches),
-                Cell::from(stats.gap),
-                Cell::from(drops),
-                Cell::from(if conserved { "yes" } else { "NO" }),
-            ]);
-        }
+        let registry = Arc::new(pba_obs::MetricsRegistry::new());
+        let router = ConcurrentRouter::with_metrics(
+            StreamConfig::new(n).batch_size(batch).seed(seed),
+            Arc::clone(&registry),
+        );
+        let server = ReactorServer::start(router, ReactorConfig::default()).expect("bind loopback");
+        let addr = server.local_addr();
+        let start = Instant::now();
+        std::thread::scope(|scope| {
+            for t in 0..callers {
+                scope.spawn(move || {
+                    let mut client = LineClient::connect(addr).expect("connect loopback");
+                    let mut keys = pba_model::rng::SplitMix64::for_stream(seed, 0xe17, t);
+                    let mut ids = Vec::with_capacity(per_caller as usize);
+                    for _ in 0..per_caller {
+                        let (_bin, id) = client.route(keys.next_u64()).expect("route over tcp");
+                        ids.push(id);
+                    }
+                    for id in ids {
+                        assert!(
+                            client.release(id).expect("release over tcp").is_some(),
+                            "every issued id releases once"
+                        );
+                    }
+                });
+            }
+        });
+        let seconds = start.elapsed().as_secs_f64();
+        let requests = 2 * callers * per_caller; // one route + one release each
+        let mut client = LineClient::connect(addr).expect("connect for flush");
+        client.flush().expect("flush over tcp");
+        let stats = server.router().stats();
+        let conserved = server.router().conserves_balls() && server.router().resident() == 0;
+        // Shutting down joins every reactor, which merges the per-connection
+        // latency histograms — only then is the snapshot complete.
+        server.shutdown();
+        let snap = registry.snapshot();
+        let latency = *snap
+            .histogram("server.route_latency_ns")
+            .expect("every row routes");
+        debug_assert_eq!(latency.count, callers * per_caller);
+        // The no-silent-drops ledger: every rejection/fallback counter in
+        // one number. 0 here — and a test forces each path to prove it
+        // counts.
+        let drops = snap.counter("route.rejected_unknown_ticket")
+            + snap.counter("server.unknown_ticket")
+            + snap.counter("server.bad_request")
+            + snap.counter("ingress.late_arrivals")
+            + snap.counter("observer.errors")
+            + snap.sum_counters("policy.");
+        table.push_row([
+            Cell::from(callers),
+            Cell::from(requests),
+            Cell::from(seconds * 1e3),
+            Cell::from(requests as f64 / seconds),
+            Cell::from(latency.p50 as f64 / 1e3),
+            Cell::from(latency.p90 as f64 / 1e3),
+            Cell::from(latency.p99 as f64 / 1e3),
+            Cell::from(stats.batches),
+            Cell::from(stats.gap),
+            Cell::from(drops),
+            Cell::from(if conserved { "yes" } else { "NO" }),
+        ]);
     }
     table
 }
@@ -1978,22 +1936,19 @@ mod tests {
     #[test]
     fn e17_quick_serves_over_tcp_with_zero_drops() {
         let t = e17_socket_serving(true);
-        assert_eq!(t.n_rows(), 6, "callers 1, 2, 4 through both front-ends");
-        assert_eq!(t.n_cols(), 12);
-        for (i, row) in t.rows().iter().enumerate() {
-            // Front-ends alternate per caller count: thread, then reactor.
-            let kind = if i % 2 == 0 { "thread" } else { "reactor" };
-            assert_eq!(row[0].0, kind, "row {i} server");
-            let callers: u64 = row[1].0.parse().unwrap();
-            let requests: u64 = row[2].0.parse().unwrap();
+        assert_eq!(t.n_rows(), 3, "callers 1, 2, 4");
+        assert_eq!(t.n_cols(), 11);
+        for row in t.rows() {
+            let callers: u64 = row[0].0.parse().unwrap();
+            let requests: u64 = row[1].0.parse().unwrap();
             // One route + one release per key, all acknowledged over TCP.
             assert_eq!(requests, 2 * callers * 512);
-            let p50: f64 = row[5].0.parse().unwrap();
-            let p99: f64 = row[7].0.parse().unwrap();
+            let p50: f64 = row[4].0.parse().unwrap();
+            let p99: f64 = row[6].0.parse().unwrap();
             assert!(p50 > 0.0 && p99 >= p50, "latency quantiles are ordered");
-            let drops: u64 = row[10].0.parse().unwrap();
+            let drops: u64 = row[9].0.parse().unwrap();
             assert_eq!(drops, 0, "a clean workload drops nothing");
-            assert_eq!(row[11].0, "yes", "conservation at {callers} callers");
+            assert_eq!(row[10].0, "yes", "conservation at {callers} callers");
         }
     }
 

@@ -3,13 +3,11 @@
 //! loopback clients driving it, and the registry snapshot proving the
 //! batched paths really ran.
 //!
-//! Where `examples/socket_server.rs` demonstrates the thread-per-connection
-//! front-end with one request in flight per client, this example pipelines:
-//! each client writes a whole window of `ROUTE` lines before reading any
-//! reply, so contiguous runs reach the server back-to-back and execute
-//! through `route_many` / `release_many` instead of one engine call per
-//! request. The wire protocol and the metric names are identical — the same
-//! `LineClient` talks to either server.
+//! The clients pipeline: each writes a whole window of `ROUTE` lines before
+//! reading any reply, so contiguous runs reach the server back-to-back and
+//! execute through `route_many` / `release_many` instead of one engine call
+//! per request. A one-request-at-a-time `LineClient` speaks the same
+//! protocol and rides along for the abuse and membership phases.
 //!
 //! The run:
 //!
@@ -19,9 +17,12 @@
 //!    protocol abuse that must land in named counters, never vanish;
 //! 3. drives the membership verbs (`ADD`/`DRAIN`/`MIGRATE`) through the
 //!    same line protocol to show the elastic path works over the reactor;
-//! 4. snapshots the registry and asserts the books balance, then repeats a
+//! 4. snapshots the registry and asserts the books balance — the
+//!    no-silent-drops ledger, per-bin commits summing to the placed total, a
+//!    nonzero route-latency histogram covering every route — then repeats a
 //!    short smoke pass with `force_fallback_poller` so both `Poller`
-//!    implementations are exercised in one run.
+//!    implementations are exercised in one run; each pass ships its
+//!    snapshot through a `MetricSink` the way a deployment would.
 //!
 //! Run with: `cargo run --release --example reactor_serving`
 
@@ -29,7 +30,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
-use parallel_balanced_allocations::obs::MetricsRegistry;
+use parallel_balanced_allocations::obs::{MetricSink, MetricsRegistry, StderrSink};
 use parallel_balanced_allocations::prelude::*;
 use parallel_balanced_allocations::stream::Policy;
 
@@ -157,6 +158,22 @@ fn serve_round(force_fallback: bool, clients: usize, requests: u64) -> u64 {
         .map(|i| snap.counter(&format!("server.reactor{i}.requests")))
         .sum();
     assert_eq!(per_reactor, snap.counter("server.requests"));
+    // Per-bin commits sum to the placed total plus the forced migrations,
+    // each of which commits its resident to a second bin (conservation, per
+    // backend).
+    let commits: u64 = snap
+        .counter_vecs
+        .get("route.bin_commits")
+        .expect("per-bin commit family")
+        .iter()
+        .sum();
+    assert_eq!(commits, snap.counter("route.placed") + migrated);
+    // The server's own latency histogram saw every routed request.
+    let latency = snap
+        .histogram("server.route_latency_ns")
+        .expect("latency recorded");
+    assert_eq!(latency.count, total, "nonzero histogram covers every route");
+    assert!(latency.p99 >= latency.p50 && latency.p50 > 0);
 
     let poller = if force_fallback {
         "fallback poll loop"
@@ -174,16 +191,16 @@ fn serve_round(force_fallback: bool, clients: usize, requests: u64) -> u64 {
         snap.counter("server.requests") as f64 / elapsed,
         snap.counter("router.stream_batches"),
     );
-    if let Some(latency) = snap.histogram("server.route_latency_ns") {
-        println!(
-            "[{poller}] route latency over tcp: p50 {:.1}us p90 {:.1}us p99 {:.1}us \
-             ({} samples)",
-            latency.p50 as f64 / 1e3,
-            latency.p90 as f64 / 1e3,
-            latency.p99 as f64 / 1e3,
-            latency.count
-        );
-    }
+    println!(
+        "[{poller}] route latency over tcp: p50 {:.1}us p90 {:.1}us p99 {:.1}us \
+         ({} samples)",
+        latency.p50 as f64 / 1e3,
+        latency.p90 as f64 / 1e3,
+        latency.p99 as f64 / 1e3,
+        latency.count
+    );
+    // Ship the snapshot through a sink, the way a deployment would.
+    StderrSink.emit(&snap).expect("stderr sink never fails");
     total
 }
 

@@ -1,9 +1,9 @@
-//! Property tests for the event-driven serving path:
+//! Property tests for the serving path:
 //!
 //! 1. **Codec ≡ `&str` reference** — the zero-allocation byte-slice
 //!    `parse_request` classifies arbitrary lines (valid, malformed, and
-//!    non-UTF-8) exactly as the blocking server's `&str` +
-//!    `split_ascii_whitespace` parse does, with non-UTF-8 mapping to a bad
+//!    non-UTF-8) exactly as a plain `&str` + `split_ascii_whitespace`
+//!    restatement of the verb table does, with non-UTF-8 mapping to a bad
 //!    request.
 //! 2. **`release_many` ≡ looped `release`** — for arbitrary group
 //!    partitions, with and without a spliced-in bogus ticket, the grouped
@@ -11,6 +11,11 @@
 //!    loads, and error behaviour as the one-at-a-time loop.
 //! 3. **Pipelined serving stress** — k concurrent pipelined connections
 //!    through the reactor front-end conserve every ball and drop nothing.
+//! 4. **Chunking immunity** — one fixed request stream fed to a socket-free
+//!    `Session` under arbitrary chunkings (cuts inside lines, inside the
+//!    oversized line) produces the identical reply bytes and router state
+//!    as the one-chunk run: what TCP does to segment boundaries can never
+//!    change an answer.
 
 use std::io::{BufRead, BufReader, Write as IoWrite};
 use std::net::TcpStream;
@@ -22,18 +27,18 @@ use parallel_balanced_allocations::model::rng::SplitMix64;
 use parallel_balanced_allocations::model::router::ReleaseEvent;
 use parallel_balanced_allocations::model::{RouteError, RouterObserver, Ticket};
 use parallel_balanced_allocations::net::codec::{parse_request, Request};
-use parallel_balanced_allocations::net::{ReactorConfig, ReactorServer};
+use parallel_balanced_allocations::net::{
+    ReactorConfig, ReactorServer, Session, MAX_ADD_TIER, MAX_LINE_LEN,
+};
 use parallel_balanced_allocations::obs::MetricsRegistry;
 use parallel_balanced_allocations::prelude::*;
-use parallel_balanced_allocations::stream::MAX_ADD_TIER;
 
 // ---------------------------------------------------------------------------
 // 1. Codec ≡ &str reference
 // ---------------------------------------------------------------------------
 
-/// The blocking server's classification, restated: decode as UTF-8 (the old
-/// path could only ever see valid UTF-8 out of `read_line`; the codec maps
-/// the rest to `Bad`), then `split_ascii_whitespace` over the verb table.
+/// The reference classification: decode as UTF-8 (the codec maps anything
+/// else to `Bad`), then `split_ascii_whitespace` over the verb table.
 fn reference_parse(line: &[u8]) -> Request {
     let Ok(text) = std::str::from_utf8(line) else {
         return Request::Bad;
@@ -497,4 +502,117 @@ fn pipelined_stress_on_the_fallback_poller() {
     let snap = registry.snapshot();
     assert_eq!(snap.counter("route.routed"), connections * per);
     assert_eq!(snap.counter("server.bad_request"), 0);
+}
+
+// ---------------------------------------------------------------------------
+// 4. Chunking immunity
+// ---------------------------------------------------------------------------
+
+/// Feeds `stream` to a session over a fresh router, cut at `cuts` (sorted
+/// offsets), and returns the concatenated reply bytes plus the router's
+/// final state. Ticket ids are arrival ids, so identically seeded routers
+/// issue identical ids for identical keys.
+fn serve_chunked(seed: u64, stream: &[u8], cuts: &[usize]) -> (Vec<u8>, RouterStats, Vec<u32>) {
+    let router = ConcurrentRouter::new(StreamConfig::new(16).batch_size(16).seed(seed).shards(4));
+    let mut session = Session::new(router);
+    let mut conn = session.connect();
+    let mut replies = Vec::new();
+    let mut at = 0usize;
+    for &cut in cuts.iter().chain(std::iter::once(&stream.len())) {
+        session.feed(&mut conn, &stream[at..cut], &mut replies);
+        at = cut;
+    }
+    let router = session.router();
+    (replies, router.stats(), router.loads())
+}
+
+/// One valid mixed request stream: ROUTE runs split by a STATS and by one
+/// oversized line, then RELEASE runs of every issued id with a bogus id
+/// spliced in, a FLUSH, and a final STATS. Returns the bytes and the span of
+/// the oversized line.
+fn mixed_stream(seed: u64, routes: usize) -> (Vec<u8>, std::ops::Range<usize>) {
+    let mut rng = SplitMix64::for_stream(seed, 0xc4a7, 3);
+    let route_lines: Vec<String> = (0..routes)
+        .map(|_| format!("ROUTE {}\n", rng.next_u64()))
+        .collect();
+    // Discovery pass: the ids these routes are issued, in order.
+    let (discovered, _, _) = serve_chunked(seed, route_lines.concat().as_bytes(), &[]);
+    let ids: Vec<u64> = String::from_utf8(discovered)
+        .expect("ASCII replies")
+        .lines()
+        .map(|line| line.rsplit(' ').next().unwrap().parse().expect("id"))
+        .collect();
+    assert_eq!(ids.len(), routes);
+
+    let mut stream = Vec::new();
+    for line in &route_lines[..routes / 2] {
+        stream.extend_from_slice(line.as_bytes());
+    }
+    stream.extend_from_slice(b"STATS\n");
+    let oversized_start = stream.len();
+    stream.extend(std::iter::repeat_n(b'x', MAX_LINE_LEN * 2 + 37));
+    stream.push(b'\n');
+    let oversized = oversized_start..stream.len();
+    for line in &route_lines[routes / 2..] {
+        stream.extend_from_slice(line.as_bytes());
+    }
+    for (i, id) in ids.iter().enumerate() {
+        if i == routes / 3 {
+            stream.extend_from_slice(b"RELEASE 18446744073709551615\n");
+        }
+        if i == 2 * routes / 3 {
+            stream.extend_from_slice(b"FLUSH\n");
+        }
+        stream.extend_from_slice(format!("RELEASE {id}\n").as_bytes());
+    }
+    stream.extend_from_slice(b"STATS\n");
+    (stream, oversized)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Arbitrary chunkings of one request stream — single bytes, cuts inside
+    /// a verb, inside a number, inside the oversized line — produce the
+    /// one-chunk run's reply bytes and final router state exactly.
+    #[test]
+    fn arbitrary_chunkings_produce_the_identical_reply_stream(
+        seed in 0u64..1_000,
+        routes in 8usize..120,
+        chunk_seed in 0u64..10_000,
+    ) {
+        let (stream, oversized) = mixed_stream(seed, routes);
+        let whole = serve_chunked(seed, &stream, &[]);
+        // The stream is well-formed apart from its two deliberate abuses.
+        let text = std::str::from_utf8(&whole.0).expect("ASCII replies");
+        prop_assert_eq!(text.lines().count(), 2 * routes + 5, "one reply per line");
+        prop_assert_eq!(text.matches("ERR bad-request").count(), 1);
+        prop_assert_eq!(text.matches("ERR unknown-ticket").count(), 1);
+        prop_assert_eq!(whole.1.routed, routes as u64);
+        prop_assert_eq!(whole.1.resident, 0);
+
+        // Random cuts at three scales (bytes, lines, many lines), plus one
+        // forced inside the first verb and two inside the oversized line —
+        // before and after the point where the cap is crossed.
+        let mut rng = SplitMix64::for_stream(chunk_seed, 0xc4a7, 4);
+        let mut cuts = vec![
+            3,
+            oversized.start + MAX_LINE_LEN / 2,
+            oversized.start + MAX_LINE_LEN + 300,
+        ];
+        let mut at = 0usize;
+        loop {
+            at += 1 + (rng.next_u64() % [7, 90, 2_500][(rng.next_u64() % 3) as usize]) as usize;
+            if at >= stream.len() {
+                break;
+            }
+            cuts.push(at);
+        }
+        cuts.sort_unstable();
+        cuts.dedup();
+        let chunked = serve_chunked(seed, &stream, &cuts);
+        prop_assert!(chunked.0 == whole.0, "reply bytes differ under cuts {:?}", cuts);
+        prop_assert_eq!(chunked.1, whole.1);
+        prop_assert_eq!(chunked.2, whole.2);
+    }
 }

@@ -5,25 +5,39 @@
 //! connection and are reused, so heap traffic per request is exactly what
 //! this test measures.
 //!
-//! The counter is a thin `#[global_allocator]` wrapper; this file is its
-//! own integration binary so the counter sees only this test's traffic.
+//! The counter is a thin `#[global_allocator]` wrapper that counts **per
+//! thread**: libtest runs this file's tests on parallel threads (and
+//! allocates on its own), so a process-wide count would charge one test with
+//! its neighbours' heap traffic. Each measuring thread reads only its own
+//! count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use parallel_balanced_allocations::net::codec::{
     parse_request, write_err_bad_request, write_err_unknown_ticket, write_ok_bin, write_ok_count,
     write_ok_route, write_ok_staged, write_stats, Request,
 };
 
-/// System allocator with an allocation counter.
+/// System allocator with a per-thread allocation counter.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from inside
+    // the allocator neither allocates nor can find it torn down.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+/// Charges one allocation to the calling thread.
+fn count_one() {
+    ALLOCATIONS.with(|count| count.set(count.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the counter bump touches only a thread-local `Cell`.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -32,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -40,11 +54,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// Allocations observed while running `f`.
+/// Allocations the calling thread performed while running `f`.
 fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[test]
