@@ -10,17 +10,92 @@
 //!    and notifies the remaining accepting bins (which do not count it).
 //!
 //! The only state carried across rounds is each bin's committed load and the set
-//! of unallocated balls, exactly as in the model. Sampling (step 1) is the
-//! dominant cost and is optionally parallelised with rayon; because every ball's
-//! choices are a pure function of `(seed, ball, round)`, parallel and sequential
-//! executions produce identical requests and therefore identical per-bin loads.
+//! of unallocated balls, exactly as in the model.
+//!
+//! # One blocked pass per round
+//!
+//! A round is **one pass over fixed-size blocks of balls**: a block's targets
+//! are sampled into a cache-resident scratch, the block is resolved in arrival
+//! order, and the scratch is reused for the next block. Beyond the result
+//! itself a round therefore holds `O(n + block + leftover)` memory — the
+//! per-bin vectors, one block of targets and identities, and the list of balls
+//! rejected so far — never `O(m)`:
+//!
+//! * **No request-count pass.** A bin grants `min(quota, requests)` accepts,
+//!   in arrival order. When a request is resolved, the accepts its bin has
+//!   granted so far number at most the *earlier* requests to that bin, which is
+//!   fewer than all of them; so "fewer than `min(quota, requests)` granted" is
+//!   exactly "fewer than `quota` granted", for every degree, distinct choices
+//!   or not. The quota vector, computed once at the top of the round from the
+//!   committed loads, is all a bin needs — which is the paper's model.
+//! * **No identity vector.** Until the first round that rejects a ball, the
+//!   unallocated set of [`run_agent_engine`] *is* the range `0..m`; it is walked
+//!   block by block, and the list of unallocated balls grows from empty (to
+//!   `m̃₁ ≈ m^{2/3} n^{1/3}` under `A_heavy`'s schedule, not `m`).
+//!
+//! Sampling (step 1) is the dominant cost and optionally runs on the rayon pool,
+//! block by block; because every ball's choices are a pure function of
+//! `(seed, ball, round)`, parallel and sequential executions produce identical
+//! requests and therefore identical results.
 
 use rayon::prelude::*;
 
 use crate::engine::{EngineConfig, EngineResult};
 use crate::metrics::{MessageCensus, MessageTotals, RoundRecord};
 use crate::protocol::{Protocol, RoundCtx};
-use crate::rng::ball_round_rng;
+use crate::rng::{ball_round_rng, SplitMix64};
+
+/// Request slots (balls × degree) sampled and then resolved at a time, in both
+/// execution modes. At 16 Ki slots the block's scratch — 4 B per target, 8 B per
+/// identity, 192 KiB at most — is still cache-resident when the resolve reads
+/// it back, beside the per-bin vectors: a block four times the size measured
+/// ≈ 8 % slower sequentially (8.5 → 9.3 ns per ball of `A_heavy`'s phase 1),
+/// a block a quarter the size no faster. The pool, which cuts a block into jobs
+/// of at least 256 balls at about a microsecond of dispatch each, would prefer
+/// the larger block (12.2 → 10.4 ns per ball on two busy CPUs), but was slower
+/// than the sequential pass at either size, so the sequential optimum decides.
+const BLOCK_SLOTS: usize = 1 << 14;
+
+/// The balls a run starts with.
+#[derive(Clone, Copy)]
+enum Balls<'a> {
+    /// Every identity in `0..m` — a range, never a vector.
+    All(u64),
+    /// An explicit list, in arrival order.
+    Listed(&'a [u64]),
+}
+
+impl<'a> Balls<'a> {
+    fn len(&self) -> usize {
+        match *self {
+            Balls::All(m) => m as usize,
+            Balls::Listed(list) => list.len(),
+        }
+    }
+
+    /// The identities at positions `start..start + len`: a window of the list,
+    /// or that piece of the range written into `scratch`.
+    fn block<'s>(&self, start: usize, len: usize, scratch: &'s mut Vec<u64>) -> &'s [u64]
+    where
+        'a: 's,
+    {
+        match *self {
+            Balls::All(_) => {
+                scratch.clear();
+                scratch.extend(start as u64..(start + len) as u64);
+                scratch
+            }
+            Balls::Listed(list) => &list[start..start + len],
+        }
+    }
+
+    fn to_vec(self) -> Vec<u64> {
+        match self {
+            Balls::All(m) => (0..m).collect(),
+            Balls::Listed(list) => list.to_vec(),
+        }
+    }
+}
 
 /// Runs `protocol` on `m` balls and `n` bins with master seed `seed`.
 ///
@@ -33,7 +108,7 @@ pub fn run_agent_engine<P: Protocol + ?Sized>(
     seed: u64,
     config: &EngineConfig,
 ) -> EngineResult {
-    run_agent_engine_on(protocol, &(0..m).collect::<Vec<u64>>(), m, n, seed, config)
+    run_rounds(protocol, Balls::All(m), m, n, seed, config)
 }
 
 /// Runs `protocol` on an explicit set of (still unallocated) ball identities.
@@ -51,41 +126,63 @@ pub fn run_agent_engine_on<P: Protocol + ?Sized>(
     seed: u64,
     config: &EngineConfig,
 ) -> EngineResult {
+    run_rounds(
+        protocol,
+        Balls::Listed(initial_balls),
+        m_total,
+        n,
+        seed,
+        config,
+    )
+}
+
+fn run_rounds<P: Protocol + ?Sized>(
+    protocol: &P,
+    initial: Balls<'_>,
+    m_total: u64,
+    n: usize,
+    seed: u64,
+    config: &EngineConfig,
+) -> EngineResult {
     assert!(
-        n > 0 || initial_balls.is_empty(),
+        n > 0 || initial.len() == 0,
         "cannot allocate {} balls into zero bins",
-        initial_balls.len()
+        initial.len()
     );
 
-    let mut unallocated: Vec<u64> = initial_balls.to_vec();
     let mut committed: Vec<u32> = vec![0; n];
-    let mut census = MessageCensus::new(
-        n,
-        if config.track_per_ball {
-            Some(m_total)
-        } else {
-            None
-        },
-    );
+    let mut census = MessageCensus::new(n, config.track_per_ball.then_some(m_total));
+    let tracks_balls = census.tracks_balls();
     let mut totals = MessageTotals::default();
     let mut per_round: Vec<RoundRecord> = Vec::new();
-
-    // Scratch buffers reused across rounds to avoid per-round allocation churn.
-    let mut targets: Vec<u32> = Vec::new();
-    let mut requests_per_bin: Vec<u32> = vec![0; n];
-    let mut granted: Vec<u32> = vec![0; n];
-    let mut taken: Vec<u32> = vec![0; n];
-
     let mut rounds_run = 0usize;
 
+    // The unallocated set is `initial` until a round has sampled, `unallocated`
+    // from then on; `rejected` collects the next one.
+    let mut unallocated: Vec<u64> = Vec::new();
+    let mut rejected: Vec<u64> = Vec::new();
+    let mut sampled = false;
+
+    // Scratch reused across blocks and rounds: accepts each bin may still grant
+    // this round, and one block of targets and identities.
+    let mut room: Vec<u32> = vec![0; n];
+    let mut targets: Vec<u32> = Vec::new();
+    let mut block_ids: Vec<u64> = Vec::new();
+
     for round in 0..protocol.max_rounds() {
+        let balls = if sampled {
+            Balls::Listed(&unallocated)
+        } else {
+            initial
+        };
+        let u = balls.len();
         let ctx = RoundCtx {
             round,
             n_bins: n,
             m_total,
-            remaining: unallocated.len() as u64,
+            remaining: u as u64,
         };
-        if unallocated.is_empty() || protocol.give_up(&ctx) {
+        if u == 0 || protocol.give_up(&ctx) {
             break;
         }
         rounds_run += 1;
@@ -107,89 +204,76 @@ pub fn run_agent_engine_on<P: Protocol + ?Sized>(
             }
             continue;
         }
-        let distinct = protocol.distinct_choices();
-        let u = unallocated.len();
-
-        // ---- Step 1: every unallocated ball samples its target bins. ----
-        targets.clear();
-        targets.resize(u * degree, 0);
+        let distinct = protocol.distinct_choices() && degree > 1;
         let sample_for = |ball: u64, slots: &mut [u32]| {
             let mut rng = ball_round_rng(seed, ball, round as u64);
-            if distinct && degree > 1 {
-                let mut buf = Vec::with_capacity(degree);
-                rng.sample_distinct(n, degree, &mut buf);
-                // If n < degree, sample_distinct returns fewer entries; repeat the
-                // last bin to keep slot arity (duplicates are harmless: the ball
-                // simply contacts that bin once more).
-                for (i, slot) in slots.iter_mut().enumerate() {
-                    *slot = *buf.get(i).unwrap_or(buf.last().unwrap_or(&0));
-                }
+            if distinct {
+                sample_distinct_into(&mut rng, n, slots);
             } else {
                 for slot in slots.iter_mut() {
                     *slot = rng.gen_index(n) as u32;
                 }
             }
         };
-        if config.parallel {
-            targets
-                .par_chunks_mut(degree)
-                .zip(unallocated.par_iter())
-                .for_each(|(slots, &ball)| sample_for(ball, slots));
-        } else {
-            for (slots, &ball) in targets.chunks_mut(degree).zip(unallocated.iter()) {
-                sample_for(ball, slots);
-            }
-        }
 
-        // ---- Step 2: bins count requests and compute grants. ----
-        requests_per_bin.iter_mut().for_each(|c| *c = 0);
-        for &t in &targets {
-            requests_per_bin[t as usize] += 1;
+        for (b, room) in room.iter_mut().enumerate() {
+            *room = protocol.bin_quota(b as u32, committed[b], &ctx);
         }
-        for b in 0..n {
-            let quota = protocol.bin_quota(b as u32, committed[b], &ctx);
-            granted[b] = quota.min(requests_per_bin[b]);
-        }
-
-        // ---- Step 3: balls receive responses, commit, and notify. ----
-        taken.iter_mut().for_each(|c| *c = 0);
-        let mut next_unallocated: Vec<u64> = Vec::with_capacity(u);
+        rejected.clear();
         let mut round_accepts: u64 = 0;
         let mut round_committed: u64 = 0;
         let mut round_notifications: u64 = 0;
 
-        // Bins that accepted the current ball, in slot order; the first one is the
-        // bin the ball joins. Degree is O(1), so this buffer stays tiny.
-        let mut accepting_bins: Vec<u32> = Vec::with_capacity(degree);
-        for (idx, &ball) in unallocated.iter().enumerate() {
-            let slots = &targets[idx * degree..(idx + 1) * degree];
-            accepting_bins.clear();
-            for &t in slots {
-                let b = t as usize;
-                census.per_bin_received[b] += 1;
-                if taken[b] < granted[b] {
-                    taken[b] += 1;
-                    accepting_bins.push(t);
-                }
-            }
-            let accepts_for_ball = accepting_bins.len() as u32;
-            round_accepts += accepts_for_ball as u64;
-            let mut sent_by_ball = degree as u32;
-            if let Some(&bin) = accepting_bins.first() {
-                committed[bin as usize] += 1;
-                round_committed += 1;
-                // The ball notifies every *other* accepting bin that it will not join.
-                let extra = accepts_for_ball.saturating_sub(1);
-                round_notifications += extra as u64;
-                sent_by_ball += extra;
-                for &other in &accepting_bins[1..] {
-                    census.per_bin_received[other as usize] += 1;
-                }
+        let block_balls = (BLOCK_SLOTS / degree).max(1);
+        targets.resize(block_balls.min(u) * degree, 0);
+        for start in (0..u).step_by(block_balls) {
+            let ids = balls.block(start, block_balls.min(u - start), &mut block_ids);
+            let targets = &mut targets[..ids.len() * degree];
+
+            // ---- Step 1: the block's balls sample their target bins. ----
+            if config.parallel {
+                targets
+                    .par_chunks_mut(degree)
+                    .zip(ids.par_iter())
+                    .for_each(|(slots, &ball)| sample_for(ball, slots));
             } else {
-                next_unallocated.push(ball);
+                for (slots, &ball) in targets.chunks_mut(degree).zip(ids) {
+                    sample_for(ball, slots);
+                }
             }
-            if census.tracks_balls() {
-                census.per_ball_sent[ball as usize] += sent_by_ball;
+
+            // ---- Steps 2 and 3: bins answer in arrival order; balls commit and
+            // notify. ----
+            for (slots, &ball) in targets.chunks(degree).zip(ids) {
+                // The ball joins the first bin that accepts it; an accept after
+                // the first only costs a notification to that bin.
+                let mut joined = 0u32;
+                let mut accepts_for_ball = 0u32;
+                for &t in slots {
+                    let b = t as usize;
+                    census.per_bin_received[b] += 1;
+                    if room[b] > 0 {
+                        room[b] -= 1;
+                        if accepts_for_ball == 0 {
+                            joined = t;
+                        } else {
+                            census.per_bin_received[b] += 1;
+                        }
+                        accepts_for_ball += 1;
+                    }
+                }
+                if accepts_for_ball > 0 {
+                    committed[joined as usize] += 1;
+                    round_committed += 1;
+                } else {
+                    rejected.push(ball);
+                }
+                let extra = accepts_for_ball.saturating_sub(1);
+                round_accepts += accepts_for_ball as u64;
+                round_notifications += extra as u64;
+                if tracks_balls {
+                    census.per_ball_sent[ball as usize] += degree as u32 + extra;
+                }
             }
         }
 
@@ -203,7 +287,7 @@ pub fn run_agent_engine_on<P: Protocol + ?Sized>(
             per_round.push(RoundRecord {
                 round,
                 unallocated_before: u as u64,
-                unallocated_after: next_unallocated.len() as u64,
+                unallocated_after: rejected.len() as u64,
                 requests: round_requests,
                 accepts: round_accepts,
                 committed: round_committed,
@@ -211,17 +295,48 @@ pub fn run_agent_engine_on<P: Protocol + ?Sized>(
             });
         }
 
-        unallocated = next_unallocated;
+        std::mem::swap(&mut unallocated, &mut rejected);
+        sampled = true;
     }
 
+    // Only a run in which no round sampled (no balls, no rounds, or the protocol
+    // gave up at once) still has to list its initial balls.
+    let remaining_balls = if sampled {
+        unallocated
+    } else {
+        initial.to_vec()
+    };
     EngineResult {
         loads: committed,
         rounds: rounds_run,
-        remaining: unallocated.len() as u64,
-        remaining_balls: unallocated,
+        remaining: remaining_balls.len() as u64,
+        remaining_balls,
         totals,
         per_round,
         census,
+    }
+}
+
+/// Fills `slots` with the bins [`SplitMix64::sample_distinct`] would return for
+/// `slots.len()` choices among `n` — the same draws, kept by the same rule — but
+/// in place, so a round allocates nothing per ball. With too few bins for that
+/// many distinct choices every bin is listed once and the last one repeated to
+/// keep slot arity (duplicates are harmless: the ball simply contacts that bin
+/// once more).
+fn sample_distinct_into(rng: &mut SplitMix64, n: usize, slots: &mut [u32]) {
+    if slots.len() >= n {
+        for (i, slot) in slots.iter_mut().enumerate() {
+            *slot = i.min(n - 1) as u32;
+        }
+        return;
+    }
+    let mut filled = 0;
+    while filled < slots.len() {
+        let candidate = rng.gen_index(n) as u32;
+        if !slots[..filled].contains(&candidate) {
+            slots[filled] = candidate;
+            filled += 1;
+        }
     }
 }
 
@@ -232,6 +347,290 @@ mod tests {
 
     fn ideal_threshold(m: u64, n: usize) -> u32 {
         m.div_ceil(n as u64) as u32
+    }
+
+    /// The executable spec: the round as the engine played it before it was
+    /// blocked, transcribed literally — sample every ball, count requests and
+    /// grant `min(quota, requests)` per bin, resolve in arrival order — with
+    /// every buffer the blocked loop does without.
+    fn reference_engine(
+        protocol: &dyn Protocol,
+        initial_balls: &[u64],
+        m_total: u64,
+        n: usize,
+        seed: u64,
+        config: &EngineConfig,
+    ) -> EngineResult {
+        let mut unallocated = initial_balls.to_vec();
+        let mut committed = vec![0u32; n];
+        let mut census = MessageCensus::new(n, config.track_per_ball.then_some(m_total));
+        let mut totals = MessageTotals::default();
+        let mut per_round = Vec::new();
+        let mut rounds = 0;
+        for round in 0..protocol.max_rounds() {
+            let ctx = RoundCtx {
+                round,
+                n_bins: n,
+                m_total,
+                remaining: unallocated.len() as u64,
+            };
+            if unallocated.is_empty() || protocol.give_up(&ctx) {
+                break;
+            }
+            rounds += 1;
+            let degree = protocol.degree(&ctx);
+            let mut record = RoundRecord {
+                round,
+                unallocated_before: ctx.remaining,
+                unallocated_after: ctx.remaining,
+                requests: ctx.remaining * degree as u64,
+                accepts: 0,
+                committed: 0,
+                global_threshold: protocol.global_threshold(&ctx),
+            };
+            if degree > 0 {
+                // Step 1: every unallocated ball samples its target bins.
+                let mut targets: Vec<u32> = Vec::new();
+                for &ball in &unallocated {
+                    let mut rng = ball_round_rng(seed, ball, round as u64);
+                    if protocol.distinct_choices() && degree > 1 {
+                        let mut buf = Vec::new();
+                        rng.sample_distinct(n, degree, &mut buf);
+                        targets.extend((0..degree).map(|i| buf[i.min(buf.len() - 1)]));
+                    } else {
+                        targets.extend((0..degree).map(|_| rng.gen_index(n) as u32));
+                    }
+                }
+                // Step 2: bins count requests and compute grants.
+                let mut requests = vec![0u32; n];
+                targets.iter().for_each(|&t| requests[t as usize] += 1);
+                let granted: Vec<u32> = (0..n)
+                    .map(|b| {
+                        protocol
+                            .bin_quota(b as u32, committed[b], &ctx)
+                            .min(requests[b])
+                    })
+                    .collect();
+                // Step 3: balls receive responses, commit, and notify.
+                let mut taken = vec![0u32; n];
+                let mut next = Vec::new();
+                for (slots, &ball) in targets.chunks(degree).zip(&unallocated) {
+                    let mut accepting: Vec<usize> = Vec::new();
+                    for b in slots.iter().map(|&t| t as usize) {
+                        census.per_bin_received[b] += 1;
+                        if taken[b] < granted[b] {
+                            taken[b] += 1;
+                            accepting.push(b);
+                        }
+                    }
+                    record.accepts += accepting.len() as u64;
+                    let extra = accepting.len().saturating_sub(1);
+                    if let Some((&joined, others)) = accepting.split_first() {
+                        committed[joined] += 1;
+                        record.committed += 1;
+                        totals.notifications += extra as u64;
+                        others.iter().for_each(|&b| census.per_bin_received[b] += 1);
+                    } else {
+                        next.push(ball);
+                    }
+                    if config.track_per_ball {
+                        census.per_ball_sent[ball as usize] += (degree + extra) as u32;
+                    }
+                }
+                totals.requests += record.requests;
+                totals.responses += record.requests;
+                totals.accepts += record.accepts;
+                record.unallocated_after = next.len() as u64;
+                unallocated = next;
+            }
+            if config.record_rounds {
+                per_round.push(record);
+            }
+        }
+        EngineResult {
+            loads: committed,
+            rounds,
+            remaining: unallocated.len() as u64,
+            remaining_balls: unallocated,
+            totals,
+            per_round,
+            census,
+        }
+    }
+
+    /// `ScheduledThresholdProtocol` in miniature (it lives downstream, in
+    /// `pba-algorithms`): a cumulative threshold per round, giving up when the
+    /// schedule runs out. A zero degree scripts a silent "collect" round, and
+    /// degrees above one are *not* distinct, which no shipped protocol offers.
+    struct Scheduled {
+        thresholds: Vec<u32>,
+        degrees: Vec<usize>,
+    }
+
+    impl Protocol for Scheduled {
+        fn name(&self) -> &str {
+            "scheduled"
+        }
+        fn degree(&self, ctx: &RoundCtx) -> usize {
+            self.degrees[ctx.round % self.degrees.len()]
+        }
+        fn bin_quota(&self, _bin: u32, committed: u32, ctx: &RoundCtx) -> u32 {
+            self.thresholds[ctx.round].saturating_sub(committed)
+        }
+        fn global_threshold(&self, ctx: &RoundCtx) -> Option<u64> {
+            Some(self.thresholds[ctx.round] as u64)
+        }
+        fn give_up(&self, ctx: &RoundCtx) -> bool {
+            ctx.round >= self.thresholds.len()
+        }
+    }
+
+    /// `LightProtocol` in miniature: capacity-2 bins and distinct choices whose
+    /// number doubles every round, capped by a `4n / remaining` message budget
+    /// and by `n` — so late rounds have a handful of balls of very high degree.
+    struct Doubling;
+
+    impl Protocol for Doubling {
+        fn name(&self) -> &str {
+            "doubling"
+        }
+        fn degree(&self, ctx: &RoundCtx) -> usize {
+            let budget = (4 * ctx.n_bins / ctx.remaining.max(1) as usize).max(1);
+            (1usize << ctx.round.min(20)).min(budget).min(ctx.n_bins)
+        }
+        fn distinct_choices(&self) -> bool {
+            true
+        }
+        fn bin_quota(&self, _bin: u32, committed: u32, _ctx: &RoundCtx) -> u32 {
+            2u32.saturating_sub(committed)
+        }
+        fn max_rounds(&self) -> usize {
+            64
+        }
+    }
+
+    fn assert_same(name: &str, got: &EngineResult, want: &EngineResult) {
+        assert_eq!(got.loads, want.loads, "{name}: loads");
+        assert_eq!(got.rounds, want.rounds, "{name}: rounds");
+        assert_eq!(got.remaining, want.remaining, "{name}: remaining");
+        assert_eq!(
+            got.remaining_balls, want.remaining_balls,
+            "{name}: remaining_balls"
+        );
+        assert_eq!(got.totals, want.totals, "{name}: totals");
+        assert_eq!(got.per_round, want.per_round, "{name}: per_round");
+        assert_eq!(
+            got.census.per_bin_received, want.census.per_bin_received,
+            "{name}: per_bin_received"
+        );
+        assert_eq!(
+            got.census.per_ball_sent, want.census.per_ball_sent,
+            "{name}: per_ball_sent"
+        );
+    }
+
+    #[test]
+    fn blocked_rounds_equal_the_three_step_reference_field_by_field() {
+        let fixed = |t, d| Box::new(FixedThresholdProtocol::new(t, d)) as Box<dyn Protocol>;
+        let mut too_tight = FixedThresholdProtocol::new(3, 1);
+        too_tight.max_rounds = 7;
+        // (name, protocol, bins); thresholds suit the ball counts below.
+        let cases: Vec<(&str, Box<dyn Protocol>, usize)> = vec![
+            (
+                "scheduled",
+                Box::new(Scheduled {
+                    thresholds: vec![110, 124, 127, 129],
+                    degrees: vec![1],
+                }),
+                512,
+            ),
+            (
+                "scheduled, silent rounds, repeated choices",
+                Box::new(Scheduled {
+                    thresholds: vec![0, 100, 100, 125, 125, 133],
+                    degrees: vec![0, 3],
+                }),
+                500,
+            ),
+            ("fixed d=1", fixed(258, 1), 257),
+            ("fixed d=2", fixed(257, 2), 257),
+            ("fixed d=5", fixed(1320, 5), 50),
+            ("too tight, hits max_rounds", Box::new(too_tight), 100),
+            (
+                "per-bin thresholds",
+                Box::new(PerBinThresholdProtocol::new((0..300).collect(), 2).with_max_rounds(9)),
+                300,
+            ),
+            ("doubling", Box::new(Doubling), 40_000),
+            ("fewer bins than choices", fixed(22_000, 5), 3),
+        ];
+        // Nothing, one ball, and both sides of one block of degree 1 (which is
+        // `d` blocks of degree `d`).
+        let sizes = [0, 1, BLOCK_SLOTS - 1, BLOCK_SLOTS, BLOCK_SLOTS + 1];
+        for (name, protocol, n) in &cases {
+            for (i, &m) in sizes.iter().enumerate() {
+                let m = m as u64;
+                let seed = 1000 + i as u64;
+                for track in [false, true] {
+                    let config = EngineConfig::sequential().with_per_ball_tracking(track);
+                    let all: Vec<u64> = (0..m).collect();
+                    let want = reference_engine(protocol.as_ref(), &all, m, *n, seed, &config);
+                    for parallel in [false, true] {
+                        let config = EngineConfig { parallel, ..config };
+                        let got = run_agent_engine(protocol.as_ref(), m, *n, seed, &config);
+                        let label = format!("{name}, m={m}, track={track}, parallel={parallel}");
+                        assert_same(&label, &got, &want);
+                    }
+                }
+            }
+            // An explicit subset, in an order that is not sorted, of a larger
+            // instance — and without round records.
+            let subset: Vec<u64> = (0..40_000u64).rev().filter(|b| b % 3 != 1).collect();
+            let config = EngineConfig::parallel()
+                .with_per_ball_tracking(true)
+                .with_round_records(false);
+            let want = reference_engine(protocol.as_ref(), &subset, 40_000, *n, 5, &config);
+            let got = run_agent_engine_on(protocol.as_ref(), &subset, 40_000, *n, 5, &config);
+            assert_same(&format!("{name}, subset"), &got, &want);
+            assert!(got.per_round.is_empty());
+        }
+    }
+
+    #[test]
+    fn distinct_sampler_draws_what_the_vector_sampler_draws() {
+        for (n, k) in [
+            (1000usize, 1usize),
+            (1000, 4),
+            (7, 6),
+            (7, 7),
+            (3, 5),
+            (1, 2),
+        ] {
+            for ball in 0..200u64 {
+                let mut slots = vec![u32::MAX; k];
+                let mut in_place = ball_round_rng(9, ball, 2);
+                sample_distinct_into(&mut in_place, n, &mut slots);
+                let mut buf = Vec::new();
+                let mut vector = ball_round_rng(9, ball, 2);
+                vector.sample_distinct(n, k, &mut buf);
+                buf.resize(k, *buf.last().expect("n > 0"));
+                assert_eq!(slots, buf, "n={n} k={k} ball={ball}");
+                // Both consumed the same number of draws.
+                assert_eq!(in_place, vector, "n={n} k={k} ball={ball}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_that_never_samples_lists_its_initial_balls() {
+        let mut p = FixedThresholdProtocol::new(5, 1);
+        p.max_rounds = 0;
+        let r = run_agent_engine(&p, 5, 2, 1, &EngineConfig::sequential());
+        assert_eq!(r.rounds, 0);
+        assert_eq!(r.remaining, 5);
+        assert_eq!(r.remaining_balls, vec![0, 1, 2, 3, 4]);
+        let r = run_agent_engine_on(&p, &[9, 4], 10, 2, 1, &EngineConfig::sequential());
+        assert_eq!(r.remaining_balls, vec![9, 4]);
     }
 
     #[test]

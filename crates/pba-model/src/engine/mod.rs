@@ -2,12 +2,15 @@
 //!
 //! Two engines execute a [`Protocol`](crate::protocol::Protocol):
 //!
-//! * the [**agent engine**](agent::run_agent_engine) materialises every ball,
-//!   samples each ball's bin choices from its own deterministic stream, and plays
-//!   the three-step round of Section 3 exactly. It optionally tracks per-ball
-//!   message counts and can sample the per-ball work in parallel with rayon;
-//!   parallel and sequential executions are bit-identical because every random
-//!   choice is a pure function of `(seed, ball, round)`.
+//! * the [**agent engine**](agent::run_agent_engine) simulates every ball:
+//!   it samples each ball's bin choices from its own deterministic stream and
+//!   plays the three-step round of Section 3 exactly, as one pass over
+//!   fixed-size blocks of balls. A round holds `O(n + block + leftover)`
+//!   memory — per-bin vectors, one block of targets, the balls rejected so
+//!   far — never a buffer sized by `m`. It optionally tracks per-ball message
+//!   counts and can sample a block's balls in parallel with rayon; parallel
+//!   and sequential executions are bit-identical because every random choice
+//!   is a pure function of `(seed, ball, round)`.
 //! * the [**count engine**](counts::run_count_engine) tracks only per-bin request
 //!   *counts* per round (a multinomial sample), which is sufficient for degree-1
 //!   protocols whose quotas depend only on counts. It scales to instances far

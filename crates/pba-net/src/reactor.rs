@@ -566,11 +566,16 @@ mod tests {
     fn mid_line_disconnect_leaves_the_server_serving() {
         let server = instrumented_server(8, 8, ReactorConfig::default());
         let addr = server.local_addr();
-        {
-            let mut raw = TcpStream::connect(addr).unwrap();
-            raw.write_all(b"ROUTE 123").unwrap(); // no newline
-            raw.flush().unwrap();
-        } // dropped: mid-line disconnect
+        let mut raw = TcpStream::connect(addr).unwrap();
+        raw.write_all(b"ROUTE 123").unwrap(); // no newline
+        raw.shutdown(std::net::Shutdown::Write).unwrap();
+        // Gone mid-line. The reactor counts the truncated line and only then
+        // closes its end, so seeing that close orders the count before
+        // everything below — whichever reactor serves the next client, and
+        // however late `shutdown()` would otherwise have let this one see
+        // the EOF.
+        raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        assert_eq!(raw.read(&mut [0u8; 8]).unwrap(), 0, "server closes too");
         let mut client = LineClient::connect(addr).unwrap();
         let (_bin, id) = client.route(9).unwrap();
         assert!(client.release(id).unwrap().is_some());

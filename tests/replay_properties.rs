@@ -221,7 +221,33 @@ fn multi_caller_replay_conserves_for_every_policy() {
         let outcome = replay(&trace, &ReplayConfig::concurrent(policy, 4)).unwrap();
         assert!(outcome.conserved, "conservation under {}", policy.name());
         assert_eq!(outcome.routed, trace.arrivals());
-        assert_eq!(outcome.drops, 0);
+        // `drops` sums the three rejection counters
+        // (`route.rejected_unknown_ticket`, `ingress.late_arrivals`,
+        // `observer.errors`) and the `policy.*` fallbacks. A threshold rule's
+        // fallbacks depend on the loads a caller happens to see, i.e. on the
+        // schedule once there are four callers, so only the policies without
+        // such a path pin the sum — and with it every rejection counter,
+        // which no policy can influence — to exactly zero here.
+        let load_dependent_fallback = matches!(
+            policy,
+            Policy::Threshold { .. } | Policy::CapacityThreshold { .. }
+        );
+        if !load_dependent_fallback {
+            assert_eq!(outcome.drops, 0, "drops under {}", policy.name());
+        }
+        // With one caller, and on the stream engine, the schedule is fixed
+        // and the sum is exact for every policy; every scripted release fires
+        // under any schedule, so the four callers end with the same counts.
+        for config in [
+            ReplayConfig::concurrent(policy, 1),
+            ReplayConfig::stream(policy),
+        ] {
+            let fixed = replay(&trace, &config).unwrap();
+            assert!(fixed.conserved, "conservation under {}", policy.name());
+            assert_eq!(fixed.drops, 0, "drops under {}", policy.name());
+            assert_eq!(outcome.released, fixed.released);
+            assert_eq!(outcome.resident, fixed.resident);
+        }
     }
 }
 
