@@ -95,8 +95,10 @@ fn bench_stream(c: &mut Criterion) {
         });
     }
     // Dedicated-pool drains: the same sharded workload on engine-owned pools
-    // of 1/2/4 workers (batch 8192 crosses the parallel cutoffs, so the pool
-    // is genuinely exercised; on a single-core host the counts tie).
+    // of 1/2/4 workers. Batch 65536 is the shortest the drain hands to a pool
+    // (two spans of `commit::PARALLEL_MIN_SPAN`), so these arms against
+    // `two_choice_sequential` are the check that the cutoff still sits where
+    // threads stop losing; on a single-core host the counts tie.
     for threads in [1usize, 2, 4] {
         group.bench_with_input(
             BenchmarkId::new("two_choice_pool_threads", threads),
@@ -107,7 +109,7 @@ fn bench_stream(c: &mut Criterion) {
                     seed = seed.wrapping_add(1);
                     std::hint::black_box(run_stream(
                         StreamConfig::new(n)
-                            .batch_size(8192)
+                            .batch_size(1 << 16)
                             .seed(seed)
                             .shards(8)
                             .num_threads(threads),

@@ -105,10 +105,16 @@ impl AtomicBins {
 
     /// Snapshot of all loads.
     pub fn snapshot(&self) -> Vec<u32> {
-        self.loads
-            .iter()
-            .map(|l| l.load(Ordering::Acquire))
-            .collect()
+        let mut out = Vec::new();
+        self.snapshot_into(&mut out);
+        out
+    }
+
+    /// Snapshot of all loads into a caller-owned vector (overwritten), so a
+    /// caller that snapshots repeatedly allocates once.
+    pub fn snapshot_into(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(self.loads.iter().map(|l| l.load(Ordering::Acquire)));
     }
 
     /// Sum of all loads.

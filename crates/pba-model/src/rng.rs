@@ -51,6 +51,33 @@ impl SplitMix64 {
         }
     }
 
+    /// The `(seed, stream)` half of [`SplitMix64::for_stream`] — two of its
+    /// four mixes — for a caller that derives many substreams of one stream
+    /// (the streaming drain derives one per ball):
+    /// `for_substream(stream_key(seed, stream), substream)` is
+    /// `for_stream(seed, stream, substream)` (pinned by a test). Spelled out
+    /// beside `for_stream` rather than called from it, so the one-shot
+    /// engines' per-ball derivation stays the code it was.
+    #[inline]
+    pub fn stream_key(seed: u64, stream: u64) -> u64 {
+        let a = mix64(seed ^ 0xa076_1d64_78bd_642f);
+        let b = mix64(
+            stream
+                .wrapping_add(0xe703_7ed1_a0b4_28db)
+                .wrapping_mul(0x8ebc_6af0_9c88_c6e3),
+        );
+        a ^ b.rotate_left(23)
+    }
+
+    /// The generator of `substream` under a [`SplitMix64::stream_key`].
+    #[inline]
+    pub fn for_substream(stream_key: u64, substream: u64) -> Self {
+        let c = mix64(substream.wrapping_add(0x5896_36e0_8cda_3e7b));
+        Self {
+            state: mix64(stream_key ^ c.rotate_left(47)),
+        }
+    }
+
     /// Next 64 uniformly random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -135,19 +162,35 @@ impl SplitMix64 {
     /// appending to `out`. Uses rejection for small `k` relative to `bound`, which is
     /// the regime every protocol in this workspace uses (`k ∈ O(1)` or `O(log n)`).
     pub fn sample_distinct(&mut self, bound: usize, k: usize, out: &mut Vec<u32>) {
-        if bound == 0 {
-            return;
-        }
-        if k >= bound {
-            out.extend(0..bound as u32);
-            return;
-        }
         let start = out.len();
-        while out.len() - start < k {
-            let candidate = self.gen_index(bound) as u32;
-            if !out[start..].contains(&candidate) {
-                out.push(candidate);
+        out.resize(start + k.min(bound), 0);
+        self.fill_distinct(bound, &mut out[start..]);
+    }
+
+    /// Fills `out` with `out.len()` distinct indices from `[0, bound)` — the
+    /// slice form of [`SplitMix64::sample_distinct`], for callers that keep
+    /// candidates in a fixed buffer. `out` may be at most `bound` long; at
+    /// exactly `bound` it becomes `0..bound` and no randomness is consumed.
+    // Always inlined: over a fixed-length array the loops below unroll and
+    // the candidates stay in registers, which is the streaming chooser's
+    // whole per-ball budget.
+    #[inline(always)]
+    pub fn fill_distinct(&mut self, bound: usize, out: &mut [u32]) {
+        debug_assert!(out.len() <= bound);
+        if out.len() == bound {
+            for (slot, index) in out.iter_mut().zip(0u32..) {
+                *slot = index;
             }
+            return;
+        }
+        // Slot by slot, so that over an array every index is a constant.
+        for filled in 0..out.len() {
+            out[filled] = loop {
+                let candidate = self.gen_index(bound) as u32;
+                if !out[..filled].contains(&candidate) {
+                    break candidate;
+                }
+            };
         }
     }
 }
@@ -221,6 +264,17 @@ mod tests {
         let mut b = SplitMix64::new(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same < 4, "streams from different seeds should diverge");
+    }
+
+    #[test]
+    fn a_stream_key_and_its_substreams_are_for_stream_in_two_steps() {
+        for (seed, stream, substream) in [(0, 0, 0), (7, 0x5742_a11c, 42), (u64::MAX, 3, u64::MAX)]
+        {
+            assert_eq!(
+                SplitMix64::for_substream(SplitMix64::stream_key(seed, stream), substream),
+                SplitMix64::for_stream(seed, stream, substream),
+            );
+        }
     }
 
     #[test]

@@ -255,27 +255,40 @@ impl ResolvedWeights {
     /// no-silent-drops rule: a fallback that changes the sampling distribution
     /// must be observable.
     pub fn sample_distinct(&self, rng: &mut SplitMix64, k: usize, out: &mut Vec<u32>) -> u32 {
+        let start = out.len();
+        out.resize(start + k.min(self.len()), 0);
+        self.fill_distinct(rng, &mut out[start..])
+    }
+
+    /// Fills `out` with `out.len()` distinct weight-proportional indices —
+    /// the slice form of [`ResolvedWeights::sample_distinct`] (same draws,
+    /// same fallback, same return value). `out` may be at most
+    /// [`ResolvedWeights::len`] long; at exactly that it becomes `0..n` and
+    /// no randomness is consumed.
+    pub fn fill_distinct(&self, rng: &mut SplitMix64, out: &mut [u32]) -> u32 {
         let n = self.len();
-        if k >= n {
-            out.extend(0..n as u32);
+        debug_assert!(out.len() <= n);
+        if out.len() == n {
+            for (slot, index) in out.iter_mut().zip(0u32..) {
+                *slot = index;
+            }
             return 0;
         }
-        let start = out.len();
-        let mut rejections = 0u32;
         let mut fallback_draws = 0u32;
-        while out.len() - start < k {
-            let candidate = if rejections < MAX_CONSECUTIVE_REJECTIONS {
-                self.alias.sample(rng)
-            } else {
-                fallback_draws += 1;
-                rng.gen_index(n) as u32
-            };
-            if out[start..].contains(&candidate) {
+        for filled in 0..out.len() {
+            let mut rejections = 0u32;
+            out[filled] = loop {
+                let candidate = if rejections < MAX_CONSECUTIVE_REJECTIONS {
+                    self.alias.sample(rng)
+                } else {
+                    fallback_draws += 1;
+                    rng.gen_index(n) as u32
+                };
+                if !out[..filled].contains(&candidate) {
+                    break candidate;
+                }
                 rejections += 1;
-            } else {
-                out.push(candidate);
-                rejections = 0;
-            }
+            };
         }
         fallback_draws
     }

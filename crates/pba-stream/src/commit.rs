@@ -1,150 +1,239 @@
-//! The **commit** stage of the streaming pipeline: turning one batch of
-//! pending balls into bin placements.
+//! The **commit** stage of the streaming pipeline: turning a group of keys —
+//! one drained batch, or one routed group — into bin placements.
 //!
-//! A commit is two steps, both shared verbatim by the single-threaded
-//! [`StreamAllocator`](crate::StreamAllocator) drain and the multi-threaded
-//! [`ConcurrentRouter`](crate::ConcurrentRouter) drain (which is how the two
+//! A commit is two steps, shared verbatim by the single-threaded
+//! [`StreamAllocator`](crate::StreamAllocator) and the multi-threaded
+//! [`ConcurrentRouter`](crate::ConcurrentRouter) (which is how the two
 //! engines stay bit-identical):
 //!
-//! 1. **choose** — every ball picks its bin as a pure function of
-//!    `(stale snapshot, key)`. Mutually independent, so the step runs
-//!    data-parallel over balls (`collect_into_vec` into a reused scratch
-//!    vector) once a batch is large enough to amortise pool dispatch.
-//! 2. **apply** — the chosen placements are committed to the
-//!    [`ShardedBins`] (lock-free atomic increments). Large batches group
-//!    placements by shard and fan out, folding per-shard stats once per
-//!    (shard, batch); small batches apply inline.
+//! 1. **choose** ([`choose_into`]) — every ball picks its bin as a pure
+//!    function of `(stale snapshot, key)`. Everything constant across the
+//!    batch is decided once, in the [`Chooser`]; the per-ball kernel keeps its
+//!    candidates in a fixed buffer and touches no heap. There is one loop: it
+//!    runs on the calling thread, and only a batch long enough to pay for the
+//!    hand-off ([`PARALLEL_MIN_SPAN`]) is cut into contiguous spans that pool
+//!    workers run the same loop over.
+//! 2. **commit** ([`ShardedBins::place_group_with`]) — the chosen bins are
+//!    counted into a per-bin delta scratch, then committed with one atomic
+//!    add per distinct bin, one stats-lock acquisition per touched shard and
+//!    one `route.bin_commits` add per distinct bin. Always on the calling
+//!    thread: at a few atomics per distinct bin there is nothing to fan out.
 
+use std::collections::HashMap;
+
+use pba_obs::CounterVec;
 use rayon::prelude::*;
+use rayon::ThreadPool;
 
-use crate::ingress::PendingBall;
-use crate::policy::{choose_bin, ChoiceCtx, Policy};
-use crate::shard::ShardedBins;
+use crate::policy::{ChoiceCtx, Chooser, Policy};
+use crate::shard::{GroupScratch, ShardedBins};
 
-/// Minimum balls per worker in the parallel choose step. The per-ball work
-/// (key hash + policy) is ~50–150 ns; dispatching a chunk to the persistent
-/// rayon-shim pool costs a boxed job plus a channel send (~1 µs), so a worker
-/// needs a few hundred balls to amortise the dispatch. (Before the pool this
-/// cutoff was 2048: a fresh scoped thread per worker cost ~30 µs.)
-pub(crate) const CHOOSE_MIN_BALLS_PER_WORKER: usize = 512;
+/// Fewest balls a pool worker is handed in the choose step; a batch shorter
+/// than two such spans is chosen on the calling thread, so below that the
+/// `parallel` flag and the worker count are no-ops.
+///
+/// A ball costs ≈ 6 ns to choose, so the 4096-ball batch of the
+/// `stream-drain` workload is ≈ 25 µs of work in all, while handing a span to
+/// a parked worker costs a boxed job, a futex wake and a wait on its latch.
+/// Measured on the 2-vCPU build host with a throw-away harness (ticks of `B`
+/// pushes + `drain_ready` on a `StreamAllocator`, two-choice over 1024 bins,
+/// metrics installed; `.sequential()` against `.num_threads(2)` with this
+/// constant forced to `B/2`; best of three per side, four runs): two workers
+/// ran the drain at 0.57–0.93 of the sequential speed at `B` = 4 Ki,
+/// 0.71–0.96 at 8 Ki, 0.91–1.00 at 16 Ki, 0.97–1.03 at 32 Ki, and from 64 Ki
+/// up between 0.92 and 1.55 — never reliably ahead, no longer behind. 64 Ki
+/// is therefore the shortest batch the pool is offered, and this is half of
+/// it. `bench_stream`'s `two_choice_pool_threads` arms run that batch.
+pub(crate) const PARALLEL_MIN_SPAN: usize = 1 << 15;
 
-/// Batch size below which the sharded parallel apply is skipped: applying a
-/// placement is one atomic increment, so small batches are faster applied
-/// inline than grouped by shard and fanned out (the by-shard grouping pass,
-/// not dispatch, is the overhead that needs amortising).
-pub(crate) const PARALLEL_APPLY_MIN_BATCH: usize = 4096;
+/// Which threads a choose step may use.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Execution<'a> {
+    /// [`StreamConfig::parallel`](crate::StreamConfig::parallel): whether a
+    /// long batch may be cut into spans at all.
+    pub(crate) parallel: bool,
+    /// The engine's dedicated pool
+    /// ([`StreamConfig::num_threads`](crate::StreamConfig::num_threads));
+    /// `None` hands spans to the ambient pool.
+    pub(crate) pool: Option<&'a ThreadPool>,
+}
 
-/// Step 1 — choose: fills `chosen` with the bin of every ball of `batch`,
-/// in batch order. A pure function of `(ctx, keys)`, so any execution order
-/// produces the same vector; the parallel path fills the scratch in place via
-/// `collect_into_vec` (no per-worker part vectors, no per-batch allocation
-/// once the capacity is warm), the sequential path extends it in place.
-pub(crate) fn choose_batch(
-    policy: Policy,
-    ctx: &ChoiceCtx<'_>,
-    batch: &[PendingBall],
-    parallel: bool,
+impl Execution<'static> {
+    /// The calling thread only — what a routed group uses.
+    pub(crate) const INLINE: Self = Self {
+        parallel: false,
+        pool: None,
+    };
+}
+
+/// Reusable buffers of a commit, owned by whoever commits repeatedly (an
+/// engine's drain side, a routing thread), so a warmed commit allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub(crate) struct CommitScratch {
+    /// The chosen bin of every ball of the group, in group order.
+    pub(crate) chosen: Vec<u32>,
+    /// The grouped commit's per-bin and per-shard counters.
+    pub(crate) group: GroupScratch,
+}
+
+/// Step 1 — choose: overwrites `chosen` with the bin of every item, in item
+/// order. A pure function of `(chooser, keys)`, so the spans of a long batch
+/// can run in any order on any thread and still fill the same vector: each
+/// span is [`Chooser::choose_span`] over its own window of `chosen`.
+pub(crate) fn choose_into<K: Sync>(
+    chooser: &Chooser<'_>,
+    items: &[K],
+    key_of: impl Fn(&K) -> u64 + Sync,
+    execution: Execution<'_>,
     chosen: &mut Vec<u32>,
 ) {
-    chosen.clear();
-    let d = policy.choices();
-    if parallel {
-        batch
-            .par_iter()
-            .with_min_len(CHOOSE_MIN_BALLS_PER_WORKER)
-            .map_init(
-                || Vec::with_capacity(2 * d),
-                |candidates, ball| choose_bin(policy, ctx, ball.key, candidates),
-            )
-            .collect_into_vec(chosen)
-    } else {
-        let mut candidates = Vec::with_capacity(2 * d);
-        chosen.extend(
-            batch
-                .iter()
-                .map(|ball| choose_bin(policy, ctx, ball.key, &mut candidates)),
-        );
+    // Every slot is overwritten below; only the length matters.
+    chosen.resize(items.len(), 0);
+    if !execution.parallel || items.len() < 2 * PARALLEL_MIN_SPAN {
+        return chooser.choose_span(items, key_of, chosen);
+    }
+    let spans: Vec<&[K]> = items.chunks(PARALLEL_MIN_SPAN).collect();
+    let mut run = || {
+        chosen
+            .par_chunks_mut(PARALLEL_MIN_SPAN)
+            .zip(spans.par_iter())
+            .with_min_len(1)
+            .for_each(|(window, span)| chooser.choose_span(span, &key_of, window))
+    };
+    match execution.pool {
+        Some(pool) => pool.install(run),
+        None => run(),
     }
 }
 
-/// Step 2 — apply: commits `chosen` to the bins. For large batches, group
-/// placements by shard and let each shard apply its own in parallel
-/// (per-shard stats folded once under the shard lock). Below the cutoff the
-/// per-shard work is a few microseconds of atomic increments — thread +
-/// grouping overhead dominates — so apply directly. Both paths produce
-/// identical loads and identical shard stats. `by_shard` is caller-owned
-/// scratch (one group per shard, reused across batches); `shard_ids` the
-/// caller's `0..shards` slice for `par_iter`.
-pub(crate) fn apply_batch(
+/// Step 2 — commit: places `scratch.chosen` (see
+/// [`ShardedBins::place_group_with`]), counting each distinct bin's balls
+/// into `bin_commits` when metrics are installed.
+pub(crate) fn place_chosen(
     bins: &ShardedBins,
-    chosen: &[u32],
-    parallel: bool,
-    by_shard: &mut [Vec<u32>],
-    shard_ids: &[usize],
+    scratch: &mut CommitScratch,
+    bin_commits: Option<&CounterVec>,
 ) {
-    if parallel && chosen.len() >= PARALLEL_APPLY_MIN_BATCH {
-        for group in by_shard.iter_mut() {
-            group.clear();
+    bins.place_group_with(&scratch.chosen, &mut scratch.group, |bin, count| {
+        if let Some(bin_commits) = bin_commits {
+            bin_commits.add(bin, count as u64);
         }
-        for &bin in chosen {
-            by_shard[bins.shard_of(bin as usize)].push(bin);
-        }
-        let by_shard = &*by_shard;
-        shard_ids.par_iter().with_min_len(1).for_each(|&s| {
-            let mut peak = 0u32;
-            for &bin in &by_shard[s] {
-                peak = peak.max(bins.place_unrecorded(bin as usize));
-            }
-            bins.record_batch(s, by_shard[s].len() as u64, peak);
-        });
-    } else {
-        for &bin in chosen {
-            bins.place(bin as usize);
-        }
+    });
+}
+
+/// Both steps: chooses a bin for every item against `ctx` and commits them.
+/// `scratch.chosen` holds the placements afterwards, in item order.
+#[allow(clippy::too_many_arguments)] // one call per batch; a struct would only rename the arguments
+pub(crate) fn commit_batch<K: Sync>(
+    policy: Policy,
+    ctx: &ChoiceCtx<'_>,
+    items: &[K],
+    key_of: impl Fn(&K) -> u64 + Sync,
+    execution: Execution<'_>,
+    bins: &ShardedBins,
+    scratch: &mut CommitScratch,
+    bin_commits: Option<&CounterVec>,
+) {
+    let chooser = Chooser::new(policy, ctx);
+    choose_into(&chooser, items, key_of, execution, &mut scratch.chosen);
+    place_chosen(bins, scratch, bin_commits);
+}
+
+/// The `load_after` a one-at-a-time release loop would report for each ball
+/// of a released group, given the bins **after** the grouped release:
+/// ball `i` saw its bin's final load plus the group's departures from that
+/// bin still ahead of it.
+pub(crate) fn loads_after_each_release(bins: &ShardedBins, released: &[u32]) -> Vec<u32> {
+    let mut ahead: HashMap<u32, u32> = HashMap::new();
+    let mut loads_after = vec![0; released.len()];
+    for (offset, &bin) in released.iter().enumerate().rev() {
+        let later = ahead.entry(bin).or_insert(0);
+        loads_after[offset] = bins.load(bin as usize) + *later;
+        *later += 1;
     }
+    loads_after
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::choose_bin;
 
-    #[test]
-    fn parallel_and_sequential_choose_agree() {
-        let snapshot: Vec<u32> = (0..64u32).map(|i| (i * 5) % 11).collect();
-        let ctx = ChoiceCtx {
-            snapshot: &snapshot,
+    fn ctx(snapshot: &[u32]) -> ChoiceCtx<'_> {
+        ChoiceCtx {
+            snapshot,
             weights: None,
             batch_threshold: 0,
             capacity_thresholds: &[],
             seed: 3,
-            bins: 64,
+            bins: snapshot.len(),
             active: None,
             active_weights: None,
             counters: None,
-        };
-        let batch: Vec<PendingBall> = (0..2048u64)
-            .map(|id| PendingBall { id, key: id * 17 })
-            .collect();
-        let mut seq = Vec::new();
-        let mut par = Vec::new();
-        choose_batch(Policy::TwoChoice, &ctx, &batch, false, &mut seq);
-        choose_batch(Policy::TwoChoice, &ctx, &batch, true, &mut par);
-        assert_eq!(seq, par);
-        assert_eq!(seq.len(), batch.len());
+        }
     }
 
     #[test]
-    fn parallel_and_sequential_apply_agree_on_loads_and_stats() {
-        let chosen: Vec<u32> = (0..(PARALLEL_APPLY_MIN_BATCH as u32))
-            .map(|i| (i * 13) % 32)
+    fn parallel_and_sequential_choose_agree() {
+        let snapshot: Vec<u32> = (0..64u32).map(|i| (i * 5) % 11).collect();
+        let ctx = ctx(&snapshot);
+        // Long enough to be cut into spans, with a tail that is not a
+        // multiple of the span.
+        let keys: Vec<u64> = (0..(4 * PARALLEL_MIN_SPAN as u64 + 77))
+            .map(|id| id * 17)
             .collect();
-        let a = ShardedBins::new(32, 4);
-        let b = ShardedBins::new(32, 4);
-        let mut by_shard = vec![Vec::new(); 4];
-        let shard_ids: Vec<usize> = (0..4).collect();
-        apply_batch(&a, &chosen, true, &mut by_shard, &shard_ids);
-        apply_batch(&b, &chosen, false, &mut by_shard, &shard_ids);
-        assert_eq!(a.snapshot(), b.snapshot());
-        assert_eq!(a.all_shard_stats(), b.all_shard_stats());
+        let chooser = Chooser::new(Policy::TwoChoice, &ctx);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(3)
+            .build()
+            .expect("pool");
+        let mut inline = Vec::new();
+        let mut pooled = Vec::new();
+        choose_into(&chooser, &keys, |&k| k, Execution::INLINE, &mut inline);
+        let execution = Execution {
+            parallel: true,
+            pool: Some(&pool),
+        };
+        choose_into(&chooser, &keys, |&k| k, execution, &mut pooled);
+        assert_eq!(inline, pooled);
+        let mut candidates = Vec::new();
+        for (at, &key) in keys.iter().enumerate().step_by(997) {
+            let one = choose_bin(Policy::TwoChoice, &ctx, key, &mut candidates);
+            assert_eq!(inline[at], one, "key {key}");
+        }
+    }
+
+    #[test]
+    fn commit_batch_equals_choosing_and_placing_ball_by_ball() {
+        let snapshot: Vec<u32> = (0..30u32).map(|i| (i * 7) % 5).collect();
+        let ctx = ctx(&snapshot);
+        let keys: Vec<u64> = (0..500u64).map(|id| id * 31 + 5).collect();
+        // 30 bins in 4 shards: the shard ranges are uneven.
+        let grouped = ShardedBins::new(30, 4);
+        let looped = ShardedBins::new(30, 4);
+        let commits = CounterVec::detached(30);
+        let mut scratch = CommitScratch::default();
+        let mut candidates = Vec::new();
+        for policy in [Policy::TwoChoice, Policy::DChoice(3), Policy::OneChoice] {
+            commit_batch(
+                policy,
+                &ctx,
+                &keys,
+                |&k| k,
+                Execution::INLINE,
+                &grouped,
+                &mut scratch,
+                Some(&commits),
+            );
+            for (&key, &bin) in keys.iter().zip(&scratch.chosen) {
+                assert_eq!(bin, choose_bin(policy, &ctx, key, &mut candidates));
+                looped.place(bin as usize);
+            }
+        }
+        assert_eq!(grouped.snapshot(), looped.snapshot());
+        assert_eq!(grouped.all_shard_stats(), looped.all_shard_stats());
+        let loads: Vec<u64> = looped.snapshot().iter().map(|&l| l as u64).collect();
+        assert_eq!(commits.values(), loads);
     }
 }

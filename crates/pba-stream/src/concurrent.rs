@@ -93,31 +93,23 @@ use pba_model::router::{
 use pba_model::weights::{normalized_loads, BinWeights, ResolvedWeights};
 use pba_stats::OnlineStats;
 
-use crate::commit;
+use crate::commit::{self, CommitScratch, Execution};
 use crate::engine::StreamConfig;
 use crate::ingress::{PendingBall, ShardedIngress};
 use crate::metrics::StreamMetrics;
 use crate::observer::GapTrajectoryObserver;
-use crate::policy::{choose_bin, ChoiceCtx, Policy};
+use crate::policy::{ChoiceCtx, Chooser};
 use crate::shard::{ShardStats, ShardedBins};
-use crate::snapshot::{self, StreamSnapshot};
+use crate::snapshot::{self, uses_thresholds, StreamSnapshot};
 
 thread_local! {
-    /// Per-thread candidate scratch of [`ConcurrentRouter::route`]: the
-    /// single-threaded engine reuses a member buffer, which a shared `&self`
-    /// handle cannot, so each caller thread keeps its own (no per-request
-    /// allocation on the hot path).
-    static ROUTE_CANDIDATES: std::cell::RefCell<Vec<u32>> =
-        const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// True for the policies that price a per-batch threshold (and therefore
-/// need the lazily computed [`RouteThresholds`]).
-fn uses_thresholds(policy: Policy) -> bool {
-    matches!(
-        policy,
-        Policy::Threshold { .. } | Policy::CapacityThreshold { .. }
-    )
+    /// Per-thread commit scratch of the grouped paths
+    /// ([`ConcurrentRouter::route_many`], [`ConcurrentRouter::release_many`]):
+    /// the single-threaded engine reuses a member buffer, which a shared
+    /// `&self` handle cannot, so each caller thread keeps its own and a
+    /// warmed thread commits a group without allocating.
+    static GROUP_COMMIT: std::cell::RefCell<CommitScratch> =
+        std::cell::RefCell::new(CommitScratch::default());
 }
 
 /// The thresholds of one routed batch, priced lazily by the **first** route
@@ -145,6 +137,9 @@ struct BoundaryBook {
     batches: u64,
     /// The default observer: per-batch gap trajectory + streaming stats.
     gap: GapTrajectoryObserver,
+    /// Scratch: the active bins' loads, gathered for an elastic router's
+    /// boundary gap (reused).
+    gap_scratch: Vec<u32>,
 }
 
 /// The external observer sinks, behind their own mutex so the per-route and
@@ -180,10 +175,8 @@ struct DeferredBatchEvent {
 struct DrainSide {
     /// Sequenced arrivals not yet drained (the tail below one batch).
     buffer: Vec<PendingBall>,
-    /// Scratch: chosen bin per ball of the batch being drained (reused).
-    chosen: Vec<u32>,
-    /// Scratch: placements grouped by shard for the parallel apply (reused).
-    by_shard: Vec<Vec<u32>>,
+    /// Scratch of the commit stage (reused).
+    commit: CommitScratch,
     /// Scratch: per-bin capacity thresholds of the batch being drained.
     capacity: Vec<u32>,
 }
@@ -294,8 +287,6 @@ struct Core {
     /// Something is staged and unapplied — checked at batch open, where the
     /// single-threaded engine applies its staged changes.
     has_pending_membership: AtomicBool,
-    /// The shard indices `0..shards`, kept as a slice for the parallel apply.
-    shard_ids: Vec<usize>,
     /// Dedicated drain pool when [`StreamConfig::num_threads`] is positive.
     pool: Option<rayon::ThreadPool>,
     /// Resolved metric handles ([`ConcurrentRouter::with_metrics`]); `None`
@@ -436,13 +427,11 @@ impl ConcurrentRouter {
                 routed: AtomicU64::new(0),
                 released: AtomicU64::new(0),
                 ingress: ShardedIngress::new(shard_count),
-                drain: Mutex::new(DrainSide {
-                    by_shard: vec![Vec::new(); shard_count],
-                    ..DrainSide::default()
-                }),
+                drain: Mutex::new(DrainSide::default()),
                 boundary: Mutex::new(BoundaryBook {
                     batches: 0,
                     gap: GapTrajectoryObserver::new(config.trajectory_cap),
+                    gap_scratch: Vec::new(),
                 }),
                 observers: Mutex::new(ObserverChain(Vec::new())),
                 has_observers: AtomicBool::new(false),
@@ -458,7 +447,6 @@ impl ConcurrentRouter {
                 // topology-aware paths guarantee.
                 has_membership: AtomicBool::new(config.reserve_bins > 0),
                 has_pending_membership: AtomicBool::new(false),
-                shard_ids: (0..shard_count).collect(),
                 pool: (config.num_threads > 0).then(|| {
                     rayon::ThreadPoolBuilder::new()
                         .num_threads(config.num_threads)
@@ -530,7 +518,7 @@ impl ConcurrentRouter {
     /// room, and each sub-group pays the per-route overhead **once**: one
     /// topology read, one thresholds fetch (priced lazily like the first
     /// route of a batch), one epoch-cell read, one grouped load commit
-    /// ([`ShardedBins::place_group`] — fixed-membership routers only; an
+    /// ([`ShardedBins::place_group_with`] — fixed-membership routers only; an
     /// elastic router re-checks each bin's lifecycle state per ball exactly
     /// like [`ConcurrentRouter::route`]), one ledger pass per touched shard
     /// ([`SharedTicketLedger::issue_many`]), and whole-group counter adds.
@@ -593,47 +581,54 @@ impl ConcurrentRouter {
                 active_weights,
                 counters: core.metrics.as_ref().map(|m| &m.policy),
             };
-            let mut chosen: Vec<u32> = Vec::with_capacity(take);
-            ROUTE_CANDIDATES.with(|scratch| {
-                let mut scratch = scratch.borrow_mut();
-                for &key in group {
-                    chosen.push(choose_bin(policy, &ctx, key, &mut scratch));
-                }
-            });
-            match &topology {
-                // Fixed membership: per-bin grouped deltas, one atomic
-                // increment per distinct bin, one stats lock per shard.
-                None => core.bins.place_group(&chosen),
-                // Elastic: each placement needs the post-commit draining
-                // recheck (and possibly an undo + re-route), so commits stay
-                // per ball — the choose above still amortized the reads.
-                Some(_) => {
-                    for (slot, &key) in chosen.iter_mut().zip(group) {
-                        let bin = *slot as usize;
-                        core.bins.place(bin);
-                        if core.topology.load().states[bin] == BinState::Active {
-                            continue;
+            let chooser = Chooser::new(policy, &ctx);
+            let bin_commits = core.metrics.as_ref().map(|m| &m.bin_commits);
+            let tickets = GROUP_COMMIT.with(|scratch| {
+                let scratch = &mut *scratch.borrow_mut();
+                commit::choose_into(
+                    &chooser,
+                    group,
+                    |&key| key,
+                    Execution::INLINE,
+                    &mut scratch.chosen,
+                );
+                match &topology {
+                    // Fixed membership: the drain's grouped commit — one
+                    // atomic increment per distinct bin, one stats lock per
+                    // touched shard.
+                    None => commit::place_chosen(&core.bins, scratch, bin_commits),
+                    // Elastic: each placement needs the post-commit draining
+                    // recheck (and possibly an undo + re-route), so commits
+                    // stay per ball — the choose above still amortized the
+                    // reads.
+                    Some(_) => {
+                        for (slot, &key) in scratch.chosen.iter_mut().zip(group) {
+                            let mut bin = *slot as usize;
+                            core.bins.place(bin);
+                            if core.topology.load().states[bin] != BinState::Active {
+                                assert!(core.bins.depart(bin), "undo of a placement just made");
+                                if let Some(metrics) = &core.metrics {
+                                    metrics.membership.rejected_routes_to_draining.inc();
+                                }
+                                bin = core.choose_and_place(key);
+                                *slot = bin as u32;
+                            }
+                            if let Some(bin_commits) = bin_commits {
+                                bin_commits.inc(bin);
+                            }
                         }
-                        assert!(core.bins.depart(bin), "undo of a placement just made");
-                        if let Some(metrics) = &core.metrics {
-                            metrics.membership.rejected_routes_to_draining.inc();
-                        }
-                        *slot = core.choose_and_place(key) as u32;
                     }
                 }
-            }
-            let base = core.next_ball.fetch_add(take as u64, Ordering::AcqRel);
-            core.arrived.fetch_add(take as u64, Ordering::AcqRel);
-            core.placed.fetch_add(take as u64, Ordering::AcqRel);
-            core.routed.fetch_add(take as u64, Ordering::AcqRel);
-            if let Some(metrics) = &core.metrics {
-                metrics.routed.add(take as u64);
-                metrics.placed.add(take as u64);
-                for &bin in chosen.iter() {
-                    metrics.bin_commits.inc(bin as usize);
+                let base = core.next_ball.fetch_add(take as u64, Ordering::AcqRel);
+                core.arrived.fetch_add(take as u64, Ordering::AcqRel);
+                core.placed.fetch_add(take as u64, Ordering::AcqRel);
+                core.routed.fetch_add(take as u64, Ordering::AcqRel);
+                if let Some(metrics) = &core.metrics {
+                    metrics.routed.add(take as u64);
+                    metrics.placed.add(take as u64);
                 }
-            }
-            let tickets = core.ledger.issue_many(base, &chosen);
+                core.ledger.issue_many(base, &scratch.chosen)
+            });
             if core.has_observers.load(Ordering::Acquire) {
                 // Per-arrival taps fire in arrival order, before this group
                 // can close its batch, with the same resident counts the
@@ -754,7 +749,7 @@ impl ConcurrentRouter {
     /// ([`SharedTicketLedger::redeem_many`] — a single commit pass under the
     /// shard locks with exact rollback, so the group redeems atomically),
     /// one grouped load
-    /// decrement per distinct bin ([`ShardedBins::release_group`]), and
+    /// decrement per distinct bin ([`ShardedBins::release_group_with`]), and
     /// whole-group counter adds.
     ///
     /// With one caller this is bit-identical to looping
@@ -778,7 +773,10 @@ impl ConcurrentRouter {
             // which releases stay committed — exactly.
             return tickets.iter().try_for_each(|&ticket| self.release(ticket));
         };
-        let taken = core.bins.release_group(&chosen);
+        let taken = GROUP_COMMIT.with(|scratch| {
+            core.bins
+                .release_group_with(&chosen, &mut scratch.borrow_mut().group)
+        });
         core.departed.fetch_add(taken, Ordering::AcqRel);
         core.released.fetch_add(taken, Ordering::AcqRel);
         if let Some(metrics) = &core.metrics {
@@ -799,23 +797,15 @@ impl ConcurrentRouter {
         }
         if core.has_observers.load(Ordering::Acquire) {
             // Per-departure taps fire in ticket order with the running
-            // counts the loop would report (exact with one caller): ticket
-            // `i`'s `load_after` is the bin's final load plus the departures
-            // of the same bin still "ahead" of it in the group, and
+            // counts the loop would report (exact with one caller), and
             // `resident` counts down to the post-group total.
             let resident_final = core.resident_now();
-            let mut ahead: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-            let mut load_after: Vec<u32> = vec![0; tickets.len()];
-            for (offset, &bin) in chosen.iter().enumerate().rev() {
-                let later = ahead.entry(bin).or_insert(0);
-                load_after[offset] = core.bins.load(bin as usize) + *later;
-                *later += 1;
-            }
+            let loads_after = commit::loads_after_each_release(&core.bins, &chosen);
             let chain = core.observers.lock().expect("observer chain");
-            for (offset, &ticket) in tickets.iter().enumerate() {
+            for (offset, (&ticket, load_after)) in tickets.iter().zip(loads_after).enumerate() {
                 let event = ReleaseEvent {
                     ticket,
-                    load_after: load_after[offset],
+                    load_after,
                     resident: resident_final + (tickets.len() - 1 - offset) as u64,
                 };
                 core.each_observer(&chain.0, |observer| observer.on_release(&event));
@@ -948,42 +938,40 @@ impl ConcurrentRouter {
             &mut capacity_thresholds,
         );
         let stale = core.published.load();
+        let ctx = ChoiceCtx {
+            snapshot: &stale,
+            weights: topology.resolved.as_ref(),
+            batch_threshold: flat,
+            capacity_thresholds: &capacity_thresholds,
+            seed: core.config.seed,
+            bins: core.capacity(),
+            active: Some(&topology.active),
+            active_weights: topology.active_resolved.as_ref(),
+            counters: core.metrics.as_ref().map(|m| &m.policy),
+        };
+        let chooser = Chooser::new(policy, &ctx);
         let mut migrated = 0u64;
-        ROUTE_CANDIDATES.with(|scratch| {
-            let mut candidates = scratch.borrow_mut();
-            for &bin in &draining {
-                while let Some(ticket) = core.ledger.resident_in(bin as usize) {
-                    let ctx = ChoiceCtx {
-                        snapshot: &stale,
-                        weights: topology.resolved.as_ref(),
-                        batch_threshold: flat,
-                        capacity_thresholds: &capacity_thresholds,
-                        seed: core.config.seed,
-                        bins: core.capacity(),
-                        active: Some(&topology.active),
-                        active_weights: topology.active_resolved.as_ref(),
-                        counters: core.metrics.as_ref().map(|m| &m.policy),
-                    };
-                    let target = choose_bin(policy, &ctx, ticket.id(), &mut candidates) as usize;
-                    core.bins.place(target);
-                    if core.ledger.migrate(ticket.id(), bin as usize, target) {
-                        assert!(
-                            core.bins.depart(bin as usize),
-                            "a migrated resident held a load unit"
-                        );
-                        migrated += 1;
-                        if let Some(metrics) = &core.metrics {
-                            metrics.membership.migrations.inc();
-                            metrics.bin_commits.inc(target);
-                        }
-                    } else {
-                        // The resident raced a concurrent release; undo the
-                        // speculative placement.
-                        core.bins.depart(target);
+        for &bin in &draining {
+            while let Some(ticket) = core.ledger.resident_in(bin as usize) {
+                let target = chooser.choose_one(ticket.id()) as usize;
+                core.bins.place(target);
+                if core.ledger.migrate(ticket.id(), bin as usize, target) {
+                    assert!(
+                        core.bins.depart(bin as usize),
+                        "a migrated resident held a load unit"
+                    );
+                    migrated += 1;
+                    if let Some(metrics) = &core.metrics {
+                        metrics.membership.migrations.inc();
+                        metrics.bin_commits.inc(target);
                     }
+                } else {
+                    // The resident raced a concurrent release; undo the
+                    // speculative placement.
+                    core.bins.depart(target);
                 }
             }
-        });
+        }
         migrated
     }
 
@@ -1307,9 +1295,7 @@ impl Core {
                 active_weights,
                 counters: self.metrics.as_ref().map(|m| &m.policy),
             };
-            let bin = ROUTE_CANDIDATES
-                .with(|scratch| choose_bin(policy, &ctx, key, &mut scratch.borrow_mut()))
-                as usize;
+            let bin = Chooser::new(policy, &ctx).choose_one(key) as usize;
             self.bins.place(bin);
             if topology.is_none() {
                 return bin;
@@ -1549,15 +1535,12 @@ impl Core {
         book.batches += 1;
         let loads = self.bins.snapshot();
         let gap = match self.topology_if_elastic() {
-            Some(topology) => {
-                let mut scratch = Vec::new();
-                snapshot::gap_of_active_loads(
-                    &loads,
-                    &topology.active,
-                    topology.active_resolved.as_ref(),
-                    &mut scratch,
-                )
-            }
+            Some(topology) => snapshot::gap_of_active_loads(
+                &loads,
+                &topology.active,
+                topology.active_resolved.as_ref(),
+                &mut book.gap_scratch,
+            ),
             None => snapshot::gap_of_loads(&loads, self.resolved.as_ref()),
         };
         let event = BatchEvent {
@@ -1626,24 +1609,18 @@ impl Core {
         let batch_size = self.config.batch_size;
         let DrainSide {
             buffer,
-            chosen,
-            by_shard,
+            commit,
             capacity,
         } = &mut *side;
         let mut drained = 0;
         let mut start = 0;
         while buffer.len() - start >= batch_size {
-            self.drain_batch(
-                &buffer[start..start + batch_size],
-                chosen,
-                by_shard,
-                capacity,
-            );
+            self.drain_batch(&buffer[start..start + batch_size], commit, capacity);
             start += batch_size;
             drained += 1;
         }
         if include_partial && start < buffer.len() {
-            self.drain_batch(&buffer[start..], chosen, by_shard, capacity);
+            self.drain_batch(&buffer[start..], commit, capacity);
             start = buffer.len();
             drained += 1;
         }
@@ -1651,43 +1628,34 @@ impl Core {
         drained
     }
 
-    /// Allocates one pushed batch against the published snapshot, commits
-    /// it, and advances the boundary. Runs on the dedicated pool when
-    /// [`StreamConfig::num_threads`] is set.
+    /// Allocates one pushed batch against the published snapshot — choose,
+    /// commit (the shared stage of [`crate::commit`]) — and advances the
+    /// boundary.
     fn drain_batch(
         &self,
         batch: &[PendingBall],
-        chosen: &mut Vec<u32>,
-        by_shard: &mut [Vec<u32>],
+        scratch: &mut CommitScratch,
         capacity: &mut Vec<u32>,
     ) {
         if batch.is_empty() {
             return;
         }
-        match &self.pool {
-            Some(pool) => {
-                pool.install(|| self.drain_batch_inner(batch, chosen, by_shard, capacity))
-            }
-            None => self.drain_batch_inner(batch, chosen, by_shard, capacity),
-        }
-    }
-
-    fn drain_batch_inner(
-        &self,
-        batch: &[PendingBall],
-        chosen: &mut Vec<u32>,
-        by_shard: &mut [Vec<u32>],
-        capacity: &mut Vec<u32>,
-    ) {
         let policy = self.config.policy;
         // Staged scale events apply at batch open here too (mirroring the
         // single-threaded drain path), but only when no routed batch is
         // open — a mid-batch route stream keeps its topology to the close.
         self.apply_staged_at_batch_open();
         let topology = self.topology_if_elastic();
+        // Only a threshold policy reads the resident count; the rest skip
+        // the O(n) walk behind it.
+        let priced = uses_thresholds(policy);
         let threshold = match &topology {
             Some(topology) => {
-                let resident = self.active_resident(topology);
+                let resident = if priced {
+                    self.active_resident(topology)
+                } else {
+                    0
+                };
                 snapshot::fill_active_capacity_thresholds_into(
                     policy,
                     topology.active_resolved.as_ref(),
@@ -1705,7 +1673,7 @@ impl Core {
                 )
             }
             None => {
-                let resident = self.bins.total();
+                let resident = if priced { self.bins.total() } else { 0 };
                 snapshot::fill_capacity_thresholds_into(
                     policy,
                     self.resolved.as_ref(),
@@ -1737,20 +1705,22 @@ impl Core {
             active_weights,
             counters: self.metrics.as_ref().map(|m| &m.policy),
         };
-        commit::choose_batch(policy, &ctx, batch, self.config.parallel, chosen);
-        commit::apply_batch(
+        commit::commit_batch(
+            policy,
+            &ctx,
+            batch,
+            |ball| ball.key,
+            Execution {
+                parallel: self.config.parallel,
+                pool: self.pool.as_ref(),
+            },
             &self.bins,
-            chosen,
-            self.config.parallel,
-            by_shard,
-            &self.shard_ids,
+            scratch,
+            self.metrics.as_ref().map(|m| &m.bin_commits),
         );
         self.placed.fetch_add(batch.len() as u64, Ordering::AcqRel);
         if let Some(metrics) = &self.metrics {
             metrics.placed.add(batch.len() as u64);
-            for &bin in chosen.iter() {
-                metrics.bin_commits.inc(bin as usize);
-            }
         }
         let mut deferred = Vec::new();
         let mut book = self.boundary.lock().expect("boundary lock");
@@ -1762,6 +1732,7 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::Policy;
     use pba_model::rng::SplitMix64;
     use pba_model::weights::BinWeights;
 

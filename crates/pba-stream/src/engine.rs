@@ -73,11 +73,11 @@ use pba_stats::{LoadMetrics, OnlineStats};
 // module; `pba_stream::engine::StreamSnapshot` keeps resolving.
 pub use crate::snapshot::StreamSnapshot;
 
-use crate::commit;
+use crate::commit::{self, CommitScratch, Execution};
 use crate::ingress::PendingBall;
 use crate::metrics::StreamMetrics;
 use crate::observer::GapTrajectoryObserver;
-use crate::policy::{choose_bin, ChoiceCtx, Policy};
+use crate::policy::{ChoiceCtx, Chooser, Policy};
 use crate::shard::{ShardStats, ShardedBins};
 use crate::snapshot;
 
@@ -95,8 +95,11 @@ pub struct StreamConfig {
     pub policy: Policy,
     /// Master seed; together with each ball's key it determines candidates.
     pub seed: u64,
-    /// Whether `drain` uses the sharded parallel path (`true`) or the
-    /// sequential reference path (`false`). Both produce identical loads.
+    /// Whether `drain` may cut a long batch's choose step into spans for a
+    /// worker pool (`true`) or always runs on the calling thread (`false`).
+    /// Both produce identical loads, and batches below 64 Ki balls run on
+    /// the calling thread either way (below that the pool hand-off costs
+    /// more than the choosing it hands off).
     pub parallel: bool,
     /// Most recent per-batch gap entries retained in the trajectory. A
     /// long-running stream drains batches forever, so the trajectory must not
@@ -300,12 +303,12 @@ pub struct StreamAllocator {
     /// Weights staged by [`StreamAllocator::set_weights`], applied at the
     /// next batch boundary.
     pending_weights: Option<BinWeights>,
-    /// Scratch: chosen bin per ball of the batch being drained (reused).
-    chosen_scratch: Vec<u32>,
-    /// Scratch: placements grouped by shard for the parallel apply (reused).
-    by_shard: Vec<Vec<u32>>,
-    /// The shard indices `0..shards`, kept as a slice for `par_iter`.
-    shard_ids: Vec<usize>,
+    /// Scratch of the commit stage — the chosen bins of the batch or group
+    /// in flight and the grouped commit's counters (reused).
+    commit_scratch: CommitScratch,
+    /// Scratch: the active bins' loads, gathered for a membership engine's
+    /// boundary gap (reused).
+    gap_scratch: Vec<u32>,
     /// Non-uniform weights resolved once at construction (and re-resolved at
     /// reweighting boundaries); `None` keeps every hot path on the exact
     /// unweighted code (the strict no-op invariant).
@@ -319,8 +322,6 @@ pub struct StreamAllocator {
     /// from `capacity_scratch` so interleaved `drain_ready` calls cannot
     /// clobber an open batch's thresholds).
     route_capacity: Vec<u32>,
-    /// Scratch: candidate bins of a single `route` call (reused).
-    route_candidates: Vec<u32>,
     /// Dedicated worker pool of the parallel drain when
     /// [`StreamConfig::num_threads`] is positive; `None` drains on the
     /// ambient (installed or global) pool.
@@ -368,10 +369,8 @@ impl StreamAllocator {
             pending: MembershipPlan::new(),
             active_resolved: resolved.clone(),
         });
-        let bins = ShardedBins::new(capacity, config.shards);
-        let shard_count = bins.shard_count();
         let mut stream = Self {
-            bins,
+            bins: ShardedBins::new(capacity, config.shards),
             stale: vec![0; capacity],
             pending: Vec::with_capacity(config.batch_size),
             next_ball: 0,
@@ -386,14 +385,12 @@ impl StreamAllocator {
             released: 0,
             open_batch: 0,
             pending_weights: None,
-            chosen_scratch: Vec::new(),
-            by_shard: vec![Vec::new(); shard_count],
-            shard_ids: (0..shard_count).collect(),
+            commit_scratch: CommitScratch::default(),
+            gap_scratch: Vec::new(),
             resolved,
             capacity_scratch: Vec::new(),
             route_threshold: 0,
             route_capacity: Vec::new(),
-            route_candidates: Vec::new(),
             pool: (config.num_threads > 0).then(|| {
                 rayon::ThreadPoolBuilder::new()
                     .num_threads(config.num_threads)
@@ -467,7 +464,7 @@ impl StreamAllocator {
         let total = stream.bins.total();
         stream.placed = total;
         stream.arrived = total;
-        stream.stale = stream.bins.snapshot();
+        stream.bins.snapshot_into(&mut stream.stale);
         stream
     }
 
@@ -544,7 +541,6 @@ impl StreamAllocator {
             self.fill_capacity_thresholds_into(self.config.batch_size as u64, &mut thresholds);
             self.route_capacity = thresholds;
         }
-        let mut candidates = std::mem::take(&mut self.route_candidates);
         let bin = {
             let ctx = ChoiceCtx {
                 snapshot: &self.stale,
@@ -560,9 +556,8 @@ impl StreamAllocator {
                     .and_then(|s| s.active_resolved.as_ref()),
                 counters: self.metrics.as_ref().map(|m| &m.policy),
             };
-            choose_bin(self.config.policy, &ctx, key, &mut candidates)
+            Chooser::new(self.config.policy, &ctx).choose_one(key)
         };
-        self.route_candidates = candidates;
         self.bins.place(bin as usize);
         let id = self.next_ball;
         self.next_ball += 1;
@@ -603,7 +598,7 @@ impl StreamAllocator {
     /// changes apply and thresholds re-price exactly where the loop would),
     /// and within each sub-group the pricing context is built once, the
     /// chosen bins are committed as per-bin grouped deltas
-    /// ([`ShardedBins::place_group`] — one atomic increment per distinct
+    /// ([`ShardedBins::place_group_with`] — one atomic increment per distinct
     /// bin), and the counters advance by whole-group adds.
     ///
     /// Streaming routing is infallible; the `Result` is the shared
@@ -634,33 +629,33 @@ impl StreamAllocator {
 
             // Choose every bin of the sub-group against the batch's fixed
             // pricing — `ChoiceCtx` is constant within a batch, so one build
-            // serves the whole sub-group.
-            let mut candidates = std::mem::take(&mut self.route_candidates);
-            let mut chosen = std::mem::take(&mut self.chosen_scratch);
-            chosen.clear();
-            {
-                let ctx = ChoiceCtx {
-                    snapshot: &self.stale,
-                    weights: self.resolved.as_ref(),
-                    batch_threshold: self.route_threshold,
-                    capacity_thresholds: &self.route_capacity,
-                    seed: self.config.seed,
-                    bins: self.capacity(),
-                    active: self.membership.as_ref().map(|s| s.table.active()),
-                    active_weights: self
-                        .membership
-                        .as_ref()
-                        .and_then(|s| s.active_resolved.as_ref()),
-                    counters: self.metrics.as_ref().map(|m| &m.policy),
-                };
-                for &key in group {
-                    chosen.push(choose_bin(self.config.policy, &ctx, key, &mut candidates));
-                }
-            }
-            self.route_candidates = candidates;
-
-            // Commit: grouped per-bin load deltas, whole-group counter adds.
-            self.bins.place_group(&chosen);
+            // serves the whole sub-group — and commit them as grouped
+            // per-bin deltas: the drain's commit stage, on this thread.
+            let ctx = ChoiceCtx {
+                snapshot: &self.stale,
+                weights: self.resolved.as_ref(),
+                batch_threshold: self.route_threshold,
+                capacity_thresholds: &self.route_capacity,
+                seed: self.config.seed,
+                bins: self.capacity(),
+                active: self.membership.as_ref().map(|s| s.table.active()),
+                active_weights: self
+                    .membership
+                    .as_ref()
+                    .and_then(|s| s.active_resolved.as_ref()),
+                counters: self.metrics.as_ref().map(|m| &m.policy),
+            };
+            commit::commit_batch(
+                self.config.policy,
+                &ctx,
+                group,
+                |&key| key,
+                Execution::INLINE,
+                &self.bins,
+                &mut self.commit_scratch,
+                self.metrics.as_ref().map(|m| &m.bin_commits),
+            );
+            let chosen = &self.commit_scratch.chosen;
             let base = self.next_ball;
             self.next_ball += take as u64;
             self.arrived += take as u64;
@@ -670,9 +665,6 @@ impl StreamAllocator {
             if let Some(metrics) = &self.metrics {
                 metrics.routed.add(take as u64);
                 metrics.placed.add(take as u64);
-                for &bin in chosen.iter() {
-                    metrics.bin_commits.inc(bin as usize);
-                }
             }
             let notify = !self.observers.0.is_empty();
             let resident_base = self.placed - self.departed - take as u64;
@@ -694,7 +686,6 @@ impl StreamAllocator {
                     bin: bin as usize,
                 });
             }
-            self.chosen_scratch = chosen;
             if self.open_batch >= self.config.batch_size {
                 self.close_open_batch();
             }
@@ -726,34 +717,6 @@ impl StreamAllocator {
     /// load change, the departure reaches the policies at the next batch
     /// boundary.
     pub fn release(&mut self, ticket: Ticket) -> Result<(), RouteError> {
-        let mut deferred = 0u64;
-        let result = self.release_one(ticket, &mut deferred);
-        self.flush_released_metric(deferred);
-        result
-    }
-
-    /// Releases a group of tickets — the grouped surface of
-    /// [`StreamAllocator::release`], bit-identical to looping it (the group
-    /// stops at the first failing ticket; prior releases stay committed).
-    /// The single-threaded engine has no locks to amortize — its ledger is
-    /// plain maps — so the grouped win here is bookkeeping: one
-    /// `route.released` counter flush per group instead of one atomic RMW
-    /// per release. The real amortization (one ledger pass per touched
-    /// shard, grouped load decrements) lives on the concurrent router's
-    /// `release_many`, which serves the multi-threaded front-ends.
-    pub fn release_many(&mut self, tickets: &[Ticket]) -> Result<(), RouteError> {
-        let mut deferred = 0u64;
-        let result = tickets
-            .iter()
-            .try_for_each(|&ticket| self.release_one(ticket, &mut deferred));
-        self.flush_released_metric(deferred);
-        result
-    }
-
-    /// One release with the `route.released` counter bump deferred to the
-    /// caller (`deferred` accumulates successful releases); everything else
-    /// — redeem, depart, counters, [`ReleaseEvent`] — happens in place.
-    fn release_one(&mut self, ticket: Ticket, deferred: &mut u64) -> Result<(), RouteError> {
         let bin = match self.tickets.redeem(ticket) {
             Ok(bin) => bin,
             Err(err) => {
@@ -774,7 +737,9 @@ impl StreamAllocator {
         }
         self.departed += 1;
         self.released += 1;
-        *deferred += 1;
+        if let Some(metrics) = &self.metrics {
+            metrics.released.inc();
+        }
         let event = ReleaseEvent {
             ticket,
             load_after: self.bins.load(bin),
@@ -789,12 +754,65 @@ impl StreamAllocator {
         Ok(())
     }
 
-    fn flush_released_metric(&self, deferred: u64) {
-        if deferred > 0 {
-            if let Some(metrics) = &self.metrics {
-                metrics.released.add(deferred);
+    /// Releases a group of tickets — the grouped surface of
+    /// [`StreamAllocator::release`], bit-identical to looping it (the group
+    /// stops at the first failing ticket; prior releases stay committed).
+    /// The tickets are redeemed in order, then their bins depart through the
+    /// same grouped commit the routes arrive by
+    /// ([`ShardedBins::release_group_with`]: one decrement per distinct bin,
+    /// one stats lock per touched shard) and the counters advance by
+    /// whole-group adds; [`ReleaseEvent`]s still fire per ticket, in order,
+    /// with the running values the loop would report.
+    pub fn release_many(&mut self, tickets: &[Ticket]) -> Result<(), RouteError> {
+        // A singleton group amortizes nothing: delegate to `release`.
+        if let [ticket] = tickets {
+            return self.release(*ticket);
+        }
+        let CommitScratch { chosen, group } = &mut self.commit_scratch;
+        chosen.clear();
+        let mut result = Ok(());
+        for &ticket in tickets {
+            match self.tickets.redeem(ticket) {
+                Ok(bin) => chosen.push(bin as u32),
+                Err(err) => {
+                    result = Err(err);
+                    break;
+                }
             }
         }
+        let mut rejected = result.is_err() as u64;
+        let taken = self.bins.release_group_with(chosen, group);
+        self.departed += taken;
+        self.released += taken;
+        if taken < chosen.len() as u64 {
+            // Defensive: a redeemed ticket names a resident ball, so no bin
+            // can underflow unless the ledger and the bins diverged (a bug,
+            // not a caller error — same stance as the one-at-a-time path).
+            rejected += chosen.len() as u64 - taken;
+            result = Err(RouteError::UnknownTicket {
+                ticket: tickets[taken as usize],
+            });
+        }
+        if let Some(metrics) = &self.metrics {
+            metrics.released.add(taken);
+            metrics.rejected_unknown_ticket.add(rejected);
+        }
+        if !self.observers.0.is_empty() && taken == chosen.len() as u64 {
+            // Per-departure taps fire in ticket order with the running
+            // counts the loop would report.
+            let loads_after = commit::loads_after_each_release(&self.bins, chosen);
+            let resident_final = self.placed - self.departed;
+            for (offset, (&ticket, load_after)) in tickets.iter().zip(loads_after).enumerate() {
+                let event = ReleaseEvent {
+                    ticket,
+                    load_after,
+                    resident: resident_final + (chosen.len() - 1 - offset) as u64,
+                };
+                self.observers
+                    .notify_release(&event, self.metrics.as_ref().map(|m| &m.observer_errors));
+            }
+        }
+        result
     }
 
     /// Stages new bin weights, applied at the **next batch boundary**: the
@@ -1010,24 +1028,10 @@ impl StreamAllocator {
         true
     }
 
-    /// Allocates one batch against the stale snapshot, then advances the
-    /// snapshot to the new loads and records the gap. Runs on the engine's
-    /// dedicated pool when [`StreamConfig::num_threads`] is set.
+    /// Allocates one batch against the stale snapshot — choose, commit (the
+    /// shared stage of [`crate::commit`]) — then advances the snapshot to the
+    /// new loads and records the gap.
     fn drain_batch(&mut self, batch: &[PendingBall]) {
-        // Take/restore the pool around the drain so the closure can borrow
-        // `self` mutably; the drain itself never touches `self.pool`.
-        match self.pool.take() {
-            Some(pool) => {
-                pool.install(|| self.drain_batch_inner(batch));
-                self.pool = Some(pool);
-            }
-            None => self.drain_batch_inner(batch),
-        }
-    }
-
-    /// The drain body: choose (parallel over balls), apply (parallel over
-    /// shards), advance the boundary.
-    fn drain_batch_inner(&mut self, batch: &[PendingBall]) {
         if batch.is_empty() {
             return;
         }
@@ -1045,10 +1049,6 @@ impl StreamAllocator {
         self.fill_capacity_thresholds_into(batch.len() as u64, &mut thresholds);
         self.capacity_scratch = thresholds;
 
-        // Steps 1 and 2 — choose, then apply: the shared commit stage (see
-        // `crate::commit`), identical for the sequential and parallel paths
-        // and shared with the concurrent engine.
-        let mut chosen = std::mem::take(&mut self.chosen_scratch);
         let ctx = ChoiceCtx {
             snapshot: &self.stale,
             weights: self.resolved.as_ref(),
@@ -1063,32 +1063,26 @@ impl StreamAllocator {
                 .and_then(|s| s.active_resolved.as_ref()),
             counters: self.metrics.as_ref().map(|m| &m.policy),
         };
-        commit::choose_batch(
+        commit::commit_batch(
             self.config.policy,
             &ctx,
             batch,
-            self.config.parallel,
-            &mut chosen,
-        );
-        commit::apply_batch(
+            |ball| ball.key,
+            Execution {
+                parallel: self.config.parallel,
+                pool: self.pool.as_ref(),
+            },
             &self.bins,
-            &chosen,
-            self.config.parallel,
-            &mut self.by_shard,
-            &self.shard_ids,
+            &mut self.commit_scratch,
+            self.metrics.as_ref().map(|m| &m.bin_commits),
         );
         if let Some(metrics) = &self.metrics {
-            metrics.placed.add(chosen.len() as u64);
-            for &bin in &chosen {
-                metrics.bin_commits.inc(bin as usize);
-            }
+            metrics.placed.add(batch.len() as u64);
         }
-        self.chosen_scratch = chosen;
 
         self.placed += batch.len() as u64;
         self.batches += 1;
 
-        // Step 3 — advance the snapshot and notify observers.
         self.advance_boundary(batch.len());
     }
 
@@ -1097,8 +1091,10 @@ impl StreamAllocator {
     /// [`GapTrajectoryObserver`] first (keeping the gap trajectory
     /// bit-identical to the pre-observer engine), then external sinks.
     fn advance_boundary(&mut self, batch_len: usize) {
-        self.stale = self.bins.snapshot();
-        let gap = self.gap_of_loads(&self.stale);
+        self.bins.snapshot_into(&mut self.stale);
+        let mut scratch = std::mem::take(&mut self.gap_scratch);
+        let gap = self.gap_of_loads(&self.stale, &mut scratch);
+        self.gap_scratch = scratch;
         let event = BatchEvent {
             batch_index: self.batches,
             batch_len,
@@ -1137,11 +1133,22 @@ impl StreamAllocator {
     /// the current resident population (see [`snapshot::batch_threshold`]) —
     /// the **active** population and bin count once membership is elastic.
     fn batch_threshold(&self, batch_len: u64) -> u32 {
-        let (resident, bins) = match &self.membership {
-            Some(state) => (self.active_resident(), state.table.active_count()),
-            None => (self.bins.total(), self.config.bins),
+        let bins = match &self.membership {
+            Some(state) => state.table.active_count(),
+            None => self.config.bins,
         };
-        snapshot::batch_threshold(self.config.policy, resident, bins, batch_len)
+        snapshot::batch_threshold(self.config.policy, self.priced_resident(), bins, batch_len)
+    }
+
+    /// The resident count thresholds are priced over ([`Self::active_resident`]);
+    /// `0`, which nothing reads, for a policy that prices none — every batch
+    /// of every other policy is spared the `O(n)` count.
+    fn priced_resident(&self) -> u64 {
+        if snapshot::uses_thresholds(self.config.policy) {
+            self.active_resident()
+        } else {
+            0
+        }
     }
 
     /// Per-bin capacity thresholds of [`Policy::CapacityThreshold`] over the
@@ -1155,7 +1162,7 @@ impl StreamAllocator {
                 self.config.policy,
                 state.active_resolved.as_ref(),
                 state.table.active(),
-                self.active_resident(),
+                self.priced_resident(),
                 self.capacity(),
                 batch_len,
                 out,
@@ -1163,7 +1170,7 @@ impl StreamAllocator {
             None => snapshot::fill_capacity_thresholds_into(
                 self.config.policy,
                 self.resolved.as_ref(),
-                self.bins.total(),
+                self.priced_resident(),
                 self.config.bins,
                 batch_len,
                 out,
@@ -1175,17 +1182,15 @@ impl StreamAllocator {
     /// `max − mean` when uniform, weighted `max_i(load_i/w_i) − (Σ load)/W`
     /// otherwise. Membership engines measure the **active** bins only —
     /// draining and retired slots hold balls no placement decision can see.
-    fn gap_of_loads(&self, loads: &[u32]) -> f64 {
+    /// `scratch` is where a membership engine gathers those active loads.
+    fn gap_of_loads(&self, loads: &[u32], scratch: &mut Vec<u32>) -> f64 {
         match &self.membership {
-            Some(state) => {
-                let mut scratch = Vec::with_capacity(state.table.active_count());
-                snapshot::gap_of_active_loads(
-                    loads,
-                    state.table.active(),
-                    state.active_resolved.as_ref(),
-                    &mut scratch,
-                )
-            }
+            Some(state) => snapshot::gap_of_active_loads(
+                loads,
+                state.table.active(),
+                state.active_resolved.as_ref(),
+                scratch,
+            ),
             None => snapshot::gap_of_loads(loads, self.resolved.as_ref()),
         }
     }
@@ -1255,23 +1260,23 @@ impl StreamAllocator {
         let threshold = self.batch_threshold(volume);
         let mut thresholds = std::mem::take(&mut self.capacity_scratch);
         self.fill_capacity_thresholds_into(volume, &mut thresholds);
-        let mut candidates = std::mem::take(&mut self.route_candidates);
+        let state = self.membership.as_ref().expect("membership checked above");
+        let ctx = ChoiceCtx {
+            snapshot: &self.stale,
+            weights: self.resolved.as_ref(),
+            batch_threshold: threshold,
+            capacity_thresholds: &thresholds,
+            seed: self.config.seed,
+            bins: self.capacity(),
+            active: Some(state.table.active()),
+            active_weights: state.active_resolved.as_ref(),
+            counters: self.metrics.as_ref().map(|m| &m.policy),
+        };
+        let chooser = Chooser::new(self.config.policy, &ctx);
         let mut migrated = 0u64;
         for bin in draining {
             while let Some(ticket) = self.tickets.resident_in(bin as usize) {
-                let state = self.membership.as_ref().expect("membership checked above");
-                let ctx = ChoiceCtx {
-                    snapshot: &self.stale,
-                    weights: self.resolved.as_ref(),
-                    batch_threshold: threshold,
-                    capacity_thresholds: &thresholds,
-                    seed: self.config.seed,
-                    bins: self.capacity(),
-                    active: Some(state.table.active()),
-                    active_weights: state.active_resolved.as_ref(),
-                    counters: self.metrics.as_ref().map(|m| &m.policy),
-                };
-                let target = choose_bin(self.config.policy, &ctx, ticket.id(), &mut candidates);
+                let target = chooser.choose_one(ticket.id());
                 self.bins.place(target as usize);
                 assert!(
                     self.bins.depart(bin as usize),
@@ -1288,7 +1293,6 @@ impl StreamAllocator {
                 }
             }
         }
-        self.route_candidates = candidates;
         self.capacity_scratch = thresholds;
         migrated
     }
@@ -1415,7 +1419,7 @@ impl Router for StreamAllocator {
                 None => self.config.bins,
             },
             batches: self.batches,
-            gap: self.gap_of_loads(&loads),
+            gap: self.gap_of_loads(&loads, &mut Vec::new()),
         }
     }
 }
@@ -1484,13 +1488,12 @@ mod tests {
 
     #[test]
     fn parallel_paths_engage_for_large_batches_and_match_sequential() {
-        // The small-batch equivalence test above never crosses the
-        // parallelism cutoffs; this one does: batch 8192 ≥
-        // PARALLEL_APPLY_MIN_BATCH exercises the by_shard grouping +
-        // record_batch fold, and the 4-thread pool makes the choose step
-        // split across workers (8192 / CHOOSE_MIN_BALLS_PER_WORKER = 4).
-        const BATCH: usize = 8192;
-        const { assert!(BATCH >= commit::PARALLEL_APPLY_MIN_BATCH) };
+        // The small-batch equivalence test above is chosen inline whatever
+        // the flag says; this one is not: a batch of three spans is cut up
+        // and handed to the 4-thread pool, and the trailing partial batch
+        // (half a span) is chosen inline again.
+        const BATCH: usize = 3 * commit::PARALLEL_MIN_SPAN;
+        const BALLS: u64 = (BATCH + commit::PARALLEL_MIN_SPAN / 2) as u64;
         let cfg = StreamConfig::new(64)
             .policy(Policy::TwoChoice)
             .batch_size(BATCH)
@@ -1498,8 +1501,8 @@ mod tests {
             .seed(17);
         let mut par = StreamAllocator::new(cfg.clone());
         let mut seq = StreamAllocator::new(cfg.sequential());
-        push_uniform(&mut par, 20_000, 3);
-        push_uniform(&mut seq, 20_000, 3);
+        push_uniform(&mut par, BALLS, 3);
+        push_uniform(&mut seq, BALLS, 3);
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(4)
             .build()
@@ -1508,7 +1511,6 @@ mod tests {
         seq.flush();
         assert_eq!(par.loads(), seq.loads());
         assert_eq!(par.gap_trajectory(), seq.gap_trajectory());
-        // The batched stats fold must agree with the per-ball path too.
         assert_eq!(par.shard_stats(), seq.shard_stats());
         assert!(par.conserves_balls() && seq.conserves_balls());
     }
@@ -1517,19 +1519,21 @@ mod tests {
     fn num_threads_knob_is_load_and_trajectory_invariant() {
         // A dedicated drain pool of any size must reproduce the ambient-pool
         // run exactly: parallelism partitions index ranges, it never reorders
-        // RNG consumption. Batch 8192 crosses both parallel cutoffs.
+        // RNG consumption. A batch of two spans is the shortest the pool sees.
+        const BATCH: usize = 2 * commit::PARALLEL_MIN_SPAN;
+        const BALLS: u64 = BATCH as u64 + 4_000;
         let base = StreamConfig::new(64)
             .policy(Policy::TwoChoice)
-            .batch_size(8192)
+            .batch_size(BATCH)
             .shards(8)
             .seed(41);
         let mut ambient = StreamAllocator::new(base.clone());
-        push_uniform(&mut ambient, 20_000, 9);
+        push_uniform(&mut ambient, BALLS, 9);
         ambient.flush();
         for threads in [1usize, 2, 4] {
             let mut dedicated = StreamAllocator::new(base.clone().num_threads(threads));
             assert_eq!(dedicated.config().num_threads, threads);
-            push_uniform(&mut dedicated, 20_000, 9);
+            push_uniform(&mut dedicated, BALLS, 9);
             dedicated.flush();
             assert_eq!(dedicated.loads(), ambient.loads(), "threads = {threads}");
             assert_eq!(dedicated.gap_trajectory(), ambient.gap_trajectory());

@@ -18,11 +18,12 @@
 //!   `snapshot` API. Balls buffer until a batch of `b` is ready; a drain
 //!   allocates the batch against the **stale** snapshot and then advances the
 //!   snapshot. Because every placement decision is a pure function of
-//!   `(stale snapshot, ball key)`, the sharded parallel drain is bit-identical
-//!   to the sequential one. The engine is the facade of a staged pipeline:
-//!   the ingress stage (arrival buffering/sequencing), the [`snapshot`] stage
-//!   (stale loads, thresholds, gap measure) and the commit stage
-//!   (choose + apply) are separate modules shared with the concurrent core.
+//!   `(stale snapshot, ball key)`, a drain whose choose step is cut into
+//!   spans for a worker pool is bit-identical to the sequential one. The
+//!   engine is the facade of a staged pipeline: the ingress stage (arrival
+//!   buffering/sequencing), the [`snapshot`] stage (stale loads, thresholds,
+//!   gap measure) and the commit stage (choose, then one grouped commit per
+//!   batch) are separate modules shared with the concurrent core.
 //! * [`concurrent`] — [`ConcurrentRouter`]: the **concurrent serving core** —
 //!   a cloneable, `Arc`-backed shared handle whose `route(key)` is callable
 //!   from many caller threads at once. Reads go to an epoch-published stale
@@ -34,7 +35,8 @@
 //!   and epoch monotonicity hold for every interleaving.
 //! * [`shard`] — [`ShardedBins`]: bins partitioned into contiguous shards;
 //!   lock-free atomic load counters (from [`pba_concurrent`]) plus per-shard
-//!   mutex-guarded bookkeeping, drained in parallel via rayon.
+//!   mutex-guarded bookkeeping, committed to one distinct bin (and one
+//!   touched shard) at a time.
 //! * [`policy`] — [`Policy`]: single-choice, two-choice, `d`-choice and the
 //!   paper-style threshold rule, all over stale loads; candidate bins are a
 //!   consistent hash of the ball's key. Heterogeneous backends are served by

@@ -192,107 +192,175 @@ impl ChoiceCtx<'_> {
     }
 }
 
-/// Samples candidates and picks the bin for one ball — the single entry point
-/// the engine uses for every policy, weighted or not. A pure function of
-/// `(ctx, key)`; `candidates` is caller-provided scratch (cleared here).
+/// Samples candidates and picks the bin for one ball — the single definition
+/// every policy, weighted or not, goes through: build the batch's chooser,
+/// choose one key. A pure function of `(ctx, key)`. `candidates` is unused —
+/// candidates live on the chooser's stack — and stays in the signature for
+/// the callers outside this crate that still pass a scratch vector.
 ///
 /// With `ctx.weights == None` this consumes the RNG stream exactly like
 /// [`candidate_bins`] + [`Policy::pick`] — the strict uniform no-op.
-pub fn choose_bin(policy: Policy, ctx: &ChoiceCtx<'_>, key: u64, candidates: &mut Vec<u32>) -> u32 {
-    candidates.clear();
-    let d = policy.choices();
-    let mut rng = SplitMix64::for_stream(ctx.seed, CANDIDATE_STREAM, key);
-    sample_candidates(policy, ctx, &mut rng, d, candidates);
-    debug_assert!(!candidates.is_empty());
-    match policy {
-        Policy::OneChoice => candidates[0],
-        Policy::TwoChoice | Policy::DChoice(_) => least_loaded(ctx.snapshot, candidates),
-        Policy::Threshold { .. } => {
-            for &c in candidates.iter() {
-                if ctx.snapshot[c as usize] < ctx.batch_threshold {
-                    return c;
-                }
-            }
-            if let Some(counters) = ctx.counters {
-                counters.threshold_fallback.inc();
-            }
-            least_loaded(ctx.snapshot, candidates)
-        }
-        Policy::WeightedTwoChoice => least_normalized(ctx, candidates),
-        Policy::CapacityThreshold { .. } => {
-            if let Some(c) = first_below_capacity(ctx, candidates) {
-                return c;
-            }
-            // Overflow retry: every first-attempt candidate is at or above
-            // its capacity share, so draw one fresh set from the same stream
-            // (still a pure function of (seed, key)) before giving up.
-            if let Some(counters) = ctx.counters {
-                counters.overflow_retry.inc();
-            }
-            let retry_start = candidates.len();
-            sample_candidates(policy, ctx, &mut rng, d, candidates);
-            if let Some(c) = first_below_capacity(ctx, &candidates[retry_start..]) {
-                return c;
-            }
-            // Both sets overflowed: concede and take the least normalized
-            // load among everything seen.
-            if let Some(counters) = ctx.counters {
-                counters.overflow_fallback.inc();
-            }
-            least_normalized(ctx, candidates)
-        }
-    }
-}
-
-/// Appends `d` distinct candidates to `out`: weight-proportional for a
-/// weight-aware policy on non-uniform weights, uniform otherwise (the exact
-/// [`candidate_bins`] stream).
-fn sample_candidates(
+pub fn choose_bin(
     policy: Policy,
     ctx: &ChoiceCtx<'_>,
-    rng: &mut SplitMix64,
+    key: u64,
+    _candidates: &mut Vec<u32>,
+) -> u32 {
+    Chooser::new(policy, ctx).choose_one(key)
+}
+
+/// Everything about a choice that is constant across a batch, decided once:
+/// the sampling domain and `d` clamped to it, whether candidates are drawn
+/// weight-proportionally, and the `(seed, CANDIDATE_STREAM)` half of each
+/// ball's RNG derivation. [`Chooser::choose_span`] is then the choose loop of
+/// every drain, route and migration.
+pub(crate) struct Chooser<'a> {
+    policy: Policy,
+    ctx: ChoiceCtx<'a>,
+    /// Candidates per attempt: `d` clamped to `[1, domain]`.
     d: usize,
-    out: &mut Vec<u32>,
-) {
-    if let Some(active) = ctx.active {
-        // Elastic membership: draw over the active domain, then map the
-        // drawn positions to global slot indices. The RNG consumption is
-        // exactly that of a fixed engine over `active.len()` bins, so an
-        // identity active set is a strict no-op and a gapped one matches the
+    /// Size of the sampling domain: the active slots under membership, every
+    /// bin otherwise.
+    domain: usize,
+    /// The alias table candidates are drawn from — in the index space of the
+    /// domain — when the policy is weight-aware and the weights non-uniform.
+    sampler: Option<&'a ResolvedWeights>,
+    stream_key: u64,
+}
+
+impl<'a> Chooser<'a> {
+    pub(crate) fn new(policy: Policy, ctx: &ChoiceCtx<'a>) -> Self {
+        // Elastic membership: draw over the active domain, then map the drawn
+        // positions to global slot indices. The RNG consumption is exactly
+        // that of a fixed engine over `active.len()` bins, so an identity
+        // active set is a strict no-op and a gapped one matches the
         // compacted fresh engine bit for bit.
-        let n = active.len();
-        let start = out.len();
-        match ctx.active_weights {
-            Some(weights) if policy.is_weight_aware() => {
-                debug_assert_eq!(weights.len(), n);
-                let fallback_draws = weights.sample_distinct(rng, d.max(1).min(n.max(1)), out);
+        let (domain, weights) = match ctx.active {
+            Some(active) => (active.len(), ctx.active_weights),
+            None => (ctx.bins, ctx.weights),
+        };
+        let sampler = weights.filter(|_| policy.is_weight_aware());
+        debug_assert!(sampler.is_none_or(|weights| weights.len() == domain));
+        Self {
+            policy,
+            ctx: *ctx,
+            d: policy.choices().min(domain.max(1)),
+            domain,
+            sampler,
+            stream_key: SplitMix64::stream_key(ctx.seed, CANDIDATE_STREAM),
+        }
+    }
+
+    /// Chooses the bin of every item of a span: `out[i]` is the bin of the
+    /// ball with key `key_of(&items[i])`. The one choose loop; the `match`
+    /// only picks the candidate buffer it runs over, so that for the `d` the
+    /// policies actually use the buffer is a stack array whose length the
+    /// compiler knows — candidates then live in registers, and the sampling
+    /// and comparison loops unroll. A larger `d` runs the same loop over a
+    /// heap buffer.
+    pub(crate) fn choose_span<K>(&self, items: &[K], key_of: impl Fn(&K) -> u64, out: &mut [u32]) {
+        debug_assert_eq!(items.len(), out.len());
+        match self.d {
+            1 => self.span_over([0; 1], items, key_of, out),
+            2 => self.span_over([0; 2], items, key_of, out),
+            3 => self.span_over([0; 3], items, key_of, out),
+            4 => self.span_over([0; 4], items, key_of, out),
+            d => self.span_over(vec![0; d], items, key_of, out),
+        }
+    }
+
+    /// The bin of the single ball with key `key` (a span of one).
+    pub(crate) fn choose_one(&self, key: u64) -> u32 {
+        let mut bin = 0;
+        self.choose_span(&[key], |&key| key, std::slice::from_mut(&mut bin));
+        bin
+    }
+
+    #[inline(always)]
+    fn span_over<K, B: AsMut<[u32]> + Clone>(
+        &self,
+        mut first: B,
+        items: &[K],
+        key_of: impl Fn(&K) -> u64,
+        out: &mut [u32],
+    ) {
+        // The overflow retry's second attempt: same length, its own buffer.
+        let mut retry = first.clone();
+        let (first, retry) = (first.as_mut(), retry.as_mut());
+        for (slot, item) in out.iter_mut().zip(items) {
+            *slot = self.choose(key_of(item), first, retry);
+        }
+    }
+
+    /// The bin of the ball with key `key`; `first` and `retry` are `d` slots
+    /// of candidate scratch each.
+    #[inline(always)]
+    fn choose(&self, key: u64, first: &mut [u32], retry: &mut [u32]) -> u32 {
+        let ctx = &self.ctx;
+        let mut rng = SplitMix64::for_substream(self.stream_key, key);
+        self.sample(&mut rng, first);
+        match self.policy {
+            Policy::OneChoice => first[0],
+            Policy::TwoChoice | Policy::DChoice(_) => least_loaded(ctx.snapshot, first),
+            Policy::Threshold { .. } => {
+                for &c in first.iter() {
+                    if ctx.snapshot[c as usize] < ctx.batch_threshold {
+                        return c;
+                    }
+                }
+                if let Some(counters) = ctx.counters {
+                    counters.threshold_fallback.inc();
+                }
+                least_loaded(ctx.snapshot, first)
+            }
+            Policy::WeightedTwoChoice => least_normalized(ctx, first, &[]),
+            Policy::CapacityThreshold { .. } => {
+                if let Some(c) = first_below_capacity(ctx, first) {
+                    return c;
+                }
+                // Overflow retry: every first-attempt candidate is at or above
+                // its capacity share, so draw one fresh set from the same stream
+                // (still a pure function of (seed, key)) before giving up.
+                if let Some(counters) = ctx.counters {
+                    counters.overflow_retry.inc();
+                }
+                self.sample(&mut rng, retry);
+                if let Some(c) = first_below_capacity(ctx, retry) {
+                    return c;
+                }
+                // Both sets overflowed: concede and take the least normalized
+                // load among everything seen.
+                if let Some(counters) = ctx.counters {
+                    counters.overflow_fallback.inc();
+                }
+                least_normalized(ctx, first, retry)
+            }
+        }
+    }
+
+    /// Fills `out` (one attempt, `d` slots) with distinct candidates:
+    /// weight-proportional for a weight-aware policy on non-uniform weights,
+    /// uniform otherwise (the exact [`candidate_bins`] stream).
+    #[inline(always)]
+    fn sample(&self, rng: &mut SplitMix64, out: &mut [u32]) {
+        match self.sampler {
+            Some(weights) => {
+                let fallback_draws = weights.fill_distinct(rng, out);
                 if fallback_draws > 0 {
-                    if let Some(counters) = ctx.counters {
+                    if let Some(counters) = self.ctx.counters {
                         counters
                             .weighted_uniform_fallback
                             .add(fallback_draws as u64);
                     }
                 }
             }
-            _ => rng.sample_distinct(n, d.max(1).min(n.max(1)), out),
+            None => rng.fill_distinct(self.domain, out),
         }
-        for slot in &mut out[start..] {
-            *slot = active[*slot as usize];
-        }
-        return;
-    }
-    match ctx.weights {
-        Some(weights) if policy.is_weight_aware() => {
-            let fallback_draws = weights.sample_distinct(rng, d.max(1).min(ctx.bins.max(1)), out);
-            if fallback_draws > 0 {
-                if let Some(counters) = ctx.counters {
-                    counters
-                        .weighted_uniform_fallback
-                        .add(fallback_draws as u64);
-                }
+        if let Some(active) = self.ctx.active {
+            for slot in out {
+                *slot = active[*slot as usize];
             }
         }
-        _ => rng.sample_distinct(ctx.bins, d.max(1).min(ctx.bins.max(1)), out),
     }
 }
 
@@ -304,21 +372,24 @@ fn first_below_capacity(ctx: &ChoiceCtx<'_>, candidates: &[u32]) -> Option<u32> 
         .find(|&c| ctx.snapshot[c as usize] < ctx.threshold_of(c))
 }
 
-/// The candidate with the smallest **normalized** stale load `load / weight`;
-/// ties break to the earliest candidate. Falls back to the raw-load
-/// comparison when the weights are uniform (`None`), where the two orders
-/// coincide.
-fn least_normalized(ctx: &ChoiceCtx<'_>, candidates: &[u32]) -> u32 {
-    let Some(weights) = ctx.weights else {
-        return least_loaded(ctx.snapshot, candidates);
-    };
+/// The candidate with the smallest **normalized** stale load `load / weight`
+/// among `candidates` followed by `more`; ties break to the earliest
+/// candidate. Falls back to the raw-load comparison when the weights are
+/// uniform (`None`), where the two orders coincide.
+fn least_normalized(ctx: &ChoiceCtx<'_>, candidates: &[u32], more: &[u32]) -> u32 {
     let mut best = candidates[0];
-    for &c in &candidates[1..] {
-        // load_c/w_c < load_best/w_best  ⇔  load_c·w_best < load_best·w_c
-        // (cross-multiplied to avoid the division; weights are positive).
-        let lhs = ctx.snapshot[c as usize] as f64 * weights.weight(best as usize);
-        let rhs = ctx.snapshot[best as usize] as f64 * weights.weight(c as usize);
-        if lhs < rhs {
+    for &c in candidates[1..].iter().chain(more) {
+        let (load, best_load) = (ctx.snapshot[c as usize], ctx.snapshot[best as usize]);
+        let better = match ctx.weights {
+            // load_c/w_c < load_best/w_best  ⇔  load_c·w_best < load_best·w_c
+            // (cross-multiplied to avoid the division; weights are positive).
+            Some(weights) => {
+                load as f64 * weights.weight(best as usize)
+                    < best_load as f64 * weights.weight(c as usize)
+            }
+            None => load < best_load,
+        };
+        if better {
             best = c;
         }
     }
@@ -462,6 +533,168 @@ mod tests {
         }
     }
 
+    /// `choose_bin` as it stood before the chooser — candidates in a `Vec`,
+    /// one rejection loop over the whole vector, nothing hoisted — kept as
+    /// the reference the chooser must reproduce draw for draw.
+    fn reference_choose_bin(policy: Policy, ctx: &ChoiceCtx<'_>, key: u64) -> u32 {
+        fn sample(policy: Policy, ctx: &ChoiceCtx<'_>, rng: &mut SplitMix64, out: &mut Vec<u32>) {
+            let (n, weights) = match ctx.active {
+                Some(active) => (active.len(), ctx.active_weights),
+                None => (ctx.bins, ctx.weights),
+            };
+            let k = policy.choices().max(1).min(n.max(1));
+            let start = out.len();
+            match weights.filter(|_| policy.is_weight_aware()) {
+                Some(weights) if k >= n => {
+                    assert_eq!(weights.len(), n);
+                    out.extend(0..n as u32);
+                }
+                Some(weights) => {
+                    let mut rejections = 0u32;
+                    while out.len() - start < k {
+                        let candidate = if rejections < 64 {
+                            weights.sample(rng)
+                        } else {
+                            rng.gen_index(n) as u32
+                        };
+                        if out[start..].contains(&candidate) {
+                            rejections += 1;
+                        } else {
+                            out.push(candidate);
+                            rejections = 0;
+                        }
+                    }
+                }
+                None if k >= n => out.extend(0..n as u32),
+                None => {
+                    while out.len() - start < k {
+                        let candidate = rng.gen_index(n) as u32;
+                        if !out[start..].contains(&candidate) {
+                            out.push(candidate);
+                        }
+                    }
+                }
+            }
+            if let Some(active) = ctx.active {
+                for slot in &mut out[start..] {
+                    *slot = active[*slot as usize];
+                }
+            }
+        }
+        let mut candidates = Vec::new();
+        let mut rng = SplitMix64::for_stream(ctx.seed, CANDIDATE_STREAM, key);
+        sample(policy, ctx, &mut rng, &mut candidates);
+        match policy {
+            Policy::OneChoice => candidates[0],
+            Policy::TwoChoice | Policy::DChoice(_) => least_loaded(ctx.snapshot, &candidates),
+            Policy::Threshold { .. } => candidates
+                .iter()
+                .copied()
+                .find(|&c| ctx.snapshot[c as usize] < ctx.batch_threshold)
+                .unwrap_or_else(|| least_loaded(ctx.snapshot, &candidates)),
+            Policy::WeightedTwoChoice => least_normalized(ctx, &candidates, &[]),
+            Policy::CapacityThreshold { .. } => {
+                if let Some(c) = first_below_capacity(ctx, &candidates) {
+                    return c;
+                }
+                let retry_start = candidates.len();
+                sample(policy, ctx, &mut rng, &mut candidates);
+                first_below_capacity(ctx, &candidates[retry_start..])
+                    .unwrap_or_else(|| least_normalized(ctx, &candidates, &[]))
+            }
+        }
+    }
+
+    /// One grid cell: a span of keys through the chooser against the
+    /// reference, the one-key entry point and — where it applies, i.e. no
+    /// weights, no membership and no retry — `candidate_bins` + `pick`.
+    fn assert_chooser_matches_reference(policy: Policy, ctx: &ChoiceCtx<'_>) {
+        let keys: Vec<u64> = (0..200u64).map(|k| k * 0x9e37 + 5).collect();
+        let mut span = vec![0u32; keys.len()];
+        Chooser::new(policy, ctx).choose_span(&keys, |&k| k, &mut span);
+        let picks = ctx.weights.is_none()
+            && ctx.active.is_none()
+            && !matches!(policy, Policy::CapacityThreshold { .. });
+        let mut scratch = Vec::new();
+        for (&key, &chosen) in keys.iter().zip(&span) {
+            let label = format!(
+                "policy {} n {} weighted {} active {:?} key {key}",
+                policy.name(),
+                ctx.bins,
+                ctx.weights.is_some(),
+                ctx.active.map(<[u32]>::len),
+            );
+            assert_eq!(chosen, reference_choose_bin(policy, ctx, key), "{label}");
+            assert_eq!(
+                chosen,
+                choose_bin(policy, ctx, key, &mut scratch),
+                "{label}"
+            );
+            if picks {
+                candidate_bins(ctx.seed, key, policy.choices(), ctx.bins, &mut scratch);
+                let picked = policy.pick(ctx.snapshot, &scratch, ctx.batch_threshold);
+                assert_eq!(chosen, picked, "{label}");
+            }
+        }
+    }
+
+    #[test]
+    fn chooser_reproduces_the_reference_stream_on_the_whole_grid() {
+        use pba_model::weights::BinWeights;
+        for n in [1usize, 2, 3, 7, 64, 1000] {
+            // Loads that differ between neighbours and repeat, so ties, strict
+            // orders and threshold crossings all occur.
+            let snapshot: Vec<u32> = (0..n as u32).map(|i| (i * 7) % 13).collect();
+            let capacity: Vec<u32> = (0..n as u32).map(|i| 4 + (i * 5) % 9).collect();
+            let identity: Vec<u32> = (0..n as u32).collect();
+            // Every third slot drained (never the last survivor).
+            let gapped: Vec<u32> = (0..n as u32).filter(|b| n < 3 || b % 3 != 1).collect();
+            let tiers = (n >= 4).then(|| {
+                BinWeights::power_of_two_tiers(&[(n / 4, 2), (n / 4, 1), (n - 2 * (n / 4), 0)])
+                    .resolve(n)
+                    .expect("tiered weights are non-uniform")
+            });
+            for (weights, active) in [
+                (None, None),
+                (None, Some(&identity)),
+                (None, Some(&gapped)),
+                (tiers.as_ref(), None),
+                (tiers.as_ref(), Some(&identity)),
+                (tiers.as_ref(), Some(&gapped)),
+            ] {
+                // The sampling table lives in the index space of the active
+                // list.
+                let active_weights = weights.zip(active).and_then(|(weights, active)| {
+                    let surviving = active.iter().map(|&b| weights.weight(b as usize));
+                    BinWeights::explicit(surviving.collect()).resolve(active.len())
+                });
+                let ctx = ChoiceCtx {
+                    snapshot: &snapshot,
+                    weights,
+                    batch_threshold: 6,
+                    capacity_thresholds: if weights.is_some() { &capacity } else { &[] },
+                    seed: 11,
+                    bins: n,
+                    active: active.map(|active| &active[..]),
+                    active_weights: active_weights.as_ref(),
+                    counters: None,
+                };
+                assert_chooser_matches_reference(Policy::OneChoice, &ctx);
+                assert_chooser_matches_reference(Policy::TwoChoice, &ctx);
+                assert_chooser_matches_reference(Policy::WeightedTwoChoice, &ctx);
+                // d ≥ n for the small n: every bin is a candidate.
+                for d in [1usize, 2, 3, 5] {
+                    assert_chooser_matches_reference(Policy::DChoice(d), &ctx);
+                    assert_chooser_matches_reference(Policy::Threshold { d, slack: 1 }, &ctx);
+                    assert_chooser_matches_reference(
+                        Policy::CapacityThreshold { d, slack: 0 },
+                        &ctx,
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn weighted_two_choice_balances_normalized_load() {
         use pba_model::weights::BinWeights;
@@ -483,16 +716,16 @@ mod tests {
             active_weights: None,
             counters: None,
         };
-        assert_eq!(least_normalized(&ctx, &[0, 1]), 0);
-        assert_eq!(least_normalized(&ctx, &[1, 0]), 0);
+        assert_eq!(least_normalized(&ctx, &[0, 1], &[]), 0);
+        assert_eq!(least_normalized(&ctx, &[1, 0], &[]), 0);
         // Exact normalized tie (8/4 vs 2/1) breaks to the earlier candidate.
         let snapshot = vec![8u32, 2, 50];
         let ctx = ChoiceCtx {
             snapshot: &snapshot,
             ..ctx
         };
-        assert_eq!(least_normalized(&ctx, &[1, 0]), 1);
-        assert_eq!(least_normalized(&ctx, &[0, 1]), 0);
+        assert_eq!(least_normalized(&ctx, &[1, 0], &[]), 1);
+        assert_eq!(least_normalized(&ctx, &[0, 1], &[]), 0);
     }
 
     #[test]

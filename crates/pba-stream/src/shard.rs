@@ -5,7 +5,7 @@
 //! from any thread are linearisable without locks. Each shard additionally
 //! owns a small mutex-guarded bookkeeping record ([`ShardStats`]) — accepted /
 //! departed totals and the peak load ever observed in the shard — which the
-//! parallel drain updates once per (shard, batch), keeping lock traffic
+//! grouped commits update once per (shard, group), keeping lock traffic
 //! negligible.
 
 use std::sync::Mutex;
@@ -21,6 +21,51 @@ pub struct ShardStats {
     pub departed: u64,
     /// Highest load ever observed on a bin of this shard.
     pub peak_load: u32,
+}
+
+/// Reusable scratch of the grouped commits
+/// ([`ShardedBins::place_group_with`], [`ShardedBins::release_group_with`]):
+/// owned by whoever commits repeatedly, so a warmed commit allocates nothing.
+/// Every counter in it is zero between commits.
+#[derive(Debug, Default)]
+pub struct GroupScratch {
+    /// Balls of the group per bin.
+    delta: Vec<u32>,
+    /// Room for the bins with a non-zero delta, in first-touch order (as
+    /// long as the longest group committed so far).
+    touched: Vec<u32>,
+    /// Per shard: balls committed, and the peak load among its touched bins.
+    shards: Vec<(u64, u32)>,
+}
+
+/// Counts `bins` into `delta` (one slot per bin of an `n`-bin array, all zero
+/// on entry and on return) and calls `commit(bin, count)` once per distinct
+/// bin, in first-touch order. Counting costs a plain increment per ball;
+/// everything that needs an atomic or a lock then happens per distinct bin.
+fn for_each_distinct(
+    bins: &[u32],
+    n: usize,
+    delta: &mut Vec<u32>,
+    touched: &mut Vec<u32>,
+    mut commit: impl FnMut(usize, u32),
+) {
+    delta.resize(n, 0);
+    // Every ball writes its bin at the end of the touched list and only a
+    // first touch advances the end: whether a ball is its bin's first is a
+    // coin flip the branch predictor loses, so there is no branch.
+    if touched.len() < bins.len() {
+        touched.resize(bins.len(), 0);
+    }
+    let mut distinct = 0;
+    for &bin in bins {
+        let count = &mut delta[bin as usize];
+        touched[distinct] = bin;
+        distinct += (*count == 0) as usize;
+        *count += 1;
+    }
+    for &bin in &touched[..distinct] {
+        commit(bin as usize, std::mem::take(&mut delta[bin as usize]));
+    }
 }
 
 /// `n` bins split into `shards` contiguous ranges.
@@ -71,20 +116,14 @@ impl ShardedBins {
         (s * self.len()).div_ceil(self.shards)
     }
 
-    /// Places one ball into `bin` and updates the owning shard's stats.
-    /// Used by the sequential drain path; the parallel path batches the stats
-    /// update via [`ShardedBins::record_batch`].
+    /// Places one ball into `bin` and updates the owning shard's stats —
+    /// the single-route commit; groups go through
+    /// [`ShardedBins::place_group_with`].
     pub fn place(&self, bin: usize) {
         let new_load = self.bins.add(bin);
         let mut stats = self.stats[self.shard_of(bin)].lock().expect("shard lock");
         stats.accepted += 1;
         stats.peak_load = stats.peak_load.max(new_load);
-    }
-
-    /// Places one ball into `bin` without touching shard stats; returns the
-    /// new load. The caller is expected to fold stats via `record_batch`.
-    pub fn place_unrecorded(&self, bin: usize) -> u32 {
-        self.bins.add(bin)
     }
 
     /// Places `count` balls into `bin` with **one** atomic increment (no
@@ -97,41 +136,44 @@ impl ShardedBins {
 
     /// Places a group of balls — one entry of `bins` per ball — committing
     /// **one** atomic increment per distinct bin and taking each touched
-    /// shard's stats lock once. Equivalent to calling [`ShardedBins::place`]
-    /// once per entry: loads only grow, so the sequential loop's running
-    /// peak equals the final load of each touched bin, which is exactly
-    /// what the grouped commit records.
+    /// shard's stats lock once; `per_bin(bin, count)` runs once per distinct
+    /// bin (the per-bin metrics hook). Equivalent to calling
+    /// [`ShardedBins::place`] once per entry: loads only grow inside a
+    /// commit, so the loop's running peak over a shard is the largest final
+    /// load among the bins the group touched there, which is exactly what
+    /// the grouped commit records. This is the commit of every drained batch
+    /// and every routed group.
+    pub fn place_group_with(
+        &self,
+        bins: &[u32],
+        scratch: &mut GroupScratch,
+        mut per_bin: impl FnMut(usize, u32),
+    ) {
+        let GroupScratch {
+            delta,
+            touched,
+            shards,
+        } = scratch;
+        shards.resize(self.shards, (0, 0));
+        for_each_distinct(bins, self.len(), delta, touched, |bin, count| {
+            let new_load = self.bins.add_many(bin, count);
+            let (accepted, peak) = &mut shards[self.shard_of(bin)];
+            *accepted += count as u64;
+            *peak = (*peak).max(new_load);
+            per_bin(bin, count);
+        });
+        for (shard, (accepted, peak)) in shards.iter_mut().enumerate() {
+            if *accepted > 0 {
+                self.record_batch(shard, *accepted, *peak);
+                (*accepted, *peak) = (0, 0);
+            }
+        }
+    }
+
+    /// [`ShardedBins::place_group_with`] on a scratch of its own: the
+    /// allocating convenience form, for callers that commit a group once.
     pub fn place_group(&self, bins: &[u32]) {
-        if bins.is_empty() {
-            return;
-        }
-        let mut sorted = bins.to_vec();
-        sorted.sort_unstable();
-        let mut shard = usize::MAX;
-        let mut accepted = 0u64;
-        let mut peak = 0u32;
-        let mut i = 0;
-        while i < sorted.len() {
-            let bin = sorted[i] as usize;
-            let mut run = 1usize;
-            while i + run < sorted.len() && sorted[i + run] as usize == bin {
-                run += 1;
-            }
-            let owner = self.shard_of(bin);
-            if owner != shard {
-                if shard != usize::MAX {
-                    self.record_batch(shard, accepted, peak);
-                }
-                shard = owner;
-                accepted = 0;
-                peak = 0;
-            }
-            let new_load = self.bins.add_many(bin, run as u32);
-            accepted += run as u64;
-            peak = peak.max(new_load);
-            i += run;
-        }
-        self.record_batch(shard, accepted, peak);
+        self.place_group_with(bins, &mut GroupScratch::default(), |_, _| {});
     }
 
     /// Folds one batch's worth of per-shard bookkeeping under the shard lock.
@@ -155,46 +197,36 @@ impl ShardedBins {
     /// **one** grouped atomic decrement per distinct bin
     /// ([`AtomicBins::try_release_many`]) and taking each touched shard's
     /// stats lock once. The departure-side twin of
-    /// [`ShardedBins::place_group`], equivalent to calling
+    /// [`ShardedBins::place_group_with`], equivalent to calling
     /// [`ShardedBins::depart`] once per entry: each bin's decrement clamps
     /// at zero exactly where the loop's `try_release` calls would start
     /// failing. Returns how many balls actually departed (`bins.len()`
     /// unless some bin underflowed — a caller bug, never silent).
-    pub fn release_group(&self, bins: &[u32]) -> u64 {
-        if bins.is_empty() {
-            return 0;
-        }
-        let mut sorted = bins.to_vec();
-        sorted.sort_unstable();
-        let mut shard = usize::MAX;
-        let mut departed = 0u64;
+    pub fn release_group_with(&self, bins: &[u32], scratch: &mut GroupScratch) -> u64 {
+        let GroupScratch {
+            delta,
+            touched,
+            shards,
+        } = scratch;
+        shards.resize(self.shards, (0, 0));
         let mut total = 0u64;
-        let mut i = 0;
-        while i < sorted.len() {
-            let bin = sorted[i] as usize;
-            let mut run = 1usize;
-            while i + run < sorted.len() && sorted[i + run] as usize == bin {
-                run += 1;
-            }
-            let owner = self.shard_of(bin);
-            if owner != shard {
-                if shard != usize::MAX && departed > 0 {
-                    let mut stats = self.stats[shard].lock().expect("shard lock");
-                    stats.departed += departed;
-                }
-                shard = owner;
-                departed = 0;
-            }
-            let released = self.bins.try_release_many(bin, run as u32) as u64;
-            departed += released;
+        for_each_distinct(bins, self.len(), delta, touched, |bin, count| {
+            let released = self.bins.try_release_many(bin, count) as u64;
+            shards[self.shard_of(bin)].0 += released;
             total += released;
-            i += run;
-        }
-        if departed > 0 {
-            let mut stats = self.stats[shard].lock().expect("shard lock");
-            stats.departed += departed;
+        });
+        for (shard, (departed, _)) in shards.iter_mut().enumerate() {
+            if *departed > 0 {
+                self.stats[shard].lock().expect("shard lock").departed += *departed;
+                *departed = 0;
+            }
         }
         total
+    }
+
+    /// [`ShardedBins::release_group_with`] on a scratch of its own.
+    pub fn release_group(&self, bins: &[u32]) -> u64 {
+        self.release_group_with(bins, &mut GroupScratch::default())
     }
 
     /// Current load of `bin`.
@@ -205,6 +237,11 @@ impl ShardedBins {
     /// Snapshot of all loads.
     pub fn snapshot(&self) -> Vec<u32> {
         self.bins.snapshot()
+    }
+
+    /// Snapshot of all loads into a caller-owned vector (overwritten).
+    pub fn snapshot_into(&self, out: &mut Vec<u32>) {
+        self.bins.snapshot_into(out);
     }
 
     /// Sum of all loads (balls currently resident).
@@ -273,7 +310,7 @@ mod tests {
         let b = ShardedBins::new(4, 2);
         assert_eq!(a.place_many_unrecorded(1, 5), 5);
         for _ in 0..5 {
-            b.place_unrecorded(1);
+            b.place_many_unrecorded(1, 1);
         }
         assert_eq!(a.snapshot(), b.snapshot());
         assert_eq!(a.place_many_unrecorded(1, 2), 7);
@@ -289,7 +326,7 @@ mod tests {
         let mut peaks = [0u32; 2];
         let mut counts = [0u64; 2];
         for bin in [0usize, 1, 1, 5, 7, 7, 7] {
-            let load = b.place_unrecorded(bin);
+            let load = b.place_many_unrecorded(bin, 1);
             let s = b.shard_of(bin);
             peaks[s] = peaks[s].max(load);
             counts[s] += 1;
@@ -321,6 +358,50 @@ mod tests {
         // An empty group is a no-op.
         grouped.place_group(&[]);
         assert_eq!(grouped.all_shard_stats(), looped.all_shard_stats());
+    }
+
+    #[test]
+    fn scratch_commits_equal_the_per_ball_loops_on_every_shape() {
+        use pba_model::rng::SplitMix64;
+        // One shard; shards that divide the bins and shards that do not; one
+        // bin per shard; a single bin.
+        let mut rng = SplitMix64::new(5);
+        let mut scratch = GroupScratch::default();
+        for (n, shards) in [(1, 1), (8, 1), (8, 4), (8, 3), (30, 4), (7, 7), (1000, 7)] {
+            let grouped = ShardedBins::new(n, shards);
+            let looped = ShardedBins::new(n, shards);
+            let mut commits = vec![0u64; n];
+            let mut expected_commits = vec![0u64; n];
+            // Empty, singleton, one bin repeated, sparse, and a group several
+            // times longer than `n` (every bin repeated) — each on top of the
+            // loads the earlier groups left, through one reused scratch.
+            for len in [0, 1, 5, n / 2 + 1, 4 * n + 3] {
+                let group: Vec<u32> = match len {
+                    5 => vec![(n - 1) as u32; 5],
+                    _ => (0..len).map(|_| rng.gen_index(n) as u32).collect(),
+                };
+                grouped.place_group_with(&group, &mut scratch, |bin, count| {
+                    assert!(count > 0, "only touched bins are reported");
+                    commits[bin] += count as u64;
+                });
+                for &bin in &group {
+                    looped.place(bin as usize);
+                    expected_commits[bin as usize] += 1;
+                }
+                assert_eq!(grouped.snapshot(), looped.snapshot(), "n {n} S {shards}");
+                assert_eq!(grouped.all_shard_stats(), looped.all_shard_stats());
+                assert_eq!(commits, expected_commits);
+                // Release a prefix of what was just placed, the same way.
+                let leaving = &group[..len / 2];
+                let departed = grouped.release_group_with(leaving, &mut scratch);
+                assert_eq!(departed, leaving.len() as u64);
+                for &bin in leaving {
+                    assert!(looped.depart(bin as usize));
+                }
+                assert_eq!(grouped.snapshot(), looped.snapshot(), "n {n} S {shards}");
+                assert_eq!(grouped.all_shard_stats(), looped.all_shard_stats());
+            }
+        }
     }
 
     #[test]

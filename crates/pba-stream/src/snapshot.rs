@@ -111,6 +111,16 @@ pub(crate) fn gap_of_loads(loads: &[u32], weights: Option<&ResolvedWeights>) -> 
     }
 }
 
+/// True for the policies that price a per-batch threshold — the only ones
+/// the `O(n)` resident count behind [`batch_threshold`] and the capacity
+/// thresholds is taken for.
+pub(crate) fn uses_thresholds(policy: Policy) -> bool {
+    matches!(
+        policy,
+        Policy::Threshold { .. } | Policy::CapacityThreshold { .. }
+    )
+}
+
 /// The batch threshold of the paper-style [`Policy::Threshold`] rule:
 /// `⌈(resident + batch)/n⌉ + slack`. Also the flat fallback threshold of
 /// [`Policy::CapacityThreshold`] under uniform weights, where every bin's

@@ -56,11 +56,11 @@ impl Drained {
             self.batches,
             hash_u64s(self.loads.iter().map(|&l| l as u64)),
             hash_u64s(self.gaps.iter().map(|g| g.to_bits())),
-            hash_u64s(
-                self.shards
-                    .iter()
-                    .flat_map(|s| [s.accepted, s.departed, s.peak_load as u64])
-            ),
+            hash_u64s(self.shards.iter().flat_map(|s| [
+                s.accepted,
+                s.departed,
+                s.peak_load as u64
+            ])),
             hash_u64s(self.commits.iter().copied()),
         )
     }
@@ -228,7 +228,10 @@ fn render() -> String {
     // Gapped membership: a tenth of the bins drain after the first tick (so
     // the active list has holes the sampler must map through) and two
     // reserve slots are commissioned at weight 2.
-    for policy in [Policy::TwoChoice, Policy::CapacityThreshold { d: 2, slack: 2 }] {
+    for policy in [
+        Policy::TwoChoice,
+        Policy::CapacityThreshold { d: 2, slack: 2 },
+    ] {
         for threads in [0usize, 4] {
             let bins = 1000;
             let mut plan = MembershipPlan::new();

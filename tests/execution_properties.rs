@@ -9,9 +9,12 @@
 //! `Router::route` stream must all produce the same loads, gap trajectories
 //! and shard stats, for all six policies, weighted and unweighted.
 //!
-//! Batch size 4096 is chosen to genuinely cross the parallel cutoffs
-//! (`CHOOSE_MIN_BALLS_PER_WORKER`, `PARALLEL_APPLY_MIN_BATCH`) so the pooled
-//! code paths are exercised even where the ambient machine is single-core.
+//! The drain hands a batch to a pool only from two spans of
+//! `commit::PARALLEL_MIN_SPAN` (2 × 32 Ki balls) up — below that every worker
+//! count runs the same inline loop — so the drain property uses batches of
+//! exactly that size, plus a trailing partial batch that is chosen inline:
+//! the pooled code path is exercised even where the ambient machine is
+//! single-core. The routed property is synchronous and keeps short batches.
 
 use proptest::prelude::*;
 
@@ -30,8 +33,10 @@ const POLICIES: [Policy; 6] = [
     Policy::CapacityThreshold { d: 2, slack: 2 },
 ];
 
-const BATCH: usize = 4096;
-const BATCHES: usize = 4;
+/// The shortest batch the drain cuts into spans for a pool.
+const POOLED_BATCH: usize = 1 << 16;
+const ROUTED_BATCH: usize = 4096;
+const ROUTED_BATCHES: usize = 4;
 
 fn keys(count: usize, key_seed: u64) -> Vec<u64> {
     let mut rng = SplitMix64::for_stream(key_seed, 0xec5, 0);
@@ -56,12 +61,12 @@ proptest! {
         key_seed in 0u64..1_000,
     ) {
         let n = 64usize;
-        let stream_keys = keys(BATCH * BATCHES, key_seed);
+        let stream_keys = keys(POOLED_BATCH + POOLED_BATCH / 4, key_seed);
         for weights in weightings(n) {
             for policy in POLICIES {
                 let cfg = StreamConfig::new(n)
                     .policy(policy)
-                    .batch_size(BATCH)
+                    .batch_size(POOLED_BATCH)
                     .shards(8)
                     .seed(seed)
                     .weights(weights.clone());
@@ -114,12 +119,12 @@ proptest! {
         key_seed in 0u64..1_000,
     ) {
         let n = 64usize;
-        let stream_keys = keys(BATCH * BATCHES, key_seed);
+        let stream_keys = keys(ROUTED_BATCH * ROUTED_BATCHES, key_seed);
         for weights in weightings(n) {
             for policy in POLICIES {
                 let cfg = StreamConfig::new(n)
                     .policy(policy)
-                    .batch_size(BATCH)
+                    .batch_size(ROUTED_BATCH)
                     .shards(8)
                     .seed(seed)
                     .weights(weights.clone());
