@@ -10,9 +10,16 @@
 //! old snapshot — nothing is ever mutated in place), and every publication
 //! bumps a monotone **epoch** counter so observers can tell which batch
 //! boundary a snapshot belongs to and verify publication order.
+//!
+//! A boundary publishes on every batch, so [`EpochCell::publish_with`]
+//! **recycles**: the snapshot one publication displaces is the buffer the next
+//! one refills — once no reader holds it any more. Two buffers then alternate
+//! and a steady-state publication allocates nothing; a reader that is still
+//! holding the displaced snapshot keeps it untouched and costs that one
+//! publication a fresh buffer.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use crate::padded::CachePadded;
 
@@ -33,6 +40,9 @@ use crate::padded::CachePadded;
 pub struct EpochCell<T> {
     epoch: CachePadded<AtomicU64>,
     value: RwLock<Arc<T>>,
+    /// The snapshot the last [`EpochCell::publish_with`] displaced, waiting
+    /// to be refilled by the next one. Lock order: `spare` before `value`.
+    spare: Mutex<Option<Arc<T>>>,
 }
 
 impl<T> EpochCell<T> {
@@ -41,6 +51,7 @@ impl<T> EpochCell<T> {
         Self {
             epoch: CachePadded::new(AtomicU64::new(0)),
             value: RwLock::new(Arc::new(initial)),
+            spare: Mutex::new(None),
         }
     }
 
@@ -72,6 +83,30 @@ impl<T> EpochCell<T> {
         *guard = Arc::new(value);
         self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
+
+    /// [`EpochCell::publish`] without the allocation: `fill` overwrites a
+    /// spare buffer — the snapshot the previous call displaced, when no
+    /// reader holds it any more; a fresh `T::default()` otherwise, so a
+    /// reader's snapshot is never written to — which is then swapped in as
+    /// the next snapshot. Returns the new epoch and the snapshot just
+    /// published. Uniqueness is tested here, one publication *after* the
+    /// displacement, so readers get a whole batch to let go.
+    pub fn publish_with(&self, fill: impl FnOnce(&mut T)) -> (u64, Arc<T>)
+    where
+        T: Default,
+    {
+        let mut spare = self.spare.lock().expect("epoch cell spare");
+        let mut next = spare.take().unwrap_or_default();
+        if Arc::get_mut(&mut next).is_none() {
+            next = Arc::default();
+        }
+        fill(Arc::get_mut(&mut next).expect("checked unique above"));
+        let published = Arc::clone(&next);
+        let mut guard = self.value.write().expect("epoch cell lock");
+        *spare = Some(std::mem::replace(&mut *guard, next));
+        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        (epoch, published)
+    }
 }
 
 #[cfg(test)]
@@ -93,6 +128,48 @@ mod tests {
         let (epoch, value) = cell.load_with_epoch();
         assert_eq!(epoch, 1);
         assert_eq!(*value, vec![1, 2, 3, 4]);
+    }
+
+    /// Fills the way a boundary does: overwrite, keeping the allocation.
+    fn refill(with: u32) -> impl FnOnce(&mut Vec<u32>) {
+        move |buffer| {
+            buffer.clear();
+            buffer.extend([with; 4]);
+        }
+    }
+
+    #[test]
+    fn publish_with_reuses_the_displaced_buffer_once_no_reader_holds_it() {
+        let cell = EpochCell::new(vec![0u32; 4]);
+        let initial = cell.load().as_ptr();
+        // The first recycling publish has nothing to recycle yet.
+        let first = cell.publish_with(refill(1)).1.as_ptr();
+        // From then on the two buffers alternate: each publication refills
+        // the one displaced by the publication before it.
+        for round in 2..=9u32 {
+            let (epoch, published) = cell.publish_with(refill(round));
+            assert_eq!((epoch, &*published), (round as u64, &vec![round; 4]));
+            let expected = if round % 2 == 0 { initial } else { first };
+            assert_eq!(published.as_ptr(), expected, "round {round} allocated");
+        }
+    }
+
+    #[test]
+    fn publish_with_leaves_a_held_snapshot_alone_and_takes_a_fresh_buffer() {
+        let cell = EpochCell::new(vec![7u32; 4]);
+        let held = cell.load();
+        assert_eq!(cell.publish_with(refill(1)).0, 1);
+        // `held` is the displaced spare and a reader still reads it: the next
+        // publication must not write into it.
+        let (epoch, second) = cell.publish_with(refill(2));
+        assert_eq!((epoch, &*second), (2, &vec![2; 4]));
+        assert_ne!(second.as_ptr(), held.as_ptr(), "wrote into a held snapshot");
+        assert_eq!(*held, vec![7; 4], "a reader's snapshot changed under it");
+        // Epochs stay monotone across both kinds of publication.
+        assert_eq!(cell.publish(vec![3; 4]), 3);
+        assert_eq!(cell.publish_with(refill(4)).0, 4);
+        assert_eq!(cell.load_with_epoch(), (4, Arc::new(vec![4; 4])));
+        assert_eq!(*held, vec![7; 4]);
     }
 
     #[test]

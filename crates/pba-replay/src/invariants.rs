@@ -2,89 +2,73 @@
 //!
 //! A fault plan's promise is not "nothing changed" — faults *do* move loads
 //! and placements — but "nothing broke silently": conservation
-//! (`placed − departed == Σ loads`), ledger consistency (the resident-ticket
-//! table agrees with itself bin by bin and with the routed/released
-//! counters), and — for the concurrent engine — epoch monotonicity (the
-//! published snapshot epoch equals the boundary count). Every check returns
+//! (`placed − departed == Σ loads`), epoch monotonicity (the published
+//! snapshot epoch equals the boundary count) and ledger consistency (the
+//! resident-ticket table agrees with itself bin by bin, with the loads and
+//! with the routed/released counters). Every check returns
 //! `Err(description)` instead of panicking so a fault report can carry the
 //! violation into an experiment table.
 
 use pba_stream::{ConcurrentRouter, Router, StreamAllocator};
 
+/// The one check, written against the method names the two shells of the
+/// engine core share. Call at quiescence — no route/release in flight.
+macro_rules! check_engine {
+    ($engine:ident, $all_routed:ident) => {{
+        if !$engine.conserves_balls() {
+            return Err("conservation violated: placed − departed != Σ loads".into());
+        }
+        let stats = $engine.stats();
+        if $engine.snapshot_epoch() != stats.batches {
+            return Err(format!(
+                "epoch {} diverged from boundary count {}",
+                $engine.snapshot_epoch(),
+                stats.batches
+            ));
+        }
+        // Over the full slot capacity, not just the initial bin count: an
+        // elastic engine may hold residents in added or draining slots past
+        // `config().bins`.
+        let mut per_bin = 0usize;
+        for bin in 0..$engine.capacity() {
+            let tickets = $engine.tickets_in(bin);
+            if tickets as u32 > $engine.load(bin) {
+                return Err(format!(
+                    "bin {bin} holds {tickets} tickets but only load {}",
+                    $engine.load(bin)
+                ));
+            }
+            per_bin += tickets;
+        }
+        let resident_tickets = $engine.resident_tickets();
+        if per_bin != resident_tickets {
+            return Err(format!(
+                "ledger inconsistent: per-bin ticket counts sum to {per_bin}, \
+                 ledger holds {resident_tickets}"
+            ));
+        }
+        if $all_routed && resident_tickets as u64 != stats.routed - stats.released {
+            return Err(format!(
+                "ledger out of step with counters: {resident_tickets} resident tickets vs \
+                 routed {} − released {}",
+                stats.routed, stats.released
+            ));
+        }
+        Ok(())
+    }};
+}
+
 /// Checks the streaming engine's invariants. `all_routed` asserts the
 /// stricter ledger↔counter identity that holds when every ball entered via
 /// `route` (no anonymous pushes).
 pub fn check_stream(stream: &StreamAllocator, all_routed: bool) -> Result<(), String> {
-    if !stream.conserves_balls() {
-        return Err("conservation violated: placed − departed != Σ loads".into());
-    }
-    // Sum over the full slot capacity, not just the initial bin count: an
-    // elastic engine may hold residents in added or draining slots past
-    // `config().bins`.
-    let per_bin: usize = (0..stream.capacity()).map(|b| stream.tickets_in(b)).sum();
-    if per_bin != stream.resident_tickets() {
-        return Err(format!(
-            "ledger inconsistent: per-bin ticket counts sum to {per_bin}, \
-             ledger holds {}",
-            stream.resident_tickets()
-        ));
-    }
-    let stats = Router::stats(stream);
-    if all_routed && stream.resident_tickets() as u64 != stats.routed - stats.released {
-        return Err(format!(
-            "ledger out of step with counters: {} resident tickets vs \
-             routed {} − released {}",
-            stream.resident_tickets(),
-            stats.routed,
-            stats.released
-        ));
-    }
-    for bin in 0..stream.capacity() {
-        if (stream.tickets_in(bin) as u32) > stream.load(bin) {
-            return Err(format!(
-                "bin {bin} holds {} tickets but only load {}",
-                stream.tickets_in(bin),
-                stream.load(bin)
-            ));
-        }
-    }
-    Ok(())
+    check_engine!(stream, all_routed)
 }
 
-/// Checks the concurrent router's invariants (call at quiescence — no
-/// route/release in flight).
+/// Checks the concurrent router's invariants — the same check as
+/// [`check_stream`], on the shared handle.
 pub fn check_concurrent(router: &ConcurrentRouter, all_routed: bool) -> Result<(), String> {
-    if !router.conserves_balls() {
-        return Err("conservation violated: placed − departed != Σ loads".into());
-    }
-    if router.snapshot_epoch() != router.batches() {
-        return Err(format!(
-            "epoch {} diverged from boundary count {}",
-            router.snapshot_epoch(),
-            router.batches()
-        ));
-    }
-    // Capacity-wide for the same reason as [`check_stream`]: elastic routers
-    // can hold residents beyond the initial bin count.
-    let per_bin: usize = (0..router.capacity()).map(|b| router.tickets_in(b)).sum();
-    if per_bin != router.resident_tickets() {
-        return Err(format!(
-            "ledger inconsistent: per-bin ticket counts sum to {per_bin}, \
-             ledger holds {}",
-            router.resident_tickets()
-        ));
-    }
-    let stats = router.stats();
-    if all_routed && router.resident_tickets() as u64 != stats.routed - stats.released {
-        return Err(format!(
-            "ledger out of step with counters: {} resident tickets vs \
-             routed {} − released {}",
-            router.resident_tickets(),
-            stats.routed,
-            stats.released
-        ));
-    }
-    Ok(())
+    check_engine!(router, all_routed)
 }
 
 #[cfg(test)]

@@ -7,8 +7,9 @@
 //! ids, the replayed ids equal the trace's arrival ids, and the
 //! single-caller determinism contract of the workspace carries over:
 //! replaying the same trace on [`StreamAllocator`] and a 1-caller
-//! [`ConcurrentRouter`] yields bit-identical placements, loads, gap
-//! trajectories and batch counts — the regression anchor
+//! [`ConcurrentRouter`] — two ownership shells of one engine core, driven
+//! here by one event-ordered body — yields bit-identical placements, loads,
+//! gap trajectories and batch counts — the regression anchor
 //! `tests/replay_properties.rs` and the golden files pin.
 //!
 //! With [`ReplayConfig::route_group`] ≥ 1 the deterministic engines
@@ -271,127 +272,28 @@ fn stream_config(trace: &Trace, config: &ReplayConfig) -> StreamConfig {
         .reserve_bins(trace.needed_reserve())
 }
 
-fn replay_stream(trace: &Trace, config: &ReplayConfig) -> Result<ReplayOutcome, ReplayError> {
-    let registry = Arc::new(MetricsRegistry::new());
-    let mut stream = StreamAllocator::new(stream_config(trace, config));
-    stream.install_metrics(registry.clone());
-    let due = release_schedule(trace);
-    let arrivals = trace.arrivals() as usize;
-    let mut placements = Vec::with_capacity(arrivals);
-    let mut tickets: Vec<Option<Ticket>> = Vec::with_capacity(arrivals);
-    let group = config.route_group;
-    let mut buffered: Vec<u64> = Vec::with_capacity(group);
-    // Routes the buffered arrival group through `route_many` (grouped replay
-    // only; with `route_group == 0` the buffer is never filled).
-    macro_rules! flush_group {
-        () => {
-            if !buffered.is_empty() {
-                for placement in stream
-                    .route_many(&buffered)
-                    .expect("streaming route is infallible")
-                {
-                    placements.push(placement.bin as u32);
-                    tickets.push(Some(placement.ticket));
-                }
-                buffered.clear();
-            }
-        };
-    }
-    let mut id = 0u64;
-    for event in &trace.events {
-        match event {
-            TraceEvent::Arrival { key, .. } => {
-                if group == 0 {
-                    let placement = stream.route(*key).expect("streaming route is infallible");
-                    placements.push(placement.bin as u32);
-                    tickets.push(Some(placement.ticket));
-                } else {
-                    buffered.push(*key);
-                    // An arrival with scripted releases ends its group so the
-                    // releases fire at the same point as route-by-route.
-                    if due.contains_key(&id) || buffered.len() >= group {
-                        flush_group!();
-                    }
-                }
-                if let Some(ready) = due.get(&id) {
-                    for &ball in ready {
-                        let ticket = tickets[ball as usize]
-                            .take()
-                            .expect("trace schedules each release once");
-                        stream.release(ticket).expect("scripted ticket is resident");
-                    }
-                }
-                id += 1;
-            }
-            TraceEvent::Reweight { weights } => {
-                flush_group!();
-                stream.set_weights(Trace::weights_of(weights));
-            }
-            TraceEvent::Membership { event } => {
-                flush_group!();
-                stream.stage_membership(MembershipPlan::new().push(*event));
-            }
-        }
-    }
-    flush_group!();
-    stream.flush();
-    let stats = Router::stats(&stream);
-    Ok(ReplayOutcome {
-        engine: ReplayEngine::Stream.label(),
-        placements,
-        loads: stream.loads(),
-        gap_trajectory: stream.gap_trajectory().to_vec(),
-        batches: stats.batches,
-        final_gap: stats.gap,
-        resident: stats.resident,
-        routed: stats.routed,
-        released: stats.released,
-        drops: drops_of(&registry),
-        conserved: stream.conserves_balls()
-            && stream.resident_tickets() as u64 == stats.routed - stats.released,
-    })
-}
-
-fn replay_concurrent(
-    trace: &Trace,
-    config: &ReplayConfig,
-    callers: usize,
-) -> Result<ReplayOutcome, ReplayError> {
-    if callers == 0 {
-        return Err(ReplayError::NoCallers);
-    }
-    if trace.has_reweights() {
-        return Err(ReplayError::UnsupportedReweight {
-            engine: ReplayEngine::Concurrent { callers }.label(),
-        });
-    }
-    if trace.has_membership() && callers != 1 {
-        return Err(ReplayError::UnsupportedMembership {
-            engine: ReplayEngine::Concurrent { callers }.label(),
-        });
-    }
-    let registry = Arc::new(MetricsRegistry::new());
-    let router = ConcurrentRouter::with_metrics(stream_config(trace, config), registry.clone());
-    let due = release_schedule(trace);
-    if callers == 1 {
-        // One caller is the bit-identical twin of the stream engine: replay
-        // event-ordered on this thread, staging membership changes exactly
-        // where the trace interleaves them (the engine applies them at its
-        // next batch boundary, as the stream twin does).
-        let arrivals = trace.arrivals() as usize;
+/// The event-ordered replay of the two deterministic engines — the sole
+/// owner and the 1-caller handle are shells over one core with the same
+/// method names, so one body serves both: every arrival routes (or joins its
+/// `route_many` group) where the trace has it, its scripted releases fire
+/// right after it, and reweights and membership changes are staged exactly
+/// where the trace interleaves them (the engine applies them at its next
+/// batch boundary).
+macro_rules! replay_in_trace_order {
+    ($engine:ident, $label:expr, $trace:ident, $config:ident, $registry:ident) => {{
+        let due = release_schedule($trace);
+        let arrivals = $trace.arrivals() as usize;
         let mut placements = Vec::with_capacity(arrivals);
         let mut tickets: Vec<Option<Ticket>> = Vec::with_capacity(arrivals);
-        let group = config.route_group;
+        let group = $config.route_group;
         let mut buffered: Vec<u64> = Vec::with_capacity(group);
-        // Grouped replay: same cut points as the stream twin (see
-        // `replay_stream`), routed through the lock-amortized `route_many`.
+        // Routes the buffered arrival group through `route_many` (grouped
+        // replay only; with `route_group == 0` the buffer is never filled).
         macro_rules! flush_group {
             () => {
                 if !buffered.is_empty() {
-                    for placement in router
-                        .route_many(&buffered)
-                        .expect("concurrent route is infallible")
-                    {
+                    let routed = $engine.route_many(&buffered);
+                    for placement in routed.expect("streaming route is infallible") {
                         placements.push(placement.bin as u32);
                         tickets.push(Some(placement.ticket));
                     }
@@ -400,15 +302,19 @@ fn replay_concurrent(
             };
         }
         let mut id = 0u64;
-        for event in &trace.events {
+        for event in &$trace.events {
             match event {
                 TraceEvent::Arrival { key, .. } => {
                     if group == 0 {
-                        let placement = router.route(*key).expect("concurrent route is infallible");
+                        let placement = $engine.route(*key);
+                        let placement = placement.expect("streaming route is infallible");
                         placements.push(placement.bin as u32);
                         tickets.push(Some(placement.ticket));
                     } else {
                         buffered.push(*key);
+                        // An arrival with scripted releases ends its group so
+                        // the releases fire at the same point as
+                        // route-by-route.
                         if due.contains_key(&id) || buffered.len() >= group {
                             flush_group!();
                         }
@@ -418,37 +324,81 @@ fn replay_concurrent(
                             let ticket = tickets[ball as usize]
                                 .take()
                                 .expect("trace schedules each release once");
-                            router.release(ticket).expect("scripted ticket is resident");
+                            $engine
+                                .release(ticket)
+                                .expect("scripted ticket is resident");
                         }
                     }
                     id += 1;
                 }
-                TraceEvent::Reweight { .. } => unreachable!("rejected above"),
+                TraceEvent::Reweight { weights } => {
+                    flush_group!();
+                    $engine.set_weights(Trace::weights_of(weights));
+                }
                 TraceEvent::Membership { event } => {
                     flush_group!();
-                    router.stage_membership(MembershipPlan::new().push(*event));
+                    $engine.stage_membership(MembershipPlan::new().push(*event));
                 }
             }
         }
         flush_group!();
-        router.flush();
-        let stats = router.stats();
-        return Ok(ReplayOutcome {
-            engine: ReplayEngine::Concurrent { callers }.label(),
+        $engine.flush();
+        let stats = $engine.stats();
+        ReplayOutcome {
+            engine: $label.label(),
             placements,
-            loads: router.loads(),
-            gap_trajectory: router.gap_trajectory(),
+            loads: $engine.loads(),
+            gap_trajectory: $engine.gap_trajectory().to_vec(),
             batches: stats.batches,
             final_gap: stats.gap,
             resident: stats.resident,
             routed: stats.routed,
             released: stats.released,
-            drops: drops_of(&registry),
-            conserved: router.conserves_balls()
-                && router.snapshot_epoch() == stats.batches
-                && router.resident_tickets() as u64 == stats.routed - stats.released,
+            drops: drops_of(&$registry),
+            conserved: $engine.conserves_balls()
+                && $engine.snapshot_epoch() == stats.batches
+                && $engine.resident_tickets() as u64 == stats.routed - stats.released,
+        }
+    }};
+}
+
+fn replay_stream(trace: &Trace, config: &ReplayConfig) -> Result<ReplayOutcome, ReplayError> {
+    let registry = Arc::new(MetricsRegistry::new());
+    let mut stream = StreamAllocator::new(stream_config(trace, config));
+    stream.install_metrics(registry.clone());
+    let label = ReplayEngine::Stream;
+    Ok(replay_in_trace_order!(
+        stream, label, trace, config, registry
+    ))
+}
+
+fn replay_concurrent(
+    trace: &Trace,
+    config: &ReplayConfig,
+    callers: usize,
+) -> Result<ReplayOutcome, ReplayError> {
+    let label = ReplayEngine::Concurrent { callers };
+    if callers == 0 {
+        return Err(ReplayError::NoCallers);
+    }
+    if trace.has_reweights() {
+        return Err(ReplayError::UnsupportedReweight {
+            engine: label.label(),
         });
     }
+    if trace.has_membership() && callers != 1 {
+        return Err(ReplayError::UnsupportedMembership {
+            engine: label.label(),
+        });
+    }
+    let registry = Arc::new(MetricsRegistry::new());
+    let router = ConcurrentRouter::with_metrics(stream_config(trace, config), registry.clone());
+    if callers == 1 {
+        return Ok(replay_in_trace_order!(
+            router, label, trace, config, registry
+        ));
+    }
+    let due = release_schedule(trace);
     let keys: Vec<u64> = trace
         .events
         .iter()
@@ -518,7 +468,7 @@ fn replay_concurrent(
     router.flush();
     let stats = router.stats();
     Ok(ReplayOutcome {
-        engine: ReplayEngine::Concurrent { callers }.label(),
+        engine: label.label(),
         placements,
         loads: router.loads(),
         gap_trajectory: router.gap_trajectory(),

@@ -1,10 +1,8 @@
 //! The **commit** stage of the streaming pipeline: turning a group of keys —
 //! one drained batch, or one routed group — into bin placements.
 //!
-//! A commit is two steps, shared verbatim by the single-threaded
-//! [`StreamAllocator`](crate::StreamAllocator) and the multi-threaded
-//! [`ConcurrentRouter`](crate::ConcurrentRouter) (which is how the two
-//! engines stay bit-identical):
+//! A commit is two steps, run by the one engine core for a drained batch and
+//! a routed group alike (which is how `route` ≡ `push` + `drain` holds):
 //!
 //! 1. **choose** ([`choose_into`]) — every ball picks its bin as a pure
 //!    function of `(stale snapshot, key)`. Everything constant across the
@@ -25,7 +23,7 @@ use pba_obs::CounterVec;
 use rayon::prelude::*;
 use rayon::ThreadPool;
 
-use crate::policy::{ChoiceCtx, Chooser, Policy};
+use crate::policy::Chooser;
 use crate::shard::{GroupScratch, ShardedBins};
 
 /// Fewest balls a pool worker is handed in the choose step; a batch shorter
@@ -122,24 +120,6 @@ pub(crate) fn place_chosen(
     });
 }
 
-/// Both steps: chooses a bin for every item against `ctx` and commits them.
-/// `scratch.chosen` holds the placements afterwards, in item order.
-#[allow(clippy::too_many_arguments)] // one call per batch; a struct would only rename the arguments
-pub(crate) fn commit_batch<K: Sync>(
-    policy: Policy,
-    ctx: &ChoiceCtx<'_>,
-    items: &[K],
-    key_of: impl Fn(&K) -> u64 + Sync,
-    execution: Execution<'_>,
-    bins: &ShardedBins,
-    scratch: &mut CommitScratch,
-    bin_commits: Option<&CounterVec>,
-) {
-    let chooser = Chooser::new(policy, ctx);
-    choose_into(&chooser, items, key_of, execution, &mut scratch.chosen);
-    place_chosen(bins, scratch, bin_commits);
-}
-
 /// The `load_after` a one-at-a-time release loop would report for each ball
 /// of a released group, given the bins **after** the grouped release:
 /// ball `i` saw its bin's final load plus the group's departures from that
@@ -158,7 +138,7 @@ pub(crate) fn loads_after_each_release(bins: &ShardedBins, released: &[u32]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::choose_bin;
+    use crate::policy::{choose_bin, ChoiceCtx, Policy};
 
     fn ctx(snapshot: &[u32]) -> ChoiceCtx<'_> {
         ChoiceCtx {
@@ -216,16 +196,10 @@ mod tests {
         let mut scratch = CommitScratch::default();
         let mut candidates = Vec::new();
         for policy in [Policy::TwoChoice, Policy::DChoice(3), Policy::OneChoice] {
-            commit_batch(
-                policy,
-                &ctx,
-                &keys,
-                |&k| k,
-                Execution::INLINE,
-                &grouped,
-                &mut scratch,
-                Some(&commits),
-            );
+            let chooser = Chooser::new(policy, &ctx);
+            let chosen = &mut scratch.chosen;
+            choose_into(&chooser, &keys, |&k| k, Execution::INLINE, chosen);
+            place_chosen(&grouped, &mut scratch, Some(&commits));
             for (&key, &bin) in keys.iter().zip(&scratch.chosen) {
                 assert_eq!(bin, choose_bin(policy, &ctx, key, &mut candidates));
                 looped.place(bin as usize);

@@ -1,11 +1,11 @@
-//! The **concurrent serving core**: a shared-handle router over the streaming
-//! pipeline, with `route(key)` callable from many threads at once.
+//! The **engine core** of the streaming pipeline, and its shared-handle
+//! shell: `route(key)` callable from many threads at once.
 //!
 //! The paper's balls act *in parallel as separate agents*; the batched model
 //! (Los & Sauerwald 2022) is what makes that implementable: every ball of a
 //! batch decides from the **stale snapshot of the previous batch boundary**,
-//! so in-flight placements never need to see each other. A concurrent router
-//! therefore needs almost no synchronisation on its hot path:
+//! so in-flight placements never need to see each other. The core therefore
+//! needs almost no synchronisation on its hot path:
 //!
 //! ```text
 //!   caller threads                 ┌───────────────────────────────┐
@@ -18,36 +18,53 @@
 //!                                   ticket: SharedTicketLedger
 //!                                                 ▼
 //!                              every `batch_size` commits, ONE thread
-//!                              takes the boundary lock: fresh loads →
-//!                              gap/observers → EpochCell::publish
+//!                              borrows the boundary book: fresh loads →
+//!                              gap/observers → EpochCell::publish_with
 //!                              (epoch += 1) — the next stale snapshot
 //! ```
 //!
-//! * **Ingress** — [`ConcurrentRouter::route`] places synchronously (the
-//!   caller learns its bin and gets a [`Ticket`]); [`ConcurrentRouter::push`]
-//!   is the fire-and-forget path: balls are stamped with a monotone arrival
-//!   id and parked on sharded MPMC lanes (the crate-private ingress stage),
-//!   then sequenced (sorted by arrival id) and batch-drained by whichever
-//!   thread calls [`ConcurrentRouter::drain_ready`].
 //! * **Snapshot** — the stale load vector is epoch-published through
-//!   [`pba_concurrent::EpochCell`]: readers clone an `Arc` (a read-lock held
-//!   for one pointer copy), the boundary thread swaps in the next snapshot
+//!   [`pba_concurrent::EpochCell`]: readers clone an `Arc`, the boundary
+//!   thread refills the buffer the previous boundary displaced, swaps it in
 //!   and bumps a monotone epoch. Epoch == batch boundaries completed.
 //! * **Commit** — placements are lock-free atomic increments on
 //!   [`pba_concurrent::AtomicBins`] (via [`ShardedBins`]); tickets are issued
 //!   and released through the bin-sharded
 //!   [`pba_model::router::SharedTicketLedger`].
 //!
+//! ## One core, two ownership shells
+//!
+//! The private `Core` holds that lock-free state and **every** method of the
+//! engine — route, release, pricing, the boundary, staged weights and
+//! membership, migration. What it does not hold is the state only one thread
+//! may write at a time: the boundary book (batch count, gap trajectory), the
+//! membership side (lifecycle table, staged changes) and the drain side
+//! (sequenced arrivals, commit scratch). That state belongs to a *shell*,
+//! which lends it to the core call by call (`Lend`):
+//!
+//! * [`ConcurrentRouter`] — the cloneable `Arc` handle — keeps each piece
+//!   behind its own mutex and lends by locking; its
+//!   [`push`](ConcurrentRouter::push) stamps arrivals with an atomic and parks
+//!   them on sharded MPMC lanes (the crate-private ingress stage), which the
+//!   draining thread sequences by arrival id.
+//! * [`StreamAllocator`](crate::StreamAllocator) — the sole owner — keeps
+//!   them as plain fields and lends by reborrowing, so nothing is locked, its
+//!   accessors hand out references, and its `push` is two plain increments
+//!   and a `Vec` push.
+//!
 //! ## Determinism contract
 //!
-//! With **one caller thread** the pipeline is **bit-identical** to
-//! [`StreamAllocator`](crate::StreamAllocator): `route` matches `route`,
-//! `push`/`drain_ready`/`flush` match their buffered twins — same loads, same
-//! gap trajectory, same shard stats, same batch count, for every policy
-//! (property-tested in `tests/concurrent_properties.rs`). Candidate bins are
-//! a pure hash of `(seed, key)` and pushed balls are re-sequenced by arrival
-//! id, so each shard's placements are reproducible from the arrival sequence
-//! alone.
+//! `route`, `route_many`, `release`, `release_many`, the boundary and every
+//! staged change are the *same code* on both shells, so with one caller they
+//! agree **by construction**. What differs is ingress — lanes plus a
+//! sequencer against a plain buffer — and there the contract is held **by
+//! test**: with one caller thread `push`/`drain_ready`/`flush` on the handle
+//! are bit-identical to the sole owner's — same loads, same gap trajectory,
+//! same shard stats, same batch count, for every policy
+//! (`tests/concurrent_properties.rs`, `tests/golden/drain.snap`). Candidate
+//! bins are a pure hash of `(seed, key)` and pushed balls are re-sequenced by
+//! arrival id, so each shard's placements are reproducible from the arrival
+//! sequence alone.
 //!
 //! With **k caller threads**, placements of a batch race the boundary: a
 //! ball may commit while another thread publishes the next snapshot, and the
@@ -63,26 +80,23 @@
 //! ## Elastic membership and reweighting
 //!
 //! Topology is **epoch-published** like the stale snapshot: a
-//! [`MembershipPlan`] staged through any handle
-//! ([`ConcurrentRouter::stage_membership`]) — or weights staged through
-//! [`ConcurrentRouter::set_weights`], the shared-handle reweighting this
-//! router once lacked — is applied at the next batch boundary under the
-//! boundary lock, then the new active set and weight resolves are published
-//! through a second [`pba_concurrent::EpochCell`]. Routes read the topology
-//! with one `Arc` clone; a router that never stages anything skips even that
-//! (an `AtomicBool` fast path) and runs the exact fixed-membership code.
+//! [`MembershipPlan`] staged through [`ConcurrentRouter::stage_membership`]
+//! — or weights staged through [`ConcurrentRouter::set_weights`] — is applied
+//! at the next batch boundary under the boundary book, then the new active
+//! set and weight resolves are published through a second
+//! [`pba_concurrent::EpochCell`]. Routes read the topology with one `Arc`
+//! clone; an engine that never stages anything skips even that (an
+//! `AtomicBool` fast path) and runs the exact fixed-membership code.
 //!
-//! A route can race a drain: choose against topology epoch `e`, commit after
-//! `e + 1` drained its bin. The commit is then **undone** (the placement is
-//! departed, counted under `membership.rejected_routes_to_draining` — never
-//! silent) and the route retries against the fresh topology; with one caller
-//! the race cannot occur, preserving the determinism contract. Draining bins
-//! keep their residents and tickets until released or force-migrated
-//! ([`ConcurrentRouter::migrate_drained`]); a `Remove` retires a slot only
-//! at zero occupancy (ledger + loads).
+//! A route that commits to a bin a racing scale event has just drained is
+//! **undone** and retried against the fresh topology (counted under
+//! `membership.rejected_routes_to_draining` — never silent); with one caller
+//! the race cannot occur. Draining bins keep their residents and tickets
+//! until released or force-migrated ([`ConcurrentRouter::migrate_drained`]);
+//! a `Remove` retires a slot only at zero occupancy (ledger + loads).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 
 use pba_concurrent::EpochCell;
 use pba_membership::{BinState, Membership, MembershipPlan};
@@ -103,19 +117,47 @@ use crate::shard::{ShardStats, ShardedBins};
 use crate::snapshot::{self, uses_thresholds, StreamSnapshot};
 
 thread_local! {
-    /// Per-thread commit scratch of the grouped paths
-    /// ([`ConcurrentRouter::route_many`], [`ConcurrentRouter::release_many`]):
-    /// the single-threaded engine reuses a member buffer, which a shared
-    /// `&self` handle cannot, so each caller thread keeps its own and a
-    /// warmed thread commits a group without allocating.
+    /// Per-thread commit scratch of the grouped paths (`Core::route_many`,
+    /// `Core::release_many`): a `&self` core cannot keep one buffer for all
+    /// its callers, so each caller thread keeps its own and a warmed thread
+    /// commits a group without allocating.
     static GROUP_COMMIT: std::cell::RefCell<CommitScratch> =
         std::cell::RefCell::new(CommitScratch::default());
 }
 
+/// How a shell lends the core one piece of single-writer state: the sole
+/// owner reborrows a field, the shared handle locks the mutex it lives behind.
+pub(crate) enum Lend<'a, T> {
+    /// A field of [`StreamAllocator`](crate::StreamAllocator).
+    Owned(&'a mut T),
+    /// A mutex of the [`ConcurrentRouter`] handle.
+    Locked(&'a Mutex<T>),
+}
+
+impl<T> Lend<'_, T> {
+    /// Runs `f` with exclusive access — what `Mutex::lock` is to the handle,
+    /// and free for the owner.
+    fn with<R>(&mut self, f: impl FnOnce(&mut T) -> R) -> R {
+        match self {
+            Self::Owned(state) => f(state),
+            Self::Locked(mutex) => f(&mut mutex.lock().expect("single-writer state lock")),
+        }
+    }
+}
+
+/// The single-writer state every routing call may need: the boundary book
+/// (when the call opens or closes a batch) and the membership side (when
+/// that boundary applies staged changes). Lock order: boundary, then
+/// membership, then the observer chain.
+pub(crate) struct Writer<'a> {
+    pub(crate) boundary: Lend<'a, BoundaryBook>,
+    pub(crate) membership: Lend<'a, MembershipSide>,
+}
+
 /// The thresholds of one routed batch, priced lazily by the **first** route
 /// call of the batch (so the resident count they see includes every release
-/// up to that call — the same moment the single-threaded engine prices them)
-/// and shared by the rest of the batch through the `OnceLock`.
+/// up to that call) and shared by the rest of the batch through the
+/// `OnceLock`.
 #[derive(Debug)]
 struct RouteThresholds {
     /// Flat batch threshold (`Policy::Threshold`, and the uniform-weights
@@ -125,21 +167,33 @@ struct RouteThresholds {
     capacity: Vec<u32>,
 }
 
-/// Boundary-side bookkeeping, serialised under one mutex: boundaries are
-/// rare (once per `batch_size` placements), so the lock is cold. External
-/// observer sinks live in the separate [`ObserverChain`] mutex — fan-out to
-/// arbitrary user code must never run inside this lock's critical section,
-/// which routes touching the boundary (closers, staged-change appliers)
-/// wait on.
+/// Boundary-side bookkeeping, written by one thread at a time: boundaries
+/// are rare (once per `batch_size` placements), so the handle's lock around
+/// it is cold. External observer sinks live in the separate
+/// [`ObserverChain`] mutex — fan-out to arbitrary user code must never run
+/// inside the boundary's critical section, which routes touching the
+/// boundary (closers, staged-change appliers) wait on.
 #[derive(Debug)]
-struct BoundaryBook {
+pub(crate) struct BoundaryBook {
     /// Batch boundaries completed (== the published epoch).
     batches: u64,
     /// The default observer: per-batch gap trajectory + streaming stats.
     gap: GapTrajectoryObserver,
-    /// Scratch: the active bins' loads, gathered for an elastic router's
+    /// Scratch: the active bins' loads, gathered for an elastic engine's
     /// boundary gap (reused).
     gap_scratch: Vec<u32>,
+}
+
+impl BoundaryBook {
+    /// Batch boundaries completed so far.
+    pub(crate) fn batches(&self) -> u64 {
+        self.batches
+    }
+
+    /// The built-in gap observer (trajectory + streaming stats).
+    pub(crate) fn gap(&self) -> &GapTrajectoryObserver {
+        &self.gap
+    }
 }
 
 /// The external observer sinks, behind their own mutex so the per-route and
@@ -157,24 +211,25 @@ impl std::fmt::Debug for ObserverChain {
     }
 }
 
-/// One boundary's `on_batch` payload, captured under the boundary lock and
-/// fired through the observer chain **after** it is released — the
-/// contention surgery that keeps slow observers from stalling routes that
-/// need the boundary.
+/// One boundary's `on_batch` payload, captured inside the boundary's
+/// critical section and fired through the observer chain **after** it ends —
+/// the contention surgery that keeps slow observers from stalling routes
+/// that need the boundary.
 struct DeferredBatchEvent {
     batch_index: u64,
     batch_len: usize,
-    loads: Vec<u32>,
+    loads: Arc<Vec<u32>>,
     gap: f64,
     resident: u64,
 }
 
-/// Drain-side state (the push path), serialised under one mutex so exactly
-/// one thread sequences and drains at a time while routes proceed.
+/// Drain-side state (the push path), written by one thread at a time so
+/// exactly one thread batches and drains while routes proceed.
 #[derive(Debug, Default)]
-struct DrainSide {
-    /// Sequenced arrivals not yet drained (the tail below one batch).
-    buffer: Vec<PendingBall>,
+pub(crate) struct DrainSide {
+    /// Arrivals in arrival order, not yet drained: the sole owner pushes
+    /// here directly, the handle's sequencer collects its lanes into it.
+    pub(crate) buffer: Vec<PendingBall>,
     /// Scratch of the commit stage (reused).
     commit: CommitScratch,
     /// Scratch: per-bin capacity thresholds of the batch being drained.
@@ -197,10 +252,9 @@ struct Topology {
     /// are uniform (the exact unweighted code paths).
     active_resolved: Option<ResolvedWeights>,
     /// Capacity-wide effective resolve for slot-indexed load comparisons,
-    /// `Some` iff `active_resolved` is — the same canonicalisation the
-    /// single-threaded engine applies, so uniform survivors run the strict
+    /// `Some` iff `active_resolved` is, so uniform survivors run the strict
     /// unweighted paths of a compacted fixed router.
-    resolved: Option<ResolvedWeights>,
+    resolved: Option<Arc<ResolvedWeights>>,
 }
 
 impl Topology {
@@ -214,9 +268,11 @@ impl Topology {
             .collect();
         let active_resolved = BinWeights::explicit(surviving).resolve(active.len());
         let resolved = active_resolved.as_ref().map(|_| {
-            BinWeights::explicit(slot_weights.to_vec())
-                .resolve(slot_weights.len())
-                .expect("non-uniform active weights imply non-uniform slot weights")
+            Arc::new(
+                BinWeights::explicit(slot_weights.to_vec())
+                    .resolve(slot_weights.len())
+                    .expect("non-uniform active weights imply non-uniform slot weights"),
+            )
         });
         Self {
             active,
@@ -227,27 +283,38 @@ impl Topology {
     }
 }
 
-/// Staged-but-unapplied elastic state, serialised under one mutex. Staging
-/// is rare (a scale event, not a request), so the lock is cold; routes read
-/// the applied state through the epoch-published [`Topology`] instead.
+/// Staged-but-unapplied elastic state, written by one thread at a time.
+/// Staging is rare (a scale event, not a request), so the handle's lock
+/// around it is cold; routes read the applied state through the
+/// epoch-published [`Topology`] instead.
 #[derive(Debug)]
-struct MembershipSide {
+pub(crate) struct MembershipSide {
     /// The authoritative lifecycle table (the applied state).
     table: Membership,
     /// Membership events staged since the last boundary.
     pending: MembershipPlan,
-    /// Weights staged via [`ConcurrentRouter::set_weights`] since the last
-    /// boundary, applied after any staged membership events.
+    /// Weights staged since the last boundary, applied after any staged
+    /// membership events.
     pending_weights: Option<BinWeights>,
 }
 
-/// Shared state behind every [`ConcurrentRouter`] handle.
+impl MembershipSide {
+    /// The authoritative lifecycle table.
+    pub(crate) fn table(&self) -> &Membership {
+        &self.table
+    }
+}
+
+/// The one streaming engine: the lock-free state and every method (see the
+/// [module docs](self)). Single-writer state arrives as `&mut` parameters
+/// or a [`Writer`], lent by whichever shell owns this core.
 #[derive(Debug)]
-struct Core {
+pub(crate) struct Core {
     config: StreamConfig,
     /// Non-uniform weights resolved once at construction; `None` keeps every
     /// hot path on the exact unweighted code (the strict no-op invariant).
-    resolved: Option<ResolvedWeights>,
+    /// Superseded by the [`Topology`]'s resolve once the engine is elastic.
+    resolved: Option<Arc<ResolvedWeights>>,
     /// Lock-free load counters + per-shard stats.
     bins: ShardedBins,
     /// The epoch-published stale snapshot every route decides from.
@@ -265,56 +332,28 @@ struct Core {
     departed: AtomicU64,
     routed: AtomicU64,
     released: AtomicU64,
-    /// MPMC arrival lanes of the push path.
-    ingress: ShardedIngress,
-    drain: Mutex<DrainSide>,
-    boundary: Mutex<BoundaryBook>,
     /// External observer sinks (see [`ObserverChain`] for the lock order).
     observers: Mutex<ObserverChain>,
     /// Fast-path guard: skip the observer lock on routes/releases when no
     /// external observer is registered.
     has_observers: AtomicBool,
-    /// Resident-ball table (bin-sharded, thread-safe).
+    /// Resident-ball table (bin-sharded, thread-safe): only routed balls are
+    /// ticketed; pushed balls are anonymous.
     ledger: SharedTicketLedger,
-    /// Authoritative lifecycle table + staged membership/weight changes.
-    membership: Mutex<MembershipSide>,
     /// The epoch-published topology elastic routes decide from.
     topology: EpochCell<Topology>,
     /// Fast-path guard: `false` until membership or weights are first staged
-    /// (or from birth when `reserve_bins > 0`); a fixed router's routes never
+    /// (or from birth when `reserve_bins > 0`); a fixed engine's routes never
     /// touch the topology cell.
     has_membership: AtomicBool,
-    /// Something is staged and unapplied — checked at batch open, where the
-    /// single-threaded engine applies its staged changes.
+    /// Something is staged and unapplied — checked wherever a batch opens or
+    /// closes.
     has_pending_membership: AtomicBool,
     /// Dedicated drain pool when [`StreamConfig::num_threads`] is positive.
     pool: Option<rayon::ThreadPool>,
-    /// Resolved metric handles ([`ConcurrentRouter::with_metrics`]); `None`
-    /// is the disabled fast path — zero metric instructions anywhere.
+    /// Resolved metric handles ([`Core::install_metrics`]); `None` is the
+    /// disabled fast path — zero metric instructions anywhere.
     metrics: Option<StreamMetrics>,
-}
-
-impl Core {
-    /// Visits every observer, skipping (and counting, when metrics are
-    /// installed) observers whose lock was poisoned by a panic in an earlier
-    /// hook: a skipped observer is a dropped event, and `observer.errors`
-    /// makes the drop visible.
-    fn each_observer(
-        &self,
-        observers: &[Arc<Mutex<dyn RouterObserver + Send>>],
-        mut visit: impl FnMut(&mut (dyn RouterObserver + Send)),
-    ) {
-        for obs in observers {
-            match obs.lock() {
-                Ok(mut guard) => visit(&mut *guard),
-                Err(_) => {
-                    if let Some(metrics) = &self.metrics {
-                        metrics.observer_errors.inc();
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// An arrival stamped into the sequence but **not yet delivered** to the
@@ -332,6 +371,28 @@ impl DelayedArrival {
     /// The arrival id this ball was stamped with.
     pub fn id(&self) -> u64 {
         self.ball.id
+    }
+}
+
+/// What every [`ConcurrentRouter`] clone shares: the core, the single-writer
+/// state it borrows (each piece behind its own mutex) and the MPMC ingress.
+#[derive(Debug)]
+struct Shared {
+    core: Core,
+    /// MPMC arrival lanes of the push path.
+    ingress: ShardedIngress,
+    drain: Mutex<DrainSide>,
+    boundary: Mutex<BoundaryBook>,
+    membership: Mutex<MembershipSide>,
+}
+
+impl Shared {
+    /// Lends the boundary book and the membership side by lock.
+    fn writer(&self) -> Writer<'_> {
+        Writer {
+            boundary: Lend::Locked(&self.boundary),
+            membership: Lend::Locked(&self.membership),
+        }
     }
 }
 
@@ -367,7 +428,7 @@ impl DelayedArrival {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ConcurrentRouter {
-    core: Arc<Core>,
+    shared: Arc<Shared>,
 }
 
 impl ConcurrentRouter {
@@ -383,79 +444,24 @@ impl ConcurrentRouter {
     /// Like [`ConcurrentRouter::new`], but with every streaming metric
     /// resolved against `registry`. Metrics are **write-only** for the
     /// router — no allocation decision reads one — so an instrumented router
-    /// produces bit-identical placements to a bare one (and the 1-caller
-    /// determinism contract against [`StreamAllocator`](crate::engine::StreamAllocator)
-    /// is untouched). See [`crate::metrics`] for the counter inventory.
+    /// produces bit-identical placements to a bare one. See
+    /// [`crate::metrics`] for the counter inventory.
     pub fn with_metrics(config: StreamConfig, registry: Arc<pba_obs::MetricsRegistry>) -> Self {
-        let capacity = config.bins + config.reserve_bins;
-        Self::build(config, Some(StreamMetrics::resolve(registry, capacity)))
+        Self::build(config, Some(registry))
     }
 
-    fn build(config: StreamConfig, metrics: Option<StreamMetrics>) -> Self {
-        assert!(config.bins > 0, "a stream needs at least one bin");
-        let config = StreamConfig {
-            batch_size: config.batch_size.max(1),
-            ..config
-        };
-        if let Some(prescribed) = config.weights.prescribed_bins() {
-            assert_eq!(
-                prescribed, config.bins,
-                "weights describe {prescribed} bins but the stream has {}",
-                config.bins
-            );
+    fn build(config: StreamConfig, registry: Option<Arc<pba_obs::MetricsRegistry>>) -> Self {
+        let (mut core, book, side) = Core::new(config);
+        if let Some(registry) = registry {
+            core.install_metrics(registry);
         }
-        let resolved = config.weights.resolve(config.bins);
-        let capacity = config.bins + config.reserve_bins;
-        let slot_weights: Vec<f64> = match &resolved {
-            Some(resolved) => (0..config.bins).map(|i| resolved.weight(i)).collect(),
-            None => vec![1.0; config.bins],
-        };
-        let table = Membership::new(config.bins, capacity, &slot_weights);
-        let topology = Topology::of(&table);
-        let bins = ShardedBins::new(capacity, config.shards);
-        let shard_count = bins.shard_count();
         Self {
-            core: Arc::new(Core {
-                resolved,
-                published: EpochCell::new(vec![0; capacity]),
-                route_thresholds: RwLock::new(Arc::new(OnceLock::new())),
-                open_routed: AtomicU64::new(0),
-                next_ball: AtomicU64::new(0),
-                arrived: AtomicU64::new(0),
-                placed: AtomicU64::new(0),
-                departed: AtomicU64::new(0),
-                routed: AtomicU64::new(0),
-                released: AtomicU64::new(0),
-                ingress: ShardedIngress::new(shard_count),
+            shared: Arc::new(Shared {
+                ingress: ShardedIngress::new(core.bins.shard_count()),
                 drain: Mutex::new(DrainSide::default()),
-                boundary: Mutex::new(BoundaryBook {
-                    batches: 0,
-                    gap: GapTrajectoryObserver::new(config.trajectory_cap),
-                    gap_scratch: Vec::new(),
-                }),
-                observers: Mutex::new(ObserverChain(Vec::new())),
-                has_observers: AtomicBool::new(false),
-                ledger: SharedTicketLedger::new(capacity, shard_count),
-                membership: Mutex::new(MembershipSide {
-                    table,
-                    pending: MembershipPlan::new(),
-                    pending_weights: None,
-                }),
-                topology: EpochCell::new(topology),
-                // A reserve makes the router elastic from birth: the retired
-                // tail must be invisible to sampling, which only the
-                // topology-aware paths guarantee.
-                has_membership: AtomicBool::new(config.reserve_bins > 0),
-                has_pending_membership: AtomicBool::new(false),
-                pool: (config.num_threads > 0).then(|| {
-                    rayon::ThreadPoolBuilder::new()
-                        .num_threads(config.num_threads)
-                        .build()
-                        .expect("stream drain pool")
-                }),
-                bins,
-                config,
-                metrics,
+                boundary: Mutex::new(book),
+                membership: Mutex::new(side),
+                core,
             }),
         }
     }
@@ -464,12 +470,14 @@ impl ConcurrentRouter {
     /// [`ConcurrentRouter::with_metrics`] (their registry is
     /// `metrics().unwrap().registry`).
     pub fn metrics(&self) -> Option<&StreamMetrics> {
-        self.core.metrics.as_ref()
+        self.shared.core.metrics()
     }
 
-    /// The configuration this router runs with.
+    /// The configuration this router was built with. `config().weights`
+    /// stays the construction-time value; [`ConcurrentRouter::weights`]
+    /// follows runtime reweighting.
     pub fn config(&self) -> &StreamConfig {
-        &self.core.config
+        self.shared.core.config()
     }
 
     /// Routes one key from any thread: chooses a bin against the current
@@ -480,37 +488,7 @@ impl ConcurrentRouter {
     /// Routing is infallible (the `Result` is the shared router surface);
     /// the error arm is never taken.
     pub fn route(&self, key: u64) -> Result<Placement, RouteError> {
-        let core = &*self.core;
-        core.apply_staged_at_batch_open();
-        let bin = core.choose_and_place(key);
-        let id = core.next_ball.fetch_add(1, Ordering::AcqRel);
-        core.arrived.fetch_add(1, Ordering::AcqRel);
-        core.placed.fetch_add(1, Ordering::AcqRel);
-        core.routed.fetch_add(1, Ordering::AcqRel);
-        if let Some(metrics) = &core.metrics {
-            metrics.routed.inc();
-            metrics.placed.inc();
-            metrics.bin_commits.inc(bin);
-        }
-        let ticket = core.ledger.issue(id, bin);
-        if core.has_observers.load(Ordering::Acquire) {
-            // The per-arrival tap: fired before this ball can close a batch,
-            // so a recorder sees the arrival strictly before its boundary
-            // event (matching the single-threaded engine's ordering in the
-            // 1-caller case).
-            let event = RouteEvent {
-                key,
-                ticket,
-                resident: core.resident_now(),
-            };
-            let chain = core.observers.lock().expect("observer chain");
-            core.each_observer(&chain.0, |observer| observer.on_route(&event));
-        }
-        let open = core.open_routed.fetch_add(1, Ordering::AcqRel) + 1;
-        if open >= core.config.batch_size as u64 {
-            core.close_full_routed_batches();
-        }
-        Ok(Placement { ticket, bin })
+        self.shared.core.route(&mut self.shared.writer(), key)
     }
 
     /// Routes a group of keys from any thread — the amortized hot path. The
@@ -529,131 +507,7 @@ impl ConcurrentRouter {
     /// interleave with other callers' exactly as individual routes would,
     /// and every boundary still closes after `batch_size` routed balls.
     pub fn route_many(&self, keys: &[u64]) -> Result<Vec<Placement>, RouteError> {
-        // A singleton group amortizes nothing: delegate to `route` so the
-        // batched surface costs one `Vec` over the one-at-a-time path.
-        if let [key] = keys {
-            return self.route(*key).map(|placement| vec![placement]);
-        }
-        let core = &*self.core;
-        let policy = core.config.policy;
-        let mut placements = Vec::with_capacity(keys.len());
-        let mut rest = keys;
-        while !rest.is_empty() {
-            core.apply_staged_at_batch_open();
-            // Cap the sub-group at the open batch's remaining room so the
-            // boundary lands exactly where the one-at-a-time loop would put
-            // it. Racing callers can push `open_routed` past the cap between
-            // the read and our commit — the same overshoot racing individual
-            // routes produce; `max(1)` guarantees progress.
-            let open = core.open_routed.load(Ordering::Acquire);
-            let room = (core.config.batch_size as u64).saturating_sub(open).max(1) as usize;
-            let take = rest.len().min(room);
-            let (group, tail) = rest.split_at(take);
-            rest = tail;
-
-            // Read once per sub-group what `route` reads once per key.
-            let topology = core.topology_if_elastic();
-            let priced;
-            let (flat, capacity): (u32, &[u32]) = if uses_thresholds(policy) {
-                priced = core.priced_route_thresholds();
-                let thresholds = priced.get().expect("priced above");
-                (thresholds.flat, &thresholds.capacity)
-            } else {
-                (0, &[])
-            };
-            let stale = core.published.load();
-            let (weights, active, active_weights) = match &topology {
-                Some(t) => (
-                    t.resolved.as_ref(),
-                    Some(&t.active[..]),
-                    t.active_resolved.as_ref(),
-                ),
-                None => (core.resolved.as_ref(), None, None),
-            };
-            let ctx = ChoiceCtx {
-                snapshot: &stale,
-                weights,
-                batch_threshold: flat,
-                capacity_thresholds: capacity,
-                seed: core.config.seed,
-                bins: core.capacity(),
-                active,
-                active_weights,
-                counters: core.metrics.as_ref().map(|m| &m.policy),
-            };
-            let chooser = Chooser::new(policy, &ctx);
-            let bin_commits = core.metrics.as_ref().map(|m| &m.bin_commits);
-            let tickets = GROUP_COMMIT.with(|scratch| {
-                let scratch = &mut *scratch.borrow_mut();
-                commit::choose_into(
-                    &chooser,
-                    group,
-                    |&key| key,
-                    Execution::INLINE,
-                    &mut scratch.chosen,
-                );
-                match &topology {
-                    // Fixed membership: the drain's grouped commit — one
-                    // atomic increment per distinct bin, one stats lock per
-                    // touched shard.
-                    None => commit::place_chosen(&core.bins, scratch, bin_commits),
-                    // Elastic: each placement needs the post-commit draining
-                    // recheck (and possibly an undo + re-route), so commits
-                    // stay per ball — the choose above still amortized the
-                    // reads.
-                    Some(_) => {
-                        for (slot, &key) in scratch.chosen.iter_mut().zip(group) {
-                            let mut bin = *slot as usize;
-                            core.bins.place(bin);
-                            if core.topology.load().states[bin] != BinState::Active {
-                                assert!(core.bins.depart(bin), "undo of a placement just made");
-                                if let Some(metrics) = &core.metrics {
-                                    metrics.membership.rejected_routes_to_draining.inc();
-                                }
-                                bin = core.choose_and_place(key);
-                                *slot = bin as u32;
-                            }
-                            if let Some(bin_commits) = bin_commits {
-                                bin_commits.inc(bin);
-                            }
-                        }
-                    }
-                }
-                let base = core.next_ball.fetch_add(take as u64, Ordering::AcqRel);
-                core.arrived.fetch_add(take as u64, Ordering::AcqRel);
-                core.placed.fetch_add(take as u64, Ordering::AcqRel);
-                core.routed.fetch_add(take as u64, Ordering::AcqRel);
-                if let Some(metrics) = &core.metrics {
-                    metrics.routed.add(take as u64);
-                    metrics.placed.add(take as u64);
-                }
-                core.ledger.issue_many(base, &scratch.chosen)
-            });
-            if core.has_observers.load(Ordering::Acquire) {
-                // Per-arrival taps fire in arrival order, before this group
-                // can close its batch, with the same resident counts the
-                // loop would report (exact with one caller).
-                let resident_base = core.resident_now().saturating_sub(take as u64);
-                let chain = core.observers.lock().expect("observer chain");
-                for (offset, (&key, &ticket)) in group.iter().zip(tickets.iter()).enumerate() {
-                    let event = RouteEvent {
-                        key,
-                        ticket,
-                        resident: resident_base + offset as u64 + 1,
-                    };
-                    core.each_observer(&chain.0, |observer| observer.on_route(&event));
-                }
-            }
-            placements.extend(tickets.into_iter().map(|ticket| Placement {
-                ticket,
-                bin: ticket.bin(),
-            }));
-            let open = core.open_routed.fetch_add(take as u64, Ordering::AcqRel) + take as u64;
-            if open >= core.config.batch_size as u64 {
-                core.close_full_routed_batches();
-            }
-        }
-        Ok(placements)
+        self.shared.core.route_many(&mut self.shared.writer(), keys)
     }
 
     /// Simulates a **bin crash** from any thread: force-releases every
@@ -665,13 +519,7 @@ impl ConcurrentRouter {
     /// routes may land new balls on the crashed bin after the sweep — the
     /// returned count is exact only at quiescence.
     pub fn crash_bin(&self, bin: usize) -> u64 {
-        let mut evicted = 0;
-        while let Some(ticket) = self.core.ledger.resident_in(bin) {
-            if self.release(ticket).is_ok() {
-                evicted += 1;
-            }
-        }
-        evicted
+        self.shared.core.crash_bin(bin)
     }
 
     /// Stamps one arriving ball with its arrival id **without delivering
@@ -684,11 +532,11 @@ impl ConcurrentRouter {
     /// drain counts it in `ingress.late_arrivals` and sequences it at the
     /// drain tail (documented reordering, not a silent drop).
     pub fn stamp_delayed(&self, key: u64) -> DelayedArrival {
-        let core = &*self.core;
-        let id = core.next_ball.fetch_add(1, Ordering::AcqRel);
-        core.arrived.fetch_add(1, Ordering::AcqRel);
         DelayedArrival {
-            ball: PendingBall { id, key },
+            ball: PendingBall {
+                id: self.shared.core.stamp(),
+                key,
+            },
         }
     }
 
@@ -696,7 +544,7 @@ impl ConcurrentRouter {
     /// [`ConcurrentRouter::stamp_delayed`]; returns its arrival id.
     pub fn deliver_delayed(&self, delayed: DelayedArrival) -> u64 {
         let id = delayed.ball.id;
-        self.core.ingress.enqueue(delayed.ball);
+        self.shared.ingress.enqueue(delayed.ball);
         id
     }
 
@@ -706,40 +554,7 @@ impl ConcurrentRouter {
     /// observers. Like every load change, the departure reaches the policies
     /// at the next batch boundary.
     pub fn release(&self, ticket: Ticket) -> Result<(), RouteError> {
-        let core = &*self.core;
-        let bin = match core.ledger.redeem(ticket) {
-            Ok(bin) => bin,
-            Err(err) => {
-                if let Some(metrics) = &core.metrics {
-                    metrics.rejected_unknown_ticket.inc();
-                }
-                return Err(err);
-            }
-        };
-        if !core.bins.depart(bin) {
-            // Defensive: a redeemed ticket names a resident ball, so its bin
-            // cannot be empty unless ledger and bins diverged (a bug, not a
-            // caller error). Fail the release rather than corrupt loads.
-            if let Some(metrics) = &core.metrics {
-                metrics.rejected_unknown_ticket.inc();
-            }
-            return Err(RouteError::UnknownTicket { ticket });
-        }
-        core.departed.fetch_add(1, Ordering::AcqRel);
-        core.released.fetch_add(1, Ordering::AcqRel);
-        if let Some(metrics) = &core.metrics {
-            metrics.released.inc();
-        }
-        if core.has_observers.load(Ordering::Acquire) {
-            let event = ReleaseEvent {
-                ticket,
-                load_after: core.bins.load(bin),
-                resident: core.resident_now(),
-            };
-            let chain = core.observers.lock().expect("observer chain");
-            core.each_observer(&chain.0, |observer| observer.on_release(&event));
-        }
-        Ok(())
+        self.shared.core.release(ticket)
     }
 
     /// Releases a group of routed balls from any thread — the amortized
@@ -761,57 +576,7 @@ impl ConcurrentRouter {
     /// nothing committed yet — down the one-at-a-time loop, which supplies
     /// the documented stop-at-first-error behaviour exactly.
     pub fn release_many(&self, tickets: &[Ticket]) -> Result<(), RouteError> {
-        // A singleton group amortizes nothing: delegate to `release`.
-        if let [ticket] = tickets {
-            return self.release(*ticket);
-        }
-        let core = &*self.core;
-        let Some(chosen) = core.ledger.redeem_many(tickets) else {
-            // Cold path (bad ticket or migration in flight): the grouped
-            // redeem committed nothing, so the loop reproduces the
-            // one-at-a-time semantics — including which ticket errors and
-            // which releases stay committed — exactly.
-            return tickets.iter().try_for_each(|&ticket| self.release(ticket));
-        };
-        let taken = GROUP_COMMIT.with(|scratch| {
-            core.bins
-                .release_group_with(&chosen, &mut scratch.borrow_mut().group)
-        });
-        core.departed.fetch_add(taken, Ordering::AcqRel);
-        core.released.fetch_add(taken, Ordering::AcqRel);
-        if let Some(metrics) = &core.metrics {
-            metrics.released.add(taken);
-        }
-        if taken < tickets.len() as u64 {
-            // Defensive: every redeemed ticket named a resident ball, so no
-            // bin can underflow unless ledger and bins diverged (a bug, not
-            // a caller error — same stance as the one-at-a-time path).
-            if let Some(metrics) = &core.metrics {
-                metrics
-                    .rejected_unknown_ticket
-                    .add(tickets.len() as u64 - taken);
-            }
-            return Err(RouteError::UnknownTicket {
-                ticket: tickets[taken as usize],
-            });
-        }
-        if core.has_observers.load(Ordering::Acquire) {
-            // Per-departure taps fire in ticket order with the running
-            // counts the loop would report (exact with one caller), and
-            // `resident` counts down to the post-group total.
-            let resident_final = core.resident_now();
-            let loads_after = commit::loads_after_each_release(&core.bins, &chosen);
-            let chain = core.observers.lock().expect("observer chain");
-            for (offset, (&ticket, load_after)) in tickets.iter().zip(loads_after).enumerate() {
-                let event = ReleaseEvent {
-                    ticket,
-                    load_after,
-                    resident: resident_final + (tickets.len() - 1 - offset) as u64,
-                };
-                core.each_observer(&chain.0, |observer| observer.on_release(&event));
-            }
-        }
-        Ok(())
+        self.shared.core.release_many(tickets)
     }
 
     /// Buffers one arriving ball (fire and forget) on the sharded MPMC
@@ -819,10 +584,8 @@ impl ConcurrentRouter {
     /// thread calls [`ConcurrentRouter::drain_ready`] (or
     /// [`ConcurrentRouter::flush`]).
     pub fn push(&self, key: u64) -> u64 {
-        let core = &*self.core;
-        let id = core.next_ball.fetch_add(1, Ordering::AcqRel);
-        core.arrived.fetch_add(1, Ordering::AcqRel);
-        core.ingress.enqueue(PendingBall { id, key });
+        let id = self.shared.core.stamp();
+        self.shared.ingress.enqueue(PendingBall { id, key });
         id
     }
 
@@ -831,7 +594,11 @@ impl ConcurrentRouter {
     /// batch stay buffered. Any thread may call this; one drain runs at a
     /// time (serialised by the drain lock) while routes keep flowing.
     pub fn drain_ready(&self) -> usize {
-        self.core.drain_buffered(false)
+        let mut side = self.sequenced();
+        let mut writer = self.shared.writer();
+        self.shared
+            .core
+            .drain_batches(&mut writer, &mut side, false)
     }
 
     /// Closes a partially filled routed batch (so its boundary is recorded)
@@ -840,259 +607,168 @@ impl ConcurrentRouter {
     /// are quiescent (the natural shutdown/checkpoint moment); concurrent
     /// routes simply land in the next batch.
     pub fn flush(&self) -> usize {
-        let closed = self.core.close_partial_routed_batch() as usize;
-        closed + self.core.drain_buffered(true)
+        let mut side = self.sequenced();
+        self.shared.core.flush(&mut self.shared.writer(), &mut side)
+    }
+
+    /// Takes the drain lock and sequences every queued arrival into its
+    /// buffer (sorted by arrival id), counting late ones.
+    fn sequenced(&self) -> MutexGuard<'_, DrainSide> {
+        let mut side = self.shared.drain.lock().expect("drain lock");
+        let (_, late) = self.shared.ingress.collect_into(&mut side.buffer);
+        if late > 0 {
+            if let Some(metrics) = self.metrics() {
+                metrics.ingress_late.add(late);
+            }
+        }
+        side
     }
 
     /// Registers an external observer, notified (after the built-in gap
     /// observer) on every batch boundary and release. The caller keeps its
     /// own `Arc` handle to read the sink back.
     pub fn add_observer(&self, observer: Arc<Mutex<dyn RouterObserver + Send>>) {
-        let core = &*self.core;
-        core.observers
-            .lock()
-            .expect("observer chain")
-            .0
-            .push(observer);
-        core.has_observers.store(true, Ordering::Release);
+        self.shared.core.add_observer(observer);
     }
 
     /// Stages a membership plan from any thread, applied (in staging order,
     /// before any staged weights) at the **next batch boundary**: the
     /// in-flight batch finishes on the old topology, then the lifecycle
     /// table transitions, `membership.*` counters account for every accepted
-    /// and rejected event, [`RouterObserver::on_membership`] fires, and the
-    /// new active set is epoch-published. With one caller this matches
-    /// [`StreamAllocator::stage_membership`](crate::StreamAllocator::stage_membership)
-    /// bit for bit; an identity plan (or an empty one) is a strict no-op.
+    /// and rejected event, [`RouterObserver::on_membership`] fires (only
+    /// when something actually changed), and the new active set is
+    /// epoch-published. Staging twice before a boundary concatenates the
+    /// plans in order; an identity plan (or an empty one) is a strict no-op.
     pub fn stage_membership(&self, plan: MembershipPlan) {
-        let core = &*self.core;
-        let mut side = core.membership.lock().expect("membership lock");
-        side.pending.extend(plan);
-        core.has_membership.store(true, Ordering::Release);
-        core.has_pending_membership.store(true, Ordering::Release);
+        let mut side = self.shared.membership.lock().expect("membership lock");
+        self.shared.core.stage_membership(&mut side, plan);
     }
 
-    /// Stages new bin weights from any thread — the shared-handle
-    /// reweighting this router's earlier revisions lacked — applied at the
-    /// next batch boundary after any staged membership events. Non-uniform
-    /// weights must describe one weight per **capacity slot**
-    /// (`bins + reserve_bins`; retired slots carry placeholders the next
-    /// `Add` overwrites); uniform weights return the router to the strict
-    /// unweighted path. Fires [`RouterObserver::on_reweight`] with the
-    /// resolve restricted to the surviving bins.
+    /// Stages new bin weights from any thread, applied at the next batch
+    /// boundary after any staged membership events: the in-flight batch
+    /// finishes under the old weights, then the alias table, capacity
+    /// thresholds and gap measure are rebuilt and
+    /// [`RouterObserver::on_reweight`] fires with the resolve restricted to
+    /// the surviving bins. Non-uniform weights must describe one weight per
+    /// **capacity slot** (`bins + reserve_bins`; retired slots carry
+    /// placeholders the next `Add` overwrites); uniform weights return the
+    /// router to the strict unweighted path.
     pub fn set_weights(&self, weights: BinWeights) {
-        let core = &*self.core;
-        if let Some(prescribed) = weights.prescribed_bins() {
-            let slots = core.capacity();
-            assert_eq!(
-                prescribed, slots,
-                "weights describe {prescribed} bins but the router has {slots} slots"
-            );
-        }
-        let mut side = core.membership.lock().expect("membership lock");
-        side.pending_weights = Some(weights);
-        core.has_membership.store(true, Ordering::Release);
-        core.has_pending_membership.store(true, Ordering::Release);
+        let mut side = self.shared.membership.lock().expect("membership lock");
+        self.shared.core.set_weights(&mut side, weights);
     }
 
     /// Force-migrates every **ticketed** resident of every draining bin
     /// through the live policy (same candidate sampling over the active
-    /// set, thresholds priced with the migration volume as the batch).
+    /// set, keyed by ball id — the original routing key is not retained —
+    /// with thresholds priced with the migration volume as the batch).
     /// Loads move (place + depart per ball) but `placed`/`departed` totals
     /// do not — a migration is a move, not an arrival — so conservation is
     /// untouched; outstanding tickets keep redeeming against the ball's new
-    /// bin. A resident released concurrently mid-migration is simply
-    /// skipped. Returns the number of migrations, also counted under
-    /// `membership.migrations`.
+    /// bin. Anonymous pushed balls hold no handle and stay put. A resident
+    /// released concurrently mid-migration is simply skipped. Returns the
+    /// number of migrations, also counted under `membership.migrations`.
     pub fn migrate_drained(&self) -> u64 {
-        let core = &*self.core;
-        let Some(topology) = core.topology_if_elastic() else {
-            return 0;
-        };
-        let draining: Vec<u32> = topology
-            .states
-            .iter()
-            .enumerate()
-            .filter(|&(_, &state)| state == BinState::Draining)
-            .map(|(bin, _)| bin as u32)
-            .collect();
-        let volume: u64 = draining
-            .iter()
-            .map(|&bin| core.ledger.count_in(bin as usize) as u64)
-            .sum();
-        if volume == 0 {
-            return 0;
-        }
-        let policy = core.config.policy;
-        let resident = core.active_resident(&topology);
-        let flat = snapshot::batch_threshold(policy, resident, topology.active.len(), volume);
-        let mut capacity_thresholds = Vec::new();
-        snapshot::fill_active_capacity_thresholds_into(
-            policy,
-            topology.active_resolved.as_ref(),
-            &topology.active,
-            resident,
-            core.capacity(),
-            volume,
-            &mut capacity_thresholds,
-        );
-        let stale = core.published.load();
-        let ctx = ChoiceCtx {
-            snapshot: &stale,
-            weights: topology.resolved.as_ref(),
-            batch_threshold: flat,
-            capacity_thresholds: &capacity_thresholds,
-            seed: core.config.seed,
-            bins: core.capacity(),
-            active: Some(&topology.active),
-            active_weights: topology.active_resolved.as_ref(),
-            counters: core.metrics.as_ref().map(|m| &m.policy),
-        };
-        let chooser = Chooser::new(policy, &ctx);
-        let mut migrated = 0u64;
-        for &bin in &draining {
-            while let Some(ticket) = core.ledger.resident_in(bin as usize) {
-                let target = chooser.choose_one(ticket.id()) as usize;
-                core.bins.place(target);
-                if core.ledger.migrate(ticket.id(), bin as usize, target) {
-                    assert!(
-                        core.bins.depart(bin as usize),
-                        "a migrated resident held a load unit"
-                    );
-                    migrated += 1;
-                    if let Some(metrics) = &core.metrics {
-                        metrics.membership.migrations.inc();
-                        metrics.bin_commits.inc(target);
-                    }
-                } else {
-                    // The resident raced a concurrent release; undo the
-                    // speculative placement.
-                    core.bins.depart(target);
-                }
-            }
-        }
-        migrated
+        self.shared.core.migrate_drained()
     }
 
     /// Total slot capacity (`bins + reserve_bins` — the length of every
     /// per-bin vector this router exposes).
     pub fn capacity(&self) -> usize {
-        self.core.capacity()
+        self.shared.core.capacity()
     }
 
     /// The sorted active bins of an elastic router; `None` while the router
     /// is fixed (no reserve, nothing ever staged), where every configured
     /// bin is implicitly active.
     pub fn active_bins(&self) -> Option<Vec<u32>> {
-        self.core
-            .topology_if_elastic()
-            .map(|topology| topology.active.clone())
+        let topology = self.shared.core.topology_if_elastic()?;
+        Some(topology.active.clone())
     }
 
     /// Per-slot lifecycle states of an elastic router (`None` while fixed).
     pub fn bin_states(&self) -> Option<Vec<BinState>> {
-        self.core
-            .topology_if_elastic()
-            .map(|topology| topology.states.clone())
+        let topology = self.shared.core.topology_if_elastic()?;
+        Some(topology.states.clone())
     }
 
     /// Fresh per-bin loads.
     pub fn loads(&self) -> Vec<u32> {
-        self.core.bins.snapshot()
+        self.shared.core.loads()
     }
 
     /// Fresh load of one bin (no allocation).
     pub fn load(&self, bin: usize) -> u32 {
-        self.core.bins.load(bin)
+        self.shared.core.load(bin)
     }
 
     /// Balls currently resident (`placed − departed`).
     pub fn resident(&self) -> u64 {
-        self.core.bins.total()
+        self.shared.core.resident()
     }
 
     /// Balls buffered on the ingress (or sequenced but below one batch) and
     /// not yet drained.
     pub fn pending(&self) -> u64 {
-        let core = &*self.core;
-        core.ingress.queued() + core.drain.lock().expect("drain lock").buffer.len() as u64
+        let sequenced = self.shared.drain.lock().expect("drain lock").buffer.len();
+        self.shared.ingress.queued() + sequenced as u64
     }
 
     /// Batch boundaries completed so far (== the snapshot epoch).
     pub fn batches(&self) -> u64 {
-        self.core.boundary.lock().expect("boundary lock").batches
+        self.shared.boundary.lock().expect("boundary lock").batches
     }
 
     /// The epoch of the currently published stale snapshot: 0 at birth,
     /// +1 per batch boundary, strictly monotone. Concurrent observers can
     /// use it to tell which boundary a snapshot belongs to.
     pub fn snapshot_epoch(&self) -> u64 {
-        self.core.published.epoch()
+        self.shared.core.snapshot_epoch()
     }
 
     /// The stale snapshot routes currently decide from (the published
     /// epoch's loads; cheap — one `Arc` clone).
     pub fn stale_loads(&self) -> Arc<Vec<u32>> {
-        self.core.published.load()
+        self.shared.core.published.load()
     }
 
-    /// The resolved non-uniform weights, or `None` when the router runs the
-    /// uniform (unweighted) configuration.
-    pub fn weights(&self) -> Option<&ResolvedWeights> {
-        self.core.resolved.as_ref()
+    /// The resolved non-uniform weights placements currently run under —
+    /// after a runtime reweighting or scale event, the ones it installed —
+    /// or `None` when the router runs the uniform (unweighted) configuration.
+    pub fn weights(&self) -> Option<Arc<ResolvedWeights>> {
+        self.shared.core.weights()
     }
 
-    /// The effective weight of one slot: the elastic topology's resolved
-    /// weight when membership is live (commissioned slots included),
-    /// otherwise the configured weight (1.0 when uniform).
+    /// The effective weight of one slot: [`ConcurrentRouter::weights`] at
+    /// `bin` (commissioned slots included), 1.0 when uniform.
     pub fn slot_weight(&self, bin: usize) -> f64 {
-        let topology = self.core.topology_if_elastic();
-        let weights = match &topology {
-            Some(topology) => topology.resolved.as_ref(),
-            None => self.core.resolved.as_ref(),
-        };
-        weights.map_or(1.0, |weights| weights.weight(bin))
+        self.shared.core.slot_weight(bin)
     }
 
     /// Fresh normalized loads `load_i / w_i` (the raw loads as `f64` for a
     /// uniform router).
     pub fn normalized_loads(&self) -> Vec<f64> {
-        let loads = self.core.bins.snapshot();
-        let topology = self.core.topology_if_elastic();
-        let weights = match &topology {
-            Some(topology) => topology.resolved.as_ref(),
-            None => self.core.resolved.as_ref(),
-        };
-        match weights {
-            None => loads.iter().map(|&l| l as f64).collect(),
-            Some(weights) => normalized_loads(&loads, weights),
-        }
+        self.shared.core.normalized_loads()
     }
 
     /// Largest fresh normalized load `max_i(load_i / w_i)` (raw max load
     /// when uniform).
     pub fn max_normalized_load(&self) -> f64 {
-        self.normalized_loads().into_iter().fold(0.0f64, f64::max)
+        self.shared.core.max_normalized_load()
     }
 
     /// The gap after recent batch boundaries, in order (cloned out of the
     /// boundary book; the most recent [`StreamConfig::trajectory_cap`]
     /// entries at least).
     pub fn gap_trajectory(&self) -> Vec<f64> {
-        self.core
-            .boundary
-            .lock()
-            .expect("boundary lock")
-            .gap
-            .trajectory()
-            .to_vec()
+        let book = self.shared.boundary.lock().expect("boundary lock");
+        book.gap.trajectory().to_vec()
     }
 
     /// Streaming statistics over the per-batch gaps (copied out).
     pub fn gap_stats(&self) -> OnlineStats {
         *self
-            .core
+            .shared
             .boundary
             .lock()
             .expect("boundary lock")
@@ -1103,24 +779,25 @@ impl ConcurrentRouter {
     /// Resident tickets (balls placed via [`ConcurrentRouter::route`] and
     /// not yet released). Anonymous pushed balls are not counted.
     pub fn resident_tickets(&self) -> usize {
-        self.core.ledger.len()
+        self.shared.core.resident_tickets()
     }
 
     /// Resident tickets in `bin`.
     pub fn tickets_in(&self, bin: usize) -> usize {
-        self.core.ledger.count_in(bin)
+        self.shared.core.tickets_in(bin)
     }
 
-    /// A resident ticket of `bin`, if any (see
-    /// [`pba_model::router::TicketLedger::resident_in`] for the determinism
-    /// caveat).
+    /// A resident ticket of `bin`, if any — the handle churn drivers pass to
+    /// [`ConcurrentRouter::release`] after choosing a bin to retire from.
+    /// Deterministic given the routing/release history, but not necessarily
+    /// the most recently routed ball (releases reorder the occupancy list).
     pub fn ticket_in(&self, bin: usize) -> Option<Ticket> {
-        self.core.ledger.resident_in(bin)
+        self.shared.core.ticket_in(bin)
     }
 
     /// Per-shard bookkeeping.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.core.bins.all_shard_stats()
+        self.shared.core.shard_stats()
     }
 
     /// A full point-in-time snapshot. Counters are read individually (no
@@ -1128,25 +805,7 @@ impl ConcurrentRouter {
     /// correct but may straddle in-flight operations; at quiescence the
     /// snapshot is exact.
     pub fn snapshot(&self) -> StreamSnapshot {
-        let core = &*self.core;
-        let topology = core.topology_if_elastic();
-        StreamSnapshot::assemble(
-            core.bins.snapshot(),
-            (*core.published.load()).clone(),
-            core.arrived.load(Ordering::Acquire),
-            core.placed.load(Ordering::Acquire),
-            core.departed.load(Ordering::Acquire),
-            self.pending(),
-            self.batches(),
-            match &topology {
-                Some(topology) => topology.resolved.as_ref(),
-                None => core.resolved.as_ref(),
-            },
-            topology.as_ref().map(|topology| &topology.active[..]),
-            topology
-                .as_ref()
-                .and_then(|topology| topology.active_resolved.as_ref()),
-        )
+        self.shared.core.snapshot(self.pending(), self.batches())
     }
 
     /// The conservation invariant: `placed − departed == Σ loads` and
@@ -1154,45 +813,12 @@ impl ConcurrentRouter {
     /// in flight); under concurrent traffic the reads may straddle an
     /// in-flight ball.
     pub fn conserves_balls(&self) -> bool {
-        let core = &*self.core;
-        let placed = core.placed.load(Ordering::Acquire);
-        let departed = core.departed.load(Ordering::Acquire);
-        let arrived = core.arrived.load(Ordering::Acquire);
-        // Saturate: two separate atomic reads, so under in-flight traffic
-        // `departed` can be observed ahead of the earlier-read `placed`.
-        placed.saturating_sub(departed) == core.bins.total() && arrived == placed + self.pending()
+        self.shared.core.conserves_balls(self.pending())
     }
 
     /// Aggregate routing statistics.
     pub fn stats(&self) -> RouterStats {
-        let core = &*self.core;
-        let loads = core.bins.snapshot();
-        let (bins, gap) = match core.topology_if_elastic() {
-            Some(topology) => {
-                let mut scratch = Vec::new();
-                (
-                    topology.active.len(),
-                    snapshot::gap_of_active_loads(
-                        &loads,
-                        &topology.active,
-                        topology.active_resolved.as_ref(),
-                        &mut scratch,
-                    ),
-                )
-            }
-            None => (
-                core.config.bins,
-                snapshot::gap_of_loads(&loads, core.resolved.as_ref()),
-            ),
-        };
-        RouterStats {
-            routed: core.routed.load(Ordering::Acquire),
-            released: core.released.load(Ordering::Acquire),
-            resident: loads.iter().map(|&l| l as u64).sum(),
-            bins,
-            batches: self.batches(),
-            gap,
-        }
+        self.shared.core.stats(self.batches())
     }
 }
 
@@ -1223,50 +849,215 @@ impl ConcurrentRouterApi for ConcurrentRouter {
 }
 
 impl Core {
-    /// Total slot capacity (`bins + reserve_bins`); the length of every
-    /// per-bin array. Slots above the active count exist but are never
-    /// sampled.
-    fn capacity(&self) -> usize {
-        self.config.bins + self.config.reserve_bins
-    }
-
-    /// The published topology, or `None` for a fixed-membership router (the
-    /// fast path: one relaxed-ish atomic read, no `Arc` traffic).
-    fn topology_if_elastic(&self) -> Option<Arc<Topology>> {
-        self.has_membership
-            .load(Ordering::Acquire)
-            .then(|| self.topology.load())
-    }
-
-    /// Applies staged membership/weight changes if this call sits at a batch
-    /// open (`open_routed == 0`) — the same moment the single-threaded
-    /// engine applies its staged changes, so 1-caller runs stay
-    /// bit-identical. Cheap when nothing is staged (one atomic read).
-    fn apply_staged_at_batch_open(&self) {
-        if !self.has_pending_membership.load(Ordering::Acquire)
-            || self.open_routed.load(Ordering::Acquire) != 0
-        {
-            return;
+    /// An empty engine over `config.bins` bins, with the single-writer state
+    /// its shell is to own: the boundary book and the membership side.
+    pub(crate) fn new(config: StreamConfig) -> (Self, BoundaryBook, MembershipSide) {
+        assert!(config.bins > 0, "a stream needs at least one bin");
+        let config = StreamConfig {
+            batch_size: config.batch_size.max(1),
+            ..config
+        };
+        if let Some(prescribed) = config.weights.prescribed_bins() {
+            assert_eq!(
+                prescribed, config.bins,
+                "weights describe {prescribed} bins but the stream has {}",
+                config.bins
+            );
         }
-        let mut book = self.boundary.lock().expect("boundary lock");
-        if self.open_routed.load(Ordering::Acquire) == 0 {
-            self.apply_staged_changes(&mut book);
+        let resolved = config.weights.resolve(config.bins);
+        let capacity = config.bins + config.reserve_bins;
+        let slot_weights: Vec<f64> = match &resolved {
+            Some(resolved) => (0..config.bins).map(|i| resolved.weight(i)).collect(),
+            None => vec![1.0; config.bins],
+        };
+        let table = Membership::new(config.bins, capacity, &slot_weights);
+        let bins = ShardedBins::new(capacity, config.shards);
+        let book = BoundaryBook {
+            batches: 0,
+            gap: GapTrajectoryObserver::new(config.trajectory_cap),
+            gap_scratch: Vec::new(),
+        };
+        let core = Self {
+            resolved: resolved.map(Arc::new),
+            published: EpochCell::new(vec![0; capacity]),
+            route_thresholds: RwLock::new(Arc::new(OnceLock::new())),
+            open_routed: AtomicU64::new(0),
+            next_ball: AtomicU64::new(0),
+            arrived: AtomicU64::new(0),
+            placed: AtomicU64::new(0),
+            departed: AtomicU64::new(0),
+            routed: AtomicU64::new(0),
+            released: AtomicU64::new(0),
+            observers: Mutex::new(ObserverChain(Vec::new())),
+            has_observers: AtomicBool::new(false),
+            ledger: SharedTicketLedger::new(capacity, bins.shard_count()),
+            topology: EpochCell::new(Topology::of(&table)),
+            // A reserve makes the engine elastic from birth: the retired
+            // tail must be invisible to sampling, which only the
+            // topology-aware paths guarantee.
+            has_membership: AtomicBool::new(config.reserve_bins > 0),
+            has_pending_membership: AtomicBool::new(false),
+            pool: (config.num_threads > 0).then(|| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(config.num_threads)
+                    .build()
+                    .expect("stream drain pool")
+            }),
+            bins,
+            config,
+            metrics: None,
+        };
+        let side = MembershipSide {
+            table,
+            pending: MembershipPlan::new(),
+            pending_weights: None,
+        };
+        (core, book, side)
+    }
+
+    /// Resolves the metric handles the engine records into (write-only; see
+    /// [`StreamMetrics`]).
+    pub(crate) fn install_metrics(&mut self, registry: Arc<pba_obs::MetricsRegistry>) {
+        self.metrics = Some(StreamMetrics::resolve(registry, self.capacity()));
+    }
+
+    /// Seeds the bins with `loads` **anonymous** resident balls (no tickets)
+    /// and republishes them as the stale snapshot at epoch 0 — the state an
+    /// engine reaches at a batch boundary with those loads.
+    pub(crate) fn seed_resident_loads(&mut self, loads: &[u32]) {
+        let slots = self.capacity();
+        assert_eq!(loads.len(), slots, "one resident load per capacity slot");
+        for (bin, &load) in loads.iter().enumerate() {
+            if load > 0 {
+                self.bins.place_many_unrecorded(bin, load);
+            }
+        }
+        // Fold the seeded balls into the shard bookkeeping so stats stay
+        // consistent with an engine that placed them one by one.
+        for s in 0..self.bins.shard_count() {
+            let range = self.bins.shard_start(s)..self.bins.shard_start(s + 1);
+            let accepted: u64 = loads[range.clone()].iter().map(|&l| l as u64).sum();
+            let peak = loads[range].iter().copied().max().unwrap_or(0);
+            self.bins.record_batch(s, accepted, peak);
+        }
+        let total = self.bins.total();
+        *self.placed.get_mut() = total;
+        *self.arrived.get_mut() = total;
+        self.published = EpochCell::new(loads.to_vec());
+    }
+
+    /// Stamps one arrival from any thread: the next id of the sequence route
+    /// and push share.
+    fn stamp(&self) -> u64 {
+        self.arrived.fetch_add(1, Ordering::AcqRel);
+        self.next_ball.fetch_add(1, Ordering::AcqRel)
+    }
+
+    /// [`Core::stamp`] for the sole owner: `&mut` proves no other thread can
+    /// be stamping, so both counters advance by plain increments.
+    pub(crate) fn stamp_owned(&mut self) -> u64 {
+        *self.arrived.get_mut() += 1;
+        let next = self.next_ball.get_mut();
+        *next += 1;
+        *next - 1
+    }
+
+    /// Visits every observer, skipping (and counting, when metrics are
+    /// installed) observers whose lock was poisoned by a panic in an earlier
+    /// hook: a skipped observer is a dropped event, and `observer.errors`
+    /// makes the drop visible.
+    fn each_observer(
+        &self,
+        observers: &[Arc<Mutex<dyn RouterObserver + Send>>],
+        mut visit: impl FnMut(&mut (dyn RouterObserver + Send)),
+    ) {
+        for obs in observers {
+            match obs.lock() {
+                Ok(mut guard) => visit(&mut *guard),
+                Err(_) => {
+                    if let Some(metrics) = &self.metrics {
+                        metrics.observer_errors.inc();
+                    }
+                }
+            }
         }
     }
 
-    /// The bin-selection core of one route: choose against the published
-    /// epoch snapshot, commit the placement, and (elastic routers only)
-    /// re-check the bin's lifecycle state after the commit, undoing and
-    /// retrying against the fresh topology if a scale event drained it
-    /// between choose and place. Returns the bin the ball landed in.
-    fn choose_and_place(&self, key: u64) -> usize {
+    /// Registers an external observer (see [`ObserverChain`]).
+    pub(crate) fn add_observer(&self, observer: Arc<Mutex<dyn RouterObserver + Send>>) {
+        self.observers
+            .lock()
+            .expect("observer chain")
+            .0
+            .push(observer);
+        self.has_observers.store(true, Ordering::Release);
+    }
+
+    /// Routes one key: choose against the published snapshot, commit, issue
+    /// a ticket, and close the batch this ball completes.
+    pub(crate) fn route(&self, writer: &mut Writer<'_>, key: u64) -> Result<Placement, RouteError> {
+        self.apply_staged_at_batch_open(writer);
+        let bin = self.choose_and_place(key);
+        let id = self.stamp();
+        self.placed.fetch_add(1, Ordering::AcqRel);
+        self.routed.fetch_add(1, Ordering::AcqRel);
+        if let Some(metrics) = &self.metrics {
+            metrics.routed.inc();
+            metrics.placed.inc();
+            metrics.bin_commits.inc(bin);
+        }
+        let ticket = self.ledger.issue(id, bin);
+        if self.has_observers.load(Ordering::Acquire) {
+            // The per-arrival tap trace recorders hang off. Fires before the
+            // boundary this arrival may complete, so a recorder sees the
+            // arrival strictly before its batch event.
+            let event = RouteEvent {
+                key,
+                ticket,
+                resident: self.resident_now(),
+            };
+            let chain = self.observers.lock().expect("observer chain");
+            self.each_observer(&chain.0, |observer| observer.on_route(&event));
+        }
+        let open = self.open_routed.fetch_add(1, Ordering::AcqRel) + 1;
+        if open >= self.config.batch_size as u64 {
+            self.close_routed_batches(writer, false);
+        }
+        Ok(Placement { ticket, bin })
+    }
+
+    /// Routes a group of keys, bit-identical (with one caller) to looping
+    /// [`Core::route`] but paying the per-route reads once per sub-group;
+    /// see [`ConcurrentRouter::route_many`].
+    pub(crate) fn route_many(
+        &self,
+        writer: &mut Writer<'_>,
+        keys: &[u64],
+    ) -> Result<Vec<Placement>, RouteError> {
+        // A singleton group amortizes nothing: delegate to `route` so the
+        // batched surface costs one `Vec` over the one-at-a-time path.
+        if let [key] = keys {
+            return self.route(writer, *key).map(|placement| vec![placement]);
+        }
         let policy = self.config.policy;
-        loop {
+        let mut placements = Vec::with_capacity(keys.len());
+        let mut rest = keys;
+        while !rest.is_empty() {
+            self.apply_staged_at_batch_open(writer);
+            // Cap the sub-group at the open batch's remaining room so the
+            // boundary (and any staged re-pricing) lands exactly where the
+            // one-at-a-time loop would put it. Racing callers can push
+            // `open_routed` past the cap between the read and our commit —
+            // the same overshoot racing individual routes produce; `max(1)`
+            // guarantees progress.
+            let open = self.open_routed.load(Ordering::Acquire);
+            let room = (self.config.batch_size as u64).saturating_sub(open).max(1) as usize;
+            let take = rest.len().min(room);
+            let (group, tail) = rest.split_at(take);
+            rest = tail;
+
+            // Read once per sub-group what `route` reads once per key.
             let topology = self.topology_if_elastic();
-            // Threshold policies price the open batch once, at its first
-            // route (lazily, so the priced resident count matches the
-            // single-threaded engine's batch-open moment exactly in the
-            // 1-caller case).
             let priced;
             let (flat, capacity): (u32, &[u32]) = if uses_thresholds(policy) {
                 priced = self.priced_route_thresholds();
@@ -1276,52 +1067,511 @@ impl Core {
                 (0, &[])
             };
             let stale = self.published.load();
-            let (weights, active, active_weights) = match &topology {
-                Some(t) => (
-                    t.resolved.as_ref(),
-                    Some(&t.active[..]),
-                    t.active_resolved.as_ref(),
-                ),
-                None => (self.resolved.as_ref(), None, None),
-            };
-            let ctx = ChoiceCtx {
-                snapshot: &stale,
-                weights,
-                batch_threshold: flat,
-                capacity_thresholds: capacity,
-                seed: self.config.seed,
-                bins: self.capacity(),
-                active,
-                active_weights,
-                counters: self.metrics.as_ref().map(|m| &m.policy),
-            };
-            let bin = Chooser::new(policy, &ctx).choose_one(key) as usize;
-            self.bins.place(bin);
-            if topology.is_none() {
-                return bin;
+            let ctx = self.choice_ctx(topology.as_deref(), &stale, flat, capacity);
+            let chooser = Chooser::new(policy, &ctx);
+            let bin_commits = self.metrics.as_ref().map(|m| &m.bin_commits);
+            let tickets = GROUP_COMMIT.with(|scratch| {
+                let scratch = &mut *scratch.borrow_mut();
+                commit::choose_into(
+                    &chooser,
+                    group,
+                    |&key| key,
+                    Execution::INLINE,
+                    &mut scratch.chosen,
+                );
+                match &topology {
+                    // Fixed membership: the drain's grouped commit — one
+                    // atomic increment per distinct bin, one stats lock per
+                    // touched shard.
+                    None => commit::place_chosen(&self.bins, scratch, bin_commits),
+                    // Elastic: each placement needs the post-commit draining
+                    // recheck (and possibly an undo + re-route), so commits
+                    // stay per ball — the choose above still amortized the
+                    // reads.
+                    Some(_) => {
+                        for (slot, &key) in scratch.chosen.iter_mut().zip(group) {
+                            if !self.place_if_active(*slot as usize, true) {
+                                *slot = self.choose_and_place(key) as u32;
+                            }
+                            if let Some(bin_commits) = bin_commits {
+                                bin_commits.inc(*slot as usize);
+                            }
+                        }
+                    }
+                }
+                let base = self.next_ball.fetch_add(take as u64, Ordering::AcqRel);
+                self.arrived.fetch_add(take as u64, Ordering::AcqRel);
+                self.placed.fetch_add(take as u64, Ordering::AcqRel);
+                self.routed.fetch_add(take as u64, Ordering::AcqRel);
+                if let Some(metrics) = &self.metrics {
+                    metrics.routed.add(take as u64);
+                    metrics.placed.add(take as u64);
+                }
+                self.ledger.issue_many(base, &scratch.chosen)
+            });
+            if self.has_observers.load(Ordering::Acquire) {
+                // Per-arrival taps fire in arrival order, before this group
+                // can close its batch, with the same resident counts the
+                // loop would report (exact with one caller).
+                let resident_base = self.resident_now().saturating_sub(take as u64);
+                let chain = self.observers.lock().expect("observer chain");
+                for (offset, (&key, &ticket)) in group.iter().zip(tickets.iter()).enumerate() {
+                    let event = RouteEvent {
+                        key,
+                        ticket,
+                        resident: resident_base + offset as u64 + 1,
+                    };
+                    self.each_observer(&chain.0, |observer| observer.on_route(&event));
+                }
             }
-            // Re-read the topology *after* the commit: a scale event may have
-            // drained this bin between choose and place. The undone placement
-            // is counted (`membership.rejected_routes_to_draining`) and the
-            // route retries against the fresh topology; with one caller the
-            // race cannot occur.
-            if self.topology.load().states[bin] == BinState::Active {
-                return bin;
+            placements.extend(tickets.into_iter().map(|ticket| Placement {
+                ticket,
+                bin: ticket.bin(),
+            }));
+            let open = self.open_routed.fetch_add(take as u64, Ordering::AcqRel) + take as u64;
+            if open >= self.config.batch_size as u64 {
+                self.close_routed_batches(writer, false);
             }
-            assert!(self.bins.depart(bin), "undo of a placement just made");
+        }
+        Ok(placements)
+    }
+
+    /// Force-releases every ticketed resident of `bin`; see
+    /// [`ConcurrentRouter::crash_bin`].
+    pub(crate) fn crash_bin(&self, bin: usize) -> u64 {
+        let mut evicted = 0;
+        while let Some(ticket) = self.ledger.resident_in(bin) {
+            if self.release(ticket).is_ok() {
+                evicted += 1;
+            }
+        }
+        evicted
+    }
+
+    /// Releases one routed ball: redeem, depart, notify.
+    pub(crate) fn release(&self, ticket: Ticket) -> Result<(), RouteError> {
+        let bin = match self.ledger.redeem(ticket) {
+            Ok(bin) => bin,
+            Err(err) => {
+                if let Some(metrics) = &self.metrics {
+                    metrics.rejected_unknown_ticket.inc();
+                }
+                return Err(err);
+            }
+        };
+        if !self.bins.depart(bin) {
+            // Defensive: a redeemed ticket names a resident ball, so its bin
+            // cannot be empty unless ledger and bins diverged (a bug, not a
+            // caller error). Fail the release rather than corrupt loads.
             if let Some(metrics) = &self.metrics {
-                metrics.membership.rejected_routes_to_draining.inc();
+                metrics.rejected_unknown_ticket.inc();
+            }
+            return Err(RouteError::UnknownTicket { ticket });
+        }
+        self.departed.fetch_add(1, Ordering::AcqRel);
+        self.released.fetch_add(1, Ordering::AcqRel);
+        if let Some(metrics) = &self.metrics {
+            metrics.released.inc();
+        }
+        if self.has_observers.load(Ordering::Acquire) {
+            let event = ReleaseEvent {
+                ticket,
+                load_after: self.bins.load(bin),
+                // O(1): the counters track Σ loads exactly; an O(n) scan per
+                // departure would make churn cost O(departures·n).
+                resident: self.resident_now(),
+            };
+            let chain = self.observers.lock().expect("observer chain");
+            self.each_observer(&chain.0, |observer| observer.on_release(&event));
+        }
+        Ok(())
+    }
+
+    /// Releases a group of routed balls, bit-identical (with one caller) to
+    /// looping [`Core::release`]; see [`ConcurrentRouter::release_many`].
+    pub(crate) fn release_many(&self, tickets: &[Ticket]) -> Result<(), RouteError> {
+        // A singleton group amortizes nothing: delegate to `release`.
+        if let [ticket] = tickets {
+            return self.release(*ticket);
+        }
+        let Some(chosen) = self.ledger.redeem_many(tickets) else {
+            // Cold path (bad ticket or migration in flight): the grouped
+            // redeem committed nothing, so the loop reproduces the
+            // one-at-a-time semantics — including which ticket errors and
+            // which releases stay committed — exactly.
+            return tickets.iter().try_for_each(|&ticket| self.release(ticket));
+        };
+        let taken = GROUP_COMMIT.with(|scratch| {
+            self.bins
+                .release_group_with(&chosen, &mut scratch.borrow_mut().group)
+        });
+        self.departed.fetch_add(taken, Ordering::AcqRel);
+        self.released.fetch_add(taken, Ordering::AcqRel);
+        if let Some(metrics) = &self.metrics {
+            metrics.released.add(taken);
+        }
+        if taken < tickets.len() as u64 {
+            // Defensive: every redeemed ticket named a resident ball, so no
+            // bin can underflow unless ledger and bins diverged (a bug, not
+            // a caller error — same stance as the one-at-a-time path).
+            if let Some(metrics) = &self.metrics {
+                metrics
+                    .rejected_unknown_ticket
+                    .add(tickets.len() as u64 - taken);
+            }
+            return Err(RouteError::UnknownTicket {
+                ticket: tickets[taken as usize],
+            });
+        }
+        if self.has_observers.load(Ordering::Acquire) {
+            // Per-departure taps fire in ticket order with the running
+            // counts the loop would report (exact with one caller), and
+            // `resident` counts down to the post-group total.
+            let resident_final = self.resident_now();
+            let loads_after = commit::loads_after_each_release(&self.bins, &chosen);
+            let chain = self.observers.lock().expect("observer chain");
+            for (offset, (&ticket, load_after)) in tickets.iter().zip(loads_after).enumerate() {
+                let event = ReleaseEvent {
+                    ticket,
+                    load_after,
+                    resident: resident_final + (tickets.len() - 1 - offset) as u64,
+                };
+                self.each_observer(&chain.0, |observer| observer.on_release(&event));
+            }
+        }
+        Ok(())
+    }
+
+    /// Stages a membership plan for the next batch boundary.
+    pub(crate) fn stage_membership(&self, side: &mut MembershipSide, plan: MembershipPlan) {
+        side.pending.extend(plan);
+        self.has_membership.store(true, Ordering::Release);
+        self.has_pending_membership.store(true, Ordering::Release);
+    }
+
+    /// Stages new bin weights for the next batch boundary.
+    pub(crate) fn set_weights(&self, side: &mut MembershipSide, weights: BinWeights) {
+        if let Some(prescribed) = weights.prescribed_bins() {
+            let slots = self.capacity();
+            assert_eq!(
+                prescribed, slots,
+                "weights describe {prescribed} bins but the engine has {slots} slots"
+            );
+        }
+        side.pending_weights = Some(weights);
+        self.has_membership.store(true, Ordering::Release);
+        self.has_pending_membership.store(true, Ordering::Release);
+    }
+
+    /// Force-migrates the ticketed residents of every draining bin; see
+    /// [`ConcurrentRouter::migrate_drained`].
+    pub(crate) fn migrate_drained(&self) -> u64 {
+        let Some(topology) = self.topology_if_elastic() else {
+            return 0;
+        };
+        let draining: Vec<u32> = topology
+            .states
+            .iter()
+            .enumerate()
+            .filter(|&(_, &state)| state == BinState::Draining)
+            .map(|(bin, _)| bin as u32)
+            .collect();
+        let volume: u64 = draining
+            .iter()
+            .map(|&bin| self.ledger.count_in(bin as usize) as u64)
+            .sum();
+        if volume == 0 {
+            return 0;
+        }
+        let mut capacity = Vec::new();
+        let flat = self.price_batch(Some(&topology), volume, &mut capacity);
+        let stale = self.published.load();
+        let ctx = self.choice_ctx(Some(&topology), &stale, flat, &capacity);
+        let chooser = Chooser::new(self.config.policy, &ctx);
+        let mut migrated = 0u64;
+        for &bin in &draining {
+            while let Some(ticket) = self.ledger.resident_in(bin as usize) {
+                let target = chooser.choose_one(ticket.id()) as usize;
+                self.bins.place(target);
+                if self.ledger.migrate(ticket.id(), bin as usize, target) {
+                    assert!(
+                        self.bins.depart(bin as usize),
+                        "a migrated resident held a load unit"
+                    );
+                    migrated += 1;
+                    if let Some(metrics) = &self.metrics {
+                        metrics.membership.migrations.inc();
+                        metrics.bin_commits.inc(target);
+                    }
+                } else {
+                    // The resident raced a concurrent release; undo the
+                    // speculative placement.
+                    self.bins.depart(target);
+                }
+            }
+        }
+        migrated
+    }
+
+    /// The configuration this engine was built with.
+    pub(crate) fn config(&self) -> &StreamConfig {
+        &self.config
+    }
+
+    /// The installed metric handles, if any.
+    pub(crate) fn metrics(&self) -> Option<&StreamMetrics> {
+        self.metrics.as_ref()
+    }
+
+    /// Total slot capacity (`bins + reserve_bins`): the length of every
+    /// per-bin array for the engine's whole lifetime.
+    pub(crate) fn capacity(&self) -> usize {
+        self.config.bins + self.config.reserve_bins
+    }
+
+    /// Whether the engine runs the topology-aware paths (a reserve, or
+    /// something was staged at least once).
+    pub(crate) fn is_elastic(&self) -> bool {
+        self.has_membership.load(Ordering::Acquire)
+    }
+
+    /// The published topology, or `None` for a fixed-membership engine (the
+    /// fast path: one atomic read, no `Arc` traffic).
+    fn topology_if_elastic(&self) -> Option<Arc<Topology>> {
+        self.is_elastic().then(|| self.topology.load())
+    }
+
+    /// Fresh per-bin loads.
+    pub(crate) fn loads(&self) -> Vec<u32> {
+        self.bins.snapshot()
+    }
+
+    /// Fresh load of one bin.
+    pub(crate) fn load(&self, bin: usize) -> u32 {
+        self.bins.load(bin)
+    }
+
+    /// Balls currently resident (`Σ loads`).
+    pub(crate) fn resident(&self) -> u64 {
+        self.bins.total()
+    }
+
+    /// The epoch of the published stale snapshot (== boundaries completed).
+    pub(crate) fn snapshot_epoch(&self) -> u64 {
+        self.published.epoch()
+    }
+
+    /// The weights placements currently run under: the topology's
+    /// capacity-wide resolve once the engine is elastic (which a staged
+    /// `set_weights` makes it), the construction-time resolve before.
+    pub(crate) fn weights(&self) -> Option<Arc<ResolvedWeights>> {
+        match self.topology_if_elastic() {
+            Some(topology) => topology.resolved.clone(),
+            None => self.resolved.clone(),
+        }
+    }
+
+    /// Fresh normalized loads `load_i / w_i` (raw loads when uniform).
+    pub(crate) fn normalized_loads(&self) -> Vec<f64> {
+        let loads = self.bins.snapshot();
+        match self.weights() {
+            None => loads.iter().map(|&l| l as f64).collect(),
+            Some(weights) => normalized_loads(&loads, &weights),
+        }
+    }
+
+    /// Largest fresh normalized load `max_i(load_i / w_i)`.
+    pub(crate) fn max_normalized_load(&self) -> f64 {
+        self.normalized_loads().into_iter().fold(0.0f64, f64::max)
+    }
+
+    /// The effective weight of one slot: [`Core::weights`] at `bin`, 1.0
+    /// when uniform.
+    pub(crate) fn slot_weight(&self, bin: usize) -> f64 {
+        self.weights().map_or(1.0, |weights| weights.weight(bin))
+    }
+
+    /// Resident tickets (routed and not yet released).
+    pub(crate) fn resident_tickets(&self) -> usize {
+        self.ledger.len()
+    }
+
+    /// Resident tickets in `bin`.
+    pub(crate) fn tickets_in(&self, bin: usize) -> usize {
+        self.ledger.count_in(bin)
+    }
+
+    /// A resident ticket of `bin`, if any.
+    pub(crate) fn ticket_in(&self, bin: usize) -> Option<Ticket> {
+        self.ledger.resident_in(bin)
+    }
+
+    /// Per-shard bookkeeping.
+    pub(crate) fn shard_stats(&self) -> Vec<ShardStats> {
+        self.bins.all_shard_stats()
+    }
+
+    /// A full point-in-time snapshot; `pending` and `batches` are the
+    /// shell's to supply.
+    pub(crate) fn snapshot(&self, pending: u64, batches: u64) -> StreamSnapshot {
+        let topology = self.topology_if_elastic();
+        StreamSnapshot::assemble(
+            self.bins.snapshot(),
+            (*self.published.load()).clone(),
+            self.arrived.load(Ordering::Acquire),
+            self.placed.load(Ordering::Acquire),
+            self.departed.load(Ordering::Acquire),
+            pending,
+            batches,
+            self.resolved.as_deref(),
+            topology.as_ref().map(|topology| &topology.active[..]),
+            topology
+                .as_ref()
+                .and_then(|topology| topology.active_resolved.as_ref()),
+        )
+    }
+
+    /// The conservation invariant: `placed − departed == Σ loads` and
+    /// `arrived == placed + pending`.
+    pub(crate) fn conserves_balls(&self, pending: u64) -> bool {
+        let placed = self.placed.load(Ordering::Acquire);
+        let arrived = self.arrived.load(Ordering::Acquire);
+        self.resident_now() == self.bins.total() && arrived == placed + pending
+    }
+
+    /// Aggregate routing statistics; `batches` is the shell's to supply.
+    pub(crate) fn stats(&self, batches: u64) -> RouterStats {
+        let loads = self.bins.snapshot();
+        let topology = self.topology_if_elastic();
+        RouterStats {
+            routed: self.routed.load(Ordering::Acquire),
+            released: self.released.load(Ordering::Acquire),
+            resident: loads.iter().map(|&l| l as u64).sum(),
+            bins: topology
+                .as_ref()
+                .map_or(self.config.bins, |t| t.active.len()),
+            batches,
+            gap: self.gap_of(topology.as_deref(), &loads, &mut Vec::new()),
+        }
+    }
+
+    /// The gap of `loads` under the weights in force: classic `max − mean`
+    /// when uniform, weighted `max_i(load_i/w_i) − (Σ load)/W` otherwise. An
+    /// elastic engine measures its **active** bins only (gathered into
+    /// `scratch`) — draining and retired slots hold balls no placement
+    /// decision can see.
+    fn gap_of(&self, topology: Option<&Topology>, loads: &[u32], scratch: &mut Vec<u32>) -> f64 {
+        match topology {
+            Some(t) => {
+                snapshot::gap_of_active_loads(loads, &t.active, t.active_resolved.as_ref(), scratch)
+            }
+            None => snapshot::gap_of_loads(loads, self.resolved.as_deref()),
+        }
+    }
+
+    /// Applies staged membership/weight changes if this call sits at a batch
+    /// boundary — no routed batch open — which is where they are due: the
+    /// in-flight batch finishes on the topology it was priced under. Cheap
+    /// when nothing is staged (one atomic read).
+    fn apply_staged_at_batch_open(&self, writer: &mut Writer<'_>) {
+        if !self.has_pending_membership.load(Ordering::Acquire)
+            || self.open_routed.load(Ordering::Acquire) != 0
+        {
+            return;
+        }
+        let (boundary, membership) = (&mut writer.boundary, &mut writer.membership);
+        boundary.with(|book| {
+            if self.open_routed.load(Ordering::Acquire) == 0 {
+                membership.with(|side| self.apply_staged_changes(book, side));
+            }
+        });
+    }
+
+    /// The pricing context of one batch: the stale snapshot, its thresholds
+    /// and the weights and active set of `topology` (the construction-time
+    /// weights over every bin for a fixed engine).
+    fn choice_ctx<'a>(
+        &'a self,
+        topology: Option<&'a Topology>,
+        stale: &'a [u32],
+        flat: u32,
+        capacity: &'a [u32],
+    ) -> ChoiceCtx<'a> {
+        let (weights, active, active_weights) = match topology {
+            Some(t) => (
+                t.resolved.as_deref(),
+                Some(&t.active[..]),
+                t.active_resolved.as_ref(),
+            ),
+            None => (self.resolved.as_deref(), None, None),
+        };
+        ChoiceCtx {
+            snapshot: stale,
+            weights,
+            batch_threshold: flat,
+            capacity_thresholds: capacity,
+            seed: self.config.seed,
+            bins: self.capacity(),
+            active,
+            active_weights,
+            counters: self.metrics.as_ref().map(|m| &m.policy),
+        }
+    }
+
+    /// The bin-selection core of one route: choose against the published
+    /// epoch snapshot and commit the placement, retrying while
+    /// [`Core::place_if_active`] refuses it. Returns the bin the ball landed
+    /// in.
+    fn choose_and_place(&self, key: u64) -> usize {
+        let policy = self.config.policy;
+        loop {
+            let topology = self.topology_if_elastic();
+            // Threshold policies price the open batch once, at its first
+            // route (lazily, so the priced resident count includes every
+            // release up to the moment the batch opens).
+            let priced;
+            let (flat, capacity): (u32, &[u32]) = if uses_thresholds(policy) {
+                priced = self.priced_route_thresholds();
+                let thresholds = priced.get().expect("priced above");
+                (thresholds.flat, &thresholds.capacity)
+            } else {
+                (0, &[])
+            };
+            let stale = self.published.load();
+            let ctx = self.choice_ctx(topology.as_deref(), &stale, flat, capacity);
+            let bin = Chooser::new(policy, &ctx).choose_one(key) as usize;
+            if self.place_if_active(bin, topology.is_some()) {
+                return bin;
             }
         }
     }
 
-    /// Applies everything staged — membership events first, then weights —
-    /// and epoch-publishes the resulting topology. Fires `on_membership` /
-    /// `on_reweight` through the observer chain and counts every accepted
-    /// and rejected lifecycle event. Caller holds the boundary lock, so the
-    /// new topology becomes visible to routes before any later boundary.
-    fn apply_staged_changes(&self, book: &mut BoundaryBook) {
-        let mut side = self.membership.lock().expect("membership lock");
+    /// Commits one placement to `bin`. An `elastic` engine re-reads the
+    /// topology *after* the commit — a scale event may have drained the bin
+    /// between choose and place — and, if so, undoes the placement, counts it
+    /// (`membership.rejected_routes_to_draining`) and returns `false`: the
+    /// caller retries against the fresh topology. With one caller the race
+    /// cannot occur.
+    fn place_if_active(&self, bin: usize, elastic: bool) -> bool {
+        self.bins.place(bin);
+        if !elastic || self.topology.load().states[bin] == BinState::Active {
+            return true;
+        }
+        assert!(self.bins.depart(bin), "undo of a placement just made");
+        if let Some(metrics) = &self.metrics {
+            metrics.membership.rejected_routes_to_draining.inc();
+        }
+        false
+    }
+
+    /// Applies everything staged — membership events first (the topology the
+    /// new weights will describe), then weights — and epoch-publishes the
+    /// resulting topology. Runs the lifecycle state machine with the
+    /// ledger/loads occupancy predicate, counts every accepted *and*
+    /// rejected event and fires `on_membership` / `on_reweight`. Caller holds
+    /// the boundary book, so routes see the new topology before any later
+    /// boundary.
+    fn apply_staged_changes(&self, book: &mut BoundaryBook, side: &mut MembershipSide) {
         self.has_pending_membership.store(false, Ordering::Release);
         let plan = std::mem::take(&mut side.pending);
         let staged_weights = side.pending_weights.take();
@@ -1375,6 +1625,10 @@ impl Core {
             self.each_observer(&chain.0, |observer| observer.on_membership(&event));
         }
         if reweighted {
+            // Report the *current* loads (an O(n) snapshot — reweights are
+            // rare): the stale snapshot omits departures since the last
+            // boundary, which would make the event's loads and resident
+            // fields inconsistent.
             let loads = self.bins.snapshot();
             let event = ReweightEvent {
                 batch_index: book.batches,
@@ -1402,70 +1656,76 @@ impl Core {
             .saturating_sub(self.departed.load(Ordering::Acquire))
     }
 
+    /// Prices a batch of `batch_len` balls over the balls resident right
+    /// now — routed batches, drained batches and migrations alike. Returns
+    /// the flat threshold ([`snapshot::batch_threshold`]) and fills
+    /// `capacity` with the per-bin thresholds of a weighted
+    /// [`Policy::CapacityThreshold`](crate::Policy) (left empty otherwise).
+    /// An elastic engine prices over the **active** bins and the balls
+    /// resident in them, as a compacted fixed engine over those bins would:
+    /// balls stranded on draining bins are leaving, and counting them would
+    /// inflate the survivors' fair share.
+    fn price_batch(
+        &self,
+        topology: Option<&Topology>,
+        batch_len: u64,
+        capacity: &mut Vec<u32>,
+    ) -> u32 {
+        let policy = self.config.policy;
+        // Only a threshold policy reads the resident count; the rest skip
+        // the O(n) walk behind it.
+        let priced = uses_thresholds(policy);
+        match topology {
+            Some(topology) => {
+                let resident = if priced {
+                    let active = topology.active.iter();
+                    active.map(|&bin| self.bins.load(bin as usize) as u64).sum()
+                } else {
+                    0
+                };
+                snapshot::fill_active_capacity_thresholds_into(
+                    policy,
+                    topology.active_resolved.as_ref(),
+                    &topology.active,
+                    resident,
+                    self.capacity(),
+                    batch_len,
+                    capacity,
+                );
+                snapshot::batch_threshold(policy, resident, topology.active.len(), batch_len)
+            }
+            None => {
+                let resident = if priced { self.bins.total() } else { 0 };
+                snapshot::fill_capacity_thresholds_into(
+                    policy,
+                    self.resolved.as_deref(),
+                    resident,
+                    self.config.bins,
+                    batch_len,
+                    capacity,
+                );
+                snapshot::batch_threshold(policy, resident, self.config.bins, batch_len)
+            }
+        }
+    }
+
     /// Returns the open routed batch's threshold cell, priced (the first
     /// caller computes; everyone else reuses). The projected batch length is
     /// the full `batch_size` — a router cannot know how many requests the
-    /// batch will eventually have.
+    /// batch will eventually have (push-mode partial flushes price their
+    /// true length; full batches are identical either way).
     fn priced_route_thresholds(&self) -> Arc<OnceLock<RouteThresholds>> {
         let cell = Arc::clone(&self.route_thresholds.read().expect("threshold lock"));
         cell.get_or_init(|| {
-            let projected = self.config.batch_size as u64;
             let mut capacity = Vec::new();
-            let flat = match self.topology_if_elastic() {
-                Some(topology) => {
-                    // Re-price over the surviving weight mass: resident counts
-                    // active bins only (draining residents are leaving), the
-                    // fair share splits over the active slots.
-                    let resident = self.active_resident(&topology);
-                    snapshot::fill_active_capacity_thresholds_into(
-                        self.config.policy,
-                        topology.active_resolved.as_ref(),
-                        &topology.active,
-                        resident,
-                        self.capacity(),
-                        projected,
-                        &mut capacity,
-                    );
-                    snapshot::batch_threshold(
-                        self.config.policy,
-                        resident,
-                        topology.active.len(),
-                        projected,
-                    )
-                }
-                None => {
-                    let resident = self.bins.total();
-                    snapshot::fill_capacity_thresholds_into(
-                        self.config.policy,
-                        self.resolved.as_ref(),
-                        resident,
-                        self.config.bins,
-                        projected,
-                        &mut capacity,
-                    );
-                    snapshot::batch_threshold(
-                        self.config.policy,
-                        resident,
-                        self.config.bins,
-                        projected,
-                    )
-                }
-            };
+            let flat = self.price_batch(
+                self.topology_if_elastic().as_deref(),
+                self.config.batch_size as u64,
+                &mut capacity,
+            );
             RouteThresholds { flat, capacity }
         });
         cell
-    }
-
-    /// Fresh resident total over the **active** bins only — the count
-    /// thresholds are priced with under elastic membership (matches a
-    /// compacted fixed engine's `bins.total()` for the suffix-equivalence
-    /// property).
-    fn active_resident(&self, topology: &Topology) -> u64 {
-        topology
-            .active
-            .iter()
-            .map(|&bin| self.bins.load(bin as usize) as u64)
-            .sum()
     }
 
     /// Swaps in a fresh (unpriced) threshold cell for the next routed batch.
@@ -1475,57 +1735,40 @@ impl Core {
         }
     }
 
-    /// Closes as many *full* routed batches as have accumulated. Called by
-    /// the ball whose commit filled a batch; the boundary lock serialises
-    /// racing closers and the loop absorbs a backlog (several batches' worth
-    /// of commits can pile up before the first closer gets the lock).
-    fn close_full_routed_batches(&self) {
+    /// Closes as many *full* routed batches as have accumulated — called by
+    /// the ball whose commit filled one; the boundary book serialises racing
+    /// closers and the loop absorbs a backlog (several batches' worth of
+    /// commits can pile up before the first closer gets the lock) — and,
+    /// with `include_partial` (flush), the partial batch left open after
+    /// them. Returns whether that partial batch produced a boundary.
+    ///
+    /// A close *is* a batch boundary, so staged changes must not survive
+    /// past it: they are applied once the batch events are out.
+    fn close_routed_batches(&self, writer: &mut Writer<'_>, include_partial: bool) -> bool {
         let batch = self.config.batch_size as u64;
-        let mut deferred = Vec::new();
-        let mut book = self.boundary.lock().expect("boundary lock");
-        while self.open_routed.load(Ordering::Acquire) >= batch {
-            self.open_routed.fetch_sub(batch, Ordering::AcqRel);
-            self.advance_boundary(&mut book, batch as usize, &mut deferred);
+        let closed_partial = self.at_boundary(writer, |book, deferred| loop {
+            let open = self.open_routed.load(Ordering::Acquire);
+            let partial = include_partial && open > 0 && open < batch;
+            if open < batch && !partial {
+                break false;
+            }
+            let batch_len = open.min(batch);
+            self.open_routed.fetch_sub(batch_len, Ordering::AcqRel);
+            self.advance_boundary(book, batch_len as usize, deferred);
             self.reset_route_thresholds();
-        }
-        self.fire_deferred_after(book, deferred);
+            if partial {
+                break true;
+            }
+        });
+        self.apply_staged_at_batch_open(writer);
+        closed_partial
     }
 
-    /// Closes the open routed batch even if partial (flush semantics).
-    /// Returns `true` when a boundary was produced.
-    fn close_partial_routed_batch(&self) -> bool {
-        let batch = self.config.batch_size as u64;
-        let mut deferred = Vec::new();
-        let mut book = self.boundary.lock().expect("boundary lock");
-        // Full batches first: a racing closer may not have reached the lock.
-        while self.open_routed.load(Ordering::Acquire) >= batch {
-            self.open_routed.fetch_sub(batch, Ordering::AcqRel);
-            self.advance_boundary(&mut book, batch as usize, &mut deferred);
-            self.reset_route_thresholds();
-        }
-        let open = self.open_routed.load(Ordering::Acquire);
-        if open == 0 {
-            self.fire_deferred_after(book, deferred);
-            return false;
-        }
-        self.open_routed.fetch_sub(open, Ordering::AcqRel);
-        self.advance_boundary(&mut book, open as usize, &mut deferred);
-        self.reset_route_thresholds();
-        // This *is* a batch boundary: staged scale events must not survive
-        // past it (mirrors the single-threaded `close_open_batch`).
-        if self.has_pending_membership.load(Ordering::Acquire) {
-            self.apply_staged_changes(&mut book);
-        }
-        self.fire_deferred_after(book, deferred);
-        true
-    }
-
-    /// The batch boundary: reads the fresh loads, records the gap, captures
-    /// the `on_batch` payload for the **deferred** external fan-out, and
-    /// publishes the loads as the next epoch's stale snapshot. Caller holds
-    /// the boundary lock; external observers are notified only after it is
-    /// released (see [`Core::fire_deferred_after`]) so user code never runs
-    /// inside the boundary's critical section.
+    /// The batch boundary: publishes the fresh loads as the next epoch's
+    /// stale snapshot (into the buffer the previous boundary displaced),
+    /// records their gap — under the weights the batch ran with — and
+    /// captures the `on_batch` payload for the **deferred** external
+    /// fan-out (see [`Core::at_boundary`], which every caller runs inside).
     fn advance_boundary(
         &self,
         book: &mut BoundaryBook,
@@ -1533,16 +1776,12 @@ impl Core {
         deferred: &mut Vec<DeferredBatchEvent>,
     ) {
         book.batches += 1;
-        let loads = self.bins.snapshot();
-        let gap = match self.topology_if_elastic() {
-            Some(topology) => snapshot::gap_of_active_loads(
-                &loads,
-                &topology.active,
-                topology.active_resolved.as_ref(),
-                &mut book.gap_scratch,
-            ),
-            None => snapshot::gap_of_loads(&loads, self.resolved.as_ref()),
-        };
+        let (epoch, loads) = self
+            .published
+            .publish_with(|loads| self.bins.snapshot_into(loads));
+        debug_assert_eq!(epoch, book.batches, "epoch tracks batch boundaries");
+        let topology = self.topology_if_elastic();
+        let gap = self.gap_of(topology.as_deref(), &loads, &mut book.gap_scratch);
         let event = BatchEvent {
             batch_index: book.batches,
             batch_len,
@@ -1551,39 +1790,45 @@ impl Core {
             resident: self.resident_now(),
         };
         book.gap.on_batch(&event);
-        if self.has_observers.load(Ordering::Acquire) {
-            deferred.push(DeferredBatchEvent {
-                batch_index: event.batch_index,
-                batch_len,
-                loads: loads.clone(),
-                gap,
-                resident: event.resident,
-            });
-        }
         if let Some(metrics) = &self.metrics {
             metrics.batches.inc();
             metrics.gap.set(gap);
             metrics.resident.set(event.resident as f64);
         }
-        let epoch = self.published.publish(loads);
-        debug_assert_eq!(epoch, book.batches, "epoch tracks batch boundaries");
+        if self.has_observers.load(Ordering::Acquire) {
+            deferred.push(DeferredBatchEvent {
+                batch_index: event.batch_index,
+                batch_len,
+                gap,
+                resident: event.resident,
+                loads,
+            });
+        }
     }
 
-    /// Releases the boundary lock and fires the captured `on_batch` events
-    /// through the observer chain. The chain lock is acquired **before** the
-    /// boundary lock is dropped (boundary → observers is the sanctioned
-    /// order), so batch events reach external observers in boundary order
-    /// even when several closers race.
-    fn fire_deferred_after(
+    /// Runs `f` inside the boundary's critical section, then fires the
+    /// `on_batch` events it captured through the observer chain — after the
+    /// section has ended, so user code never runs inside it. The chain lock
+    /// is acquired **before** the boundary book is given back (boundary →
+    /// observers is the sanctioned order), so batch events reach external
+    /// observers in boundary order even when several closers race.
+    fn at_boundary<R>(
         &self,
-        book: std::sync::MutexGuard<'_, BoundaryBook>,
-        deferred: Vec<DeferredBatchEvent>,
-    ) {
-        if deferred.is_empty() {
-            return;
-        }
-        let chain = self.observers.lock().expect("observer chain");
-        drop(book);
+        writer: &mut Writer<'_>,
+        f: impl FnOnce(&mut BoundaryBook, &mut Vec<DeferredBatchEvent>) -> R,
+    ) -> R {
+        let mut deferred = Vec::new();
+        let (result, chain) = writer.boundary.with(|book| {
+            let result = f(book, &mut deferred);
+            let fan_out = !deferred.is_empty();
+            (
+                result,
+                fan_out.then(|| self.observers.lock().expect("observer chain")),
+            )
+        });
+        let Some(chain) = chain else {
+            return result;
+        };
         for d in &deferred {
             let event = BatchEvent {
                 batch_index: d.batch_index,
@@ -1594,33 +1839,42 @@ impl Core {
             };
             self.each_observer(&chain.0, |observer| observer.on_batch(&event));
         }
+        result
     }
 
-    /// Sequences queued pushed balls and drains them in `batch_size`
-    /// windows; the undrained tail stays in the (sorted) buffer.
-    fn drain_buffered(&self, include_partial: bool) -> usize {
-        let mut side = self.drain.lock().expect("drain lock");
-        let (_, late) = self.ingress.collect_into(&mut side.buffer);
-        if late > 0 {
-            if let Some(metrics) = &self.metrics {
-                metrics.ingress_late.add(late);
-            }
-        }
+    /// Closes a partially filled routed batch (so its boundary is recorded)
+    /// and drains everything in `side`'s buffer, including a final partial
+    /// batch; returns the number of batch boundaries produced.
+    pub(crate) fn flush(&self, writer: &mut Writer<'_>, side: &mut DrainSide) -> usize {
+        let closed = self.close_routed_batches(writer, true) as usize;
+        closed + self.drain_batches(writer, side, true)
+    }
+
+    /// Drains `side`'s buffer (arrival order) in `batch_size` windows
+    /// without copying balls out — batches are slices of it — plus the
+    /// partial tail when `include_partial`; an undrained tail is compacted
+    /// to the front. Returns the number of batches drained.
+    pub(crate) fn drain_batches(
+        &self,
+        writer: &mut Writer<'_>,
+        side: &mut DrainSide,
+        include_partial: bool,
+    ) -> usize {
         let batch_size = self.config.batch_size;
         let DrainSide {
             buffer,
             commit,
             capacity,
-        } = &mut *side;
+        } = side;
         let mut drained = 0;
         let mut start = 0;
         while buffer.len() - start >= batch_size {
-            self.drain_batch(&buffer[start..start + batch_size], commit, capacity);
+            self.drain_batch(writer, &buffer[start..start + batch_size], commit, capacity);
             start += batch_size;
             drained += 1;
         }
         if include_partial && start < buffer.len() {
-            self.drain_batch(&buffer[start..], commit, capacity);
+            self.drain_batch(writer, &buffer[start..], commit, capacity);
             start = buffer.len();
             drained += 1;
         }
@@ -1629,103 +1883,44 @@ impl Core {
     }
 
     /// Allocates one pushed batch against the published snapshot — choose,
-    /// commit (the shared stage of [`crate::commit`]) — and advances the
+    /// commit (the two steps of [`crate::commit`]) — and advances the
     /// boundary.
     fn drain_batch(
         &self,
+        writer: &mut Writer<'_>,
         batch: &[PendingBall],
         scratch: &mut CommitScratch,
         capacity: &mut Vec<u32>,
     ) {
-        if batch.is_empty() {
-            return;
-        }
-        let policy = self.config.policy;
-        // Staged scale events apply at batch open here too (mirroring the
-        // single-threaded drain path), but only when no routed batch is
-        // open — a mid-batch route stream keeps its topology to the close.
-        self.apply_staged_at_batch_open();
+        // A batch starts here, so staged changes take effect — unless a
+        // *routed* batch is still open: its thresholds were priced under the
+        // old topology, so the change waits for the boundary that closes it.
+        self.apply_staged_at_batch_open(writer);
         let topology = self.topology_if_elastic();
-        // Only a threshold policy reads the resident count; the rest skip
-        // the O(n) walk behind it.
-        let priced = uses_thresholds(policy);
-        let threshold = match &topology {
-            Some(topology) => {
-                let resident = if priced {
-                    self.active_resident(topology)
-                } else {
-                    0
-                };
-                snapshot::fill_active_capacity_thresholds_into(
-                    policy,
-                    topology.active_resolved.as_ref(),
-                    &topology.active,
-                    resident,
-                    self.capacity(),
-                    batch.len() as u64,
-                    capacity,
-                );
-                snapshot::batch_threshold(
-                    policy,
-                    resident,
-                    topology.active.len(),
-                    batch.len() as u64,
-                )
-            }
-            None => {
-                let resident = if priced { self.bins.total() } else { 0 };
-                snapshot::fill_capacity_thresholds_into(
-                    policy,
-                    self.resolved.as_ref(),
-                    resident,
-                    self.config.bins,
-                    batch.len() as u64,
-                    capacity,
-                );
-                snapshot::batch_threshold(policy, resident, self.config.bins, batch.len() as u64)
-            }
-        };
+        let threshold = self.price_batch(topology.as_deref(), batch.len() as u64, capacity);
         let stale = self.published.load();
-        let (weights, active, active_weights) = match &topology {
-            Some(t) => (
-                t.resolved.as_ref(),
-                Some(&t.active[..]),
-                t.active_resolved.as_ref(),
-            ),
-            None => (self.resolved.as_ref(), None, None),
+        let ctx = self.choice_ctx(topology.as_deref(), &stale, threshold, capacity);
+        let chooser = Chooser::new(self.config.policy, &ctx);
+        let execution = Execution {
+            parallel: self.config.parallel,
+            pool: self.pool.as_ref(),
         };
-        let ctx = ChoiceCtx {
-            snapshot: &stale,
-            weights,
-            batch_threshold: threshold,
-            capacity_thresholds: capacity,
-            seed: self.config.seed,
-            bins: self.capacity(),
-            active,
-            active_weights,
-            counters: self.metrics.as_ref().map(|m| &m.policy),
-        };
-        commit::commit_batch(
-            policy,
-            &ctx,
+        commit::choose_into(
+            &chooser,
             batch,
             |ball| ball.key,
-            Execution {
-                parallel: self.config.parallel,
-                pool: self.pool.as_ref(),
-            },
-            &self.bins,
-            scratch,
-            self.metrics.as_ref().map(|m| &m.bin_commits),
+            execution,
+            &mut scratch.chosen,
         );
+        let bin_commits = self.metrics.as_ref().map(|m| &m.bin_commits);
+        commit::place_chosen(&self.bins, scratch, bin_commits);
         self.placed.fetch_add(batch.len() as u64, Ordering::AcqRel);
         if let Some(metrics) = &self.metrics {
             metrics.placed.add(batch.len() as u64);
         }
-        let mut deferred = Vec::new();
-        let mut book = self.boundary.lock().expect("boundary lock");
-        self.advance_boundary(&mut book, batch.len(), &mut deferred);
-        self.fire_deferred_after(book, deferred);
+        self.at_boundary(writer, |book, deferred| {
+            self.advance_boundary(book, batch.len(), deferred)
+        });
     }
 }
 
@@ -1739,41 +1934,6 @@ mod tests {
     fn keys(count: u64, seed: u64) -> Vec<u64> {
         let mut rng = SplitMix64::new(seed);
         (0..count).map(|_| rng.next_u64()).collect()
-    }
-
-    #[test]
-    fn single_caller_route_is_bit_identical_to_stream_allocator() {
-        use crate::engine::StreamAllocator;
-        let weights = BinWeights::power_of_two_tiers(&[(8, 2), (16, 1), (40, 0)]);
-        for policy in [
-            Policy::OneChoice,
-            Policy::TwoChoice,
-            Policy::DChoice(3),
-            Policy::Threshold { d: 2, slack: 1 },
-            Policy::WeightedTwoChoice,
-            Policy::CapacityThreshold { d: 2, slack: 2 },
-        ] {
-            let cfg = StreamConfig::new(64)
-                .policy(policy)
-                .batch_size(128)
-                .seed(31)
-                .weights(weights.clone());
-            let concurrent = ConcurrentRouter::new(cfg.clone());
-            let mut reference = StreamAllocator::new(cfg);
-            for key in keys(128 * 10 + 17, 5) {
-                let a = concurrent.route(key).unwrap();
-                let b = reference.route(key).unwrap();
-                assert_eq!(a.bin, b.bin, "policy {}", policy.name());
-            }
-            assert_eq!(concurrent.loads(), reference.loads());
-            assert_eq!(concurrent.gap_trajectory(), reference.gap_trajectory());
-            assert_eq!(concurrent.shard_stats(), reference.shard_stats());
-            assert_eq!(concurrent.batches(), reference.snapshot().batches);
-            assert_eq!(concurrent.flush(), reference.flush());
-            assert_eq!(concurrent.loads(), reference.loads());
-            assert_eq!(concurrent.gap_trajectory(), reference.gap_trajectory());
-            assert!(concurrent.conserves_balls());
-        }
     }
 
     #[test]
@@ -1890,6 +2050,38 @@ mod tests {
         assert_eq!(seen.batches, 5);
         assert_eq!(seen.balls, 20);
         assert_eq!(seen.releases, 2);
+    }
+
+    #[test]
+    fn weights_follow_a_staged_reweight_on_both_shells() {
+        use crate::engine::StreamAllocator;
+        let cfg = StreamConfig::new(8)
+            .policy(Policy::WeightedTwoChoice)
+            .batch_size(8)
+            .seed(3);
+        let tiers = BinWeights::power_of_two_tiers(&[(4, 1), (4, 0)]);
+        let handle = ConcurrentRouter::new(cfg.clone());
+        let mut owner = StreamAllocator::new(cfg);
+        handle.set_weights(tiers.clone());
+        owner.set_weights(tiers);
+        assert!(handle.weights().is_none() && owner.weights().is_none());
+        // One routed batch: the staged tiers apply where it opens.
+        for key in keys(8, 1) {
+            handle.route(key).unwrap();
+            owner.route(key).unwrap();
+        }
+        for weights in [handle.weights(), owner.weights()] {
+            let weights = weights.expect("placements run under the staged tiers");
+            assert_eq!(weights.weights(), [2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0]);
+        }
+        for bin in 0..8 {
+            let expected = if bin < 4 { 2.0 } else { 1.0 };
+            assert_eq!(handle.slot_weight(bin), expected);
+            assert_eq!(owner.slot_weight(bin), expected);
+        }
+        // The construction-time configuration is not rewritten.
+        assert_eq!(handle.config().weights, BinWeights::Uniform);
+        assert_eq!(owner.config().weights, BinWeights::Uniform);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! The incremental streaming allocator.
+//! The incremental streaming allocator: the engine core with a **sole
+//! owner**.
 //!
 //! [`StreamAllocator`] is the online counterpart of the one-shot
 //! [`pba_model::Allocator`]s: balls are **pushed** as they arrive, buffered,
@@ -9,19 +10,23 @@
 //! sharded and parallel without changing a single placement relative to the
 //! sequential drain.
 //!
-//! Gap tracking is online: after each batch the allocator fires a
-//! [`BatchEvent`] through the observer chain; the default
-//! [`GapTrajectoryObserver`] records `max load − mean load` into a trajectory
-//! and a streaming [`OnlineStats`] accumulator. With
-//! non-uniform [`BinWeights`] the recorded gap is the **weighted** gap
-//! `max_i(load_i/w_i) − (Σ load)/W` — the normalized-load form that coincides
-//! with the classic gap when all weights are equal, so uniform configurations
-//! remain bit-identical.
+//! There is one implementation of that engine, the core in
+//! [`crate::concurrent`] (pipeline, gap tracking, elastic membership and
+//! reweighting are described there), and this type is one of its two
+//! ownership shells — the other is the shared [`crate::ConcurrentRouter`] handle.
+//! A sole owner adds only what `&mut self` lets it do better: the
+//! single-writer state — boundary book, membership side, drain side — sits
+//! in plain fields and is lent to the core by reborrow, so no call locks
+//! anything; [`StreamAllocator::push`] is two plain increments and a `Vec`
+//! push, with no lanes to sequence; and the accessors hand out references
+//! ([`StreamAllocator::gap_trajectory`], [`StreamAllocator::gap_stats`],
+//! [`StreamAllocator::membership`]) where the handle has to copy out from
+//! under a lock. Everything else on this page is a one-line delegation.
 //!
 //! ## The router surface
 //!
 //! Besides the batch API (`push` / `drain_ready` / `flush`), the engine
-//! implements [`Router`] natively: [`StreamAllocator::route`] places one ball
+//! implements [`Router`]: [`StreamAllocator::route`] places one ball
 //! *synchronously* against the current stale snapshot and returns a
 //! [`Placement`] whose [`Ticket`] later releases the ball through
 //! [`StreamAllocator::release`]. Because every placement of a batch is a pure
@@ -34,52 +39,30 @@
 //! will eventually have; push-mode partial flushes use the true batch length.
 //! Full batches are identical either way.)
 //!
-//! Runtime reweighting ([`StreamAllocator::set_weights`]) takes effect at the
-//! next batch boundary: the in-flight batch finishes under the old weights,
-//! then the alias table, capacity thresholds and gap measure are rebuilt, and
-//! every subsequent drain is bit-identical to a fresh engine constructed with
-//! the new weights over the same resident loads (see
-//! [`StreamAllocator::with_resident_loads`]).
-//!
-//! ## Elastic membership
-//!
-//! Bins have a lifecycle (see the `pba-membership` crate): a
-//! [`MembershipPlan`] staged through [`StreamAllocator::stage_membership`] is
-//! applied at the **next batch boundary** — exactly like staged weights, and
-//! strictly before them — after which policies sample only the *active* bins,
-//! thresholds and the gap re-price over the surviving weight mass, and
-//! draining bins stop receiving placements while their residents (and
-//! tickets) stay valid. [`StreamAllocator::migrate_drained`] force-migrates
-//! ticketed residents off draining bins through the live policy, and a
-//! `Remove` retires a slot only at zero occupancy. The engine's arrays are
-//! sized once, to `bins + reserve_bins` **capacity slots**; scaling out
-//! re-commissions the lowest retired slot, so no array ever reallocates. An
-//! engine that never stages a plan (and reserves no slots) runs the exact
-//! fixed-membership code paths, and staging an identity (empty) plan is a
-//! strict no-op — bit-identical loads, RNG streams and gap trajectories.
+//! Runtime reweighting ([`StreamAllocator::set_weights`]) and elastic
+//! membership ([`StreamAllocator::stage_membership`], the `pba-membership`
+//! lifecycle) take effect at the next batch boundary. The engine's arrays
+//! are sized once, to `bins + reserve_bins` **capacity slots**, so scaling
+//! out never reallocates; an engine that never stages anything (and reserves
+//! no slots) runs the exact fixed-membership code paths, and staging an
+//! identity (empty) plan is a strict no-op — bit-identical loads, RNG streams
+//! and gap trajectories.
 
-use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use pba_membership::{Membership, MembershipPlan};
-use pba_model::router::{
-    BatchEvent, MembershipChange, Placement, ReleaseEvent, ReweightEvent, RouteError, RouteEvent,
-    Router, RouterObserver, RouterStats, Ticket, TicketLedger,
-};
-use pba_model::weights::{normalized_loads, BinWeights, ResolvedWeights};
-use pba_stats::{LoadMetrics, OnlineStats};
+use pba_model::router::{Placement, RouteError, Router, RouterObserver, RouterStats, Ticket};
+use pba_model::weights::{BinWeights, ResolvedWeights};
+use pba_stats::OnlineStats;
 
 // Re-exported here because the snapshot type was historically defined in this
 // module; `pba_stream::engine::StreamSnapshot` keeps resolving.
 pub use crate::snapshot::StreamSnapshot;
 
-use crate::commit::{self, CommitScratch, Execution};
+use crate::concurrent::{BoundaryBook, Core, DrainSide, Lend, MembershipSide, Writer};
 use crate::ingress::PendingBall;
-use crate::metrics::StreamMetrics;
-use crate::observer::GapTrajectoryObserver;
-use crate::policy::{ChoiceCtx, Chooser, Policy};
-use crate::shard::{ShardStats, ShardedBins};
-use crate::snapshot;
+use crate::policy::Policy;
+use crate::shard::ShardStats;
 
 /// Configuration of a [`StreamAllocator`].
 #[derive(Debug, Clone, PartialEq)]
@@ -202,323 +185,96 @@ impl StreamConfig {
     }
 }
 
-/// External observers, shared handles so callers keep access to their sinks
-/// while the engine notifies them. Interior mutability (one lock per event,
-/// only at batch boundaries / departures) keeps the hot path lock-free.
-#[derive(Default)]
-struct Observers(Vec<Arc<Mutex<dyn RouterObserver + Send>>>);
-
-impl Observers {
-    /// Visits every observer, skipping (and counting, when metrics are
-    /// installed) observers whose lock was poisoned by a panic in an earlier
-    /// hook — a skipped observer is a dropped event, and the no-silent-drops
-    /// rule says dropped events must be visible in `observer.errors`.
-    fn each(
-        &self,
-        errors: Option<&pba_obs::Counter>,
-        mut visit: impl FnMut(&mut (dyn RouterObserver + Send)),
-    ) {
-        for obs in &self.0 {
-            match obs.lock() {
-                Ok(mut guard) => visit(&mut *guard),
-                Err(_) => {
-                    if let Some(errors) = errors {
-                        errors.inc();
-                    }
-                }
-            }
-        }
-    }
-
-    fn notify_batch(&self, event: &BatchEvent<'_>, errors: Option<&pba_obs::Counter>) {
-        self.each(errors, |obs| obs.on_batch(event));
-    }
-
-    fn notify_route(&self, event: &RouteEvent, errors: Option<&pba_obs::Counter>) {
-        self.each(errors, |obs| obs.on_route(event));
-    }
-
-    fn notify_reweight(&self, event: &ReweightEvent<'_>, errors: Option<&pba_obs::Counter>) {
-        self.each(errors, |obs| obs.on_reweight(event));
-    }
-
-    fn notify_release(&self, event: &ReleaseEvent, errors: Option<&pba_obs::Counter>) {
-        self.each(errors, |obs| obs.on_release(event));
-    }
-
-    fn notify_membership(&self, event: &MembershipChange<'_>, errors: Option<&pba_obs::Counter>) {
-        self.each(errors, |obs| obs.on_membership(event));
-    }
-}
-
-impl fmt::Debug for Observers {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Observers({})", self.0.len())
-    }
-}
-
-/// Elastic-membership state of a [`StreamAllocator`]: the lifecycle table
-/// plus the weight resolves it keeps cached between boundaries.
-#[derive(Debug)]
-struct MembershipState {
-    /// The per-slot lifecycle table (active set, states, slot weights).
-    table: Membership,
-    /// Plans staged since the last boundary, applied (in staging order) when
-    /// the next batch opens.
-    pending: MembershipPlan,
-    /// The weight resolve **restricted to the active slots** — what sampling
-    /// and pricing use; `None` when the surviving weights are uniform, which
-    /// keeps the engine on the exact unweighted paths a compacted fresh
-    /// engine over the active bins would run (the suffix-equivalence
-    /// invariant).
-    active_resolved: Option<ResolvedWeights>,
-}
-
-/// Online, sharded, batched streaming allocator.
+/// Online, sharded, batched streaming allocator — the single-owner shell of
+/// the engine core (see the [module docs](self)). Where a method's behaviour
+/// is the core's own, its full description is on the shared handle's method
+/// of the same name ([`crate::ConcurrentRouter`]).
 #[derive(Debug)]
 pub struct StreamAllocator {
-    config: StreamConfig,
-    bins: ShardedBins,
-    /// Stale load vector: the state at the last batch boundary.
-    stale: Vec<u32>,
-    pending: Vec<PendingBall>,
-    next_ball: u64,
-    arrived: u64,
-    placed: u64,
-    departed: u64,
-    batches: u64,
-    /// The default observer: per-batch gap trajectory + streaming stats.
-    gap: GapTrajectoryObserver,
-    /// External observer sinks, notified after the default observer.
-    observers: Observers,
-    /// Resident-ball table for handle-based routing: only balls placed via
-    /// [`StreamAllocator::route`] are ticketed; `push`ed balls are anonymous.
-    tickets: TicketLedger,
-    /// Balls routed (tickets issued).
-    routed: u64,
-    /// Tickets released (a subset of `departed`).
-    released: u64,
-    /// Balls routed since the last batch boundary (the open routed batch).
-    open_batch: usize,
-    /// Weights staged by [`StreamAllocator::set_weights`], applied at the
-    /// next batch boundary.
-    pending_weights: Option<BinWeights>,
-    /// Scratch of the commit stage — the chosen bins of the batch or group
-    /// in flight and the grouped commit's counters (reused).
-    commit_scratch: CommitScratch,
-    /// Scratch: the active bins' loads, gathered for a membership engine's
-    /// boundary gap (reused).
-    gap_scratch: Vec<u32>,
-    /// Non-uniform weights resolved once at construction (and re-resolved at
-    /// reweighting boundaries); `None` keeps every hot path on the exact
-    /// unweighted code (the strict no-op invariant).
-    resolved: Option<ResolvedWeights>,
-    /// Scratch: per-bin capacity thresholds of the batch being drained (only
-    /// filled for [`Policy::CapacityThreshold`] on non-uniform weights).
-    capacity_scratch: Vec<u32>,
-    /// The flat threshold of the open routed batch (projected full batch).
-    route_threshold: u32,
-    /// Per-bin capacity thresholds of the open routed batch (kept separate
-    /// from `capacity_scratch` so interleaved `drain_ready` calls cannot
-    /// clobber an open batch's thresholds).
-    route_capacity: Vec<u32>,
-    /// Dedicated worker pool of the parallel drain when
-    /// [`StreamConfig::num_threads`] is positive; `None` drains on the
-    /// ambient (installed or global) pool.
-    pool: Option<rayon::ThreadPool>,
-    /// Resolved metric handles ([`StreamAllocator::install_metrics`]);
-    /// `None` is the disabled fast path — zero metric instructions anywhere.
-    metrics: Option<StreamMetrics>,
-    /// Elastic-membership state. `None` — the lifetime default of an engine
-    /// with no reserve slots and no staged plan — keeps every hot path on
-    /// the exact fixed-membership code; created eagerly when
-    /// [`StreamConfig::reserve_bins`] is positive, lazily on the first
-    /// [`StreamAllocator::stage_membership`] otherwise. When present,
-    /// `resolved` holds the **capacity-wide** resolve used for candidate
-    /// comparisons (`None` when the surviving weights are uniform), while
-    /// `MembershipState::active_resolved` drives sampling and pricing.
-    membership: Option<MembershipState>,
+    core: Core,
+    /// Batch count and gap trajectory, written at boundaries.
+    book: BoundaryBook,
+    /// Lifecycle table and staged membership / weight changes.
+    side: MembershipSide,
+    /// The push buffer (arrival order is call order) and the drain's scratch.
+    drain: DrainSide,
 }
 
 impl StreamAllocator {
     /// Creates an empty stream over `config.bins` bins.
     pub fn new(config: StreamConfig) -> Self {
-        assert!(config.bins > 0, "a stream needs at least one bin");
-        let config = StreamConfig {
-            batch_size: config.batch_size.max(1),
-            ..config
-        };
-        if let Some(prescribed) = config.weights.prescribed_bins() {
-            assert_eq!(
-                prescribed, config.bins,
-                "weights describe {prescribed} bins but the stream has {}",
-                config.bins
-            );
+        let (core, book, side) = Core::new(config);
+        Self {
+            core,
+            book,
+            side,
+            drain: DrainSide::default(),
         }
-        let resolved = config.weights.resolve(config.bins);
-        let capacity = config.bins + config.reserve_bins;
-        // Reserve slots make membership real from birth: the retired tail
-        // must be invisible to sampling, so the membership table (with its
-        // identity active set over the first `bins` slots) exists eagerly.
-        let membership = (config.reserve_bins > 0).then(|| MembershipState {
-            table: Membership::new(
-                config.bins,
-                capacity,
-                &Self::slot_weight_values(resolved.as_ref(), config.bins),
-            ),
-            pending: MembershipPlan::new(),
-            active_resolved: resolved.clone(),
-        });
-        let mut stream = Self {
-            bins: ShardedBins::new(capacity, config.shards),
-            stale: vec![0; capacity],
-            pending: Vec::with_capacity(config.batch_size),
-            next_ball: 0,
-            arrived: 0,
-            placed: 0,
-            departed: 0,
-            batches: 0,
-            gap: GapTrajectoryObserver::new(config.trajectory_cap),
-            observers: Observers::default(),
-            tickets: TicketLedger::new(capacity),
-            routed: 0,
-            released: 0,
-            open_batch: 0,
-            pending_weights: None,
-            commit_scratch: CommitScratch::default(),
-            gap_scratch: Vec::new(),
-            resolved,
-            capacity_scratch: Vec::new(),
-            route_threshold: 0,
-            route_capacity: Vec::new(),
-            pool: (config.num_threads > 0).then(|| {
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(config.num_threads)
-                    .build()
-                    .expect("stream drain pool")
-            }),
-            metrics: None,
-            membership,
-            config,
-        };
-        if stream.membership.is_some() {
-            // Canonicalize `resolved` to the capacity-wide form membership
-            // comparisons index by slot id (retired tails included).
-            stream.refresh_membership_weights();
-        }
-        stream
-    }
-
-    /// Per-slot weight values of the first `bins` slots: the raw resolved
-    /// weights, or `1.0` placeholders for a uniform configuration (weights
-    /// are scale-free, so any constant is the same configuration).
-    fn slot_weight_values(resolved: Option<&ResolvedWeights>, bins: usize) -> Vec<f64> {
-        match resolved {
-            Some(resolved) => (0..bins).map(|i| resolved.weight(i)).collect(),
-            None => vec![1.0; bins],
-        }
-    }
-
-    /// Installs a metrics registry: resolves every handle the engine records
-    /// into (see [`StreamMetrics`]) so the hot path pays one relaxed atomic
-    /// per event and zero registry locks. Metrics are write-only — placements
-    /// and RNG streams are bit-identical with and without a registry.
-    pub fn install_metrics(&mut self, registry: Arc<pba_obs::MetricsRegistry>) {
-        self.metrics = Some(StreamMetrics::resolve(registry, self.capacity()));
-    }
-
-    /// The installed metric handles, if any.
-    pub fn metrics(&self) -> Option<&StreamMetrics> {
-        self.metrics.as_ref()
     }
 
     /// Creates a stream whose bins already hold `loads` **anonymous** resident
     /// balls (no tickets), with the stale snapshot advanced to match — i.e.
-    /// the state an engine reaches at a batch boundary with those loads. This
-    /// is the reference constructor of the reweighting equivalence property:
-    /// after [`StreamAllocator::set_weights`] takes effect, the suffix of
-    /// drains is bit-identical to a fresh engine built here with the new
-    /// weights and the loads at the reweighting boundary.
+    /// the state an engine reaches at a batch boundary with those loads,
+    /// except that no boundary is counted (epoch and batch count start at 0).
+    /// This is the reference constructor of the reweighting equivalence
+    /// property: after [`StreamAllocator::set_weights`] takes effect, the
+    /// suffix of drains is bit-identical to a fresh engine built here with
+    /// the new weights and the loads at the reweighting boundary.
     pub fn with_resident_loads(config: StreamConfig, loads: &[u32]) -> Self {
         let mut stream = Self::new(config);
-        assert_eq!(
-            loads.len(),
-            stream.capacity(),
-            "resident loads describe {} bins but the stream has {} slots",
-            loads.len(),
-            stream.capacity()
-        );
-        for (bin, &load) in loads.iter().enumerate() {
-            if load > 0 {
-                stream.bins.place_many_unrecorded(bin, load);
-            }
-        }
-        // Fold the seeded balls into the shard bookkeeping so stats stay
-        // consistent with an engine that placed them one by one.
-        for s in 0..stream.bins.shard_count() {
-            let range = stream.bins.shard_start(s)..stream.bins.shard_start(s + 1);
-            let accepted: u64 = loads[range.clone()].iter().map(|&l| l as u64).sum();
-            let peak = loads[range].iter().copied().max().unwrap_or(0);
-            stream.bins.record_batch(s, accepted, peak);
-        }
-        let total = stream.bins.total();
-        stream.placed = total;
-        stream.arrived = total;
-        stream.bins.snapshot_into(&mut stream.stale);
+        stream.core.seed_resident_loads(loads);
         stream
     }
 
-    /// The configuration this stream runs with.
-    pub fn config(&self) -> &StreamConfig {
-        &self.config
+    /// Installs a metrics registry: resolves every handle the engine records
+    /// into (see [`crate::StreamMetrics`]) so the hot path pays one relaxed atomic
+    /// per event and zero registry locks. Metrics are write-only — placements
+    /// and RNG streams are bit-identical with and without a registry — and
+    /// installing one mid-stream changes nothing but where later events are
+    /// counted.
+    pub fn install_metrics(&mut self, registry: Arc<pba_obs::MetricsRegistry>) {
+        self.core.install_metrics(registry);
     }
 
-    /// Buffers one arriving ball with router key `key`; returns its ball id.
+    /// The configuration this stream was built with. `config().weights`
+    /// stays the construction-time value; [`StreamAllocator::weights`]
+    /// follows runtime reweighting.
+    pub fn config(&self) -> &StreamConfig {
+        self.core.config()
+    }
+
+    /// Lends the core this owner's boundary book and membership side.
+    fn lent(&mut self) -> (&Core, Writer<'_>, &mut DrainSide) {
+        let writer = Writer {
+            boundary: Lend::Owned(&mut self.book),
+            membership: Lend::Owned(&mut self.side),
+        };
+        (&self.core, writer, &mut self.drain)
+    }
+
+    /// Buffers one arriving ball with router key `key`; returns its ball id —
+    /// the next of the one arrival sequence `push` and `route` share.
     /// Nothing is allocated until [`StreamAllocator::drain_ready`] (or
     /// [`StreamAllocator::flush`]) runs.
     pub fn push(&mut self, key: u64) -> u64 {
-        let id = self.next_ball;
-        self.next_ball += 1;
-        self.arrived += 1;
-        self.pending.push(PendingBall { id, key });
+        let id = self.core.stamp_owned();
+        self.drain.buffer.push(PendingBall { id, key });
         id
     }
 
     /// Drains every *full* batch currently buffered; returns the number of
     /// batches drained. Balls beyond the last full batch stay buffered.
     pub fn drain_ready(&mut self) -> usize {
-        self.drain_buffered(false)
+        let (core, mut writer, drain) = self.lent();
+        core.drain_batches(&mut writer, drain, false)
     }
 
     /// Drains everything that is buffered, including a final partial batch,
     /// and closes a partially filled routed batch (so its boundary is
     /// recorded). Returns the number of batch boundaries produced.
     pub fn flush(&mut self) -> usize {
-        let closed = self.close_open_batch() as usize;
-        closed + self.drain_buffered(true)
-    }
-
-    /// Drains the buffer in `batch_size` windows without copying balls out:
-    /// the buffer is taken whole, batches are slices of it, and only an
-    /// undrained tail (if any) is compacted back.
-    fn drain_buffered(&mut self, include_partial: bool) -> usize {
-        let mut buffer = std::mem::take(&mut self.pending);
-        let batch_size = self.config.batch_size;
-        let mut drained = 0;
-        let mut start = 0;
-        while buffer.len() - start >= batch_size {
-            self.drain_batch(&buffer[start..start + batch_size]);
-            start += batch_size;
-            drained += 1;
-        }
-        if include_partial && start < buffer.len() {
-            self.drain_batch(&buffer[start..]);
-            start = buffer.len();
-            drained += 1;
-        }
-        buffer.drain(..start);
-        self.pending = buffer;
-        drained
+        let (core, mut writer, drain) = self.lent();
+        core.flush(&mut writer, drain)
     }
 
     /// Routes one ball **synchronously**: places it against the current stale
@@ -526,864 +282,181 @@ impl StreamAllocator {
     /// `batch_size` balls have been routed since the last boundary. For the
     /// same keys this is bit-identical to `push` + `drain_ready` (see the
     /// module docs); unlike `push`, the caller learns the bin immediately and
-    /// holds a handle to release the placement later.
-    ///
-    /// Streaming routing is infallible (the `Result` is the shared
-    /// [`Router`] surface); the error arm is never taken.
+    /// holds a handle to release the placement later. Infallible — the
+    /// `Result` is the shared [`Router`] surface.
     pub fn route(&mut self, key: u64) -> Result<Placement, RouteError> {
-        if self.open_batch == 0 {
-            // A routed batch opens here: apply staged membership and weights
-            // and compute the batch thresholds, projecting a full batch (a
-            // router cannot know how many requests the batch will have).
-            self.apply_staged_changes();
-            self.route_threshold = self.batch_threshold(self.config.batch_size as u64);
-            let mut thresholds = std::mem::take(&mut self.route_capacity);
-            self.fill_capacity_thresholds_into(self.config.batch_size as u64, &mut thresholds);
-            self.route_capacity = thresholds;
-        }
-        let bin = {
-            let ctx = ChoiceCtx {
-                snapshot: &self.stale,
-                weights: self.resolved.as_ref(),
-                batch_threshold: self.route_threshold,
-                capacity_thresholds: &self.route_capacity,
-                seed: self.config.seed,
-                bins: self.capacity(),
-                active: self.membership.as_ref().map(|s| s.table.active()),
-                active_weights: self
-                    .membership
-                    .as_ref()
-                    .and_then(|s| s.active_resolved.as_ref()),
-                counters: self.metrics.as_ref().map(|m| &m.policy),
-            };
-            Chooser::new(self.config.policy, &ctx).choose_one(key)
-        };
-        self.bins.place(bin as usize);
-        let id = self.next_ball;
-        self.next_ball += 1;
-        self.arrived += 1;
-        self.placed += 1;
-        self.routed += 1;
-        self.open_batch += 1;
-        if let Some(metrics) = &self.metrics {
-            metrics.routed.inc();
-            metrics.placed.inc();
-            metrics.bin_commits.inc(bin as usize);
-        }
-        let ticket = self.tickets.issue(id, bin as usize);
-        if !self.observers.0.is_empty() {
-            // The per-arrival tap trace recorders hang off. Fires before the
-            // boundary this arrival may complete, so a recorder sees the
-            // arrival strictly before its batch event.
-            let event = RouteEvent {
-                key,
-                ticket,
-                resident: self.placed - self.departed,
-            };
-            self.observers
-                .notify_route(&event, self.metrics.as_ref().map(|m| &m.observer_errors));
-        }
-        if self.open_batch >= self.config.batch_size {
-            self.close_open_batch();
-        }
-        Ok(Placement {
-            ticket,
-            bin: bin as usize,
-        })
+        let (core, mut writer, _) = self.lent();
+        core.route(&mut writer, key)
     }
 
-    /// Routes a group of keys, bit-identical to calling
-    /// [`StreamAllocator::route`] once per key but with the per-route
-    /// overhead amortized: the group is split at batch boundaries (so staged
-    /// changes apply and thresholds re-price exactly where the loop would),
-    /// and within each sub-group the pricing context is built once, the
-    /// chosen bins are committed as per-bin grouped deltas
-    /// ([`ShardedBins::place_group_with`] — one atomic increment per distinct
-    /// bin), and the counters advance by whole-group adds.
-    ///
-    /// Streaming routing is infallible; the `Result` is the shared
-    /// [`Router`] surface.
+    /// Routes a group of keys through one amortized pass, bit-identical to
+    /// calling [`StreamAllocator::route`] once per key; see
+    /// [`crate::ConcurrentRouter::route_many`].
     pub fn route_many(&mut self, keys: &[u64]) -> Result<Vec<Placement>, RouteError> {
-        // A singleton group amortizes nothing: delegate to `route` so the
-        // batched surface costs one `Vec` over the one-at-a-time path.
-        if let [key] = keys {
-            return self.route(*key).map(|placement| vec![placement]);
-        }
-        let mut placements = Vec::with_capacity(keys.len());
-        let mut rest = keys;
-        while !rest.is_empty() {
-            if self.open_batch == 0 {
-                // Same batch-open sequence as `route`.
-                self.apply_staged_changes();
-                self.route_threshold = self.batch_threshold(self.config.batch_size as u64);
-                let mut thresholds = std::mem::take(&mut self.route_capacity);
-                self.fill_capacity_thresholds_into(self.config.batch_size as u64, &mut thresholds);
-                self.route_capacity = thresholds;
-            }
-            // Never cross the boundary inside a sub-group: the remainder of
-            // the open batch caps the group, so the boundary (and any staged
-            // re-pricing) lands exactly where the one-at-a-time loop puts it.
-            let take = rest.len().min(self.config.batch_size - self.open_batch);
-            let (group, tail) = rest.split_at(take);
-            rest = tail;
-
-            // Choose every bin of the sub-group against the batch's fixed
-            // pricing — `ChoiceCtx` is constant within a batch, so one build
-            // serves the whole sub-group — and commit them as grouped
-            // per-bin deltas: the drain's commit stage, on this thread.
-            let ctx = ChoiceCtx {
-                snapshot: &self.stale,
-                weights: self.resolved.as_ref(),
-                batch_threshold: self.route_threshold,
-                capacity_thresholds: &self.route_capacity,
-                seed: self.config.seed,
-                bins: self.capacity(),
-                active: self.membership.as_ref().map(|s| s.table.active()),
-                active_weights: self
-                    .membership
-                    .as_ref()
-                    .and_then(|s| s.active_resolved.as_ref()),
-                counters: self.metrics.as_ref().map(|m| &m.policy),
-            };
-            commit::commit_batch(
-                self.config.policy,
-                &ctx,
-                group,
-                |&key| key,
-                Execution::INLINE,
-                &self.bins,
-                &mut self.commit_scratch,
-                self.metrics.as_ref().map(|m| &m.bin_commits),
-            );
-            let chosen = &self.commit_scratch.chosen;
-            let base = self.next_ball;
-            self.next_ball += take as u64;
-            self.arrived += take as u64;
-            self.placed += take as u64;
-            self.routed += take as u64;
-            self.open_batch += take;
-            if let Some(metrics) = &self.metrics {
-                metrics.routed.add(take as u64);
-                metrics.placed.add(take as u64);
-            }
-            let notify = !self.observers.0.is_empty();
-            let resident_base = self.placed - self.departed - take as u64;
-            for (offset, (&key, &bin)) in group.iter().zip(chosen.iter()).enumerate() {
-                let ticket = self.tickets.issue(base + offset as u64, bin as usize);
-                if notify {
-                    // Per-arrival taps fire in arrival order with the same
-                    // resident counts the loop would report.
-                    let event = RouteEvent {
-                        key,
-                        ticket,
-                        resident: resident_base + offset as u64 + 1,
-                    };
-                    self.observers
-                        .notify_route(&event, self.metrics.as_ref().map(|m| &m.observer_errors));
-                }
-                placements.push(Placement {
-                    ticket,
-                    bin: bin as usize,
-                });
-            }
-            if self.open_batch >= self.config.batch_size {
-                self.close_open_batch();
-            }
-        }
-        Ok(placements)
+        let (core, mut writer, _) = self.lent();
+        core.route_many(&mut writer, keys)
     }
 
-    /// Simulates a **bin crash**: force-releases every *ticketed* resident
-    /// ball of `bin` through the normal release path (ledger redeem → depart
-    /// → [`ReleaseEvent`]), returning how many tickets were evicted. After a
-    /// crash the ledger and the load vector stay consistent — a crash is a
-    /// burst of departures, not a silent loss — so conservation and ledger
-    /// invariants must keep holding. Anonymous `push`-placed balls hold no
-    /// tickets and therefore survive (the engine has no handle to evict
-    /// them); fault harnesses route their traffic to make crashes total.
+    /// Simulates a **bin crash**: force-releases every *ticketed* resident of
+    /// `bin` and returns how many; see [`crate::ConcurrentRouter::crash_bin`].
+    /// Anonymous `push`-placed balls hold no tickets and survive, so fault
+    /// harnesses route their traffic to make crashes total.
     pub fn crash_bin(&mut self, bin: usize) -> u64 {
-        let mut evicted = 0;
-        while let Some(ticket) = self.tickets.resident_in(bin) {
-            self.release(ticket)
-                .expect("ledger-resident ticket must release");
-            evicted += 1;
-        }
-        evicted
+        self.core.crash_bin(bin)
     }
 
-    /// Releases a routed ball: validates the ticket against the resident
-    /// table, departs its bin, and notifies observers. Double releases and
-    /// foreign tickets fail with [`RouteError::UnknownTicket`]. Like every
-    /// load change, the departure reaches the policies at the next batch
-    /// boundary.
+    /// Releases a routed ball; double releases and foreign tickets fail with
+    /// [`RouteError::UnknownTicket`]. See [`crate::ConcurrentRouter::release`].
     pub fn release(&mut self, ticket: Ticket) -> Result<(), RouteError> {
-        let bin = match self.tickets.redeem(ticket) {
-            Ok(bin) => bin,
-            Err(err) => {
-                if let Some(metrics) = &self.metrics {
-                    metrics.rejected_unknown_ticket.inc();
-                }
-                return Err(err);
-            }
-        };
-        if !self.bins.depart(bin) {
-            // Defensive: a redeemed ticket names a resident ball, so its bin
-            // cannot be empty unless the ledger and the bins diverged (a bug,
-            // not a caller error). Fail the release rather than corrupt loads.
-            if let Some(metrics) = &self.metrics {
-                metrics.rejected_unknown_ticket.inc();
-            }
-            return Err(RouteError::UnknownTicket { ticket });
-        }
-        self.departed += 1;
-        self.released += 1;
-        if let Some(metrics) = &self.metrics {
-            metrics.released.inc();
-        }
-        let event = ReleaseEvent {
-            ticket,
-            load_after: self.bins.load(bin),
-            // O(1): the counters track Σ loads exactly (`conserves_balls`);
-            // an O(n) `bins.total()` scan per departure would reintroduce
-            // the O(departures·n) churn cost.
-            resident: self.placed - self.departed,
-        };
-        self.gap.on_release(&event);
-        self.observers
-            .notify_release(&event, self.metrics.as_ref().map(|m| &m.observer_errors));
-        Ok(())
+        self.core.release(ticket)
     }
 
-    /// Releases a group of tickets — the grouped surface of
-    /// [`StreamAllocator::release`], bit-identical to looping it (the group
-    /// stops at the first failing ticket; prior releases stay committed).
-    /// The tickets are redeemed in order, then their bins depart through the
-    /// same grouped commit the routes arrive by
-    /// ([`ShardedBins::release_group_with`]: one decrement per distinct bin,
-    /// one stats lock per touched shard) and the counters advance by
-    /// whole-group adds; [`ReleaseEvent`]s still fire per ticket, in order,
-    /// with the running values the loop would report.
+    /// Releases a group of tickets, bit-identical to looping
+    /// [`StreamAllocator::release`] (the group stops at the first failing
+    /// ticket; prior releases stay committed); see
+    /// [`crate::ConcurrentRouter::release_many`].
     pub fn release_many(&mut self, tickets: &[Ticket]) -> Result<(), RouteError> {
-        // A singleton group amortizes nothing: delegate to `release`.
-        if let [ticket] = tickets {
-            return self.release(*ticket);
-        }
-        let CommitScratch { chosen, group } = &mut self.commit_scratch;
-        chosen.clear();
-        let mut result = Ok(());
-        for &ticket in tickets {
-            match self.tickets.redeem(ticket) {
-                Ok(bin) => chosen.push(bin as u32),
-                Err(err) => {
-                    result = Err(err);
-                    break;
-                }
-            }
-        }
-        let mut rejected = result.is_err() as u64;
-        let taken = self.bins.release_group_with(chosen, group);
-        self.departed += taken;
-        self.released += taken;
-        if taken < chosen.len() as u64 {
-            // Defensive: a redeemed ticket names a resident ball, so no bin
-            // can underflow unless the ledger and the bins diverged (a bug,
-            // not a caller error — same stance as the one-at-a-time path).
-            rejected += chosen.len() as u64 - taken;
-            result = Err(RouteError::UnknownTicket {
-                ticket: tickets[taken as usize],
-            });
-        }
-        if let Some(metrics) = &self.metrics {
-            metrics.released.add(taken);
-            metrics.rejected_unknown_ticket.add(rejected);
-        }
-        if !self.observers.0.is_empty() && taken == chosen.len() as u64 {
-            // Per-departure taps fire in ticket order with the running
-            // counts the loop would report.
-            let loads_after = commit::loads_after_each_release(&self.bins, chosen);
-            let resident_final = self.placed - self.departed;
-            for (offset, (&ticket, load_after)) in tickets.iter().zip(loads_after).enumerate() {
-                let event = ReleaseEvent {
-                    ticket,
-                    load_after,
-                    resident: resident_final + (chosen.len() - 1 - offset) as u64,
-                };
-                self.observers
-                    .notify_release(&event, self.metrics.as_ref().map(|m| &m.observer_errors));
-            }
-        }
-        result
+        self.core.release_many(tickets)
     }
 
-    /// Stages new bin weights, applied at the **next batch boundary**: the
-    /// in-flight batch finishes under the old weights, then the alias table,
-    /// capacity thresholds and gap measure are rebuilt and
-    /// [`RouterObserver::on_reweight`] fires. From that boundary on, drains
-    /// are bit-identical to a fresh engine constructed with the new weights
-    /// over the same resident loads. Non-uniform weights must describe
-    /// exactly `bins` bins — or, once the engine is membership-aware, one
-    /// weight per **capacity slot** (retired slots carry placeholders the
-    /// next `Add` overwrites); uniform weights (any constant) return the
-    /// engine to the strict unweighted path.
+    /// Stages new bin weights, applied at the **next batch boundary**; see
+    /// [`crate::ConcurrentRouter::set_weights`]. From that boundary on, drains are
+    /// bit-identical to a fresh engine constructed with the new weights over
+    /// the same resident loads ([`StreamAllocator::with_resident_loads`]).
     pub fn set_weights(&mut self, weights: BinWeights) {
-        if let Some(prescribed) = weights.prescribed_bins() {
-            let slots = if self.membership.is_some() {
-                self.capacity()
-            } else {
-                self.config.bins
-            };
-            assert_eq!(
-                prescribed, slots,
-                "weights describe {prescribed} bins but the stream has {slots}",
-            );
-        }
-        self.pending_weights = Some(weights);
+        self.core.set_weights(&mut self.side, weights);
     }
 
     /// Stages a [`MembershipPlan`], applied at the **next batch boundary**
-    /// and strictly *before* any staged weights: the in-flight batch finishes
-    /// under the old topology, then the active set, alias tables, capacity
-    /// thresholds and gap measure are rebuilt over the surviving bins and
-    /// [`RouterObserver::on_membership`] fires (only when something actually
-    /// changed; every rejected event is counted under
-    /// `membership.rejected_*`). Staging twice before a boundary
-    /// concatenates the plans in order. An empty plan is a strict no-op.
+    /// and strictly *before* any staged weights; see
+    /// [`crate::ConcurrentRouter::stage_membership`].
     pub fn stage_membership(&mut self, plan: MembershipPlan) {
-        self.ensure_membership();
-        self.membership
-            .as_mut()
-            .expect("membership exists after ensure")
-            .pending
-            .extend(plan);
-    }
-
-    /// Creates the membership state lazily (identity active set over the
-    /// configured bins, zero reserve) the first time an engine without
-    /// reserve slots stages a plan. A strict no-op for placements: an
-    /// identity active set samples and prices exactly like the
-    /// fixed-membership paths.
-    fn ensure_membership(&mut self) {
-        if self.membership.is_some() {
-            return;
-        }
-        self.membership = Some(MembershipState {
-            table: Membership::new(
-                self.config.bins,
-                self.capacity(),
-                &Self::slot_weight_values(self.resolved.as_ref(), self.config.bins),
-            ),
-            pending: MembershipPlan::new(),
-            // Identity active set: the restricted resolve IS the full one.
-            active_resolved: self.resolved.clone(),
-        });
+        self.core.stage_membership(&mut self.side, plan);
     }
 
     /// Registers an external observer, notified (after the built-in gap
     /// observer) on every batch boundary, reweighting and release. The caller
     /// keeps its own `Arc` handle to read the sink back.
     pub fn add_observer(&mut self, observer: Arc<Mutex<dyn RouterObserver + Send>>) {
-        self.observers.0.push(observer);
-    }
-
-    /// Applies everything staged for the next boundary: membership first
-    /// (the topology the new weights will describe), then weights. Called at
-    /// batch starts — i.e. the boundary after which the changes govern
-    /// placements — and a no-op when nothing is staged.
-    fn apply_staged_changes(&mut self) {
-        self.apply_pending_membership();
-        self.apply_pending_weights();
-    }
-
-    /// Applies membership plans staged by
-    /// [`StreamAllocator::stage_membership`]: runs the lifecycle state
-    /// machine with the ledger/loads occupancy predicate, bumps the
-    /// `membership.*` counters (accepted *and* rejected — nothing is
-    /// silent), rebuilds the cached weight resolves, and fires
-    /// [`RouterObserver::on_membership`] when the topology changed.
-    fn apply_pending_membership(&mut self) {
-        let Some(state) = &mut self.membership else {
-            return;
-        };
-        if state.pending.is_empty() {
-            return;
-        }
-        let plan = std::mem::take(&mut state.pending);
-        let bins = &self.bins;
-        let tickets = &self.tickets;
-        let outcome = state.table.apply(&plan, |bin| {
-            bins.load(bin as usize) > 0 || tickets.count_in(bin as usize) > 0
-        });
-        if let Some(metrics) = &self.metrics {
-            let counters = &metrics.membership;
-            counters.adds.add(outcome.added.len() as u64);
-            counters.drains.add(outcome.drained.len() as u64);
-            counters.removes.add(outcome.removed.len() as u64);
-            counters.rejected_adds.add(outcome.rejected_adds);
-            counters.rejected_drains.add(outcome.rejected_drains);
-            counters.rejected_removes.add(outcome.rejected_removes);
-        }
-        if !outcome.changed() {
-            return;
-        }
-        self.refresh_membership_weights();
-        let state = self.membership.as_ref().expect("membership just applied");
-        let event = MembershipChange {
-            batch_index: self.batches,
-            added: &outcome.added,
-            drained: &outcome.drained,
-            removed: &outcome.removed,
-            active: state.table.active(),
-            resident: self.placed - self.departed,
-        };
-        self.gap.on_membership(&event);
-        self.observers
-            .notify_membership(&event, self.metrics.as_ref().map(|m| &m.observer_errors));
-    }
-
-    /// Rebuilds the cached weight resolves after a membership or weight
-    /// change: the active-restricted resolve (sampling + pricing) and the
-    /// capacity-wide resolve (candidate comparisons, indexed by slot id).
-    /// When the surviving weights are uniform **both** are `None`, putting
-    /// the engine on the exact unweighted paths of a compacted fresh engine
-    /// over the active bins.
-    fn refresh_membership_weights(&mut self) {
-        let Some(state) = &mut self.membership else {
-            return;
-        };
-        let surviving: Vec<f64> = state
-            .table
-            .active()
-            .iter()
-            .map(|&bin| state.table.slot_weights()[bin as usize])
-            .collect();
-        state.active_resolved = BinWeights::explicit(surviving).resolve(state.table.active_count());
-        self.resolved = if state.active_resolved.is_some() {
-            // Non-uniform survivors imply a non-uniform slot vector, so the
-            // capacity-wide resolve always exists here.
-            BinWeights::explicit(state.table.slot_weights().to_vec())
-                .resolve(state.table.capacity())
-        } else {
-            None
-        };
-    }
-
-    /// Applies weights staged by [`StreamAllocator::set_weights`]. Called at
-    /// batch starts — i.e. the boundary after which the new weights govern
-    /// placements — and a no-op when nothing is staged.
-    fn apply_pending_weights(&mut self) {
-        let Some(weights) = self.pending_weights.take() else {
-            return;
-        };
-        match &mut self.membership {
-            Some(state) => {
-                let capacity = state.table.capacity();
-                let values = match weights.resolve(capacity) {
-                    Some(resolved) => (0..capacity).map(|i| resolved.weight(i)).collect(),
-                    None => vec![1.0; capacity],
-                };
-                state.table.set_slot_weights(&values);
-                self.config.weights = weights;
-                self.refresh_membership_weights();
-            }
-            None => {
-                self.resolved = weights.resolve(self.config.bins);
-                self.config.weights = weights;
-            }
-        }
-        // Report the *current* loads (an O(n) snapshot — reweights are rare):
-        // the stale snapshot omits departures since the last boundary, which
-        // would make the event's loads and resident fields inconsistent.
-        let loads = self.bins.snapshot();
-        let event = ReweightEvent {
-            batch_index: self.batches,
-            loads: &loads,
-            // Membership engines report the resolve that governs placement
-            // and gap: the one restricted to the surviving bins.
-            weights: match &self.membership {
-                Some(state) => state.active_resolved.as_ref(),
-                None => self.resolved.as_ref(),
-            },
-            resident: self.placed - self.departed,
-        };
-        self.gap.on_reweight(&event);
-        self.observers
-            .notify_reweight(&event, self.metrics.as_ref().map(|m| &m.observer_errors));
-    }
-
-    /// Closes the open routed batch (if any): advances the snapshot, records
-    /// the gap (under the weights the batch ran with), fires `on_batch`, and
-    /// then applies any staged weights — this *is* a batch boundary, so a
-    /// `set_weights` staged mid-batch must not survive past it (mirroring the
-    /// push path, where `drain_batch` applies staged weights at the start of
-    /// the next batch). Returns `true` when a boundary was produced.
-    fn close_open_batch(&mut self) -> bool {
-        if self.open_batch == 0 {
-            return false;
-        }
-        let batch_len = self.open_batch;
-        self.open_batch = 0;
-        self.batches += 1;
-        self.advance_boundary(batch_len);
-        self.apply_staged_changes();
-        true
-    }
-
-    /// Allocates one batch against the stale snapshot — choose, commit (the
-    /// shared stage of [`crate::commit`]) — then advances the snapshot to the
-    /// new loads and records the gap.
-    fn drain_batch(&mut self, batch: &[PendingBall]) {
-        if batch.is_empty() {
-            return;
-        }
-        // A batch starts here: this is the boundary where staged weights take
-        // effect — unless a *routed* batch is still open. Its thresholds were
-        // priced under the old weights, so applying mid-flight would let the
-        // open batch's remaining placements run under new weights against old
-        // thresholds; the staged change instead waits for the boundary that
-        // closes it (`close_open_batch`).
-        if self.open_batch == 0 {
-            self.apply_staged_changes();
-        }
-        let threshold = self.batch_threshold(batch.len() as u64);
-        let mut thresholds = std::mem::take(&mut self.capacity_scratch);
-        self.fill_capacity_thresholds_into(batch.len() as u64, &mut thresholds);
-        self.capacity_scratch = thresholds;
-
-        let ctx = ChoiceCtx {
-            snapshot: &self.stale,
-            weights: self.resolved.as_ref(),
-            batch_threshold: threshold,
-            capacity_thresholds: &self.capacity_scratch,
-            seed: self.config.seed,
-            bins: self.capacity(),
-            active: self.membership.as_ref().map(|s| s.table.active()),
-            active_weights: self
-                .membership
-                .as_ref()
-                .and_then(|s| s.active_resolved.as_ref()),
-            counters: self.metrics.as_ref().map(|m| &m.policy),
-        };
-        commit::commit_batch(
-            self.config.policy,
-            &ctx,
-            batch,
-            |ball| ball.key,
-            Execution {
-                parallel: self.config.parallel,
-                pool: self.pool.as_ref(),
-            },
-            &self.bins,
-            &mut self.commit_scratch,
-            self.metrics.as_ref().map(|m| &m.bin_commits),
-        );
-        if let Some(metrics) = &self.metrics {
-            metrics.placed.add(batch.len() as u64);
-        }
-
-        self.placed += batch.len() as u64;
-        self.batches += 1;
-
-        self.advance_boundary(batch.len());
-    }
-
-    /// The batch boundary: advances the stale snapshot to the fresh loads and
-    /// fires `on_batch` through the observer chain — the default
-    /// [`GapTrajectoryObserver`] first (keeping the gap trajectory
-    /// bit-identical to the pre-observer engine), then external sinks.
-    fn advance_boundary(&mut self, batch_len: usize) {
-        self.bins.snapshot_into(&mut self.stale);
-        let mut scratch = std::mem::take(&mut self.gap_scratch);
-        let gap = self.gap_of_loads(&self.stale, &mut scratch);
-        self.gap_scratch = scratch;
-        let event = BatchEvent {
-            batch_index: self.batches,
-            batch_len,
-            loads: &self.stale,
-            gap,
-            resident: self.placed - self.departed,
-        };
-        if let Some(metrics) = &self.metrics {
-            metrics.batches.inc();
-            metrics.gap.set(gap);
-            metrics.resident.set(event.resident as f64);
-        }
-        self.gap.on_batch(&event);
-        self.observers
-            .notify_batch(&event, self.metrics.as_ref().map(|m| &m.observer_errors));
-    }
-
-    /// Balls resident in **active** bins (the population thresholds re-price
-    /// over): the full resident count for a fixed-membership engine, the
-    /// active-bin loads only once bins drain — balls stranded on draining
-    /// bins are leaving, and counting them would inflate the fair share of
-    /// the survivors.
-    fn active_resident(&self) -> u64 {
-        match &self.membership {
-            Some(state) => state
-                .table
-                .active()
-                .iter()
-                .map(|&bin| self.bins.load(bin as usize) as u64)
-                .sum(),
-            None => self.bins.total(),
-        }
-    }
-
-    /// The batch threshold of the paper-style [`Policy::Threshold`] rule over
-    /// the current resident population (see [`snapshot::batch_threshold`]) —
-    /// the **active** population and bin count once membership is elastic.
-    fn batch_threshold(&self, batch_len: u64) -> u32 {
-        let bins = match &self.membership {
-            Some(state) => state.table.active_count(),
-            None => self.config.bins,
-        };
-        snapshot::batch_threshold(self.config.policy, self.priced_resident(), bins, batch_len)
-    }
-
-    /// The resident count thresholds are priced over ([`Self::active_resident`]);
-    /// `0`, which nothing reads, for a policy that prices none — every batch
-    /// of every other policy is spared the `O(n)` count.
-    fn priced_resident(&self) -> u64 {
-        if snapshot::uses_thresholds(self.config.policy) {
-            self.active_resident()
-        } else {
-            0
-        }
-    }
-
-    /// Per-bin capacity thresholds of [`Policy::CapacityThreshold`] over the
-    /// current resident population (see
-    /// [`snapshot::fill_capacity_thresholds_into`]). The drain path and the
-    /// route path keep separate buffers, so an interleaved `drain_ready`
-    /// cannot clobber an open routed batch's thresholds.
-    fn fill_capacity_thresholds_into(&self, batch_len: u64, out: &mut Vec<u32>) {
-        match &self.membership {
-            Some(state) => snapshot::fill_active_capacity_thresholds_into(
-                self.config.policy,
-                state.active_resolved.as_ref(),
-                state.table.active(),
-                self.priced_resident(),
-                self.capacity(),
-                batch_len,
-                out,
-            ),
-            None => snapshot::fill_capacity_thresholds_into(
-                self.config.policy,
-                self.resolved.as_ref(),
-                self.priced_resident(),
-                self.config.bins,
-                batch_len,
-                out,
-            ),
-        }
-    }
-
-    /// The gap of a load vector under this stream's weights: classic
-    /// `max − mean` when uniform, weighted `max_i(load_i/w_i) − (Σ load)/W`
-    /// otherwise. Membership engines measure the **active** bins only —
-    /// draining and retired slots hold balls no placement decision can see.
-    /// `scratch` is where a membership engine gathers those active loads.
-    fn gap_of_loads(&self, loads: &[u32], scratch: &mut Vec<u32>) -> f64 {
-        match &self.membership {
-            Some(state) => snapshot::gap_of_active_loads(
-                loads,
-                state.table.active(),
-                state.active_resolved.as_ref(),
-                scratch,
-            ),
-            None => snapshot::gap_of_loads(loads, self.resolved.as_ref()),
-        }
+        self.core.add_observer(observer);
     }
 
     /// Fresh per-bin loads.
     pub fn loads(&self) -> Vec<u32> {
-        self.bins.snapshot()
+        self.core.loads()
     }
 
-    /// Fresh load of one bin (no allocation; see [`StreamAllocator::loads`]
-    /// for the full vector).
+    /// Fresh load of one bin (no allocation).
     pub fn load(&self, bin: usize) -> u32 {
-        self.bins.load(bin)
+        self.core.load(bin)
     }
 
     /// Balls currently resident (`placed − departed`).
     pub fn resident(&self) -> u64 {
-        self.bins.total()
+        self.core.resident()
     }
 
-    /// The resolved non-uniform weights, or `None` when the stream runs the
-    /// uniform (unweighted) configuration.
-    pub fn weights(&self) -> Option<&ResolvedWeights> {
-        self.resolved.as_ref()
+    /// The resolved non-uniform weights placements currently run under —
+    /// after a runtime reweighting or scale event, the ones it installed —
+    /// or `None` when the stream runs the uniform (unweighted) configuration.
+    pub fn weights(&self) -> Option<Arc<ResolvedWeights>> {
+        self.core.weights()
+    }
+
+    /// The effective weight of one slot: [`StreamAllocator::weights`] at
+    /// `bin` (commissioned slots included), 1.0 when uniform.
+    pub fn slot_weight(&self, bin: usize) -> f64 {
+        self.core.slot_weight(bin)
     }
 
     /// Total bin slots the engine is sized to: `bins + reserve_bins`. Every
     /// per-bin array (loads, stale snapshot, ledger, thresholds) has this
     /// length for the engine's whole lifetime; elasticity never reallocates.
     pub fn capacity(&self) -> usize {
-        self.config.bins + self.config.reserve_bins
+        self.core.capacity()
     }
 
-    /// The membership lifecycle table, once this engine is membership-aware
-    /// (`None` for a fixed-membership engine that never staged a plan and
-    /// reserves no slots).
+    /// The membership lifecycle table, once this engine is elastic (`None`
+    /// for a fixed-membership engine that reserves no slots and never staged
+    /// a plan or weights).
     pub fn membership(&self) -> Option<&Membership> {
-        self.membership.as_ref().map(|state| &state.table)
+        self.core.is_elastic().then(|| self.side.table())
     }
 
-    /// Force-migrates every **ticketed** resident off the draining bins,
-    /// re-routing each through the live policy against the current stale
-    /// snapshot (keyed by its ball id — the original routing key is not
-    /// retained) with thresholds priced for the migration volume. Old ticket
-    /// handles stay redeemable: the ledger follows the ball to its new bin.
-    /// Anonymous `push`-placed balls hold no handle and stay put (they keep
-    /// blocking a `Remove` until the bin empties otherwise). Loads move
-    /// (place + depart per ball) but `placed`/`departed` totals do not — a
-    /// migration is a move, not an arrival — so conservation is untouched.
-    /// Returns the number of migrations, also counted under
-    /// `membership.migrations`.
+    /// Force-migrates every **ticketed** resident off the draining bins
+    /// through the live policy and returns how many moved; see
+    /// [`crate::ConcurrentRouter::migrate_drained`].
     pub fn migrate_drained(&mut self) -> u64 {
-        let Some(state) = &self.membership else {
-            return 0;
-        };
-        let draining = state.table.draining();
-        if draining.is_empty() {
-            return 0;
-        }
-        let volume: u64 = draining
-            .iter()
-            .map(|&bin| self.tickets.count_in(bin as usize) as u64)
-            .sum();
-        if volume == 0 {
-            return 0;
-        }
-        let threshold = self.batch_threshold(volume);
-        let mut thresholds = std::mem::take(&mut self.capacity_scratch);
-        self.fill_capacity_thresholds_into(volume, &mut thresholds);
-        let state = self.membership.as_ref().expect("membership checked above");
-        let ctx = ChoiceCtx {
-            snapshot: &self.stale,
-            weights: self.resolved.as_ref(),
-            batch_threshold: threshold,
-            capacity_thresholds: &thresholds,
-            seed: self.config.seed,
-            bins: self.capacity(),
-            active: Some(state.table.active()),
-            active_weights: state.active_resolved.as_ref(),
-            counters: self.metrics.as_ref().map(|m| &m.policy),
-        };
-        let chooser = Chooser::new(self.config.policy, &ctx);
-        let mut migrated = 0u64;
-        for bin in draining {
-            while let Some(ticket) = self.tickets.resident_in(bin as usize) {
-                let target = chooser.choose_one(ticket.id());
-                self.bins.place(target as usize);
-                assert!(
-                    self.bins.depart(bin as usize),
-                    "draining bin with a resident ticket must hold load"
-                );
-                let moved = self
-                    .tickets
-                    .migrate(ticket.id(), bin as usize, target as usize);
-                debug_assert!(moved, "a ledger-resident ticket must migrate");
-                migrated += 1;
-                if let Some(metrics) = &self.metrics {
-                    metrics.membership.migrations.inc();
-                    metrics.bin_commits.inc(target as usize);
-                }
-            }
-        }
-        self.capacity_scratch = thresholds;
-        migrated
+        self.core.migrate_drained()
     }
 
     /// Fresh normalized loads `load_i / w_i` (the raw loads as `f64` for a
     /// uniform stream).
     pub fn normalized_loads(&self) -> Vec<f64> {
-        let loads = self.bins.snapshot();
-        match &self.resolved {
-            None => loads.iter().map(|&l| l as f64).collect(),
-            Some(weights) => normalized_loads(&loads, weights),
-        }
+        self.core.normalized_loads()
     }
 
     /// Largest fresh normalized load `max_i(load_i / w_i)` — the quantity the
     /// weighted policies minimise (raw max load when uniform).
     pub fn max_normalized_load(&self) -> f64 {
-        self.normalized_loads().into_iter().fold(0.0f64, f64::max)
+        self.core.max_normalized_load()
     }
 
     /// Balls buffered but not yet drained.
     pub fn pending(&self) -> usize {
-        self.pending.len()
+        self.drain.buffer.len()
+    }
+
+    /// The epoch of the stale snapshot the next batch decides from: 0 at
+    /// birth, +1 per batch boundary.
+    pub fn snapshot_epoch(&self) -> u64 {
+        self.core.snapshot_epoch()
     }
 
     /// The gap after recent drained batches, in order (the most recent
     /// [`StreamConfig::trajectory_cap`] entries at least; use
-    /// [`StreamAllocator::gap_stats`] for full-history aggregates). Served by
-    /// the default [`GapTrajectoryObserver`].
+    /// [`StreamAllocator::gap_stats`] for full-history aggregates).
     pub fn gap_trajectory(&self) -> &[f64] {
-        self.gap.trajectory()
+        self.book.gap().trajectory()
     }
 
     /// Streaming statistics over the per-batch gaps.
     pub fn gap_stats(&self) -> &OnlineStats {
-        self.gap.stats()
+        self.book.gap().stats()
     }
 
     /// Resident tickets (balls placed via [`StreamAllocator::route`] and not
     /// yet released). Anonymous `push`-placed balls are not counted.
     pub fn resident_tickets(&self) -> usize {
-        self.tickets.len()
+        self.core.resident_tickets()
     }
 
     /// Resident tickets in `bin`.
     pub fn tickets_in(&self, bin: usize) -> usize {
-        self.tickets.count_in(bin)
+        self.core.tickets_in(bin)
     }
 
-    /// A resident ticket of `bin` — the handle churn drivers pass to
-    /// [`StreamAllocator::release`] after choosing a bin to retire from.
-    /// Deterministic given the routing/release history, but not necessarily
-    /// the most recently routed ball (releases reorder the occupancy list;
-    /// see [`TicketLedger::resident_in`]).
+    /// A resident ticket of `bin`, if any — what churn drivers release after
+    /// choosing a bin to retire from; see [`crate::ConcurrentRouter::ticket_in`].
     pub fn ticket_in(&self, bin: usize) -> Option<Ticket> {
-        self.tickets.resident_in(bin)
+        self.core.ticket_in(bin)
     }
 
     /// Per-shard bookkeeping.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.bins.all_shard_stats()
-    }
-
-    /// Summary metrics of the current (fresh) load vector.
-    pub fn load_metrics(&self) -> LoadMetrics {
-        LoadMetrics::from_loads(&self.bins.snapshot())
+        self.core.shard_stats()
     }
 
     /// A full point-in-time snapshot.
     pub fn snapshot(&self) -> StreamSnapshot {
-        StreamSnapshot::assemble(
-            self.bins.snapshot(),
-            self.stale.clone(),
-            self.arrived,
-            self.placed,
-            self.departed,
-            self.pending.len() as u64,
-            self.batches,
-            self.resolved.as_ref(),
-            self.membership.as_ref().map(|s| s.table.active()),
-            self.membership
-                .as_ref()
-                .and_then(|s| s.active_resolved.as_ref()),
-        )
+        self.core
+            .snapshot(self.pending() as u64, self.book.batches())
     }
 
     /// The conservation invariant every streaming run must satisfy:
     /// `placed − departed == Σ loads` and `arrived == placed + pending`.
     pub fn conserves_balls(&self) -> bool {
-        self.placed - self.departed == self.bins.total()
-            && self.arrived == self.placed + self.pending.len() as u64
+        self.core.conserves_balls(self.pending() as u64)
     }
 }
 
@@ -1409,24 +482,14 @@ impl Router for StreamAllocator {
     }
 
     fn stats(&self) -> RouterStats {
-        let loads = self.bins.snapshot();
-        RouterStats {
-            routed: self.routed,
-            released: self.released,
-            resident: self.bins.total(),
-            bins: match &self.membership {
-                Some(state) => state.table.active_count(),
-                None => self.config.bins,
-            },
-            batches: self.batches,
-            gap: self.gap_of_loads(&loads, &mut Vec::new()),
-        }
+        self.core.stats(self.book.batches())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commit;
     use pba_model::rng::SplitMix64;
 
     fn push_uniform(stream: &mut StreamAllocator, count: u64, seed: u64) {
@@ -2019,6 +1082,95 @@ mod tests {
     }
 
     #[test]
+    fn push_and_route_share_one_monotone_arrival_sequence() {
+        // The owner's plain `push` stamp and the core's atomic `route` stamp
+        // advance the same counter: ids interleave without gaps or repeats.
+        let mut s = StreamAllocator::new(StreamConfig::new(8).batch_size(4).seed(1));
+        let mut ids = Vec::new();
+        for key in 0..30u64 {
+            ids.push(match key % 3 {
+                0 => s.push(key),
+                1 => s.route(key).unwrap().ticket.id(),
+                _ => s.route_many(&[key, key + 100]).unwrap()[1].ticket.id() - 1,
+            });
+            if key % 7 == 0 {
+                s.drain_ready();
+            }
+        }
+        let expected: Vec<u64> = (0..30u64).map(|k| k + k / 3).collect();
+        assert_eq!(ids, expected, "one id per push/route, two per pair");
+        s.flush();
+        assert_eq!(s.snapshot().arrived, 40);
+        assert!(s.conserves_balls());
+    }
+
+    #[test]
+    fn pending_counts_the_buffered_tail_across_partial_drains_and_flush() {
+        let mut s = StreamAllocator::new(StreamConfig::new(8).batch_size(10).seed(2));
+        push_uniform(&mut s, 25, 1);
+        assert_eq!(s.pending(), 25);
+        assert_eq!((s.drain_ready(), s.pending()), (2, 5), "the tail stays");
+        assert_eq!((s.drain_ready(), s.pending()), (0, 5));
+        // The tail keeps its place in front of later arrivals.
+        push_uniform(&mut s, 7, 2);
+        assert_eq!(s.pending(), 12);
+        assert_eq!((s.drain_ready(), s.pending()), (1, 2));
+        assert!(s.conserves_balls(), "arrived == placed + pending");
+        assert_eq!((s.flush(), s.pending()), (1, 0));
+        assert_eq!((s.flush(), s.pending()), (0, 0));
+        assert_eq!((s.resident(), s.snapshot().batches), (32, 4));
+        assert!(s.conserves_balls());
+    }
+
+    #[test]
+    fn install_metrics_after_traffic_keeps_loads_tickets_and_batches() {
+        let cfg = StreamConfig::new(16).batch_size(8).seed(6);
+        let mut bare = StreamAllocator::new(cfg.clone());
+        let mut late = StreamAllocator::new(cfg);
+        for key in 0..19u64 {
+            bare.route(key).unwrap();
+            late.route(key).unwrap();
+        }
+        let earlier = [bare.route(19).unwrap(), late.route(19).unwrap()];
+        let state = |s: &StreamAllocator| (s.loads(), s.resident_tickets(), s.snapshot().batches);
+        let before = state(&late);
+        let registry = Arc::new(pba_obs::MetricsRegistry::new());
+        late.install_metrics(registry.clone());
+        assert_eq!(state(&late), before);
+        // Earlier tickets still release, later traffic places identically and
+        // only it is counted.
+        bare.release(earlier[0].ticket).unwrap();
+        late.release(earlier[1].ticket).unwrap();
+        for key in 20..40u64 {
+            assert_eq!(late.route(key).unwrap().bin, bare.route(key).unwrap().bin);
+        }
+        assert_eq!(state(&late), state(&bare));
+        assert_eq!(late.gap_trajectory(), bare.gap_trajectory());
+        let counted = registry.snapshot();
+        assert_eq!(counted.counter("route.routed"), 20);
+        assert_eq!(counted.counter("route.released"), 1);
+        assert!(late.conserves_balls());
+    }
+
+    #[test]
+    fn with_resident_loads_starts_at_epoch_zero_with_the_snapshot_advanced() {
+        let loads: Vec<u32> = (0..16).map(|bin| 3 * bin % 7).collect();
+        let total: u64 = loads.iter().map(|&l| l as u64).sum();
+        let s = StreamAllocator::with_resident_loads(StreamConfig::new(16).batch_size(8), &loads);
+        let snap = s.snapshot();
+        assert_eq!(snap.stale_loads, loads, "the next batch already sees them");
+        assert_eq!(snap.loads, loads);
+        let counted = (s.snapshot_epoch(), snap.batches, s.gap_trajectory().len());
+        assert_eq!(counted, (0, 0, 0), "no boundary counted");
+        assert_eq!(
+            [snap.arrived, snap.placed, snap.departed],
+            [total, total, 0]
+        );
+        assert_eq!((s.resident(), s.resident_tickets()), (total, 0));
+        assert!(s.conserves_balls());
+    }
+
+    #[test]
     fn threshold_policy_respects_threshold_when_feasible() {
         // With generous slack the threshold rule behaves like "first fit
         // below T", so no bin exceeds mean + slack + batch contention bound.
@@ -2030,7 +1182,7 @@ mod tests {
         );
         push_uniform(&mut s, 64 * 100, 21);
         s.flush();
-        let metrics = s.load_metrics();
+        let metrics = pba_stats::LoadMetrics::from_loads(&s.loads());
         assert_eq!(metrics.total_balls, 6400);
         // Stale info within a batch can overshoot by the batch's worth of
         // collisions on one bin, but not by orders of magnitude.

@@ -1,23 +1,26 @@
 //! The **ingress** stage of the streaming pipeline: arriving balls, stamped
 //! with a monotone arrival id, waiting to be allocated.
 //!
-//! Two ingress shapes exist:
+//! Ingress is the one stage the two ownership shells of the engine core do
+//! **not** share — everything after it (batching, choose, commit, boundary)
+//! is the core's single drain over a buffer in arrival order:
 //!
-//! * The single-threaded [`StreamAllocator`](crate::StreamAllocator) buffers
-//!   [`PendingBall`]s in a plain `Vec` — arrival order is call order, and the
-//!   drain slices the buffer into batches with zero copies.
-//! * The multi-threaded [`ConcurrentRouter`](crate::ConcurrentRouter) accepts
+//! * The sole owner, [`StreamAllocator`](crate::StreamAllocator), pushes
+//!   [`PendingBall`]s straight into that buffer, a plain `Vec` — arrival
+//!   order is call order.
+//! * The shared [`ConcurrentRouter`](crate::ConcurrentRouter) handle accepts
 //!   `push`es from many producer threads at once through a
 //!   [`ShardedIngress`]: a set of MPMC lanes (crossbeam channels) chosen by
 //!   arrival id, so producers do not contend on one queue head. Because a
 //!   slow producer can publish its ball *after* a later-stamped ball from a
-//!   faster thread, a drain first collects every queued ball and then
-//!   **sequences** them — sorts by arrival id — before batching. With one
-//!   producer thread the sequence equals call order exactly, which is what
-//!   makes the concurrent push path bit-identical to the buffered engine in
-//!   the single-caller case; with many producers the ids (and therefore
-//!   batch compositions) are exactly as reproducible as the arrival
-//!   interleaving itself.
+//!   faster thread, a drain first collects every queued ball into the buffer
+//!   and then **sequences** it — sorts by arrival id — before batching. With
+//!   one producer thread the sequence equals call order exactly, so the two
+//!   push paths must be bit-identical in the single-caller case — a claim
+//!   held by test (`tests/concurrent_properties.rs`, `tests/golden/drain.snap`),
+//!   since this is where the two shells run different code; with many
+//!   producers the ids (and therefore batch compositions) are exactly as
+//!   reproducible as the arrival interleaving itself.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

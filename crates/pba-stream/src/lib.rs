@@ -14,25 +14,27 @@
 //! This crate implements exactly that model and makes the trade-offs
 //! measurable (experiments E10–E12 in [`pba_workloads`-style tables]).
 //!
-//! * [`engine`] — [`StreamAllocator`]: the incremental `push` / `drain` /
-//!   `snapshot` API. Balls buffer until a batch of `b` is ready; a drain
-//!   allocates the batch against the **stale** snapshot and then advances the
-//!   snapshot. Because every placement decision is a pure function of
-//!   `(stale snapshot, ball key)`, a drain whose choose step is cut into
-//!   spans for a worker pool is bit-identical to the sequential one. The
-//!   engine is the facade of a staged pipeline: the ingress stage (arrival
-//!   buffering/sequencing), the [`snapshot`] stage (stale loads, thresholds,
-//!   gap measure) and the commit stage (choose, then one grouped commit per
-//!   batch) are separate modules shared with the concurrent core.
-//! * [`concurrent`] — [`ConcurrentRouter`]: the **concurrent serving core** —
-//!   a cloneable, `Arc`-backed shared handle whose `route(key)` is callable
-//!   from many caller threads at once. Reads go to an epoch-published stale
-//!   snapshot ([`pba_concurrent::EpochCell`]), commits are lock-free atomic
+//! * [`concurrent`] — the **one engine core** and its shared-handle shell.
+//!   The core is a staged pipeline — the ingress stage (arrival stamping and
+//!   buffering), the [`snapshot`] stage (stale loads, thresholds, gap measure)
+//!   and the commit stage (choose, then one grouped commit per batch) are
+//!   separate modules — over lock-free state: reads go to an epoch-published
+//!   stale snapshot ([`pba_concurrent::EpochCell`]), commits are atomic
 //!   increments, tickets flow through the bin-sharded
-//!   [`pba_model::router::SharedTicketLedger`], and pushes ride sharded MPMC
-//!   ingress lanes. With one caller it is bit-identical to
-//!   [`StreamAllocator`]; with `k` callers, conservation, ticket consistency
-//!   and epoch monotonicity hold for every interleaving.
+//!   [`pba_model::router::SharedTicketLedger`]. [`ConcurrentRouter`] is the
+//!   cloneable, `Arc`-backed handle whose `route(key)` is callable from many
+//!   caller threads at once; its pushes ride sharded MPMC ingress lanes. With
+//!   `k` callers, conservation, ticket consistency and epoch monotonicity
+//!   hold for every interleaving.
+//! * [`engine`] — [`StreamAllocator`]: the same core with a **sole owner** —
+//!   the incremental `push` / `drain` / `snapshot` API. Balls buffer (a plain
+//!   `Vec`) until a batch of `b` is ready; a drain allocates the batch
+//!   against the **stale** snapshot and then advances the snapshot. Because
+//!   every placement decision is a pure function of `(stale snapshot, ball
+//!   key)`, a drain whose choose step is cut into spans for a worker pool is
+//!   bit-identical to the sequential one. `route` / `release` are the
+//!   handle's by construction; with one caller the handle's push path is
+//!   bit-identical to this one by test.
 //! * [`shard`] — [`ShardedBins`]: bins partitioned into contiguous shards;
 //!   lock-free atomic load counters (from [`pba_concurrent`]) plus per-shard
 //!   mutex-guarded bookkeeping, committed to one distinct bin (and one
@@ -70,7 +72,7 @@
 //! validation. `StreamAllocator::set_weights` re-weights a **running** stream
 //! at the next batch boundary.
 //!
-//! Both engines are **elastic**: a [`MembershipPlan`] staged through
+//! Both shells are **elastic**: a [`MembershipPlan`] staged through
 //! `stage_membership` commissions, drains or retires bins at the next batch
 //! boundary (see the `pba_membership` crate for the lifecycle). Draining
 //! bins leave the sampling set but keep their residents until released or
@@ -132,7 +134,7 @@ pub use pba_model::router::{
 pub use pba_model::weights::{BinWeights, ResolvedWeights};
 
 // Re-exported so elastic stream configurations need only this crate: stage a
-// `MembershipPlan` on either engine, inspect `BinState`s through the
+// `MembershipPlan` on either shell, inspect `BinState`s through the
 // topology accessors.
 pub use pba_membership::{ApplyOutcome, BinState, MembershipEvent, MembershipPlan};
 

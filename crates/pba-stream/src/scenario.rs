@@ -216,8 +216,9 @@ fn release_resident_in(stream: &mut StreamAllocator, bin: usize) {
 fn sample_capacity_bin(stream: &StreamAllocator, rng: &mut SplitMix64, n: usize) -> usize {
     debug_assert!(stream.resident_tickets() > 0);
     let mut bin = 0usize;
+    let weights = stream.weights();
     for _ in 0..MAX_EMPTY_DRAWS {
-        bin = match stream.weights() {
+        bin = match &weights {
             Some(weights) => weights.sample(rng) as usize,
             None => rng.gen_index(n),
         };

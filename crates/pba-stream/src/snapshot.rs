@@ -3,10 +3,8 @@
 //! recorded when the snapshot advances.
 //!
 //! Everything here is a pure function of `(policy, weights, resident loads,
-//! batch length)` — no engine state — so the single-threaded
-//! [`StreamAllocator`](crate::StreamAllocator) and the multi-threaded
-//! [`ConcurrentRouter`](crate::ConcurrentRouter) share one implementation and
-//! stay bit-identical wherever both are defined.
+//! batch length)` — no engine state — which the engine core calls at every
+//! batch open and boundary.
 
 use pba_model::weights::{normalized_loads, weighted_gap, ResolvedWeights};
 use pba_stats::quantiles_of;
@@ -43,7 +41,7 @@ pub struct StreamSnapshot {
 impl StreamSnapshot {
     /// Assembles a snapshot from the raw counters and a fresh load vector,
     /// computing the derived gap/quantile/normalized-load fields — the one
-    /// place those derivations live, shared by both engines.
+    /// place those derivations live.
     /// `weights` prices the derived stats for a fixed-membership engine;
     /// when `active` is present (elastic membership), the derived stats are
     /// computed over the **active** bins only — draining and retired slots

@@ -1,14 +1,17 @@
 //! The concurrency contract of the `ConcurrentRouter` serving core:
 //!
-//! 1. **1-thread bit-identity** — with a single caller thread the concurrent
-//!    pipeline is bit-identical to the classic `StreamAllocator`, for all six
-//!    policies under uniform *and* tiered weights, on both the `route()` path
-//!    and the `push`/`drain_ready`/`flush` path (loads, gap trajectory, shard
-//!    stats and batch counts all agree) — including with releases
-//!    interleaved, and under any `PBA_THREADS` worker count (drain
-//!    parallelism only partitions index ranges). The batched `route_many`
-//!    surface joins the same contract: a grouped call is bit-identical to a
-//!    loop of `route` calls on *both* engines, for every group size.
+//! 1. **1-thread bit-identity** — `ConcurrentRouter` and `StreamAllocator`
+//!    are two ownership shells over one engine core, so with a single caller
+//!    their `route` / `release` paths agree by construction. What is tested
+//!    is where the code differs: the handle's `push`/`drain_ready`/`flush`
+//!    path (MPMC lanes + sequencer) is bit-identical to the owner's plain
+//!    buffer (loads, gap trajectory, shard stats and batch counts all agree)
+//!    — including with routes and releases interleaved, and under any
+//!    `PBA_THREADS` worker count (drain parallelism only partitions index
+//!    ranges) — and the batched `route_many` surface, a grouped call on the
+//!    handle, is bit-identical to a loop of `route` calls on the owner, for
+//!    all six policies under uniform *and* tiered weights and every group
+//!    size.
 //! 2. **k-thread conservation** — under concurrent route/release churn from
 //!    many caller threads (one-at-a-time *and* grouped `route_many` calls,
 //!    with membership staging interleaved), no ball is lost or duplicated:
@@ -54,60 +57,14 @@ fn keys(count: u64, seed: u64) -> Vec<u64> {
     (0..count).map(|_| rng.next_u64()).collect()
 }
 
-/// 1-thread bit-identity, route path: all 6 policies × uniform/tiered
-/// weights, with releases interleaved (every 5th routed ball retires an
-/// earlier one, so threshold repricing sees departures too).
-#[test]
-fn one_thread_route_bit_identity_all_policies_and_weights() {
-    let n = 64usize;
-    for policy in POLICIES {
-        for weights in [BinWeights::Uniform, tier_mix(n)] {
-            let cfg = StreamConfig::new(n)
-                .policy(policy)
-                .batch_size(96)
-                .seed(17)
-                .weights(weights.clone());
-            let concurrent = ConcurrentRouter::new(cfg.clone());
-            let mut classic = StreamAllocator::new(cfg);
-            let mut held_c = Vec::new();
-            let mut held_s = Vec::new();
-            for (i, key) in keys(96 * 12 + 31, 7).into_iter().enumerate() {
-                let a = concurrent.route(key).expect("infallible");
-                let b = classic.route(key).expect("infallible");
-                assert_eq!(
-                    a.bin,
-                    b.bin,
-                    "policy {} weights {} ball {i}",
-                    policy.name(),
-                    weights.name()
-                );
-                held_c.push(a.ticket);
-                held_s.push(b.ticket);
-                if i % 5 == 4 {
-                    let at = i / 2;
-                    concurrent.release(held_c[at]).expect("live ticket");
-                    classic.release(held_s[at]).expect("live ticket");
-                }
-            }
-            assert_eq!(concurrent.loads(), classic.loads(), "{}", policy.name());
-            assert_eq!(concurrent.gap_trajectory(), classic.gap_trajectory());
-            assert_eq!(concurrent.shard_stats(), classic.shard_stats());
-            assert_eq!(concurrent.batches(), classic.snapshot().batches);
-            assert_eq!(concurrent.flush(), classic.flush());
-            assert_eq!(concurrent.gap_trajectory(), classic.gap_trajectory());
-            assert!(concurrent.conserves_balls() && classic.conserves_balls());
-        }
-    }
-}
-
 /// Batched bit-identity: `route_many` groups of every shape — singletons,
-/// misaligned odd sizes, bigger than a whole batch — match a loop of
-/// `route` calls ball for ball on both engines, for all 6 policies ×
-/// uniform/tiered weights × drain threads {1, 4}, with releases interleaved
-/// between groups. Placements, ticket ids, loads, gap trajectories, shard
-/// stats and batch counts must all agree exactly.
+/// misaligned odd sizes, bigger than a whole batch — on the shared handle
+/// match a loop of `route` calls on the sole owner ball for ball, for all 6
+/// policies × uniform/tiered weights × drain threads {1, 4}, with releases
+/// interleaved between groups. Placements, ticket ids, loads, gap
+/// trajectories, shard stats and batch counts must all agree exactly.
 #[test]
-fn route_many_is_bit_identical_to_looped_route_on_both_engines() {
+fn route_many_is_bit_identical_to_looped_route() {
     let n = 64usize;
     let sizes = [1usize, 3, 8, 17, 33, 2];
     for policy in POLICIES {
@@ -120,12 +77,10 @@ fn route_many_is_bit_identical_to_looped_route_on_both_engines() {
                     .num_threads(threads)
                     .weights(weights.clone());
                 let mut looped = StreamAllocator::new(cfg.clone());
-                let mut grouped = StreamAllocator::new(cfg.clone());
-                let concurrent = ConcurrentRouter::new(cfg);
+                let grouped = ConcurrentRouter::new(cfg);
                 let keys = keys(32 * 10 + 13, 19);
                 let mut held_l = Vec::new();
                 let mut held_g = Vec::new();
-                let mut held_c = Vec::new();
                 let mut cursor = 0usize;
                 let mut wave = 0usize;
                 while cursor < keys.len() {
@@ -135,54 +90,36 @@ fn route_many_is_bit_identical_to_looped_route_on_both_engines() {
                         held_l.push(looped.route(key).expect("infallible"));
                     }
                     let g = grouped.route_many(group).expect("infallible");
-                    let c = concurrent.route_many(group).expect("infallible");
                     assert_eq!(g.len(), take);
-                    assert_eq!(c.len(), take);
                     for i in 0..take {
                         let l = &held_l[cursor + i];
                         assert_eq!(
                             g[i].bin,
                             l.bin,
-                            "stream group diverged: {} {} threads={threads} ball {}",
-                            policy.name(),
-                            weights.name(),
-                            cursor + i
-                        );
-                        assert_eq!(
-                            c[i].bin,
-                            l.bin,
-                            "concurrent group diverged: {} {} threads={threads} ball {}",
+                            "group diverged: {} {} threads={threads} ball {}",
                             policy.name(),
                             weights.name(),
                             cursor + i
                         );
                         assert_eq!(g[i].ticket.id(), l.ticket.id());
-                        assert_eq!(c[i].ticket.id(), l.ticket.id());
                     }
                     held_g.extend(g);
-                    held_c.extend(c);
                     // Retire an earlier ball every few groups so the grouped
-                    // engines see departures between calls too.
+                    // engine sees departures between calls too.
                     if wave % 4 == 3 {
                         let at = cursor / 2;
                         looped.release(held_l[at].ticket).expect("live ticket");
                         grouped.release(held_g[at].ticket).expect("live ticket");
-                        concurrent.release(held_c[at].ticket).expect("live ticket");
                     }
                     cursor += take;
                     wave += 1;
                 }
                 assert_eq!(grouped.loads(), looped.loads(), "{}", policy.name());
-                assert_eq!(concurrent.loads(), looped.loads(), "{}", policy.name());
                 assert_eq!(grouped.gap_trajectory(), looped.gap_trajectory());
-                assert_eq!(concurrent.gap_trajectory(), looped.gap_trajectory());
                 assert_eq!(grouped.shard_stats(), looped.shard_stats());
-                assert_eq!(concurrent.shard_stats(), looped.shard_stats());
-                assert_eq!(concurrent.batches(), looped.snapshot().batches);
-                let flushed = looped.flush();
-                assert_eq!(grouped.flush(), flushed);
-                assert_eq!(concurrent.flush(), flushed);
-                assert!(concurrent.conserves_balls());
+                assert_eq!(grouped.batches(), looped.snapshot().batches);
+                assert_eq!(grouped.flush(), looped.flush());
+                assert_eq!(grouped.gap_trajectory(), looped.gap_trajectory());
                 assert!(grouped.conserves_balls() && looped.conserves_balls());
             }
         }
@@ -313,9 +250,13 @@ fn snapshot_epochs_are_monotone_under_concurrent_routing() {
                 observed += 1;
                 // The published snapshot itself must be coherent: it is an
                 // Arc to an immutable boundary vector, so its total can
-                // never exceed what has been placed so far.
+                // never exceed what has been placed so far. Nothing is
+                // released here, so loads only grow and the fresh total read
+                // *afterwards* bounds it; the `routed` counter does not — a
+                // route commits its load before it counts itself, and a
+                // boundary may publish in between.
                 let stale: u64 = router.stale_loads().iter().map(|&l| l as u64).sum();
-                assert!(stale <= router.stats().routed);
+                assert!(stale <= router.resident());
             }
             (last, observed)
         })
