@@ -3,10 +3,14 @@
 //! weighted (alias-table) choice path vs the unweighted one, the drain on
 //! dedicated worker pools of different sizes (the `num_threads` knob over the
 //! persistent pool of the rayon shim), concurrent routing through one
-//! shared `ConcurrentRouter` handle at 1/2/4 caller threads, and the cost of
-//! the metrics registry on the route hot path (instrumented vs bare).
+//! shared `ConcurrentRouter` handle at 1/2/4 caller threads, the cost of
+//! the metrics registry on the route hot path (instrumented vs bare), and
+//! `route_many(32)` on a never-staged router against one that staged an
+//! empty membership plan (two arms that must read the same).
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pba_stream::{BinWeights, ConcurrentRouter, Policy, StreamAllocator, StreamConfig};
+use pba_stream::{
+    BinWeights, ConcurrentRouter, MembershipPlan, Policy, StreamAllocator, StreamConfig,
+};
 
 fn run_stream(config: StreamConfig, m: u64, key_seed: u64) -> f64 {
     let mut stream = StreamAllocator::new(config);
@@ -184,6 +188,36 @@ fn bench_stream(c: &mut Criterion) {
                 let mut keys = pba_model::rng::SplitMix64::new(seed);
                 for _ in 0..m_route {
                     std::hint::black_box(router.route(keys.next_u64()).expect("infallible"));
+                }
+                std::hint::black_box(router.stats().gap)
+            });
+        });
+    }
+    // The cost of having staged anything, ever: groups of 32 routed and
+    // released through a router nobody touched, and through one that staged
+    // (and, at its first batch, applied) an empty plan. There is one
+    // topology path, so the arms run the same code and must read the same;
+    // while staging still flipped a router onto per-ball commits for the
+    // rest of its life, the second arm read 1.6× the first.
+    for (name, staged) in [
+        ("route_many_32/never_staged", false),
+        ("route_many_32/staged_empty_plan", true),
+    ] {
+        group.bench_function(name, move |b| {
+            let router = ConcurrentRouter::new(StreamConfig::new(n).batch_size(256).seed(7));
+            if staged {
+                router.stage_membership(MembershipPlan::new());
+            }
+            let mut keys = pba_model::rng::SplitMix64::new(7);
+            let mut group_keys = [0u64; 32];
+            let mut tickets = Vec::with_capacity(group_keys.len());
+            b.iter(|| {
+                for _ in 0..m_route / group_keys.len() as u64 {
+                    group_keys.fill_with(|| keys.next_u64());
+                    let placements = router.route_many(&group_keys).expect("infallible");
+                    tickets.clear();
+                    tickets.extend(placements.iter().map(|placement| placement.ticket));
+                    router.release_many(&tickets).expect("just issued");
                 }
                 std::hint::black_box(router.stats().gap)
             });

@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pba_model::rng::SplitMix64;
-use pba_obs::MetricsRegistry;
+use pba_obs::{drops_of, MetricsRegistry};
 use pba_stats::{Align, Cell, Table};
 use pba_stream::{ConcurrentRouter, StreamConfig};
 
@@ -39,16 +39,6 @@ fn per_caller(quick: bool) -> u64 {
     } else {
         512 * 1024
     }
-}
-
-/// The no-silent-drops sum of one registry snapshot (the same ledger the
-/// replay driver sums).
-fn drops_of(registry: &MetricsRegistry) -> u64 {
-    let snap = registry.snapshot();
-    snap.counter("route.rejected_unknown_ticket")
-        + snap.counter("ingress.late_arrivals")
-        + snap.counter("observer.errors")
-        + snap.sum_counters("policy.")
 }
 
 /// Routes `per_caller` keys from each of `callers` threads through one
@@ -190,7 +180,7 @@ fn route_hot_path_sized(per: u64) -> Table {
                 Cell::from(ns),
                 Cell::from(format!("{:.2}x", ns / baseline_ns)),
                 Cell::from(stats.batches),
-                Cell::from(drops_of(&registry)),
+                Cell::from(drops_of(&registry.snapshot())),
                 Cell::from(if router.conserves_balls() {
                     "yes"
                 } else {
@@ -264,7 +254,7 @@ fn route_metrics_guard_sized(per: u64) -> Table {
             Cell::from(ns),
             Cell::from(format!("{:.2}x", ns / baseline_ns)),
             Cell::from(if instrumented {
-                drops_of(&registry).to_string()
+                drops_of(&registry.snapshot()).to_string()
             } else {
                 "-".into()
             }),

@@ -46,7 +46,7 @@ use pba_net::codec::{
     parse_request, write_err_unknown_ticket, write_ok_bin, write_ok_route, write_stats, Request,
 };
 use pba_net::{ReactorConfig, ReactorServer, Session};
-use pba_obs::MetricsRegistry;
+use pba_obs::{drops_of, MetricsRegistry};
 use pba_stats::{Align, Cell, Table};
 use pba_stream::{ConcurrentRouter, StreamConfig};
 
@@ -60,18 +60,6 @@ fn per_unit(quick: bool) -> u64 {
     } else {
         256 * 1024
     }
-}
-
-/// The no-silent-drops sum of one registry snapshot, server counters
-/// included.
-fn drops_of(registry: &MetricsRegistry) -> u64 {
-    let snap = registry.snapshot();
-    snap.counter("route.rejected_unknown_ticket")
-        + snap.counter("server.unknown_ticket")
-        + snap.counter("server.bad_request")
-        + snap.counter("ingress.late_arrivals")
-        + snap.counter("observer.errors")
-        + snap.sum_counters("policy.")
 }
 
 // ---------------------------------------------------------------------------
@@ -299,7 +287,7 @@ fn serve_throughput_sized(total_keys: u64) -> Table {
             Cell::from(requests),
             Cell::from(seconds * 1e3),
             Cell::from(requests as f64 / seconds),
-            Cell::from(drops_of(&registry)),
+            Cell::from(drops_of(&registry.snapshot())),
             Cell::from(if conserved { "yes" } else { "NO" }),
         ]);
     }
@@ -440,7 +428,7 @@ fn release_hot_path_sized(per: u64) -> Table {
             Cell::from(seconds * 1e3),
             Cell::from(ns),
             Cell::from(format!("{:.2}x", ns / baseline_ns)),
-            Cell::from(drops_of(&registry)),
+            Cell::from(drops_of(&registry.snapshot())),
             Cell::from(if router.conserves_balls() && router.resident() == 0 {
                 "yes"
             } else {
@@ -605,7 +593,7 @@ fn server_guard_sized(keys: u64) -> Table {
         let released = snap.counter("route.released");
         // The session splices exactly one bogus RELEASE, so the expected
         // drop ledger is exactly 1 (server.unknown_ticket).
-        let drops = drops_of(&registry);
+        let drops = drops_of(&registry.snapshot());
         let requests = keys + keys.div_ceil(32) + 1 + (keys + 1) + 1;
         let identical = *reference.get_or_insert_with(|| replies.clone()) == replies;
         table.push_row([

@@ -29,9 +29,8 @@ use crate::padded::CachePadded;
 /// clone — many readers proceed concurrently); the boundary thread calls
 /// [`EpochCell::publish`] to atomically swap in the next snapshot and bump
 /// the epoch. The epoch is incremented while the write lock is held, so
-/// [`EpochCell::load_with_epoch`] always returns a consistent
-/// `(epoch, value)` pair and epochs observed by any reader are
-/// non-decreasing.
+/// [`EpochCell::with`] always sees a consistent `(epoch, value)` pair and
+/// epochs observed by any reader are non-decreasing.
 ///
 /// The epoch word is [`CachePadded`]: readers poll it on every route while
 /// the boundary thread's publish writes it, and without padding it would
@@ -67,12 +66,16 @@ impl<T> EpochCell<T> {
         Arc::clone(&self.value.read().expect("epoch cell lock"))
     }
 
-    /// The current `(epoch, snapshot)` pair, read consistently: publication
-    /// bumps the epoch while holding the write lock, so the pair can never
-    /// mix one publication's epoch with another's value.
-    pub fn load_with_epoch(&self) -> (u64, Arc<T>) {
+    /// Runs `f` on the current `(epoch, snapshot)` pair, read consistently —
+    /// publication bumps the epoch while holding the write lock, so the pair
+    /// can never mix one publication's epoch with another's value — and
+    /// under the read lock, without [`EpochCell::load`]'s `Arc` clone and
+    /// drop: for a reader that is done with the snapshot within a
+    /// microsecond and counts its atomics. A publication waits for `f` to
+    /// return.
+    pub fn with<R>(&self, f: impl FnOnce(u64, &T) -> R) -> R {
         let guard = self.value.read().expect("epoch cell lock");
-        (self.epoch.load(Ordering::Acquire), Arc::clone(&guard))
+        f(self.epoch.load(Ordering::Acquire), &guard)
     }
 
     /// Atomically swaps in `value` as the next snapshot and bumps the epoch;
@@ -125,9 +128,10 @@ mod tests {
         assert_eq!(*cell.load(), vec![1, 2, 3, 4]);
         // A reader that loaded before the swap keeps its coherent snapshot.
         assert_eq!(*held, vec![0; 4]);
-        let (epoch, value) = cell.load_with_epoch();
-        assert_eq!(epoch, 1);
-        assert_eq!(*value, vec![1, 2, 3, 4]);
+        assert_eq!(
+            cell.with(|epoch, value| (epoch, value.clone())),
+            (1, vec![1, 2, 3, 4])
+        );
     }
 
     /// Fills the way a boundary does: overwrite, keeping the allocation.
@@ -168,7 +172,10 @@ mod tests {
         // Epochs stay monotone across both kinds of publication.
         assert_eq!(cell.publish(vec![3; 4]), 3);
         assert_eq!(cell.publish_with(refill(4)).0, 4);
-        assert_eq!(cell.load_with_epoch(), (4, Arc::new(vec![4; 4])));
+        assert_eq!(
+            cell.with(|epoch, value| (epoch, value.clone())),
+            (4, vec![4; 4])
+        );
         assert_eq!(*held, vec![7; 4]);
     }
 
@@ -185,8 +192,8 @@ mod tests {
             readers.push(std::thread::spawn(move || {
                 let mut last = 0u64;
                 while !stop.load(Ordering::Acquire) {
-                    let (epoch, value) = cell.load_with_epoch();
-                    assert_eq!(epoch, *value, "epoch/value pair torn");
+                    let (epoch, value) = cell.with(|epoch, value| (epoch, *value));
+                    assert_eq!(epoch, value, "epoch/value pair torn");
                     assert!(epoch >= last, "epoch went backwards");
                     last = epoch;
                 }

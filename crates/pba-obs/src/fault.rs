@@ -6,7 +6,7 @@
 //! injected fault that leaves no metric trace is indistinguishable from a
 //! fault that silently corrupted state. [`FaultCounters`] bundles one counter
 //! per fault class, resolved against the same [`MetricsRegistry`] the engine
-//! records into, so a single [`MetricsSnapshot`](crate::MetricsSnapshot)
+//! records into, so a single [`MetricsSnapshot`]
 //! shows engine-side effects (`route.rejected_unknown_ticket`,
 //! `ingress.late_arrivals`, `observer.errors`) next to the harness-side
 //! injection counts (`fault.*`).
@@ -22,10 +22,26 @@
 //! | `fault.backpressure_dropped` | a bounded observer queue shed one event |
 //! | `fault.bins_added` | a bin was commissioned mid-trace by an injected scale-up |
 //! | `fault.bins_drained` | a bin was put into draining mid-trace by an injected scale-down |
+//!
+//! The engine-side half of that trail has one total: [`drops_of`], the
+//! no-silent-drops sum every harness, bench and experiment reports.
 
 use std::sync::Arc;
 
-use crate::registry::{Counter, MetricsRegistry};
+use crate::registry::{Counter, MetricsRegistry, MetricsSnapshot};
+
+/// The no-silent-drops sum of one snapshot: every rejection, fallback and
+/// skipped-event counter the engines and the serving layer fire (`server.*`
+/// read 0 when no server is attached). 0 on a clean run — and a test forces
+/// each path to prove it counts.
+pub fn drops_of(snapshot: &MetricsSnapshot) -> u64 {
+    snapshot.counter("route.rejected_unknown_ticket")
+        + snapshot.counter("server.unknown_ticket")
+        + snapshot.counter("server.bad_request")
+        + snapshot.counter("ingress.late_arrivals")
+        + snapshot.counter("observer.errors")
+        + snapshot.sum_counters("policy.")
+}
 
 /// One counter per injected fault class (see the [module docs](self) for the
 /// name → meaning table). Handles are cheap clones; resolve once per plan.

@@ -54,7 +54,7 @@ pub mod histogram;
 pub mod registry;
 pub mod sink;
 
-pub use fault::FaultCounters;
+pub use fault::{drops_of, FaultCounters};
 pub use histogram::{Histogram, HistogramSummary, LocalHistogram};
 pub use registry::{Counter, CounterVec, Gauge, HistogramHandle, MetricsRegistry, MetricsSnapshot};
 pub use sink::{JsonLinesSink, MemorySink, MetricSink, SinkHub, StderrSink};

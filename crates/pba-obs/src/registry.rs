@@ -85,6 +85,14 @@ impl CounterVec {
         self.0[index].fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Takes back `n` events [`CounterVec::add`] counted in advance on slot
+    /// `index` — a grouped commit counts its whole group first and learns
+    /// only afterwards that part of it has to be undone.
+    #[inline]
+    pub fn retract(&self, index: usize, n: u64) {
+        self.0[index].fetch_sub(n, Ordering::Relaxed);
+    }
+
     /// Current value of slot `index`.
     pub fn get(&self, index: usize) -> u64 {
         self.0[index].load(Ordering::Relaxed)

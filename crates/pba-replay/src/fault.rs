@@ -28,7 +28,7 @@
 //! the shared-handle engine; [`inject_ingress_reorder`] covers it via
 //! [`ConcurrentRouter::stamp_delayed`], tripping `ingress.late_arrivals`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 use pba_model::router::{RouteEvent, RouterObserver, Ticket};
@@ -36,7 +36,7 @@ use pba_obs::{FaultCounters, MetricsRegistry};
 use pba_stream::{ConcurrentRouter, MembershipPlan, Policy, Router, StreamAllocator, StreamConfig};
 
 use crate::invariants;
-use crate::replay::{ReplayEngine, ReplayOutcome};
+use crate::replay::{release_schedule, ReplayEngine, ReplayOutcome};
 use crate::trace::{Trace, TraceEvent};
 
 /// One scripted fault. Arrival points are trace arrival ids; a fault "at
@@ -153,6 +153,17 @@ pub struct FaultCheck {
 }
 
 impl FaultCheck {
+    /// The evidence of `fault` right after its injection: its counter's
+    /// value and the engine's invariants at this instant.
+    fn after(stream: &StreamAllocator, fault: &Fault, fired: u64) -> Self {
+        Self {
+            fault: fault.name().into(),
+            counter: fault.counter().into(),
+            fired,
+            invariant_error: invariants::check_stream(stream, false).err(),
+        }
+    }
+
     /// True when the fault left its evidence and broke nothing: counter
     /// fired, invariants intact.
     pub fn passed(&self) -> bool {
@@ -241,7 +252,7 @@ impl FaultPlan {
         // Index the scripted faults by their injection coordinates.
         let mut crash_at: HashMap<u64, Vec<usize>> = HashMap::new();
         let mut poison_at: HashSet<u64> = HashSet::new();
-        let mut delays: HashMap<u64, u64> = HashMap::new();
+        let mut delays: BTreeMap<u64, u64> = BTreeMap::new();
         let mut duplicates: HashSet<u64> = HashSet::new();
         let mut reorder_at: HashMap<u64, usize> = HashMap::new();
         let mut add_bin_at: HashMap<u64, Vec<f64>> = HashMap::new();
@@ -287,68 +298,54 @@ impl FaultPlan {
         }));
         stream.add_observer(observer.clone());
 
-        let arrivals: Vec<u64> = trace
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Arrival { key, .. } => Some(*key),
-                TraceEvent::Reweight { .. } | TraceEvent::Membership { .. } => None,
-            })
-            .collect();
-        let m = arrivals.len() as u64;
-        // Reweight and scripted membership events, keyed by the arrival id
-        // they precede.
+        // One pre-scan: each arrival's key and scripted release point, and
+        // the reweight and scripted membership events keyed by the arrival
+        // id they precede.
+        let mut arrivals: Vec<u64> = Vec::new();
+        let mut scripted_release: Vec<Option<u64>> = Vec::new();
         let mut reweight_before: HashMap<u64, Vec<&[f64]>> = HashMap::new();
         let mut membership_before: HashMap<u64, MembershipPlan> = HashMap::new();
-        {
-            let mut id = 0u64;
-            for event in &trace.events {
-                match event {
-                    TraceEvent::Arrival { .. } => id += 1,
-                    TraceEvent::Reweight { weights } => {
-                        reweight_before.entry(id).or_default().push(weights);
-                    }
-                    TraceEvent::Membership { event } => {
-                        membership_before
-                            .entry(id)
-                            .or_default()
-                            .extend(MembershipPlan::new().push(*event));
-                    }
+        for event in &trace.events {
+            let id = arrivals.len() as u64;
+            match event {
+                TraceEvent::Arrival { key, release_after } => {
+                    arrivals.push(*key);
+                    scripted_release.push(*release_after);
+                }
+                TraceEvent::Reweight { weights } => {
+                    reweight_before.entry(id).or_default().push(weights);
+                }
+                TraceEvent::Membership { event } => {
+                    membership_before
+                        .entry(id)
+                        .or_default()
+                        .extend(MembershipPlan::new().push(*event));
                 }
             }
         }
-        // Scripted releases with delays folded in: ball → effective point.
-        let mut due: HashMap<u64, Vec<u64>> = HashMap::new();
+        let m = arrivals.len() as u64;
+        // The clean replay's release schedule, with each delayed ball moved
+        // from its scripted point to its effective one (lists stay in id
+        // order, as a scan of the trace would build them).
+        let mut due = release_schedule(trace);
         let mut delay_notice_at: HashMap<u64, Vec<u64>> = HashMap::new();
-        {
-            let mut id = 0u64;
-            for event in &trace.events {
-                if let TraceEvent::Arrival { release_after, .. } = event {
-                    if let Some(after) = release_after {
-                        match delays.get(&id) {
-                            Some(&until) => {
-                                let effective = until.max(*after).min(m.saturating_sub(1));
-                                due.entry(effective).or_default().push(id);
-                                delay_notice_at.entry(*after).or_default().push(id);
-                            }
-                            None => due.entry(*after).or_default().push(id),
-                        }
-                    }
-                    id += 1;
-                }
+        for (&ball, &until) in &delays {
+            let Some(&Some(after)) = scripted_release.get(ball as usize) else {
+                continue;
+            };
+            let effective = until.max(after).min(m.saturating_sub(1));
+            if let Some(scripted) = due.get_mut(&after) {
+                scripted.retain(|&id| id != ball);
             }
+            let moved = due.entry(effective).or_default();
+            moved.push(ball);
+            moved.sort_unstable();
+            delay_notice_at.entry(after).or_default().push(ball);
         }
 
         let mut checks: Vec<FaultCheck> = Vec::new();
         let mut placements = vec![0u32; arrivals.len()];
         let mut tickets: Vec<Option<Ticket>> = vec![None; arrivals.len()];
-
-        let check = |stream: &StreamAllocator, fault: &Fault, fired: u64| FaultCheck {
-            fault: fault.name().into(),
-            counter: fault.counter().into(),
-            fired,
-            invariant_error: invariants::check_stream(stream, false).err(),
-        };
 
         let mut route_one = |stream: &mut StreamAllocator,
                              placements: &mut Vec<u32>,
@@ -380,12 +377,7 @@ impl FaultPlan {
                     until: 0,
                 };
                 let fired = fault_counters.delayed_releases.get();
-                checks.push(FaultCheck {
-                    fault: fault.name().into(),
-                    counter: fault.counter().into(),
-                    fired,
-                    invariant_error: invariants::check_stream(stream, false).err(),
-                });
+                checks.push(FaultCheck::after(stream, &fault, fired));
             }
             for ball in due.remove(&point).unwrap_or_default() {
                 let ticket = tickets[ball as usize]
@@ -403,12 +395,7 @@ impl FaultPlan {
                     fault_counters.duplicated_releases.inc();
                     let fault = Fault::DuplicateRelease { arrival: ball };
                     let fired = fault_counters.duplicated_releases.get();
-                    checks.push(FaultCheck {
-                        fault: fault.name().into(),
-                        counter: fault.counter().into(),
-                        fired,
-                        invariant_error: invariants::check_stream(stream, false).err(),
-                    });
+                    checks.push(FaultCheck::after(stream, &fault, fired));
                 }
             }
         };
@@ -429,7 +416,7 @@ impl FaultPlan {
                     len: (end - id) as usize,
                 };
                 let fired = fault_counters.reordered_arrivals.get();
-                checks.push(check(&stream, &fault, fired));
+                checks.push(FaultCheck::after(&stream, &fault, fired));
                 for j in id..end {
                     settle_point(&mut stream, &mut tickets, &mut checks, j);
                 }
@@ -448,7 +435,7 @@ impl FaultPlan {
                     bin,
                 };
                 let fired = fault_counters.bin_crash_releases.get();
-                checks.push(check(&stream, &fault, fired));
+                checks.push(FaultCheck::after(&stream, &fault, fired));
             }
             for weight in add_bin_at.remove(&id).unwrap_or_default() {
                 stream.stage_membership(MembershipPlan::new().add(weight));
@@ -458,7 +445,7 @@ impl FaultPlan {
                     weight,
                 };
                 let fired = fault_counters.bins_added.get();
-                checks.push(check(&stream, &fault, fired));
+                checks.push(FaultCheck::after(&stream, &fault, fired));
             }
             for bin in drain_bin_at.remove(&id).unwrap_or_default() {
                 stream.stage_membership(MembershipPlan::new().drain(bin));
@@ -468,7 +455,7 @@ impl FaultPlan {
                     bin,
                 };
                 let fired = fault_counters.bins_drained.get();
-                checks.push(check(&stream, &fault, fired));
+                checks.push(FaultCheck::after(&stream, &fault, fired));
             }
             if poison_at.remove(&id) {
                 // Poison the observer's lock from a scratch thread: the
@@ -486,7 +473,7 @@ impl FaultPlan {
                 fault_counters.poisoned_observers.inc();
                 let fault = Fault::PoisonObserver { after_arrival: id };
                 let fired = fault_counters.poisoned_observers.get();
-                checks.push(check(&stream, &fault, fired));
+                checks.push(FaultCheck::after(&stream, &fault, fired));
             }
             id += 1;
         }
@@ -495,7 +482,7 @@ impl FaultPlan {
         if let Some(capacity) = queue_capacity {
             let fault = Fault::Backpressure { capacity };
             let fired = fault_counters.backpressure_dropped.get();
-            checks.push(check(&stream, &fault, fired));
+            checks.push(FaultCheck::after(&stream, &fault, fired));
         }
 
         let stats = Router::stats(&stream);
@@ -509,13 +496,7 @@ impl FaultPlan {
             resident: stats.resident,
             routed: stats.routed,
             released: stats.released,
-            drops: {
-                let snap = registry.snapshot();
-                snap.counter("route.rejected_unknown_ticket")
-                    + snap.counter("ingress.late_arrivals")
-                    + snap.counter("observer.errors")
-                    + snap.sum_counters("policy.")
-            },
+            drops: pba_obs::drops_of(&registry.snapshot()),
             conserved: stream.conserves_balls(),
         };
         FaultRun {
@@ -528,9 +509,9 @@ impl FaultPlan {
 
 /// Injects **ingress-level** out-of-order delivery into the concurrent push
 /// path: one ball per `gap` is stamped early but delivered only after a
-/// drain has sequenced past it, so the next drain counts it late
-/// (`ingress.late_arrivals`) and re-sequences it at the tail — the
-/// documented reordering behaviour, with its named counters. Returns the
+/// drain has taken a later id, so the next drain counts it late
+/// (`ingress.late_arrivals`) and merges it by id into what is still
+/// undrained — the documented reordering behaviour, with its named counters. Returns the
 /// check plus the router's invariant status at quiescence.
 pub fn inject_ingress_reorder(trace: &Trace, policy: Policy, gap: u64) -> (FaultCheck, u64) {
     assert!(gap >= 2, "a reorder gap below 2 cannot hold a ball back");
@@ -556,7 +537,7 @@ pub fn inject_ingress_reorder(trace: &Trace, policy: Policy, gap: u64) -> (Fault
         }
         id += 1;
     }
-    // Drain sequences past the held balls' ids…
+    // The drain takes ids beyond the held balls'…
     router.drain_ready();
     // …so delivering them now is out-of-order: the next drain counts them.
     let reordered = held.len() as u64;

@@ -228,7 +228,7 @@ pub struct ReplayOutcome {
 
 /// Scripted releases of a trace, grouped by release point: entry `j` lists
 /// the arrival ids to release right after arrival `j` routes.
-fn release_schedule(trace: &Trace) -> HashMap<u64, Vec<u64>> {
+pub(crate) fn release_schedule(trace: &Trace) -> HashMap<u64, Vec<u64>> {
     let mut due: HashMap<u64, Vec<u64>> = HashMap::new();
     let mut id = 0u64;
     for event in &trace.events {
@@ -240,16 +240,6 @@ fn release_schedule(trace: &Trace) -> HashMap<u64, Vec<u64>> {
         }
     }
     due
-}
-
-/// The no-silent-drops sum of one registry snapshot: every rejection,
-/// fallback and skipped-event counter the engines fire.
-fn drops_of(registry: &MetricsRegistry) -> u64 {
-    let snap = registry.snapshot();
-    snap.counter("route.rejected_unknown_ticket")
-        + snap.counter("ingress.late_arrivals")
-        + snap.counter("observer.errors")
-        + snap.sum_counters("policy.")
 }
 
 /// Replays `trace` under `config`. See the [module docs](self) for the
@@ -354,7 +344,7 @@ macro_rules! replay_in_trace_order {
             resident: stats.resident,
             routed: stats.routed,
             released: stats.released,
-            drops: drops_of(&$registry),
+            drops: pba_obs::drops_of(&$registry.snapshot()),
             conserved: $engine.conserves_balls()
                 && $engine.snapshot_epoch() == stats.batches
                 && $engine.resident_tickets() as u64 == stats.routed - stats.released,
@@ -477,7 +467,7 @@ fn replay_concurrent(
         resident: stats.resident,
         routed: stats.routed,
         released: stats.released,
-        drops: drops_of(&registry),
+        drops: pba_obs::drops_of(&registry.snapshot()),
         conserved: router.conserves_balls()
             && router.snapshot_epoch() == stats.batches
             && router.resident_tickets() as u64 == stats.routed - stats.released,

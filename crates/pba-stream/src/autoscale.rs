@@ -366,7 +366,7 @@ pub fn run_scale_scenario_on(scenario: &ScaleScenario, mut stream: StreamAllocat
             }
         }
 
-        let (active, commissioned) = active_counts(&stream, initial_bins);
+        let (active, commissioned) = active_counts(&stream);
         peak_bins = peak_bins.max(commissioned);
         min_active_fraction = min_active_fraction.min(active as f64 / peak_bins as f64);
     }
@@ -428,34 +428,23 @@ pub fn run_scale_scenario_on(scenario: &ScaleScenario, mut stream: StreamAllocat
 fn try_stage(stream: &mut StreamAllocator, action: ScaleAction, migrated: &mut u64) -> bool {
     match action {
         ScaleAction::Add { weight } => {
-            let has_retired = match stream.membership() {
-                Some(table) => table.states().contains(&BinState::Retired),
-                // No membership table yet means no reserve was configured;
-                // staging would be rejected, so keep deferring.
-                None => stream.capacity() > stream.config().bins,
-            };
-            if !has_retired {
+            // Without a retired slot staging would be rejected, so keep
+            // deferring.
+            if !stream.membership().states().contains(&BinState::Retired) {
                 return false;
             }
             stream.stage_membership(MembershipPlan::new().add(weight));
             true
         }
         ScaleAction::Drain { bin } => {
-            let active = match stream.membership() {
-                Some(table) => table.state(bin as usize) == BinState::Active,
-                None => (bin as usize) < stream.config().bins,
-            };
-            if !active {
+            if state_of(stream, bin) != Some(BinState::Active) {
                 return false;
             }
             stream.stage_membership(MembershipPlan::new().drain(bin));
             true
         }
         ScaleAction::Remove { bin } => {
-            let draining = stream
-                .membership()
-                .is_some_and(|table| table.state(bin as usize) == BinState::Draining);
-            if !draining {
+            if state_of(stream, bin) != Some(BinState::Draining) {
                 return false;
             }
             if stream.load(bin as usize) > 0 || stream.tickets_in(bin as usize) > 0 {
@@ -472,21 +461,22 @@ fn try_stage(stream: &mut StreamAllocator, action: ScaleAction, migrated: &mut u
     }
 }
 
+/// The lifecycle state of `bin`, if the engine has such a slot.
+fn state_of(stream: &StreamAllocator, bin: u32) -> Option<BinState> {
+    stream.membership().states().get(bin as usize).copied()
+}
+
 /// `(active bins, commissioned bins)` — commissioned counts active and
 /// draining slots (they still hold residents), not the retired reserve.
-fn active_counts(stream: &StreamAllocator, initial_bins: usize) -> (usize, usize) {
-    match stream.membership() {
-        Some(table) => {
-            let active = table.active_count();
-            let draining = table
-                .states()
-                .iter()
-                .filter(|s| **s == BinState::Draining)
-                .count();
-            (active, active + draining)
-        }
-        None => (initial_bins, initial_bins),
-    }
+fn active_counts(stream: &StreamAllocator) -> (usize, usize) {
+    let table = stream.membership();
+    let active = table.active_count();
+    let draining = table
+        .states()
+        .iter()
+        .filter(|s| **s == BinState::Draining)
+        .count();
+    (active, active + draining)
 }
 
 #[cfg(test)]
@@ -518,7 +508,7 @@ mod tests {
         assert_eq!(report.events_staged, 8);
         assert_eq!(report.availability, 1.0);
         assert!(report.stream.conserves_balls());
-        let table = report.stream.membership().expect("elastic after adds");
+        let table = report.stream.membership();
         assert_eq!(table.active_count(), 16);
     }
 
@@ -531,7 +521,7 @@ mod tests {
         assert_eq!(report.events_unapplied, 0, "script must settle");
         assert_eq!(report.availability, 1.0);
         assert!(report.stream.conserves_balls());
-        let table = report.stream.membership().unwrap();
+        let table = report.stream.membership();
         assert_eq!(table.active_count(), 16, "surge bins retired again");
         for bin in 16..20u32 {
             assert_eq!(table.state(bin as usize), BinState::Retired);
@@ -549,7 +539,7 @@ mod tests {
         assert_eq!(report.availability, 1.0);
         assert!(report.migrated > 0, "restarts must move residents");
         assert!(report.stream.conserves_balls());
-        let table = report.stream.membership().unwrap();
+        let table = report.stream.membership();
         assert_eq!(table.active_count(), 8, "every bin recommissioned");
         // Never fewer than 7 of the 8 peak bins active at once.
         assert!(report.min_active_fraction >= 7.0 / 8.0);
@@ -563,7 +553,7 @@ mod tests {
         assert_eq!(report.availability, 1.0);
         assert!(report.migrated > 0, "idle bins hand their residents off");
         assert!(report.stream.conserves_balls());
-        let table = report.stream.membership().unwrap();
+        let table = report.stream.membership();
         assert_eq!(table.active_count(), 12, "cluster restored");
         assert!(report.min_active_fraction <= 4.0 / 12.0 + 1e-9);
     }

@@ -39,32 +39,33 @@
 //! membership, migration. What it does not hold is the state only one thread
 //! may write at a time: the boundary book (batch count, gap trajectory), the
 //! membership side (lifecycle table, staged changes) and the drain side
-//! (sequenced arrivals, commit scratch). That state belongs to a *shell*,
-//! which lends it to the core call by call (`Lend`):
+//! (arrivals in arrival order, commit scratch). That state belongs to a
+//! *shell*, which lends it to the core call by call (`Lend`):
 //!
 //! * [`ConcurrentRouter`] — the cloneable `Arc` handle — keeps each piece
 //!   behind its own mutex and lends by locking; its
-//!   [`push`](ConcurrentRouter::push) stamps arrivals with an atomic and parks
-//!   them on sharded MPMC lanes (the crate-private ingress stage), which the
-//!   draining thread sequences by arrival id.
+//!   [`push`](ConcurrentRouter::push) locks an inbox, stamps the arrival
+//!   under that lock and appends it, and the draining thread moves the
+//!   inbox into the drain side's buffer whole (the crate-private ingress
+//!   stage).
 //! * [`StreamAllocator`](crate::StreamAllocator) — the sole owner — keeps
 //!   them as plain fields and lends by reborrowing, so nothing is locked, its
 //!   accessors hand out references, and its `push` is two plain increments
-//!   and a `Vec` push.
+//!   and a `Vec` push into that same buffer.
 //!
 //! ## Determinism contract
 //!
-//! `route`, `route_many`, `release`, `release_many`, the boundary and every
-//! staged change are the *same code* on both shells, so with one caller they
-//! agree **by construction**. What differs is ingress — lanes plus a
-//! sequencer against a plain buffer — and there the contract is held **by
-//! test**: with one caller thread `push`/`drain_ready`/`flush` on the handle
-//! are bit-identical to the sole owner's — same loads, same gap trajectory,
-//! same shard stats, same batch count, for every policy
+//! `route`, `route_many`, `release`, `release_many`, the drain, the boundary
+//! and every staged change are the *same code* on both shells, so with one
+//! caller they agree **by construction**. The shells differ only in how a
+//! pushed ball reaches the drain buffer — through a locked inbox or
+//! directly — and stamping under the inbox lock keeps the inbox in arrival
+//! order, so with one caller thread `push`/`drain_ready`/`flush` on the
+//! handle are bit-identical to the sole owner's: same loads, same gap
+//! trajectory, same shard stats, same batch count, for every policy
 //! (`tests/concurrent_properties.rs`, `tests/golden/drain.snap`). Candidate
-//! bins are a pure hash of `(seed, key)` and pushed balls are re-sequenced by
-//! arrival id, so each shard's placements are reproducible from the arrival
-//! sequence alone.
+//! bins are a pure hash of `(seed, key)`, so each shard's placements are
+//! reproducible from the arrival sequence alone.
 //!
 //! With **k caller threads**, placements of a batch race the boundary: a
 //! ball may commit while another thread publishes the next snapshot, and the
@@ -79,21 +80,32 @@
 //!
 //! ## Elastic membership and reweighting
 //!
-//! Topology is **epoch-published** like the stale snapshot: a
+//! Topology is **epoch-published** like the stale snapshot, and there is one
+//! topology path: every engine publishes a `Topology` from construction (the
+//! identity one — every configured bin active — unless slots are reserved)
+//! and every route, drain, boundary and pricing reads it. A
 //! [`MembershipPlan`] staged through [`ConcurrentRouter::stage_membership`]
 //! — or weights staged through [`ConcurrentRouter::set_weights`] — is applied
 //! at the next batch boundary under the boundary book, then the new active
 //! set and weight resolves are published through a second
-//! [`pba_concurrent::EpochCell`]. Routes read the topology with one `Arc`
-//! clone; an engine that never stages anything skips even that (an
-//! `AtomicBool` fast path) and runs the exact fixed-membership code.
+//! [`pba_concurrent::EpochCell`]. A route reads the topology with one `Arc`
+//! clone, a routed group once for the whole group. The topology itself says
+//! when sampling needs no indirection: while every slot is active, policies
+//! draw over `[0, n)` directly — the same RNG stream and the same cost as an
+//! engine with no membership at all — so staging nothing, an empty plan or
+//! uniform weights changes neither placements nor speed.
 //!
 //! A route that commits to a bin a racing scale event has just drained is
 //! **undone** and retried against the fresh topology (counted under
-//! `membership.rejected_routes_to_draining` — never silent); with one caller
-//! the race cannot occur. Draining bins keep their residents and tickets
-//! until released or force-migrated ([`ConcurrentRouter::migrate_drained`]);
-//! a `Remove` retires a slot only at zero occupancy (ledger + loads).
+//! `membership.rejected_routes_to_draining` — never silent). The recheck
+//! costs one atomic read — the topology cell's epoch against the epoch the
+//! route chose under — and only a publication in between makes it look at
+//! lifecycle states: a single route at its bin, a routed group once per
+//! distinct bin *after* its grouped commit (a drained bin's whole delta is
+//! taken back and exactly its keys re-routed). With one caller the race
+//! cannot occur. Draining bins keep their residents and tickets until
+//! released or force-migrated ([`ConcurrentRouter::migrate_drained`]); a
+//! `Remove` retires a slot only at zero occupancy (ledger + loads).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
@@ -109,12 +121,19 @@ use pba_stats::OnlineStats;
 
 use crate::commit::{self, CommitScratch, Execution};
 use crate::engine::StreamConfig;
-use crate::ingress::{PendingBall, ShardedIngress};
+use crate::ingress::{Inbox, PendingBall};
 use crate::metrics::StreamMetrics;
 use crate::observer::GapTrajectoryObserver;
 use crate::policy::{ChoiceCtx, Chooser};
 use crate::shard::{ShardStats, ShardedBins};
 use crate::snapshot::{self, uses_thresholds, StreamSnapshot};
+
+#[cfg(test)]
+thread_local! {
+    /// How often this thread's commits had to look at a fresh topology (see
+    /// `Core::topology_moved_since`) — what the no-change tests count.
+    static TOPOLOGY_RECHECKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 thread_local! {
     /// Per-thread commit scratch of the grouped paths (`Core::route_many`,
@@ -179,8 +198,8 @@ pub(crate) struct BoundaryBook {
     batches: u64,
     /// The default observer: per-batch gap trajectory + streaming stats.
     gap: GapTrajectoryObserver,
-    /// Scratch: the active bins' loads, gathered for an elastic engine's
-    /// boundary gap (reused).
+    /// Scratch: the active bins' loads, gathered for the boundary gap of a
+    /// topology with inactive slots (reused).
     gap_scratch: Vec<u32>,
 }
 
@@ -228,7 +247,7 @@ struct DeferredBatchEvent {
 #[derive(Debug, Default)]
 pub(crate) struct DrainSide {
     /// Arrivals in arrival order, not yet drained: the sole owner pushes
-    /// here directly, the handle's sequencer collects its lanes into it.
+    /// here directly, the handle's drainer moves its inbox in whole.
     pub(crate) buffer: Vec<PendingBall>,
     /// Scratch of the commit stage (reused).
     commit: CommitScratch,
@@ -236,11 +255,12 @@ pub(crate) struct DrainSide {
     capacity: Vec<u32>,
 }
 
-/// The epoch-published view of the elastic topology: everything a route
-/// needs to sample, price and commit against the current active set, bundled
-/// into one immutable value so a reader sees a *consistent* topology with a
-/// single `Arc` clone (never an active set from one epoch priced by the
-/// resolve of another).
+/// The epoch-published view of the topology: everything a route needs to
+/// sample, price and commit against the current active set, bundled into one
+/// immutable value so a reader sees a *consistent* topology with a single
+/// `Arc` clone (never an active set from one epoch priced by the resolve of
+/// another). Published from construction — the identity topology of an
+/// engine nobody has scaled yet is a topology like any other.
 #[derive(Debug)]
 struct Topology {
     /// Sorted active slots — the sampling domain.
@@ -281,6 +301,27 @@ impl Topology {
             resolved,
         }
     }
+
+    /// The indirection sampling and measuring go through: the active slots,
+    /// or `None` while **every** slot is active — then positions are slots,
+    /// policies draw over `[0, n)` directly and loads are measured in place.
+    fn sampled(&self) -> Option<&[u32]> {
+        (self.active.len() < self.states.len()).then_some(&self.active[..])
+    }
+
+    /// The gap of `loads` under this topology's weights: classic
+    /// `max − mean` when uniform, weighted `max_i(load_i/w_i) − (Σ load)/W`
+    /// otherwise, over the **active** bins only (gathered into `scratch`
+    /// when some slot is not) — draining and retired slots hold balls no
+    /// placement decision can see.
+    fn gap_of(&self, loads: &[u32], scratch: &mut Vec<u32>) -> f64 {
+        snapshot::gap_of_loads(
+            loads,
+            self.sampled(),
+            self.active_resolved.as_ref(),
+            scratch,
+        )
+    }
 }
 
 /// Staged-but-unapplied elastic state, written by one thread at a time.
@@ -311,10 +352,6 @@ impl MembershipSide {
 #[derive(Debug)]
 pub(crate) struct Core {
     config: StreamConfig,
-    /// Non-uniform weights resolved once at construction; `None` keeps every
-    /// hot path on the exact unweighted code (the strict no-op invariant).
-    /// Superseded by the [`Topology`]'s resolve once the engine is elastic.
-    resolved: Option<Arc<ResolvedWeights>>,
     /// Lock-free load counters + per-shard stats.
     bins: ShardedBins,
     /// The epoch-published stale snapshot every route decides from.
@@ -340,12 +377,9 @@ pub(crate) struct Core {
     /// Resident-ball table (bin-sharded, thread-safe): only routed balls are
     /// ticketed; pushed balls are anonymous.
     ledger: SharedTicketLedger,
-    /// The epoch-published topology elastic routes decide from.
+    /// The epoch-published topology every route, drain and boundary decides
+    /// from; its epoch counts the scale and reweight events applied so far.
     topology: EpochCell<Topology>,
-    /// Fast-path guard: `false` until membership or weights are first staged
-    /// (or from birth when `reserve_bins > 0`); a fixed engine's routes never
-    /// touch the topology cell.
-    has_membership: AtomicBool,
     /// Something is staged and unapplied — checked wherever a batch opens or
     /// closes.
     has_pending_membership: AtomicBool,
@@ -357,7 +391,7 @@ pub(crate) struct Core {
 }
 
 /// An arrival stamped into the sequence but **not yet delivered** to the
-/// ingress lanes — the handle [`ConcurrentRouter::stamp_delayed`] returns and
+/// inbox — the handle [`ConcurrentRouter::stamp_delayed`] returns and
 /// [`ConcurrentRouter::deliver_delayed`] consumes. Fault plans use the pair
 /// to script out-of-order arrival delivery: hold a stamped ball across a
 /// drain and its eventual delivery is a *late arrival* the ingress counts
@@ -375,12 +409,13 @@ impl DelayedArrival {
 }
 
 /// What every [`ConcurrentRouter`] clone shares: the core, the single-writer
-/// state it borrows (each piece behind its own mutex) and the MPMC ingress.
+/// state it borrows, each piece behind its own mutex. Lock order: drain,
+/// then inbox; drain, then boundary (see [`Writer`] for the rest).
 #[derive(Debug)]
 struct Shared {
     core: Core,
-    /// MPMC arrival lanes of the push path.
-    ingress: ShardedIngress,
+    /// Pushed arrivals no drain has taken yet.
+    inbox: Mutex<Inbox>,
     drain: Mutex<DrainSide>,
     boundary: Mutex<BoundaryBook>,
     membership: Mutex<MembershipSide>,
@@ -435,7 +470,7 @@ impl ConcurrentRouter {
     /// Creates an empty concurrent router over `config.bins` bins.
     ///
     /// The full [`StreamConfig`] vocabulary applies — policy, batch size,
-    /// shards (which also shard the ingress lanes and the ticket ledger),
+    /// shards (which also shard the ticket ledger),
     /// seed, weights, `parallel`/`num_threads` for the drain path.
     pub fn new(config: StreamConfig) -> Self {
         Self::build(config, None)
@@ -457,7 +492,7 @@ impl ConcurrentRouter {
         }
         Self {
             shared: Arc::new(Shared {
-                ingress: ShardedIngress::new(core.bins.shard_count()),
+                inbox: Mutex::new(Inbox::default()),
                 drain: Mutex::new(DrainSide::default()),
                 boundary: Mutex::new(book),
                 membership: Mutex::new(side),
@@ -496,10 +531,10 @@ impl ConcurrentRouter {
     /// room, and each sub-group pays the per-route overhead **once**: one
     /// topology read, one thresholds fetch (priced lazily like the first
     /// route of a batch), one epoch-cell read, one grouped load commit
-    /// ([`ShardedBins::place_group_with`] — fixed-membership routers only; an
-    /// elastic router re-checks each bin's lifecycle state per ball exactly
-    /// like [`ConcurrentRouter::route`]), one ledger pass per touched shard
-    /// ([`SharedTicketLedger::issue_many`]), and whole-group counter adds.
+    /// ([`ShardedBins::place_group_with`]) with one draining recheck after it
+    /// (an epoch compare; see the module docs), one ledger pass per touched
+    /// shard ([`SharedTicketLedger::issue_many`]), and whole-group counter
+    /// adds.
     ///
     /// With one caller this is bit-identical to looping
     /// [`ConcurrentRouter::route`] (property-tested across every policy ×
@@ -525,12 +560,12 @@ impl ConcurrentRouter {
     /// Stamps one arriving ball with its arrival id **without delivering
     /// it** — the fault-injection half of [`ConcurrentRouter::push`]. The
     /// ball occupies its slot in the arrival sequence immediately (later
-    /// pushes get later ids), but it only reaches the ingress lanes when the
+    /// pushes get later ids), but it only reaches the inbox when the
     /// returned [`DelayedArrival`] is handed to
     /// [`ConcurrentRouter::deliver_delayed`]. Delivering after a drain has
-    /// already sequenced past its id makes it a **late arrival**: the next
-    /// drain counts it in `ingress.late_arrivals` and sequences it at the
-    /// drain tail (documented reordering, not a silent drop).
+    /// already taken a later id makes it a **late arrival**: the next drain
+    /// counts it in `ingress.late_arrivals` and merges it by id into what is
+    /// still undrained (documented reordering, not a silent drop).
     pub fn stamp_delayed(&self, key: u64) -> DelayedArrival {
         DelayedArrival {
             ball: PendingBall {
@@ -543,9 +578,8 @@ impl ConcurrentRouter {
     /// Delivers a ball previously stamped by
     /// [`ConcurrentRouter::stamp_delayed`]; returns its arrival id.
     pub fn deliver_delayed(&self, delayed: DelayedArrival) -> u64 {
-        let id = delayed.ball.id;
-        self.shared.ingress.enqueue(delayed.ball);
-        id
+        self.inbox().deliver(delayed.ball);
+        delayed.ball.id
     }
 
     /// Releases a routed ball from any thread: validates the ticket against
@@ -579,17 +613,22 @@ impl ConcurrentRouter {
         self.shared.core.release_many(tickets)
     }
 
-    /// Buffers one arriving ball (fire and forget) on the sharded MPMC
-    /// ingress; returns its arrival id. Nothing is allocated until some
-    /// thread calls [`ConcurrentRouter::drain_ready`] (or
-    /// [`ConcurrentRouter::flush`]).
+    /// Buffers one arriving ball (fire and forget) from any thread; returns
+    /// its arrival id. The id is stamped under the inbox lock, so the inbox
+    /// stays in arrival order. Nothing is allocated until some thread calls
+    /// [`ConcurrentRouter::drain_ready`] (or [`ConcurrentRouter::flush`]).
     pub fn push(&self, key: u64) -> u64 {
+        let mut inbox = self.inbox();
         let id = self.shared.core.stamp();
-        self.shared.ingress.enqueue(PendingBall { id, key });
+        inbox.push(PendingBall { id, key });
         id
     }
 
-    /// Sequences every queued pushed ball and drains every *full* batch;
+    fn inbox(&self) -> MutexGuard<'_, Inbox> {
+        self.shared.inbox.lock().expect("inbox lock")
+    }
+
+    /// Takes in every pushed ball and drains every *full* batch;
     /// returns the number of batches drained. Balls beyond the last full
     /// batch stay buffered. Any thread may call this; one drain runs at a
     /// time (serialised by the drain lock) while routes keep flowing.
@@ -611,11 +650,11 @@ impl ConcurrentRouter {
         self.shared.core.flush(&mut self.shared.writer(), &mut side)
     }
 
-    /// Takes the drain lock and sequences every queued arrival into its
-    /// buffer (sorted by arrival id), counting late ones.
+    /// Takes the drain lock and moves the inbox into its buffer (arrival
+    /// order), counting late arrivals.
     fn sequenced(&self) -> MutexGuard<'_, DrainSide> {
         let mut side = self.shared.drain.lock().expect("drain lock");
-        let (_, late) = self.shared.ingress.collect_into(&mut side.buffer);
+        let late = self.inbox().take_into(&mut side.buffer);
         if late > 0 {
             if let Some(metrics) = self.metrics() {
                 metrics.ingress_late.add(late);
@@ -678,18 +717,15 @@ impl ConcurrentRouter {
         self.shared.core.capacity()
     }
 
-    /// The sorted active bins of an elastic router; `None` while the router
-    /// is fixed (no reserve, nothing ever staged), where every configured
-    /// bin is implicitly active.
-    pub fn active_bins(&self) -> Option<Vec<u32>> {
-        let topology = self.shared.core.topology_if_elastic()?;
-        Some(topology.active.clone())
+    /// The sorted active bins (every configured bin until a scale event
+    /// says otherwise).
+    pub fn active_bins(&self) -> Vec<u32> {
+        self.shared.core.topology.load().active.clone()
     }
 
-    /// Per-slot lifecycle states of an elastic router (`None` while fixed).
-    pub fn bin_states(&self) -> Option<Vec<BinState>> {
-        let topology = self.shared.core.topology_if_elastic()?;
-        Some(topology.states.clone())
+    /// Per-slot lifecycle states, one per capacity slot.
+    pub fn bin_states(&self) -> Vec<BinState> {
+        self.shared.core.topology.load().states.clone()
     }
 
     /// Fresh per-bin loads.
@@ -707,11 +743,12 @@ impl ConcurrentRouter {
         self.shared.core.resident()
     }
 
-    /// Balls buffered on the ingress (or sequenced but below one batch) and
-    /// not yet drained.
+    /// Balls pushed and not yet drained: the inbox plus what earlier drains
+    /// left below one batch, read under both locks (in the drainer's order)
+    /// so a ball moving from one to the other is never missed.
     pub fn pending(&self) -> u64 {
-        let sequenced = self.shared.drain.lock().expect("drain lock").buffer.len();
-        self.shared.ingress.queued() + sequenced as u64
+        let side = self.shared.drain.lock().expect("drain lock");
+        (side.buffer.len() + self.inbox().len()) as u64
     }
 
     /// Batch boundaries completed so far (== the snapshot epoch).
@@ -864,10 +901,10 @@ impl Core {
                 config.bins
             );
         }
-        let resolved = config.weights.resolve(config.bins);
         let capacity = config.bins + config.reserve_bins;
-        let slot_weights: Vec<f64> = match &resolved {
-            Some(resolved) => (0..config.bins).map(|i| resolved.weight(i)).collect(),
+        // Uniform weights of any constant canonicalise to 1.0 per slot.
+        let slot_weights = match config.weights.resolve(config.bins) {
+            Some(resolved) => resolved.weights().to_vec(),
             None => vec![1.0; config.bins],
         };
         let table = Membership::new(config.bins, capacity, &slot_weights);
@@ -878,7 +915,6 @@ impl Core {
             gap_scratch: Vec::new(),
         };
         let core = Self {
-            resolved: resolved.map(Arc::new),
             published: EpochCell::new(vec![0; capacity]),
             route_thresholds: RwLock::new(Arc::new(OnceLock::new())),
             open_routed: AtomicU64::new(0),
@@ -892,10 +928,6 @@ impl Core {
             has_observers: AtomicBool::new(false),
             ledger: SharedTicketLedger::new(capacity, bins.shard_count()),
             topology: EpochCell::new(Topology::of(&table)),
-            // A reserve makes the engine elastic from birth: the retired
-            // tail must be invisible to sampling, which only the
-            // topology-aware paths guarantee.
-            has_membership: AtomicBool::new(config.reserve_bins > 0),
             has_pending_membership: AtomicBool::new(false),
             pool: (config.num_threads > 0).then(|| {
                 rayon::ThreadPoolBuilder::new()
@@ -1039,7 +1071,6 @@ impl Core {
         if let [key] = keys {
             return self.route(writer, *key).map(|placement| vec![placement]);
         }
-        let policy = self.config.policy;
         let mut placements = Vec::with_capacity(keys.len());
         let mut rest = keys;
         while !rest.is_empty() {
@@ -1055,59 +1086,14 @@ impl Core {
             let take = rest.len().min(room);
             let (group, tail) = rest.split_at(take);
             rest = tail;
-
-            // Read once per sub-group what `route` reads once per key.
-            let topology = self.topology_if_elastic();
-            let priced;
-            let (flat, capacity): (u32, &[u32]) = if uses_thresholds(policy) {
-                priced = self.priced_route_thresholds();
-                let thresholds = priced.get().expect("priced above");
-                (thresholds.flat, &thresholds.capacity)
-            } else {
-                (0, &[])
-            };
-            let stale = self.published.load();
-            let ctx = self.choice_ctx(topology.as_deref(), &stale, flat, capacity);
-            let chooser = Chooser::new(policy, &ctx);
-            let bin_commits = self.metrics.as_ref().map(|m| &m.bin_commits);
             let tickets = GROUP_COMMIT.with(|scratch| {
                 let scratch = &mut *scratch.borrow_mut();
-                commit::choose_into(
-                    &chooser,
-                    group,
-                    |&key| key,
-                    Execution::INLINE,
-                    &mut scratch.chosen,
-                );
-                match &topology {
-                    // Fixed membership: the drain's grouped commit — one
-                    // atomic increment per distinct bin, one stats lock per
-                    // touched shard.
-                    None => commit::place_chosen(&self.bins, scratch, bin_commits),
-                    // Elastic: each placement needs the post-commit draining
-                    // recheck (and possibly an undo + re-route), so commits
-                    // stay per ball — the choose above still amortized the
-                    // reads.
-                    Some(_) => {
-                        for (slot, &key) in scratch.chosen.iter_mut().zip(group) {
-                            if !self.place_if_active(*slot as usize, true) {
-                                *slot = self.choose_and_place(key) as u32;
-                            }
-                            if let Some(bin_commits) = bin_commits {
-                                bin_commits.inc(*slot as usize);
-                            }
-                        }
-                    }
-                }
-                let base = self.next_ball.fetch_add(take as u64, Ordering::AcqRel);
-                self.arrived.fetch_add(take as u64, Ordering::AcqRel);
-                self.placed.fetch_add(take as u64, Ordering::AcqRel);
-                self.routed.fetch_add(take as u64, Ordering::AcqRel);
-                if let Some(metrics) = &self.metrics {
-                    metrics.routed.add(take as u64);
-                    metrics.placed.add(take as u64);
-                }
-                self.ledger.issue_many(base, &scratch.chosen)
+                // Read once per sub-group what `route` reads once per key.
+                let (seen, ()) = self.with_route_chooser(|chooser| {
+                    let chosen = &mut scratch.chosen;
+                    commit::choose_into(chooser, group, |&key| key, Execution::INLINE, chosen)
+                });
+                self.commit_group(seen, group, scratch)
             });
             if self.has_observers.load(Ordering::Acquire) {
                 // Per-arrival taps fire in arrival order, before this group
@@ -1134,6 +1120,62 @@ impl Core {
             }
         }
         Ok(placements)
+    }
+
+    /// Commits a sub-group chosen under topology epoch `seen` — the drain's
+    /// grouped commit: one atomic increment per distinct bin, one stats lock
+    /// per touched shard — re-routes whatever a scale event published since
+    /// has drained from under it, and tickets the group.
+    fn commit_group(&self, seen: u64, group: &[u64], scratch: &mut CommitScratch) -> Vec<Ticket> {
+        let bin_commits = self.metrics.as_ref().map(|m| &m.bin_commits);
+        commit::place_chosen(&self.bins, scratch, bin_commits);
+        if self.topology_moved_since(seen) {
+            self.reroute_drained(&self.topology.load(), group, &mut scratch.chosen);
+        }
+        let take = group.len() as u64;
+        let base = self.next_ball.fetch_add(take, Ordering::AcqRel);
+        self.arrived.fetch_add(take, Ordering::AcqRel);
+        self.placed.fetch_add(take, Ordering::AcqRel);
+        self.routed.fetch_add(take, Ordering::AcqRel);
+        if let Some(metrics) = &self.metrics {
+            metrics.routed.add(take);
+            metrics.placed.add(take);
+        }
+        self.ledger.issue_many(base, &scratch.chosen)
+    }
+
+    /// The cold half of a grouped commit's draining recheck: for every bin of
+    /// `chosen` that `fresh` no longer serves, takes the group's whole delta
+    /// back (one grouped decrement per distinct bin), counts one
+    /// `membership.rejected_routes_to_draining` per ball and re-routes
+    /// exactly those keys, overwriting their slots in `chosen`.
+    fn reroute_drained(&self, fresh: &Topology, keys: &[u64], chosen: &mut [u32]) {
+        let drained = |bin: u32| fresh.states[bin as usize] != BinState::Active;
+        let undone: Vec<u32> = chosen.iter().copied().filter(|&bin| drained(bin)).collect();
+        if undone.is_empty() {
+            return;
+        }
+        let taken_back = self.bins.release_group(&undone);
+        assert_eq!(
+            taken_back,
+            undone.len() as u64,
+            "undo of placements just made"
+        );
+        if let Some(metrics) = &self.metrics {
+            let rejected = &metrics.membership.rejected_routes_to_draining;
+            rejected.add(undone.len() as u64);
+            for &bin in &undone {
+                metrics.bin_commits.retract(bin as usize, 1);
+            }
+        }
+        for (slot, &key) in chosen.iter_mut().zip(keys) {
+            if drained(*slot) {
+                *slot = self.choose_and_place(key) as u32;
+                if let Some(metrics) = &self.metrics {
+                    metrics.bin_commits.inc(*slot as usize);
+                }
+            }
+        }
     }
 
     /// Force-releases every ticketed resident of `bin`; see
@@ -1245,7 +1287,6 @@ impl Core {
     /// Stages a membership plan for the next batch boundary.
     pub(crate) fn stage_membership(&self, side: &mut MembershipSide, plan: MembershipPlan) {
         side.pending.extend(plan);
-        self.has_membership.store(true, Ordering::Release);
         self.has_pending_membership.store(true, Ordering::Release);
     }
 
@@ -1259,16 +1300,13 @@ impl Core {
             );
         }
         side.pending_weights = Some(weights);
-        self.has_membership.store(true, Ordering::Release);
         self.has_pending_membership.store(true, Ordering::Release);
     }
 
     /// Force-migrates the ticketed residents of every draining bin; see
     /// [`ConcurrentRouter::migrate_drained`].
     pub(crate) fn migrate_drained(&self) -> u64 {
-        let Some(topology) = self.topology_if_elastic() else {
-            return 0;
-        };
+        let topology = self.topology.load();
         let draining: Vec<u32> = topology
             .states
             .iter()
@@ -1284,9 +1322,9 @@ impl Core {
             return 0;
         }
         let mut capacity = Vec::new();
-        let flat = self.price_batch(Some(&topology), volume, &mut capacity);
+        let flat = self.price_batch(&topology, volume, &mut capacity);
         let stale = self.published.load();
-        let ctx = self.choice_ctx(Some(&topology), &stale, flat, &capacity);
+        let ctx = self.choice_ctx(&topology, &stale, flat, &capacity);
         let chooser = Chooser::new(self.config.policy, &ctx);
         let mut migrated = 0u64;
         for &bin in &draining {
@@ -1329,18 +1367,6 @@ impl Core {
         self.config.bins + self.config.reserve_bins
     }
 
-    /// Whether the engine runs the topology-aware paths (a reserve, or
-    /// something was staged at least once).
-    pub(crate) fn is_elastic(&self) -> bool {
-        self.has_membership.load(Ordering::Acquire)
-    }
-
-    /// The published topology, or `None` for a fixed-membership engine (the
-    /// fast path: one atomic read, no `Arc` traffic).
-    fn topology_if_elastic(&self) -> Option<Arc<Topology>> {
-        self.is_elastic().then(|| self.topology.load())
-    }
-
     /// Fresh per-bin loads.
     pub(crate) fn loads(&self) -> Vec<u32> {
         self.bins.snapshot()
@@ -1361,14 +1387,10 @@ impl Core {
         self.published.epoch()
     }
 
-    /// The weights placements currently run under: the topology's
-    /// capacity-wide resolve once the engine is elastic (which a staged
-    /// `set_weights` makes it), the construction-time resolve before.
+    /// The weights placements currently run under: the published
+    /// topology's capacity-wide resolve.
     pub(crate) fn weights(&self) -> Option<Arc<ResolvedWeights>> {
-        match self.topology_if_elastic() {
-            Some(topology) => topology.resolved.clone(),
-            None => self.resolved.clone(),
-        }
+        self.topology.load().resolved.clone()
     }
 
     /// Fresh normalized loads `load_i / w_i` (raw loads when uniform).
@@ -1414,7 +1436,7 @@ impl Core {
     /// A full point-in-time snapshot; `pending` and `batches` are the
     /// shell's to supply.
     pub(crate) fn snapshot(&self, pending: u64, batches: u64) -> StreamSnapshot {
-        let topology = self.topology_if_elastic();
+        let topology = self.topology.load();
         StreamSnapshot::assemble(
             self.bins.snapshot(),
             (*self.published.load()).clone(),
@@ -1423,11 +1445,8 @@ impl Core {
             self.departed.load(Ordering::Acquire),
             pending,
             batches,
-            self.resolved.as_deref(),
-            topology.as_ref().map(|topology| &topology.active[..]),
-            topology
-                .as_ref()
-                .and_then(|topology| topology.active_resolved.as_ref()),
+            topology.sampled(),
+            topology.active_resolved.as_ref(),
         )
     }
 
@@ -1442,30 +1461,14 @@ impl Core {
     /// Aggregate routing statistics; `batches` is the shell's to supply.
     pub(crate) fn stats(&self, batches: u64) -> RouterStats {
         let loads = self.bins.snapshot();
-        let topology = self.topology_if_elastic();
+        let topology = self.topology.load();
         RouterStats {
             routed: self.routed.load(Ordering::Acquire),
             released: self.released.load(Ordering::Acquire),
             resident: loads.iter().map(|&l| l as u64).sum(),
-            bins: topology
-                .as_ref()
-                .map_or(self.config.bins, |t| t.active.len()),
+            bins: topology.active.len(),
             batches,
-            gap: self.gap_of(topology.as_deref(), &loads, &mut Vec::new()),
-        }
-    }
-
-    /// The gap of `loads` under the weights in force: classic `max − mean`
-    /// when uniform, weighted `max_i(load_i/w_i) − (Σ load)/W` otherwise. An
-    /// elastic engine measures its **active** bins only (gathered into
-    /// `scratch`) — draining and retired slots hold balls no placement
-    /// decision can see.
-    fn gap_of(&self, topology: Option<&Topology>, loads: &[u32], scratch: &mut Vec<u32>) -> f64 {
-        match topology {
-            Some(t) => {
-                snapshot::gap_of_active_loads(loads, &t.active, t.active_resolved.as_ref(), scratch)
-            }
-            None => snapshot::gap_of_loads(loads, self.resolved.as_deref()),
+            gap: topology.gap_of(&loads, &mut Vec::new()),
         }
     }
 
@@ -1488,34 +1491,50 @@ impl Core {
     }
 
     /// The pricing context of one batch: the stale snapshot, its thresholds
-    /// and the weights and active set of `topology` (the construction-time
-    /// weights over every bin for a fixed engine).
+    /// and the weights and sampling domain of `topology`.
     fn choice_ctx<'a>(
         &'a self,
-        topology: Option<&'a Topology>,
+        topology: &'a Topology,
         stale: &'a [u32],
         flat: u32,
         capacity: &'a [u32],
     ) -> ChoiceCtx<'a> {
-        let (weights, active, active_weights) = match topology {
-            Some(t) => (
-                t.resolved.as_deref(),
-                Some(&t.active[..]),
-                t.active_resolved.as_ref(),
-            ),
-            None => (self.resolved.as_deref(), None, None),
-        };
         ChoiceCtx {
             snapshot: stale,
-            weights,
+            weights: topology.resolved.as_deref(),
             batch_threshold: flat,
             capacity_thresholds: capacity,
             seed: self.config.seed,
             bins: self.capacity(),
-            active,
-            active_weights,
+            active: topology.sampled(),
+            active_weights: topology.active_resolved.as_ref(),
             counters: self.metrics.as_ref().map(|m| &m.policy),
         }
+    }
+
+    /// Runs `f` with the chooser of the open routed batch — the published
+    /// topology and epoch snapshot plus, for a threshold policy, the batch's
+    /// thresholds, priced once, at its first route (lazily, so the priced
+    /// resident count includes every release up to the moment the batch
+    /// opens) — and returns the topology epoch `f` chose under with its
+    /// result. Both cells are read under their read locks, not cloned out:
+    /// `f` only chooses.
+    fn with_route_chooser<R>(&self, f: impl FnOnce(&Chooser<'_>) -> R) -> (u64, R) {
+        let policy = self.config.policy;
+        self.topology.with(|seen, topology| {
+            let priced;
+            let (flat, capacity): (u32, &[u32]) = if uses_thresholds(policy) {
+                priced = self.priced_route_thresholds(topology);
+                let thresholds = priced.get().expect("priced above");
+                (thresholds.flat, &thresholds.capacity)
+            } else {
+                (0, &[])
+            };
+            self.published.with(|_, stale| {
+                let ctx = self.choice_ctx(topology, stale, flat, capacity);
+                (seen, f(&Chooser::new(policy, &ctx)))
+            })
+        })
     }
 
     /// The bin-selection core of one route: choose against the published
@@ -1523,45 +1542,43 @@ impl Core {
     /// [`Core::place_if_active`] refuses it. Returns the bin the ball landed
     /// in.
     fn choose_and_place(&self, key: u64) -> usize {
-        let policy = self.config.policy;
         loop {
-            let topology = self.topology_if_elastic();
-            // Threshold policies price the open batch once, at its first
-            // route (lazily, so the priced resident count includes every
-            // release up to the moment the batch opens).
-            let priced;
-            let (flat, capacity): (u32, &[u32]) = if uses_thresholds(policy) {
-                priced = self.priced_route_thresholds();
-                let thresholds = priced.get().expect("priced above");
-                (thresholds.flat, &thresholds.capacity)
-            } else {
-                (0, &[])
-            };
-            let stale = self.published.load();
-            let ctx = self.choice_ctx(topology.as_deref(), &stale, flat, capacity);
-            let bin = Chooser::new(policy, &ctx).choose_one(key) as usize;
-            if self.place_if_active(bin, topology.is_some()) {
-                return bin;
+            let (seen, bin) = self.with_route_chooser(|chooser| chooser.choose_one(key));
+            if self.place_if_active(seen, bin as usize) {
+                return bin as usize;
             }
         }
     }
 
-    /// Commits one placement to `bin`. An `elastic` engine re-reads the
-    /// topology *after* the commit — a scale event may have drained the bin
-    /// between choose and place — and, if so, undoes the placement, counts it
-    /// (`membership.rejected_routes_to_draining`) and returns `false`: the
+    /// Whether a topology was published after epoch `seen` — the question
+    /// every commit's draining recheck starts with, and nearly always ends
+    /// with: one atomic read, and while no scale or reweight event has been
+    /// applied in between there is nothing a placement chosen under `seen`
+    /// could have missed.
+    fn topology_moved_since(&self, seen: u64) -> bool {
+        let moved = self.topology.epoch() != seen;
+        #[cfg(test)]
+        TOPOLOGY_RECHECKS.with(|count| count.set(count.get() + moved as u64));
+        moved
+    }
+
+    /// Commits one placement to `bin`, chosen under topology epoch `seen`. A
+    /// scale event applied since may have drained the bin between choose and
+    /// place; if so the placement is undone, counted
+    /// (`membership.rejected_routes_to_draining`) and `false` returned: the
     /// caller retries against the fresh topology. With one caller the race
     /// cannot occur.
-    fn place_if_active(&self, bin: usize, elastic: bool) -> bool {
+    fn place_if_active(&self, seen: u64, bin: usize) -> bool {
         self.bins.place(bin);
-        if !elastic || self.topology.load().states[bin] == BinState::Active {
-            return true;
+        let still_active = !self.topology_moved_since(seen)
+            || self.topology.load().states[bin] == BinState::Active;
+        if !still_active {
+            assert!(self.bins.depart(bin), "undo of a placement just made");
+            if let Some(metrics) = &self.metrics {
+                metrics.membership.rejected_routes_to_draining.inc();
+            }
         }
-        assert!(self.bins.depart(bin), "undo of a placement just made");
-        if let Some(metrics) = &self.metrics {
-            metrics.membership.rejected_routes_to_draining.inc();
-        }
-        false
+        still_active
     }
 
     /// Applies everything staged — membership events first (the topology the
@@ -1661,52 +1678,30 @@ impl Core {
     /// the flat threshold ([`snapshot::batch_threshold`]) and fills
     /// `capacity` with the per-bin thresholds of a weighted
     /// [`Policy::CapacityThreshold`](crate::Policy) (left empty otherwise).
-    /// An elastic engine prices over the **active** bins and the balls
-    /// resident in them, as a compacted fixed engine over those bins would:
-    /// balls stranded on draining bins are leaving, and counting them would
-    /// inflate the survivors' fair share.
-    fn price_batch(
-        &self,
-        topology: Option<&Topology>,
-        batch_len: u64,
-        capacity: &mut Vec<u32>,
-    ) -> u32 {
+    /// Pricing runs over the **active** bins and the balls resident in them,
+    /// as a compacted engine over just those bins would: balls stranded on
+    /// draining bins are leaving, and counting them would inflate the
+    /// survivors' fair share.
+    fn price_batch(&self, topology: &Topology, batch_len: u64, capacity: &mut Vec<u32>) -> u32 {
         let policy = self.config.policy;
         // Only a threshold policy reads the resident count; the rest skip
         // the O(n) walk behind it.
-        let priced = uses_thresholds(policy);
-        match topology {
-            Some(topology) => {
-                let resident = if priced {
-                    let active = topology.active.iter();
-                    active.map(|&bin| self.bins.load(bin as usize) as u64).sum()
-                } else {
-                    0
-                };
-                snapshot::fill_active_capacity_thresholds_into(
-                    policy,
-                    topology.active_resolved.as_ref(),
-                    &topology.active,
-                    resident,
-                    self.capacity(),
-                    batch_len,
-                    capacity,
-                );
-                snapshot::batch_threshold(policy, resident, topology.active.len(), batch_len)
-            }
-            None => {
-                let resident = if priced { self.bins.total() } else { 0 };
-                snapshot::fill_capacity_thresholds_into(
-                    policy,
-                    self.resolved.as_deref(),
-                    resident,
-                    self.config.bins,
-                    batch_len,
-                    capacity,
-                );
-                snapshot::batch_threshold(policy, resident, self.config.bins, batch_len)
-            }
-        }
+        let resident = if uses_thresholds(policy) {
+            let active = topology.active.iter();
+            active.map(|&bin| self.bins.load(bin as usize) as u64).sum()
+        } else {
+            0
+        };
+        snapshot::fill_capacity_thresholds_into(
+            policy,
+            topology.active_resolved.as_ref(),
+            &topology.active,
+            resident,
+            self.capacity(),
+            batch_len,
+            capacity,
+        );
+        snapshot::batch_threshold(policy, resident, topology.active.len(), batch_len)
     }
 
     /// Returns the open routed batch's threshold cell, priced (the first
@@ -1714,15 +1709,11 @@ impl Core {
     /// the full `batch_size` — a router cannot know how many requests the
     /// batch will eventually have (push-mode partial flushes price their
     /// true length; full batches are identical either way).
-    fn priced_route_thresholds(&self) -> Arc<OnceLock<RouteThresholds>> {
+    fn priced_route_thresholds(&self, topology: &Topology) -> Arc<OnceLock<RouteThresholds>> {
         let cell = Arc::clone(&self.route_thresholds.read().expect("threshold lock"));
         cell.get_or_init(|| {
             let mut capacity = Vec::new();
-            let flat = self.price_batch(
-                self.topology_if_elastic().as_deref(),
-                self.config.batch_size as u64,
-                &mut capacity,
-            );
+            let flat = self.price_batch(topology, self.config.batch_size as u64, &mut capacity);
             RouteThresholds { flat, capacity }
         });
         cell
@@ -1780,8 +1771,7 @@ impl Core {
             .published
             .publish_with(|loads| self.bins.snapshot_into(loads));
         debug_assert_eq!(epoch, book.batches, "epoch tracks batch boundaries");
-        let topology = self.topology_if_elastic();
-        let gap = self.gap_of(topology.as_deref(), &loads, &mut book.gap_scratch);
+        let gap = self.topology.load().gap_of(&loads, &mut book.gap_scratch);
         let event = BatchEvent {
             batch_index: book.batches,
             batch_len,
@@ -1896,10 +1886,10 @@ impl Core {
         // *routed* batch is still open: its thresholds were priced under the
         // old topology, so the change waits for the boundary that closes it.
         self.apply_staged_at_batch_open(writer);
-        let topology = self.topology_if_elastic();
-        let threshold = self.price_batch(topology.as_deref(), batch.len() as u64, capacity);
+        let topology = self.topology.load();
+        let threshold = self.price_batch(&topology, batch.len() as u64, capacity);
         let stale = self.published.load();
-        let ctx = self.choice_ctx(topology.as_deref(), &stale, threshold, capacity);
+        let ctx = self.choice_ctx(&topology, &stale, threshold, capacity);
         let chooser = Chooser::new(self.config.policy, &ctx);
         let execution = Execution {
             parallel: self.config.parallel,
@@ -1950,11 +1940,180 @@ mod tests {
         assert_eq!(concurrent.drain_ready(), reference.drain_ready());
         assert_eq!(concurrent.loads(), reference.loads());
         assert_eq!(concurrent.pending(), reference.pending() as u64);
+        // `pending` sees the undrained remainder and the inbox together.
+        for key in keys(3, 4) {
+            concurrent.push(key);
+            reference.push(key);
+        }
+        assert_eq!(concurrent.pending(), 1000 % 64 + 3);
         assert_eq!(concurrent.flush(), reference.flush());
         assert_eq!(concurrent.loads(), reference.loads());
         assert_eq!(concurrent.gap_trajectory(), reference.gap_trajectory());
         assert_eq!(concurrent.shard_stats(), reference.shard_stats());
         assert!(concurrent.conserves_balls());
+    }
+
+    /// A router with metrics, 64 routed residents and no routed batch open —
+    /// the quiet state the hand-stepped scale races below start from.
+    fn settled_router() -> ConcurrentRouter {
+        let registry = Arc::new(pba_obs::MetricsRegistry::new());
+        let config = StreamConfig::new(16).batch_size(64).seed(5);
+        let router = ConcurrentRouter::with_metrics(config, registry);
+        router.route_many(&keys(64, 1)).unwrap();
+        assert_eq!(router.batches(), 1);
+        router
+    }
+
+    /// Stages `change` and applies it on the spot, the way another caller's
+    /// batch boundary would between this caller's choose and its commit.
+    fn apply_now(router: &ConcurrentRouter, change: impl FnOnce(&ConcurrentRouter)) {
+        let shared = &router.shared;
+        change(router);
+        shared.core.apply_staged_at_batch_open(&mut shared.writer());
+        assert!(!shared.core.has_pending_membership.load(Ordering::Acquire));
+    }
+
+    fn drain_now(router: &ConcurrentRouter, bin: usize) {
+        apply_now(router, |router| {
+            router.stage_membership(MembershipPlan::new().drain(bin as u32))
+        });
+        assert_eq!(router.bin_states()[bin], BinState::Draining);
+    }
+
+    /// The choose half of a routed sub-group, as `route_many` runs it;
+    /// returns the topology epoch the group chose under.
+    fn choose_group(core: &Core, group: &[u64], scratch: &mut CommitScratch) -> u64 {
+        let chosen = &mut scratch.chosen;
+        let choose = |chooser: &Chooser<'_>| {
+            commit::choose_into(chooser, group, |&key| key, Execution::INLINE, chosen)
+        };
+        core.with_route_chooser(choose).0
+    }
+
+    fn rejected_routes(router: &ConcurrentRouter) -> u64 {
+        let metrics = router.metrics().expect("built with metrics");
+        metrics.membership.rejected_routes_to_draining.get()
+    }
+
+    fn topology_rechecks() -> u64 {
+        TOPOLOGY_RECHECKS.with(std::cell::Cell::get)
+    }
+
+    #[test]
+    fn a_group_whose_bin_drains_before_its_commit_takes_it_back_and_reroutes() {
+        let router = settled_router();
+        let core = &router.shared.core;
+        let group = keys(32, 2);
+        let mut scratch = CommitScratch::default();
+
+        // Step 1: the group chooses, under topology epoch 0.
+        let seen = choose_group(core, &group, &mut scratch);
+        assert_eq!(seen, 0);
+        let first_choice = scratch.chosen.clone();
+        let victim = first_choice[0] as usize;
+        let hits = first_choice.iter().filter(|&&bin| bin as usize == victim);
+        let hits = hits.count() as u64;
+        let load_before = router.load(victim);
+        assert!(
+            load_before > 0,
+            "the undo must not be able to hide in a zero"
+        );
+
+        // Step 2: a scale event drains one of the chosen bins — epoch 1.
+        drain_now(&router, victim);
+        assert_eq!(core.topology.epoch(), 1);
+        assert_eq!(rejected_routes(&router), 0);
+
+        // Step 3: the group commits. One look at the fresh topology; the
+        // victim's whole delta comes back; exactly its keys move.
+        let rechecks = topology_rechecks();
+        let tickets = core.commit_group(seen, &group, &mut scratch);
+        assert_eq!(topology_rechecks() - rechecks, 1);
+        assert_eq!(rejected_routes(&router), hits);
+        assert_eq!(router.load(victim), load_before);
+        for (ticket, &first) in tickets.iter().zip(&first_choice) {
+            if first as usize == victim {
+                assert_ne!(ticket.bin(), victim, "re-routed off the drained bin");
+            } else {
+                assert_eq!(ticket.bin(), first as usize, "everyone else stays put");
+            }
+        }
+        let metrics = router.metrics().unwrap();
+        assert_eq!(metrics.bin_commits.total(), metrics.placed.get());
+        assert_eq!(metrics.bin_commits.get(victim), load_before as u64);
+        assert!(router.conserves_balls());
+        router.release_many(&tickets).expect("every ticket redeems");
+        assert_eq!(router.resident(), 64);
+        assert!(router.conserves_balls());
+    }
+
+    #[test]
+    fn a_route_whose_bin_drains_before_its_commit_is_undone_counted_and_retried() {
+        let router = settled_router();
+        let core = &router.shared.core;
+        let key = 0xfeed;
+
+        // Step 1: choose under epoch 0. Step 2: the chosen bin drains.
+        let (seen, bin) = core.with_route_chooser(|chooser| chooser.choose_one(key) as usize);
+        assert_eq!(seen, 0);
+        let load_before = router.load(bin);
+        drain_now(&router, bin);
+
+        // Step 3: the commit is refused — placed, found drained, undone.
+        assert!(!core.place_if_active(seen, bin));
+        assert_eq!(rejected_routes(&router), 1);
+        assert_eq!(router.load(bin), load_before);
+        assert!(router.conserves_balls());
+
+        // The retry decides against the fresh topology and sticks.
+        let rechecks = topology_rechecks();
+        let placement = router.route(key).unwrap();
+        assert_ne!(placement.bin, bin);
+        assert_eq!(topology_rechecks(), rechecks);
+        assert_eq!(rejected_routes(&router), 1);
+        router
+            .release(placement.ticket)
+            .expect("the ticket redeems");
+        assert_eq!(router.resident(), 64);
+        assert!(router.conserves_balls());
+    }
+
+    #[test]
+    fn commits_look_at_the_topology_only_after_a_publication() {
+        let router = settled_router();
+        let core = &router.shared.core;
+        let rechecks = topology_rechecks();
+        // Nothing staged, then an empty plan staged and applied: no
+        // publication, so no commit — single or grouped — loads a topology.
+        for round in 0..2 {
+            for key in keys(64, 10 + round) {
+                router.route(key).unwrap();
+            }
+            for group in keys(256, 20 + round).chunks(32) {
+                router.route_many(group).unwrap();
+            }
+            apply_now(&router, |router| {
+                router.stage_membership(MembershipPlan::new())
+            });
+        }
+        assert_eq!(core.topology.epoch(), 0);
+        assert_eq!(topology_rechecks(), rechecks);
+
+        // A publication that drains nothing costs the one commit it races
+        // one look, rejects nothing and moves nobody.
+        let group = keys(32, 3);
+        let mut scratch = CommitScratch::default();
+        let seen = choose_group(core, &group, &mut scratch);
+        let chosen = scratch.chosen.clone();
+        apply_now(&router, |router| router.set_weights(BinWeights::Uniform));
+        assert_eq!(core.topology.epoch(), 1);
+        core.commit_group(seen, &group, &mut scratch);
+        assert_eq!(topology_rechecks(), rechecks + 1);
+        assert_eq!((scratch.chosen, rejected_routes(&router)), (chosen, 0));
+        router.route_many(&keys(32, 4)).unwrap();
+        router.route(7).unwrap();
+        assert_eq!(topology_rechecks(), rechecks + 1);
+        assert!(router.conserves_balls());
     }
 
     #[test]

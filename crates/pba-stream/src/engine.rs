@@ -18,7 +18,7 @@
 //! single-writer state — boundary book, membership side, drain side — sits
 //! in plain fields and is lent to the core by reborrow, so no call locks
 //! anything; [`StreamAllocator::push`] is two plain increments and a `Vec`
-//! push, with no lanes to sequence; and the accessors hand out references
+//! push, with no inbox to lock; and the accessors hand out references
 //! ([`StreamAllocator::gap_trajectory`], [`StreamAllocator::gap_stats`],
 //! [`StreamAllocator::membership`]) where the handle has to copy out from
 //! under a lock. Everything else on this page is a one-line delegation.
@@ -43,10 +43,10 @@
 //! membership ([`StreamAllocator::stage_membership`], the `pba-membership`
 //! lifecycle) take effect at the next batch boundary. The engine's arrays
 //! are sized once, to `bins + reserve_bins` **capacity slots**, so scaling
-//! out never reallocates; an engine that never stages anything (and reserves
-//! no slots) runs the exact fixed-membership code paths, and staging an
-//! identity (empty) plan is a strict no-op — bit-identical loads, RNG streams
-//! and gap trajectories.
+//! out never reallocates; while every slot is active policies sample
+//! `[0, n)` directly, and staging an identity (empty) plan is a strict no-op
+//! — bit-identical loads, RNG streams and gap trajectories, at the same
+//! cost.
 
 use std::sync::{Arc, Mutex};
 
@@ -110,9 +110,8 @@ pub struct StreamConfig {
     pub weights: BinWeights,
     /// Pre-reserved **retired** bin slots for elastic membership: the engine
     /// is sized to `bins + reserve_bins` capacity slots, of which the first
-    /// `bins` start active and the rest wait for an `Add`. `0` (the default)
-    /// keeps the engine on the exact fixed-membership code paths until a
-    /// plan is staged (scale-out is then limited to slots freed by removes).
+    /// `bins` start active and the rest wait for an `Add`. With `0` (the
+    /// default) scale-out is limited to slots freed by removes.
     pub reserve_bins: usize,
 }
 
@@ -376,11 +375,10 @@ impl StreamAllocator {
         self.core.capacity()
     }
 
-    /// The membership lifecycle table, once this engine is elastic (`None`
-    /// for a fixed-membership engine that reserves no slots and never staged
-    /// a plan or weights).
-    pub fn membership(&self) -> Option<&Membership> {
-        self.core.is_elastic().then(|| self.side.table())
+    /// The membership lifecycle table: every configured bin active (and
+    /// every reserved slot retired) until a staged plan says otherwise.
+    pub fn membership(&self) -> &Membership {
+        self.side.table()
     }
 
     /// Force-migrates every **ticketed** resident off the draining bins

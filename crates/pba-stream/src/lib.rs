@@ -23,18 +23,18 @@
 //!   increments, tickets flow through the bin-sharded
 //!   [`pba_model::router::SharedTicketLedger`]. [`ConcurrentRouter`] is the
 //!   cloneable, `Arc`-backed handle whose `route(key)` is callable from many
-//!   caller threads at once; its pushes ride sharded MPMC ingress lanes. With
-//!   `k` callers, conservation, ticket consistency and epoch monotonicity
-//!   hold for every interleaving.
+//!   caller threads at once; its pushes are stamped under an inbox lock, so
+//!   they queue in arrival order. With `k` callers, conservation, ticket
+//!   consistency and epoch monotonicity hold for every interleaving.
 //! * [`engine`] — [`StreamAllocator`]: the same core with a **sole owner** —
 //!   the incremental `push` / `drain` / `snapshot` API. Balls buffer (a plain
 //!   `Vec`) until a batch of `b` is ready; a drain allocates the batch
 //!   against the **stale** snapshot and then advances the snapshot. Because
 //!   every placement decision is a pure function of `(stale snapshot, ball
 //!   key)`, a drain whose choose step is cut into spans for a worker pool is
-//!   bit-identical to the sequential one. `route` / `release` are the
-//!   handle's by construction; with one caller the handle's push path is
-//!   bit-identical to this one by test.
+//!   bit-identical to the sequential one. `route` / `release` and the drain
+//!   are the handle's by construction; the handle's pushes merely reach the
+//!   same buffer through a lock.
 //! * [`shard`] — [`ShardedBins`]: bins partitioned into contiguous shards;
 //!   lock-free atomic load counters (from [`pba_concurrent`]) plus per-shard
 //!   mutex-guarded bookkeeping, committed to one distinct bin (and one
@@ -72,9 +72,12 @@
 //! validation. `StreamAllocator::set_weights` re-weights a **running** stream
 //! at the next batch boundary.
 //!
-//! Both shells are **elastic**: a [`MembershipPlan`] staged through
-//! `stage_membership` commissions, drains or retires bins at the next batch
-//! boundary (see the `pba_membership` crate for the lifecycle). Draining
+//! Both shells are **elastic**, through one epoch-published topology that
+//! exists from construction (every configured bin active): a
+//! [`MembershipPlan`] staged through `stage_membership` commissions, drains
+//! or retires bins at the next batch boundary (see the `pba_membership`
+//! crate for the lifecycle), and an engine nothing was ever staged on runs
+//! the same code at the same cost as one that staged an empty plan. Draining
 //! bins leave the sampling set but keep their residents until released or
 //! force-migrated via `migrate_drained`; `StreamConfig::reserve_bins`
 //! pre-allocates retired slots for scale-up without reallocation.

@@ -20,7 +20,7 @@
 //! | `policy.overflow_retry` | [`Policy::CapacityThreshold`](crate::Policy) — first candidate set overflowed, fresh set drawn |
 //! | `policy.overflow_fallback` | [`Policy::CapacityThreshold`](crate::Policy) — both sets overflowed, least-normalized concession |
 //! | `policy.weighted_uniform_fallback` | weighted `sample_distinct` degraded to uniform draws |
-//! | `ingress.late_arrivals` | a ball surfaced at a boundary after a later-id ball had already been drained (re-sequencing stall) |
+//! | `ingress.late_arrivals` | a held-back ball (`deliver_delayed`) reached the inbox after a drain had already taken a later id |
 //! | `observer.errors` | an external observer's lock was poisoned; its hooks were skipped |
 //! | `membership.rejected_adds` | `Add` staged with no retired slot left (or a bad weight) |
 //! | `membership.rejected_drains` | `Drain` of a non-active bin, or of the last active bin |
@@ -126,7 +126,7 @@ pub struct StreamMetrics {
     pub gap: Gauge,
     /// Resident balls at the latest boundary.
     pub resident: Gauge,
-    /// Balls that surfaced after a later-id ball had already drained.
+    /// Balls delivered after a drain had already taken a later id.
     pub ingress_late: Counter,
     /// External observers skipped because their lock was poisoned.
     pub observer_errors: Counter,

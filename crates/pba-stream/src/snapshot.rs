@@ -41,12 +41,10 @@ pub struct StreamSnapshot {
 impl StreamSnapshot {
     /// Assembles a snapshot from the raw counters and a fresh load vector,
     /// computing the derived gap/quantile/normalized-load fields — the one
-    /// place those derivations live.
-    /// `weights` prices the derived stats for a fixed-membership engine;
-    /// when `active` is present (elastic membership), the derived stats are
-    /// computed over the **active** bins only — draining and retired slots
-    /// hold balls that no placement decision can see — priced by
-    /// `active_weights`, the resolve restricted to the surviving slots.
+    /// place those derivations live. They are computed over the **active**
+    /// bins only (`active`; `None` while every slot is active) — draining
+    /// and retired slots hold balls that no placement decision can see —
+    /// priced by `weights`, the resolve restricted to the active slots.
     #[allow(clippy::too_many_arguments)] // a constructor of raw counters
     pub(crate) fn assemble(
         loads: Vec<u32>,
@@ -56,23 +54,19 @@ impl StreamSnapshot {
         departed: u64,
         pending: u64,
         batches: u64,
-        weights: Option<&ResolvedWeights>,
         active: Option<&[u32]>,
-        active_weights: Option<&ResolvedWeights>,
+        weights: Option<&ResolvedWeights>,
     ) -> Self {
-        let (served, priced): (Vec<u32>, Option<&ResolvedWeights>) = match active {
-            Some(active) => (
-                active.iter().map(|&b| loads[b as usize]).collect(),
-                active_weights,
-            ),
-            None => (loads.clone(), weights),
+        let served: Vec<u32> = match active {
+            Some(active) => active.iter().map(|&b| loads[b as usize]).collect(),
+            None => loads.clone(),
         };
-        let gap = gap_of_loads(&served, priced);
+        let gap = gap_of_loads(&served, None, weights, &mut Vec::new());
         let as_f64: Vec<f64> = served.iter().map(|&l| l as f64).collect();
         let qs = quantiles_of(&as_f64, &[0.5, 0.9, 0.99, 1.0]);
-        let max_normalized_load = match priced {
+        let max_normalized_load = match weights {
             None => qs[3],
-            Some(priced) => normalized_loads(&served, priced)
+            Some(weights) => normalized_loads(&served, weights)
                 .into_iter()
                 .fold(0.0f64, f64::max),
         };
@@ -91,21 +85,35 @@ impl StreamSnapshot {
     }
 }
 
-/// `max − mean` of a load vector (`0` for an empty stream).
-pub(crate) fn gap_of(loads: &[u32], total: u64) -> f64 {
-    if loads.is_empty() {
-        return 0.0;
-    }
-    let max = loads.iter().copied().max().unwrap_or(0) as f64;
-    max - total as f64 / loads.len() as f64
-}
-
-/// The gap of a load vector under the stream's weights: classic `max − mean`
-/// when uniform, weighted `max_i(load_i/w_i) − (Σ load)/W` otherwise.
-pub(crate) fn gap_of_loads(loads: &[u32], weights: Option<&ResolvedWeights>) -> f64 {
+/// The gap of the **active** bins of a load vector under the stream's
+/// weights: classic `max − mean` when uniform (`0` for an empty stream),
+/// weighted `max_i(load_i/w_i) − (Σ load)/W` otherwise. `active` lists the
+/// bins that count — gathered into `scratch`, so they are priced exactly as
+/// an engine over just those bins would price them (the identity behind the
+/// post-drain suffix-equivalence property) — or is `None` when every bin
+/// does; `weights` is the resolve restricted to them (`None` when uniform).
+pub(crate) fn gap_of_loads(
+    loads: &[u32],
+    active: Option<&[u32]>,
+    weights: Option<&ResolvedWeights>,
+    scratch: &mut Vec<u32>,
+) -> f64 {
+    let loads = match active {
+        Some(active) => {
+            scratch.clear();
+            scratch.extend(active.iter().map(|&b| loads[b as usize]));
+            &scratch[..]
+        }
+        None => loads,
+    };
     match weights {
-        None => gap_of(loads, loads.iter().map(|&l| l as u64).sum()),
         Some(weights) => weighted_gap(loads, weights),
+        None if loads.is_empty() => 0.0,
+        None => {
+            let max = loads.iter().copied().max().unwrap_or(0) as f64;
+            let total: u64 = loads.iter().map(|&l| l as u64).sum();
+            max - total as f64 / loads.len() as f64
+        }
     }
 }
 
@@ -135,51 +143,15 @@ pub(crate) fn batch_threshold(policy: Policy, resident: u64, bins: usize, batch_
 }
 
 /// Fills `out` with the per-bin thresholds
-/// `⌈(resident + batch)·w_i/W⌉ + slack` of [`Policy::CapacityThreshold`];
+/// `⌈(active_resident + batch)·w_i/W_active⌉ + slack` of
+/// [`Policy::CapacityThreshold`], scattered into a **capacity-length**
+/// vector (`out[b]` for active slot `b`; entries of non-active slots are `0`
+/// and never consulted, since policies only sample active candidates);
 /// leaves it empty (flat-threshold fallback) for every other configuration so
-/// no per-batch `O(n)` work is added to them.
+/// no per-batch `O(n)` work is added to them. `active_weights` is the resolve
+/// restricted to the `active` slots and `resident` the balls in them, so
+/// pricing happens over the surviving weight mass only.
 pub(crate) fn fill_capacity_thresholds_into(
-    policy: Policy,
-    weights: Option<&ResolvedWeights>,
-    resident: u64,
-    bins: usize,
-    batch_len: u64,
-    out: &mut Vec<u32>,
-) {
-    out.clear();
-    if let (Policy::CapacityThreshold { slack, .. }, Some(weights)) = (policy, weights) {
-        let post = (resident + batch_len) as f64;
-        out.extend((0..bins).map(|i| {
-            let fair = (post * weights.share(i)).ceil();
-            (fair as u64).min(u32::MAX as u64) as u32 + slack
-        }));
-    }
-}
-
-/// The gap of the **active** bins of a membership-aware load vector:
-/// gathers the active loads into `scratch` and prices them exactly like a
-/// fixed engine over the surviving bins would (`weights` is the resolve
-/// restricted to the active slots, `None` when they are uniform) — the
-/// identity behind the post-drain suffix-equivalence property.
-pub(crate) fn gap_of_active_loads(
-    loads: &[u32],
-    active: &[u32],
-    weights: Option<&ResolvedWeights>,
-    scratch: &mut Vec<u32>,
-) -> f64 {
-    scratch.clear();
-    scratch.extend(active.iter().map(|&b| loads[b as usize]));
-    gap_of_loads(scratch, weights)
-}
-
-/// Membership-aware sibling of [`fill_capacity_thresholds_into`]: per-bin
-/// capacity thresholds `⌈(active_resident + batch)·w_i/W_active⌉ + slack`
-/// scattered into a **capacity-length** vector (`out[b]` for active slot
-/// `b`; entries of non-active slots are `0` and never consulted, since
-/// policies only sample active candidates). `resident` must already be the
-/// active-bin total, so the re-pricing happens over the surviving weight
-/// mass only.
-pub(crate) fn fill_active_capacity_thresholds_into(
     policy: Policy,
     active_weights: Option<&ResolvedWeights>,
     active: &[u32],
@@ -202,12 +174,18 @@ pub(crate) fn fill_active_capacity_thresholds_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pba_model::weights::BinWeights;
+
+    const CAPACITY_THRESHOLD: Policy = Policy::CapacityThreshold { d: 2, slack: 1 };
 
     #[test]
     fn gap_of_handles_empty_and_weighted_paths() {
-        assert_eq!(gap_of(&[], 0), 0.0);
-        assert_eq!(gap_of(&[4, 0], 4), 2.0);
-        assert_eq!(gap_of_loads(&[4, 0], None), 2.0);
+        let scratch = &mut Vec::new();
+        assert_eq!(gap_of_loads(&[], None, None, scratch), 0.0);
+        assert_eq!(gap_of_loads(&[4, 0], None, None, scratch), 2.0);
+        let weights = BinWeights::explicit(vec![3.0, 1.0]).resolve(2).unwrap();
+        // max(3/3, 3/1) − 6/4.
+        assert_eq!(gap_of_loads(&[3, 3], None, Some(&weights), scratch), 1.5);
     }
 
     #[test]
@@ -218,40 +196,26 @@ mod tests {
             batch_threshold(Policy::Threshold { d: 2, slack: 2 }, 100, 4, 4),
             28
         );
-        assert_eq!(
-            batch_threshold(Policy::CapacityThreshold { d: 2, slack: 1 }, 0, 4, 8),
-            3
-        );
+        assert_eq!(batch_threshold(CAPACITY_THRESHOLD, 0, 4, 8), 3);
     }
 
     #[test]
     fn capacity_thresholds_follow_weight_shares() {
-        use pba_model::weights::BinWeights;
         let weights = BinWeights::explicit(vec![2.0, 1.0, 1.0])
             .resolve(3)
             .unwrap();
+        let every_bin = [0u32, 1, 2];
         let mut out = Vec::new();
-        fill_capacity_thresholds_into(
-            Policy::CapacityThreshold { d: 2, slack: 1 },
-            Some(&weights),
-            0,
-            3,
-            8,
-            &mut out,
-        );
+        let fill = |policy, weights, out: &mut Vec<u32>| {
+            fill_capacity_thresholds_into(policy, weights, &every_bin, 0, 3, 8, out)
+        };
+        fill(CAPACITY_THRESHOLD, Some(&weights), &mut out);
         // Shares 1/2, 1/4, 1/4 of 8 balls → ⌈4⌉+1, ⌈2⌉+1, ⌈2⌉+1.
         assert_eq!(out, vec![5, 3, 3]);
         // Every other configuration leaves the vector empty.
-        fill_capacity_thresholds_into(Policy::TwoChoice, Some(&weights), 0, 3, 8, &mut out);
+        fill(Policy::TwoChoice, Some(&weights), &mut out);
         assert!(out.is_empty());
-        fill_capacity_thresholds_into(
-            Policy::CapacityThreshold { d: 2, slack: 1 },
-            None,
-            0,
-            3,
-            8,
-            &mut out,
-        );
+        fill(CAPACITY_THRESHOLD, None, &mut out);
         assert!(out.is_empty(), "uniform weights use the flat threshold");
     }
 
@@ -260,22 +224,21 @@ mod tests {
         let loads = vec![4u32, 99, 2, 99, 6];
         let active = vec![0u32, 2, 4];
         let mut scratch = Vec::new();
-        let gap = gap_of_active_loads(&loads, &active, None, &mut scratch);
+        let gap = gap_of_loads(&loads, Some(&active), None, &mut scratch);
         assert_eq!(scratch, vec![4, 2, 6]);
-        assert_eq!(gap, gap_of_loads(&[4, 2, 6], None));
+        assert_eq!(gap, gap_of_loads(&[4, 2, 6], None, None, &mut Vec::new()));
     }
 
     #[test]
     fn active_capacity_thresholds_scatter_into_slot_space() {
-        use pba_model::weights::BinWeights;
         // Capacity 5, active slots {0, 3, 4} with surviving weights 2:1:1.
         let active = vec![0u32, 3, 4];
         let weights = BinWeights::explicit(vec![2.0, 1.0, 1.0])
             .resolve(3)
             .unwrap();
         let mut out = Vec::new();
-        fill_active_capacity_thresholds_into(
-            Policy::CapacityThreshold { d: 2, slack: 1 },
+        fill_capacity_thresholds_into(
+            CAPACITY_THRESHOLD,
             Some(&weights),
             &active,
             0,
@@ -286,15 +249,7 @@ mod tests {
         // Same shares as the compacted test: ⌈4⌉+1, ⌈2⌉+1, ⌈2⌉+1, scattered.
         assert_eq!(out, vec![5, 0, 0, 3, 3]);
         // Uniform survivors leave the vector empty (flat threshold path).
-        fill_active_capacity_thresholds_into(
-            Policy::CapacityThreshold { d: 2, slack: 1 },
-            None,
-            &active,
-            0,
-            5,
-            8,
-            &mut out,
-        );
+        fill_capacity_thresholds_into(CAPACITY_THRESHOLD, None, &active, 0, 5, 8, &mut out);
         assert!(out.is_empty());
     }
 }

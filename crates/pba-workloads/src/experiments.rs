@@ -1421,12 +1421,7 @@ pub fn e17_socket_serving(quick: bool) -> Table {
         // The no-silent-drops ledger: every rejection/fallback counter in
         // one number. 0 here — and a test forces each path to prove it
         // counts.
-        let drops = snap.counter("route.rejected_unknown_ticket")
-            + snap.counter("server.unknown_ticket")
-            + snap.counter("server.bad_request")
-            + snap.counter("ingress.late_arrivals")
-            + snap.counter("observer.errors")
-            + snap.sum_counters("policy.");
+        let drops = pba_obs::drops_of(&snap);
         table.push_row([
             Cell::from(callers),
             Cell::from(requests),

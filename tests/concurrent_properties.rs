@@ -4,8 +4,9 @@
 //!    are two ownership shells over one engine core, so with a single caller
 //!    their `route` / `release` paths agree by construction. What is tested
 //!    is where the code differs: the handle's `push`/`drain_ready`/`flush`
-//!    path (MPMC lanes + sequencer) is bit-identical to the owner's plain
-//!    buffer (loads, gap trajectory, shard stats and batch counts all agree)
+//!    path (a locked inbox the drainer takes whole) is bit-identical to the
+//!    owner's direct push (loads, gap trajectory, shard stats and batch
+//!    counts all agree)
 //!    — including with routes and releases interleaved, and under any
 //!    `PBA_THREADS` worker count (drain parallelism only partitions index
 //!    ranges) — and the batched `route_many` surface, a grouped call on the
@@ -127,7 +128,7 @@ fn route_many_is_bit_identical_to_looped_route() {
 }
 
 /// 1-thread bit-identity, push path: `push` + `drain_ready` + `flush`
-/// through the MPMC ingress matches the buffered engine, with route traffic
+/// through the handle's inbox matches the buffered engine, with route traffic
 /// interleaved between drains (mixed-surface usage).
 #[test]
 fn one_thread_push_drain_bit_identity_with_interleaved_routes() {
