@@ -4,9 +4,13 @@
 //! dedicated worker pools of different sizes (the `num_threads` knob over the
 //! persistent pool of the rayon shim), concurrent routing through one
 //! shared `ConcurrentRouter` handle at 1/2/4 caller threads, the cost of
-//! the metrics registry on the route hot path (instrumented vs bare), and
-//! `route_many(32)` on a never-staged router against one that staged an
-//! empty membership plan (two arms that must read the same).
+//! the metrics registry on the route hot path (instrumented vs bare), and two
+//! pairs of arms that must read the same: `route_many(32)` on a never-staged
+//! router against one that staged an empty membership plan, and
+//! `release_many(32)` on a never-migrated router against one whose single
+//! migration is long over.
+use std::collections::VecDeque;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pba_stream::{
     BinWeights, ConcurrentRouter, MembershipPlan, Policy, StreamAllocator, StreamConfig,
@@ -218,6 +222,61 @@ fn bench_stream(c: &mut Criterion) {
                     tickets.clear();
                     tickets.extend(placements.iter().map(|placement| placement.ticket));
                     router.release_many(&tickets).expect("just issued");
+                }
+                std::hint::black_box(router.stats().gap)
+            });
+        });
+    }
+    // The cost of having migrated anything, ever: groups of 32 routed while
+    // the 32 oldest of 2^12 FIFO residents are released, through a router
+    // that never migrated and through one that drained a bin, migrated its
+    // residents and has since turned its resident set over three times — no
+    // migrated ball and no migration record is left. The ledger refuses the
+    // grouped redeem only for a group that itself holds a migrated ticket,
+    // so the arms must read the same; while the first migration still
+    // switched every later `release_many` to a loop of single redeems, the
+    // second arm read 1.4–1.5× the first.
+    for (name, migrated) in [
+        ("release_many_32/never_migrated", false),
+        ("release_many_32/migrated_once", true),
+    ] {
+        group.bench_function(name, move |b| {
+            let router =
+                ConcurrentRouter::new(StreamConfig::new(n).batch_size(256).shards(8).seed(7));
+            let mut keys = pba_model::rng::SplitMix64::new(7);
+            let mut resident = VecDeque::with_capacity((1 << 12) + 32);
+            let mut route_group = |resident: &mut VecDeque<_>| {
+                let group_keys: [u64; 32] = std::array::from_fn(|_| keys.next_u64());
+                let placements = router.route_many(&group_keys).expect("infallible");
+                resident.extend(placements.iter().map(|placement| placement.ticket));
+            };
+            let release_oldest = |resident: &mut VecDeque<_>| {
+                let oldest: Vec<_> = resident.drain(..32).collect();
+                router.release_many(&oldest).expect("resident tickets");
+            };
+            while resident.len() < 1 << 12 {
+                route_group(&mut resident);
+            }
+            if migrated {
+                router.stage_membership(MembershipPlan::new().drain(3));
+            }
+            // 512 routes carry the staged drain past a batch boundary; the
+            // emptied bin is then retired and commissioned again, so both
+            // arms route over the same 1024 active bins, and the rest of
+            // the 3× turnover retires every migrated ball.
+            for turn in 0..3 * (1 << 12) / 32 {
+                if migrated && turn == 512 / 32 {
+                    assert!(router.migrate_drained() > 0, "bin 3 held residents");
+                    router.stage_membership(MembershipPlan::new().remove(3).add(1.0));
+                }
+                route_group(&mut resident);
+                release_oldest(&mut resident);
+            }
+            assert_eq!(router.active_bins().len(), n);
+            b.iter(|| {
+                for _ in 0..m_route / 32 {
+                    route_group(&mut resident);
+                    release_oldest(&mut resident);
                 }
                 std::hint::black_box(router.stats().gap)
             });

@@ -2,12 +2,10 @@
 //!
 //! Benchmark harness and experiment binaries.
 //!
-//! * `benches/` — Criterion micro-benchmarks, one per experiment family
-//!   (`bench_heavy`, `bench_light`, `bench_asymmetric`, `bench_baselines`,
-//!   `bench_lowerbound`, `bench_engines`, `bench_messages`, `bench_ablation`,
-//!   `bench_stream`).
-//!   They time the allocators on fixed instances so regressions in the hot paths
-//!   are caught by `cargo bench`.
+//! * `benches/bench_stream.rs` — the one Criterion bench (CI runs it): arms
+//!   of the streaming engine on fixed instances, among them the pairs that
+//!   must read the same (`route_many_32/*`, `release_many_32/*`). The timed
+//!   workloads proper are the `benchmark` binary's (`BENCHMARK.json`).
 //! * `src/bin/` — the table-regenerating binaries: `exp_e1` … `exp_e18` print one
 //!   experiment's tables, and `gen_tables` prints (or writes) the whole
 //!   EXPERIMENTS.md body. Pass `--full` for the paper-scale parameter sweeps

@@ -65,6 +65,6 @@ pub use rng::{SeedSeq, SplitMix64};
 pub use router::{
     BatchEvent, ConcurrentRouter, MembershipChange, OneShotRouter, Placement, RegistryObserver,
     ReleaseEvent, ReweightEvent, RouteError, RouteEvent, Router, RouterObserver, RouterStats,
-    SharedTicketLedger, Ticket, TicketLedger,
+    SharedTicketLedger, Ticket,
 };
 pub use weights::{AliasTable, BinWeights, ResolvedWeights, WeightTier};

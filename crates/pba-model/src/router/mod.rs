@@ -1,0 +1,284 @@
+//! The unified **`Router`** API: handle-based routing over any allocation
+//! engine in the workspace.
+//!
+//! The workspace grew two disjoint user-facing surfaces: the one-shot
+//! [`Allocator`](crate::outcome::Allocator) family (`allocate(m, n, seed)` →
+//! final loads) and the
+//! streaming `StreamAllocator` (`push` / `drain` / `depart`). A service-shaped
+//! caller — a load balancer routing requests onto backends — wants neither: it
+//! wants to **route one key now**, hold a **handle** for the placement, and
+//! later **release** that handle when the connection closes. This module is
+//! that interface:
+//!
+//! * [`Router`] — `route(key) → Placement`, `release(Ticket)`, `loads()`,
+//!   `stats()`; object-safe, so experiments and examples can drive any engine
+//!   through `&mut dyn Router`.
+//! * [`Ticket`] / [`Placement`] — the handle a `route` call returns. Departures
+//!   go through `release(ticket)` instead of a raw bin index, which lets an
+//!   engine validate them (double release, foreign tickets) and lets scenario
+//!   drivers express churn policies in terms of *which resident ball* leaves.
+//! * [`RouteError`] — the typed error surface of both operations.
+//! * [`RouterObserver`] — pluggable per-boundary hooks (`on_batch`,
+//!   `on_reweight`, `on_release`) so metrics become sinks wired into the drain
+//!   loop instead of ad-hoc polling.
+//! * [`SharedTicketLedger`] — the one resident-ball table behind every
+//!   `Router` implementation: per-bin-shard slabs that a ticket indexes
+//!   directly, issue/redeem callable from many threads at once.
+//! * [`OneShotRouter`] — the adapter that lifts any one-shot `Allocator`
+//!   into the `Router` interface by precomputing its allocation and handing
+//!   out the placements one `route` call at a time.
+//! * [`ConcurrentRouter`] — the `&self` counterpart of [`Router`]: the same
+//!   route/release/loads/stats vocabulary with **shared-handle** receivers,
+//!   so one router instance can serve many caller threads at once. The
+//!   streaming implementation (`pba_stream::ConcurrentRouter`, a cloneable
+//!   `Arc`-backed handle) implements it natively.
+//!
+//! The streaming implementations live in the `pba-stream` crate
+//! (`StreamAllocator` implements `Router` natively, `ConcurrentRouter` the
+//! trait of the same name); this module holds the engine-independent
+//! vocabulary.
+
+mod ledger;
+mod observer;
+mod one_shot;
+#[cfg(test)]
+mod tests;
+
+pub use ledger::SharedTicketLedger;
+pub use observer::{
+    BatchEvent, MembershipChange, RegistryObserver, ReleaseEvent, ReweightEvent, RouteEvent,
+    RouterObserver,
+};
+pub use one_shot::OneShotRouter;
+
+/// A handle for one routed (resident) ball: the ball's id within its router,
+/// the bin it was placed into, and the issuing router's **realm** — a
+/// process-unique ledger id. Tickets are issued by [`Router::route`] and
+/// consumed by [`Router::release`]; routers validate all three parts, so a
+/// forged, double-released or foreign ticket (one issued by a *different*
+/// router, even with a colliding id and bin) fails with
+/// [`RouteError::UnknownTicket`] instead of corrupting loads.
+///
+/// A ticket also carries the **slot** its ledger filed the ball under — a
+/// lookup hint that lets `release` index the ledger instead of searching it.
+/// The slot is not part of a ticket's identity: equality and hashing read
+/// `(id, bin, realm)` only, so two handles for the same resident ball (the
+/// one `route` returned and one read back from the ledger) compare equal.
+#[derive(Debug, Clone, Copy)]
+pub struct Ticket {
+    id: u64,
+    bin: u32,
+    slot: u32,
+    realm: u64,
+}
+
+impl PartialEq for Ticket {
+    fn eq(&self, other: &Self) -> bool {
+        (self.id, self.bin, self.realm) == (other.id, other.bin, other.realm)
+    }
+}
+
+impl Eq for Ticket {}
+
+impl std::hash::Hash for Ticket {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (self.id, self.bin, self.realm).hash(state);
+    }
+}
+
+impl Ticket {
+    /// Assembles a ticket with the reserved realm `0`. Routers hand out
+    /// tickets themselves; a manually constructed ticket never names a live
+    /// placement and every `release` rejects it — useful only for tests.
+    pub fn new(id: u64, bin: u32) -> Self {
+        Self {
+            id,
+            bin,
+            slot: u32::MAX,
+            realm: 0,
+        }
+    }
+
+    /// The ball id, unique within the issuing router.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// The bin the ball resides in.
+    pub fn bin(&self) -> usize {
+        self.bin as usize
+    }
+}
+
+/// The result of routing one key: the chosen bin plus the ticket to release
+/// the placement later.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placement {
+    /// Handle for the resident ball (pass to [`Router::release`]).
+    pub ticket: Ticket,
+    /// The bin the ball was placed into (same as `ticket.bin()`).
+    pub bin: usize,
+}
+
+/// Typed errors of the [`Router`] surface.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RouteError {
+    /// A one-shot engine ran out of precomputed placements: it was built for a
+    /// fixed number of balls and every one of them has been routed.
+    Exhausted {
+        /// The ball capacity the engine was built for.
+        capacity: u64,
+    },
+    /// The released ticket does not name a resident ball — it was already
+    /// released, belongs to another router, or was forged.
+    UnknownTicket {
+        /// The offending ticket.
+        ticket: Ticket,
+    },
+}
+
+impl std::fmt::Display for RouteError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Exhausted { capacity } => {
+                write!(f, "router exhausted: all {capacity} placements routed")
+            }
+            Self::UnknownTicket { ticket } => write!(
+                f,
+                "unknown ticket (ball {} / bin {}): already released or foreign",
+                ticket.id(),
+                ticket.bin()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RouteError {}
+
+/// Aggregate counters every router reports through [`Router::stats`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RouterStats {
+    /// Balls routed (tickets issued) over the router's lifetime.
+    pub routed: u64,
+    /// Tickets released.
+    pub released: u64,
+    /// Balls currently resident (`routed − released` for pure-router use;
+    /// streaming engines may also count balls placed through the batch API).
+    pub resident: u64,
+    /// Number of bins.
+    pub bins: usize,
+    /// Load-information refreshes: batch boundaries for a streaming engine,
+    /// `1` for a one-shot engine (its information is always final).
+    pub batches: u64,
+    /// Current gap of the fresh loads (`max − mean`, weighted where the engine
+    /// carries non-uniform weights).
+    pub gap: f64,
+}
+
+/// A keyed routing engine with handle-based departures — the one interface the
+/// one-shot and streaming engines share. Object-safe: drive any engine as
+/// `&mut dyn Router`.
+pub trait Router {
+    /// Routes one key: places a ball and returns its [`Placement`].
+    fn route(&mut self, key: u64) -> Result<Placement, RouteError>;
+
+    /// Routes a group of keys, returning one [`Placement`] per key in key
+    /// order. Observably equivalent to calling [`Router::route`] once per
+    /// key — engines with a native batched path (the streaming allocators)
+    /// amortize per-route overhead (snapshot reads, threshold pricing,
+    /// ledger locking) across the group while staying **bit-identical** to
+    /// the loop, splitting groups that straddle a batch boundary so
+    /// thresholds re-price exactly where the one-at-a-time path would.
+    ///
+    /// On error the group stops at the failing key: placements already
+    /// committed stay committed (same as the loop the default impl runs).
+    fn route_many(&mut self, keys: &[u64]) -> Result<Vec<Placement>, RouteError> {
+        keys.iter().map(|&key| self.route(key)).collect()
+    }
+
+    /// Releases a previously issued ticket (the ball departs its bin).
+    fn release(&mut self, ticket: Ticket) -> Result<(), RouteError>;
+
+    /// Releases a group of tickets — the departure-side twin of
+    /// [`Router::route_many`]. Observably equivalent to calling
+    /// [`Router::release`] once per ticket in order: engines with a native
+    /// batched path amortize per-release overhead (ledger passes, counter
+    /// bumps) across the group while staying **bit-identical** to the loop.
+    ///
+    /// On error the group stops at the failing ticket: releases already
+    /// committed stay committed (same as the loop the default impl runs),
+    /// and the error names the ticket that failed.
+    fn release_many(&mut self, tickets: &[Ticket]) -> Result<(), RouteError> {
+        tickets.iter().try_for_each(|&ticket| self.release(ticket))
+    }
+
+    /// Current per-bin loads.
+    fn loads(&self) -> Vec<u32>;
+
+    /// Aggregate routing statistics.
+    fn stats(&self) -> RouterStats;
+}
+
+/// The shared-handle counterpart of [`Router`]: the same vocabulary —
+/// `route(key)` → [`Placement`], `release(Ticket)`, `loads()`, `stats()` —
+/// but every method takes `&self`, so **one router instance serves many
+/// caller threads concurrently** (the paper's balls acting in parallel as
+/// separate agents). Implementations are expected to be cloneable handles
+/// over shared state; the trait itself stays object-safe so a server loop
+/// can hold an `Arc<dyn ConcurrentRouter>`.
+///
+/// Semantics differ from the single-threaded trait only in what
+/// concurrency makes unobservable: with one caller thread an implementation
+/// should behave exactly like its `Router` twin (the streaming engine's is
+/// bit-identical — property-tested), while with `k` callers placements of a
+/// batch may interleave with the boundary, which is precisely the
+/// stale-information regime the batched model analyses. Conservation and
+/// ticket validity hold for every interleaving.
+pub trait ConcurrentRouter: Send + Sync {
+    /// Routes one key from any thread: places a ball and returns its
+    /// [`Placement`].
+    fn route(&self, key: u64) -> Result<Placement, RouteError>;
+
+    /// Routes a group of keys from any thread, returning one [`Placement`]
+    /// per key in key order. Observably equivalent to calling
+    /// [`ConcurrentRouter::route`] once per key by the same caller; native
+    /// implementations amortize the per-route epoch read, threshold fetch
+    /// and ledger shard pass across the group (one each per sub-group
+    /// instead of per key), splitting groups at batch boundaries so a
+    /// single caller stays bit-identical to the one-at-a-time path. With
+    /// `k` callers the group's placements may interleave with other
+    /// callers' exactly as individual routes would.
+    ///
+    /// On error the group stops at the failing key: placements already
+    /// committed stay committed (same as the loop the default impl runs).
+    fn route_many(&self, keys: &[u64]) -> Result<Vec<Placement>, RouteError> {
+        keys.iter().map(|&key| self.route(key)).collect()
+    }
+
+    /// Releases a previously issued ticket from any thread.
+    fn release(&self, ticket: Ticket) -> Result<(), RouteError>;
+
+    /// Releases a group of tickets from any thread — the departure-side twin
+    /// of [`ConcurrentRouter::route_many`]. Observably equivalent to calling
+    /// [`ConcurrentRouter::release`] once per ticket by the same caller;
+    /// native implementations amortize the per-release ledger shard lock
+    /// (one pass per touched shard via `SharedTicketLedger::redeem_many`),
+    /// the per-bin load decrement (one grouped decrement per distinct bin)
+    /// and the counter bumps (whole-group adds) while a single caller stays
+    /// bit-identical to the one-at-a-time path. With `k` callers the group's
+    /// departures may interleave with other callers' exactly as individual
+    /// releases would.
+    ///
+    /// On error the group stops at the failing ticket: releases already
+    /// committed stay committed (same as the loop the default impl runs),
+    /// and the error names the ticket that failed.
+    fn release_many(&self, tickets: &[Ticket]) -> Result<(), RouteError> {
+        tickets.iter().try_for_each(|&ticket| self.release(ticket))
+    }
+
+    /// Current per-bin loads.
+    fn loads(&self) -> Vec<u32>;
+
+    /// Aggregate routing statistics.
+    fn stats(&self) -> RouterStats;
+}

@@ -30,7 +30,8 @@
 //! * **Commit** — placements are lock-free atomic increments on
 //!   [`pba_concurrent::AtomicBins`] (via [`ShardedBins`]); tickets are issued
 //!   and released through the bin-sharded
-//!   [`pba_model::router::SharedTicketLedger`].
+//!   [`pba_model::router::SharedTicketLedger`] — a slab per shard that the
+//!   ticket indexes, so neither direction hashes.
 //!
 //! ## One core, two ownership shells
 //!
@@ -595,20 +596,22 @@ impl ConcurrentRouter {
     /// departure path, the release-side twin of
     /// [`ConcurrentRouter::route_many`]. The group pays the per-release
     /// overhead **once**: one ledger pass per touched shard
-    /// ([`SharedTicketLedger::redeem_many`] — a single commit pass under the
-    /// shard locks with exact rollback, so the group redeems atomically),
-    /// one grouped load
-    /// decrement per distinct bin ([`ShardedBins::release_group_with`]), and
-    /// whole-group counter adds.
+    /// ([`SharedTicketLedger::redeem_many`] — the whole group is validated
+    /// under the shard locks, then removed, so it redeems atomically), one
+    /// grouped load decrement per distinct bin
+    /// ([`ShardedBins::release_group_with`]), and whole-group counter adds.
     ///
     /// With one caller this is bit-identical to looping
     /// [`ConcurrentRouter::release`] (property-tested): per-release
     /// [`ReleaseEvent`]s still fire in ticket order with the same running
     /// `load_after`/`resident` values the loop would report. Any ticket the
-    /// grouped redeem cannot take (forged, double-released, an in-group
-    /// duplicate, or a live migration record) sends the **whole** group —
-    /// nothing committed yet — down the one-at-a-time loop, which supplies
-    /// the documented stop-at-first-error behaviour exactly.
+    /// grouped redeem cannot take directly (forged, double-released, an
+    /// in-group duplicate, or the ticket of a ball `migrate_drained` moved)
+    /// sends the **whole** group — nothing committed yet — down the
+    /// one-at-a-time loop, which supplies the documented stop-at-first-error
+    /// behaviour exactly. Only a group that itself holds such a ticket pays
+    /// for it: groups of never-migrated tickets stay on the grouped path
+    /// however many migrations the router has been through.
     pub fn release_many(&self, tickets: &[Ticket]) -> Result<(), RouteError> {
         self.shared.core.release_many(tickets)
     }
@@ -1237,10 +1240,10 @@ impl Core {
             return self.release(*ticket);
         }
         let Some(chosen) = self.ledger.redeem_many(tickets) else {
-            // Cold path (bad ticket or migration in flight): the grouped
-            // redeem committed nothing, so the loop reproduces the
-            // one-at-a-time semantics — including which ticket errors and
-            // which releases stay committed — exactly.
+            // Cold path (this group holds a bad ticket or a migrated ball's):
+            // the grouped redeem committed nothing, so the loop reproduces
+            // the one-at-a-time semantics — including which ticket errors
+            // and which releases stay committed — exactly.
             return tickets.iter().try_for_each(|&ticket| self.release(ticket));
         };
         let taken = GROUP_COMMIT.with(|scratch| {
@@ -1331,7 +1334,7 @@ impl Core {
             while let Some(ticket) = self.ledger.resident_in(bin as usize) {
                 let target = chooser.choose_one(ticket.id()) as usize;
                 self.bins.place(target);
-                if self.ledger.migrate(ticket.id(), bin as usize, target) {
+                if self.ledger.migrate(ticket, target).is_some() {
                     assert!(
                         self.bins.depart(bin as usize),
                         "a migrated resident held a load unit"
