@@ -14,12 +14,16 @@
 //! comparison: the id doubles as the slot's generation and a released
 //! ticket can never match a later tenant of its slot.
 //!
+//! **Wire ids.** Only this module knows the number a client holds for a
+//! ticket ([`wire_id`](SharedTicketLedger::wire_id)): the slot's 32-bit
+//! **handle** over the ball id mod 2³², decoded under that shard's lock.
+//!
 //! **Migration.** [`SharedTicketLedger::migrate`] re-files a resident ball
 //! under another bin (redeem + issue under both shard locks) and is the only
 //! thing that makes a ticket *stale but still owed a release*: the ball now
 //! sits in another slot, perhaps another shard. The ledger keeps one cold
-//! side table for that, `moved: id → (bin, slot)`, and nothing about it is
-//! sticky:
+//! side table for that, `moved: id → (bin, slot, origin)`, and nothing about
+//! it is sticky:
 //!
 //! * the re-filed entry carries a flag, so only *its* redeem touches `moved`;
 //! * a ticket that misses directly consults `moved` only while a count of
@@ -30,10 +34,10 @@
 //!   *in that group* that does not validate directly; what happened to other
 //!   balls earlier in the process does not matter.
 //!
-//! (Forwarding entries in the slab were weighed against the side table:
-//! `resident_in` mints a fresh, directly valid ticket at every hop, so each
-//! hop would need a tombstone and a back-chain to free them. A dozen lines
-//! of id-keyed map do the same job.)
+//! A wire id names the ball's *issue* slot, so its first migration leaves
+//! that slot a **tombstone** (id kept, in no list, not free) whose handle the
+//! record keeps as `origin`, and a decode follows the record. The redeem
+//! that retires the record frees the tombstone after its own lock drops.
 //!
 //! **Lock order.** Shard locks ascend by shard index; `moved` may be taken
 //! while shard locks are held, never the other way round.
@@ -59,12 +63,14 @@ const POSITION: u32 = !(MIGRATED | CLAIMED);
 /// [`Entry::bin`] of a vacant slot. Tickets are range-checked against the
 /// bin count first, so no ticket's bin compares equal to it.
 const VACANT: u32 = u32::MAX;
+/// [`Entry::bin`] of a migrated ball's issue slot (see the module docs).
+const TOMBSTONE: u32 = u32::MAX - 1;
 /// End of a shard's free list.
 const NO_SLOT: u32 = u32::MAX;
 
 /// One slab slot. Resident: the ball `id` in (global) bin `bin`, at position
 /// `idx & POSITION` of that bin's occupancy list. Vacant: `bin == VACANT`
-/// and `idx` is the next free slot.
+/// and `idx` is the next free slot. Tombstone: `bin == TOMBSTONE`.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     id: u64,
@@ -83,7 +89,7 @@ struct Shard {
     slab: Vec<Entry>,
     /// Head of the free list: the most recently vacated slot.
     free: u32,
-    /// Resident balls (slab slots not on the free list).
+    /// Resident balls (slab slots in some bin's list).
     live: usize,
 }
 
@@ -130,10 +136,15 @@ impl Shard {
             .filter(|entry| entry.id == ticket.id && entry.bin == ticket.bin)
     }
 
-    /// Vacates resident `slot`: swap-removes it from its bin's list,
-    /// re-points the former tail (keeping that entry's flags) and pushes the
-    /// slot onto the free list.
+    /// Vacates resident `slot`: unlinks it, then frees it.
     fn remove(&mut self, slot: u32) {
+        self.unlink(slot);
+        self.free(slot);
+    }
+
+    /// Takes resident `slot` out of its bin's list: a swap-remove and a
+    /// re-point of the former tail (keeping that entry's flags).
+    fn unlink(&mut self, slot: u32) {
         let entry = self.slab[slot as usize];
         let list = &mut self.by_bin[entry.bin as usize - self.start];
         let at = entry.idx & POSITION;
@@ -142,13 +153,14 @@ impl Shard {
             let idx = &mut self.slab[tail as usize].idx;
             *idx = (*idx & !POSITION) | at;
         }
-        self.slab[slot as usize] = Entry {
-            bin: VACANT,
-            idx: self.free,
-            ..entry
-        };
-        self.free = slot;
         self.live -= 1;
+    }
+
+    /// Pushes unlinked `slot` onto the free list.
+    fn free(&mut self, slot: u32) {
+        let entry = &mut self.slab[slot as usize];
+        (entry.bin, entry.idx) = (VACANT, self.free);
+        self.free = slot;
     }
 }
 
@@ -179,9 +191,9 @@ pub struct SharedTicketLedger {
     bins: usize,
     shards: Vec<Mutex<Shard>>,
     /// Balls re-filed by [`migrate`](Self::migrate): ball id → current
-    /// `(bin, slot)`. While the shard holding a `MIGRATED` entry is locked,
-    /// that entry has exactly one record here, pointing at it.
-    moved: Mutex<std::collections::HashMap<u64, (u32, u32)>>,
+    /// `(bin, slot)` and its tombstone's handle. While the shard holding a
+    /// `MIGRATED` entry is locked, that entry has exactly one record here.
+    moved: Mutex<std::collections::HashMap<u64, (u32, u32, u32)>>,
     /// `moved.len()`, readable without the lock (and written under it).
     /// `migrate` increments it while it holds the shard locks, so a redeem
     /// that locks a shard later and finds its slot vacated reads the new
@@ -244,6 +256,45 @@ impl SharedTicketLedger {
         }
     }
 
+    /// `ticket`'s slot handle `slot·S + shard`, checked to fit 32 bits.
+    fn handle(&self, ticket: &Ticket) -> u32 {
+        let shards = self.shards.len() as u64;
+        let handle = ticket.slot as u64 * shards + self.shard_index(ticket.bin()) as u64;
+        u32::try_from(handle).expect("a shard's slab outgrew the 32-bit wire handle")
+    }
+
+    /// The `(shard, slot)` a handle names.
+    fn unhandle(&self, handle: u32) -> (usize, u32) {
+        let shards = self.shards.len() as u32;
+        ((handle % shards) as usize, handle / shards)
+    }
+
+    /// The wire id of a ticket this ledger issued: its slot's handle over its
+    /// ball id mod 2³². A stale one names its slot's tenant again once the
+    /// tenant's id agrees mod 2³² — ids are sequential, never capabilities.
+    pub fn wire_id(&self, ticket: &Ticket) -> u64 {
+        (self.handle(ticket) as u64) << 32 | (ticket.id as u32) as u64
+    }
+
+    /// The ticket of the resident ball `wire` names — through a tombstone,
+    /// the migrated ball's current one. `None` otherwise, and for a migrated
+    /// ball's current slot, so each ball has one wire id. Whatever redeems
+    /// the ticket validates it again.
+    pub fn ticket_of_wire(&self, wire: u64) -> Option<Ticket> {
+        let (shard, slot) = self.unhandle((wire >> 32) as u32);
+        let shard = self.lock(shard);
+        let entry = *shard.slab.get(slot as usize)?;
+        if entry.bin == VACANT || entry.idx & MIGRATED != 0 || entry.id as u32 != wire as u32 {
+            return None;
+        }
+        if entry.bin == TOMBSTONE {
+            let moved = self.moved.lock().expect("ledger moved");
+            let &(bin, slot, _) = moved.get(&entry.id)?;
+            return Some(self.ticket(entry.id, bin, slot));
+        }
+        Some(self.ticket(entry.id, entry.bin, slot))
+    }
+
     /// Records a placement and returns its ticket. Locks only the bin's
     /// shard.
     pub fn issue(&self, id: u64, bin: usize) -> Ticket {
@@ -280,19 +331,28 @@ impl SharedTicketLedger {
     }
 
     /// [`migrate`](Self::migrate), handing back the shard locks still held —
-    /// everything a redeem may need is written before they drop.
+    /// everything a redeem or a wire-id decode may need is written before
+    /// they drop.
     fn migrate_locked(&self, ticket: Ticket, to: usize) -> Option<(Ticket, Locked<'_>)> {
         if ticket.realm != self.realm || ticket.bin() >= self.bins || to >= self.bins {
             return None;
         }
         let mut locked = self.lock_shards_of([ticket.bin(), to].into_iter());
         let source = self.shard_in(&mut locked, ticket.bin());
-        source.entry_mut(&ticket)?;
-        source.remove(ticket.slot);
+        let first = source.entry_mut(&ticket)?.idx & MIGRATED == 0;
+        source.unlink(ticket.slot);
+        match first {
+            // The slot the ball's wire id names outlives its stay there.
+            true => source.slab[ticket.slot as usize].bin = TOMBSTONE,
+            false => source.free(ticket.slot),
+        }
         let target = self.shard_in(&mut locked, to);
         let slot = target.issue(ticket.id, to, MIGRATED);
         let mut moved = self.moved.lock().expect("ledger moved");
-        if moved.insert(ticket.id, (to as u32, slot)).is_none() {
+        let origin = moved
+            .get(&ticket.id)
+            .map_or_else(|| self.handle(&ticket), |&(.., origin)| origin);
+        if moved.insert(ticket.id, (to as u32, slot, origin)).is_none() {
             self.live_moves.fetch_add(1, Ordering::Release);
         }
         drop(moved);
@@ -300,8 +360,8 @@ impl SharedTicketLedger {
     }
 
     /// Removes the entry `ticket` names directly — and, when `migrate` filed
-    /// it, its record, under the same shard lock. Returns whether it was
-    /// live. `ticket.bin` must be in range.
+    /// it, its record, under the same shard lock, and then its tombstone.
+    /// Returns whether it was live. `ticket.bin` must be in range.
     fn take(&self, ticket: &Ticket) -> bool {
         let mut shard = self.lock(self.shard_index(ticket.bin()));
         let Some(entry) = shard.entry_mut(ticket) else {
@@ -311,9 +371,12 @@ impl SharedTicketLedger {
         shard.remove(ticket.slot);
         if migrated {
             let mut moved = self.moved.lock().expect("ledger moved");
-            if moved.remove(&ticket.id).is_some() {
-                self.live_moves.fetch_sub(1, Ordering::Release);
-            }
+            let (.., origin) = moved.remove(&ticket.id).expect("a migrated entry's record");
+            self.live_moves.fetch_sub(1, Ordering::Release);
+            drop((moved, shard));
+            // Only now, so no shard lock is ever taken below a held one.
+            let (origin, slot) = self.unhandle(origin);
+            self.lock(origin).free(slot);
         }
         true
     }
@@ -339,7 +402,9 @@ impl SharedTicketLedger {
                 }
                 let moved = self.moved.lock().expect("ledger moved");
                 match moved.get(&ticket.id) {
-                    Some(&record) if record != (at.bin, at.slot) => (at.bin, at.slot) = record,
+                    Some(&(bin, slot, _)) if (bin, slot) != (at.bin, at.slot) => {
+                        (at.bin, at.slot) = (bin, slot);
+                    }
                     _ => break,
                 }
             }
@@ -452,13 +517,108 @@ mod tests {
         // in is already there.
         assert!(locks.iter().all(Option::is_some), "both shards held");
         assert_eq!(records(&ledger), 1);
-        assert_eq!(ledger.moved.lock().unwrap().get(&5), Some(&(7, fresh.slot)));
+        assert_eq!(ledger.moved.lock().unwrap()[&5], (7, fresh.slot, 0));
         // Step 2 — the locks drop; the parked redeem finds slot 0 of shard 0
         // vacated, the count non-zero, the record, and the ball.
         drop(locks);
         assert_eq!(ledger.redeem(old), Ok(7));
         assert_eq!(records(&ledger), 0);
         assert!(ledger.is_empty());
+    }
+
+    #[test]
+    fn a_wire_id_follows_its_ball_through_migrations_and_frees_its_tombstone() {
+        // Bins 0..4 live in shard 0, bins 4..8 in shard 1.
+        let ledger = SharedTicketLedger::new(8, 2);
+        let ball = ledger.issue(5, 1);
+        let neighbour = ledger.issue(6, 2);
+        let wire = ledger.wire_id(&ball);
+        assert_eq!(wire, 5, "handle 0·2 + 0 over id 5");
+        assert_eq!(
+            std::mem::size_of::<Ticket>(),
+            24,
+            "the ticket carries no wire state"
+        );
+        assert_eq!(ledger.wire_id(&neighbour), (2 << 32) | 6, "handle 1·2 + 0");
+
+        // (i) Cross-shard, then same-shard: the issue slot stays a
+        // tombstone, the middle hop's slot is reused by the last hop.
+        let hop = ledger.migrate(ball, 6).expect("resident");
+        assert_eq!((hop.bin(), hop.slot), (6, 0));
+        let now = ledger.migrate(hop, 7).expect("resident");
+        assert_eq!((now.bin(), now.slot), (7, 0));
+        assert_eq!(records(&ledger), 1);
+        assert_eq!(ledger.moved.lock().unwrap()[&5], (7, 0, 0));
+        assert_eq!(ledger.lock(0).slab[0].bin, TOMBSTONE, "handle 0");
+        let decoded = ledger.ticket_of_wire(wire).expect("still resident");
+        assert_eq!((decoded, decoded.slot), (now, now.slot));
+        let direct = ledger.wire_id(&now);
+        assert_eq!(ledger.ticket_of_wire(direct), None, "one wire id per ball");
+        // Issues that would have reused slot 0 of shard 0 take others.
+        assert_eq!(ledger.issue(7, 0).slot, 2);
+        assert_eq!(ledger.redeem(neighbour), Ok(2));
+        let refill = ledger.issue(8, 3);
+        assert_eq!(refill.slot, neighbour.slot);
+        assert_eq!((ledger.len(), ledger.count_in(7)), (3, 1));
+
+        // (ii) Released through the wire, the record retires and the
+        // tombstone is the next slot shard 0 hands out.
+        assert_eq!(ledger.redeem(decoded), Ok(7));
+        assert_eq!(records(&ledger), 0);
+        assert_eq!(ledger.ticket_of_wire(wire), None);
+        let tenant = ledger.issue(9, 1);
+        assert_eq!(tenant.slot, ball.slot);
+        assert_eq!(ledger.ticket_of_wire(wire), None, "the tenant's id differs");
+        assert_eq!(ledger.ticket_of_wire(ledger.wire_id(&tenant)), Some(tenant));
+
+        // (iii) Released through a fresh `resident_in` ticket instead, the
+        // wire id decodes to nothing and the tombstone is freed all the same.
+        let other = ledger.issue(10, 3);
+        let other_wire = ledger.wire_id(&other);
+        ledger.migrate(other, 5).expect("resident");
+        let fresh = ledger.resident_in(5).expect("migrated ball resident");
+        assert_eq!(ledger.redeem(fresh), Ok(5));
+        assert_eq!(records(&ledger), 0);
+        assert_eq!(ledger.ticket_of_wire(other_wire), None);
+        assert_eq!(ledger.issue(11, 0).slot, other.slot);
+    }
+
+    #[test]
+    fn a_decode_racing_a_migration_sees_the_entry_or_its_tombstone_never_a_gap() {
+        let ledger = SharedTicketLedger::new(8, 2);
+        let ball = ledger.issue(5, 1);
+        let wire = ledger.wire_id(&ball);
+        // Before: the live entry.
+        let decoded = ledger.ticket_of_wire(wire).expect("resident");
+        assert_eq!((decoded, decoded.slot), (ball, ball.slot));
+        let (fresh, locks) = ledger.migrate_locked(ball, 7).expect("resident");
+        // During: a decode is parked on shard 0, and everything it will read
+        // once it gets in — the tombstone and the record it points through —
+        // is already there.
+        let origin = locks[0].as_ref().expect("shard 0 held");
+        assert_eq!(origin.slab[ball.slot as usize].bin, TOMBSTONE);
+        assert_eq!(origin.slab[ball.slot as usize].id, 5);
+        assert_eq!(ledger.moved.lock().unwrap()[&5], (7, fresh.slot, 0));
+        // After: the tombstone, followed.
+        drop(locks);
+        let decoded = ledger.ticket_of_wire(wire).expect("resident");
+        assert_eq!((decoded, decoded.slot), (fresh, fresh.slot));
+    }
+
+    #[test]
+    fn a_stale_wire_id_names_a_reused_slot_again_after_two_to_the_thirty_two_ids() {
+        let ledger = SharedTicketLedger::new(4, 1);
+        let gone = ledger.issue(1, 2);
+        let wire = ledger.wire_id(&gone);
+        assert_eq!(ledger.redeem(gone), Ok(2));
+        let tenant = ledger.issue(2, 2);
+        assert_eq!(tenant.slot, gone.slot);
+        assert_eq!(ledger.ticket_of_wire(wire), None);
+        assert_eq!(ledger.redeem(tenant), Ok(2));
+        // The documented limit: ids that agree mod 2^32 share wire ids.
+        let alias = ledger.issue(1 + (1 << 32), 2);
+        assert_eq!(alias.slot, gone.slot);
+        assert_eq!(ledger.ticket_of_wire(wire), Some(alias));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! | request | reply | meaning |
 //! |---|---|---|
-//! | `ROUTE <key>` | `OK <bin> <id>` | route one ball; the ticket is parked server-side under `<id>` |
-//! | `RELEASE <id>` | `OK <bin>` or `ERR unknown-ticket` | redeem a parked ticket |
+//! | `ROUTE <key>` | `OK <bin> <id>` | route one ball; `<id>` is its ticket's wire id |
+//! | `RELEASE <id>` | `OK <bin>` or `ERR unknown-ticket` | redeem the ticket wire id `<id>` names; `<bin>` is the bin the ball left |
 //! | `FLUSH` | `OK <boundaries>` | close the open batch (boundaries produced by this flush) |
 //! | `STATS` | `OK routed <r> released <d> resident <n> batches <b>` | aggregate counters |
 //! | `ADD <weight> [tier]` | `OK staged` | stage commissioning one bin of weight `weight·2^tier` (tier defaults to 0, max [`MAX_ADD_TIER`]) |
@@ -21,12 +21,12 @@
 //! `membership.rejected_*` counters — `OK staged` acknowledges staging, not
 //! acceptance.
 //!
-//! Tickets are opaque to the wire: clients hold only the arrival id, and the
-//! server parks the real [`Ticket`](pba_model::router::Ticket) in an
-//! id-sharded map (see [`crate::session`]). A `RELEASE` for an id the server
-//! does not hold (never issued, already released, or a forgery) is an
-//! `ERR unknown-ticket` — and increments `server.unknown_ticket`, per the
-//! no-silent-drops rule.
+//! Tickets are opaque to the wire: a client holds a **wire id** (a ledger
+//! slot handle over the arrival id mod 2³², resolved through the router's
+//! ledger; it survives migration, and a stale one is refused for the next
+//! 2³² arrivals). A `RELEASE` for an id naming no resident ball (never issued,
+//! released, repeated within its run, or forged) is an `ERR unknown-ticket`
+//! and increments `server.unknown_ticket`, per the no-silent-drops rule.
 //!
 //! ## The codec
 //!
@@ -69,9 +69,9 @@ pub enum Request {
         /// The routing key.
         key: u64,
     },
-    /// `RELEASE <id>` — redeem the parked ticket of arrival `id`.
+    /// `RELEASE <id>` — redeem the ticket wire id `id` names.
     Release {
-        /// The arrival id the server parked the ticket under.
+        /// The wire id a `ROUTE` reply carried.
         id: u64,
     },
     /// `FLUSH` — close the open batch.

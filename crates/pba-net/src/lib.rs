@@ -3,7 +3,8 @@
 //! The **serving path**: the line protocol of
 //! [`pba_stream::ConcurrentRouter`], its executor, and the TCP front-end
 //! that carries it. This crate is the single home of the wire protocol —
-//! one parser, one park map, one verb dispatcher.
+//! one parser, one verb dispatcher, and no ticket table: a wire id names its
+//! ticket's slot in the router's ledger.
 //!
 //! * [`codec`] — the wire protocol (verb table, [`MAX_LINE_LEN`],
 //!   [`MAX_ADD_TIER`]) and its zero-allocation codec: requests parse from
@@ -12,7 +13,7 @@
 //!   no `format!` in steady state.
 //! * [`session`] — [`Session`]: the socket-free request executor. Takes
 //!   request bytes in arbitrary chunks, appends reply bytes to a
-//!   caller-owned buffer; owns the parked-ticket map, line splitting with
+//!   caller-owned buffer; owns wire-id resolution, line splitting with
 //!   the oversized-line discard, and the batching of contiguous pipelined
 //!   `ROUTE` runs through `route_many` and `RELEASE` runs through
 //!   `release_many`. Protocol tests and in-process embeddings drive it

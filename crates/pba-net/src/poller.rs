@@ -7,7 +7,7 @@
 //! * [`EpollPoller`] (Linux only) — raw level-triggered `epoll` through
 //!   `extern "C"` bindings. No crate dependency: `std` already links libc,
 //!   so the three syscall wrappers resolve at link time. This is the
-//!   production path: an idle reactor parks in `epoll_wait` and wakes the
+//!   production path: an idle reactor sleeps in `epoll_wait` and wakes the
 //!   moment any of its connections has bytes.
 //! * [`FallbackPoller`] (everywhere) — a portable nonblocking poll loop: it
 //!   sleeps a short tick and then reports *every* registered token as ready.
@@ -135,7 +135,7 @@ mod sys {
     }
 }
 
-/// Level-triggered `epoll` readiness polling (Linux). An idle reactor parks
+/// Level-triggered `epoll` readiness polling (Linux). An idle reactor sleeps
 /// in `epoll_wait`; a connection with buffered bytes is re-reported every
 /// poll until drained, so the reactor never needs edge-triggered
 /// re-arm bookkeeping.

@@ -12,9 +12,9 @@
 //! * **A reactor pool, not a thread per connection.**
 //!   `ReactorConfig::reactors` threads serve every connection; the acceptor
 //!   hands each new socket to a reactor round-robin via a per-reactor inbox.
-//!   A thousand idle connections cost a thousand parked epoll registrations,
+//!   A thousand idle connections cost a thousand idle epoll registrations,
 //!   not a thousand stacks.
-//! * **Readiness polling.** Each reactor parks in [`Poller::poll`] (raw
+//! * **Readiness polling.** Each reactor sleeps in [`Poller::poll`] (raw
 //!   `epoll` on Linux, a portable nonblocking poll loop elsewhere — see
 //!   [`crate::poller`]) and only touches sockets with bytes waiting.
 //! * **Reused buffers.** One read scratch per reactor, one reply buffer per
@@ -651,9 +651,19 @@ mod tests {
         }
         client.flush().unwrap();
         assert_eq!(server.router().bin_states()[3], BinState::Retired);
-        // Every parked ticket still redeems, migrated or not.
-        for (_, id) in ids {
-            assert!(client.release(id).unwrap().is_some());
+        // Every id still redeems, migrated or not, and the reply names the
+        // bin the ball left: the one `tickets_in` counted it in, never 3.
+        assert!(ids.iter().any(|&(bin, _)| bin == 3), "bin 3 had residents");
+        let router = server.router();
+        for (routed_to, id) in ids {
+            let counted: Vec<usize> = (0..router.capacity())
+                .map(|b| router.tickets_in(b))
+                .collect();
+            let bin = client.release(id).unwrap().expect("resident");
+            assert_eq!(router.tickets_in(bin) + 1, counted[bin], "id {id}");
+            if routed_to == 3 {
+                assert_ne!(bin, 3, "id {id} was migrated");
+            }
         }
         assert!(server.router().conserves_balls());
         let registry = Arc::clone(&server.router().metrics().unwrap().registry);

@@ -12,9 +12,9 @@
 //!
 //! What lives here:
 //!
-//! * **The park map.** Clients speak arrival ids; the real
-//!   [`Ticket`]s are parked in one id-sharded map shared by every session of
-//!   a server, so a ticket routed on one connection redeems on any other.
+//! * **No ticket state.** Clients hold wire ids that name ledger slots;
+//!   `RELEASE` resolves one through the router's shared ledger
+//!   ([`ConcurrentRouter::ticket_of_wire`]), so any connection redeems it.
 //! * **Line splitting.** Complete lines are parsed in place out of the
 //!   connection's read buffer ([`parse_request`]); in steady state the buffer
 //!   holds at most one partial line. A line longer than [`MAX_LINE_LEN`] is
@@ -47,8 +47,6 @@
 //! [`route_many`]: pba_stream::ConcurrentRouter::route_many
 //! [`release_many`]: pba_stream::ConcurrentRouter::release_many
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use pba_membership::MembershipPlan;
@@ -64,9 +62,6 @@ use crate::codec::{
 /// Requests between fan-outs of a connection's local latency histogram into
 /// the shared and per-reactor histograms.
 const MERGE_EVERY: u64 = 4096;
-
-/// Shards of the parked-ticket map (contention control between reactors).
-const TICKET_SHARDS: usize = 16;
 
 /// Server-wide metric handles (resolved iff the router carries a registry).
 struct ServerMetrics {
@@ -101,33 +96,6 @@ impl ReactorMetrics {
             requests: registry.counter(&format!("server.reactor{index}.requests")),
             route_latency: registry.histogram(&format!("server.reactor{index}.route_latency_ns")),
         }
-    }
-}
-
-/// State every session of one server works against.
-struct Shared {
-    router: ConcurrentRouter,
-    /// Parked tickets, sharded by `id % shards`. Clients speak ids; only the
-    /// server holds real tickets.
-    tickets: Vec<Mutex<HashMap<u64, Ticket>>>,
-    metrics: Option<ServerMetrics>,
-}
-
-impl Shared {
-    fn park(&self, ticket: Ticket) {
-        let shard = (ticket.id() as usize) % self.tickets.len();
-        self.tickets[shard]
-            .lock()
-            .expect("ticket shard lock")
-            .insert(ticket.id(), ticket);
-    }
-
-    fn unpark(&self, id: u64) -> Option<Ticket> {
-        let shard = (id as usize) % self.tickets.len();
-        self.tickets[shard]
-            .lock()
-            .expect("ticket shard lock")
-            .remove(&id)
     }
 }
 
@@ -167,65 +135,53 @@ pub struct ConnState {
 /// assert!(replies.ends_with("OK routed 1 released 0 resident 1 batches 0\n"));
 /// ```
 pub struct Session {
-    shared: Arc<Shared>,
+    router: ConcurrentRouter,
+    metrics: Option<ServerMetrics>,
     reactor_metrics: Option<ReactorMetrics>,
     // Reusable scratch, so the request path stays allocation-free.
     requests: Vec<Request>,
-    route_keys: Vec<u64>,
-    unparked: Vec<Option<Ticket>>,
+    /// The run's route keys, or its release wire ids.
+    numbers: Vec<u64>,
+    resolved: Vec<Option<Ticket>>,
     release_run: Vec<Ticket>,
 }
 
 impl Session {
     /// A session driving `router` (a cheap handle clone; the caller keeps
-    /// its own for direct inspection) with a fresh, empty park map.
+    /// its own for direct inspection).
     pub fn new(router: ConcurrentRouter) -> Self {
-        let metrics = router
-            .metrics()
-            .map(|m| ServerMetrics::resolve(&m.registry));
-        Self::over(
-            Arc::new(Shared {
-                router,
-                tickets: (0..TICKET_SHARDS)
-                    .map(|_| Mutex::new(HashMap::new()))
-                    .collect(),
-                metrics,
-            }),
-            None,
-        )
-    }
-
-    /// A sibling session for reactor thread `index`: same router, same park
-    /// map, its own scratch and `server.reactor{index}.*` handles.
-    pub(crate) fn for_reactor(&self, index: usize) -> Self {
-        let reactor_metrics = self
-            .shared
-            .router
-            .metrics()
-            .map(|m| ReactorMetrics::resolve(&m.registry, index));
-        Self::over(Arc::clone(&self.shared), reactor_metrics)
-    }
-
-    fn over(shared: Arc<Shared>, reactor_metrics: Option<ReactorMetrics>) -> Self {
         Self {
-            shared,
-            reactor_metrics,
+            metrics: router
+                .metrics()
+                .map(|m| ServerMetrics::resolve(&m.registry)),
+            router,
+            reactor_metrics: None,
             requests: Vec::new(),
-            route_keys: Vec::new(),
-            unparked: Vec::new(),
+            numbers: Vec::new(),
+            resolved: Vec::new(),
             release_run: Vec::new(),
+        }
+    }
+
+    /// A sibling session for reactor thread `index`: same router, its own
+    /// scratch and `server.reactor{index}.*` handles.
+    pub(crate) fn for_reactor(&self, index: usize) -> Self {
+        let registry = self.router.metrics().map(|m| &m.registry);
+        Self {
+            reactor_metrics: registry.map(|r| ReactorMetrics::resolve(r, index)),
+            ..Self::new(self.router.clone())
         }
     }
 
     /// The router this session drives.
     pub fn router(&self) -> &ConcurrentRouter {
-        &self.shared.router
+        &self.router
     }
 
     /// Opens the protocol state of one new connection (counted under
     /// `server.connections`).
     pub fn connect(&self) -> ConnState {
-        if let Some(metrics) = &self.shared.metrics {
+        if let Some(metrics) = &self.metrics {
             metrics.connections.inc();
         }
         ConnState {
@@ -292,7 +248,7 @@ impl Session {
     /// it — so it is dropped, visibly (`server.bad_request`), never executed.
     pub fn end_of_input(&self, conn: &ConnState) {
         if !conn.read_buf.is_empty() && !conn.discarding {
-            if let Some(metrics) = &self.shared.metrics {
+            if let Some(metrics) = &self.metrics {
                 metrics.bad_request.inc();
             }
         }
@@ -310,25 +266,24 @@ impl Session {
                     while matches!(self.requests.get(end), Some(Request::Route { .. })) {
                         end += 1;
                     }
-                    self.route_keys.clear();
+                    self.numbers.clear();
                     for request in &self.requests[i..end] {
                         if let Request::Route { key } = request {
-                            self.route_keys.push(*key);
+                            self.numbers.push(*key);
                         }
                     }
-                    self.count_requests(self.route_keys.len() as u64);
+                    self.count_requests(self.numbers.len() as u64);
                     let start = Instant::now();
                     let placements = self
-                        .shared
                         .router
-                        .route_many(&self.route_keys)
+                        .route_many(&self.numbers)
                         .expect("routing is infallible");
                     let per_route =
-                        start.elapsed().as_nanos() as u64 / self.route_keys.len().max(1) as u64;
+                        start.elapsed().as_nanos() as u64 / self.numbers.len().max(1) as u64;
                     for placement in placements {
                         conn.local_latency.record(per_route);
-                        write_ok_route(replies, placement.bin, placement.ticket.id());
-                        self.shared.park(placement.ticket);
+                        let id = self.router.wire_id(&placement.ticket);
+                        write_ok_route(replies, placement.bin, id);
                     }
                     conn.since_merge += (end - i) as u64;
                     i = end;
@@ -338,16 +293,21 @@ impl Session {
                     while matches!(self.requests.get(end), Some(Request::Release { .. })) {
                         end += 1;
                     }
-                    self.unparked.clear();
+                    self.numbers.clear();
+                    self.resolved.clear();
                     for request in &self.requests[i..end] {
                         if let Request::Release { id } = request {
-                            self.unparked.push(self.shared.unpark(*id));
+                            // A repeat within the run is a double release.
+                            let fresh = !self.numbers.contains(id);
+                            self.numbers.push(*id);
+                            let ticket = fresh.then(|| self.router.ticket_of_wire(*id));
+                            self.resolved.push(ticket.flatten());
                         }
                     }
                     self.count_requests((end - i) as u64);
-                    // Maximal runs of parked tickets, split at every id the
-                    // server does not hold.
-                    for run in self.unparked.chunk_by(|a, b| a.is_some() && b.is_some()) {
+                    // Maximal runs of resolved tickets, split at every id
+                    // that names no resident ball.
+                    for run in self.resolved.chunk_by(|a, b| a.is_some() && b.is_some()) {
                         if run[0].is_none() {
                             // Never issued (or already released): the router
                             // never saw it, so the server-side counter is
@@ -377,15 +337,16 @@ impl Session {
         }
     }
 
-    /// Releases one maximal run of parked tickets through `release_many`,
+    /// Releases one maximal run of resolved tickets through `release_many`,
     /// preserving the looped semantics exactly: `release_many` stops at the
     /// first failing ticket with everything before it committed, so on error
     /// the prefix gets its `OK` replies, the failing ticket gets
     /// `ERR unknown-ticket`, and the remainder retries as a smaller group.
+    /// A run names each ball once, so the failing ticket's position is exact.
     fn release_batch(&self, run: &[Ticket], replies: &mut Vec<u8>) {
         let mut rest = run;
         while !rest.is_empty() {
-            match self.shared.router.release_many(rest) {
+            match self.router.release_many(rest) {
                 Ok(()) => {
                     for ticket in rest {
                         write_ok_bin(replies, ticket.bin());
@@ -418,7 +379,7 @@ impl Session {
 
     /// Executes one non-batchable request.
     fn execute_single(&self, request: Request, replies: &mut Vec<u8>) {
-        let router = &self.shared.router;
+        let router = &self.router;
         match request {
             Request::Route { .. } | Request::Release { .. } => {
                 unreachable!("batched by execute()")
@@ -448,7 +409,7 @@ impl Session {
             }
             Request::Migrate => write_ok_count(replies, router.migrate_drained()),
             Request::Bad => {
-                if let Some(metrics) = &self.shared.metrics {
+                if let Some(metrics) = &self.metrics {
                     metrics.bad_request.inc();
                 }
                 write_err_bad_request(replies);
@@ -457,7 +418,7 @@ impl Session {
     }
 
     fn count_requests(&self, n: u64) {
-        if let Some(metrics) = &self.shared.metrics {
+        if let Some(metrics) = &self.metrics {
             metrics.requests.add(n);
         }
         if let Some(metrics) = &self.reactor_metrics {
@@ -466,7 +427,7 @@ impl Session {
     }
 
     fn count_unknown_ticket(&self) {
-        if let Some(metrics) = &self.shared.metrics {
+        if let Some(metrics) = &self.metrics {
             metrics.unknown_ticket.inc();
         }
     }
@@ -477,12 +438,12 @@ impl Session {
     /// both exactly once. Runs by itself every `MERGE_EVERY` requests; call
     /// it once more when the connection goes away.
     pub fn flush_latency(&self, conn: &mut ConnState) {
-        if let Some(metrics) = &self.shared.metrics {
+        if let Some(metrics) = &self.metrics {
             metrics.route_latency.merge_local_copy(&conn.local_latency);
         }
         if let Some(metrics) = &self.reactor_metrics {
             metrics.route_latency.merge_local(&mut conn.local_latency);
-        } else if self.shared.metrics.is_some() {
+        } else if self.metrics.is_some() {
             // No per-reactor sink: still reset so the copy-merge above
             // cannot double-count on the next merge.
             conn.local_latency = LocalHistogram::new();
@@ -495,6 +456,7 @@ mod tests {
     use super::*;
     use pba_obs::MetricsSnapshot;
     use pba_stream::{Policy, StreamConfig};
+    use std::sync::Arc;
 
     /// One instrumented session with one open connection; `say` feeds whole
     /// lines and returns the reply lines they produced.
@@ -567,6 +529,49 @@ mod tests {
         assert_eq!(snap.counter("server.connections"), 1);
         // Neither forged release reached the router.
         assert_eq!(snap.counter("route.rejected_unknown_ticket"), 0);
+    }
+
+    #[test]
+    fn wire_ids_that_name_no_resident_ball_never_reach_the_router() {
+        // One ledger shard, so a wire id is `slot << 32 | id` and a route
+        // takes the most recently vacated slot.
+        let mut h = Harness::new(StreamConfig::new(8).batch_size(8).shards(1));
+        let release = |h: &mut Harness, id: u64| h.say(format!("RELEASE {id}\n").as_bytes());
+        let refused = ["ERR unknown-ticket"];
+        let counts = |h: &Harness| {
+            let snap = h
+                .router()
+                .metrics()
+                .expect("instrumented")
+                .registry
+                .snapshot();
+            let unknown = snap.counter("server.unknown_ticket");
+            (unknown, snap.counter("route.rejected_unknown_ticket"))
+        };
+        // An empty server: the smallest and the largest wire id.
+        assert_eq!(release(&mut h, 0), refused);
+        assert_eq!(release(&mut h, u64::MAX), refused);
+        assert_eq!(counts(&h), (2, 0));
+        let ids: Vec<u64> = (0..3).map(|key| h.route(key)).collect();
+        assert_eq!(ids, [0, 1 << 32 | 1, 2 << 32 | 2]);
+        // A handle past every slab; the right handle, wrong generation bits.
+        assert_eq!(release(&mut h, 3 << 32 | 3), refused);
+        assert_eq!(release(&mut h, ids[1] + 1), refused);
+        assert_eq!(counts(&h), (4, 0));
+        // A double release.
+        assert!(release(&mut h, ids[1])[0].starts_with("OK "));
+        assert_eq!(release(&mut h, ids[1]), refused);
+        // A stale id whose slot the free list handed to the next route.
+        let tenant = h.route(3);
+        assert_eq!(tenant, 1 << 32 | 3);
+        assert_eq!(release(&mut h, ids[1]), refused);
+        // One id twice in one run: the first line releases, the second is
+        // the double release.
+        let twice = h.say(format!("RELEASE {tenant}\nRELEASE {tenant}\n").as_bytes());
+        assert!(twice[0].starts_with("OK "), "{twice:?}");
+        assert_eq!(twice[1], "ERR unknown-ticket");
+        assert_eq!(counts(&h), (7, 0), "no refused id reached the router");
+        assert_eq!(h.router().stats().released, 2);
     }
 
     #[test]

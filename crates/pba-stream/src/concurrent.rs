@@ -616,6 +616,16 @@ impl ConcurrentRouter {
         self.shared.core.release_many(tickets)
     }
 
+    /// See [`SharedTicketLedger::wire_id`].
+    pub fn wire_id(&self, ticket: &Ticket) -> u64 {
+        self.shared.core.ledger.wire_id(ticket)
+    }
+
+    /// See [`SharedTicketLedger::ticket_of_wire`].
+    pub fn ticket_of_wire(&self, wire: u64) -> Option<Ticket> {
+        self.shared.core.ledger.ticket_of_wire(wire)
+    }
+
     /// Buffers one arriving ball (fire and forget) from any thread; returns
     /// its arrival id. The id is stamped under the inbox lock, so the inbox
     /// stays in arrival order. Nothing is allocated until some thread calls

@@ -115,9 +115,9 @@ fn serve_round(force_fallback: bool, clients: usize, requests: u64) -> u64 {
     assert_eq!(client.request("GARBAGE").unwrap(), "ERR bad-request");
 
     // The elastic-membership verbs flow through the same reactor protocol.
-    // Staged events apply at the next batch boundary, so: park tickets,
-    // stage the scale events, route past a flush to apply them, then
-    // migrate the drained bin's residents and release everything.
+    // Staged events apply at the next batch boundary, so: route and keep
+    // the wire ids, stage the scale events, route past a flush to apply
+    // them, then migrate the drained bin's residents and release every id.
     let mut open = Vec::new();
     for key in 0..64u64 {
         open.push(client.route(1 << 40 | key).expect("route over tcp").1);
@@ -131,7 +131,7 @@ fn serve_round(force_fallback: bool, clients: usize, requests: u64) -> u64 {
     let migrated = client.migrate().expect("MIGRATE over tcp");
     assert_eq!(server.router().tickets_in(0), 0, "drained bin emptied");
     for id in open.drain(..) {
-        assert!(client.release(id).unwrap().is_some(), "parked ids redeem");
+        assert!(client.release(id).unwrap().is_some(), "wire ids redeem");
     }
     let extra = 72u64; // membership-phase routes, all released above
     client.flush().expect("flush over tcp");

@@ -25,7 +25,7 @@
 //! | [`stats`] | `pba-stats` | tails, histograms, load metrics, fits, tables, multi-seed aggregation |
 //! | [`obs`] | `pba-obs` | the observability substrate: [`MetricsRegistry`](obs::MetricsRegistry) (counters, gauges, log-bucketed latency histograms), pluggable [`MetricSink`](obs::MetricSink)s, the "no silent drops" counter inventory |
 //! | [`replay`] | `pba-replay` | deterministic trace replay: the versioned trace codec ([`Trace`](replay::Trace)), [`TraceRecorder`](replay::TraceRecorder), the [`replay()`](replay::replay::replay) driver (any engine × all policies), golden-snapshot hashing, and the scripted fault-injection harness ([`FaultPlan`](replay::FaultPlan)) with post-fault invariant checks |
-//! | [`net`] | `pba-net` | the serving path, whole: the line protocol and its zero-allocation codec, the socket-free [`Session`](net::Session) executor (parked tickets, line splitting, batched `ROUTE`/`RELEASE` pipelining), the [`ReactorServer`](net::ReactorServer) TCP front-end (a fixed pool of reactor threads driving nonblocking connections via raw `epoll` on Linux, portable poll-loop fallback elsewhere) and the blocking [`LineClient`](net::LineClient) |
+//! | [`net`] | `pba-net` | the serving path, whole: the line protocol and its zero-allocation codec, the socket-free [`Session`](net::Session) executor (wire ids resolved through the router's ticket ledger, line splitting, batched `ROUTE`/`RELEASE` pipelining), the [`ReactorServer`](net::ReactorServer) TCP front-end (a fixed pool of reactor threads driving nonblocking connections via raw `epoll` on Linux, portable poll-loop fallback elsewhere) and the blocking [`LineClient`](net::LineClient) |
 //! | [`workloads`] | `pba-workloads` | experiment configurations and the E1–E19 experiment definitions |
 //!
 //! ## Quick start

@@ -510,8 +510,8 @@ fn pipelined_stress_on_the_fallback_poller() {
 
 /// Feeds `stream` to a session over a fresh router, cut at `cuts` (sorted
 /// offsets), and returns the concatenated reply bytes plus the router's
-/// final state. Ticket ids are arrival ids, so identically seeded routers
-/// issue identical ids for identical keys.
+/// final state. Wire ids name ledger slots deterministically, so identically
+/// seeded routers issue identical ids for identical keys.
 fn serve_chunked(seed: u64, stream: &[u8], cuts: &[usize]) -> (Vec<u8>, RouterStats, Vec<u32>) {
     let router = ConcurrentRouter::new(StreamConfig::new(16).batch_size(16).seed(seed).shards(4));
     let mut session = Session::new(router);
