@@ -16,7 +16,8 @@
 //!
 //! **Wire ids.** Only this module knows the number a client holds for a
 //! ticket ([`wire_id`](SharedTicketLedger::wire_id)): the slot's 32-bit
-//! **handle** over the ball id mod 2³², decoded under that shard's lock.
+//! **handle** over the ball id mod 2³², decoded a run at a time, each shard
+//! the run names locked once.
 //!
 //! **Migration.** [`SharedTicketLedger::migrate`] re-files a resident ball
 //! under another bin (redeem + issue under both shard locks) and is the only
@@ -55,8 +56,9 @@ static NEXT_REALM: AtomicU64 = AtomicU64::new(1);
 /// its record.
 const MIGRATED: u32 = 1 << 31;
 /// Flag in [`Entry::idx`]: a `redeem_many` validation pass has matched a
-/// ticket of its group to this entry. Set and cleared under the shard lock
-/// within one call; a second match in the same group is a duplicate.
+/// ticket of its group to this entry, or a `tickets_of_wire` pass an id of
+/// its run. Set and cleared under the shard lock within one call; a second
+/// match in the same group or run is a duplicate.
 const CLAIMED: u32 = 1 << 30;
 /// The bits of [`Entry::idx`] that hold the occupancy-list position.
 const POSITION: u32 = !(MIGRATED | CLAIMED);
@@ -276,23 +278,61 @@ impl SharedTicketLedger {
         (self.handle(ticket) as u64) << 32 | (ticket.id as u32) as u64
     }
 
-    /// The ticket of the resident ball `wire` names — through a tombstone,
-    /// the migrated ball's current one. `None` otherwise, and for a migrated
-    /// ball's current slot, so each ball has one wire id. Whatever redeems
-    /// the ticket validates it again.
-    pub fn ticket_of_wire(&self, wire: u64) -> Option<Ticket> {
-        let (shard, slot) = self.unhandle((wire >> 32) as u32);
-        let shard = self.lock(shard);
-        let entry = *shard.slab.get(slot as usize)?;
-        if entry.bin == VACANT || entry.idx & MIGRATED != 0 || entry.id as u32 != wire as u32 {
-            return None;
+    /// Decodes a run of wire ids into `out` (overwritten, in order): the
+    /// ticket of the resident ball each names (through a tombstone, the
+    /// migrated ball's current one), else `None` — also for a migrated ball's
+    /// current slot and for every repeat of an id within the run. One lock
+    /// pass: each named shard is locked once, ascending, one at a time; an
+    /// id's first occurrence sets `CLAIMED`, cleared before the unlock.
+    pub fn tickets_of_wire(&self, wires: &[u64], out: &mut Vec<Option<Ticket>>) {
+        const END: u64 = u64::MAX; // the end of a stub chain
+        out.resize(wires.len(), None); // every entry is overwritten below
+        for block in (0..self.shards.len()).step_by(64) {
+            // An id of this block's 64 shards waits in `out` as a stub (`id`
+            // the wire id, `slot` its slot) whose `realm` links the next id
+            // of its shard, in input order: each shard walks only its own.
+            let mut heads = [END; 64];
+            for (at, &wire) in wires.iter().enumerate().rev() {
+                let (shard, slot) = self.unhandle((wire >> 32) as u32);
+                if let Some(head) = heads.get_mut(shard.wrapping_sub(block)) {
+                    let mut stub = self.ticket(wire, shard as u32, slot);
+                    stub.realm = std::mem::replace(head, at as u64);
+                    out[at] = Some(stub);
+                }
+            }
+            for (offset, &head) in heads.iter().enumerate().filter(|&(_, &h)| h != END) {
+                let mut shard = self.lock(block + offset);
+                // A live id's first occurrence claims its entry; any other is
+                // refused, its slot pointed past the slab.
+                let mut at = head;
+                while at != END {
+                    let stub = out[at as usize].as_mut().expect("a chained stub");
+                    let named = |e: &&mut Entry| e.bin != VACANT && e.id as u32 == stub.id as u32;
+                    match shard.slab.get_mut(stub.slot as usize).filter(named) {
+                        Some(e) if e.idx & (MIGRATED | CLAIMED) == 0 => e.idx |= CLAIMED,
+                        _ => stub.slot = NO_SLOT,
+                    }
+                    at = stub.realm;
+                }
+                // Each claim clears, and its stub becomes the entry's ticket.
+                let mut at = head;
+                while at != END {
+                    let stub = out[at as usize].expect("a chained stub");
+                    out[at as usize] = shard.slab.get_mut(stub.slot as usize).and_then(|entry| {
+                        entry.idx &= !CLAIMED;
+                        let id = entry.id;
+                        match entry.bin {
+                            TOMBSTONE => {
+                                let moved = self.moved.lock().expect("ledger moved");
+                                moved.get(&id).map(|&(bin, at, _)| self.ticket(id, bin, at))
+                            }
+                            bin => Some(self.ticket(id, bin, stub.slot)),
+                        }
+                    });
+                    at = stub.realm;
+                }
+            }
         }
-        if entry.bin == TOMBSTONE {
-            let moved = self.moved.lock().expect("ledger moved");
-            let &(bin, slot, _) = moved.get(&entry.id)?;
-            return Some(self.ticket(entry.id, bin, slot));
-        }
-        Some(self.ticket(entry.id, entry.bin, slot))
     }
 
     /// Records a placement and returns its ticket. Locks only the bin's
@@ -310,13 +350,20 @@ impl SharedTicketLedger {
     /// list — and each shard's slot assignment — ends up exactly as the
     /// one-at-a-time loop would leave it.
     pub fn issue_many(&self, base: u64, bins: &[u32]) -> Vec<Ticket> {
+        let mut tickets = Vec::with_capacity(bins.len());
+        self.issue_group(base, bins, |ticket| tickets.push(ticket));
+        tickets
+    }
+
+    /// [`issue_many`](Self::issue_many), handing each ticket to `each` in
+    /// input order instead of collecting them.
+    pub fn issue_group(&self, base: u64, bins: &[u32], mut each: impl FnMut(Ticket)) {
         let mut locked = self.lock_shards_of(bins.iter().map(|&bin| bin as usize));
-        let issue = |(offset, &bin): (usize, &u32)| {
+        for (offset, &bin) in bins.iter().enumerate() {
             let id = base + offset as u64;
             let shard = self.shard_in(&mut locked, bin as usize);
-            self.ticket(id, bin, shard.issue(id, bin as usize, 0))
-        };
-        bins.iter().enumerate().map(issue).collect()
+            each(self.ticket(id, bin, shard.issue(id, bin as usize, 0)));
+        }
     }
 
     /// Moves the resident ball `ticket` names to bin `to` without retiring
@@ -431,9 +478,16 @@ impl SharedTicketLedger {
     /// never-migrated tickets takes the grouped path whatever else happened
     /// to the ledger before.
     pub fn redeem_many(&self, tickets: &[Ticket]) -> Option<Vec<u32>> {
+        self.redeem_group(tickets)
+            .then(|| tickets.iter().map(|t| t.bin).collect())
+    }
+
+    /// [`redeem_many`](Self::redeem_many) without the vector of bins — they
+    /// are the tickets' own: whether the group was redeemed.
+    pub fn redeem_group(&self, tickets: &[Ticket]) -> bool {
         let known = |ticket: &Ticket| ticket.realm == self.realm && ticket.bin() < self.bins;
         if !tickets.iter().all(known) {
-            return None;
+            return false;
         }
         let mut locked = self.lock_shards_of(tickets.iter().map(Ticket::bin));
         let mut claimed = 0;
@@ -449,12 +503,12 @@ impl SharedTicketLedger {
                 let entry = self.shard_in(&mut locked, ticket.bin()).entry_mut(ticket);
                 entry.expect("claimed above").idx &= !CLAIMED;
             }
-            return None;
+            return false;
         }
         for ticket in tickets {
             self.shard_in(&mut locked, ticket.bin()).remove(ticket.slot);
         }
-        Some(tickets.iter().map(|ticket| ticket.bin).collect())
+        true
     }
 
     /// Number of resident (unreleased) tickets across all shards.
@@ -497,6 +551,23 @@ mod tests {
     fn state(ledger: &SharedTicketLedger) -> (usize, Vec<(usize, Option<Ticket>)>) {
         let per_bin = (0..ledger.bins).map(|bin| (ledger.count_in(bin), ledger.resident_in(bin)));
         (ledger.len(), per_bin.collect())
+    }
+
+    /// The decode of one wire id: a run of one.
+    fn decode(ledger: &SharedTicketLedger, wire: u64) -> Option<Ticket> {
+        let mut out = Vec::new();
+        ledger.tickets_of_wire(&[wire], &mut out);
+        out[0]
+    }
+
+    /// Whether some resident or tombstoned entry still carries a claim (a
+    /// vacant entry's `idx` is a free-list link, not flags).
+    fn any_claimed(ledger: &SharedTicketLedger) -> bool {
+        ledger.shards.iter().any(|shard| {
+            let shard = shard.lock().unwrap();
+            let claimed = |entry: &Entry| entry.bin != VACANT && entry.idx & CLAIMED != 0;
+            shard.slab.iter().any(claimed)
+        })
     }
 
     fn records(ledger: &SharedTicketLedger) -> usize {
@@ -550,10 +621,10 @@ mod tests {
         assert_eq!(records(&ledger), 1);
         assert_eq!(ledger.moved.lock().unwrap()[&5], (7, 0, 0));
         assert_eq!(ledger.lock(0).slab[0].bin, TOMBSTONE, "handle 0");
-        let decoded = ledger.ticket_of_wire(wire).expect("still resident");
+        let decoded = decode(&ledger, wire).expect("still resident");
         assert_eq!((decoded, decoded.slot), (now, now.slot));
         let direct = ledger.wire_id(&now);
-        assert_eq!(ledger.ticket_of_wire(direct), None, "one wire id per ball");
+        assert_eq!(decode(&ledger, direct), None, "one wire id per ball");
         // Issues that would have reused slot 0 of shard 0 take others.
         assert_eq!(ledger.issue(7, 0).slot, 2);
         assert_eq!(ledger.redeem(neighbour), Ok(2));
@@ -565,11 +636,11 @@ mod tests {
         // tombstone is the next slot shard 0 hands out.
         assert_eq!(ledger.redeem(decoded), Ok(7));
         assert_eq!(records(&ledger), 0);
-        assert_eq!(ledger.ticket_of_wire(wire), None);
+        assert_eq!(decode(&ledger, wire), None);
         let tenant = ledger.issue(9, 1);
         assert_eq!(tenant.slot, ball.slot);
-        assert_eq!(ledger.ticket_of_wire(wire), None, "the tenant's id differs");
-        assert_eq!(ledger.ticket_of_wire(ledger.wire_id(&tenant)), Some(tenant));
+        assert_eq!(decode(&ledger, wire), None, "the tenant's id differs");
+        assert_eq!(decode(&ledger, ledger.wire_id(&tenant)), Some(tenant));
 
         // (iii) Released through a fresh `resident_in` ticket instead, the
         // wire id decodes to nothing and the tombstone is freed all the same.
@@ -579,7 +650,7 @@ mod tests {
         let fresh = ledger.resident_in(5).expect("migrated ball resident");
         assert_eq!(ledger.redeem(fresh), Ok(5));
         assert_eq!(records(&ledger), 0);
-        assert_eq!(ledger.ticket_of_wire(other_wire), None);
+        assert_eq!(decode(&ledger, other_wire), None);
         assert_eq!(ledger.issue(11, 0).slot, other.slot);
     }
 
@@ -589,7 +660,7 @@ mod tests {
         let ball = ledger.issue(5, 1);
         let wire = ledger.wire_id(&ball);
         // Before: the live entry.
-        let decoded = ledger.ticket_of_wire(wire).expect("resident");
+        let decoded = decode(&ledger, wire).expect("resident");
         assert_eq!((decoded, decoded.slot), (ball, ball.slot));
         let (fresh, locks) = ledger.migrate_locked(ball, 7).expect("resident");
         // During: a decode is parked on shard 0, and everything it will read
@@ -601,7 +672,7 @@ mod tests {
         assert_eq!(ledger.moved.lock().unwrap()[&5], (7, fresh.slot, 0));
         // After: the tombstone, followed.
         drop(locks);
-        let decoded = ledger.ticket_of_wire(wire).expect("resident");
+        let decoded = decode(&ledger, wire).expect("resident");
         assert_eq!((decoded, decoded.slot), (fresh, fresh.slot));
     }
 
@@ -613,12 +684,12 @@ mod tests {
         assert_eq!(ledger.redeem(gone), Ok(2));
         let tenant = ledger.issue(2, 2);
         assert_eq!(tenant.slot, gone.slot);
-        assert_eq!(ledger.ticket_of_wire(wire), None);
+        assert_eq!(decode(&ledger, wire), None);
         assert_eq!(ledger.redeem(tenant), Ok(2));
         // The documented limit: ids that agree mod 2^32 share wire ids.
         let alias = ledger.issue(1 + (1 << 32), 2);
         assert_eq!(alias.slot, gone.slot);
-        assert_eq!(ledger.ticket_of_wire(wire), Some(alias));
+        assert_eq!(decode(&ledger, wire), Some(alias));
     }
 
     #[test]
@@ -731,5 +802,83 @@ mod tests {
         // Deduplicated, the same tickets go through.
         assert_eq!(ledger.redeem_many(&group), Some(bins.to_vec()));
         assert!(ledger.is_empty());
+    }
+
+    #[test]
+    fn a_run_of_wire_ids_decodes_in_one_pass_and_leaves_no_claim() {
+        // Bins 0..4 live in shard 0, bins 4..8 in shard 1.
+        let ledger = SharedTicketLedger::new(8, 2);
+        let (a, b, c) = (ledger.issue(0, 1), ledger.issue(1, 5), ledger.issue(2, 2));
+        let ball = ledger.issue(3, 6);
+        let (gone, stale) = (ledger.issue(4, 7), ledger.issue(5, 0));
+        assert_eq!(ledger.redeem(gone), Ok(7), "shard 1, slot 2 is vacant");
+        assert_eq!(ledger.redeem(stale), Ok(0));
+        let tenant = ledger.issue(6, 3);
+        assert_eq!(tenant.slot, stale.slot, "the stale id's slot, reused");
+        let now = ledger.migrate(ball, 2).expect("resident");
+        assert_eq!(ledger.lock(1).slab[ball.slot as usize].bin, TOMBSTONE);
+        let before = state(&ledger);
+
+        let wire = |ticket: &Ticket| ledger.wire_id(ticket);
+        let run = [
+            wire(&a),
+            wire(&b),
+            wire(&a),      // repeated
+            wire(&ball),   // the tombstone, followed
+            wire(&now),    // a direct hit on the MIGRATED entry
+            wire(&gone),   // a vacant slot
+            wire(&ball),   // the tombstone again
+            wire(&stale),  // a stale id in a reused slot
+            wire(&tenant), // that slot's tenant
+            wire(&c),
+        ];
+        let mut out = vec![None; 3];
+        ledger.tickets_of_wire(&run, &mut out);
+        let expected = [
+            Some(a),
+            Some(b),
+            None,
+            Some(now),
+            None,
+            None,
+            None,
+            None,
+            Some(tenant),
+            Some(c),
+        ];
+        let with_slots = |decoded: &[Option<Ticket>]| {
+            let pair = |ticket: &Option<Ticket>| ticket.map(|t| (t, t.slot));
+            decoded.iter().map(pair).collect::<Vec<_>>()
+        };
+        assert_eq!(with_slots(&out), with_slots(&expected));
+        assert_eq!(state(&ledger), before, "a decode changes nothing");
+        assert!(!any_claimed(&ledger));
+
+        // `out` is overwritten, and every decoded ticket redeems.
+        ledger.tickets_of_wire(&[wire(&ball)], &mut out);
+        assert_eq!(with_slots(&out), with_slots(&[Some(now)]));
+        assert_eq!(
+            ledger.redeem_many(&[a, b, tenant, c]),
+            Some(vec![1, 5, 3, 2])
+        );
+        assert_eq!(ledger.redeem(now), Ok(2));
+        assert_eq!(records(&ledger), 0);
+        assert!(ledger.is_empty());
+    }
+
+    #[test]
+    fn a_run_of_wire_ids_decodes_past_sixty_four_shards() {
+        // One bin per shard: shards 1, 65 and 129 share a chain.
+        let ledger = SharedTicketLedger::new(130, 130);
+        let group = ledger.issue_many(0, &[65, 1, 129, 65, 3]);
+        let wire: Vec<u64> = group.iter().map(|ticket| ledger.wire_id(ticket)).collect();
+        let run = [
+            wire[2], wire[0], wire[1], wire[0], wire[3], wire[4], wire[2],
+        ];
+        let mut out = Vec::new();
+        ledger.tickets_of_wire(&run, &mut out);
+        let [a, b, c, d, e] = [0, 1, 2, 3, 4].map(|i| Some(group[i]));
+        assert_eq!(out, [c, a, b, None, d, e, None]);
+        assert!(!any_claimed(&ledger));
     }
 }

@@ -42,6 +42,12 @@
 //! valid or malformed — the parser agrees with a plain
 //! `split_ascii_whitespace` reference, property-tested in
 //! `tests/serving_properties.rs`.
+//!
+//! **Fast path.** A canonical line — `ROUTE ` or `RELEASE `, 1–20 digits
+//! that fit a `u64`, `\n` — is parsed in the scan that finds its end
+//! ([`parse_canonical_line`]), anything else by the general path. They agree:
+//! the reference splits it into that verb and number, and at ≤ 29 bytes it is
+//! never cut by [`MAX_LINE_LEN`] (edge table in the tests).
 
 /// Largest accepted `tier` of the `ADD <weight> [tier]` verb. A tier is a
 /// power-of-two capacity-class exponent (the wire analogue of
@@ -101,10 +107,39 @@ pub enum Request {
     Bad,
 }
 
+/// The canonical `ROUTE <n>` / `RELEASE <n>` at the head of `bytes`, read in
+/// one pass (at most 20 digits: `u64::MAX` has 20), and the bytes it spans.
+fn canonical(bytes: &[u8]) -> Option<(Request, usize)> {
+    let (route, rest) = match bytes.strip_prefix(b"ROUTE ") {
+        Some(rest) => (true, rest),
+        None => (false, bytes.strip_prefix(b"RELEASE ")?),
+    };
+    let (mut value, mut digits) = (0u64, 0);
+    for &b in rest.iter().take(20).take_while(|b| b.is_ascii_digit()) {
+        value = value.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+        digits += 1;
+    }
+    let request = match route {
+        true => Request::Route { key: value },
+        false => Request::Release { id: value },
+    };
+    (digits > 0).then_some((request, bytes.len() - rest.len() + digits))
+}
+
+/// The canonical line at the head of `buf` and the bytes it consumes, its
+/// newline included — `None` for any other line, or one still incomplete.
+pub fn parse_canonical_line(buf: &[u8]) -> Option<(Request, usize)> {
+    let (request, len) = canonical(buf)?;
+    (buf.get(len) == Some(&b'\n')).then_some((request, len + 1))
+}
+
 /// Parses one complete request line (newline already stripped) from raw
 /// bytes: whitespace-split tokens over the verb table, every field
-/// validated strictly, without allocating.
+/// validated strictly, without allocating (canonical lines: one pass).
 pub fn parse_request(line: &[u8]) -> Request {
+    if let Some((request, _)) = canonical(line).filter(|&(_, len)| len == line.len()) {
+        return request;
+    }
     // The protocol is ASCII; `from_utf8` is a validation pass, not a copy.
     // Invalid UTF-8 cannot be a well-formed request, so it is a bad request.
     let Ok(line) = std::str::from_utf8(line) else {
@@ -266,6 +301,52 @@ mod tests {
             b"\xff\xfe",
         ] {
             assert_eq!(parse_request(line), Request::Bad, "{:?}", line);
+        }
+    }
+
+    #[test]
+    fn fast_path_edges_agree_with_the_reference() {
+        let route = |key| Request::Route { key };
+        let padded = |digits: usize| format!("ROUTE {:0digits$}", 5);
+        let (twenty, twenty_one) = (padded(20), padded(21));
+        let past_the_cap = format!("RELEASE {:0width$}", 7, width = MAX_LINE_LEN);
+        // (line, what the `split_ascii_whitespace` reference parses it to,
+        // whether it is canonical).
+        let table: [(&[u8], Request, bool); 17] = [
+            (b"ROUTE 18446744073709551615", route(u64::MAX), true),
+            (b"RELEASE 0", Request::Release { id: 0 }, true),
+            (b"ROUTE 18446744073709551616", Request::Bad, false),
+            (
+                b"ROUTE 12345678901234567890",
+                route(12_345_678_901_234_567_890),
+                true,
+            ),
+            (b"ROUTE 123456789012345678901", Request::Bad, false),
+            (twenty.as_bytes(), route(5), true),
+            (twenty_one.as_bytes(), route(5), false),
+            (past_the_cap.as_bytes(), Request::Release { id: 7 }, false),
+            (b"ROUTE +5", route(5), false),
+            (b"ROUTE -5", Request::Bad, false),
+            (b"ROUTE  5", route(5), false),
+            (b"ROUTE\t5", route(5), false),
+            (b"ROUTE 5\r", route(5), false),
+            (b"ROUTE 5 ", route(5), false),
+            (b"ROUTE5", Request::Bad, false),
+            (b"route 5", Request::Bad, false),
+            (b"RELEASE ", Request::Bad, false),
+        ];
+        for (line, expected, canonical) in table {
+            let shown = String::from_utf8_lossy(line);
+            assert_eq!(parse_request(line), expected, "{shown:?}");
+            let mut terminated = line.to_vec();
+            terminated.extend_from_slice(b"\nROUTE 1\n");
+            let split = canonical.then_some((expected, line.len() + 1));
+            assert_eq!(parse_canonical_line(&terminated), split, "{shown:?}");
+            assert_eq!(
+                parse_canonical_line(line),
+                None,
+                "{shown:?}: no newline yet"
+            );
         }
     }
 

@@ -13,24 +13,27 @@
 //! What lives here:
 //!
 //! * **No ticket state.** Clients hold wire ids that name ledger slots;
-//!   `RELEASE` resolves one through the router's shared ledger
-//!   ([`ConcurrentRouter::ticket_of_wire`]), so any connection redeems it.
+//!   `RELEASE` resolves them through the router's shared ledger
+//!   ([`ConcurrentRouter::tickets_of_wire`]), so any connection redeems one.
 //! * **Line splitting.** Complete lines are parsed in place out of the
-//!   connection's read buffer ([`parse_request`]); in steady state the buffer
-//!   holds at most one partial line. A line longer than [`MAX_LINE_LEN`] is
-//!   answered with `ERR bad-request` as soon as the cap is crossed and its
-//!   bytes are discarded up to the next newline — a hostile unterminated
-//!   "line" can never balloon the buffer, and the connection keeps serving.
+//!   connection's read buffer ([`parse_canonical_line`] in one pass, else
+//!   [`parse_request`]); in steady state the buffer holds at most one
+//!   partial line. A line longer than [`MAX_LINE_LEN`] is answered with
+//!   `ERR bad-request` as soon as the cap is crossed and its bytes are
+//!   discarded up to the next newline — a hostile unterminated "line" can
+//!   never balloon the buffer, and the connection keeps serving.
 //! * **Run batching.** Contiguous already-buffered `ROUTE` lines execute as
-//!   one [`route_many`] group and contiguous `RELEASE` lines as one
-//!   [`release_many`] group, paying one ledger-shard lock per touched shard
+//!   one [`route_many_into`] group, timed once; contiguous `RELEASE` lines
+//!   decode in one ledger pass (a repeated id decodes to `None`) and release
+//!   as one [`release_many`] group — one ledger-shard lock per touched shard
 //!   and grouped atomic updates instead of per-request overhead. Grouping
 //!   never waits for more input and never reorders replies: one reply line
 //!   per request, in order.
 //! * **No heap allocation per request.** Scratch vectors belong to the
 //!   session, line and latency state to the connection, the reply buffer to
-//!   the caller; all are reused. What remains is O(1) per *batch* (the
-//!   `Vec<Placement>` a `route_many` group returns) and amortized growth.
+//!   the caller; all are reused. A warmed pipelined window of 32 `ROUTE` +
+//!   32 `RELEASE` allocates exactly twice, the ledger's shard-guard vector
+//!   per group (`tests/zero_alloc_session.rs`).
 //!
 //! ## Metrics
 //!
@@ -44,19 +47,20 @@
 //! `MERGE_EVERY` requests, and by [`Session::flush_latency`] when the
 //! connection goes away.
 //!
-//! [`route_many`]: pba_stream::ConcurrentRouter::route_many
+//! [`route_many_into`]: pba_stream::ConcurrentRouter::route_many_into
 //! [`release_many`]: pba_stream::ConcurrentRouter::release_many
 
 use std::time::Instant;
 
 use pba_membership::MembershipPlan;
-use pba_model::router::{RouteError, Ticket};
+use pba_model::router::{Placement, RouteError, Ticket};
 use pba_obs::{Counter, HistogramHandle, LocalHistogram, MetricsRegistry};
 use pba_stream::ConcurrentRouter;
 
 use crate::codec::{
-    parse_request, write_err_bad_request, write_err_unknown_ticket, write_ok_bin, write_ok_count,
-    write_ok_route, write_ok_staged, write_stats, Request, MAX_LINE_LEN,
+    parse_canonical_line, parse_request, write_err_bad_request, write_err_unknown_ticket,
+    write_ok_bin, write_ok_count, write_ok_route, write_ok_staged, write_stats, Request,
+    MAX_LINE_LEN,
 };
 
 /// Requests between fan-outs of a connection's local latency histogram into
@@ -142,6 +146,7 @@ pub struct Session {
     requests: Vec<Request>,
     /// The run's route keys, or its release wire ids.
     numbers: Vec<u64>,
+    placements: Vec<Placement>,
     resolved: Vec<Option<Ticket>>,
     release_run: Vec<Ticket>,
 }
@@ -158,6 +163,7 @@ impl Session {
             reactor_metrics: None,
             requests: Vec::new(),
             numbers: Vec::new(),
+            placements: Vec::new(),
             resolved: Vec::new(),
             release_run: Vec::new(),
         }
@@ -215,6 +221,11 @@ impl Session {
                 }
                 continue;
             }
+            if let Some((request, len)) = parse_canonical_line(&buf[start..]) {
+                self.requests.push(request);
+                start += len;
+                continue;
+            }
             match buf[start..].iter().position(|&b| b == b'\n') {
                 Some(nl) => {
                     let line = &buf[start..start + nl];
@@ -254,57 +265,47 @@ impl Session {
         }
     }
 
+    /// The end of the run that starts at `i`: its `ROUTE` keys (or `RELEASE`
+    /// wire ids) gathered into `numbers`. Any other request is a run of one.
+    fn gather_run(&mut self, i: usize) -> usize {
+        let first = self.requests[i];
+        let number = |request: &Request| match (first, *request) {
+            (Request::Route { .. }, Request::Route { key }) => Some(key),
+            (Request::Release { .. }, Request::Release { id }) => Some(id),
+            _ => None,
+        };
+        self.numbers.clear();
+        let run = self.requests[i..].iter().map_while(number);
+        self.numbers.extend(run);
+        i + self.numbers.len().max(1)
+    }
+
     /// Executes the parsed requests in order, batching contiguous `ROUTE`
-    /// runs through `route_many` and contiguous `RELEASE` runs through
+    /// runs through `route_many_into` and contiguous `RELEASE` runs through
     /// `release_many`. One reply line per request, in request order.
     fn execute(&mut self, conn: &mut ConnState, replies: &mut Vec<u8>) {
         let mut i = 0;
         while i < self.requests.len() {
+            let end = self.gather_run(i);
+            self.count_requests((end - i) as u64);
             match self.requests[i] {
                 Request::Route { .. } => {
-                    let mut end = i + 1;
-                    while matches!(self.requests.get(end), Some(Request::Route { .. })) {
-                        end += 1;
-                    }
-                    self.numbers.clear();
-                    for request in &self.requests[i..end] {
-                        if let Request::Route { key } = request {
-                            self.numbers.push(*key);
-                        }
-                    }
-                    self.count_requests(self.numbers.len() as u64);
                     let start = Instant::now();
-                    let placements = self
-                        .router
-                        .route_many(&self.numbers)
+                    self.router
+                        .route_many_into(&self.numbers, &mut self.placements)
                         .expect("routing is infallible");
-                    let per_route =
-                        start.elapsed().as_nanos() as u64 / self.numbers.len().max(1) as u64;
-                    for placement in placements {
-                        conn.local_latency.record(per_route);
+                    let routed = self.placements.len() as u64;
+                    let per_route = start.elapsed().as_nanos() as u64 / routed.max(1);
+                    conn.local_latency.record_n(per_route, routed);
+                    for placement in &self.placements {
                         let id = self.router.wire_id(&placement.ticket);
                         write_ok_route(replies, placement.bin, id);
                     }
-                    conn.since_merge += (end - i) as u64;
-                    i = end;
                 }
                 Request::Release { .. } => {
-                    let mut end = i + 1;
-                    while matches!(self.requests.get(end), Some(Request::Release { .. })) {
-                        end += 1;
-                    }
-                    self.numbers.clear();
-                    self.resolved.clear();
-                    for request in &self.requests[i..end] {
-                        if let Request::Release { id } = request {
-                            // A repeat within the run is a double release.
-                            let fresh = !self.numbers.contains(id);
-                            self.numbers.push(*id);
-                            let ticket = fresh.then(|| self.router.ticket_of_wire(*id));
-                            self.resolved.push(ticket.flatten());
-                        }
-                    }
-                    self.count_requests((end - i) as u64);
+                    // A repeat within the run is a double release: `None`.
+                    self.router
+                        .tickets_of_wire(&self.numbers, &mut self.resolved);
                     // Maximal runs of resolved tickets, split at every id
                     // that names no resident ball.
                     for run in self.resolved.chunk_by(|a, b| a.is_some() && b.is_some()) {
@@ -320,16 +321,11 @@ impl Session {
                         self.release_run.extend(run.iter().flatten());
                         self.release_batch(&self.release_run, replies);
                     }
-                    conn.since_merge += (end - i) as u64;
-                    i = end;
                 }
-                other => {
-                    self.count_requests(1);
-                    self.execute_single(other, replies);
-                    conn.since_merge += 1;
-                    i += 1;
-                }
+                other => self.execute_single(other, replies),
             }
+            conn.since_merge += (end - i) as u64;
+            i = end;
         }
         if conn.since_merge >= MERGE_EVERY {
             self.flush_latency(conn);

@@ -164,9 +164,15 @@ impl LocalHistogram {
 
     /// Records one observation (plain integer arithmetic, no atomics).
     pub fn record(&mut self, value: u64) {
-        self.buckets[bucket_of(value)] += 1;
-        self.count += 1;
-        self.sum += value;
+        self.record_n(value, 1);
+    }
+
+    /// Records `count` observations of the same `value` — what a group
+    /// timed once records for each of its members.
+    pub fn record_n(&mut self, value: u64, count: u64) {
+        self.buckets[bucket_of(value)] += count;
+        self.count += count;
+        self.sum += value * count;
     }
 
     /// Observations recorded since the last merge/reset.
@@ -298,6 +304,17 @@ mod tests {
         // Merging an empty local histogram is a no-op.
         merged.merge_local(&mut local);
         assert_eq!(merged.count(), 7);
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        let (mut looped, mut grouped) = (LocalHistogram::new(), LocalHistogram::new());
+        for (value, count) in [(17u64, 32u64), (0, 3), (123_456, 1), (9, 0)] {
+            (0..count).for_each(|_| looped.record(value));
+            grouped.record_n(value, count);
+        }
+        assert_eq!(grouped.count(), 36);
+        assert_eq!(looped.summary(), grouped.summary());
     }
 
     #[test]

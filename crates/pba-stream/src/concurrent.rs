@@ -137,7 +137,7 @@ thread_local! {
 }
 
 thread_local! {
-    /// Per-thread commit scratch of the grouped paths (`Core::route_many`,
+    /// Per-thread commit scratch of the grouped paths (`Core::route_many_into`,
     /// `Core::release_many`): a `&self` core cannot keep one buffer for all
     /// its callers, so each caller thread keeps its own and a warmed thread
     /// commits a group without allocating.
@@ -543,7 +543,20 @@ impl ConcurrentRouter {
     /// interleave with other callers' exactly as individual routes would,
     /// and every boundary still closes after `batch_size` routed balls.
     pub fn route_many(&self, keys: &[u64]) -> Result<Vec<Placement>, RouteError> {
-        self.shared.core.route_many(&mut self.shared.writer(), keys)
+        let mut placements = Vec::with_capacity(keys.len());
+        self.route_many_into(keys, &mut placements)?;
+        Ok(placements)
+    }
+
+    /// [`ConcurrentRouter::route_many`] into `out` (overwritten), so a warmed
+    /// buffer routes a group without allocating one.
+    pub fn route_many_into(
+        &self,
+        keys: &[u64],
+        out: &mut Vec<Placement>,
+    ) -> Result<(), RouteError> {
+        let core = &self.shared.core;
+        core.route_many_into(&mut self.shared.writer(), keys, out)
     }
 
     /// Simulates a **bin crash** from any thread: force-releases every
@@ -621,9 +634,9 @@ impl ConcurrentRouter {
         self.shared.core.ledger.wire_id(ticket)
     }
 
-    /// See [`SharedTicketLedger::ticket_of_wire`].
-    pub fn ticket_of_wire(&self, wire: u64) -> Option<Ticket> {
-        self.shared.core.ledger.ticket_of_wire(wire)
+    /// See [`SharedTicketLedger::tickets_of_wire`].
+    pub fn tickets_of_wire(&self, wires: &[u64], out: &mut Vec<Option<Ticket>>) {
+        self.shared.core.ledger.tickets_of_wire(wires, out)
     }
 
     /// Buffers one arriving ball (fire and forget) from any thread; returns
@@ -1071,20 +1084,21 @@ impl Core {
         Ok(Placement { ticket, bin })
     }
 
-    /// Routes a group of keys, bit-identical (with one caller) to looping
-    /// [`Core::route`] but paying the per-route reads once per sub-group;
-    /// see [`ConcurrentRouter::route_many`].
-    pub(crate) fn route_many(
+    /// Routes a group of keys into `out` (overwritten), bit-identical (with
+    /// one caller) to looping [`Core::route`] but paying the per-route reads
+    /// once per sub-group; see [`ConcurrentRouter::route_many`].
+    pub(crate) fn route_many_into(
         &self,
         writer: &mut Writer<'_>,
         keys: &[u64],
-    ) -> Result<Vec<Placement>, RouteError> {
-        // A singleton group amortizes nothing: delegate to `route` so the
-        // batched surface costs one `Vec` over the one-at-a-time path.
+        out: &mut Vec<Placement>,
+    ) -> Result<(), RouteError> {
+        out.clear();
+        // A singleton group amortizes nothing: delegate to `route`.
         if let [key] = keys {
-            return self.route(writer, *key).map(|placement| vec![placement]);
+            out.push(self.route(writer, *key)?);
+            return Ok(());
         }
-        let mut placements = Vec::with_capacity(keys.len());
         let mut rest = keys;
         while !rest.is_empty() {
             self.apply_staged_at_batch_open(writer);
@@ -1099,14 +1113,19 @@ impl Core {
             let take = rest.len().min(room);
             let (group, tail) = rest.split_at(take);
             rest = tail;
-            let tickets = GROUP_COMMIT.with(|scratch| {
+            let placed = out.len();
+            GROUP_COMMIT.with(|scratch| {
                 let scratch = &mut *scratch.borrow_mut();
                 // Read once per sub-group what `route` reads once per key.
                 let (seen, ()) = self.with_route_chooser(|chooser| {
                     let chosen = &mut scratch.chosen;
                     commit::choose_into(chooser, group, |&key| key, Execution::INLINE, chosen)
                 });
-                self.commit_group(seen, group, scratch)
+                let base = self.commit_group(seen, group, scratch);
+                self.ledger.issue_group(base, &scratch.chosen, |ticket| {
+                    let bin = ticket.bin();
+                    out.push(Placement { ticket, bin });
+                });
             });
             if self.has_observers.load(Ordering::Acquire) {
                 // Per-arrival taps fire in arrival order, before this group
@@ -1114,32 +1133,29 @@ impl Core {
                 // loop would report (exact with one caller).
                 let resident_base = self.resident_now().saturating_sub(take as u64);
                 let chain = self.observers.lock().expect("observer chain");
-                for (offset, (&key, &ticket)) in group.iter().zip(tickets.iter()).enumerate() {
+                for (offset, (&key, placement)) in group.iter().zip(&out[placed..]).enumerate() {
                     let event = RouteEvent {
                         key,
-                        ticket,
+                        ticket: placement.ticket,
                         resident: resident_base + offset as u64 + 1,
                     };
                     self.each_observer(&chain.0, |observer| observer.on_route(&event));
                 }
             }
-            placements.extend(tickets.into_iter().map(|ticket| Placement {
-                ticket,
-                bin: ticket.bin(),
-            }));
             let open = self.open_routed.fetch_add(take as u64, Ordering::AcqRel) + take as u64;
             if open >= self.config.batch_size as u64 {
                 self.close_routed_batches(writer, false);
             }
         }
-        Ok(placements)
+        Ok(())
     }
 
     /// Commits a sub-group chosen under topology epoch `seen` — the drain's
     /// grouped commit: one atomic increment per distinct bin, one stats lock
     /// per touched shard — re-routes whatever a scale event published since
-    /// has drained from under it, and tickets the group.
-    fn commit_group(&self, seen: u64, group: &[u64], scratch: &mut CommitScratch) -> Vec<Ticket> {
+    /// has drained from under it, and returns the group's first ball id, for
+    /// the ledger to ticket `scratch.chosen` from.
+    fn commit_group(&self, seen: u64, group: &[u64], scratch: &mut CommitScratch) -> u64 {
         let bin_commits = self.metrics.as_ref().map(|m| &m.bin_commits);
         commit::place_chosen(&self.bins, scratch, bin_commits);
         if self.topology_moved_since(seen) {
@@ -1154,7 +1170,7 @@ impl Core {
             metrics.routed.add(take);
             metrics.placed.add(take);
         }
-        self.ledger.issue_many(base, &scratch.chosen)
+        base
     }
 
     /// The cold half of a grouped commit's draining recheck: for every bin of
@@ -1249,16 +1265,21 @@ impl Core {
         if let [ticket] = tickets {
             return self.release(*ticket);
         }
-        let Some(chosen) = self.ledger.redeem_many(tickets) else {
+        if !self.ledger.redeem_group(tickets) {
             // Cold path (this group holds a bad ticket or a migrated ball's):
             // the grouped redeem committed nothing, so the loop reproduces
             // the one-at-a-time semantics — including which ticket errors
             // and which releases stay committed — exactly.
             return tickets.iter().try_for_each(|&ticket| self.release(ticket));
-        };
+        }
         let taken = GROUP_COMMIT.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            scratch.chosen.clear();
+            scratch
+                .chosen
+                .extend(tickets.iter().map(|ticket| ticket.bin() as u32));
             self.bins
-                .release_group_with(&chosen, &mut scratch.borrow_mut().group)
+                .release_group_with(&scratch.chosen, &mut scratch.group)
         });
         self.departed.fetch_add(taken, Ordering::AcqRel);
         self.released.fetch_add(taken, Ordering::AcqRel);
@@ -1283,6 +1304,7 @@ impl Core {
             // counts the loop would report (exact with one caller), and
             // `resident` counts down to the post-group total.
             let resident_final = self.resident_now();
+            let chosen: Vec<u32> = tickets.iter().map(|ticket| ticket.bin() as u32).collect();
             let loads_after = commit::loads_after_each_release(&self.bins, &chosen);
             let chain = self.observers.lock().expect("observer chain");
             for (offset, (&ticket, load_after)) in tickets.iter().zip(loads_after).enumerate() {
@@ -2040,7 +2062,8 @@ mod tests {
         // Step 3: the group commits. One look at the fresh topology; the
         // victim's whole delta comes back; exactly its keys move.
         let rechecks = topology_rechecks();
-        let tickets = core.commit_group(seen, &group, &mut scratch);
+        let base = core.commit_group(seen, &group, &mut scratch);
+        let tickets = core.ledger.issue_many(base, &scratch.chosen);
         assert_eq!(topology_rechecks() - rechecks, 1);
         assert_eq!(rejected_routes(&router), hits);
         assert_eq!(router.load(victim), load_before);
@@ -2120,7 +2143,8 @@ mod tests {
         let chosen = scratch.chosen.clone();
         apply_now(&router, |router| router.set_weights(BinWeights::Uniform));
         assert_eq!(core.topology.epoch(), 1);
-        core.commit_group(seen, &group, &mut scratch);
+        let base = core.commit_group(seen, &group, &mut scratch);
+        core.ledger.issue_many(base, &scratch.chosen);
         assert_eq!(topology_rechecks(), rechecks + 1);
         assert_eq!((scratch.chosen, rejected_routes(&router)), (chosen, 0));
         router.route_many(&keys(32, 4)).unwrap();

@@ -293,7 +293,9 @@ impl StreamAllocator {
     /// [`crate::ConcurrentRouter::route_many`].
     pub fn route_many(&mut self, keys: &[u64]) -> Result<Vec<Placement>, RouteError> {
         let (core, mut writer, _) = self.lent();
-        core.route_many(&mut writer, keys)
+        let mut placements = Vec::with_capacity(keys.len());
+        core.route_many_into(&mut writer, keys, &mut placements)?;
+        Ok(placements)
     }
 
     /// Simulates a **bin crash**: force-releases every *ticketed* resident of

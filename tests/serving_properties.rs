@@ -4,7 +4,8 @@
 //!    `parse_request` classifies arbitrary lines (valid, malformed, and
 //!    non-UTF-8) exactly as a plain `&str` + `split_ascii_whitespace`
 //!    restatement of the verb table does, with non-UTF-8 mapping to a bad
-//!    request.
+//!    request — and so does the splitter's fast path wherever it takes a
+//!    line, canonical-edge lines included by construction.
 //! 2. **`release_many` ≡ looped `release`** — for arbitrary group
 //!    partitions, with and without a spliced-in bogus ticket, the grouped
 //!    departure surface produces the identical observer event stream, final
@@ -26,7 +27,7 @@ use proptest::prelude::*;
 use parallel_balanced_allocations::model::rng::SplitMix64;
 use parallel_balanced_allocations::model::router::ReleaseEvent;
 use parallel_balanced_allocations::model::{RouteError, RouterObserver, Ticket};
-use parallel_balanced_allocations::net::codec::{parse_request, Request};
+use parallel_balanced_allocations::net::codec::{parse_canonical_line, parse_request, Request};
 use parallel_balanced_allocations::net::{
     ReactorConfig, ReactorServer, Session, MAX_ADD_TIER, MAX_LINE_LEN,
 };
@@ -90,7 +91,8 @@ fn arbitrary_line(rng: &mut SplitMix64) -> Vec<u8> {
         "ROUTE", "RELEASE", "ADD", "DRAIN", "REMOVE", "MIGRATE", "FLUSH", "STATS",
     ];
     let mut line = Vec::new();
-    match rng.next_u64() % 6 {
+    let pick = |rng: &mut SplitMix64, n: usize| (rng.next_u64() % n as u64) as usize;
+    match rng.next_u64() % 7 {
         // Well-formed verb with plausible arguments.
         0 | 1 => {
             let verb = verbs[(rng.next_u64() % verbs.len() as u64) as usize];
@@ -141,6 +143,24 @@ fn arbitrary_line(rng: &mut SplitMix64) -> Vec<u8> {
                 line.push(c);
             }
         }
+        // The codec fast path's edges: canonical `ROUTE`/`RELEASE` lines and
+        // every near miss — separators, digit counts around 20, `u64::MAX`
+        // and one past it, zero padding, signs, and tails.
+        6 => {
+            line.extend_from_slice([&b"ROUTE"[..], b"RELEASE", b"route", b"ROUTE5"][pick(rng, 4)]);
+            line.extend_from_slice([&b" "[..], b" ", b" ", b"  ", b"\t", b""][pick(rng, 6)]);
+            let digits = 1 + pick(rng, 23);
+            match pick(rng, 6) {
+                0 => line.extend_from_slice(b"18446744073709551615"),
+                1 => line.extend_from_slice(b"18446744073709551616"),
+                2 => {
+                    line.extend_from_slice(format!("{:0digits$}", rng.next_u64() % 1000).as_bytes())
+                }
+                3 => line.extend_from_slice([&b"+5"[..], b"-5", b""][pick(rng, 3)]),
+                _ => line.extend((0..digits).map(|_| b'0' + pick(rng, 10) as u8)),
+            }
+            line.extend_from_slice([&b""[..], b"", b"", b"\r", b" ", b"x"][pick(rng, 6)]);
+        }
         // Arbitrary bytes, frequently invalid UTF-8.
         _ => {
             let len = (rng.next_u64() % 32) as usize;
@@ -168,6 +188,11 @@ proptest! {
                 "line {:?}",
                 String::from_utf8_lossy(&line)
             );
+            // The splitter's fast path, where it takes the line, agrees too.
+            let terminated = [&line[..], b"\n"].concat();
+            if let (false, Some(split)) = (line.contains(&b'\n'), parse_canonical_line(&terminated)) {
+                prop_assert_eq!(split, (reference_parse(&line), terminated.len()));
+            }
         }
     }
 }
