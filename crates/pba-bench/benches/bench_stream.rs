@@ -231,11 +231,10 @@ fn bench_stream(c: &mut Criterion) {
     // the 32 oldest of 2^12 FIFO residents are released, through a router
     // that never migrated and through one that drained a bin, migrated its
     // residents and has since turned its resident set over three times — no
-    // migrated ball and no migration record is left. The ledger refuses the
-    // grouped redeem only for a group that itself holds a migrated ticket,
-    // so the arms must read the same; while the first migration still
-    // switched every later `release_many` to a loop of single redeems, the
-    // second arm read 1.4–1.5× the first.
+    // migrated ball is left. A migration rewrites one ledger entry in place
+    // and leaves nothing behind, so the arms must read the same; while the
+    // first migration still switched every later `release_many` to a loop
+    // of single redeems, the second arm read 1.4–1.5× the first.
     for (name, migrated) in [
         ("release_many_32/never_migrated", false),
         ("release_many_32/migrated_once", true),

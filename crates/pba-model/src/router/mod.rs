@@ -59,16 +59,18 @@ pub use one_shot::OneShotRouter;
 /// router, even with a colliding id and bin) fails with
 /// [`RouteError::UnknownTicket`] instead of corrupting loads.
 ///
-/// A ticket also carries the **slot** its ledger filed the ball under — a
-/// lookup hint that lets `release` index the ledger instead of searching it.
-/// The slot is not part of a ticket's identity: equality and hashing read
-/// `(id, bin, realm)` only, so two handles for the same resident ball (the
-/// one `route` returned and one read back from the ledger) compare equal.
+/// A ticket also carries the ball's 32-bit ledger **handle** (its slab slot
+/// and home shard), which the ball keeps for life: `release` indexes the
+/// ledger with it instead of searching, whatever bin the ticket names, and
+/// the ball's wire id is built from it. The handle is not part of a ticket's
+/// identity: equality and hashing read `(id, bin, realm)` only, so two
+/// tickets for the same resident ball at the same bin (the one `route`
+/// returned and one read back from the ledger) compare equal.
 #[derive(Debug, Clone, Copy)]
 pub struct Ticket {
     id: u64,
     bin: u32,
-    slot: u32,
+    handle: u32,
     realm: u64,
 }
 
@@ -94,7 +96,7 @@ impl Ticket {
         Self {
             id,
             bin,
-            slot: u32::MAX,
+            handle: u32::MAX,
             realm: 0,
         }
     }

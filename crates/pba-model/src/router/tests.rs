@@ -31,10 +31,10 @@ fn ledger_rejects_double_release_and_forgeries() {
         Err(RouteError::UnknownTicket { ticket: t })
     );
     // A hand-made ticket carries the reserved realm 0: rejected even
-    // when its (id, bin) — and its slot — name a resident ball.
+    // when its (id, bin) — and its handle — name a resident ball.
     let resident = ledger.issue(8, 1);
     let forged = Ticket {
-        slot: resident.slot,
+        handle: resident.handle,
         ..Ticket::new(8, 1)
     };
     assert!(matches!(
@@ -171,7 +171,12 @@ fn ledger_migration_chain_follows_to_the_latest_bin() {
     let at_b = ledger.migrate(ticket, 4).expect("resident at A");
     let at_c = ledger.migrate(at_b, 5).expect("resident at B");
     assert_eq!((at_c.id(), at_c.bin()), (1, 5));
-    assert!(ledger.migrate(at_b, 7).is_none(), "B's handle is stale");
+    assert_eq!(
+        ledger.wire_id(&at_c),
+        ledger.wire_id(&ticket),
+        "one wire id"
+    );
+    assert!(ledger.migrate(at_b, 7).is_none(), "B's ticket is stale");
     assert_eq!(ledger.redeem(ticket), Ok(5));
     assert!(ledger.is_empty());
     assert!(ledger.redeem(at_c).is_err(), "double release");
@@ -206,10 +211,10 @@ fn shared_ledger_fresh_ticket_after_migration_clears_the_record() {
     let ledger = SharedTicketLedger::new(4, 2);
     let old = ledger.issue(5, 0);
     assert!(ledger.migrate(old, 3).is_some());
-    // A fresh handle at the current bin (what `resident_in` hands churn
-    // drivers) redeems via the fast path…
+    // A fresh ticket at the current bin (what `resident_in` hands churn
+    // drivers) redeems like the old one would…
     let fresh = ledger.resident_in(3).expect("migrated ball resident");
-    assert_eq!(fresh.bin(), 3);
+    assert_eq!((fresh.bin(), fresh.handle), (3, old.handle));
     assert_eq!(ledger.redeem(fresh), Ok(3));
     // …and the stale pre-migration handle is now a double release.
     assert!(ledger.redeem(old).is_err());

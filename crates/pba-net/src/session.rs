@@ -13,8 +13,8 @@
 //! What lives here:
 //!
 //! * **No ticket state.** Clients hold wire ids that name ledger slots;
-//!   `RELEASE` resolves them through the router's shared ledger
-//!   ([`ConcurrentRouter::tickets_of_wire`]), so any connection redeems one.
+//!   `RELEASE` redeems them through the router's shared ledger
+//!   ([`ConcurrentRouter::release_wire`]), so any connection releases one.
 //! * **Line splitting.** Complete lines are parsed in place out of the
 //!   connection's read buffer ([`parse_canonical_line`] in one pass, else
 //!   [`parse_request`]); in steady state the buffer holds at most one
@@ -24,16 +24,17 @@
 //!   never balloon the buffer, and the connection keeps serving.
 //! * **Run batching.** Contiguous already-buffered `ROUTE` lines execute as
 //!   one [`route_many_into`] group, timed once; contiguous `RELEASE` lines
-//!   decode in one ledger pass (a repeated id decodes to `None`) and release
-//!   as one [`release_many`] group — one ledger-shard lock per touched shard
-//!   and grouped atomic updates instead of per-request overhead. Grouping
+//!   are one [`release_wire`] call — decoded and redeemed in one ledger
+//!   pass (a repeated id names nothing the second time), each named shard
+//!   locked once, with grouped atomic updates instead of per-request
+//!   overhead — and get `OK <bin>` or `ERR unknown-ticket` each. Grouping
 //!   never waits for more input and never reorders replies: one reply line
 //!   per request, in order.
 //! * **No heap allocation per request.** Scratch vectors belong to the
 //!   session, line and latency state to the connection, the reply buffer to
 //!   the caller; all are reused. A warmed pipelined window of 32 `ROUTE` +
-//!   32 `RELEASE` allocates exactly twice, the ledger's shard-guard vector
-//!   per group (`tests/zero_alloc_session.rs`).
+//!   32 `RELEASE` allocates exactly once, the ledger's shard-guard vector
+//!   for the route group (`tests/zero_alloc_session.rs`).
 //!
 //! ## Metrics
 //!
@@ -48,12 +49,12 @@
 //! connection goes away.
 //!
 //! [`route_many_into`]: pba_stream::ConcurrentRouter::route_many_into
-//! [`release_many`]: pba_stream::ConcurrentRouter::release_many
+//! [`release_wire`]: pba_stream::ConcurrentRouter::release_wire
 
 use std::time::Instant;
 
 use pba_membership::MembershipPlan;
-use pba_model::router::{Placement, RouteError, Ticket};
+use pba_model::router::{Placement, Ticket};
 use pba_obs::{Counter, HistogramHandle, LocalHistogram, MetricsRegistry};
 use pba_stream::ConcurrentRouter;
 
@@ -147,8 +148,8 @@ pub struct Session {
     /// The run's route keys, or its release wire ids.
     numbers: Vec<u64>,
     placements: Vec<Placement>,
-    resolved: Vec<Option<Ticket>>,
-    release_run: Vec<Ticket>,
+    /// The run's released tickets, one per wire id.
+    released: Vec<Option<Ticket>>,
 }
 
 impl Session {
@@ -164,8 +165,7 @@ impl Session {
             requests: Vec::new(),
             numbers: Vec::new(),
             placements: Vec::new(),
-            resolved: Vec::new(),
-            release_run: Vec::new(),
+            released: Vec::new(),
         }
     }
 
@@ -282,7 +282,7 @@ impl Session {
 
     /// Executes the parsed requests in order, batching contiguous `ROUTE`
     /// runs through `route_many_into` and contiguous `RELEASE` runs through
-    /// `release_many`. One reply line per request, in request order.
+    /// `release_wire`. One reply line per request, in request order.
     fn execute(&mut self, conn: &mut ConnState, replies: &mut Vec<u8>) {
         let mut i = 0;
         while i < self.requests.len() {
@@ -303,23 +303,19 @@ impl Session {
                     }
                 }
                 Request::Release { .. } => {
-                    // A repeat within the run is a double release: `None`.
-                    self.router
-                        .tickets_of_wire(&self.numbers, &mut self.resolved);
-                    // Maximal runs of resolved tickets, split at every id
-                    // that names no resident ball.
-                    for run in self.resolved.chunk_by(|a, b| a.is_some() && b.is_some()) {
-                        if run[0].is_none() {
-                            // Never issued (or already released): the router
-                            // never saw it, so the server-side counter is
-                            // its only trace.
-                            self.count_unknown_ticket();
-                            write_err_unknown_ticket(replies);
-                            continue;
+                    self.router.release_wire(&self.numbers, &mut self.released);
+                    for released in &self.released {
+                        match released {
+                            Some(ticket) => write_ok_bin(replies, ticket.bin()),
+                            None => {
+                                // Never issued, already released or repeated
+                                // in the run: the router counted nothing for
+                                // it, so the server-side counter is its only
+                                // trace.
+                                self.count_unknown_ticket();
+                                write_err_unknown_ticket(replies);
+                            }
                         }
-                        self.release_run.clear();
-                        self.release_run.extend(run.iter().flatten());
-                        self.release_batch(&self.release_run, replies);
                     }
                 }
                 other => self.execute_single(other, replies),
@@ -330,46 +326,6 @@ impl Session {
         if conn.since_merge >= MERGE_EVERY {
             self.flush_latency(conn);
             conn.since_merge = 0;
-        }
-    }
-
-    /// Releases one maximal run of resolved tickets through `release_many`,
-    /// preserving the looped semantics exactly: `release_many` stops at the
-    /// first failing ticket with everything before it committed, so on error
-    /// the prefix gets its `OK` replies, the failing ticket gets
-    /// `ERR unknown-ticket`, and the remainder retries as a smaller group.
-    /// A run names each ball once, so the failing ticket's position is exact.
-    fn release_batch(&self, run: &[Ticket], replies: &mut Vec<u8>) {
-        let mut rest = run;
-        while !rest.is_empty() {
-            match self.router.release_many(rest) {
-                Ok(()) => {
-                    for ticket in rest {
-                        write_ok_bin(replies, ticket.bin());
-                    }
-                    return;
-                }
-                Err(RouteError::UnknownTicket { ticket }) => {
-                    // The router's own `route.rejected_unknown_ticket` has
-                    // already counted this.
-                    let failed = rest.iter().position(|t| t.id() == ticket.id()).unwrap_or(0);
-                    for ticket in &rest[..failed] {
-                        write_ok_bin(replies, ticket.bin());
-                    }
-                    self.count_unknown_ticket();
-                    write_err_unknown_ticket(replies);
-                    rest = &rest[failed + 1..];
-                }
-                Err(RouteError::Exhausted { .. }) => {
-                    // Releases cannot exhaust capacity; fail the remainder
-                    // visibly rather than loop forever.
-                    for _ in rest {
-                        self.count_unknown_ticket();
-                        write_err_unknown_ticket(replies);
-                    }
-                    return;
-                }
-            }
         }
     }
 

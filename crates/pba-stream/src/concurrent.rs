@@ -138,9 +138,9 @@ thread_local! {
 
 thread_local! {
     /// Per-thread commit scratch of the grouped paths (`Core::route_many_into`,
-    /// `Core::release_many`): a `&self` core cannot keep one buffer for all
-    /// its callers, so each caller thread keeps its own and a warmed thread
-    /// commits a group without allocating.
+    /// `Core::release_many`, `Core::release_wire`): a `&self` core cannot
+    /// keep one buffer for all its callers, so each caller thread keeps its
+    /// own and a warmed thread commits a group without allocating.
     static GROUP_COMMIT: std::cell::RefCell<CommitScratch> =
         std::cell::RefCell::new(CommitScratch::default());
 }
@@ -618,13 +618,11 @@ impl ConcurrentRouter {
     /// [`ConcurrentRouter::release`] (property-tested): per-release
     /// [`ReleaseEvent`]s still fire in ticket order with the same running
     /// `load_after`/`resident` values the loop would report. Any ticket the
-    /// grouped redeem cannot take directly (forged, double-released, an
-    /// in-group duplicate, or the ticket of a ball `migrate_drained` moved)
-    /// sends the **whole** group — nothing committed yet — down the
-    /// one-at-a-time loop, which supplies the documented stop-at-first-error
-    /// behaviour exactly. Only a group that itself holds such a ticket pays
-    /// for it: groups of never-migrated tickets stay on the grouped path
-    /// however many migrations the router has been through.
+    /// grouped redeem cannot take (forged, foreign, double-released or an
+    /// in-group duplicate) sends the **whole** group — nothing committed
+    /// yet — down the one-at-a-time loop, which supplies the documented
+    /// stop-at-first-error behaviour exactly. Only a group that itself holds
+    /// such a ticket pays for it.
     pub fn release_many(&self, tickets: &[Ticket]) -> Result<(), RouteError> {
         self.shared.core.release_many(tickets)
     }
@@ -634,9 +632,19 @@ impl ConcurrentRouter {
         self.shared.core.ledger.wire_id(ticket)
     }
 
-    /// See [`SharedTicketLedger::tickets_of_wire`].
-    pub fn tickets_of_wire(&self, wires: &[u64], out: &mut Vec<Option<Ticket>>) {
-        self.shared.core.ledger.tickets_of_wire(wires, out)
+    /// Releases the balls a run of wire ids names, writing into `out`
+    /// (overwritten, in order) the released ticket — at the bin its ball
+    /// left — of each id, or `None` for an id that names no resident ball
+    /// (never issued, already released, or a repeat within the run). One
+    /// ledger lock pass ([`SharedTicketLedger::redeem_wire`]), then the tail
+    /// [`ConcurrentRouter::release_many`] runs: one grouped load decrement,
+    /// whole-group counter adds, and a [`ReleaseEvent`] per released ball in
+    /// input order. With one caller this is exactly looping decode +
+    /// [`ConcurrentRouter::release`] over the ids that decode
+    /// (property-tested); a `None` reaches neither the loads nor the
+    /// observers nor `route.rejected_unknown_ticket`.
+    pub fn release_wire(&self, wires: &[u64], out: &mut Vec<Option<Ticket>>) {
+        self.shared.core.release_wire(wires, out)
     }
 
     /// Buffers one arriving ball (fire and forget) from any thread; returns
@@ -1265,58 +1273,70 @@ impl Core {
         if let [ticket] = tickets {
             return self.release(*ticket);
         }
-        if !self.ledger.redeem_group(tickets) {
-            // Cold path (this group holds a bad ticket or a migrated ball's):
-            // the grouped redeem committed nothing, so the loop reproduces
-            // the one-at-a-time semantics — including which ticket errors
-            // and which releases stay committed — exactly.
+        let redeemed = GROUP_COMMIT.with(|scratch| {
+            self.ledger
+                .redeem_group(tickets, &mut scratch.borrow_mut().chosen)
+        });
+        if !redeemed {
+            // Cold path (this group holds a ticket that is not live): the
+            // grouped redeem committed nothing, so the loop reproduces the
+            // one-at-a-time semantics — including which ticket errors and
+            // which releases stay committed — exactly.
             return tickets.iter().try_for_each(|&ticket| self.release(ticket));
         }
-        let taken = GROUP_COMMIT.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            scratch.chosen.clear();
-            scratch
-                .chosen
-                .extend(tickets.iter().map(|ticket| ticket.bin() as u32));
-            self.bins
-                .release_group_with(&scratch.chosen, &mut scratch.group)
+        self.depart_redeemed(tickets.iter().copied());
+        Ok(())
+    }
+
+    /// Releases the balls a run of wire ids names; see
+    /// [`ConcurrentRouter::release_wire`].
+    pub(crate) fn release_wire(&self, wires: &[u64], out: &mut Vec<Option<Ticket>>) {
+        self.ledger.redeem_wire(wires, out);
+        GROUP_COMMIT.with(|scratch| {
+            let chosen = &mut scratch.borrow_mut().chosen;
+            chosen.clear();
+            chosen.extend(out.iter().flatten().map(|ticket| ticket.bin() as u32));
         });
+        self.depart_redeemed(out.iter().flatten().copied());
+    }
+
+    /// The tail of every grouped release, once the ledger has redeemed its
+    /// `tickets` and left the bins their balls were in, in order, in this
+    /// thread's `GROUP_COMMIT.chosen`: one grouped load decrement per
+    /// distinct bin, whole-group counter adds, and one [`ReleaseEvent`] per
+    /// ticket, in order, with the running counts the loop would report
+    /// (exact with one caller).
+    fn depart_redeemed(&self, tickets: impl Iterator<Item = Ticket>) {
+        let (taken, redeemed) = GROUP_COMMIT.with(|scratch| {
+            let scratch = &mut *scratch.borrow_mut();
+            let taken = self
+                .bins
+                .release_group_with(&scratch.chosen, &mut scratch.group);
+            (taken, scratch.chosen.len() as u64)
+        });
+        // Every redeemed ball held a load unit: nothing can underflow unless
+        // ledger and bins diverged (a bug, as in `migrate_drained`).
+        assert_eq!(taken, redeemed, "a redeemed ball held a load unit");
         self.departed.fetch_add(taken, Ordering::AcqRel);
         self.released.fetch_add(taken, Ordering::AcqRel);
         if let Some(metrics) = &self.metrics {
             metrics.released.add(taken);
         }
-        if taken < tickets.len() as u64 {
-            // Defensive: every redeemed ticket named a resident ball, so no
-            // bin can underflow unless ledger and bins diverged (a bug, not
-            // a caller error — same stance as the one-at-a-time path).
-            if let Some(metrics) = &self.metrics {
-                metrics
-                    .rejected_unknown_ticket
-                    .add(tickets.len() as u64 - taken);
-            }
-            return Err(RouteError::UnknownTicket {
-                ticket: tickets[taken as usize],
-            });
-        }
         if self.has_observers.load(Ordering::Acquire) {
-            // Per-departure taps fire in ticket order with the running
-            // counts the loop would report (exact with one caller), and
             // `resident` counts down to the post-group total.
             let resident_final = self.resident_now();
-            let chosen: Vec<u32> = tickets.iter().map(|ticket| ticket.bin() as u32).collect();
+            let chosen = GROUP_COMMIT.with(|scratch| scratch.borrow().chosen.clone());
             let loads_after = commit::loads_after_each_release(&self.bins, &chosen);
             let chain = self.observers.lock().expect("observer chain");
-            for (offset, (&ticket, load_after)) in tickets.iter().zip(loads_after).enumerate() {
+            for (offset, (ticket, load_after)) in tickets.zip(loads_after).enumerate() {
                 let event = ReleaseEvent {
                     ticket,
                     load_after,
-                    resident: resident_final + (tickets.len() - 1 - offset) as u64,
+                    resident: resident_final + redeemed - 1 - offset as u64,
                 };
                 self.each_observer(&chain.0, |observer| observer.on_release(&event));
             }
         }
-        Ok(())
     }
 
     /// Stages a membership plan for the next batch boundary.

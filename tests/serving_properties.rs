@@ -9,7 +9,9 @@
 //! 2. **`release_many` ≡ looped `release`** — for arbitrary group
 //!    partitions, with and without a spliced-in bogus ticket, the grouped
 //!    departure surface produces the identical observer event stream, final
-//!    loads, and error behaviour as the one-at-a-time loop.
+//!    loads, and error behaviour as the one-at-a-time loop; and
+//!    **`release_wire` ≡ looped decode + `release`** over wire ids, with a
+//!    repeat, a never-issued id and a stale id spliced in.
 //! 3. **Pipelined serving stress** — k concurrent pipelined connections
 //!    through the reactor front-end conserve every ball and drop nothing.
 //! 4. **Chunking immunity** — one fixed request stream fed to a socket-free
@@ -18,6 +20,7 @@
 //!    as the one-chunk run: what TCP does to segment boundaries can never
 //!    change an answer.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write as IoWrite};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
@@ -243,6 +246,41 @@ fn taped_router(
     (router, tickets, tape)
 }
 
+/// The wire ids of every resident ball of a [`taped_router`], in issue
+/// order, with three ids spliced in at random places: a repeat, a
+/// never-issued id and a stale one. The stale id is `tickets[victim]`'s,
+/// released and then routed over until a new ball takes its slot; the
+/// newcomers join `tickets`. Identically seeded routers and `rng`s build
+/// identical streams.
+fn wire_stream(
+    router: &ConcurrentRouter,
+    tickets: &mut Vec<Ticket>,
+    victim: usize,
+    rng: &mut SplitMix64,
+) -> Vec<u64> {
+    let gone = tickets.remove(victim);
+    let stale = router.wire_id(&gone);
+    router.release(gone).expect("resident");
+    loop {
+        let ticket = router
+            .route(rng.next_u64())
+            .expect("routing is infallible")
+            .ticket;
+        tickets.push(ticket);
+        if router.wire_id(&ticket) >> 32 == stale >> 32 {
+            break;
+        }
+    }
+    let mut stream: Vec<u64> = tickets.iter().map(|t| router.wire_id(t)).collect();
+    let repeat = stream[(rng.next_u64() % stream.len() as u64) as usize];
+    let never_issued = (repeat >> 32) << 32 | 0xdead_beef;
+    for id in [repeat, never_issued, stale] {
+        let at = (rng.next_u64() % (stream.len() as u64 + 1)) as usize;
+        stream.insert(at, id);
+    }
+    stream
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -342,6 +380,58 @@ proptest! {
         prop_assert_eq!(looped.loads(), grouped.loads());
         prop_assert_eq!(looped.resident(), grouped.resident());
         prop_assert_eq!(grouped.resident(), per - at as u64);
+    }
+
+    /// The same departure stream as wire ids, with a repeat, a never-issued
+    /// id and a stale id in a reused slot spliced in, through arbitrary
+    /// partitions of `release_wire`: the per-id outcomes, the observer
+    /// events and the final loads are the loop's — decode each id (it names
+    /// a resident ball or nothing), release what it names.
+    #[test]
+    fn release_wire_partitions_match_the_decode_and_release_loop(
+        bins_exp in 2u32..6,
+        per in 2u64..300,
+        chunk_seed in 0u64..1_000,
+        seed in 0u64..1_000,
+    ) {
+        let bins = 1usize << bins_exp;
+        let victim = (chunk_seed % per) as usize;
+        let (looped, mut tickets, loop_tape) = taped_router(bins, per, seed);
+        let mut rng = SplitMix64::for_stream(seed, 0x3e1e, 5);
+        let stream = wire_stream(&looped, &mut tickets, victim, &mut rng);
+        let mut named: HashMap<u64, Ticket> =
+            tickets.iter().map(|ticket| (looped.wire_id(ticket), *ticket)).collect();
+        let loop_outcomes: Vec<Option<(u64, usize)>> = stream
+            .iter()
+            .map(|wire| {
+                let ticket = named.remove(wire)?;
+                looped.release(ticket).expect("a decoded ball releases");
+                Some((ticket.id(), ticket.bin()))
+            })
+            .collect();
+
+        let (fused, mut tickets2, fused_tape) = taped_router(bins, per, seed);
+        let mut rng = SplitMix64::for_stream(seed, 0x3e1e, 5);
+        prop_assert_eq!(&wire_stream(&fused, &mut tickets2, victim, &mut rng), &stream);
+        let mut chunk_rng = SplitMix64::for_stream(chunk_seed, 0xc41a, 2);
+        let mut outcomes = Vec::new();
+        let mut out = Vec::new();
+        let mut at = 0usize;
+        while at < stream.len() {
+            let hi = (at + 1 + (chunk_rng.next_u64() % 97) as usize).min(stream.len());
+            fused.release_wire(&stream[at..hi], &mut out);
+            outcomes.extend(out.iter().map(|ticket| ticket.map(|t| (t.id(), t.bin()))));
+            at = hi;
+        }
+        prop_assert_eq!(outcomes.iter().filter(|o| o.is_none()).count(), 3);
+        prop_assert_eq!(&outcomes, &loop_outcomes);
+        prop_assert_eq!(
+            &loop_tape.lock().unwrap().events,
+            &fused_tape.lock().unwrap().events
+        );
+        prop_assert_eq!(looped.loads(), fused.loads());
+        prop_assert!(fused.conserves_balls());
+        prop_assert_eq!(fused.resident(), 0);
     }
 
     /// An in-group duplicate (double release) falls back to loop semantics:
