@@ -1,8 +1,7 @@
-//! Writes the committed benchmark snapshots: `BENCH_e17.json` (the E17
-//! observability/serving table plus the structural columns of E15 and E16),
-//! `BENCH_route.json` (the route-hot-path perf trajectory: `route` vs
-//! grouped `route_many` ns/op at 1/2/4 callers, plus the
-//! `route_instrumented_vs_bare` overhead guard) and `BENCH_serve.json`
+//! Writes the committed benchmark snapshots: `BENCH_route.json` (the
+//! route-hot-path perf trajectory: `route` vs grouped `route_many` ns/op at
+//! 1/2/4 callers, plus the `route_instrumented_vs_bare` overhead guard) and
+//! `BENCH_serve.json`
 //! (the serving-path trajectory: zero-alloc codec ns/line, reactor req/s by
 //! connection count, `release` vs grouped `release_many` ns/op, and the
 //! session ≡ reactor ≡ reactor-fallback guard), so the serving-layer numbers
@@ -74,9 +73,9 @@ const CAVEAT: &str = "Timing columns are machine-dependent; on a 1-core containe
      threads serialise, so wall/req-per-s/ns-per-op/speedup/latency numbers are smoke values. \
      The structural columns (conserved, batches, drops, bit-identity) must reproduce exactly.";
 
-/// Renders a whole snapshot file: header fields, optional structural
-/// fingerprint, and the experiment tables.
-fn snapshot_json(full: bool, structural: Option<&str>, experiments: &[(&str, &Table)]) -> String {
+/// Renders a whole snapshot file: header fields, structural fingerprint, and
+/// the experiment tables.
+fn snapshot_json(full: bool, structural: &str, experiments: &[(&str, &Table)]) -> String {
     let mut out = String::from("{\n");
     out.push_str(
         "  \"generated_by\": \"cargo run --release -p pba-bench --bin bench_snapshot -- --write\",\n",
@@ -86,12 +85,10 @@ fn snapshot_json(full: bool, structural: Option<&str>, experiments: &[(&str, &Ta
         if full { "full" } else { "quick" }
     ));
     out.push_str(&format!("  \"caveat\": \"{}\",\n", json_escape(CAVEAT)));
-    if let Some(fingerprint) = structural {
-        out.push_str(&format!(
-            "  \"structural\": \"{}\",\n",
-            json_escape(fingerprint)
-        ));
-    }
+    out.push_str(&format!(
+        "  \"structural\": \"{}\",\n",
+        json_escape(structural)
+    ));
     out.push_str("  \"experiments\": {\n");
     for (i, (id, table)) in experiments.iter().enumerate() {
         out.push_str(&format!("    \"{id}\": {}", table_json(table, "    ")));
@@ -177,19 +174,10 @@ fn main() -> ExitCode {
         };
     }
 
-    let e15 = pba_workloads::experiments::e15_execution_layer(quick);
-    let e16 = pba_workloads::experiments::e16_concurrent_routing(quick);
-    let e17 = pba_workloads::experiments::e17_socket_serving(quick);
-
-    let serving = snapshot_json(full, None, &[("E15", &e15), ("E16", &e16), ("E17", &e17)]);
-    let route_json = snapshot_json(
-        full,
-        Some(&fingerprint),
-        &[("ROUTE", &route), ("GUARD", &guard)],
-    );
+    let route_json = snapshot_json(full, &fingerprint, &[("ROUTE", &route), ("GUARD", &guard)]);
     let serve_json = snapshot_json(
         full,
-        Some(&serve_fingerprint),
+        &serve_fingerprint,
         &[
             ("CODEC", &codec),
             ("SERVE", &serve),
@@ -200,7 +188,6 @@ fn main() -> ExitCode {
 
     if write {
         for (name, body) in [
-            ("BENCH_e17.json", &serving),
             ("BENCH_route.json", &route_json),
             ("BENCH_serve.json", &serve_json),
         ] {
@@ -210,7 +197,6 @@ fn main() -> ExitCode {
             eprintln!("wrote {}", path.display());
         }
     } else {
-        print!("{serving}");
         print!("{route_json}");
         print!("{serve_json}");
     }

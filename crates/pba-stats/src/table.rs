@@ -62,11 +62,16 @@ impl From<f64> for Cell {
 }
 
 /// A simple rectangular table with named columns.
+///
+/// Every column is *pinned* — the same inputs reproduce its cells byte for
+/// byte — unless [`Table::varying`] names it (wall-clock readings, cells that
+/// depend on how threads interleave). Golden checks hash pinned cells only.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     title: String,
     columns: Vec<(String, Align)>,
     rows: Vec<Vec<Cell>>,
+    varying: Vec<usize>,
 }
 
 impl Table {
@@ -79,6 +84,7 @@ impl Table {
                 .map(|c| (c.to_string(), Align::Left))
                 .collect(),
             rows: Vec::new(),
+            varying: Vec::new(),
         }
     }
 
@@ -88,7 +94,28 @@ impl Table {
             title: title.to_string(),
             columns: columns.iter().map(|(c, a)| (c.to_string(), *a)).collect(),
             rows: Vec::new(),
+            varying: Vec::new(),
         }
+    }
+
+    /// Marks the named columns as varying from run to run, so golden checks
+    /// skip their cells. Panics on a name that is not a column — a typo must
+    /// not silently leave a timing column pinned.
+    pub fn varying(mut self, columns: &[&str]) -> Self {
+        for name in columns {
+            let col = self
+                .columns
+                .iter()
+                .position(|(c, _)| c == name)
+                .unwrap_or_else(|| panic!("no column '{name}' in table '{}'", self.title));
+            self.varying.push(col);
+        }
+        self
+    }
+
+    /// Whether column `col` reproduces exactly (not marked [`Table::varying`]).
+    pub fn is_pinned(&self, col: usize) -> bool {
+        !self.varying.contains(&col)
     }
 
     /// Table title.
@@ -295,6 +322,20 @@ mod tests {
         assert_eq!(Cell::from(7u32).0, "7");
         assert_eq!(Cell::from(7usize).0, "7");
         assert_eq!(Cell::from(-7i64).0, "-7");
+    }
+
+    #[test]
+    fn columns_are_pinned_unless_marked_varying() {
+        let t = sample_table().varying(&["m/n"]);
+        assert!(t.is_pinned(0));
+        assert!(!t.is_pinned(1));
+        assert!(t.is_pinned(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "no column 'seconds'")]
+    fn varying_rejects_an_unknown_column() {
+        let _ = sample_table().varying(&["seconds"]);
     }
 
     #[test]

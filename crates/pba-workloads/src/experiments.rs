@@ -27,8 +27,9 @@
 //! experiment here plays the role of a table: it validates one theorem, claim or
 //! message bound and reports the measured quantity next to the paper's
 //! prediction. Every function has a `quick` mode (small instances, used by the
-//! test-suite and CI) and a full mode (used by the `pba-bench` report binaries
-//! and recorded in EXPERIMENTS.md).
+//! test-suite and CI) and a full mode (recorded in EXPERIMENTS.md).
+//! [`EXPERIMENTS`] lists them all by id; `gen_tables` runs that list, and
+//! `tests/tables_golden.rs` pins every quick table's pinned cells.
 
 use pba_algorithms::{
     AsymmetricAllocator, HeavyAllocator, HeavyConfig, LightAllocator, NaiveThresholdAllocator,
@@ -462,7 +463,10 @@ pub fn e8_engines(quick: bool) -> Vec<Table> {
             ("rounds", Align::Right),
             ("unallocated", Align::Right),
         ],
-    );
+    )
+    // The shared-memory executor's balls race for bin capacity on atomics,
+    // so its round count depends on how the worker threads interleave.
+    .varying(&["rounds"]);
     let ideal = m.div_ceil(n as u64);
 
     let mut fixed = FixedThresholdProtocol::new(threshold, 1);
@@ -522,7 +526,9 @@ pub fn e8_engines(quick: bool) -> Vec<Table> {
             ("seconds", Align::Right),
             ("speedup vs 1 thread", Align::Right),
         ],
-    );
+    )
+    // Wall-clock readings.
+    .varying(&["seconds", "speedup vs 1 thread"]);
     for point in measure_speedup(m, n, threshold, &threads, 5) {
         speedup.push_row([
             Cell::from(point.threads),
@@ -1176,7 +1182,15 @@ pub fn e15_execution_layer(quick: bool) -> Table {
             ("cold first-op µs", Align::Right),
             ("warm op µs", Align::Right),
         ],
-    );
+    )
+    // Wall-clock readings.
+    .varying(&[
+        "drain ms",
+        "Mballs/s",
+        "speedup vs 1 (smoke on 1-core)",
+        "cold first-op µs",
+        "warm op µs",
+    ]);
 
     let mut keys = pba_model::rng::SplitMix64::for_stream(7, 0xe15, 0);
     let keys: Vec<u64> = (0..m).map(|_| keys.next_u64()).collect();
@@ -1274,7 +1288,10 @@ pub fn e16_concurrent_routing(quick: bool) -> Table {
             ("conserved", Align::Left),
             ("≡ &mut route()", Align::Left),
         ],
-    );
+    )
+    // Wall-clock readings, and the gap: at k > 1 callers the interleaving
+    // decides which stale snapshot each route reads.
+    .varying(&["wall ms", "Mroutes/s", "speedup vs 1", "final gap"]);
 
     // The 1-caller reference: the classic `&mut self` engine routing the
     // same key sequence — the concurrent pipeline must reproduce it bit for
@@ -1374,7 +1391,9 @@ pub fn e17_socket_serving(quick: bool) -> Table {
             ("drops", Align::Right),
             ("conserved", Align::Left),
         ],
-    );
+    )
+    // Wall-clock readings: throughput and the server's latency histogram.
+    .varying(&["wall ms", "req/s", "p50 us", "p90 us", "p99 us"]);
 
     for &callers in callers_list {
         let registry = Arc::new(pba_obs::MetricsRegistry::new());
@@ -1658,30 +1677,35 @@ pub fn e19_autoscale(quick: bool) -> Table {
     table
 }
 
+/// One experiment: its tables, in quick (`true`) or full mode.
+pub type Experiment = fn(bool) -> Vec<Table>;
+
+/// Every experiment, in report order, under the id `gen_tables --id` takes.
+pub const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("E1", |quick| vec![e1_heavy_load_and_rounds(quick)]),
+    ("E2", |quick| vec![e2_trajectory(quick)]),
+    ("E3", |quick| vec![e3_messages(quick)]),
+    ("E4", e4_lower_bound),
+    ("E5", |quick| vec![e5_asymmetric(quick)]),
+    ("E6", |quick| vec![e6_light(quick)]),
+    ("E7", |quick| vec![e7_baselines(quick)]),
+    ("E8", e8_engines),
+    ("E9", e9_ablation),
+    ("E10", |quick| vec![e10_stream_batch_sweep(quick)]),
+    ("E11", |quick| vec![e11_stream_skew_sweep(quick)]),
+    ("E12", |quick| vec![e12_stream_churn(quick)]),
+    ("E13", |quick| vec![e13_weighted_routing(quick)]),
+    ("E14", |quick| vec![e14_runtime_reweighting(quick)]),
+    ("E15", |quick| vec![e15_execution_layer(quick)]),
+    ("E16", |quick| vec![e16_concurrent_routing(quick)]),
+    ("E17", |quick| vec![e17_socket_serving(quick)]),
+    ("E18", |quick| vec![e18_replay_faults(quick)]),
+    ("E19", |quick| vec![e19_autoscale(quick)]),
+];
+
 /// Runs every experiment and returns all tables in order (E1 … E19).
 pub fn all_experiments(quick: bool) -> Vec<Table> {
-    let mut tables = vec![
-        e1_heavy_load_and_rounds(quick),
-        e2_trajectory(quick),
-        e3_messages(quick),
-    ];
-    tables.extend(e4_lower_bound(quick));
-    tables.push(e5_asymmetric(quick));
-    tables.push(e6_light(quick));
-    tables.push(e7_baselines(quick));
-    tables.extend(e8_engines(quick));
-    tables.extend(e9_ablation(quick));
-    tables.push(e10_stream_batch_sweep(quick));
-    tables.push(e11_stream_skew_sweep(quick));
-    tables.push(e12_stream_churn(quick));
-    tables.push(e13_weighted_routing(quick));
-    tables.push(e14_runtime_reweighting(quick));
-    tables.push(e15_execution_layer(quick));
-    tables.push(e16_concurrent_routing(quick));
-    tables.push(e17_socket_serving(quick));
-    tables.push(e18_replay_faults(quick));
-    tables.push(e19_autoscale(quick));
-    tables
+    EXPERIMENTS.iter().flat_map(|(_, run)| run(quick)).collect()
 }
 
 #[cfg(test)]
@@ -1896,14 +1920,6 @@ mod tests {
             let warm: f64 = row[6].0.parse().unwrap();
             assert!(warm > 0.0);
         }
-        // A warm pool must dispatch no slower than its own cold start (the
-        // cold number includes the warm op it ends with).
-        let cold: f64 = t.rows()[2][5].0.parse().unwrap();
-        let warm: f64 = t.rows()[2][6].0.parse().unwrap();
-        assert!(
-            warm <= cold * 4.0,
-            "warm dispatch {warm}µs should not dwarf cold start {cold}µs"
-        );
     }
 
     #[test]

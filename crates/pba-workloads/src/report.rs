@@ -195,7 +195,7 @@ pub fn render_experiments_markdown(tables: &[Table]) -> String {
     let mut out = String::new();
     out.push_str("# EXPERIMENTS — paper claims vs measured results\n\n");
     out.push_str(
-        "Generated by `cargo run -p pba-bench --release --bin gen_tables -- --full`.\n\
+        "Generated by `cargo run -p pba-bench --release --bin gen_tables -- --full --markdown`.\n\
          Each section corresponds to one experiment of the index in DESIGN.md; the paper has no\n\
          numbered tables/figures (it is a theory paper), so the \"paper\" column of every section\n\
          is the corresponding theorem/claim prediction.\n\n",
@@ -226,6 +226,7 @@ mod tests {
         let t2 = Table::new("E6: demo", &["b"]);
         let md = render_experiments_markdown(&[t1, t2]);
         assert!(md.contains("# EXPERIMENTS"));
+        assert!(md.contains("gen_tables -- --full --markdown`"));
         assert!(md.contains("### E1: demo"));
         assert!(md.contains("### E6: demo"));
         assert!(md.contains("Theorems 1/6"));
