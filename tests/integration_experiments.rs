@@ -1,8 +1,45 @@
-//! Smoke tests for single experiment tables (quick mode). The whole quick
-//! suite — every table's shape and pinned cells, and the Markdown report
-//! built from them — is checked once, by `tests/tables_golden.rs`.
+//! Smoke tests for the experiment harness (quick mode): every experiment
+//! E1–E19 produces non-empty tables with the expected shape, and the Markdown
+//! report embeds all of them. The quick suite runs once for this file; the
+//! pinned cells of every table are checked by `tests/tables_golden.rs`.
 
+use std::sync::OnceLock;
+
+use parallel_balanced_allocations::stats::Table;
 use parallel_balanced_allocations::workloads::experiments;
+use parallel_balanced_allocations::workloads::report::render_experiments_markdown;
+
+fn quick_tables() -> &'static [Table] {
+    static TABLES: OnceLock<Vec<Table>> = OnceLock::new();
+    TABLES.get_or_init(|| experiments::all_experiments(true))
+}
+
+#[test]
+fn all_quick_experiments_produce_tables() {
+    let tables = quick_tables();
+    // E1, E2, E3, E4(2), E5, E6, E7, E8(2), E9(2), E10, E11, E12, E13, E14,
+    // E15, E16, E17, E18, E19 = 22.
+    assert_eq!(tables.len(), 22);
+    for table in tables {
+        assert!(table.n_rows() > 0, "table '{}' is empty", table.title());
+        assert!(table.n_cols() >= 3, "table '{}' too narrow", table.title());
+    }
+}
+
+#[test]
+fn markdown_report_covers_every_experiment() {
+    let md = render_experiments_markdown(quick_tables());
+    for prefix in [
+        "E1", "E2", "E3", "E4a", "E4b", "E5", "E6", "E7", "E8a", "E8b", "E9a", "E9b", "E10", "E11",
+        "E12", "E13", "E14", "E15", "E16", "E17", "E18", "E19",
+    ] {
+        assert!(
+            md.contains(&format!("### {prefix}")),
+            "report is missing section {prefix}"
+        );
+    }
+    assert!(md.contains("Claim reproduced"));
+}
 
 #[test]
 fn e7_baseline_table_contains_every_algorithm() {
