@@ -1,27 +1,21 @@
 //! # pba-bench
 //!
-//! Benchmark harness and experiment binaries.
+//! The repo's binaries:
 //!
-//! * `benches/bench_stream.rs` — the one Criterion bench (CI runs it): arms
-//!   of the streaming engine on fixed instances, among them the pairs that
-//!   must read the same (`route_many_32/*`, `release_many_32/*`). The timed
-//!   workloads proper are the `benchmark` binary's (`BENCHMARK.json`).
-//! * `src/bin/` — `gen_tables` prints every experiment's tables (or, with
-//!   `--id E17`, one experiment's) and, with `--markdown`, the whole
-//!   EXPERIMENTS.md body. Pass `--full` for the paper-scale parameter sweeps
-//!   (the default is the quick configuration used by the test-suite).
-//!   `replay_golden` verifies the committed golden replay snapshots under
+//! * `benchmark` — the one timed benchmark (`BENCHMARK.json`): four
+//!   end-to-end workloads plus per-layer metrics, and `--compare` for
+//!   before/after rows.
+//! * `gen_tables` prints every experiment's tables (or, with `--id E17`, one
+//!   experiment's) and, with `--markdown`, the whole EXPERIMENTS.md body.
+//!   Pass `--full` for the paper-scale parameter sweeps (the default is the
+//!   quick configuration used by the test-suite).
+//! * `replay_golden` verifies the committed golden replay snapshots under
 //!   `tests/golden/` (and regenerates them with `--bless`).
 //!
-//! The library part hosts small shared helpers for the binaries plus the
-//! [`route_bench`] and [`serve_bench`] table builders behind the committed
-//! `BENCH_route.json` / `BENCH_serve.json` perf trajectories.
+//! The library holds only [`ExpOptions`], the `gen_tables` command line.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod route_bench;
-pub mod serve_bench;
 
 use pba_stats::Table;
 use pba_workloads::experiments::{Experiment, EXPERIMENTS};

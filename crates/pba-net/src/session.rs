@@ -5,8 +5,8 @@
 //! A [`Session`] takes request bytes in whatever chunks the transport
 //! delivers them and appends reply bytes to a caller-owned buffer. The
 //! [`reactor`](crate::reactor) is one caller (one `Session` per reactor
-//! thread, one [`ConnState`] per socket); tests, the GUARD bench and any
-//! in-process embedding are the others. Because replies depend only on the
+//! thread, one [`ConnState`] per socket); tests and any in-process
+//! embedding are the others. Because replies depend only on the
 //! request *stream* — never on how it was chunked — a session driven
 //! in-process answers byte for byte what the same stream gets over TCP.
 //!

@@ -41,7 +41,7 @@ use crate::shard::{GroupScratch, ShardedBins};
 /// 0.71–0.96 at 8 Ki, 0.91–1.00 at 16 Ki, 0.97–1.03 at 32 Ki, and from 64 Ki
 /// up between 0.92 and 1.55 — never reliably ahead, no longer behind. 64 Ki
 /// is therefore the shortest batch the pool is offered, and this is half of
-/// it. `bench_stream`'s `two_choice_pool_threads` arms run that batch.
+/// it.
 pub(crate) const PARALLEL_MIN_SPAN: usize = 1 << 15;
 
 /// Which threads a choose step may use.

@@ -5,8 +5,8 @@
 //! metric they will ever touch into a [`StreamMetrics`] bundle of cheap
 //! cloneable handles, and at runtime each event is one relaxed `fetch_add`.
 //! An engine whose metrics slot is `None` executes **zero** metric
-//! instructions — the disabled fast path the bench arm
-//! `route_instrumented_vs_bare` measures.
+//! instructions — the disabled fast path the benchmark metric
+//! `obs.route_overhead_ratio` prices the enabled path against.
 //!
 //! ## Counter inventory (the no-silent-drops ledger)
 //!

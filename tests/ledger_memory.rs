@@ -8,55 +8,21 @@
 //! slack), `u64` list slots, or a free list that is not reused would each
 //! break the bound.
 //!
-//! The counter is the per-thread `#[global_allocator]` wrapper of
-//! `tests/heavy_memory.rs`: libtest allocates on its own threads, every
-//! ledger call here runs on the test's thread, so each byte is charged to
-//! the test that caused it. What is measured is the heap the ledger took
+//! The counter is the per-thread `#[global_allocator]` of
+//! `tests/support/counting_alloc.rs`: libtest allocates on its own threads,
+//! every ledger call here runs on the test's thread, so each byte is charged
+//! to the test that caused it. What is measured is the heap the ledger took
 //! *since it was built empty* — its fixed per-bin headers are not per-ticket
 //! cost — with the test's own ticket queue allocated up front.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
 use std::collections::VecDeque;
 
+use counting_alloc::live_bytes;
 use parallel_balanced_allocations::model::router::{SharedTicketLedger, Ticket};
 use parallel_balanced_allocations::model::SplitMix64;
-
-/// System allocator with a per-thread live-byte counter.
-struct ByteCountingAlloc;
-
-thread_local! {
-    // Const-initialised and without a destructor, so touching it from inside
-    // the allocator neither allocates nor can find it torn down.
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-}
-
-/// Charges `bytes` (negative on release) to the calling thread.
-fn charge(bytes: isize) {
-    LIVE.with(|live| live.set(live.get() + bytes));
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the counter updates touch only a thread-local `Cell`.
-unsafe impl GlobalAlloc for ByteCountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        charge(layout.size() as isize);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        charge(-(layout.size() as isize));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        charge(new_size as isize - layout.size() as isize);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static COUNTER: ByteCountingAlloc = ByteCountingAlloc;
 
 const BINS: usize = 1024;
 const SHARDS: usize = 8;
@@ -81,7 +47,7 @@ impl Churn {
             resident,
             keys: SplitMix64::new(7),
             next_id: 0,
-            empty: LIVE.with(Cell::get),
+            empty: live_bytes(),
         }
     }
 
@@ -106,7 +72,7 @@ impl Churn {
 
     /// Heap bytes the ledger holds beyond its empty self.
     fn ledger_bytes(&self) -> isize {
-        LIVE.with(Cell::get) - self.empty
+        live_bytes() - self.empty
     }
 }
 

@@ -13,12 +13,16 @@
 //!    **`release_wire` ≡ looped decode + `release`** over wire ids, with a
 //!    repeat, a never-issued id and a stale id spliced in.
 //! 3. **Pipelined serving stress** — k concurrent pipelined connections
-//!    through the reactor front-end conserve every ball and drop nothing.
+//!    (6 and 64) through the reactor front-end conserve every ball and drop
+//!    nothing.
 //! 4. **Chunking immunity** — one fixed request stream fed to a socket-free
 //!    `Session` under arbitrary chunkings (cuts inside lines, inside the
 //!    oversized line) produces the identical reply bytes and router state
 //!    as the one-chunk run: what TCP does to segment boundaries can never
 //!    change an answer.
+//! 5. **One protocol, three transports** — the same stream written whole
+//!    to the reactor on epoll and on the fallback poller gets the
+//!    in-process `Session`'s reply bytes and router state exactly.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write as IoWrite};
@@ -556,7 +560,13 @@ fn pipelined_client(
 /// for every line.
 #[test]
 fn pipelined_connections_conserve_and_drop_nothing() {
-    let (connections, per, window, seed) = (6u64, 200u64, 17usize, 41u64);
+    for (connections, per) in [(6u64, 200u64), (64, 40)] {
+        pipelined_connections(connections, per);
+    }
+}
+
+fn pipelined_connections(connections: u64, per: u64) {
+    let (window, seed) = (17usize, 41u64);
     let registry = Arc::new(MetricsRegistry::new());
     let router = ConcurrentRouter::with_metrics(
         StreamConfig::new(32).batch_size(32).seed(seed).shards(4),
@@ -623,13 +633,17 @@ fn pipelined_stress_on_the_fallback_poller() {
 // 4. Chunking immunity
 // ---------------------------------------------------------------------------
 
+/// The router every served stream runs against.
+fn serving_router(seed: u64) -> ConcurrentRouter {
+    ConcurrentRouter::new(StreamConfig::new(16).batch_size(16).seed(seed).shards(4))
+}
+
 /// Feeds `stream` to a session over a fresh router, cut at `cuts` (sorted
 /// offsets), and returns the concatenated reply bytes plus the router's
 /// final state. Wire ids name ledger slots deterministically, so identically
 /// seeded routers issue identical ids for identical keys.
 fn serve_chunked(seed: u64, stream: &[u8], cuts: &[usize]) -> (Vec<u8>, RouterStats, Vec<u32>) {
-    let router = ConcurrentRouter::new(StreamConfig::new(16).batch_size(16).seed(seed).shards(4));
-    let mut session = Session::new(router);
+    let mut session = Session::new(serving_router(seed));
     let mut conn = session.connect();
     let mut replies = Vec::new();
     let mut at = 0usize;
@@ -729,5 +743,62 @@ proptest! {
         prop_assert!(chunked.0 == whole.0, "reply bytes differ under cuts {:?}", cuts);
         prop_assert_eq!(chunked.1, whole.1);
         prop_assert_eq!(chunked.2, whole.2);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 5. One protocol, three transports
+// ---------------------------------------------------------------------------
+
+/// Writes `stream` whole to a reactor over a fresh [`serving_router`], reads
+/// back `lines` reply lines, and returns their bytes plus the router's final
+/// state.
+fn serve_over_tcp(
+    seed: u64,
+    stream: &[u8],
+    lines: usize,
+    config: ReactorConfig,
+) -> (Vec<u8>, RouterStats, Vec<u32>) {
+    let server = ReactorServer::start(serving_router(seed), config).expect("bind loopback");
+    let mut raw = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+    raw.write_all(stream).expect("write the stream");
+    let mut replies = Vec::new();
+    for _ in 0..lines {
+        let n = reader.read_until(b'\n', &mut replies).expect("reply");
+        assert_ne!(n, 0, "server hung up");
+    }
+    let router = server.router();
+    let state = (replies, router.stats(), router.loads());
+    server.shutdown();
+    state
+}
+
+/// The mixed stream — ROUTE and RELEASE runs, STATS, FLUSH, a bogus id and
+/// an oversized line — gets the same reply bytes and router state from the
+/// in-process `Session`, the reactor on the platform poller and the reactor
+/// on the fallback poller. The transport moves bytes; it never changes an
+/// answer.
+#[test]
+fn the_reactor_on_either_poller_replies_byte_for_byte_as_the_session() {
+    for (seed, routes) in [(29u64, 8usize), (30, 57), (31, 120)] {
+        let (stream, _) = mixed_stream(seed, routes);
+        let session = serve_chunked(seed, &stream, &[]);
+        for force_fallback_poller in [false, true] {
+            let config = ReactorConfig {
+                force_fallback_poller,
+                ..ReactorConfig::default()
+            };
+            let reactor = serve_over_tcp(seed, &stream, 2 * routes + 5, config);
+            assert!(
+                reactor.0 == session.0,
+                "seed {seed}, fallback poller {force_fallback_poller}: reply bytes differ\n\
+                 reactor: {:?}\nsession: {:?}",
+                String::from_utf8_lossy(&reactor.0),
+                String::from_utf8_lossy(&session.0)
+            );
+            assert_eq!(reactor.1, session.1, "seed {seed}: router stats");
+            assert_eq!(reactor.2, session.2, "seed {seed}: loads");
+        }
     }
 }

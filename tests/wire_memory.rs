@@ -6,57 +6,23 @@
 //! bookkeeping). An id-keyed table beside the ledger — the park map this
 //! bound replaced cost 66–88 bytes a ticket — would break it.
 //!
-//! The counter is the per-thread `#[global_allocator]` wrapper of
-//! `tests/ledger_memory.rs`; every request here is fed through
+//! The counter is the per-thread `#[global_allocator]` of
+//! `tests/support/counting_alloc.rs`; every request here is fed through
 //! [`Session::feed`] on the test's own thread, on the serving benchmark's
 //! router shape, so each byte is charged to the test that caused it. What is
 //! measured is the heap taken *since the session was connected and empty*,
 //! with the test's own buffers allocated up front.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
 use std::collections::VecDeque;
 
+use counting_alloc::live_bytes;
 use parallel_balanced_allocations::model::SplitMix64;
 use parallel_balanced_allocations::net::codec::push_u64;
 use parallel_balanced_allocations::net::{ConnState, Session};
 use parallel_balanced_allocations::stream::{ConcurrentRouter, Policy, StreamConfig};
-
-/// System allocator with a per-thread live-byte counter.
-struct ByteCountingAlloc;
-
-thread_local! {
-    // Const-initialised and without a destructor, so touching it from inside
-    // the allocator neither allocates nor can find it torn down.
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-}
-
-/// Charges `bytes` (negative on release) to the calling thread.
-fn charge(bytes: isize) {
-    LIVE.with(|live| live.set(live.get() + bytes));
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the counter updates touch only a thread-local `Cell`.
-unsafe impl GlobalAlloc for ByteCountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        charge(layout.size() as isize);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        charge(-(layout.size() as isize));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        charge(new_size as isize - layout.size() as isize);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static COUNTER: ByteCountingAlloc = ByteCountingAlloc;
 
 /// Requests of one kind per window: 32 `ROUTE`, then 32 `RELEASE`.
 const GROUP: usize = 32;
@@ -95,7 +61,7 @@ impl Churn {
             keys: SplitMix64::new(7),
             request,
             replies,
-            empty: LIVE.with(Cell::get),
+            empty: live_bytes(),
         }
     }
 
@@ -138,7 +104,7 @@ impl Churn {
 
     /// Heap bytes the session and its router hold beyond their empty selves.
     fn serving_bytes(&self) -> isize {
-        LIVE.with(Cell::get) - self.empty
+        live_bytes() - self.empty
     }
 }
 

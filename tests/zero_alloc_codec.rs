@@ -5,61 +5,17 @@
 //! connection and are reused, so heap traffic per request is exactly what
 //! this test measures.
 //!
-//! The counter is a thin `#[global_allocator]` wrapper that counts **per
-//! thread**: libtest runs this file's tests on parallel threads (and
-//! allocates on its own), so a process-wide count would charge one test with
-//! its neighbours' heap traffic. Each measuring thread reads only its own
-//! count.
+//! The counter is the per-thread `#[global_allocator]` of
+//! `tests/support/counting_alloc.rs`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
+use counting_alloc::allocations_during;
 use parallel_balanced_allocations::net::codec::{
     parse_request, write_err_bad_request, write_err_unknown_ticket, write_ok_bin, write_ok_count,
     write_ok_route, write_ok_staged, write_stats, Request,
 };
-
-/// System allocator with a per-thread allocation counter.
-struct CountingAlloc;
-
-thread_local! {
-    // Const-initialised and without a destructor, so touching it from inside
-    // the allocator neither allocates nor can find it torn down.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Charges one allocation to the calling thread.
-fn count_one() {
-    ALLOCATIONS.with(|count| count.set(count.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the counter bump touches only a thread-local `Cell`.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
-
-/// Allocations the calling thread performed while running `f`.
-fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
 
 #[test]
 fn steady_state_parse_and_render_never_touch_the_heap() {

@@ -7,58 +7,18 @@
 //! benchmark's batch size the drain also runs on the calling thread whatever
 //! `num_threads` says, so no job is boxed for a pool either.
 //!
-//! The counter counts **per thread**, as in `zero_alloc_codec.rs`: libtest
-//! and idle pool workers allocate on threads of their own.
+//! The counter counts **per thread** (`tests/support/counting_alloc.rs`):
+//! libtest and idle pool workers allocate on threads of their own.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
 use std::sync::Arc;
 
+use counting_alloc::allocations_during;
 use parallel_balanced_allocations::model::rng::SplitMix64;
 use parallel_balanced_allocations::prelude::*;
 use parallel_balanced_allocations::stream::{Policy, StreamAllocator, StreamConfig};
-
-/// System allocator with a per-thread allocation counter.
-struct CountingAlloc;
-
-thread_local! {
-    // Const-initialised and without a destructor, so touching it from inside
-    // the allocator neither allocates nor can find it torn down.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Charges one allocation to the calling thread.
-fn count_one() {
-    ALLOCATIONS.with(|count| count.set(count.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the counter bump touches only a thread-local `Cell`.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
-
-/// Allocations the calling thread performed while running `f`.
-fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
 
 const BINS: usize = 1024;
 const BATCH: usize = 4096;

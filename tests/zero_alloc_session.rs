@@ -9,59 +9,20 @@
 //! (`route_many_into`, `release_wire`), and the release run's one ledger
 //! pass locks one shard at a time, so it holds no guard vector at all.
 //!
-//! The counter is per thread, as in `zero_alloc_codec.rs`: libtest runs
-//! tests on parallel threads and allocates on its own.
+//! The counter is per thread (`tests/support/counting_alloc.rs`): libtest
+//! runs tests on parallel threads and allocates on its own.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use counting_alloc::allocations_during;
 use parallel_balanced_allocations::model::rng::SplitMix64;
 use parallel_balanced_allocations::net::codec::push_u64;
 use parallel_balanced_allocations::net::ConnState;
 use parallel_balanced_allocations::prelude::*;
-
-/// System allocator with a per-thread allocation counter.
-struct CountingAlloc;
-
-thread_local! {
-    // Const-initialised and without a destructor, so touching it from inside
-    // the allocator neither allocates nor can find it torn down.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    ALLOCATIONS.with(|count| count.set(count.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the counter bump touches only a thread-local `Cell`.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static COUNTER: CountingAlloc = CountingAlloc;
-
-/// Allocations the calling thread performed while running `f`.
-fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
 
 /// Lines of each verb per window: the benchmark's `serve-pipelined` shape.
 const RUN: usize = 32;
