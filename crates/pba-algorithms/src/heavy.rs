@@ -39,7 +39,8 @@ pub struct HeavyConfig {
     pub slack_exponent: f64,
     /// Configuration of the phase-2 `A_light` subroutine.
     pub light: LightConfig,
-    /// Run per-ball sampling on the rayon pool.
+    /// Run per-ball sampling through the rayon shim (see
+    /// [`EngineConfig::parallel`](pba_model::engine::EngineConfig::parallel)).
     pub parallel: bool,
     /// Track per-ball sent-message counts (costs `O(m)` memory).
     pub track_per_ball: bool,

@@ -38,7 +38,8 @@ pub struct LightConfig {
     /// Safety cap on rounds (`log* n` is at most 5 for any feasible `n`, so this
     /// is generous).
     pub max_rounds: usize,
-    /// Run per-ball sampling on the rayon pool.
+    /// Run per-ball sampling through the rayon shim (see
+    /// [`EngineConfig::parallel`](pba_model::engine::EngineConfig::parallel)).
     pub parallel: bool,
 }
 

@@ -22,7 +22,8 @@ pub struct NaiveThresholdAllocator {
     pub degree: usize,
     /// Safety cap on rounds.
     pub max_rounds: usize,
-    /// Run per-ball sampling on the rayon pool.
+    /// Run per-ball sampling through the rayon shim (see
+    /// [`EngineConfig::parallel`](pba_model::engine::EngineConfig::parallel)).
     pub parallel: bool,
 }
 

@@ -48,7 +48,7 @@ impl ConcurrentOutcome {
 }
 
 /// Runs a fixed-threshold protocol (`T` per bin, degree 1) to completion (or
-/// `max_rounds`) on the current rayon thread pool.
+/// `max_rounds`) under the current rayon thread count.
 pub fn run_concurrent_threshold(
     m: u64,
     n: usize,

@@ -13,9 +13,9 @@
 //! * [`executor`] — a rayon-based round executor: in each round all unallocated
 //!   balls try to claim a slot in a uniformly random bin under the round's
 //!   threshold; rejected balls retry next round. Supports the `A_heavy` schedule
-//!   and fixed thresholds. Rounds run on the workspace-wide **persistent worker
-//!   pool** of the rayon shim (the same pool the streaming drain uses), so
-//!   per-round dispatch is a channel send, not a thread spawn.
+//!   and fixed thresholds. A round long enough to split (two 32 Ki-ball chunks
+//!   or more) runs one chunk per thread on the rayon shim's scoped threads,
+//!   as the streaming drain does; a shorter round runs on the calling thread.
 //! * [`actor`] — a crossbeam-channel actor executor: bins are sharded over worker
 //!   threads, balls' requests are messages on the shards' channels and accepts
 //!   flow back over a result channel. A faithful "message passing" realisation of
@@ -28,7 +28,7 @@
 //!   atomics (per-bin counters, the epoch word) their own cache line, so
 //!   writes by one thread stop invalidating their neighbours' lines.
 //! * [`speedup`] — wall-clock measurements of one allocation under varying rayon
-//!   thread counts (pool-warm: each pool's first run is a discarded warm-up).
+//!   thread counts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

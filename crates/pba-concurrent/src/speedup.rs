@@ -1,13 +1,9 @@
 //! Wall-clock speed-up measurements (experiment E8).
 //!
-//! Runs the same shared-memory allocation under rayon thread pools of different
-//! sizes and reports wall-clock times. Each pool's **first** run is a discarded
-//! warm-up: it pays the one-time pool start-up (worker spawn, lazy allocator
-//! warm-up), so the timed run — and therefore the speed-up ratio — reflects
-//! steady-state dispatch on a warm pool, which is what a long-running service
-//! sees. On a single-core machine the curve is flat (speed-up ≈ 1); the harness
-//! still exercises the full parallel code path and reports whatever the
-//! hardware provides.
+//! Runs the same shared-memory allocation under rayon thread counts of
+//! different sizes and reports wall-clock times. On a single-core machine the
+//! curve is flat (speed-up ≈ 1); the harness still exercises the full parallel
+//! code path and reports whatever the hardware provides.
 
 use std::time::Instant;
 
@@ -16,7 +12,7 @@ use crate::executor::run_concurrent_threshold;
 /// One point of the speed-up curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedupPoint {
-    /// Number of rayon worker threads used.
+    /// Number of rayon threads used.
     pub threads: usize,
     /// Wall-clock seconds for the allocation.
     pub seconds: f64,
@@ -26,9 +22,7 @@ pub struct SpeedupPoint {
 
 /// Measures wall-clock time of a fixed-threshold allocation for each thread
 /// count in `thread_counts`. The first entry is used as the baseline for the
-/// speed-up column (conventionally 1 thread). Per pool, one untimed warm-up
-/// run is discarded so the reported seconds are pool-warm numbers, not
-/// one-time spawn cost.
+/// speed-up column (conventionally 1 thread).
 pub fn measure_speedup(
     m: u64,
     n: usize,
@@ -44,8 +38,6 @@ pub fn measure_speedup(
             .num_threads(threads)
             .build()
             .expect("thread pool");
-        let warmup = pool.install(|| run_concurrent_threshold(m, n, threshold, 10_000, seed));
-        assert_eq!(warmup.unallocated, 0, "warm-up run must complete");
         let start = Instant::now();
         let out = pool.install(|| run_concurrent_threshold(m, n, threshold, 10_000, seed));
         let seconds = start.elapsed().as_secs_f64();

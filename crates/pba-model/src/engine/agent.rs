@@ -33,10 +33,12 @@
 //!   block by block, and the list of unallocated balls grows from empty (to
 //!   `m̃₁ ≈ m^{2/3} n^{1/3}` under `A_heavy`'s schedule, not `m`).
 //!
-//! Sampling (step 1) is the dominant cost and optionally runs on the rayon pool,
-//! block by block; because every ball's choices are a pure function of
+//! Sampling (step 1) is the dominant cost and optionally goes through the rayon
+//! shim, block by block; because every ball's choices are a pure function of
 //! `(seed, ball, round)`, parallel and sequential executions produce identical
-//! requests and therefore identical results.
+//! requests and therefore identical results. (A block is below the shim's
+//! split cutoff, so the parallel path runs on the calling thread too; see
+//! `BLOCK_SLOTS`.)
 
 use rayon::prelude::*;
 
@@ -50,10 +52,15 @@ use crate::rng::{ball_round_rng, SplitMix64};
 /// identity, 192 KiB at most — is still cache-resident when the resolve reads
 /// it back, beside the per-bin vectors: a block four times the size measured
 /// ≈ 8 % slower sequentially (8.5 → 9.3 ns per ball of `A_heavy`'s phase 1),
-/// a block a quarter the size no faster. The pool, which cuts a block into jobs
-/// of at least 256 balls at about a microsecond of dispatch each, would prefer
-/// the larger block (12.2 → 10.4 ns per ball on two busy CPUs), but was slower
-/// than the sequential pass at either size, so the sequential optimum decides.
+/// a block a quarter the size no faster.
+///
+/// A block is also shorter than the 2 × 32 Ki items the rayon shim needs
+/// before it spawns a second thread, so [`EngineConfig::parallel`] never
+/// splits one: it changes no result and uses no other thread. It is not free
+/// either: in alternating runs of `A_heavy` (2^22 balls, 2^10 bins, 14 pairs)
+/// the flag ran at 0.86 of the sequential speed in the median — the cost of
+/// the `par_chunks_mut` call site, since the plain loop in both branches
+/// measures 1.00. The flag stays while the benchmark names it.
 const BLOCK_SLOTS: usize = 1 << 14;
 
 /// The balls a run starts with.

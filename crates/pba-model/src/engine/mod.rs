@@ -8,7 +8,7 @@
 //!   fixed-size blocks of balls. A round holds `O(n + block + leftover)`
 //!   memory — per-bin vectors, one block of targets, the balls rejected so
 //!   far — never a buffer sized by `m`. It optionally tracks per-ball message
-//!   counts and can sample a block's balls in parallel with rayon; parallel
+//!   counts and can sample a block's balls through the rayon shim; parallel
 //!   and sequential executions are bit-identical because every random choice
 //!   is a pure function of `(seed, ball, round)`.
 //! * the [**count engine**](counts::run_count_engine) tracks only per-bin request
@@ -31,7 +31,9 @@ use crate::outcome::AllocationOutcome;
 /// Execution options for the engines.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Sample per-ball choices on the rayon thread pool (agent engine only).
+    /// Sample per-ball choices through the rayon shim (agent engine only). A
+    /// block is shorter than the shim's split cutoff, so this runs on the
+    /// calling thread too and changes no result.
     pub parallel: bool,
     /// Track per-ball sent-message counts (agent engine only; costs `O(m)` memory).
     pub track_per_ball: bool,

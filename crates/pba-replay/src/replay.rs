@@ -94,7 +94,7 @@ pub struct ReplayConfig {
     /// Bin weights (must prescribe the trace's bin count when non-uniform;
     /// ignored by [`ReplayEngine::OneShot`]).
     pub weights: BinWeights,
-    /// Drain worker threads (`0` = ambient pool / `PBA_THREADS`); placements
+    /// Drain threads (`0` = the ambient count / `PBA_THREADS`); placements
     /// are bit-identical for every value — the knob the golden matrix varies
     /// to prove it.
     pub num_threads: usize,
@@ -109,7 +109,8 @@ pub struct ReplayConfig {
 }
 
 impl ReplayConfig {
-    /// A stream replay with the given policy, uniform weights, ambient pool.
+    /// A stream replay with the given policy, uniform weights, ambient
+    /// thread count.
     pub fn stream(policy: Policy) -> Self {
         Self {
             engine: ReplayEngine::Stream,

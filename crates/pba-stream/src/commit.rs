@@ -8,9 +8,9 @@
 //!    function of `(stale snapshot, key)`. Everything constant across the
 //!    batch is decided once, in the [`Chooser`]; the per-ball kernel keeps its
 //!    candidates in a fixed buffer and touches no heap. There is one loop: it
-//!    runs on the calling thread, and only a batch long enough to pay for the
-//!    hand-off ([`PARALLEL_MIN_SPAN`]) is cut into contiguous spans that pool
-//!    workers run the same loop over.
+//!    runs on the calling thread, and only a batch long enough to pay for a
+//!    thread spawn ([`PARALLEL_MIN_SPAN`]) is cut into contiguous spans that
+//!    scoped threads run the same loop over.
 //! 2. **commit** ([`ShardedBins::place_group_with`]) — the chosen bins are
 //!    counted into a per-bin delta scratch, then committed with one atomic
 //!    add per distinct bin, one stats-lock acquisition per touched shard and
@@ -26,23 +26,24 @@ use rayon::ThreadPool;
 use crate::policy::Chooser;
 use crate::shard::{GroupScratch, ShardedBins};
 
-/// Fewest balls a pool worker is handed in the choose step; a batch shorter
-/// than two such spans is chosen on the calling thread, so below that the
-/// `parallel` flag and the worker count are no-ops.
+/// Fewest balls a thread is handed in the choose step; a batch shorter than
+/// two such spans is chosen on the calling thread, so below that the
+/// `parallel` flag and the thread count are no-ops.
 ///
 /// A ball costs ≈ 6 ns to choose, so the 4096-ball batch of the
-/// `stream-drain` workload is ≈ 25 µs of work in all, while handing a span to
-/// a parked worker costs a boxed job, a futex wake and a wait on its latch.
-/// Measured on the 2-vCPU build host with a throw-away harness (ticks of `B`
-/// pushes + `drain_ready` on a `StreamAllocator`, two-choice over 1024 bins,
-/// metrics installed; `.sequential()` against `.num_threads(2)` with this
-/// constant forced to `B/2`; best of three per side, four runs): two workers
-/// ran the drain at 0.57–0.93 of the sequential speed at `B` = 4 Ki,
-/// 0.71–0.96 at 8 Ki, 0.91–1.00 at 16 Ki, 0.97–1.03 at 32 Ki, and from 64 Ki
-/// up between 0.92 and 1.55 — never reliably ahead, no longer behind. 64 Ki
-/// is therefore the shortest batch the pool is offered, and this is half of
-/// it.
-pub(crate) const PARALLEL_MIN_SPAN: usize = 1 << 15;
+/// `stream-drain` workload is ≈ 25 µs of work in all — about what spawning
+/// one scoped thread costs. Measured on the 2-vCPU build host with a
+/// throw-away harness (ticks of `B` pushes + `drain_ready` on a
+/// `StreamAllocator`, two-choice over 1024 bins, metrics installed;
+/// `.sequential()` against `.num_threads(2)`, each thread choosing `B/2`
+/// balls; best of three per side, four runs). Handing a span to a parked
+/// pool worker, two threads ran the drain at 0.57–0.93 of the sequential
+/// speed at `B` = 4 Ki, 0.71–0.96 at 8 Ki, 0.91–1.00 at 16 Ki, 0.97–1.03 at
+/// 32 Ki, and from 64 Ki up between 0.92 and 1.55. Spawning a scoped thread
+/// per drain instead, they ran at 1.22–1.68 at 64 Ki, 1.18–1.61 at 128 Ki
+/// and 1.16–1.74 at 256 Ki. 64 Ki is therefore the shortest batch that is
+/// split, and this is half of it.
+pub const PARALLEL_MIN_SPAN: usize = 1 << 15;
 
 /// Which threads a choose step may use.
 #[derive(Debug, Clone, Copy)]
@@ -50,9 +51,9 @@ pub(crate) struct Execution<'a> {
     /// [`StreamConfig::parallel`](crate::StreamConfig::parallel): whether a
     /// long batch may be cut into spans at all.
     pub(crate) parallel: bool,
-    /// The engine's dedicated pool
+    /// The engine's thread count
     /// ([`StreamConfig::num_threads`](crate::StreamConfig::num_threads));
-    /// `None` hands spans to the ambient pool.
+    /// `None` uses the ambient one.
     pub(crate) pool: Option<&'a ThreadPool>,
 }
 

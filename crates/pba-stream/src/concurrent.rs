@@ -384,7 +384,8 @@ pub(crate) struct Core {
     /// Something is staged and unapplied — checked wherever a batch opens or
     /// closes.
     has_pending_membership: AtomicBool,
-    /// Dedicated drain pool when [`StreamConfig::num_threads`] is positive.
+    /// The drain's own thread count when [`StreamConfig::num_threads`] is
+    /// positive.
     pool: Option<rayon::ThreadPool>,
     /// Resolved metric handles ([`Core::install_metrics`]); `None` is the
     /// disabled fast path — zero metric instructions anywhere.

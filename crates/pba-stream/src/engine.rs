@@ -78,28 +78,28 @@ pub struct StreamConfig {
     pub policy: Policy,
     /// Master seed; together with each ball's key it determines candidates.
     pub seed: u64,
-    /// Whether `drain` may cut a long batch's choose step into spans for a
-    /// worker pool (`true`) or always runs on the calling thread (`false`).
-    /// Both produce identical loads, and batches below 64 Ki balls run on
-    /// the calling thread either way (below that the pool hand-off costs
-    /// more than the choosing it hands off).
+    /// Whether `drain` may cut a long batch's choose step into spans for
+    /// scoped threads (`true`) or always runs on the calling thread
+    /// (`false`). Both produce identical loads, and batches below 64 Ki
+    /// balls run on the calling thread either way (below that a thread spawn
+    /// costs more than the choosing it hands off).
     pub parallel: bool,
     /// Most recent per-batch gap entries retained in the trajectory. A
     /// long-running stream drains batches forever, so the trajectory must not
     /// grow with uptime; [`OnlineStats`] keeps the full-history summary
     /// regardless. Default `65536`.
     pub trajectory_cap: usize,
-    /// Worker-thread count of the parallel drain. `0` (the default) uses the
-    /// ambient pool — whatever `ThreadPool::install` scope the caller runs
-    /// drains under, or the global pool (`PBA_THREADS` / core count). A
-    /// positive value gives this engine its **own** dedicated pool of that
-    /// size, so engine parallelism is configured here instead of ambiently.
-    /// Results are bit-identical for every worker count (parallelism only
-    /// partitions index ranges; it never reorders RNG consumption).
+    /// Thread count of the parallel drain. `0` (the default) uses the
+    /// ambient count — whatever `ThreadPool::install` scope the caller runs
+    /// drains under, else `PBA_THREADS`, else the core count. A positive
+    /// value gives this engine its **own** thread count, so engine
+    /// parallelism is configured here instead of ambiently. Results are
+    /// bit-identical for every thread count (parallelism only partitions
+    /// index ranges; it never reorders RNG consumption).
     ///
-    /// Caveat: when the drain itself runs *inside* a pool task (e.g. engines
-    /// driven from a `par_iter`), nested parallel operations fall back to
-    /// inline execution — the dedicated pool is then idle and the drain runs
+    /// Caveat: when the drain itself runs *inside* a chunk of another
+    /// parallel operation (e.g. engines driven from a `par_chunks_mut`),
+    /// nested parallel operations run inline — the drain then runs
     /// sequentially (results unchanged, the inner parallelism just does not
     /// materialise). Drive engines from plain threads to combine outer and
     /// inner parallelism.
@@ -162,8 +162,8 @@ impl StreamConfig {
         self
     }
 
-    /// Sets the parallel drain's worker count (builder style); `0` keeps the
-    /// ambient pool. See [`StreamConfig::num_threads`].
+    /// Sets the parallel drain's thread count (builder style); `0` keeps the
+    /// ambient count. See [`StreamConfig::num_threads`].
     pub fn num_threads(mut self, threads: usize) -> Self {
         self.num_threads = threads;
         self
@@ -553,7 +553,7 @@ mod tests {
     fn parallel_paths_engage_for_large_batches_and_match_sequential() {
         // The small-batch equivalence test above is chosen inline whatever
         // the flag says; this one is not: a batch of three spans is cut up
-        // and handed to the 4-thread pool, and the trailing partial batch
+        // and chosen on four threads, and the trailing partial batch
         // (half a span) is chosen inline again.
         const BATCH: usize = 3 * commit::PARALLEL_MIN_SPAN;
         const BALLS: u64 = (BATCH + commit::PARALLEL_MIN_SPAN / 2) as u64;
@@ -580,9 +580,9 @@ mod tests {
 
     #[test]
     fn num_threads_knob_is_load_and_trajectory_invariant() {
-        // A dedicated drain pool of any size must reproduce the ambient-pool
-        // run exactly: parallelism partitions index ranges, it never reorders
-        // RNG consumption. A batch of two spans is the shortest the pool sees.
+        // An engine thread count of any size must reproduce the ambient run
+        // exactly: parallelism partitions index ranges, it never reorders
+        // RNG consumption. A batch of two spans is the shortest that splits.
         const BATCH: usize = 2 * commit::PARALLEL_MIN_SPAN;
         const BALLS: u64 = BATCH as u64 + 4_000;
         let base = StreamConfig::new(64)

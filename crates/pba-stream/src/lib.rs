@@ -31,8 +31,8 @@
 //!   `Vec`) until a batch of `b` is ready; a drain allocates the batch
 //!   against the **stale** snapshot and then advances the snapshot. Because
 //!   every placement decision is a pure function of `(stale snapshot, ball
-//!   key)`, a drain whose choose step is cut into spans for a worker pool is
-//!   bit-identical to the sequential one. `route` / `release` and the drain
+//!   key)`, a drain whose choose step is cut into spans for several threads
+//!   is bit-identical to the sequential one. `route` / `release` and the drain
 //!   are the handle's by construction; the handle's pushes merely reach the
 //!   same buffer through a lock.
 //! * [`shard`] — [`ShardedBins`]: bins partitioned into contiguous shards;
@@ -60,10 +60,10 @@
 //!   volume, availability and active-fraction measured per run (E19).
 //!
 //! Drain parallelism is explicit: [`StreamConfig::num_threads`] gives an
-//! engine its own worker pool (`0` = the ambient/global pool, sized by
-//! `PBA_THREADS` or the core count). Results are **bit-identical for every
-//! worker count** — parallelism only partitions index ranges, it never
-//! reorders RNG consumption.
+//! engine its own thread count (`0` = the ambient count: an installed
+//! `ThreadPool`, else `PBA_THREADS`, else the core count). Results are
+//! **bit-identical for every thread count** — parallelism only partitions
+//! index ranges, it never reorders RNG consumption.
 //!
 //! The engine also implements the unified [`Router`] interface of
 //! [`pba_model::router`]: [`StreamAllocator::route`] places one ball
@@ -120,6 +120,7 @@ pub use arrival::{ArrivalProcess, ArrivalSampler, UNIQUE_KEYS};
 pub use autoscale::{
     run_scale_scenario, run_scale_scenario_on, ScaleAction, ScaleEvent, ScaleReport, ScaleScenario,
 };
+pub use commit::PARALLEL_MIN_SPAN;
 pub use concurrent::{ConcurrentRouter, DelayedArrival};
 pub use engine::{StreamAllocator, StreamConfig};
 pub use metrics::{MembershipCounters, PolicyCounters, StreamMetrics};
@@ -141,7 +142,7 @@ pub use pba_model::weights::{BinWeights, ResolvedWeights};
 // topology accessors.
 pub use pba_membership::{ApplyOutcome, BinState, MembershipEvent, MembershipPlan};
 
-// Re-exported so callers can build/install drain pools without naming the
-// vendored shim: `StreamConfig::num_threads` covers the dedicated-pool case,
+// Re-exported so callers can set a drain's thread count without naming the
+// vendored shim: `StreamConfig::num_threads` covers the per-engine case,
 // `ThreadPool::install` the ambient one.
 pub use rayon::{ThreadPool, ThreadPoolBuilder};

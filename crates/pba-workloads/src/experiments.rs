@@ -7,11 +7,10 @@
 //! asymmetric algorithm), including the weighted Θ(b/W) staleness fit; E14
 //! measures **runtime reweighting** — a capacity change applied to a running
 //! stream at a batch boundary; E15 measures the **execution layer** — drain
-//! throughput vs worker count and the dispatch cost of the persistent pool
-//! (warm) vs a cold spawn; E16 measures the **concurrent serving core** —
-//! route throughput vs caller threads through one shared
-//! `ConcurrentRouter` handle, with conservation and 1-caller bit-identity
-//! checked in-table; E17 measures the **observability layer** under serving
+//! throughput vs thread count at the shortest batch the drain splits; E16
+//! measures the **concurrent serving core** — route throughput vs caller
+//! threads through one shared `ConcurrentRouter` handle, with conservation
+//! and 1-caller bit-identity checked in-table; E17 measures the **observability layer** under serving
 //! load — loopback clients over the TCP line-protocol front-end, with route
 //! latency quantiles from the server's own histogram and the
 //! no-silent-drops counter ledger summed in-table; E18 measures the **replay
@@ -1150,47 +1149,35 @@ pub fn e14_runtime_reweighting(quick: bool) -> Table {
 }
 
 /// E15 — the execution layer itself: end-to-end drain throughput of the
-/// streaming engine vs the worker count of its dedicated pool, plus the
-/// dispatch cost of the persistent pool — a **cold** pool's first parallel
-/// operation (pays worker spawn) vs a **warm** pool's steady-state operation
-/// (a channel send to parked workers). The "identical loads" column verifies
-/// the execution-layer invariant end to end: every worker count must produce
-/// bit-identical loads, because parallelism only partitions index ranges.
-/// On a 1-core host the worker threads serialise, so the throughput and
-/// speedup columns are smoke numbers — quick-mode rows routinely show
-/// speedup < 1 at 4 threads there (scheduling overhead with no cores to
-/// spread over), which is not a regression. The dispatch columns and the
-/// bit-identity check are meaningful everywhere; the speedup column header
+/// streaming engine vs its thread count, at the shortest batch the drain
+/// splits (two [`PARALLEL_MIN_SPAN`](pba_stream::PARALLEL_MIN_SPAN) spans).
+/// The "identical loads" column verifies the execution-layer invariant end
+/// to end: every thread count must produce bit-identical loads, because
+/// parallelism only partitions index ranges. On a 1-core host the threads
+/// serialise, so the throughput and speedup columns are smoke numbers —
+/// quick-mode rows routinely show speedup < 1 there (a thread spawn with no
+/// core to run it on), which is not a regression; the speedup column header
 /// carries the same smoke caveat E17's req/s column does.
 pub fn e15_execution_layer(quick: bool) -> Table {
-    use rayon::prelude::*;
     use std::time::Instant;
 
-    // Batch 8192 crosses both of the engine's parallel cutoffs, so the drain
-    // genuinely runs choose + apply on the pool.
-    let batch = 8192usize;
+    // Two spans: every row with more than one thread chooses each batch on
+    // two threads.
+    let batch = 2 * pba_stream::PARALLEL_MIN_SPAN;
     let (n, batches): (usize, usize) = if quick { (256, 4) } else { (1024, 64) };
     let m = (batch * batches) as u64;
     let mut table = Table::with_alignments(
-        "E15: execution layer — drain throughput vs worker count, warm-pool vs cold-spawn dispatch",
+        "E15: execution layer — drain throughput vs thread count at the shortest split batch",
         &[
             ("threads", Align::Right),
             ("drain ms", Align::Right),
             ("Mballs/s", Align::Right),
             ("speedup vs 1 (smoke on 1-core)", Align::Right),
             ("identical loads", Align::Left),
-            ("cold first-op µs", Align::Right),
-            ("warm op µs", Align::Right),
         ],
     )
     // Wall-clock readings.
-    .varying(&[
-        "drain ms",
-        "Mballs/s",
-        "speedup vs 1 (smoke on 1-core)",
-        "cold first-op µs",
-        "warm op µs",
-    ]);
+    .varying(&["drain ms", "Mballs/s", "speedup vs 1 (smoke on 1-core)"]);
 
     let mut keys = pba_model::rng::SplitMix64::for_stream(7, 0xe15, 0);
     let keys: Vec<u64> = (0..m).map(|_| keys.next_u64()).collect();
@@ -1213,45 +1200,15 @@ pub fn e15_execution_layer(quick: bool) -> Table {
     let mut baseline = None;
     let mut reference: Option<Vec<u32>> = None;
     for threads in [1usize, 2, 4] {
-        // One discarded warm-up run per thread count: the timed drain then
-        // reports a warm dedicated pool, matching how a long-lived engine runs.
-        let _ = run(threads);
         let (seconds, loads) = run(threads);
         let identical = *reference.get_or_insert_with(|| loads.clone()) == loads;
         let base = *baseline.get_or_insert(seconds);
-
-        // Dispatch overhead, measured on a tiny fixed-cost parallel operation
-        // (4096 trivial items, min_len 1 ⇒ always split across the workers).
-        let items: Vec<u64> = (0..4096).collect();
-        let tick = |pool: &rayon::ThreadPool| {
-            pool.install(|| {
-                items.par_iter().with_min_len(1).for_each(|x| {
-                    std::hint::black_box(x);
-                })
-            })
-        };
-        let cold_start = Instant::now();
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("bench pool");
-        tick(&pool);
-        let cold_us = cold_start.elapsed().as_secs_f64() * 1e6;
-        let reps = 200u32;
-        let warm_start = Instant::now();
-        for _ in 0..reps {
-            tick(&pool);
-        }
-        let warm_us = warm_start.elapsed().as_secs_f64() * 1e6 / reps as f64;
-
         table.push_row([
             Cell::from(threads),
             Cell::from(seconds * 1e3),
             Cell::from(m as f64 / seconds / 1e6),
             Cell::from(base / seconds),
             Cell::from(if identical { "yes" } else { "NO" }),
-            Cell::from(cold_us),
-            Cell::from(warm_us),
         ]);
     }
     table
@@ -1917,8 +1874,6 @@ mod tests {
             assert_eq!(row[4].0, "yes", "loads diverged at threads {}", row[0].0);
             let throughput: f64 = row[2].0.parse().unwrap();
             assert!(throughput > 0.0);
-            let warm: f64 = row[6].0.parse().unwrap();
-            assert!(warm > 0.0);
         }
     }
 

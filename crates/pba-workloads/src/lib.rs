@@ -12,8 +12,9 @@
 //!   mode used by tests and a full mode used by the report binaries); E10–E14
 //!   drive the streaming engine of `pba-stream` — E12 through the handle-based
 //!   router surface (ticket churn), E14 through runtime reweighting — E15
-//!   measures the execution layer itself (drain throughput vs worker count,
-//!   warm-pool vs cold-spawn dispatch), E16 the concurrent serving core, and
+//!   measures the execution layer itself (drain throughput vs thread count
+//!   at the shortest batch the drain splits), E16 the concurrent serving
+//!   core, and
 //!   E17 the observability layer under serving load (route/release through
 //!   the TCP front-end, latency from the server's own histogram, the
 //!   no-silent-drops counter ledger).

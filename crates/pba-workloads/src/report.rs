@@ -117,18 +117,17 @@ fn commentary(title: &str) -> &'static str {
          observer log pins the reweighting to its exact batch index."
     }
         "E15" => {
-        "The execution layer: every parallel operation in the workspace — the streaming drain, \
-         the shared-memory executor, the agent engine — now dispatches to one persistent worker \
-         pool instead of spawning OS threads per call. The cold column prices what every \
-         operation used to pay (pool start-up: worker spawn + first dispatch); the warm column \
-         is the steady-state cost (a boxed job + channel send to parked workers), orders of \
-         magnitude cheaper — which is why the parallel cutoffs could drop. The \"identical \
-         loads\" column must read yes on every row: worker counts only partition index ranges, \
-         so results are bit-identical for any parallelism (the invariant \
+        "The execution layer: a drained batch of at least two spans (2 × 32 Ki balls) is cut \
+         into contiguous spans that are chosen on scoped threads — the calling thread runs the \
+         first chunk, one spawned thread each of the others, and all are joined before the \
+         batch commits. This table drains batches of exactly two spans, so every row with more \
+         than one thread chooses each batch on two threads (a 4-thread engine too). The \
+         \"identical loads\" column must read yes on every row: thread counts only partition \
+         index ranges, so results are bit-identical for any parallelism (the invariant \
          tests/execution_properties.rs enforces per policy). Throughput scales with threads \
-         only on multi-core hardware; on a 1-core container the workers serialise and the \
-         throughput/speedup columns are smoke numbers — speedup < 1 at 4 threads there is \
-         scheduling overhead, not a regression — so read the structural columns instead."
+         only on multi-core hardware; on a 1-core container the threads serialise and the \
+         throughput/speedup columns are smoke numbers — speedup < 1 there is the thread spawn \
+         with no core to run it, not a regression — so read the structural column instead."
     }
         "E16" => {
         "The concurrent serving core: many caller threads route through ONE shared \

@@ -1,20 +1,19 @@
 //! Property tests for the execution layer: results are **bit-identical for
 //! any worker count**.
 //!
-//! The persistent worker pool under the rayon shim (and the dedicated pools a
-//! `StreamConfig::num_threads` engine owns) may cut every batch into a
+//! The rayon shim (under the ambient thread count or a
+//! `StreamConfig::num_threads` engine's own) may cut every batch into a
 //! different number of chunks, but parallelism only ever partitions index
 //! ranges — it never reorders RNG consumption — so the sequential drain, the
-//! sharded parallel drain under 1/2/4 workers, and the synchronous
+//! sharded parallel drain under 1/2/4 threads, and the synchronous
 //! `Router::route` stream must all produce the same loads, gap trajectories
 //! and shard stats, for all six policies, weighted and unweighted.
 //!
-//! The drain hands a batch to a pool only from two spans of
-//! `commit::PARALLEL_MIN_SPAN` (2 × 32 Ki balls) up — below that every worker
-//! count runs the same inline loop — so the drain property uses batches of
-//! exactly that size, plus a trailing partial batch that is chosen inline:
-//! the pooled code path is exercised even where the ambient machine is
-//! single-core. The routed property is synchronous and keeps short batches.
+//! The drain splits a batch only from two spans of `PARALLEL_MIN_SPAN`
+//! (2 × 32 Ki balls) up — below that every thread count runs the same inline
+//! loop — so the drain property uses batches of exactly that size, plus a
+//! trailing partial batch that is chosen inline: the split code path is
+//! exercised even where the ambient machine is single-core. The routed property is synchronous and keeps short batches.
 
 use proptest::prelude::*;
 
@@ -33,7 +32,7 @@ const POLICIES: [Policy; 6] = [
     Policy::CapacityThreshold { d: 2, slack: 2 },
 ];
 
-/// The shortest batch the drain cuts into spans for a pool.
+/// The shortest batch the drain cuts into spans for several threads.
 const POOLED_BATCH: usize = 1 << 16;
 const ROUTED_BATCH: usize = 4096;
 const ROUTED_BATCHES: usize = 4;

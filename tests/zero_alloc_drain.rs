@@ -5,10 +5,10 @@
 //! deltas, the capacity thresholds, the stale snapshot, the active-load
 //! gather of a membership engine, the capped gap trajectory). At the
 //! benchmark's batch size the drain also runs on the calling thread whatever
-//! `num_threads` says, so no job is boxed for a pool either.
+//! `num_threads` says, so no thread is spawned either.
 //!
 //! The counter counts **per thread** (`tests/support/counting_alloc.rs`):
-//! libtest and idle pool workers allocate on threads of their own.
+//! libtest allocates on threads of its own.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
