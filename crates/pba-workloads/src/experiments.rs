@@ -10,10 +10,11 @@
 //! throughput vs thread count at the shortest batch the drain splits; E16
 //! measures the **concurrent serving core** — route throughput vs caller
 //! threads through one shared `ConcurrentRouter` handle, with conservation
-//! and 1-caller bit-identity checked in-table; E17 measures the **observability layer** under serving
-//! load — loopback clients over the TCP line-protocol front-end, with route
-//! latency quantiles from the server's own histogram and the
-//! no-silent-drops counter ledger summed in-table; E18 measures the **replay
+//! and 1-caller bit-identity checked in-table; E17 measures the
+//! **observability layer** under serving load — loopback clients over the
+//! TCP line-protocol front-end, with route latency quantiles from the
+//! server's own histogram and the no-silent-drops counter ledger summed
+//! in-table; E18 measures the **replay
 //! and fault-injection harness** — a recorded trace replayed clean and under
 //! every scripted fault class of `pba-replay`, each fault firing its named
 //! counter while conservation and ledger invariants hold; E19 measures

@@ -14,10 +14,9 @@
 //!   router surface (ticket churn), E14 through runtime reweighting — E15
 //!   measures the execution layer itself (drain throughput vs thread count
 //!   at the shortest batch the drain splits), E16 the concurrent serving
-//!   core, and
-//!   E17 the observability layer under serving load (route/release through
-//!   the TCP front-end, latency from the server's own histogram, the
-//!   no-silent-drops counter ledger).
+//!   core, and E17 the observability layer under serving load
+//!   (route/release through the TCP front-end, latency from the server's
+//!   own histogram, the no-silent-drops counter ledger).
 //! * [`report`] — renders the experiment tables into the Markdown body of
 //!   EXPERIMENTS.md.
 

@@ -13,7 +13,8 @@
 //! (2 × 32 Ki balls) up — below that every thread count runs the same inline
 //! loop — so the drain property uses batches of exactly that size, plus a
 //! trailing partial batch that is chosen inline: the split code path is
-//! exercised even where the ambient machine is single-core. The routed property is synchronous and keeps short batches.
+//! exercised even where the ambient machine is single-core. The routed
+//! property is synchronous and keeps short batches.
 
 use proptest::prelude::*;
 
