@@ -37,10 +37,9 @@
 //!   the normalized-load helpers used by the weighted routing policies.
 //! * [`router`] — the unified service-shaped [`Router`] interface
 //!   (`route(key) → Placement`, handle-based `release(Ticket)`, typed
-//!   [`RouteError`], pluggable [`RouterObserver`] hooks) shared by the
-//!   streaming engine and, via [`OneShotRouter`], every one-shot allocator;
-//!   plus its shared-handle counterpart [`ConcurrentRouter`] (`&self`
-//!   methods, many caller threads per router) and the thread-safe
+//!   [`RouteError`], pluggable [`RouterObserver`] hooks) shared by both
+//!   streaming shells (the sole owner and the shared serving handle) and,
+//!   via [`OneShotRouter`], every one-shot allocator; plus the thread-safe
 //!   [`SharedTicketLedger`] behind it.
 
 #![forbid(unsafe_code)]
@@ -63,8 +62,8 @@ pub use outcome::{AllocationOutcome, Allocator};
 pub use protocol::{Protocol, RoundCtx};
 pub use rng::{SeedSeq, SplitMix64};
 pub use router::{
-    BatchEvent, ConcurrentRouter, MembershipChange, OneShotRouter, Placement, RegistryObserver,
-    ReleaseEvent, ReweightEvent, RouteError, RouteEvent, Router, RouterObserver, RouterStats,
-    SharedTicketLedger, Ticket,
+    BatchEvent, MembershipChange, OneShotRouter, Placement, RegistryObserver, ReleaseEvent,
+    ReweightEvent, RouteError, RouteEvent, Router, RouterObserver, RouterStats, SharedTicketLedger,
+    Ticket,
 };
 pub use weights::{AliasTable, BinWeights, ResolvedWeights, WeightTier};

@@ -12,6 +12,7 @@
 //!
 //! * [`Router`] — `route(key) → Placement`, `release(Ticket)`, `loads()`,
 //!   `stats()`; object-safe, so experiments and examples can drive any engine
+//!   — one-shot, single-owner streaming or the shared serving handle —
 //!   through `&mut dyn Router`.
 //! * [`Ticket`] / [`Placement`] — the handle a `route` call returns. Departures
 //!   go through `release(ticket)` instead of a raw bin index, which lets an
@@ -27,16 +28,13 @@
 //! * [`OneShotRouter`] — the adapter that lifts any one-shot `Allocator`
 //!   into the `Router` interface by precomputing its allocation and handing
 //!   out the placements one `route` call at a time.
-//! * [`ConcurrentRouter`] — the `&self` counterpart of [`Router`]: the same
-//!   route/release/loads/stats vocabulary with **shared-handle** receivers,
-//!   so one router instance can serve many caller threads at once. The
-//!   streaming implementation (`pba_stream::ConcurrentRouter`, a cloneable
-//!   `Arc`-backed handle) implements it natively.
 //!
-//! The streaming implementations live in the `pba-stream` crate
-//! (`StreamAllocator` implements `Router` natively, `ConcurrentRouter` the
-//! trait of the same name); this module holds the engine-independent
-//! vocabulary.
+//! The streaming implementations live in the `pba-stream` crate:
+//! `StreamAllocator` (the sole owner) and `ConcurrentRouter` (a cloneable
+//! `Arc` handle whose inherent methods take `&self`, so many caller threads
+//! share one router) both implement `Router`. Concurrency is a property of
+//! the handle, not of a second trait; this module holds the
+//! engine-independent vocabulary.
 
 mod ledger;
 mod observer;
@@ -179,7 +177,10 @@ pub struct RouterStats {
 
 /// A keyed routing engine with handle-based departures — the one interface the
 /// one-shot and streaming engines share. Object-safe: drive any engine as
-/// `&mut dyn Router`.
+/// `&mut dyn Router`. A shared-handle implementation
+/// (`pba_stream::ConcurrentRouter`) keeps `&self` inherent methods and
+/// implements this trait by delegating to them, so each caller thread drives
+/// its own clone of the handle.
 pub trait Router {
     /// Routes one key: places a ball and returns its [`Placement`].
     fn route(&mut self, key: u64) -> Result<Placement, RouteError>;
@@ -211,70 +212,6 @@ pub trait Router {
     /// committed stay committed (same as the loop the default impl runs),
     /// and the error names the ticket that failed.
     fn release_many(&mut self, tickets: &[Ticket]) -> Result<(), RouteError> {
-        tickets.iter().try_for_each(|&ticket| self.release(ticket))
-    }
-
-    /// Current per-bin loads.
-    fn loads(&self) -> Vec<u32>;
-
-    /// Aggregate routing statistics.
-    fn stats(&self) -> RouterStats;
-}
-
-/// The shared-handle counterpart of [`Router`]: the same vocabulary —
-/// `route(key)` → [`Placement`], `release(Ticket)`, `loads()`, `stats()` —
-/// but every method takes `&self`, so **one router instance serves many
-/// caller threads concurrently** (the paper's balls acting in parallel as
-/// separate agents). Implementations are expected to be cloneable handles
-/// over shared state; the trait itself stays object-safe so a server loop
-/// can hold an `Arc<dyn ConcurrentRouter>`.
-///
-/// Semantics differ from the single-threaded trait only in what
-/// concurrency makes unobservable: with one caller thread an implementation
-/// should behave exactly like its `Router` twin (the streaming engine's is
-/// bit-identical — property-tested), while with `k` callers placements of a
-/// batch may interleave with the boundary, which is precisely the
-/// stale-information regime the batched model analyses. Conservation and
-/// ticket validity hold for every interleaving.
-pub trait ConcurrentRouter: Send + Sync {
-    /// Routes one key from any thread: places a ball and returns its
-    /// [`Placement`].
-    fn route(&self, key: u64) -> Result<Placement, RouteError>;
-
-    /// Routes a group of keys from any thread, returning one [`Placement`]
-    /// per key in key order. Observably equivalent to calling
-    /// [`ConcurrentRouter::route`] once per key by the same caller; native
-    /// implementations amortize the per-route epoch read, threshold fetch
-    /// and ledger shard pass across the group (one each per sub-group
-    /// instead of per key), splitting groups at batch boundaries so a
-    /// single caller stays bit-identical to the one-at-a-time path. With
-    /// `k` callers the group's placements may interleave with other
-    /// callers' exactly as individual routes would.
-    ///
-    /// On error the group stops at the failing key: placements already
-    /// committed stay committed (same as the loop the default impl runs).
-    fn route_many(&self, keys: &[u64]) -> Result<Vec<Placement>, RouteError> {
-        keys.iter().map(|&key| self.route(key)).collect()
-    }
-
-    /// Releases a previously issued ticket from any thread.
-    fn release(&self, ticket: Ticket) -> Result<(), RouteError>;
-
-    /// Releases a group of tickets from any thread — the departure-side twin
-    /// of [`ConcurrentRouter::route_many`]. Observably equivalent to calling
-    /// [`ConcurrentRouter::release`] once per ticket by the same caller;
-    /// native implementations amortize the per-release ledger shard lock
-    /// (one pass per touched shard via `SharedTicketLedger::redeem_many`),
-    /// the per-bin load decrement (one grouped decrement per distinct bin)
-    /// and the counter bumps (whole-group adds) while a single caller stays
-    /// bit-identical to the one-at-a-time path. With `k` callers the group's
-    /// departures may interleave with other callers' exactly as individual
-    /// releases would.
-    ///
-    /// On error the group stops at the failing ticket: releases already
-    /// committed stay committed (same as the loop the default impl runs),
-    /// and the error names the ticket that failed.
-    fn release_many(&self, tickets: &[Ticket]) -> Result<(), RouteError> {
         tickets.iter().try_for_each(|&ticket| self.release(ticket))
     }
 

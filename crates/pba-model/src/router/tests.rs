@@ -268,56 +268,6 @@ fn membership_change_observer_hook_defaults_to_noop() {
 }
 
 #[test]
-fn concurrent_router_trait_is_object_safe() {
-    // A minimal shared-handle router over an atomic counter: enough to
-    // prove the trait's object-safety and `&self` calling convention.
-    use std::sync::atomic::{AtomicU64, Ordering};
-    struct RoundRobin {
-        n: usize,
-        next: AtomicU64,
-        ledger: SharedTicketLedger,
-    }
-    impl ConcurrentRouter for RoundRobin {
-        fn route(&self, _key: u64) -> Result<Placement, RouteError> {
-            let id = self.next.fetch_add(1, Ordering::Relaxed);
-            let bin = (id % self.n as u64) as usize;
-            Ok(Placement {
-                ticket: self.ledger.issue(id, bin),
-                bin,
-            })
-        }
-        fn release(&self, ticket: Ticket) -> Result<(), RouteError> {
-            self.ledger.redeem(ticket).map(|_| ())
-        }
-        fn loads(&self) -> Vec<u32> {
-            (0..self.n)
-                .map(|b| self.ledger.count_in(b) as u32)
-                .collect()
-        }
-        fn stats(&self) -> RouterStats {
-            RouterStats {
-                routed: self.next.load(Ordering::Relaxed),
-                released: 0,
-                resident: self.ledger.len() as u64,
-                bins: self.n,
-                batches: 0,
-                gap: 0.0,
-            }
-        }
-    }
-    let router: std::sync::Arc<dyn ConcurrentRouter> = std::sync::Arc::new(RoundRobin {
-        n: 2,
-        next: AtomicU64::new(0),
-        ledger: SharedTicketLedger::new(2, 1),
-    });
-    let placement = router.route(7).unwrap();
-    assert_eq!(placement.bin, placement.ticket.bin());
-    assert_eq!(router.loads(), vec![1, 0]);
-    router.release(placement.ticket).unwrap();
-    assert_eq!(router.stats().resident, 0);
-}
-
-#[test]
 fn one_shot_router_reproduces_allocate_loads_exactly() {
     let m = 103u64;
     let n = 8usize;

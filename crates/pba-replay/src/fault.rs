@@ -33,10 +33,10 @@ use std::sync::{Arc, Mutex};
 
 use pba_model::router::{RouteEvent, RouterObserver, Ticket};
 use pba_obs::{FaultCounters, MetricsRegistry};
-use pba_stream::{ConcurrentRouter, MembershipPlan, Policy, Router, StreamAllocator, StreamConfig};
+use pba_stream::{ConcurrentRouter, MembershipPlan, Policy, StreamAllocator, StreamConfig};
 
 use crate::invariants;
-use crate::replay::{release_schedule, ReplayEngine, ReplayOutcome};
+use crate::replay::{release_schedule, streaming_outcome, ReplayEngine, ReplayOutcome};
 use crate::trace::{Trace, TraceEvent};
 
 /// One scripted fault. Arrival points are trace arrival ids; a fault "at
@@ -428,8 +428,9 @@ impl FaultPlan {
             for bin in crash_at.remove(&id).unwrap_or_default() {
                 let evicted = stream.crash_bin(bin);
                 fault_counters.bin_crash_releases.add(evicted);
-                // Crashed tickets are spent; forget ours so later scripted
-                // releases fall into the dropped-release path via the map.
+                // The crash released the bin's tickets: a later scripted
+                // release of one of them fails and counts under
+                // `fault.dropped_releases`.
                 let fault = Fault::CrashBin {
                     after_arrival: id,
                     bin,
@@ -485,20 +486,16 @@ impl FaultPlan {
             checks.push(FaultCheck::after(&stream, &fault, fired));
         }
 
-        let stats = Router::stats(&stream);
-        let outcome = ReplayOutcome {
-            engine: ReplayEngine::Stream.label(),
+        let outcome = streaming_outcome(
+            ReplayEngine::Stream,
             placements,
-            loads: stream.loads(),
-            gap_trajectory: stream.gap_trajectory().to_vec(),
-            batches: stats.batches,
-            final_gap: stats.gap,
-            resident: stats.resident,
-            routed: stats.routed,
-            released: stats.released,
-            drops: pba_obs::drops_of(&registry.snapshot()),
-            conserved: stream.conserves_balls(),
-        };
+            &stream,
+            stream.gap_trajectory().to_vec(),
+            stream.conserves_balls(),
+            stream.snapshot_epoch(),
+            stream.resident_tickets(),
+            &registry,
+        );
         FaultRun {
             outcome,
             checks,

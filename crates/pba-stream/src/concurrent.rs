@@ -114,8 +114,8 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use pba_concurrent::EpochCell;
 use pba_membership::{BinState, Membership, MembershipPlan};
 use pba_model::router::{
-    BatchEvent, ConcurrentRouter as ConcurrentRouterApi, MembershipChange, Placement, ReleaseEvent,
-    ReweightEvent, RouteError, RouteEvent, RouterObserver, RouterStats, SharedTicketLedger, Ticket,
+    BatchEvent, MembershipChange, Placement, ReleaseEvent, ReweightEvent, RouteError, RouteEvent,
+    Router, RouterObserver, RouterStats, SharedTicketLedger, Ticket,
 };
 use pba_model::weights::{normalized_loads, BinWeights, ResolvedWeights};
 use pba_stats::OnlineStats;
@@ -894,20 +894,23 @@ impl ConcurrentRouter {
     }
 }
 
-impl ConcurrentRouterApi for ConcurrentRouter {
-    fn route(&self, key: u64) -> Result<Placement, RouteError> {
+/// The handle behind the one routing interface: each method delegates to the
+/// inherent `&self` one, so `&mut dyn Router` drives a clone of the handle
+/// exactly as it drives a [`StreamAllocator`](crate::StreamAllocator).
+impl Router for ConcurrentRouter {
+    fn route(&mut self, key: u64) -> Result<Placement, RouteError> {
         ConcurrentRouter::route(self, key)
     }
 
-    fn route_many(&self, keys: &[u64]) -> Result<Vec<Placement>, RouteError> {
+    fn route_many(&mut self, keys: &[u64]) -> Result<Vec<Placement>, RouteError> {
         ConcurrentRouter::route_many(self, keys)
     }
 
-    fn release(&self, ticket: Ticket) -> Result<(), RouteError> {
+    fn release(&mut self, ticket: Ticket) -> Result<(), RouteError> {
         ConcurrentRouter::release(self, ticket)
     }
 
-    fn release_many(&self, tickets: &[Ticket]) -> Result<(), RouteError> {
+    fn release_many(&mut self, tickets: &[Ticket]) -> Result<(), RouteError> {
         ConcurrentRouter::release_many(self, tickets)
     }
 

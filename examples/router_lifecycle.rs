@@ -10,7 +10,9 @@
 //! (a double release is rejected, not silently absorbed).
 //!
 //! The same `drive` function also runs the one-shot `A_heavy` allocator
-//! through `OneShotRouter` — one interface, both engine families.
+//! through `OneShotRouter`, and a clone of the shared serving handle
+//! (`ConcurrentRouter`, whose own methods take `&self`) — one interface,
+//! all three routers.
 //!
 //! Run with: `cargo run --release --example router_lifecycle`
 
@@ -132,5 +134,19 @@ fn main() {
         one_shot.stats().gap
     );
 
-    println!("\nOK: route → observe → reweight → release, one Router API over both engines.");
+    // --- the same interface over the shared serving handle ----------------
+    let handle = ConcurrentRouter::new(StreamConfig::new(n).batch_size(batch).seed(7));
+    let mut caller = handle.clone();
+    let served = drive(&mut caller, &mut keys, half);
+    caller.release(served[0]).expect("live ticket");
+    let stats = handle.stats();
+    assert_eq!((stats.routed, stats.released), (half, 1));
+    assert!(handle.conserves_balls(), "conservation violated");
+    println!(
+        "\nshared handle behind the same interface: one clone routed {} balls \
+         in {} batches; the original handle sees resident = {}, gap = {:.2}",
+        stats.routed, stats.batches, stats.resident, stats.gap
+    );
+
+    println!("\nOK: route → observe → reweight → release, one Router API over all three routers.");
 }

@@ -21,7 +21,7 @@
 //! | [`lowerbound`] | `pba-lowerbound` | the Section 4 apparatus: rejection census, class decomposition, degree simulation, round predictions |
 //! | [`concurrent`] | `pba-concurrent` | shared-memory execution: atomic bins, rayon executor, crossbeam actor executor, speed-up harness |
 //! | [`membership`] | `pba-membership` | elastic bin lifecycle: [`Membership`](membership::Membership) state machine (active/draining/retired slots), [`MembershipPlan`](membership::MembershipPlan)s staged via `&self` handles and applied at batch boundaries |
-//! | [`stream`] | `pba-stream` | the online, sharded, batched streaming allocation engine (two-choice on stale loads, weighted two-choice and capacity-aware thresholds for heterogeneous backends, arrival processes, ticket-based churn scenarios, runtime reweighting) — a native [`Router`](model::Router) — plus the **concurrent serving core** ([`ConcurrentRouter`](stream::ConcurrentRouter): a cloneable shared handle routing from many threads at once over epoch-published snapshots) |
+//! | [`stream`] | `pba-stream` | the online, sharded, batched streaming allocation engine (two-choice on stale loads, weighted two-choice and capacity-aware thresholds for heterogeneous backends, arrival processes, ticket-based churn scenarios, runtime reweighting) — a native [`Router`](model::Router) — plus the **concurrent serving core** ([`ConcurrentRouter`](stream::ConcurrentRouter): a cloneable shared handle routing from many threads at once over epoch-published snapshots, and a `Router` too) |
 //! | [`stats`] | `pba-stats` | tails, histograms, load metrics, fits, tables, multi-seed aggregation |
 //! | [`obs`] | `pba-obs` | the observability substrate: [`MetricsRegistry`](obs::MetricsRegistry) (counters, gauges, log-bucketed latency histograms), pluggable [`MetricSink`](obs::MetricSink)s, the "no silent drops" counter inventory |
 //! | [`replay`] | `pba-replay` | deterministic trace replay: the versioned trace codec ([`Trace`](replay::Trace)), [`TraceRecorder`](replay::TraceRecorder), the [`replay()`](replay::replay::replay) driver (any engine × all policies), golden-snapshot hashing, and the scripted fault-injection harness ([`FaultPlan`](replay::FaultPlan)) with post-fault invariant checks |

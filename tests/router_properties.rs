@@ -2,7 +2,8 @@
 //!
 //! 1. **Release round-trips conservation** — across arbitrary route/release
 //!    interleavings every ticket releases exactly once, loads return to zero
-//!    when everything is released, and `conserves_balls` holds throughout.
+//!    when everything is released, and `conserves_balls` holds throughout,
+//!    on both streaming shells driven through `&mut dyn Router`.
 //! 2. **Route ≡ push+drain** — routing keys one at a time through the handle
 //!    surface is bit-identical to buffering the same keys and draining them
 //!    in batches, for every policy and shard count.
@@ -40,7 +41,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Route/release interleavings conserve balls; releasing every live
-    /// ticket returns the loads to zero.
+    /// ticket returns the loads to zero — on the sole owner and on a clone of
+    /// the shared handle, both driven through `&mut dyn Router`.
     #[test]
     fn release_round_trips_conservation(
         n_exp in 3u32..7,
@@ -51,33 +53,49 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let n = 1usize << n_exp;
-        let mut stream = StreamAllocator::new(
-            StreamConfig::new(n).batch_size(batch).seed(seed),
-        );
-        let mut key_rng = SplitMix64::for_stream(seed, 0x70_07, 0);
-        let mut live = Vec::new();
+        let config = StreamConfig::new(n).batch_size(batch).seed(seed);
+        let mut stream = StreamAllocator::new(config.clone());
+        let handle = ConcurrentRouter::new(config);
+        let mut caller = handle.clone();
+        // Each engine draws its own copy of the key sequence and keeps its
+        // own live tickets.
+        let mut lanes: [(SplitMix64, Vec<Ticket>); 2] =
+            std::array::from_fn(|_| (SplitMix64::for_stream(seed, 0x70_07, 0), Vec::new()));
         for _ in 0..waves {
-            for i in 0..per_wave {
-                let placement = stream.route(key_rng.next_u64()).unwrap();
-                prop_assert_eq!(placement.bin, placement.ticket.bin());
-                if i % release_every == 0 {
-                    stream.release(placement.ticket).unwrap();
-                } else {
-                    live.push(placement.ticket);
+            let routers: [&mut dyn Router; 2] = [&mut stream, &mut caller];
+            for (router, (keys, live)) in routers.into_iter().zip(&mut lanes) {
+                for i in 0..per_wave {
+                    let placement = router.route(keys.next_u64()).unwrap();
+                    prop_assert_eq!(placement.bin, placement.ticket.bin());
+                    if i % release_every == 0 {
+                        router.release(placement.ticket).unwrap();
+                    } else {
+                        live.push(placement.ticket);
+                    }
                 }
             }
             prop_assert!(stream.conserves_balls());
+            prop_assert!(handle.conserves_balls());
         }
         prop_assert_eq!(stream.resident_tickets() as u64, stream.resident());
-        for ticket in live.drain(..) {
+        prop_assert_eq!(handle.resident_tickets() as u64, handle.resident());
+        let [(_, stream_live), (_, handle_live)] = lanes;
+        for ticket in stream_live {
             stream.release(ticket).unwrap();
             prop_assert!(stream.conserves_balls());
         }
+        for ticket in handle_live {
+            handle.release(ticket).unwrap();
+            prop_assert!(handle.conserves_balls());
+        }
         prop_assert_eq!(stream.resident(), 0);
-        prop_assert_eq!(stream.loads(), vec![0u32; n]);
-        let stats = Router::stats(&stream);
-        prop_assert_eq!(stats.routed, waves as u64 * per_wave);
-        prop_assert_eq!(stats.released, stats.routed);
+        prop_assert_eq!(handle.resident(), 0);
+        for router in [&stream as &dyn Router, &handle] {
+            prop_assert_eq!(router.loads(), vec![0u32; n]);
+            let stats = router.stats();
+            prop_assert_eq!(stats.routed, waves as u64 * per_wave);
+            prop_assert_eq!(stats.released, stats.routed);
+        }
     }
 
     /// Handle-based routing is bit-identical to push+drain on the same keys
