@@ -249,11 +249,11 @@ pub(crate) fn release_schedule(trace: &Trace) -> HashMap<u64, Vec<u64>> {
 /// schedule semantics per engine.
 pub fn replay(trace: &Trace, config: &ReplayConfig) -> Result<ReplayOutcome, ReplayError> {
     config.engine.admit(trace)?;
-    match config.engine {
-        ReplayEngine::Stream => Ok(replay_stream(trace, config)),
-        ReplayEngine::Concurrent { callers } => Ok(replay_concurrent(trace, config, callers)),
-        ReplayEngine::OneShot => Ok(replay_one_shot(trace, config)),
-    }
+    Ok(match config.engine {
+        ReplayEngine::Stream => replay_stream(trace, config),
+        ReplayEngine::Concurrent { callers } => replay_concurrent(trace, config, callers),
+        ReplayEngine::OneShot => replay_one_shot(trace, config),
+    })
 }
 
 impl ReplayEngine {
