@@ -36,7 +36,7 @@ use pba_model::engine::{run_agent_engine, EngineConfig};
 use pba_model::metrics::{MessageCensus, MessageTotals, RoundRecord};
 use pba_model::outcome::{AllocationOutcome, Allocator};
 use pba_model::protocol::FixedThresholdProtocol;
-use pba_model::rng::ball_round_rng;
+use pba_model::rng::SplitMix64;
 
 /// Configuration of the asymmetric algorithm.
 #[derive(Debug, Clone, Copy)]
@@ -225,9 +225,10 @@ impl AsymmetricAllocator {
             let mut next_unallocated = Vec::new();
             let mut accepted_this_round = 0u64;
             let round_index = rounds;
+            let round_key = SplitMix64::substream_key(seed ^ 0xA57u64, round_index as u64);
 
             for &ball in &unallocated {
-                let mut rng = ball_round_rng(seed ^ 0xA57u64, ball, round_index as u64);
+                let mut rng = SplitMix64::for_stream_under(round_key, ball);
                 // The ball picks a uniformly random bin label and contacts the
                 // leader of that bin's superbin, so leaders of larger superbins
                 // receive proportionally more requests.

@@ -10,7 +10,7 @@
 
 use crossbeam::channel;
 
-use pba_model::rng::ball_round_rng;
+use pba_model::rng::SplitMix64;
 
 use crate::executor::ConcurrentOutcome;
 
@@ -71,8 +71,9 @@ pub fn run_actor_threshold(
             senders.push(tx);
             receivers.push(rx);
         }
+        let round_key = SplitMix64::substream_key(seed, round as u64);
         for &ball in &unallocated {
-            let mut rng = ball_round_rng(seed, ball, round as u64);
+            let mut rng = SplitMix64::for_stream_under(round_key, ball);
             let bin = rng.gen_index(n);
             let shard = shard_of_bin(bin);
             let local = (bin - shard_start(shard)) as u32;

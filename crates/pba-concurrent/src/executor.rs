@@ -12,7 +12,7 @@
 use rayon::prelude::*;
 
 use pba_algorithms::schedule::ThresholdSchedule;
-use pba_model::rng::ball_round_rng;
+use pba_model::rng::SplitMix64;
 use pba_stats::LoadMetrics;
 
 use crate::atomic_bins::AtomicBins;
@@ -98,10 +98,11 @@ fn run_rounds(m: u64, n: usize, seed: u64, thresholds: &[u32]) -> ConcurrentOutc
         }
         rounds += 1;
         requests += unallocated.len() as u64;
+        let round_key = SplitMix64::substream_key(seed, round as u64);
         unallocated = unallocated
             .par_iter()
             .filter_map(|&ball| {
-                let mut rng = ball_round_rng(seed, ball, round as u64);
+                let mut rng = SplitMix64::for_stream_under(round_key, ball);
                 let bin = rng.gen_index(n);
                 if bins.try_acquire(bin, threshold) {
                     None

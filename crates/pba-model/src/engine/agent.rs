@@ -38,21 +38,25 @@
 //! `(seed, ball, round)`, parallel and sequential executions produce identical
 //! requests and therefore identical results. (A block is below the shim's
 //! split cutoff, so the parallel path runs on the calling thread too; see
-//! `BLOCK_SLOTS`.)
+//! `BLOCK_SLOTS`.) The seed and round halves of that function are mixed once
+//! per round into [`SplitMix64::substream_key`], so a degree-1 request costs
+//! three `mix64`s — the ball's, the generator state's and the draw — where
+//! [`SplitMix64::for_stream`] per ball would cost five.
 
 use rayon::prelude::*;
 
 use crate::engine::{EngineConfig, EngineResult};
 use crate::metrics::{MessageCensus, MessageTotals, RoundRecord};
 use crate::protocol::{Protocol, RoundCtx};
-use crate::rng::{ball_round_rng, SplitMix64};
+use crate::rng::SplitMix64;
 
 /// Request slots (balls × degree) sampled and then resolved at a time, in both
 /// execution modes. At 16 Ki slots the block's scratch — 4 B per target, 8 B per
 /// identity, 192 KiB at most — is still cache-resident when the resolve reads
-/// it back, beside the per-bin vectors: a block four times the size measured
-/// ≈ 8 % slower sequentially (8.5 → 9.3 ns per ball of `A_heavy`'s phase 1),
-/// a block a quarter the size no faster.
+/// it back, beside the per-bin vectors. With sampling at three mixes per ball,
+/// blocks four times and a quarter the size each ran `A_heavy` (2^22 balls,
+/// 2^10 bins) at 0.97–0.98 of this size's throughput, the median of 12
+/// alternating runs (7.4 ns per ball here, 7.5–7.6 there): neither is faster.
 ///
 /// A block is also shorter than the 2 × 32 Ki items the rayon shim needs
 /// before it spawns a second thread, so [`EngineConfig::parallel`] never
@@ -212,8 +216,9 @@ fn run_rounds<P: Protocol + ?Sized>(
             continue;
         }
         let distinct = protocol.distinct_choices() && degree > 1;
+        let round_key = SplitMix64::substream_key(seed, round as u64);
         let sample_for = |ball: u64, slots: &mut [u32]| {
-            let mut rng = ball_round_rng(seed, ball, round as u64);
+            let mut rng = SplitMix64::for_stream_under(round_key, ball);
             if distinct {
                 sample_distinct_into(&mut rng, n, slots);
             } else {
@@ -399,7 +404,7 @@ mod tests {
                 // Step 1: every unallocated ball samples its target bins.
                 let mut targets: Vec<u32> = Vec::new();
                 for &ball in &unallocated {
-                    let mut rng = ball_round_rng(seed, ball, round as u64);
+                    let mut rng = SplitMix64::for_stream(seed, ball, round as u64);
                     if protocol.distinct_choices() && degree > 1 {
                         let mut buf = Vec::new();
                         rng.sample_distinct(n, degree, &mut buf);
@@ -615,10 +620,10 @@ mod tests {
         ] {
             for ball in 0..200u64 {
                 let mut slots = vec![u32::MAX; k];
-                let mut in_place = ball_round_rng(9, ball, 2);
+                let mut in_place = SplitMix64::for_stream(9, ball, 2);
                 sample_distinct_into(&mut in_place, n, &mut slots);
                 let mut buf = Vec::new();
-                let mut vector = ball_round_rng(9, ball, 2);
+                let mut vector = SplitMix64::for_stream(9, ball, 2);
                 vector.sample_distinct(n, k, &mut buf);
                 buf.resize(k, *buf.last().expect("n > 0"));
                 assert_eq!(slots, buf, "n={n} k={k} ball={ball}");

@@ -37,7 +37,8 @@ impl SplitMix64 {
     }
 
     /// Derives a generator for a `(seed, stream, substream)` triple. Used to give
-    /// each ball in each round its own independent stream.
+    /// each ball in each round its own independent stream. This body is the
+    /// spec: the two splits below hoist one half of it out of a loop.
     pub fn for_stream(seed: u64, stream: u64, substream: u64) -> Self {
         let a = mix64(seed ^ 0xa076_1d64_78bd_642f);
         let b = mix64(
@@ -55,9 +56,7 @@ impl SplitMix64 {
     /// four mixes — for a caller that derives many substreams of one stream
     /// (the streaming drain derives one per ball):
     /// `for_substream(stream_key(seed, stream), substream)` is
-    /// `for_stream(seed, stream, substream)` (pinned by a test). Spelled out
-    /// beside `for_stream` rather than called from it, so the one-shot
-    /// engines' per-ball derivation stays the code it was.
+    /// `for_stream(seed, stream, substream)` (pinned by a test).
     #[inline]
     pub fn stream_key(seed: u64, stream: u64) -> u64 {
         let a = mix64(seed ^ 0xa076_1d64_78bd_642f);
@@ -75,6 +74,31 @@ impl SplitMix64 {
         let c = mix64(substream.wrapping_add(0x5896_36e0_8cda_3e7b));
         Self {
             state: mix64(stream_key ^ c.rotate_left(47)),
+        }
+    }
+
+    /// The `(seed, substream)` half of [`SplitMix64::for_stream`], the other
+    /// split: for a caller that derives many streams under one substream (a
+    /// round engine derives one per ball, all under the round's number):
+    /// `for_stream_under(substream_key(seed, substream), stream)` is
+    /// `for_stream(seed, stream, substream)` (pinned by a test).
+    #[inline]
+    pub fn substream_key(seed: u64, substream: u64) -> u64 {
+        let a = mix64(seed ^ 0xa076_1d64_78bd_642f);
+        let c = mix64(substream.wrapping_add(0x5896_36e0_8cda_3e7b));
+        a ^ c.rotate_left(47)
+    }
+
+    /// The generator of `stream` under a [`SplitMix64::substream_key`].
+    #[inline]
+    pub fn for_stream_under(substream_key: u64, stream: u64) -> Self {
+        let b = mix64(
+            stream
+                .wrapping_add(0xe703_7ed1_a0b4_28db)
+                .wrapping_mul(0x8ebc_6af0_9c88_c6e3),
+        );
+        Self {
+            state: mix64(substream_key ^ b.rotate_left(23)),
         }
     }
 
@@ -195,13 +219,6 @@ impl SplitMix64 {
     }
 }
 
-/// The per-ball, per-round stream used by the engines: ball `ball` in round `round`
-/// under master seed `seed`.
-#[inline]
-pub fn ball_round_rng(seed: u64, ball: u64, round: u64) -> SplitMix64 {
-    SplitMix64::for_stream(seed, ball, round)
-}
-
 /// A reproducible **sequence of seeds/generators** derived from one root:
 /// `(root, stream)` names the family, `index` selects a member. Stress tests
 /// give each caller thread `seq.rng(t)`, trace generators give each trace
@@ -268,12 +285,26 @@ mod tests {
 
     #[test]
     fn a_stream_key_and_its_substreams_are_for_stream_in_two_steps() {
-        for (seed, stream, substream) in [(0, 0, 0), (7, 0x5742_a11c, 42), (u64::MAX, 3, u64::MAX)]
-        {
-            assert_eq!(
-                SplitMix64::for_substream(SplitMix64::stream_key(seed, stream), substream),
-                SplitMix64::for_stream(seed, stream, substream),
-            );
+        // Both splits, against `for_stream`'s own body: every triple over a
+        // grid with both ends of `u64` and the wrap-around of each constant.
+        let grid = [0, 1, 7, 0x5742_a11c, 1 << 63, u64::MAX - 1, u64::MAX];
+        for seed in grid {
+            for stream in grid {
+                for substream in grid {
+                    let whole = SplitMix64::for_stream(seed, stream, substream);
+                    assert_eq!(
+                        SplitMix64::for_substream(SplitMix64::stream_key(seed, stream), substream),
+                        whole,
+                    );
+                    assert_eq!(
+                        SplitMix64::for_stream_under(
+                            SplitMix64::substream_key(seed, substream),
+                            stream
+                        ),
+                        whole,
+                    );
+                }
+            }
         }
     }
 
@@ -425,10 +456,11 @@ mod tests {
     fn ball_round_rng_streams_are_independent_enough() {
         // Two different balls in the same round must get different first choices
         // most of the time (for a large range).
+        let round = SplitMix64::substream_key(99, 0);
         let mut collisions = 0;
         for ball in 0..1000u64 {
-            let mut a = ball_round_rng(99, ball, 0);
-            let mut b = ball_round_rng(99, ball + 1, 0);
+            let mut a = SplitMix64::for_stream_under(round, ball);
+            let mut b = SplitMix64::for_stream_under(round, ball + 1);
             if a.gen_range(1 << 20) == b.gen_range(1 << 20) {
                 collisions += 1;
             }
