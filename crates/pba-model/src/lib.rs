@@ -64,6 +64,6 @@ pub use rng::{SeedSeq, SplitMix64};
 pub use router::{
     BatchEvent, MembershipChange, OneShotRouter, Placement, RegistryObserver, ReleaseEvent,
     ReweightEvent, RouteError, RouteEvent, Router, RouterObserver, RouterStats, SharedTicketLedger,
-    Ticket,
+    Ticket, WireRequest,
 };
 pub use weights::{AliasTable, BinWeights, ResolvedWeights, WeightTier};

@@ -29,13 +29,23 @@
 //! **Wire ids.** Only this module knows the number a client holds for a
 //! ticket ([`wire_id`](SharedTicketLedger::wire_id)): the handle over the
 //! ball id mod 2³². It names the ball for life, and
-//! [`redeem_wire`](SharedTicketLedger::redeem_wire) redeems a run of them
-//! with each named shard locked once.
+//! [`settle`](SharedTicketLedger::settle) issues and redeems a run of
+//! [`WireRequest`]s with each touched shard locked once.
+//!
+//! **Lock count.** Every shard-lock acquisition bumps a counter of the
+//! acquiring thread ([`SharedTicketLedger::locks_taken`]): a plain
+//! thread-local increment, no atomic, so tests can gate lock traffic exactly.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use super::{RouteError, Ticket};
+use super::{RouteError, Ticket, WireRequest};
+
+thread_local! {
+    /// Ledger shard locks this thread has acquired, over every ledger.
+    static LOCKS_TAKEN: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Source of unique ledger realm ids (0 is reserved for manually constructed
 /// tickets, so a hand-made ticket can never match a ledger).
@@ -197,7 +207,14 @@ impl SharedTicketLedger {
     }
 
     fn lock(&self, shard: usize) -> MutexGuard<'_, Shard> {
+        LOCKS_TAKEN.with(|taken| taken.set(taken.get() + 1));
         self.shards[shard].lock().expect("ledger shard")
+    }
+
+    /// Ledger shard locks the calling thread has acquired so far, over every
+    /// ledger in the process: the exact lock traffic of whatever it ran.
+    pub fn locks_taken() -> u64 {
+        LOCKS_TAKEN.with(Cell::get)
     }
 
     /// Locks `shards` in ascending order — the one order every grouped
@@ -240,38 +257,74 @@ impl SharedTicketLedger {
         (ticket.handle as u64) << 32 | (ticket.id as u32) as u64
     }
 
-    /// Redeems a run of wire ids, writing into `out` (overwritten, in order)
-    /// the ticket — at its ball's current bin — of each id that names a
-    /// resident ball, else `None`: also for every repeat of an id within the
-    /// run, whose ball the first occurrence took. Exactly what redeeming the
-    /// ids one at a time leaves, in one lock pass: each named shard is locked
-    /// once, ascending, one at a time, and takes its own ids in input order.
-    pub fn redeem_wire(&self, wires: &[u64], out: &mut Vec<Option<Ticket>>) {
+    /// Settles a run of requests in request order, appending one entry per
+    /// request to `out`. Route `r` of the run (counting routes only) issues
+    /// ball `base + r` into bin `bins[r]` and gets its ticket. A release
+    /// gets the ticket — at its ball's current bin — of the resident ball
+    /// its wire id names, and takes that ball out; else `None`, also for a
+    /// repeat whose ball an earlier request took, and for an id whose ball a
+    /// later route of the run issues.
+    ///
+    /// Exactly what the requests leave one at a time, in one lock pass:
+    /// each touched shard is locked once, ascending, one at a time, and
+    /// takes its own requests in request order. That is exact because an
+    /// issue or a redeem touches only its ball's home shard, so no shard's
+    /// outcome depends on another's.
+    pub fn settle<R>(
+        &self,
+        requests: &[R],
+        kind: impl Fn(&R) -> WireRequest,
+        base: u64,
+        bins: &[u32],
+        out: &mut Vec<Option<Ticket>>,
+    ) {
         const END: u64 = u64::MAX; // the end of a stub chain
-        out.resize(wires.len(), None); // every entry is overwritten below
+        let start = out.len();
+        out.resize(start + requests.len(), None); // every entry is overwritten below
+        let out = &mut out[start..];
         for block in (0..self.shards.len()).step_by(64) {
-            // An id of this block's 64 shards waits in `out` as a stub (`id`
-            // the wire id, `bin` its slot) whose `realm` links the next id
-            // of its shard, in input order: each shard walks only its own.
+            // A request of this block's 64 shards waits in `out` as a stub
+            // whose `realm` links the next request of its shard, in request
+            // order: each shard walks only its own. An issue's stub holds the
+            // ball id and bin, a redeem's the wire id and the slot it names.
             let mut heads = [END; 64];
-            for (at, &wire) in wires.iter().enumerate().rev() {
-                let handle = (wire >> 32) as u32;
-                let (shard, slot) = self.unhandle(handle);
+            let mut route = bins.len();
+            for (at, request) in requests.iter().enumerate().rev() {
+                let (shard, mut stub) = match kind(request) {
+                    WireRequest::Route(_) => {
+                        route -= 1;
+                        let bin = bins[route];
+                        let id = base + route as u64;
+                        (self.shard_index(bin as usize), self.ticket(id, bin, 0))
+                    }
+                    WireRequest::Release(wire) => {
+                        let handle = (wire >> 32) as u32;
+                        let (shard, slot) = self.unhandle(handle);
+                        (shard, self.ticket(wire, slot, handle))
+                    }
+                };
                 if let Some(head) = heads.get_mut(shard.wrapping_sub(block)) {
-                    let mut stub = self.ticket(wire, slot, handle);
                     stub.realm = std::mem::replace(head, at as u64);
                     out[at] = Some(stub);
                 }
             }
             for (offset, &head) in heads.iter().enumerate().filter(|&(_, &h)| h != END) {
-                let mut shard = self.lock(block + offset);
+                let home = block + offset;
+                let mut shard = self.lock(home);
                 let mut at = head;
                 while at != END {
                     let stub = out[at as usize].expect("a chained stub");
-                    let named = |id: u64| id as u32 == stub.id as u32;
-                    let id = shard.resident(stub.bin, named).map(|entry| entry.id);
-                    out[at as usize] =
-                        id.map(|id| self.ticket(id, shard.remove(stub.bin), stub.handle));
+                    out[at as usize] = match kind(&requests[at as usize]) {
+                        WireRequest::Route(_) => {
+                            let slot = shard.issue(stub.id, stub.bin as usize);
+                            Some(self.ticket(stub.id, stub.bin, self.handle(home, slot)))
+                        }
+                        WireRequest::Release(_) => {
+                            let named = |id: u64| id as u32 == stub.id as u32;
+                            let id = shard.resident(stub.bin, named).map(|entry| entry.id);
+                            id.map(|id| self.ticket(id, shard.remove(stub.bin), stub.handle))
+                        }
+                    };
                     at = stub.realm;
                 }
             }
@@ -288,27 +341,15 @@ impl SharedTicketLedger {
 
     /// Records a group of placements — ball ids `base..base + bins.len()`,
     /// one entry of `bins` per ball — and returns their tickets in input
-    /// order. The grouped form of [`SharedTicketLedger::issue`]: every
-    /// *touched* shard is locked once per group instead of once per ball.
-    /// The balls are issued in input (id) order, so each bin's occupancy
-    /// list — and each shard's slot assignment — ends up exactly as the
-    /// one-at-a-time loop would leave it.
+    /// order: a [`settle`](Self::settle) run of issues only, so every
+    /// *touched* shard is locked once per group instead of once per ball,
+    /// and each bin's occupancy list and each shard's slot assignment end up
+    /// exactly as the one-at-a-time loop would leave them.
     pub fn issue_many(&self, base: u64, bins: &[u32]) -> Vec<Ticket> {
         let mut tickets = Vec::with_capacity(bins.len());
-        self.issue_group(base, bins, |ticket| tickets.push(ticket));
-        tickets
-    }
-
-    /// [`issue_many`](Self::issue_many), handing each ticket to `each` in
-    /// input order instead of collecting them.
-    pub fn issue_group(&self, base: u64, bins: &[u32], mut each: impl FnMut(Ticket)) {
-        let home = |bin: u32| self.shard_index(bin as usize);
-        let mut locked = self.lock_shards(bins.iter().map(|&bin| home(bin)));
-        for (offset, &bin) in bins.iter().enumerate() {
-            let id = base + offset as u64;
-            let slot = locked_shard(&mut locked, home(bin)).issue(id, bin as usize);
-            each(self.ticket(id, bin, self.handle(home(bin), slot)));
-        }
+        self.settle(bins, |_| WireRequest::Route(0), base, bins, &mut tickets);
+        let issued = tickets.into_iter();
+        issued.map(|ticket| ticket.expect("an issue")).collect()
     }
 
     /// Moves the resident ball `ticket` names from `ticket.bin()` to bin
@@ -450,10 +491,16 @@ mod tests {
         (ledger.len(), per_bin.collect())
     }
 
+    /// Settles a run of releases by wire id into `out` (overwritten).
+    fn redeem_run(ledger: &SharedTicketLedger, wires: &[u64], out: &mut Vec<Option<Ticket>>) {
+        out.clear();
+        ledger.settle(wires, |&wire| WireRequest::Release(wire), 0, &[], out);
+    }
+
     /// The redeem of one wire id: a run of one.
-    fn redeem_wire(ledger: &SharedTicketLedger, wire: u64) -> Option<Ticket> {
+    fn release_one(ledger: &SharedTicketLedger, wire: u64) -> Option<Ticket> {
         let mut out = Vec::new();
-        ledger.redeem_wire(&[wire], &mut out);
+        redeem_run(ledger, &[wire], &mut out);
         out[0]
     }
 
@@ -514,13 +561,13 @@ mod tests {
 
         // (ii) Released through the wire, the ball reports its current bin
         // and its slot is the next one shard 0 hands out.
-        let released = redeem_wire(&ledger, wire);
+        let released = release_one(&ledger, wire);
         assert_eq!(with_handles(&[released]), with_handles(&[Some(now)]));
-        assert_eq!(redeem_wire(&ledger, wire), None, "a double release");
+        assert_eq!(release_one(&ledger, wire), None, "a double release");
         let tenant = ledger.issue(9, 1);
         assert_eq!(tenant.handle, ball.handle);
-        assert_eq!(redeem_wire(&ledger, wire), None, "the tenant's id differs");
-        assert_eq!(redeem_wire(&ledger, ledger.wire_id(&tenant)), Some(tenant));
+        assert_eq!(release_one(&ledger, wire), None, "the tenant's id differs");
+        assert_eq!(release_one(&ledger, ledger.wire_id(&tenant)), Some(tenant));
 
         // (iii) Released through a fresh `resident_in` ticket instead, the
         // wire id names nothing and the slot is free all the same.
@@ -530,7 +577,7 @@ mod tests {
         let fresh = ledger.resident_in(5).expect("migrated ball resident");
         assert_eq!(ledger.wire_id(&fresh), other_wire);
         assert_eq!(ledger.redeem(fresh), Ok(5));
-        assert_eq!(redeem_wire(&ledger, other_wire), None);
+        assert_eq!(release_one(&ledger, other_wire), None);
         assert_eq!(ledger.issue(11, 0).handle, other.handle);
     }
 
@@ -569,7 +616,7 @@ mod tests {
         assert_eq!((home.slab[0].id, home.slab[0].bin), (5, 7));
         assert_eq!((home.by_bin[1].len(), &home.by_bin[7][..]), (0, &[0][..]));
         drop(home);
-        let released = redeem_wire(&ledger, wire);
+        let released = release_one(&ledger, wire);
         assert_eq!(with_handles(&[released]), with_handles(&[Some(migrated)]));
         assert!(ledger.is_empty());
     }
@@ -582,12 +629,12 @@ mod tests {
         assert_eq!(ledger.redeem(gone), Ok(2));
         let tenant = ledger.issue(2, 2);
         assert_eq!(tenant.handle, gone.handle);
-        assert_eq!(redeem_wire(&ledger, wire), None);
+        assert_eq!(release_one(&ledger, wire), None);
         assert_eq!(ledger.redeem(tenant), Ok(2));
         // The documented limit: ids that agree mod 2^32 share wire ids.
         let alias = ledger.issue(1 + (1 << 32), 2);
         assert_eq!(alias.handle, gone.handle);
-        assert_eq!(redeem_wire(&ledger, wire), Some(alias));
+        assert_eq!(release_one(&ledger, wire), Some(alias));
     }
 
     #[test]
@@ -716,7 +763,7 @@ mod tests {
             wire(&c),
         ];
         let mut out = vec![None; 11];
-        ledger.redeem_wire(&run, &mut out);
+        redeem_run(&ledger, &run, &mut out);
         let expected = [
             Some(a),
             Some(b),
@@ -734,10 +781,50 @@ mod tests {
         assert_eq!((ledger.len(), ledger.resident_in(4)), (1, Some(kept)));
 
         // `out` is overwritten, and a repeat of the run names nothing.
-        ledger.redeem_wire(&run[..2], &mut out);
+        redeem_run(&ledger, &run[..2], &mut out);
         assert_eq!(out, [None, None]);
         assert_eq!(ledger.redeem(kept), Ok(4));
         assert!(ledger.is_empty());
+    }
+
+    #[test]
+    fn a_mixed_run_settles_in_request_order_with_one_lock_per_touched_shard() {
+        // Bins 0..4 live in shard 0, bins 4..8 in shard 1, bins 8..12 in
+        // shard 2, which the run never touches.
+        let ledger = SharedTicketLedger::new(12, 3);
+        let (a, b) = (ledger.issue(0, 1), ledger.issue(1, 5));
+        // Ball 2 goes to bin 2, slot 1 of shard 0: its wire id is known
+        // before it is issued.
+        let two = (ledger.handle(0, 1) as u64) << 32 | 2;
+        let run = [
+            WireRequest::Release(two), // before its id is issued: nothing
+            WireRequest::Route(20),    // ball 2 → bin 2
+            WireRequest::Release(ledger.wire_id(&a)),
+            WireRequest::Route(30),    // ball 3 → bin 3, in the slot `a` freed
+            WireRequest::Release(two), // issued earlier in the run
+            WireRequest::Release(ledger.wire_id(&a)), // a repeat
+            WireRequest::Route(40),    // ball 4 → bin 6, in shard 1
+        ];
+        let locks = SharedTicketLedger::locks_taken();
+        let mut out = vec![None];
+        ledger.settle(&run, |&request| request, 2, &[2, 3, 6], &mut out);
+        assert_eq!(SharedTicketLedger::locks_taken() - locks, 2, "shards 0, 1");
+        let ball = |id, bin, handle| Some(ledger.ticket(id, bin, handle));
+        let expected = [
+            None, // `out` is appended to
+            None,
+            ball(2, 2, ledger.handle(0, 1)),
+            Some(a),
+            ball(3, 3, a.handle),
+            ball(2, 2, ledger.handle(0, 1)),
+            None,
+            ball(4, 6, ledger.handle(1, 1)),
+        ];
+        assert_eq!(with_handles(&out), with_handles(&expected));
+        assert_eq!(ledger.len(), 3);
+        assert_eq!(ledger.resident_in(3), expected[4]);
+        assert_eq!(ledger.resident_in(5), Some(b));
+        assert_eq!(ledger.resident_in(6), expected[7]);
     }
 
     #[test]
@@ -750,7 +837,7 @@ mod tests {
             wire[2], wire[0], wire[1], wire[0], wire[3], wire[4], wire[2],
         ];
         let mut out = Vec::new();
-        ledger.redeem_wire(&run, &mut out);
+        redeem_run(&ledger, &run, &mut out);
         let [a, b, c, d, e] = [0, 1, 2, 3, 4].map(|i| Some(group[i]));
         assert_eq!(out, [c, a, b, None, d, e, None]);
         assert!(ledger.is_empty());

@@ -24,7 +24,8 @@
 //!   loop instead of ad-hoc polling.
 //! * [`SharedTicketLedger`] — the one resident-ball table behind every
 //!   `Router` implementation: per-bin-shard slabs that a ticket indexes
-//!   directly, issue/redeem callable from many threads at once.
+//!   directly, issue/redeem callable from many threads at once; a run of
+//!   [`WireRequest`]s issues and redeems in one lock pass.
 //! * [`OneShotRouter`] — the adapter that lifts any one-shot `Allocator`
 //!   into the `Router` interface by precomputing its allocation and handing
 //!   out the placements one `route` call at a time.
@@ -118,6 +119,18 @@ pub struct Placement {
     pub ticket: Ticket,
     /// The bin the ball was placed into (same as `ticket.bin()`).
     pub bin: usize,
+}
+
+/// One request of a serving run, as a client sends it: route a key, or
+/// release the ball a wire id ([`SharedTicketLedger::wire_id`]) names. A run
+/// of them in any order settles through one ledger pass
+/// ([`SharedTicketLedger::settle`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireRequest {
+    /// Route a ball with this key.
+    Route(u64),
+    /// Release the resident ball this wire id names, if any.
+    Release(u64),
 }
 
 /// Typed errors of the [`Router`] surface.

@@ -14,10 +14,10 @@
 //! * [`session`] — [`Session`]: the socket-free request executor. Takes
 //!   request bytes in arbitrary chunks, appends reply bytes to a
 //!   caller-owned buffer; owns wire-id resolution, line splitting with
-//!   the oversized-line discard, and the batching of contiguous pipelined
-//!   `ROUTE` runs through `route_many` and `RELEASE` runs through
-//!   `release_many`. Protocol tests and in-process embeddings drive it
-//!   directly — no TCP, no ports, no sleeps.
+//!   the oversized-line discard, and the batching of each pipelined run of
+//!   `ROUTE` and `RELEASE` lines, in any order, into one `serve_wire` call.
+//!   Protocol tests and in-process embeddings drive it directly — no TCP,
+//!   no ports, no sleeps.
 //! * [`reactor`] — [`ReactorServer`]: the TCP front-end. A small fixed pool
 //!   of reactor threads drives nonblocking sockets through readiness polling
 //!   and hands every byte to a [`Session`].

@@ -14,7 +14,7 @@
 //!
 //! * **No ticket state.** Clients hold wire ids that name ledger slots;
 //!   `RELEASE` redeems them through the router's shared ledger
-//!   ([`ConcurrentRouter::release_wire`]), so any connection releases one.
+//!   ([`ConcurrentRouter::serve_wire`]), so any connection releases one.
 //! * **Line splitting.** Complete lines are parsed in place out of the
 //!   connection's read buffer ([`parse_canonical_line`] in one pass, else
 //!   [`parse_request`]); in steady state the buffer holds at most one
@@ -22,19 +22,20 @@
 //!   `ERR bad-request` as soon as the cap is crossed and its bytes are
 //!   discarded up to the next newline — a hostile unterminated "line" can
 //!   never balloon the buffer, and the connection keeps serving.
-//! * **Run batching.** Contiguous already-buffered `ROUTE` lines execute as
-//!   one [`route_many_into`] group, timed once; contiguous `RELEASE` lines
-//!   are one [`release_wire`] call — decoded and redeemed in one ledger
-//!   pass (a repeated id names nothing the second time), each named shard
-//!   locked once, with grouped atomic updates instead of per-request
-//!   overhead — and get `OK <bin>` or `ERR unknown-ticket` each. Grouping
-//!   never waits for more input and never reorders replies: one reply line
-//!   per request, in order.
+//! * **Run batching.** A maximal run of already-buffered `ROUTE` and
+//!   `RELEASE` lines, in whatever order they arrive, is **one**
+//!   [`serve_wire`] call: the router serves it in sub-groups that each end
+//!   at the route filling the open batch, with one ledger pass per
+//!   sub-group (each touched shard locked once; a repeated id names nothing
+//!   the second time) and grouped atomic updates instead of per-request
+//!   overhead. Routes get `OK <bin> <id>`, releases `OK <bin>` or
+//!   `ERR unknown-ticket`. Grouping never waits for more input and never
+//!   reorders replies: one reply line per request, in order.
 //! * **No heap allocation per request.** Scratch vectors belong to the
 //!   session, line and latency state to the connection, the reply buffer to
-//!   the caller; all are reused. A warmed pipelined window of 32 `ROUTE` +
-//!   32 `RELEASE` allocates exactly once, the ledger's shard-guard vector
-//!   for the route group (`tests/zero_alloc_session.rs`).
+//!   the caller; all are reused. A warmed window of 32 `ROUTE` + 32
+//!   `RELEASE` allocates nothing, pipelined or interleaved
+//!   (`tests/zero_alloc_session.rs`).
 //!
 //! ## Metrics
 //!
@@ -43,18 +44,19 @@
 //! `server.route_latency_ns` histogram against the router's registry; a
 //! reactor's session adds `server.reactor{i}.requests` /
 //! `server.reactor{i}.route_latency_ns` for spotting imbalance across the
-//! pool. Route latency is recorded in the connection's [`LocalHistogram`]
-//! (plain integer arithmetic on the request path) and fanned out every
-//! `MERGE_EVERY` requests, and by [`Session::flush_latency`] when the
-//! connection goes away.
+//! pool. A run is timed once: the latency histograms get the run's time ÷
+//! its requests, recorded once per `ROUTE`, so their count still equals the
+//! requests routed. Latency is recorded in the connection's
+//! [`LocalHistogram`] (plain integer arithmetic on the request path) and
+//! fanned out every `MERGE_EVERY` requests, and by
+//! [`Session::flush_latency`] when the connection goes away.
 //!
-//! [`route_many_into`]: pba_stream::ConcurrentRouter::route_many_into
-//! [`release_wire`]: pba_stream::ConcurrentRouter::release_wire
+//! [`serve_wire`]: pba_stream::ConcurrentRouter::serve_wire
 
 use std::time::Instant;
 
 use pba_membership::MembershipPlan;
-use pba_model::router::{Placement, Ticket};
+use pba_model::router::{Ticket, WireRequest};
 use pba_obs::{Counter, HistogramHandle, LocalHistogram, MetricsRegistry};
 use pba_stream::ConcurrentRouter;
 
@@ -145,11 +147,10 @@ pub struct Session {
     reactor_metrics: Option<ReactorMetrics>,
     // Reusable scratch, so the request path stays allocation-free.
     requests: Vec<Request>,
-    /// The run's route keys, or its release wire ids.
-    numbers: Vec<u64>,
-    placements: Vec<Placement>,
-    /// The run's released tickets, one per wire id.
-    released: Vec<Option<Ticket>>,
+    /// The run of `ROUTE` and `RELEASE` requests being served.
+    run: Vec<WireRequest>,
+    /// What the run was served: one ticket (or none) per request.
+    tickets: Vec<Option<Ticket>>,
 }
 
 impl Session {
@@ -163,9 +164,8 @@ impl Session {
             router,
             reactor_metrics: None,
             requests: Vec::new(),
-            numbers: Vec::new(),
-            placements: Vec::new(),
-            released: Vec::new(),
+            run: Vec::new(),
+            tickets: Vec::new(),
         }
     }
 
@@ -265,60 +265,32 @@ impl Session {
         }
     }
 
-    /// The end of the run that starts at `i`: its `ROUTE` keys (or `RELEASE`
-    /// wire ids) gathered into `numbers`. Any other request is a run of one.
+    /// The end of the run that starts at `i`: its `ROUTE` and `RELEASE`
+    /// requests, in order, gathered into `run`. Any other request is a run of
+    /// one, with `run` left empty.
     fn gather_run(&mut self, i: usize) -> usize {
-        let first = self.requests[i];
-        let number = |request: &Request| match (first, *request) {
-            (Request::Route { .. }, Request::Route { key }) => Some(key),
-            (Request::Release { .. }, Request::Release { id }) => Some(id),
+        let wire = |request: &Request| match *request {
+            Request::Route { key } => Some(WireRequest::Route(key)),
+            Request::Release { id } => Some(WireRequest::Release(id)),
             _ => None,
         };
-        self.numbers.clear();
-        let run = self.requests[i..].iter().map_while(number);
-        self.numbers.extend(run);
-        i + self.numbers.len().max(1)
+        self.run.clear();
+        self.run.extend(self.requests[i..].iter().map_while(wire));
+        i + self.run.len().max(1)
     }
 
-    /// Executes the parsed requests in order, batching contiguous `ROUTE`
-    /// runs through `route_many_into` and contiguous `RELEASE` runs through
-    /// `release_wire`. One reply line per request, in request order.
+    /// Executes the parsed requests in order, serving each maximal run of
+    /// `ROUTE` and `RELEASE` lines through one `serve_wire` call. One reply
+    /// line per request, in request order.
     fn execute(&mut self, conn: &mut ConnState, replies: &mut Vec<u8>) {
         let mut i = 0;
         while i < self.requests.len() {
             let end = self.gather_run(i);
             self.count_requests((end - i) as u64);
-            match self.requests[i] {
-                Request::Route { .. } => {
-                    let start = Instant::now();
-                    self.router
-                        .route_many_into(&self.numbers, &mut self.placements)
-                        .expect("routing is infallible");
-                    let routed = self.placements.len() as u64;
-                    let per_route = start.elapsed().as_nanos() as u64 / routed.max(1);
-                    conn.local_latency.record_n(per_route, routed);
-                    for placement in &self.placements {
-                        let id = self.router.wire_id(&placement.ticket);
-                        write_ok_route(replies, placement.bin, id);
-                    }
-                }
-                Request::Release { .. } => {
-                    self.router.release_wire(&self.numbers, &mut self.released);
-                    for released in &self.released {
-                        match released {
-                            Some(ticket) => write_ok_bin(replies, ticket.bin()),
-                            None => {
-                                // Never issued, already released or repeated
-                                // in the run: the router counted nothing for
-                                // it, so the server-side counter is its only
-                                // trace.
-                                self.count_unknown_ticket();
-                                write_err_unknown_ticket(replies);
-                            }
-                        }
-                    }
-                }
-                other => self.execute_single(other, replies),
+            if self.run.is_empty() {
+                self.execute_single(self.requests[i], replies);
+            } else {
+                self.serve_run(conn, replies);
             }
             conn.since_merge += (end - i) as u64;
             i = end;
@@ -329,12 +301,42 @@ impl Session {
         }
     }
 
+    /// Serves the gathered run in one router call, timed once: each `ROUTE`
+    /// records the run's time ÷ its requests.
+    fn serve_run(&mut self, conn: &mut ConnState, replies: &mut Vec<u8>) {
+        let start = Instant::now();
+        self.router.serve_wire(&self.run, &mut self.tickets);
+        let per_request = start.elapsed().as_nanos() as u64 / self.run.len() as u64;
+        let mut routed = 0;
+        for (request, ticket) in self.run.iter().zip(&self.tickets) {
+            match (request, ticket) {
+                (WireRequest::Route(_), Some(ticket)) => {
+                    routed += 1;
+                    let id = self.router.wire_id(ticket);
+                    write_ok_route(replies, ticket.bin(), id);
+                }
+                (WireRequest::Route(_), None) => unreachable!("every route is issued a ticket"),
+                (WireRequest::Release(_), Some(ticket)) => write_ok_bin(replies, ticket.bin()),
+                (WireRequest::Release(_), None) => {
+                    // Never issued, already released or repeated in the run:
+                    // the router counted nothing for it, so the server-side
+                    // counter is its only trace.
+                    if let Some(metrics) = &self.metrics {
+                        metrics.unknown_ticket.inc();
+                    }
+                    write_err_unknown_ticket(replies);
+                }
+            }
+        }
+        conn.local_latency.record_n(per_request, routed);
+    }
+
     /// Executes one non-batchable request.
     fn execute_single(&self, request: Request, replies: &mut Vec<u8>) {
         let router = &self.router;
         match request {
             Request::Route { .. } | Request::Release { .. } => {
-                unreachable!("batched by execute()")
+                unreachable!("served as a run by execute()")
             }
             Request::Flush => write_ok_count(replies, router.flush() as u64),
             Request::Stats => {
@@ -375,12 +377,6 @@ impl Session {
         }
         if let Some(metrics) = &self.reactor_metrics {
             metrics.requests.add(n);
-        }
-    }
-
-    fn count_unknown_ticket(&self) {
-        if let Some(metrics) = &self.metrics {
-            metrics.unknown_ticket.inc();
         }
     }
 
@@ -573,8 +569,8 @@ mod tests {
     #[test]
     fn pipelined_routes_batch_through_route_many_and_stay_ordered() {
         // A whole pipeline of ROUTE lines in one chunk executes as one
-        // `route_many` group; replies come back one per line, in order,
-        // with distinct ids, and the router sees every ball.
+        // `serve_wire` call; replies come back one per line, in order, with
+        // distinct ids, and the router sees every ball.
         let mut h = Harness::new(StreamConfig::new(32).batch_size(16));
         let mut request = String::new();
         for key in 0..40u64 {
@@ -602,11 +598,46 @@ mod tests {
         let snap = h.finish();
         assert_eq!(snap.counter("route.routed"), 40);
         // Every grouped route is still one request and one latency sample —
-        // and one group means one shared per-route figure.
+        // and one call means one shared per-request figure.
         assert_eq!(snap.counter("server.requests"), 41);
         let latency = snap.histogram("server.route_latency_ns").expect("recorded");
         assert_eq!(latency.count, 40);
-        assert_eq!(latency.p50, latency.max, "one route_many group");
+        assert_eq!(latency.p50, latency.max, "one serve_wire call");
+    }
+
+    #[test]
+    fn an_interleaved_run_is_one_call_in_request_order() {
+        // Six routes, then one chunk alternating a route with the release
+        // of the oldest held id, a bogus id and a repeat at its end: one run,
+        // one reply per line, in order.
+        let mut h = Harness::new(StreamConfig::new(16).batch_size(4).shards(4));
+        let mut held: std::collections::VecDeque<u64> = (0..6).map(|key| h.route(key)).collect();
+        let mut request = String::new();
+        let mut released = Vec::new();
+        for key in 6..12u64 {
+            let id = held.pop_front().expect("held");
+            request.push_str(&format!("ROUTE {key}\nRELEASE {id}\n"));
+            released.push(id);
+        }
+        request.push_str(&format!(
+            "RELEASE {}\nRELEASE {}\nSTATS\n",
+            u64::MAX,
+            released[0]
+        ));
+        let replies = h.say(request.as_bytes());
+        assert_eq!(replies.len(), 15);
+        for pair in replies[..12].chunks(2) {
+            assert_eq!(pair[0].split(' ').count(), 3, "OK <bin> <id>: {pair:?}");
+            assert_eq!(pair[1].split(' ').count(), 2, "OK <bin>: {pair:?}");
+        }
+        assert_eq!(replies[12..14], ["ERR unknown-ticket"; 2]);
+        assert_eq!(replies[14], "OK routed 12 released 6 resident 6 batches 3");
+        let snap = h.finish();
+        assert_eq!(snap.counter("server.requests"), 6 + 15);
+        assert_eq!(snap.counter("server.unknown_ticket"), 2);
+        // One latency sample per route, the run's included.
+        let latency = snap.histogram("server.route_latency_ns").expect("recorded");
+        assert_eq!(latency.count, 12);
     }
 
     #[test]

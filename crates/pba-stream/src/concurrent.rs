@@ -115,7 +115,7 @@ use pba_concurrent::EpochCell;
 use pba_membership::{BinState, Membership, MembershipPlan};
 use pba_model::router::{
     BatchEvent, MembershipChange, Placement, ReleaseEvent, ReweightEvent, RouteError, RouteEvent,
-    Router, RouterObserver, RouterStats, SharedTicketLedger, Ticket,
+    Router, RouterObserver, RouterStats, SharedTicketLedger, Ticket, WireRequest,
 };
 use pba_model::weights::{normalized_loads, BinWeights, ResolvedWeights};
 use pba_stats::OnlineStats;
@@ -126,7 +126,7 @@ use crate::ingress::{Inbox, PendingBall};
 use crate::metrics::StreamMetrics;
 use crate::observer::GapTrajectoryObserver;
 use crate::policy::{ChoiceCtx, Chooser};
-use crate::shard::{ShardStats, ShardedBins};
+use crate::shard::{SettleScratch, ShardStats, ShardedBins};
 use crate::snapshot::{self, uses_thresholds, StreamSnapshot};
 
 #[cfg(test)]
@@ -137,12 +137,28 @@ thread_local! {
 }
 
 thread_local! {
-    /// Per-thread commit scratch of the grouped paths (`Core::route_many_into`,
-    /// `Core::release_many`, `Core::release_wire`): a `&self` core cannot
+    /// Per-thread scratch of the grouped paths (`Core::serve`,
+    /// `Core::route_many_into`, `Core::release_many`): a `&self` core cannot
     /// keep one buffer for all its callers, so each caller thread keeps its
-    /// own and a warmed thread commits a group without allocating.
-    static GROUP_COMMIT: std::cell::RefCell<CommitScratch> =
-        std::cell::RefCell::new(CommitScratch::default());
+    /// own and a warmed thread serves a run without allocating.
+    static GROUP_COMMIT: std::cell::RefCell<GroupCommit> =
+        std::cell::RefCell::new(GroupCommit::default());
+}
+
+/// One caller thread's scratch for its grouped calls (see `GROUP_COMMIT`).
+#[derive(Default)]
+struct GroupCommit {
+    /// The chosen bins of a sub-group's routes, or the bins a
+    /// `release_many` group redeemed from.
+    chosen: Vec<u32>,
+    /// The grouped load commit's counters.
+    settle: SettleScratch,
+    /// The route keys of the sub-group being served.
+    keys: Vec<u64>,
+    /// The bins its releases took balls out of, in request order.
+    departed: Vec<u32>,
+    /// `Core::route_many_into`'s tickets, lent out for the call.
+    tickets: Vec<Option<Ticket>>,
 }
 
 /// How a shell lends the core one piece of single-writer state: the sole
@@ -528,15 +544,16 @@ impl ConcurrentRouter {
         self.shared.core.route(&mut self.shared.writer(), key)
     }
 
-    /// Routes a group of keys from any thread — the amortized hot path. The
-    /// group is processed in sub-groups capped at the open batch's remaining
-    /// room, and each sub-group pays the per-route overhead **once**: one
-    /// topology read, one thresholds fetch (priced lazily like the first
-    /// route of a batch), one epoch-cell read, one grouped load commit
-    /// ([`ShardedBins::place_group_with`]) with one draining recheck after it
-    /// (an epoch compare; see the module docs), one ledger pass per touched
-    /// shard ([`SharedTicketLedger::issue_many`]), and whole-group counter
-    /// adds.
+    /// Routes a group of keys from any thread — the amortized hot path, and
+    /// the all-`ROUTE` case of [`ConcurrentRouter::serve_wire`]. The group is
+    /// processed in sub-groups capped at the open batch's remaining room, and
+    /// each sub-group pays the per-route overhead **once**: one topology
+    /// read, one thresholds fetch (priced lazily like the first route of a
+    /// batch), one epoch-cell read, one grouped load commit
+    /// ([`ShardedBins::place_unrecorded_with`]) with one draining recheck
+    /// after it (an epoch compare; see the module docs), one ledger lock per
+    /// touched shard ([`SharedTicketLedger::settle`]), one shard-stats lock
+    /// per touched shard and whole-group counter adds.
     ///
     /// With one caller this is bit-identical to looping
     /// [`ConcurrentRouter::route`] (property-tested across every policy ×
@@ -545,19 +562,9 @@ impl ConcurrentRouter {
     /// and every boundary still closes after `batch_size` routed balls.
     pub fn route_many(&self, keys: &[u64]) -> Result<Vec<Placement>, RouteError> {
         let mut placements = Vec::with_capacity(keys.len());
-        self.route_many_into(keys, &mut placements)?;
-        Ok(placements)
-    }
-
-    /// [`ConcurrentRouter::route_many`] into `out` (overwritten), so a warmed
-    /// buffer routes a group without allocating one.
-    pub fn route_many_into(
-        &self,
-        keys: &[u64],
-        out: &mut Vec<Placement>,
-    ) -> Result<(), RouteError> {
         let core = &self.shared.core;
-        core.route_many_into(&mut self.shared.writer(), keys, out)
+        core.route_many_into(&mut self.shared.writer(), keys, &mut placements)?;
+        Ok(placements)
     }
 
     /// Simulates a **bin crash** from any thread: force-releases every
@@ -613,7 +620,7 @@ impl ConcurrentRouter {
     /// ([`SharedTicketLedger::redeem_many`] — the whole group is validated
     /// under the shard locks, then removed, so it redeems atomically), one
     /// grouped load decrement per distinct bin
-    /// ([`ShardedBins::release_group_with`]), and whole-group counter adds.
+    /// ([`ShardedBins::settle_group_with`]), and whole-group counter adds.
     ///
     /// With one caller this is bit-identical to looping
     /// [`ConcurrentRouter::release`] (property-tested): per-release
@@ -633,19 +640,36 @@ impl ConcurrentRouter {
         self.shared.core.ledger.wire_id(ticket)
     }
 
-    /// Releases the balls a run of wire ids names, writing into `out`
-    /// (overwritten, in order) the released ticket — at the bin its ball
-    /// left — of each id, or `None` for an id that names no resident ball
-    /// (never issued, already released, or a repeat within the run). One
-    /// ledger lock pass ([`SharedTicketLedger::redeem_wire`]), then the tail
-    /// [`ConcurrentRouter::release_many`] runs: one grouped load decrement,
-    /// whole-group counter adds, and a [`ReleaseEvent`] per released ball in
-    /// input order. With one caller this is exactly looping decode +
-    /// [`ConcurrentRouter::release`] over the ids that decode
-    /// (property-tested); a `None` reaches neither the loads nor the
+    /// Serves a run of wire requests — routes and releases by wire id, in
+    /// any order — writing into `out` (overwritten, one entry per request,
+    /// in order) each route's ticket and each release's released ticket, at
+    /// the bin its ball left, or `None` when its wire id names no resident
+    /// ball: never issued, already released, repeated within the run, or
+    /// issued only by a later route of the run.
+    ///
+    /// Every ball of a batch decides against the same stale snapshot, so the
+    /// requests of a batch commute up to its boundary, and the run is served
+    /// in sub-groups that each end at the route filling the open batch. A
+    /// sub-group's routes are chosen under one view and committed with one
+    /// draining recheck; one ledger pass ([`SharedTicketLedger::settle`])
+    /// then issues and redeems in request order, locking each touched shard
+    /// once; the released balls depart in one grouped decrement, shard
+    /// stats are written once per touched shard — peaks from each bin's
+    /// running load in request order — and counters are added once.
+    ///
+    /// With one caller this leaves every observable exactly as serving the
+    /// requests one at a time does — tickets, loads, snapshot epochs, the
+    /// gap trajectory, counters and [`ShardStats`] (property-tested). When
+    /// the open batch has no route yet and its first route will price
+    /// thresholds or apply staged changes, releases ahead of that route are
+    /// settled first, so both see them as the loop does. With an observer
+    /// registered each request takes the one-at-a-time path, so events fire
+    /// as the loop fires them. A `None` reaches neither the loads nor the
     /// observers nor `route.rejected_unknown_ticket`.
-    pub fn release_wire(&self, wires: &[u64], out: &mut Vec<Option<Ticket>>) {
-        self.shared.core.release_wire(wires, out)
+    pub fn serve_wire(&self, requests: &[WireRequest], out: &mut Vec<Option<Ticket>>) {
+        out.clear();
+        let core = &self.shared.core;
+        core.serve(&mut self.shared.writer(), requests, |&request| request, out)
     }
 
     /// Buffers one arriving ball (fire and forget) from any thread; returns
@@ -1097,81 +1121,210 @@ impl Core {
     }
 
     /// Routes a group of keys into `out` (overwritten), bit-identical (with
-    /// one caller) to looping [`Core::route`] but paying the per-route reads
-    /// once per sub-group; see [`ConcurrentRouter::route_many`].
+    /// one caller) to looping [`Core::route`]: [`Core::serve`] over a run of
+    /// routes only; see [`ConcurrentRouter::route_many`].
     pub(crate) fn route_many_into(
         &self,
         writer: &mut Writer<'_>,
         keys: &[u64],
         out: &mut Vec<Placement>,
     ) -> Result<(), RouteError> {
+        let lend = |scratch: &std::cell::RefCell<GroupCommit>| {
+            std::mem::take(&mut scratch.borrow_mut().tickets)
+        };
+        let mut tickets = GROUP_COMMIT.with(lend);
+        tickets.clear();
+        self.serve(writer, keys, |&key| WireRequest::Route(key), &mut tickets);
         out.clear();
-        // A singleton group amortizes nothing: delegate to `route`.
-        if let [key] = keys {
-            out.push(self.route(writer, *key)?);
-            return Ok(());
-        }
-        let mut rest = keys;
+        out.extend(tickets.iter().map(|ticket| {
+            let ticket = ticket.expect("every route is issued a ticket");
+            Placement {
+                ticket,
+                bin: ticket.bin(),
+            }
+        }));
+        GROUP_COMMIT.with(|scratch| scratch.borrow_mut().tickets = tickets);
+        Ok(())
+    }
+
+    /// Serves a run of routes and releases in request order, appending one
+    /// entry per request to `out`; see [`ConcurrentRouter::serve_wire`].
+    pub(crate) fn serve<R>(
+        &self,
+        writer: &mut Writer<'_>,
+        requests: &[R],
+        kind: impl Fn(&R) -> WireRequest + Copy,
+        out: &mut Vec<Option<Ticket>>,
+    ) {
+        let mut rest = requests;
         while !rest.is_empty() {
-            self.apply_staged_at_batch_open(writer);
-            // Cap the sub-group at the open batch's remaining room so the
-            // boundary (and any staged re-pricing) lands exactly where the
-            // one-at-a-time loop would put it. Racing callers can push
-            // `open_routed` past the cap between the read and our commit —
-            // the same overshoot racing individual routes produce; `max(1)`
-            // guarantees progress.
-            let open = self.open_routed.load(Ordering::Acquire);
-            let room = (self.config.batch_size as u64).saturating_sub(open).max(1) as usize;
-            let take = rest.len().min(room);
+            let (take, routes) = self.sub_group(rest, kind);
             let (group, tail) = rest.split_at(take);
             rest = tail;
-            let placed = out.len();
-            GROUP_COMMIT.with(|scratch| {
-                let scratch = &mut *scratch.borrow_mut();
-                // Read once per sub-group what `route` reads once per key.
-                let (seen, ()) = self.with_route_chooser(|chooser| {
-                    let chosen = &mut scratch.chosen;
-                    commit::choose_into(chooser, group, |&key| key, Execution::INLINE, chosen)
-                });
-                let base = self.commit_group(seen, group, scratch);
-                self.ledger.issue_group(base, &scratch.chosen, |ticket| {
-                    let bin = ticket.bin();
-                    out.push(Placement { ticket, bin });
-                });
-            });
-            if self.has_observers.load(Ordering::Acquire) {
-                // Per-arrival taps fire in arrival order, before this group
-                // can close its batch, with the same resident counts the
-                // loop would report (exact with one caller).
-                let resident_base = self.resident_now().saturating_sub(take as u64);
-                let chain = self.observers.lock().expect("observer chain");
-                for (offset, (&key, placement)) in group.iter().zip(&out[placed..]).enumerate() {
-                    let event = RouteEvent {
-                        key,
-                        ticket: placement.ticket,
-                        resident: resident_base + offset as u64 + 1,
-                    };
-                    self.each_observer(&chain.0, |observer| observer.on_route(&event));
+            // A request alone amortizes nothing, and observers must hear
+            // every request as the loop tells it.
+            if group.len() == 1 || self.has_observers.load(Ordering::Acquire) {
+                self.serve_one_by_one(writer, group, kind, out);
+            } else {
+                self.serve_group(writer, group, routes, kind, out);
+            }
+        }
+    }
+
+    /// The sub-group `requests` starts with, as `(requests, routes)`: up to
+    /// and including the route that fills the open batch, so the boundary
+    /// (and any staged re-pricing) lands exactly where the one-at-a-time
+    /// loop puts it. While the open batch has no route yet and its first
+    /// route will price thresholds or apply staged changes, the releases
+    /// ahead of that route form a sub-group of their own, so that pricing
+    /// and staging see their departures as the loop does.
+    fn sub_group<R>(&self, requests: &[R], kind: impl Fn(&R) -> WireRequest) -> (usize, usize) {
+        // Racing callers can push `open_routed` past the cap between the read
+        // and our commit — the same overshoot racing individual routes
+        // produce; `max(1)` guarantees progress.
+        let open = self.open_routed.load(Ordering::Acquire);
+        let room = (self.config.batch_size as u64).saturating_sub(open).max(1) as usize;
+        let opening = open == 0
+            && (uses_thresholds(self.config.policy)
+                || self.has_pending_membership.load(Ordering::Acquire));
+        let mut routes = 0;
+        for (at, request) in requests.iter().enumerate() {
+            if let WireRequest::Route(_) = kind(request) {
+                if opening && routes == 0 && at > 0 {
+                    return (at, 0);
+                }
+                routes += 1;
+                if routes == room {
+                    return (at + 1, routes);
                 }
             }
-            let open = self.open_routed.fetch_add(take as u64, Ordering::AcqRel) + take as u64;
+        }
+        (requests.len(), routes)
+    }
+
+    /// Serves one sub-group in one pass: its routes chosen under one view and
+    /// committed with one draining recheck, one ledger pass that issues and
+    /// redeems in request order, the redeemed balls departed and every
+    /// touched shard's stats written once, then the counters added once and
+    /// the batch closed if the sub-group filled it.
+    fn serve_group<R>(
+        &self,
+        writer: &mut Writer<'_>,
+        group: &[R],
+        routes: usize,
+        kind: impl Fn(&R) -> WireRequest + Copy,
+        out: &mut Vec<Option<Ticket>>,
+    ) {
+        if routes > 0 {
+            self.apply_staged_at_batch_open(writer);
+        }
+        let settled = out.len();
+        GROUP_COMMIT.with(|scratch| {
+            let GroupCommit {
+                chosen,
+                settle,
+                keys,
+                departed,
+                ..
+            } = &mut *scratch.borrow_mut();
+            keys.clear();
+            keys.extend(group.iter().filter_map(|request| match kind(request) {
+                WireRequest::Route(key) => Some(key),
+                WireRequest::Release(_) => None,
+            }));
+            let base = if routes > 0 {
+                // Read once per sub-group what `route` reads once per key.
+                let (seen, ()) = self.with_route_chooser(|chooser| {
+                    commit::choose_into(chooser, keys, |&key| key, Execution::INLINE, chosen)
+                });
+                self.commit_group(seen, keys, chosen, settle)
+            } else {
+                chosen.clear();
+                0
+            };
+            self.ledger.settle(group, kind, base, chosen, out);
+            let served = || group.iter().map(kind).zip(&out[settled..]);
+            departed.clear();
+            departed.extend(served().filter_map(|(request, ticket)| match request {
+                WireRequest::Route(_) => None,
+                WireRequest::Release(_) => ticket.map(|ticket| ticket.bin() as u32),
+            }));
+            let order = served().filter_map(|(request, ticket)| match request {
+                WireRequest::Route(_) => Some(true),
+                WireRequest::Release(_) => ticket.map(|_| false),
+            });
+            let taken = self.bins.settle_group_with(chosen, departed, order, settle);
+            // Every redeemed ball held a load unit: nothing can underflow
+            // unless ledger and bins diverged (a bug, as in `migrate_drained`).
+            assert_eq!(
+                taken,
+                departed.len() as u64,
+                "a redeemed ball held a load unit"
+            );
+            if taken > 0 {
+                self.departed.fetch_add(taken, Ordering::AcqRel);
+                self.released.fetch_add(taken, Ordering::AcqRel);
+                if let Some(metrics) = &self.metrics {
+                    metrics.released.add(taken);
+                }
+            }
+        });
+        if routes > 0 {
+            let open = self.open_routed.fetch_add(routes as u64, Ordering::AcqRel) + routes as u64;
             if open >= self.config.batch_size as u64 {
                 self.close_routed_batches(writer, false);
             }
         }
-        Ok(())
     }
 
-    /// Commits a sub-group chosen under topology epoch `seen` — the drain's
-    /// grouped commit: one atomic increment per distinct bin, one stats lock
-    /// per touched shard — re-routes whatever a scale event published since
-    /// has drained from under it, and returns the group's first ball id, for
-    /// the ledger to ticket `scratch.chosen` from.
-    fn commit_group(&self, seen: u64, group: &[u64], scratch: &mut CommitScratch) -> u64 {
+    /// Serves a sub-group one request at a time: `route`, or a one-id
+    /// ledger settle and `depart`, each firing its observer events.
+    fn serve_one_by_one<R>(
+        &self,
+        writer: &mut Writer<'_>,
+        group: &[R],
+        kind: impl Fn(&R) -> WireRequest + Copy,
+        out: &mut Vec<Option<Ticket>>,
+    ) {
+        for request in group {
+            match kind(request) {
+                WireRequest::Route(key) => {
+                    let placement = self.route(writer, key).expect("routing is infallible");
+                    out.push(Some(placement.ticket));
+                }
+                WireRequest::Release(_) => {
+                    self.ledger
+                        .settle(std::slice::from_ref(request), kind, 0, &[], out);
+                    if let Some(&Some(ticket)) = out.last() {
+                        let departed = self.depart(ticket, ticket.bin());
+                        departed.expect("a redeemed ball held a load unit");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Commits the routes of a sub-group chosen under topology epoch `seen` —
+    /// one atomic increment per distinct bin, shard stats left for
+    /// [`ShardedBins::settle_group_with`] — re-routes whatever a scale event
+    /// published since has drained from under it, and returns the group's
+    /// first ball id, for the ledger to ticket `chosen` from.
+    fn commit_group(
+        &self,
+        seen: u64,
+        group: &[u64],
+        chosen: &mut [u32],
+        scratch: &mut SettleScratch,
+    ) -> u64 {
         let bin_commits = self.metrics.as_ref().map(|m| &m.bin_commits);
-        commit::place_chosen(&self.bins, scratch, bin_commits);
+        self.bins
+            .place_unrecorded_with(chosen, scratch, |bin, count| {
+                if let Some(bin_commits) = bin_commits {
+                    bin_commits.add(bin, count as u64);
+                }
+            });
         if self.topology_moved_since(seen) {
-            self.reroute_drained(&self.topology.load(), group, &mut scratch.chosen);
+            self.reroute_drained(&self.topology.load(), group, chosen);
         }
         let take = group.len() as u64;
         let base = self.next_ball.fetch_add(take, Ordering::AcqRel);
@@ -1233,15 +1386,20 @@ impl Core {
 
     /// Releases one routed ball: redeem, depart, notify.
     pub(crate) fn release(&self, ticket: Ticket) -> Result<(), RouteError> {
-        let bin = match self.ledger.redeem(ticket) {
-            Ok(bin) => bin,
+        match self.ledger.redeem(ticket) {
+            Ok(bin) => self.depart(ticket, bin),
             Err(err) => {
                 if let Some(metrics) = &self.metrics {
                     metrics.rejected_unknown_ticket.inc();
                 }
-                return Err(err);
+                Err(err)
             }
-        };
+        }
+    }
+
+    /// The rest of one release once the ledger has taken `ticket`'s ball out
+    /// of `bin`: depart, count, notify.
+    fn depart(&self, ticket: Ticket, bin: usize) -> Result<(), RouteError> {
         if !self.bins.depart(bin) {
             // Defensive: a redeemed ticket names a resident ball, so its bin
             // cannot be empty unless ledger and bins diverged (a bug, not a
@@ -1292,19 +1450,7 @@ impl Core {
         Ok(())
     }
 
-    /// Releases the balls a run of wire ids names; see
-    /// [`ConcurrentRouter::release_wire`].
-    pub(crate) fn release_wire(&self, wires: &[u64], out: &mut Vec<Option<Ticket>>) {
-        self.ledger.redeem_wire(wires, out);
-        GROUP_COMMIT.with(|scratch| {
-            let chosen = &mut scratch.borrow_mut().chosen;
-            chosen.clear();
-            chosen.extend(out.iter().flatten().map(|ticket| ticket.bin() as u32));
-        });
-        self.depart_redeemed(out.iter().flatten().copied());
-    }
-
-    /// The tail of every grouped release, once the ledger has redeemed its
+    /// The tail of a grouped release, once the ledger has redeemed its
     /// `tickets` and left the bins their balls were in, in order, in this
     /// thread's `GROUP_COMMIT.chosen`: one grouped load decrement per
     /// distinct bin, whole-group counter adds, and one [`ReleaseEvent`] per
@@ -1312,11 +1458,10 @@ impl Core {
     /// (exact with one caller).
     fn depart_redeemed(&self, tickets: impl Iterator<Item = Ticket>) {
         let (taken, redeemed) = GROUP_COMMIT.with(|scratch| {
-            let scratch = &mut *scratch.borrow_mut();
-            let taken = self
-                .bins
-                .release_group_with(&scratch.chosen, &mut scratch.group);
-            (taken, scratch.chosen.len() as u64)
+            let GroupCommit { chosen, settle, .. } = &mut *scratch.borrow_mut();
+            let departures = std::iter::repeat_n(false, chosen.len());
+            let taken = self.bins.settle_group_with(&[], chosen, departures, settle);
+            (taken, chosen.len() as u64)
         });
         // Every redeemed ball held a load unit: nothing can underflow unless
         // ledger and bins diverged (a bug, as in `migrate_drained`).
@@ -2063,7 +2208,7 @@ mod tests {
         let router = settled_router();
         let core = &router.shared.core;
         let group = keys(32, 2);
-        let mut scratch = CommitScratch::default();
+        let (mut scratch, mut settle) = (CommitScratch::default(), SettleScratch::default());
 
         // Step 1: the group chooses, under topology epoch 0.
         let seen = choose_group(core, &group, &mut scratch);
@@ -2086,7 +2231,7 @@ mod tests {
         // Step 3: the group commits. One look at the fresh topology; the
         // victim's whole delta comes back; exactly its keys move.
         let rechecks = topology_rechecks();
-        let base = core.commit_group(seen, &group, &mut scratch);
+        let base = core.commit_group(seen, &group, &mut scratch.chosen, &mut settle);
         let tickets = core.ledger.issue_many(base, &scratch.chosen);
         assert_eq!(topology_rechecks() - rechecks, 1);
         assert_eq!(rejected_routes(&router), hits);
@@ -2162,12 +2307,12 @@ mod tests {
         // A publication that drains nothing costs the one commit it races
         // one look, rejects nothing and moves nobody.
         let group = keys(32, 3);
-        let mut scratch = CommitScratch::default();
+        let (mut scratch, mut settle) = (CommitScratch::default(), SettleScratch::default());
         let seen = choose_group(core, &group, &mut scratch);
         let chosen = scratch.chosen.clone();
         apply_now(&router, |router| router.set_weights(BinWeights::Uniform));
         assert_eq!(core.topology.epoch(), 1);
-        let base = core.commit_group(seen, &group, &mut scratch);
+        let base = core.commit_group(seen, &group, &mut scratch.chosen, &mut settle);
         core.ledger.issue_many(base, &scratch.chosen);
         assert_eq!(topology_rechecks(), rechecks + 1);
         assert_eq!((scratch.chosen, rejected_routes(&router)), (chosen, 0));

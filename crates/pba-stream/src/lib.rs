@@ -133,7 +133,7 @@ pub use snapshot::StreamSnapshot;
 // Re-exported so weighted stream configurations need only this crate.
 pub use pba_model::router::{
     BatchEvent, MembershipChange, Placement, ReleaseEvent, ReweightEvent, RouteError, RouteEvent,
-    Router, RouterObserver, RouterStats, Ticket,
+    Router, RouterObserver, RouterStats, Ticket, WireRequest,
 };
 pub use pba_model::weights::{BinWeights, ResolvedWeights};
 

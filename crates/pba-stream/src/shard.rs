@@ -24,7 +24,8 @@ pub struct ShardStats {
 }
 
 /// Reusable scratch of the grouped commits
-/// ([`ShardedBins::place_group_with`], [`ShardedBins::release_group_with`]):
+/// ([`ShardedBins::place_group_with`], and the settle pair through
+/// [`SettleScratch`]):
 /// owned by whoever commits repeatedly, so a warmed commit allocates nothing.
 /// Every counter in it is zero between commits.
 #[derive(Debug, Default)]
@@ -36,6 +37,22 @@ pub struct GroupScratch {
     touched: Vec<u32>,
     /// Per shard: balls committed, and the peak load among its touched bins.
     shards: Vec<(u64, u32)>,
+}
+
+/// Reusable scratch of a group whose departures interleave with its places
+/// ([`ShardedBins::place_unrecorded_with`], then
+/// [`ShardedBins::settle_group_with`]), owned like a [`GroupScratch`].
+#[derive(Debug, Default)]
+pub struct SettleScratch {
+    /// Per-bin counting, as in the other grouped commits.
+    group: GroupScratch,
+    /// Per bin, during a settle: the running load relative to the group's
+    /// start, and its largest value at a place — `(0, i32::MIN)` between
+    /// commits.
+    running: Vec<(i32, i32)>,
+    /// Per shard: the bookkeeping the open group owes it, zero between
+    /// commits (the place half counts `accepted`).
+    settled: Vec<ShardStats>,
 }
 
 /// Counts `bins` into `delta` (one slot per bin of an `n`-bin array, all zero
@@ -176,6 +193,117 @@ impl ShardedBins {
         self.place_group_with(bins, &mut GroupScratch::default(), |_, _| {});
     }
 
+    /// Places a group of balls — one entry of `bins` per ball — with **one**
+    /// atomic increment per distinct bin, calling `per_bin(bin, count)` once
+    /// per distinct bin, and counts them as accepted into `scratch`, with
+    /// each shard's peak as [`ShardedBins::place_group_with`] takes it; the
+    /// shard stats are written by the [`ShardedBins::settle_group_with`]
+    /// that must follow. The first half of a group whose releases interleave
+    /// with its places.
+    pub fn place_unrecorded_with(
+        &self,
+        bins: &[u32],
+        scratch: &mut SettleScratch,
+        mut per_bin: impl FnMut(usize, u32),
+    ) {
+        let SettleScratch { group, settled, .. } = scratch;
+        let GroupScratch { delta, touched, .. } = group;
+        settled.resize(self.shards, ShardStats::default());
+        for_each_distinct(bins, self.len(), delta, touched, |bin, count| {
+            let new_load = self.bins.add_many(bin, count);
+            let stats = &mut settled[self.shard_of(bin)];
+            stats.accepted += count as u64;
+            stats.peak_load = stats.peak_load.max(new_load);
+            per_bin(bin, count);
+        });
+    }
+
+    /// The second half of a group begun by
+    /// [`ShardedBins::place_unrecorded_with`]: removes the `departed` balls
+    /// (one grouped decrement per distinct bin) and writes each touched
+    /// shard's stats under one lock. `order` lists the group's places
+    /// (`true`, the balls of `placed` in turn) and departures (`false`, those
+    /// of `departed`) in request order, and each shard's peak is taken from
+    /// its bins' running loads in that order — what a loop of
+    /// [`ShardedBins::place`] and [`ShardedBins::depart`] records. Once a
+    /// departure precedes a place, loads can fall inside a group, so the
+    /// largest final load is no longer the peak; until then it is, and the
+    /// peaks the place half took stand. Returns how many balls departed.
+    pub fn settle_group_with(
+        &self,
+        placed: &[u32],
+        departed: &[u32],
+        order: impl Iterator<Item = bool> + Clone,
+        scratch: &mut SettleScratch,
+    ) -> u64 {
+        let SettleScratch {
+            group,
+            running,
+            settled,
+        } = scratch;
+        let GroupScratch { delta, touched, .. } = group;
+        settled.resize(self.shards, ShardStats::default());
+        running.resize(self.len(), (0, i32::MIN));
+        let mut taken = 0u64;
+        for_each_distinct(departed, self.len(), delta, touched, |bin, count| {
+            let released = self.bins.try_release_many(bin, count) as u64;
+            settled[self.shard_of(bin)].departed += released;
+            taken += released;
+        });
+        if order.clone().skip_while(|&place| place).any(|place| place) {
+            self.settle_peaks(placed, departed, order, running, settled);
+        }
+        for (shard, owed) in settled.iter_mut().enumerate() {
+            if owed.accepted > 0 || owed.departed > 0 {
+                let mut stats = self.stats[shard].lock().expect("shard lock");
+                stats.accepted += owed.accepted;
+                stats.departed += owed.departed;
+                stats.peak_load = stats.peak_load.max(owed.peak_load);
+                *owed = ShardStats::default();
+            }
+        }
+        taken
+    }
+
+    /// Replaces the peaks in `settled` by each shard's largest running load
+    /// at a place, walking `order` over the loads the group left.
+    fn settle_peaks(
+        &self,
+        placed: &[u32],
+        departed: &[u32],
+        order: impl Iterator<Item = bool>,
+        running: &mut [(i32, i32)],
+        settled: &mut [ShardStats],
+    ) {
+        settled.iter_mut().for_each(|owed| owed.peak_load = 0);
+        let (mut places, mut departures) = (placed.iter(), departed.iter());
+        for place in order {
+            if place {
+                let bin = *places.next().expect("a place per placed ball") as usize;
+                let (load, peak) = &mut running[bin];
+                *load += 1;
+                *peak = (*peak).max(*load);
+            } else {
+                let bin = *departures.next().expect("a departure per departed ball");
+                running[bin as usize].0 -= 1;
+            }
+        }
+        // A placed bin's load before the group is its load now less the
+        // group's net change to it: exact with one caller, and clamped at
+        // zero for when other callers' releases race the read.
+        for &bin in placed {
+            let (net, top) = std::mem::replace(&mut running[bin as usize], (0, i32::MIN));
+            if top != i32::MIN {
+                let before = self.bins.load(bin as usize) as i64 - net as i64;
+                let stats = &mut settled[self.shard_of(bin as usize)];
+                stats.peak_load = stats.peak_load.max((before + top as i64).max(0) as u32);
+            }
+        }
+        for &bin in departed {
+            running[bin as usize].0 = 0;
+        }
+    }
+
     /// Folds one batch's worth of per-shard bookkeeping under the shard lock.
     pub fn record_batch(&self, shard: usize, accepted: u64, peak_load: u32) {
         let mut stats = self.stats[shard].lock().expect("shard lock");
@@ -196,37 +324,15 @@ impl ShardedBins {
     /// Removes a group of balls — one entry of `bins` per ball — committing
     /// **one** grouped atomic decrement per distinct bin
     /// ([`AtomicBins::try_release_many`]) and taking each touched shard's
-    /// stats lock once. The departure-side twin of
-    /// [`ShardedBins::place_group_with`], equivalent to calling
+    /// stats lock once: [`ShardedBins::settle_group_with`] with departures
+    /// only, on a scratch of its own. Equivalent to calling
     /// [`ShardedBins::depart`] once per entry: each bin's decrement clamps
     /// at zero exactly where the loop's `try_release` calls would start
     /// failing. Returns how many balls actually departed (`bins.len()`
     /// unless some bin underflowed — a caller bug, never silent).
-    pub fn release_group_with(&self, bins: &[u32], scratch: &mut GroupScratch) -> u64 {
-        let GroupScratch {
-            delta,
-            touched,
-            shards,
-        } = scratch;
-        shards.resize(self.shards, (0, 0));
-        let mut total = 0u64;
-        for_each_distinct(bins, self.len(), delta, touched, |bin, count| {
-            let released = self.bins.try_release_many(bin, count) as u64;
-            shards[self.shard_of(bin)].0 += released;
-            total += released;
-        });
-        for (shard, (departed, _)) in shards.iter_mut().enumerate() {
-            if *departed > 0 {
-                self.stats[shard].lock().expect("shard lock").departed += *departed;
-                *departed = 0;
-            }
-        }
-        total
-    }
-
-    /// [`ShardedBins::release_group_with`] on a scratch of its own.
     pub fn release_group(&self, bins: &[u32]) -> u64 {
-        self.release_group_with(bins, &mut GroupScratch::default())
+        let departures = std::iter::repeat_n(false, bins.len());
+        self.settle_group_with(&[], bins, departures, &mut SettleScratch::default())
     }
 
     /// Current load of `bin`.
@@ -393,13 +499,59 @@ mod tests {
                 assert_eq!(commits, expected_commits);
                 // Release a prefix of what was just placed, the same way.
                 let leaving = &group[..len / 2];
-                let departed = grouped.release_group_with(leaving, &mut scratch);
+                let departed = grouped.release_group(leaving);
                 assert_eq!(departed, leaving.len() as u64);
                 for &bin in leaving {
                     assert!(looped.depart(bin as usize));
                 }
                 assert_eq!(grouped.snapshot(), looped.snapshot(), "n {n} S {shards}");
                 assert_eq!(grouped.all_shard_stats(), looped.all_shard_stats());
+            }
+        }
+    }
+
+    #[test]
+    fn a_settled_group_records_the_running_peaks_of_the_loop() {
+        use pba_model::rng::SplitMix64;
+        let mut rng = SplitMix64::new(9);
+        let mut scratch = SettleScratch::default();
+        for (n, shards) in [(1, 1), (8, 3), (30, 4), (7, 7)] {
+            let (grouped, looped) = (ShardedBins::new(n, shards), ShardedBins::new(n, shards));
+            for round in 0..20 {
+                // Ball `i` of `placed` may leave again as `departed[i]`, and
+                // only after its place, so no bin underflows; otherwise the
+                // order interleaves the two at random, or puts every place
+                // first.
+                let len = 1 + rng.gen_index(3 * n + 4);
+                let placed: Vec<u32> = (0..len).map(|_| rng.gen_index(n) as u32).collect();
+                let departed = &placed[..rng.gen_index(len + 1)];
+                let (mut places, mut departures, mut order) = (0, 0, Vec::new());
+                while places < len || departures < departed.len() {
+                    let place = places < len
+                        && (departures == places
+                            || departures == departed.len()
+                            || rng.next_u64().is_multiple_of(2));
+                    order.push(place);
+                    *if place { &mut places } else { &mut departures } += 1;
+                }
+                if round % 3 == 0 {
+                    // Every place first: the peaks the place half took.
+                    order.sort_by_key(|&place| !place);
+                }
+                grouped.place_unrecorded_with(&placed, &mut scratch, |_, _| {});
+                let order_of = || order.iter().copied();
+                let taken = grouped.settle_group_with(&placed, departed, order_of(), &mut scratch);
+                assert_eq!(taken, departed.len() as u64);
+                let (mut placed, mut departed) = (placed.iter(), departed.iter());
+                for place in order_of() {
+                    match place {
+                        true => looped.place(*placed.next().unwrap() as usize),
+                        false => assert!(looped.depart(*departed.next().unwrap() as usize)),
+                    }
+                }
+                assert_eq!(grouped.snapshot(), looped.snapshot());
+                let at = format!("n {n} S {shards} round {round}");
+                assert_eq!(grouped.all_shard_stats(), looped.all_shard_stats(), "{at}");
             }
         }
     }

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use pba_membership::{BinState, Membership, MembershipEvent, MembershipPlan};
     pub use pba_model::{
         AllocationOutcome, Allocator, BinWeights, EngineConfig, OneShotRouter, Placement,
-        RouteError, Router, RouterObserver, RouterStats, Ticket,
+        RouteError, Router, RouterObserver, RouterStats, Ticket, WireRequest,
     };
     pub use pba_net::{
         LineClient, ReactorConfig, ReactorServer, Session, MAX_ADD_TIER, MAX_LINE_LEN,

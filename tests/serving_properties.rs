@@ -10,8 +10,8 @@
 //!    partitions, with and without a spliced-in bogus ticket, the grouped
 //!    departure surface produces the identical observer event stream, final
 //!    loads, and error behaviour as the one-at-a-time loop; and
-//!    **`release_wire` ≡ looped decode + `release`** over wire ids, with a
-//!    repeat, a never-issued id and a stale id spliced in.
+//!    **`serve_wire` ≡ looped decode + `release`** over runs of wire-id
+//!    releases, with a repeat, a never-issued id and a stale id spliced in.
 //! 3. **Pipelined serving stress** — k concurrent pipelined connections
 //!    (6 and 64) through the reactor front-end conserve every ball and drop
 //!    nothing.
@@ -23,6 +23,11 @@
 //! 5. **One protocol, three transports** — the same stream written whole
 //!    to the reactor on epoll and on the fallback poller gets the
 //!    in-process `Session`'s reply bytes and router state exactly.
+//! 6. **A mixed run is one call, exactly** — random interleaved
+//!    `ROUTE`/`RELEASE` streams fed whole (every run one `serve_wire` call)
+//!    and fed one line per `feed` leave identical replies, stats, loads,
+//!    shard stats (peaks included), gap trajectories, epochs, resident
+//!    tickets and observer events.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write as IoWrite};
@@ -33,7 +38,7 @@ use proptest::prelude::*;
 
 use parallel_balanced_allocations::model::rng::SplitMix64;
 use parallel_balanced_allocations::model::router::ReleaseEvent;
-use parallel_balanced_allocations::model::{RouteError, RouterObserver, Ticket};
+use parallel_balanced_allocations::model::{RouteError, RouterObserver, Ticket, WireRequest};
 use parallel_balanced_allocations::net::codec::{parse_canonical_line, parse_request, Request};
 use parallel_balanced_allocations::net::{
     ReactorConfig, ReactorServer, Session, MAX_ADD_TIER, MAX_LINE_LEN,
@@ -388,11 +393,11 @@ proptest! {
 
     /// The same departure stream as wire ids, with a repeat, a never-issued
     /// id and a stale id in a reused slot spliced in, through arbitrary
-    /// partitions of `release_wire`: the per-id outcomes, the observer
-    /// events and the final loads are the loop's — decode each id (it names
-    /// a resident ball or nothing), release what it names.
+    /// partitions into `serve_wire` runs of releases: the per-id outcomes,
+    /// the observer events and the final loads are the loop's — decode each
+    /// id (it names a resident ball or nothing), release what it names.
     #[test]
-    fn release_wire_partitions_match_the_decode_and_release_loop(
+    fn serve_wire_release_partitions_match_the_decode_and_release_loop(
         bins_exp in 2u32..6,
         per in 2u64..300,
         chunk_seed in 0u64..1_000,
@@ -418,12 +423,13 @@ proptest! {
         let mut rng = SplitMix64::for_stream(seed, 0x3e1e, 5);
         prop_assert_eq!(&wire_stream(&fused, &mut tickets2, victim, &mut rng), &stream);
         let mut chunk_rng = SplitMix64::for_stream(chunk_seed, 0xc41a, 2);
+        let stream: Vec<WireRequest> = stream.into_iter().map(WireRequest::Release).collect();
         let mut outcomes = Vec::new();
         let mut out = Vec::new();
         let mut at = 0usize;
         while at < stream.len() {
             let hi = (at + 1 + (chunk_rng.next_u64() % 97) as usize).min(stream.len());
-            fused.release_wire(&stream[at..hi], &mut out);
+            fused.serve_wire(&stream[at..hi], &mut out);
             outcomes.extend(out.iter().map(|ticket| ticket.map(|t| (t.id(), t.bin()))));
             at = hi;
         }
@@ -655,41 +661,80 @@ fn serve_chunked(seed: u64, stream: &[u8], cuts: &[usize]) -> (Vec<u8>, RouterSt
     (replies, router.stats(), router.loads())
 }
 
+/// A session fed one line per `feed`, to learn the wire id each `ROUTE`
+/// of a stream under construction is issued — what a client learns from its
+/// replies before it sends a `RELEASE`.
+struct Planner {
+    session: Session,
+    conn: parallel_balanced_allocations::net::ConnState,
+}
+
+impl Planner {
+    fn new(router: ConcurrentRouter) -> Self {
+        let session = Session::new(router);
+        let conn = session.connect();
+        Self { session, conn }
+    }
+
+    /// Feeds one line; returns its reply line without the newline.
+    fn say(&mut self, line: &[u8]) -> String {
+        let mut reply = Vec::new();
+        self.session.feed(&mut self.conn, line, &mut reply);
+        String::from_utf8(reply)
+            .expect("ASCII replies")
+            .trim_end()
+            .to_string()
+    }
+
+    /// Feeds `ROUTE key`; returns the issued wire id.
+    fn route(&mut self, line: &str) -> u64 {
+        let reply = self.say(line.as_bytes());
+        reply
+            .rsplit(' ')
+            .next()
+            .unwrap()
+            .parse()
+            .expect("OK <bin> <id>")
+    }
+}
+
 /// One valid mixed request stream: ROUTE runs split by a STATS and by one
-/// oversized line, then RELEASE runs of every issued id with a bogus id
-/// spliced in, a FLUSH, and a final STATS. Returns the bytes and the span of
-/// the oversized line.
+/// oversized line, an interleaved run (each further ROUTE followed by the
+/// RELEASE of the oldest held id), then RELEASE runs of every id still held
+/// with a bogus id spliced in, a FLUSH, and a final STATS. Returns the bytes
+/// and the span of the oversized line.
 fn mixed_stream(seed: u64, routes: usize) -> (Vec<u8>, std::ops::Range<usize>) {
     let mut rng = SplitMix64::for_stream(seed, 0xc4a7, 3);
     let route_lines: Vec<String> = (0..routes)
         .map(|_| format!("ROUTE {}\n", rng.next_u64()))
         .collect();
-    // Discovery pass: the ids these routes are issued, in order.
-    let (discovered, _, _) = serve_chunked(seed, route_lines.concat().as_bytes(), &[]);
-    let ids: Vec<u64> = String::from_utf8(discovered)
-        .expect("ASCII replies")
-        .lines()
-        .map(|line| line.rsplit(' ').next().unwrap().parse().expect("id"))
-        .collect();
-    assert_eq!(ids.len(), routes);
-
+    let mut planner = Planner::new(serving_router(seed));
+    let mut held = std::collections::VecDeque::new();
     let mut stream = Vec::new();
     for line in &route_lines[..routes / 2] {
+        held.push_back(planner.route(line));
         stream.extend_from_slice(line.as_bytes());
     }
     stream.extend_from_slice(b"STATS\n");
+    planner.say(b"STATS\n");
     let oversized_start = stream.len();
     stream.extend(std::iter::repeat_n(b'x', MAX_LINE_LEN * 2 + 37));
     stream.push(b'\n');
     let oversized = oversized_start..stream.len();
+    planner.say(&stream[oversized.clone()]);
     for line in &route_lines[routes / 2..] {
+        held.push_back(planner.route(line));
         stream.extend_from_slice(line.as_bytes());
+        let release = format!("RELEASE {}\n", held.pop_front().expect("held"));
+        planner.say(release.as_bytes());
+        stream.extend_from_slice(release.as_bytes());
     }
-    for (i, id) in ids.iter().enumerate() {
-        if i == routes / 3 {
+    let tail = held.len();
+    for (i, id) in held.into_iter().enumerate() {
+        if i == tail / 3 {
             stream.extend_from_slice(b"RELEASE 18446744073709551615\n");
         }
-        if i == 2 * routes / 3 {
+        if i == 2 * tail / 3 {
             stream.extend_from_slice(b"FLUSH\n");
         }
         stream.extend_from_slice(format!("RELEASE {id}\n").as_bytes());
@@ -800,5 +845,170 @@ fn the_reactor_on_either_poller_replies_byte_for_byte_as_the_session() {
             assert_eq!(reactor.1, session.1, "seed {seed}: router stats");
             assert_eq!(reactor.2, session.2, "seed {seed}: loads");
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 6. A mixed run is one call, exactly
+// ---------------------------------------------------------------------------
+
+/// Every observer event, in order, as text.
+#[derive(Default)]
+struct EventLog(Vec<String>);
+
+impl RouterObserver for EventLog {
+    fn on_route(&mut self, e: &parallel_balanced_allocations::model::router::RouteEvent) {
+        let (id, bin) = (e.ticket.id(), e.ticket.bin());
+        self.0
+            .push(format!("route {} {id} {bin} {}", e.key, e.resident));
+    }
+
+    fn on_release(&mut self, e: &ReleaseEvent) {
+        let (id, bin) = (e.ticket.id(), e.ticket.bin());
+        self.0.push(format!(
+            "release {id} {bin} {} {}",
+            e.load_after, e.resident
+        ));
+    }
+
+    fn on_batch(&mut self, e: &parallel_balanced_allocations::model::router::BatchEvent<'_>) {
+        self.0.push(format!(
+            "batch {} {} {:?} {} {}",
+            e.batch_index, e.batch_len, e.loads, e.gap, e.resident
+        ));
+    }
+
+    fn on_membership(
+        &mut self,
+        e: &parallel_balanced_allocations::model::router::MembershipChange<'_>,
+    ) {
+        self.0.push(format!(
+            "membership {} {:?} {:?} {:?}",
+            e.batch_index, e.drained, e.removed, e.active
+        ));
+    }
+}
+
+/// The router shape of one exactness case: 16 bins, batch 3, 16 or 50,
+/// 1, 4 or 8 shards, two-choice or a threshold policy (whose batches price
+/// at their first route, after the releases ahead of it).
+fn exactness_router(shape: usize, seed: u64) -> ConcurrentRouter {
+    let policy = match shape % 2 {
+        0 => StreamPolicy::TwoChoice,
+        _ => StreamPolicy::Threshold { d: 2, slack: 1 },
+    };
+    let batch = [3, 16, 50][shape / 2 % 3];
+    let shards = [1, 4, 8][shape / 6 % 3];
+    let config = StreamConfig::new(16)
+        .policy(policy)
+        .batch_size(batch)
+        .shards(shards)
+        .seed(seed);
+    ConcurrentRouter::new(config)
+}
+
+/// A random stream of interleaved `ROUTE`/`RELEASE` runs split by `DRAIN`,
+/// `REMOVE`, `MIGRATE`, `FLUSH` and `STATS` lines. Releases name ids issued
+/// earlier — often earlier in the same run — and repeats, bogus ids, and ids
+/// sent a few lines before the route that is issued them (which name nothing
+/// yet, so the stream stays what its planner saw).
+fn interleaved_stream(shape: usize, seed: u64, lines: usize) -> Vec<u8> {
+    let mut rng = SplitMix64::for_stream(seed, 0x1e7e, 6);
+    let mut below = |n: usize| (rng.next_u64() % n as u64) as usize;
+    let mut planner = Planner::new(exactness_router(shape, seed));
+    let (mut held, mut gone) = (Vec::new(), Vec::new());
+    let mut issued = Vec::new(); // (line, id) of every route
+    let mut stream: Vec<String> = Vec::new();
+    while stream.len() < lines {
+        let line = match below(100) {
+            45..=79 if !held.is_empty() => {
+                let id: u64 = held.swap_remove(below(held.len()));
+                gone.push(id);
+                format!("RELEASE {id}\n")
+            }
+            80..=84 if !gone.is_empty() => format!("RELEASE {}\n", gone[below(gone.len())]),
+            85..=87 => format!("RELEASE {}\n", below(usize::MAX) as u64),
+            88 => format!("DRAIN {}\n", below(16)),
+            89 => format!("REMOVE {}\n", below(16)),
+            90 => "MIGRATE\n".to_string(),
+            91 => "FLUSH\n".to_string(),
+            92 => "STATS\n".to_string(),
+            _ => format!("ROUTE {}\n", below(1 << 40)),
+        };
+        if line.starts_with("ROUTE") {
+            let id = planner.route(&line);
+            held.push(id);
+            issued.push((stream.len(), id));
+        } else {
+            planner.say(line.as_bytes());
+        }
+        stream.push(line);
+    }
+    let mut early: Vec<(usize, u64)> = (0..lines / 10)
+        .filter(|_| !issued.is_empty())
+        .map(|_| {
+            let (at, id) = issued[below(issued.len())];
+            (at - below(at.min(8) + 1), id)
+        })
+        .collect();
+    early.sort_unstable_by(|a, b| b.cmp(a));
+    for (at, id) in early {
+        stream.insert(at, format!("RELEASE {id}\n"));
+    }
+    stream.concat().into_bytes()
+}
+
+/// Everything the exactness check compares, after `stream` is fed to a
+/// fresh [`exactness_router`] whole (one chunk: every run one `serve_wire`
+/// call) or one line per `feed`.
+fn served_state(shape: usize, seed: u64, stream: &[u8], whole: bool, observe: bool) -> String {
+    let router = exactness_router(shape, seed);
+    let log = Arc::new(Mutex::new(EventLog::default()));
+    if observe {
+        router.add_observer(Arc::clone(&log) as Arc<Mutex<dyn RouterObserver + Send>>);
+    }
+    let mut session = Session::new(router.clone());
+    let mut conn = session.connect();
+    let mut replies = Vec::new();
+    if whole {
+        session.feed(&mut conn, stream, &mut replies);
+    } else {
+        for line in stream.split_inclusive(|&b| b == b'\n') {
+            session.feed(&mut conn, line, &mut replies);
+        }
+    }
+    format!(
+        "replies {}\nstats {:?}\nloads {:?}\nshards {:?}\ngaps {:?}\nepoch {} tickets {}\nevents {:?}",
+        String::from_utf8(replies).expect("ASCII replies"),
+        router.stats(),
+        router.loads(),
+        router.shard_stats(),
+        router.gap_trajectory(),
+        router.snapshot_epoch(),
+        router.resident_tickets(),
+        log.lock().unwrap().0,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A stream fed whole — each maximal `ROUTE`/`RELEASE` run one
+    /// `serve_wire` call, in sub-groups that cross batch boundaries — leaves
+    /// exactly the state the same stream leaves fed one line per `feed`:
+    /// reply bytes, stats, loads, shard stats with their peaks, the gap
+    /// trajectory, the snapshot epoch, the resident tickets and, with an
+    /// observer attached, its event stream.
+    #[test]
+    fn a_mixed_run_served_whole_matches_one_line_per_feed(
+        shape in 0usize..36,
+        lines in 20usize..400,
+        seed in 0u64..10_000,
+    ) {
+        let (shape, observe) = (shape % 18, shape >= 18);
+        let stream = interleaved_stream(shape, seed, lines);
+        let whole = served_state(shape, seed, &stream, true, observe);
+        let one_by_one = served_state(shape, seed, &stream, false, observe);
+        prop_assert!(whole == one_by_one, "whole:\n{}\none line per feed:\n{}", whole, one_by_one);
     }
 }

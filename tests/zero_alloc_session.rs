@@ -1,31 +1,52 @@
-//! Counting-allocator proof of the serving session's heap traffic per
-//! pipelined window — the third zero-alloc proof, beside the codec's
-//! (`zero_alloc_codec.rs`) and the drain's (`zero_alloc_drain.rs`).
+//! Counting proofs of the serving session's cost per window — heap
+//! allocations and ledger locks — beside the codec's (`zero_alloc_codec.rs`)
+//! and the drain's (`zero_alloc_drain.rs`) zero-alloc proofs.
 //!
 //! A warmed window of 32 `ROUTE` + 32 `RELEASE` lines through
-//! `Session::feed`, on the benchmark's router shape, allocates **exactly
-//! once**: the ledger's shard-guard vector for the route group's
-//! `issue_group`. Every result vector is the caller's reused scratch
-//! (`route_many_into`, `release_wire`), and the release run's one ledger
-//! pass locks one shard at a time, so it holds no guard vector at all.
+//! `Session::feed`, on the benchmark's router shape, pipelined (32 then 32)
+//! or interleaved (alternating), is one `serve_wire` call and:
 //!
-//! The counter is per thread (`tests/support/counting_alloc.rs`): libtest
-//! runs tests on parallel threads and allocates on its own.
+//! * allocates **nothing**: every result vector is reused scratch, and the
+//!   ledger pass locks one shard at a time, so it holds no guard vector;
+//! * takes **one ledger shard lock per home shard per sub-group** — at most
+//!   8 at this shape — counted exactly by
+//!   `SharedTicketLedger::locks_taken`. A sub-group ends at the route that
+//!   fills the open batch, so a window holds one, or two when it closes a
+//!   batch with requests after the closing route.
+//!
+//! Both counters are per thread (`tests/support/counting_alloc.rs`, and a
+//! thread-local in the ledger): libtest runs tests on parallel threads.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use counting_alloc::allocations_during;
 use parallel_balanced_allocations::model::rng::SplitMix64;
+use parallel_balanced_allocations::model::SharedTicketLedger;
 use parallel_balanced_allocations::net::codec::push_u64;
 use parallel_balanced_allocations::net::ConnState;
 use parallel_balanced_allocations::prelude::*;
 
-/// Lines of each verb per window: the benchmark's `serve-pipelined` shape.
+/// Lines of each verb per window: the benchmark's serve shape.
 const RUN: usize = 32;
+/// The benchmark's router shape.
+const BINS: usize = 256;
+const BATCH: u64 = 256;
+const SHARDS: usize = 8;
+
+/// What one window cost.
+struct Cost {
+    allocations: u64,
+    locks: u64,
+    /// Σ over the window's sub-groups of the home shards each touched.
+    home_shards: u64,
+    /// The most home shards one sub-group touched.
+    widest: usize,
+    sub_groups: u64,
+}
 
 /// One client connection that keeps a FIFO of the wire ids it holds.
 struct Client {
@@ -33,84 +54,156 @@ struct Client {
     conn: ConnState,
     keys: SplitMix64,
     held: VecDeque<u64>,
+    /// Routes served so far: where the batch boundaries fall.
+    routed: u64,
     request: Vec<u8>,
     replies: Vec<u8>,
 }
 
 impl Client {
-    /// Builds the next window — `routes` new keys, then a release of the
-    /// `releases` oldest held ids — feeds it in one chunk, checks the
-    /// replies, and returns the allocations `Session::feed` performed.
-    fn window(&mut self, routes: usize, releases: usize) -> u64 {
-        self.request.clear();
-        for _ in 0..routes {
-            self.request.extend_from_slice(b"ROUTE ");
-            push_u64(&mut self.request, self.keys.next_u64());
-            self.request.push(b'\n');
+    fn new() -> Self {
+        let mut config = StreamConfig::new(BINS)
+            .policy(StreamPolicy::TwoChoice)
+            .batch_size(BATCH as usize)
+            .shards(SHARDS)
+            .seed(7);
+        // The gap trajectory grows by doubling up to twice its cap, one
+        // entry per batch — amortized, not per window; a small cap ends it in
+        // warm-up.
+        config.trajectory_cap = 16;
+        let router = ConcurrentRouter::with_metrics(config, Arc::new(MetricsRegistry::new()));
+        let session = Session::new(router);
+        let conn = session.connect();
+        Self {
+            session,
+            conn,
+            keys: SplitMix64::new(0x5e55),
+            held: VecDeque::new(),
+            routed: 0,
+            request: Vec::new(),
+            replies: Vec::new(),
         }
-        for id in self.held.drain(..releases) {
-            self.request.extend_from_slice(b"RELEASE ");
-            push_u64(&mut self.request, id);
+    }
+
+    /// Builds the next window — `routes` new keys and a release of the
+    /// `releases` oldest held ids, all routes first or (as many of each)
+    /// alternating route first — feeds it in one chunk, checks the replies,
+    /// and returns what `Session::feed` cost.
+    fn window(&mut self, routes: usize, releases: usize, interleaved: bool) -> Cost {
+        assert!(!interleaved || routes == releases);
+        let releasing: Vec<u64> = self.held.drain(..releases).collect();
+        let order: Vec<bool> = (0..routes + releases)
+            .map(|i| if interleaved { i % 2 == 0 } else { i < routes })
+            .collect();
+        self.request.clear();
+        let mut next_release = releasing.iter();
+        for &route in &order {
+            if route {
+                self.request.extend_from_slice(b"ROUTE ");
+                push_u64(&mut self.request, self.keys.next_u64());
+            } else {
+                self.request.extend_from_slice(b"RELEASE ");
+                push_u64(&mut self.request, *next_release.next().expect("a held id"));
+            }
             self.request.push(b'\n');
         }
         self.replies.clear();
         let (session, conn) = (&mut self.session, &mut self.conn);
         let (request, replies) = (&self.request, &mut self.replies);
+        let locks_before = SharedTicketLedger::locks_taken();
         let allocations = allocations_during(|| session.feed(conn, request, replies));
+        let locks = SharedTicketLedger::locks_taken() - locks_before;
+
         let text = std::str::from_utf8(&self.replies).expect("ASCII replies");
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), routes + releases);
-        for line in &lines[..routes] {
-            let id = line.rsplit(' ').next().and_then(|id| id.parse().ok());
-            self.held.push_back(id.expect("OK <bin> <id>"));
+        let mut releasing = releasing.into_iter();
+        let (mut home_shards, mut widest, mut sub_groups) = (0, 0, 0);
+        let mut touched = BTreeSet::new();
+        for (at, (&route, line)) in order.iter().zip(&lines).enumerate() {
+            let mut fields = line.split(' ').skip(1);
+            let bin: usize = fields
+                .next()
+                .and_then(|bin| bin.parse().ok())
+                .expect("OK <bin>");
+            if route {
+                let id = fields.next().and_then(|id| id.parse().ok());
+                self.held.push_back(id.expect("OK <bin> <id>"));
+                touched.insert(bin * SHARDS / BINS);
+                self.routed += 1;
+            } else {
+                assert!(line.starts_with("OK "), "release reply {line:?}");
+                let wire = releasing.next().expect("one reply per release");
+                touched.insert((wire >> 32) as usize % SHARDS);
+            }
+            let fills_batch = route && self.routed.is_multiple_of(BATCH);
+            if fills_batch || at + 1 == lines.len() {
+                home_shards += touched.len() as u64;
+                widest = widest.max(touched.len());
+                sub_groups += 1;
+                touched.clear();
+            }
         }
-        for line in &lines[routes..] {
-            assert!(line.starts_with("OK "), "release reply {line:?}");
+        Cost {
+            allocations,
+            locks,
+            home_shards,
+            widest,
+            sub_groups,
         }
-        allocations
     }
 }
 
-#[test]
-fn a_warmed_pipelined_window_allocates_exactly_once() {
-    let mut config = StreamConfig::new(256)
-        .policy(StreamPolicy::TwoChoice)
-        .batch_size(256)
-        .shards(8)
-        .seed(7);
-    // The gap trajectory grows by doubling up to twice its cap, one entry
-    // per batch — amortized, not per window; a small cap ends it in warm-up.
-    config.trajectory_cap = 16;
-    let router = ConcurrentRouter::with_metrics(config, Arc::new(MetricsRegistry::new()));
-    let session = Session::new(router);
-    let conn = session.connect();
-    let mut client = Client {
-        session,
-        conn,
-        keys: SplitMix64::new(0x5e55),
-        held: VecDeque::new(),
-        request: Vec::new(),
-        replies: Vec::new(),
-    };
+fn warmed_client() -> Client {
+    let mut client = Client::new();
     // Preload 4096 residents in whole windows of routes, so every later
     // route group sits inside one batch. Then warm up: the FIFO churn walks
     // each bin's occupancy list and each shard's slab up to their peak
-    // sizes (amortized growth, done by window ≈ 160 of this seed).
+    // sizes (amortized growth, done by window ≈ 160 of this seed), in both
+    // window shapes.
     for _ in 0..4096 / RUN {
-        client.window(RUN, 0);
+        client.window(RUN, 0, false);
     }
-    for _ in 0..256 {
-        client.window(RUN, RUN);
+    for i in 0..256 {
+        client.window(RUN, RUN, i % 2 == 1);
     }
-    // 512 windows: 32 768 requests, so 8 latency fan-outs (every 4096) and
-    // 64 batch boundaries fall inside the measurement.
-    let per_window = (0..512).map(|_| client.window(RUN, RUN));
-    let other: Vec<(usize, u64)> = per_window.enumerate().filter(|&(_, n)| n != 1).collect();
-    assert!(
-        other.is_empty(),
-        "the route group's shard-guard vector and nothing else; (window, count): {other:?}"
-    );
+    client
+}
+
+#[test]
+fn a_warmed_window_allocates_nothing_pipelined_or_interleaved() {
+    let mut client = warmed_client();
+    // 512 windows of each shape: 65 536 requests, so 16 latency fan-outs
+    // (every 4096) and 128 batch boundaries fall inside the measurement.
+    for interleaved in [false, true] {
+        let per_window = (0..512).map(|_| client.window(RUN, RUN, interleaved).allocations);
+        let other: Vec<(usize, u64)> = per_window.enumerate().filter(|&(_, n)| n != 0).collect();
+        assert!(
+            other.is_empty(),
+            "interleaved {interleaved}: (window, allocations): {other:?}"
+        );
+    }
     let router = client.session.router();
     assert_eq!(router.resident(), 4096);
     assert!(router.conserves_balls());
+}
+
+#[test]
+fn a_warmed_window_takes_one_ledger_lock_per_home_shard_per_sub_group() {
+    let mut client = warmed_client();
+    for interleaved in [false, true] {
+        let mut sub_groups = 0;
+        for window in 0..64 {
+            let cost = client.window(RUN, RUN, interleaved);
+            let at = format!("interleaved {interleaved}, window {window}");
+            assert_eq!(cost.locks, cost.home_shards, "{at}");
+            assert!(cost.widest <= SHARDS, "{at}");
+            assert!(cost.locks <= SHARDS as u64 * cost.sub_groups, "{at}");
+            sub_groups += cost.sub_groups;
+        }
+        // 64 windows of 32 routes close 8 batches, and in either shape
+        // requests follow the closing route: those windows hold two
+        // sub-groups. One call per request would take 64 locks a window.
+        assert_eq!(sub_groups, 64 + 8, "interleaved {interleaved}");
+    }
 }
