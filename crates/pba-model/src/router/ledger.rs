@@ -23,8 +23,8 @@
 //!
 //! **Migration.** [`SharedTicketLedger::migrate`] rewrites the entry's `bin`
 //! and moves its slot from one list to another, under the home shard's lock
-//! alone. Every other ledger operation also locks only home shards; the
-//! grouped ones lock each touched shard once, in ascending order.
+//! alone. Every other ledger operation also locks only home shards, one at
+//! a time.
 //!
 //! **Wire ids.** Only this module knows the number a client holds for a
 //! ticket ([`wire_id`](SharedTicketLedger::wire_id)): the handle over the
@@ -51,19 +51,13 @@ thread_local! {
 /// tickets, so a hand-made ticket can never match a ledger).
 static NEXT_REALM: AtomicU64 = AtomicU64::new(1);
 
-/// Flag in [`Entry::idx`]: a `redeem_group` validation pass has matched a
-/// ticket of its group to this entry. Set and cleared under the shard lock
-/// within one call; a second match in the same group is a duplicate.
-const CLAIMED: u32 = 1 << 31;
-/// The bits of [`Entry::idx`] that hold the occupancy-list position.
-const POSITION: u32 = !CLAIMED;
 /// [`Entry::bin`] of a vacant slot.
 const VACANT: u32 = u32::MAX;
 /// End of a shard's free list.
 const NO_SLOT: u32 = u32::MAX;
 
 /// One slab slot. Resident: the ball `id` in (global) bin `bin`, at position
-/// `idx & POSITION` of that bin's occupancy list. Vacant: `bin == VACANT`
+/// `idx` of that bin's occupancy list. Vacant: `bin == VACANT`
 /// and `idx` is the next free slot.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
@@ -123,25 +117,19 @@ impl Shard {
     /// Files `slot` at the tail of `bin`'s list.
     fn link(&mut self, slot: u32, bin: usize) {
         let list = &mut self.by_bin[bin];
-        debug_assert!(
-            list.len() < CLAIMED as usize,
-            "position overruns the claim bit"
-        );
         let entry = &mut self.slab[slot as usize];
         (entry.bin, entry.idx) = (bin as u32, list.len() as u32);
         list.push(slot);
     }
 
     /// Takes resident `slot` out of its bin's list: a swap-remove and a
-    /// re-point of the former tail (keeping that entry's claim).
+    /// re-point of the former tail.
     fn unlink(&mut self, slot: u32) {
         let entry = self.slab[slot as usize];
         let list = &mut self.by_bin[entry.bin as usize];
-        let at = entry.idx & POSITION;
-        list.swap_remove(at as usize);
-        if let Some(&tail) = list.get(at as usize) {
-            let idx = &mut self.slab[tail as usize].idx;
-            *idx = (*idx & CLAIMED) | at;
+        list.swap_remove(entry.idx as usize);
+        if let Some(&tail) = list.get(entry.idx as usize) {
+            self.slab[tail as usize].idx = entry.idx;
         }
     }
 
@@ -154,15 +142,6 @@ impl Shard {
         entry.idx = std::mem::replace(&mut self.free, slot);
         std::mem::replace(&mut entry.bin, VACANT)
     }
-}
-
-/// The shard locks a grouped operation holds, indexed by shard (`None`: a
-/// shard it did not lock).
-type Locked<'a> = Vec<Option<MutexGuard<'a, Shard>>>;
-
-/// The locked shard `shard` of a grouped operation.
-fn locked_shard<'g>(locked: &'g mut Locked<'_>, shard: usize) -> &'g mut Shard {
-    locked[shard].as_deref_mut().expect("locked by lock_shards")
 }
 
 /// The thread-safe resident-ball table behind handle-based routing: ball id
@@ -215,17 +194,6 @@ impl SharedTicketLedger {
     /// ledger in the process: the exact lock traffic of whatever it ran.
     pub fn locks_taken() -> u64 {
         LOCKS_TAKEN.with(Cell::get)
-    }
-
-    /// Locks `shards` in ascending order — the one order every grouped
-    /// operation uses, so they cannot deadlock.
-    fn lock_shards(&self, shards: impl Iterator<Item = usize>) -> Locked<'_> {
-        // The touched set is 64 bits wide: past 64 shards indices alias and
-        // a few untouched shards are locked along, which costs but is safe.
-        let bit = |shard: usize| 1u64 << (shard % 64);
-        let touched = shards.fold(0, |set, shard| set | bit(shard));
-        let lock = |shard| (touched & bit(shard) != 0).then(|| self.lock(shard));
-        (0..self.shards.len()).map(lock).collect()
     }
 
     fn ticket(&self, id: u64, bin: u32, handle: u32) -> Ticket {
@@ -388,57 +356,16 @@ impl SharedTicketLedger {
         Err(RouteError::UnknownTicket { ticket })
     }
 
-    /// Validates and removes a group of tickets **atomically**, returning
-    /// each ball's current bin in input order — the grouped form of
-    /// [`SharedTicketLedger::redeem`]. Every *touched* shard is locked once
-    /// per group instead of once per ticket. Under those locks the whole
-    /// group is **validated first** — each ticket must be live, and claims
-    /// its entry, so an in-group duplicate finds it taken — and only then
-    /// taken out, in input order, so each bin's occupancy list ends up
-    /// exactly as the loop would leave it.
-    ///
-    /// Returns `None` — having changed **nothing** (the claims are cleared
-    /// again) — when some ticket of the group is not live: forged, foreign,
-    /// double-released, or an in-group duplicate (two tickets of one ball
-    /// count as one twice, whatever bins they name). Callers fall back to
-    /// looping [`SharedTicketLedger::redeem`], which yields the loop's
-    /// stop-at-first-error behaviour by construction. A migrated ball's
-    /// tickets, stale or fresh, redeem here like any other.
+    /// Redeems `tickets` in order with [`redeem`](Self::redeem), returning
+    /// each ball's current bin — or `None` at the first ticket that is not
+    /// live (forged, foreign, already redeemed, or a repeat of an earlier
+    /// ticket of the group), with the tickets before it staying redeemed.
     pub fn redeem_many(&self, tickets: &[Ticket]) -> Option<Vec<u32>> {
         let mut bins = Vec::with_capacity(tickets.len());
-        self.redeem_group(tickets, &mut bins).then_some(bins)
-    }
-
-    /// [`redeem_many`](Self::redeem_many) into `bins` (overwritten when the
-    /// group is redeemed): whether it was.
-    pub fn redeem_group(&self, tickets: &[Ticket], bins: &mut Vec<u32>) -> bool {
-        if tickets.iter().any(|ticket| ticket.realm != self.realm) {
-            return false;
+        for &ticket in tickets {
+            bins.push(self.redeem(ticket).ok()? as u32);
         }
-        let home = |ticket: &Ticket| self.unhandle(ticket.handle);
-        let mut locked = self.lock_shards(tickets.iter().map(|ticket| home(ticket).0));
-        let mut claimed = 0;
-        for ticket in tickets {
-            let (shard, slot) = home(ticket);
-            match locked_shard(&mut locked, shard).resident(slot, |id| id == ticket.id) {
-                Some(entry) if entry.idx & CLAIMED == 0 => entry.idx |= CLAIMED,
-                _ => break,
-            }
-            claimed += 1;
-        }
-        if claimed < tickets.len() {
-            for ticket in &tickets[..claimed] {
-                let (shard, slot) = home(ticket);
-                locked_shard(&mut locked, shard).slab[slot as usize].idx &= !CLAIMED;
-            }
-            return false;
-        }
-        bins.clear();
-        for ticket in tickets {
-            let (shard, slot) = home(ticket);
-            bins.push(locked_shard(&mut locked, shard).remove(slot));
-        }
-        true
+        Some(bins)
     }
 
     /// Number of resident (unreleased) tickets across all shards.
@@ -508,16 +435,6 @@ mod tests {
     fn with_handles(tickets: &[Option<Ticket>]) -> Vec<Option<(Ticket, u32)>> {
         let pair = |ticket: &Option<Ticket>| ticket.map(|t| (t, t.handle));
         tickets.iter().map(pair).collect()
-    }
-
-    /// Whether some resident entry still carries a claim (a vacant entry's
-    /// `idx` is a free-list link, not flags).
-    fn any_claimed(ledger: &SharedTicketLedger) -> bool {
-        ledger.shards.iter().any(|shard| {
-            let shard = shard.lock().unwrap();
-            let claimed = |entry: &Entry| entry.bin != VACANT && entry.idx & CLAIMED != 0;
-            shard.slab.iter().any(claimed)
-        })
     }
 
     #[test]
@@ -645,15 +562,15 @@ mod tests {
         let mut old = ledger.issue(100, 1);
         let mut fresh = ledger.migrate(old, 6).expect("resident");
 
-        // (i) The migrated ball stays resident; a group of never-migrated
-        // tickets takes the grouped path and leaves it alone.
+        // (i) The migrated ball stays resident; redeeming a group of
+        // never-migrated tickets leaves it alone.
         assert_eq!(ledger.redeem_many(&group), Some(bins.clone()));
         assert_eq!(ledger.len(), 1);
         assert_eq!(ledger.resident_in(6), Some(fresh));
 
         // (ii) A group holding the migrated ball's stale pre-migration
-        // ticket — or its fresh one — redeems on the grouped path too, and
-        // reports the bin the ball is in now.
+        // ticket — or its fresh one — redeems it too, and reports the bin
+        // the ball is in now.
         let mut expected = bins.clone();
         expected.insert(17, 6);
         for stale in [true, false] {
@@ -667,21 +584,19 @@ mod tests {
         }
 
         // (iii) Both tickets of one ball in one group are that ball twice:
-        // refused whole, and no claim survives the refusal.
+        // the first redeems it, the second stops the group, and what came
+        // before stays redeemed — the loop of `redeem`.
         let group = ledger.issue_many(300, &bins);
-        let before = state(&ledger);
         let mut twice = group.clone();
         twice.insert(3, old);
         twice.insert(20, fresh);
         assert_eq!(ledger.redeem_many(&twice), None);
-        assert_eq!(state(&ledger), before, "a refused group commits nothing");
-        assert!(!any_claimed(&ledger));
-        assert_eq!(ledger.redeem_many(&group), Some(bins));
-        assert_eq!(ledger.redeem(old), Ok(6));
+        assert_eq!(ledger.len(), 13, "group[19..] is left");
         assert_eq!(
             ledger.redeem(fresh),
             Err(RouteError::UnknownTicket { ticket: fresh })
         );
+        assert_eq!(ledger.redeem_many(&group[19..]), Some(bins[19..].to_vec()));
         assert!(ledger.is_empty());
     }
 
@@ -700,16 +615,19 @@ mod tests {
             ledger.redeem(gone),
             Err(RouteError::UnknownTicket { ticket: gone })
         );
+        assert_eq!(ledger.redeem_many(&[gone, keep]), None);
+        assert_eq!(state(&ledger), before, "stopped at its first ticket");
+        // Stopped at its second ticket: the first stays redeemed.
         assert_eq!(ledger.redeem_many(&[keep, gone]), None);
-        assert_eq!(state(&ledger), before);
-        assert_eq!(ledger.redeem_many(&[keep, tenant]), Some(vec![2, 2]));
+        assert_eq!((ledger.len(), ledger.resident_in(2)), (1, Some(tenant)));
+        assert_eq!(ledger.redeem_many(&[tenant]), Some(vec![2]));
         assert!(ledger.is_empty());
     }
 
     #[test]
     fn group_operations_work_past_sixty_four_shards() {
-        // One bin per shard; shards 1, 65 and 129 share a bit of the touched
-        // set, so a group in bin 65 alone locks all three.
+        // One bin per shard: shards 65 and 129 lie past the first of the
+        // ledger pass's 64-shard blocks.
         let ledger = SharedTicketLedger::new(130, 130);
         let bins = [65u32, 3, 129, 65];
         let group = ledger.issue_many(0, &bins);
@@ -721,23 +639,7 @@ mod tests {
     }
 
     #[test]
-    fn an_in_group_duplicate_is_refused_and_unclaims_its_group() {
-        let ledger = SharedTicketLedger::new(8, 2);
-        let bins = [1u32, 6, 1, 3, 6];
-        let group = ledger.issue_many(0, &bins);
-        let before = state(&ledger);
-        let mut doubled = group.clone();
-        doubled.push(group[2]);
-        assert_eq!(ledger.redeem_many(&doubled), None);
-        assert_eq!(state(&ledger), before);
-        assert!(!any_claimed(&ledger));
-        // Deduplicated, the same tickets go through.
-        assert_eq!(ledger.redeem_many(&group), Some(bins.to_vec()));
-        assert!(ledger.is_empty());
-    }
-
-    #[test]
-    fn a_run_of_wire_ids_decodes_in_one_pass_and_leaves_no_claim() {
+    fn a_run_of_wire_ids_decodes_in_one_pass() {
         // Bins 0..4 live in shard 0, bins 4..8 in shard 1.
         let ledger = SharedTicketLedger::new(8, 2);
         let (a, b, c) = (ledger.issue(0, 1), ledger.issue(1, 5), ledger.issue(2, 2));
@@ -776,7 +678,6 @@ mod tests {
             Some(c),
         ];
         assert_eq!(with_handles(&out), with_handles(&expected));
-        assert!(!any_claimed(&ledger));
         // Only the ball the run did not name is left, where it was.
         assert_eq!((ledger.len(), ledger.resident_in(4)), (1, Some(kept)));
 

@@ -215,15 +215,12 @@ pub trait Router {
     /// Releases a previously issued ticket (the ball departs its bin).
     fn release(&mut self, ticket: Ticket) -> Result<(), RouteError>;
 
-    /// Releases a group of tickets — the departure-side twin of
-    /// [`Router::route_many`]. Observably equivalent to calling
-    /// [`Router::release`] once per ticket in order: engines with a native
-    /// batched path amortize per-release overhead (ledger passes, counter
-    /// bumps) across the group while staying **bit-identical** to the loop.
-    ///
-    /// On error the group stops at the failing ticket: releases already
-    /// committed stay committed (same as the loop the default impl runs),
-    /// and the error names the ticket that failed.
+    /// Releases a group of tickets: [`Router::release`] once per ticket, in
+    /// order. On error the group stops at the failing ticket: releases
+    /// already committed stay committed, and the error names the ticket
+    /// that failed. No engine overrides the loop — a departure only has to
+    /// be visible at the next batch boundary, and the grouped departure
+    /// path is the serving one (`ConcurrentRouter::serve_wire`).
     fn release_many(&mut self, tickets: &[Ticket]) -> Result<(), RouteError> {
         tickets.iter().try_for_each(|&ticket| self.release(ticket))
     }

@@ -17,8 +17,6 @@
 //!    one `route.bin_commits` add per distinct bin. Always on the calling
 //!    thread: at a few atomics per distinct bin there is nothing to fan out.
 
-use std::collections::HashMap;
-
 use pba_obs::CounterVec;
 use rayon::prelude::*;
 use rayon::ThreadPool;
@@ -119,21 +117,6 @@ pub(crate) fn place_chosen(
             bin_commits.add(bin, count as u64);
         }
     });
-}
-
-/// The `load_after` a one-at-a-time release loop would report for each ball
-/// of a released group, given the bins **after** the grouped release:
-/// ball `i` saw its bin's final load plus the group's departures from that
-/// bin still ahead of it.
-pub(crate) fn loads_after_each_release(bins: &ShardedBins, released: &[u32]) -> Vec<u32> {
-    let mut ahead: HashMap<u32, u32> = HashMap::new();
-    let mut loads_after = vec![0; released.len()];
-    for (offset, &bin) in released.iter().enumerate().rev() {
-        let later = ahead.entry(bin).or_insert(0);
-        loads_after[offset] = bins.load(bin as usize) + *later;
-        *later += 1;
-    }
-    loads_after
 }
 
 #[cfg(test)]

@@ -56,8 +56,8 @@
 //!
 //! ## Determinism contract
 //!
-//! `route`, `route_many`, `release`, `release_many`, the drain, the boundary
-//! and every staged change are the *same code* on both shells, so with one
+//! `route`, `route_many`, `release`, the drain, the boundary and every
+//! staged change are the *same code* on both shells, so with one
 //! caller they agree **by construction**. The shells differ only in how a
 //! pushed ball reaches the drain buffer — through a locked inbox or
 //! directly — and stamping under the inbox lock keeps the inbox in arrival
@@ -138,7 +138,7 @@ thread_local! {
 
 thread_local! {
     /// Per-thread scratch of the grouped paths (`Core::serve`,
-    /// `Core::route_many_into`, `Core::release_many`): a `&self` core cannot
+    /// `Core::route_many_into`): a `&self` core cannot
     /// keep one buffer for all its callers, so each caller thread keeps its
     /// own and a warmed thread serves a run without allocating.
     static GROUP_COMMIT: std::cell::RefCell<GroupCommit> =
@@ -148,8 +148,7 @@ thread_local! {
 /// One caller thread's scratch for its grouped calls (see `GROUP_COMMIT`).
 #[derive(Default)]
 struct GroupCommit {
-    /// The chosen bins of a sub-group's routes, or the bins a
-    /// `release_many` group redeemed from.
+    /// The chosen bins of a sub-group's routes.
     chosen: Vec<u32>,
     /// The grouped load commit's counters.
     settle: SettleScratch,
@@ -613,26 +612,13 @@ impl ConcurrentRouter {
         self.shared.core.release(ticket)
     }
 
-    /// Releases a group of routed balls from any thread — the amortized
-    /// departure path, the release-side twin of
-    /// [`ConcurrentRouter::route_many`]. The group pays the per-release
-    /// overhead **once**: one ledger pass per touched shard
-    /// ([`SharedTicketLedger::redeem_many`] — the whole group is validated
-    /// under the shard locks, then removed, so it redeems atomically), one
-    /// grouped load decrement per distinct bin
-    /// ([`ShardedBins::settle_group_with`]), and whole-group counter adds.
-    ///
-    /// With one caller this is bit-identical to looping
-    /// [`ConcurrentRouter::release`] (property-tested): per-release
-    /// [`ReleaseEvent`]s still fire in ticket order with the same running
-    /// `load_after`/`resident` values the loop would report. Any ticket the
-    /// grouped redeem cannot take (forged, foreign, double-released or an
-    /// in-group duplicate) sends the **whole** group — nothing committed
-    /// yet — down the one-at-a-time loop, which supplies the documented
-    /// stop-at-first-error behaviour exactly. Only a group that itself holds
-    /// such a ticket pays for it.
+    /// Releases a group of routed balls from any thread: a loop of
+    /// [`ConcurrentRouter::release`], stopping at the first ticket that
+    /// fails (releases before it stay committed). Grouped departures are
+    /// [`serve_wire`](ConcurrentRouter::serve_wire)'s, which settles a run
+    /// of wire-id releases in one ledger pass.
     pub fn release_many(&self, tickets: &[Ticket]) -> Result<(), RouteError> {
-        self.shared.core.release_many(tickets)
+        tickets.iter().try_for_each(|&ticket| self.release(ticket))
     }
 
     /// See [`SharedTicketLedger::wire_id`].
@@ -932,10 +918,6 @@ impl Router for ConcurrentRouter {
 
     fn release(&mut self, ticket: Ticket) -> Result<(), RouteError> {
         ConcurrentRouter::release(self, ticket)
-    }
-
-    fn release_many(&mut self, tickets: &[Ticket]) -> Result<(), RouteError> {
-        ConcurrentRouter::release_many(self, tickets)
     }
 
     fn loads(&self) -> Vec<u32> {
@@ -1426,66 +1408,6 @@ impl Core {
             self.each_observer(&chain.0, |observer| observer.on_release(&event));
         }
         Ok(())
-    }
-
-    /// Releases a group of routed balls, bit-identical (with one caller) to
-    /// looping [`Core::release`]; see [`ConcurrentRouter::release_many`].
-    pub(crate) fn release_many(&self, tickets: &[Ticket]) -> Result<(), RouteError> {
-        // A singleton group amortizes nothing: delegate to `release`.
-        if let [ticket] = tickets {
-            return self.release(*ticket);
-        }
-        let redeemed = GROUP_COMMIT.with(|scratch| {
-            self.ledger
-                .redeem_group(tickets, &mut scratch.borrow_mut().chosen)
-        });
-        if !redeemed {
-            // Cold path (this group holds a ticket that is not live): the
-            // grouped redeem committed nothing, so the loop reproduces the
-            // one-at-a-time semantics — including which ticket errors and
-            // which releases stay committed — exactly.
-            return tickets.iter().try_for_each(|&ticket| self.release(ticket));
-        }
-        self.depart_redeemed(tickets.iter().copied());
-        Ok(())
-    }
-
-    /// The tail of a grouped release, once the ledger has redeemed its
-    /// `tickets` and left the bins their balls were in, in order, in this
-    /// thread's `GROUP_COMMIT.chosen`: one grouped load decrement per
-    /// distinct bin, whole-group counter adds, and one [`ReleaseEvent`] per
-    /// ticket, in order, with the running counts the loop would report
-    /// (exact with one caller).
-    fn depart_redeemed(&self, tickets: impl Iterator<Item = Ticket>) {
-        let (taken, redeemed) = GROUP_COMMIT.with(|scratch| {
-            let GroupCommit { chosen, settle, .. } = &mut *scratch.borrow_mut();
-            let departures = std::iter::repeat_n(false, chosen.len());
-            let taken = self.bins.settle_group_with(&[], chosen, departures, settle);
-            (taken, chosen.len() as u64)
-        });
-        // Every redeemed ball held a load unit: nothing can underflow unless
-        // ledger and bins diverged (a bug, as in `migrate_drained`).
-        assert_eq!(taken, redeemed, "a redeemed ball held a load unit");
-        self.departed.fetch_add(taken, Ordering::AcqRel);
-        self.released.fetch_add(taken, Ordering::AcqRel);
-        if let Some(metrics) = &self.metrics {
-            metrics.released.add(taken);
-        }
-        if self.has_observers.load(Ordering::Acquire) {
-            // `resident` counts down to the post-group total.
-            let resident_final = self.resident_now();
-            let chosen = GROUP_COMMIT.with(|scratch| scratch.borrow().chosen.clone());
-            let loads_after = commit::loads_after_each_release(&self.bins, &chosen);
-            let chain = self.observers.lock().expect("observer chain");
-            for (offset, (ticket, load_after)) in tickets.zip(loads_after).enumerate() {
-                let event = ReleaseEvent {
-                    ticket,
-                    load_after,
-                    resident: resident_final + redeemed - 1 - offset as u64,
-                };
-                self.each_observer(&chain.0, |observer| observer.on_release(&event));
-            }
-        }
     }
 
     /// Stages a membership plan for the next batch boundary.

@@ -312,14 +312,6 @@ impl StreamAllocator {
         self.core.release(ticket)
     }
 
-    /// Releases a group of tickets, bit-identical to looping
-    /// [`StreamAllocator::release`] (the group stops at the first failing
-    /// ticket; prior releases stay committed); see
-    /// [`crate::ConcurrentRouter::release_many`].
-    pub fn release_many(&mut self, tickets: &[Ticket]) -> Result<(), RouteError> {
-        self.core.release_many(tickets)
-    }
-
     /// Stages new bin weights, applied at the **next batch boundary**; see
     /// [`crate::ConcurrentRouter::set_weights`]. From that boundary on, drains are
     /// bit-identical to a fresh engine constructed with the new weights over
@@ -471,10 +463,6 @@ impl Router for StreamAllocator {
 
     fn release(&mut self, ticket: Ticket) -> Result<(), RouteError> {
         StreamAllocator::release(self, ticket)
-    }
-
-    fn release_many(&mut self, tickets: &[Ticket]) -> Result<(), RouteError> {
-        StreamAllocator::release_many(self, tickets)
     }
 
     fn loads(&self) -> Vec<u32> {

@@ -5,8 +5,8 @@
 //!
 //! The clients pipeline: each writes a whole window of `ROUTE` lines before
 //! reading any reply, so contiguous runs reach the server back-to-back and
-//! execute through `route_many` / `release_many` instead of one engine call
-//! per request. A one-request-at-a-time `LineClient` speaks the same
+//! each run of `ROUTE`/`RELEASE` lines executes as one `serve_wire` call
+//! instead of one engine call per request. A one-request-at-a-time `LineClient` speaks the same
 //! protocol and rides along for the abuse and membership phases.
 //!
 //! The run:

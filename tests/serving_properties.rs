@@ -6,12 +6,10 @@
 //!    restatement of the verb table does, with non-UTF-8 mapping to a bad
 //!    request — and so does the splitter's fast path wherever it takes a
 //!    line, canonical-edge lines included by construction.
-//! 2. **`release_many` ≡ looped `release`** — for arbitrary group
-//!    partitions, with and without a spliced-in bogus ticket, the grouped
-//!    departure surface produces the identical observer event stream, final
-//!    loads, and error behaviour as the one-at-a-time loop; and
-//!    **`serve_wire` ≡ looped decode + `release`** over runs of wire-id
-//!    releases, with a repeat, a never-issued id and a stale id spliced in.
+//! 2. **`serve_wire` ≡ looped decode + `release`** over arbitrary
+//!    partitions of a departure stream into runs of wire-id releases, with
+//!    a repeat, a never-issued id and a stale id spliced in: the same
+//!    outcomes, observer event stream and final loads.
 //! 3. **Pipelined serving stress** — k concurrent pipelined connections
 //!    (6 and 64) through the reactor front-end conserve every ball and drop
 //!    nothing.
@@ -38,7 +36,7 @@ use proptest::prelude::*;
 
 use parallel_balanced_allocations::model::rng::SplitMix64;
 use parallel_balanced_allocations::model::router::ReleaseEvent;
-use parallel_balanced_allocations::model::{RouteError, RouterObserver, Ticket, WireRequest};
+use parallel_balanced_allocations::model::{RouterObserver, Ticket, WireRequest};
 use parallel_balanced_allocations::net::codec::{parse_canonical_line, parse_request, Request};
 use parallel_balanced_allocations::net::{
     ReactorConfig, ReactorServer, Session, MAX_ADD_TIER, MAX_LINE_LEN,
@@ -210,7 +208,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// 2. release_many ≡ looped release
+// 2. serve_wire ≡ looped decode + release
 // ---------------------------------------------------------------------------
 
 /// Records `(id, bin, load_after, resident)` per release event.
@@ -293,105 +291,7 @@ fn wire_stream(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Arbitrary group partitions of the departure stream are bit-identical
-    /// to the one-at-a-time loop: same observer events, same final loads,
-    /// same `conserves_balls`.
-    #[test]
-    fn release_many_partitions_are_bit_identical_to_the_loop(
-        bins_exp in 2u32..6,
-        per in 1u64..400,
-        chunk_seed in 0u64..1_000,
-        seed in 0u64..1_000,
-    ) {
-        let bins = 1usize << bins_exp;
-        let (looped, tickets, loop_tape) = taped_router(bins, per, seed);
-        for &ticket in &tickets {
-            looped.release(ticket).expect("issued ticket releases");
-        }
-        let (grouped, tickets2, group_tape) = taped_router(bins, per, seed);
-        // Tickets carry a process-unique realm, so compare the placement
-        // shape (id, bin) rather than the tickets themselves.
-        let shape = |ts: &[Ticket]| ts.iter().map(|t| (t.id(), t.bin())).collect::<Vec<_>>();
-        prop_assert_eq!(
-            shape(&tickets),
-            shape(&tickets2),
-            "identical routers place identically"
-        );
-        let mut chunk_rng = SplitMix64::for_stream(chunk_seed, 0xc41a, 2);
-        let mut at = 0usize;
-        while at < tickets2.len() {
-            let take = 1 + (chunk_rng.next_u64() % 97) as usize;
-            let hi = (at + take).min(tickets2.len());
-            grouped.release_many(&tickets2[at..hi]).expect("issued tickets release");
-            at = hi;
-        }
-        prop_assert_eq!(
-            &loop_tape.lock().unwrap().events,
-            &group_tape.lock().unwrap().events
-        );
-        prop_assert_eq!(looped.loads(), grouped.loads());
-        prop_assert!(grouped.conserves_balls());
-        prop_assert_eq!(grouped.resident(), 0);
-    }
-
-    /// A bogus ticket spliced mid-group reproduces the loop's
-    /// stop-at-first-error behaviour: the prefix commits, the failure names
-    /// the bogus ticket, the suffix stays resident, and the event streams
-    /// up to the failure are identical.
-    #[test]
-    fn release_many_error_path_matches_the_loop(
-        per in 2u64..200,
-        splice in 0u64..1_000,
-        seed in 0u64..1_000,
-    ) {
-        let bins = 16usize;
-        // The bogus ticket comes from a *different* router: same shape, but
-        // a foreign realm — exactly what a stale or forged id looks like.
-        let (foreign, foreign_tickets, _) = taped_router(bins, 1, seed ^ 0xdead);
-        drop(foreign);
-        let bogus = foreign_tickets[0];
-
-        let (looped, tickets, loop_tape) = taped_router(bins, per, seed);
-        let at = (splice % (per + 1)) as usize;
-        let mut spliced = tickets.clone();
-        spliced.insert(at, bogus);
-        let mut loop_err = None;
-        for &ticket in &spliced {
-            if let Err(err) = looped.release(ticket) {
-                loop_err = Some(err);
-                break;
-            }
-        }
-        // Tickets are realm-stamped, so the grouped router gets the same
-        // splice built from its *own* tickets.
-        let (grouped, tickets2, group_tape) = taped_router(bins, per, seed);
-        let mut spliced2 = tickets2.clone();
-        spliced2.insert(at, bogus);
-        let group_err = grouped.release_many(&spliced2).expect_err("bogus ticket fails");
-        // The two errors come from different routers (distinct realms), so
-        // compare their shape: both must blame the bogus ticket's id.
-        match (loop_err.expect("loop fails too"), group_err) {
-            (
-                RouteError::UnknownTicket { ticket: a },
-                RouteError::UnknownTicket { ticket: b },
-            ) => {
-                prop_assert_eq!(a.id(), bogus.id());
-                prop_assert_eq!(b.id(), bogus.id());
-            }
-            other => return Err(format!("unexpected error pair {other:?}")),
-        }
-        // The loop stopped at the bogus ticket; the grouped surface must
-        // have committed exactly the same prefix.
-        prop_assert_eq!(
-            &loop_tape.lock().unwrap().events,
-            &group_tape.lock().unwrap().events
-        );
-        prop_assert_eq!(looped.loads(), grouped.loads());
-        prop_assert_eq!(looped.resident(), grouped.resident());
-        prop_assert_eq!(grouped.resident(), per - at as u64);
-    }
-
-    /// The same departure stream as wire ids, with a repeat, a never-issued
+    /// A departure stream as wire ids, with a repeat, a never-issued
     /// id and a stale id in a reused slot spliced in, through arbitrary
     /// partitions into `serve_wire` runs of releases: the per-id outcomes,
     /// the observer events and the final loads are the loop's — decode each
@@ -442,51 +342,6 @@ proptest! {
         prop_assert_eq!(looped.loads(), fused.loads());
         prop_assert!(fused.conserves_balls());
         prop_assert_eq!(fused.resident(), 0);
-    }
-
-    /// An in-group duplicate (double release) falls back to loop semantics:
-    /// first occurrence redeems, second errors, nothing else is disturbed.
-    #[test]
-    fn release_many_in_group_duplicate_matches_the_loop(
-        per in 2u64..120,
-        dup in 0u64..1_000,
-        seed in 0u64..1_000,
-    ) {
-        let bins = 8usize;
-        let (looped, tickets, loop_tape) = taped_router(bins, per, seed);
-        let at = (dup % per) as usize;
-        let mut spliced = tickets.clone();
-        let repeat = spliced[at];
-        spliced.push(repeat);
-        let mut loop_err = None;
-        for &ticket in &spliced {
-            if let Err(err) = looped.release(ticket) {
-                loop_err = Some(err);
-                break;
-            }
-        }
-        // Same splice, rebuilt from the grouped router's own realm-stamped
-        // tickets.
-        let (grouped, tickets2, group_tape) = taped_router(bins, per, seed);
-        let mut spliced2 = tickets2.clone();
-        spliced2.push(spliced2[at]);
-        let group_err = grouped.release_many(&spliced2).expect_err("duplicate fails");
-        match (loop_err.expect("loop fails too"), group_err) {
-            (
-                RouteError::UnknownTicket { ticket: a },
-                RouteError::UnknownTicket { ticket: b },
-            ) => {
-                prop_assert_eq!(a.id(), repeat.id(), "the duplicate is blamed");
-                prop_assert_eq!(b.id(), repeat.id(), "the duplicate is blamed");
-            }
-            other => return Err(format!("unexpected error pair {other:?}")),
-        }
-        prop_assert_eq!(
-            &loop_tape.lock().unwrap().events,
-            &group_tape.lock().unwrap().events
-        );
-        prop_assert_eq!(looped.loads(), grouped.loads());
-        prop_assert_eq!(grouped.resident(), 0, "every real ticket released once");
     }
 }
 

@@ -14,6 +14,10 @@
 //!   fills the open batch, so a window holds one, or two when it closes a
 //!   batch with requests after the closing route.
 //!
+//! `ConcurrentRouter::release_many` is a loop of `release`: a warmed call on
+//! 32 live tickets allocates **nothing** and takes exactly **32** ledger
+//! locks, one per ticket.
+//!
 //! Both counters are per thread (`tests/support/counting_alloc.rs`, and a
 //! thread-local in the ledger): libtest runs tests on parallel threads.
 
@@ -60,19 +64,22 @@ struct Client {
     replies: Vec<u8>,
 }
 
+/// The benchmark's router, metrics installed.
+fn serving_router() -> ConcurrentRouter {
+    let mut config = StreamConfig::new(BINS)
+        .policy(StreamPolicy::TwoChoice)
+        .batch_size(BATCH as usize)
+        .shards(SHARDS)
+        .seed(7);
+    // The gap trajectory grows by doubling up to twice its cap, one entry per
+    // batch — amortized, not per window; a small cap ends it in warm-up.
+    config.trajectory_cap = 16;
+    ConcurrentRouter::with_metrics(config, Arc::new(MetricsRegistry::new()))
+}
+
 impl Client {
     fn new() -> Self {
-        let mut config = StreamConfig::new(BINS)
-            .policy(StreamPolicy::TwoChoice)
-            .batch_size(BATCH as usize)
-            .shards(SHARDS)
-            .seed(7);
-        // The gap trajectory grows by doubling up to twice its cap, one
-        // entry per batch — amortized, not per window; a small cap ends it in
-        // warm-up.
-        config.trajectory_cap = 16;
-        let router = ConcurrentRouter::with_metrics(config, Arc::new(MetricsRegistry::new()));
-        let session = Session::new(router);
+        let session = Session::new(serving_router());
         let conn = session.connect();
         Self {
             session,
@@ -206,4 +213,34 @@ fn a_warmed_window_takes_one_ledger_lock_per_home_shard_per_sub_group() {
         // sub-groups. One call per request would take 64 locks a window.
         assert_eq!(sub_groups, 64 + 8, "interleaved {interleaved}");
     }
+}
+
+#[test]
+fn a_warmed_release_many_allocates_nothing_and_locks_once_per_ticket() {
+    let router = serving_router();
+    let mut keys = SplitMix64::new(0x5e55);
+    let mut held = VecDeque::new();
+    let mut route_group = |held: &mut VecDeque<Ticket>| {
+        let group: Vec<u64> = (0..RUN).map(|_| keys.next_u64()).collect();
+        let placed = router.route_many(&group).expect("routing is infallible");
+        held.extend(placed.into_iter().map(|placement| placement.ticket));
+    };
+    // 4096 residents, then FIFO churn: a group of 32 routed, the 32 oldest
+    // released. The first 256 groups warm up; the next 256 are measured.
+    for _ in 0..4096 / RUN {
+        route_group(&mut held);
+    }
+    for window in 0..512 {
+        route_group(&mut held);
+        let oldest: Vec<Ticket> = held.drain(..RUN).collect();
+        let locks_before = SharedTicketLedger::locks_taken();
+        let release = || router.release_many(&oldest).expect("live tickets release");
+        let allocations = allocations_during(release);
+        let locks = SharedTicketLedger::locks_taken() - locks_before;
+        if window >= 256 {
+            assert_eq!((allocations, locks), (0, RUN as u64), "window {window}");
+        }
+    }
+    assert_eq!(router.resident(), 4096);
+    assert!(router.conserves_balls());
 }
