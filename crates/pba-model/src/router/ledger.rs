@@ -251,11 +251,13 @@ impl SharedTicketLedger {
         out.resize(start + requests.len(), None); // every entry is overwritten below
         let out = &mut out[start..];
         for block in (0..self.shards.len()).step_by(64) {
-            // A request of this block's 64 shards waits in `out` as a stub
-            // whose `realm` links the next request of its shard, in request
-            // order: each shard walks only its own. An issue's stub holds the
-            // ball id and bin, a redeem's the wire id and the slot it names.
-            let mut heads = [END; 64];
+            // A request of this block's shards (up to 64) waits in `out` as a
+            // stub whose `realm` links the next request of its shard, in
+            // request order: each shard walks only its own, and only they are
+            // scanned. An issue's stub holds the ball id and bin, a redeem's
+            // the wire id and the slot it names.
+            let mut storage = [END; 64];
+            let heads = &mut storage[..(self.shards.len() - block).min(64)];
             let mut route = bins.len();
             for (at, request) in requests.iter().enumerate().rev() {
                 let (shard, mut stub) = match kind(request) {
