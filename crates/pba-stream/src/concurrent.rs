@@ -98,13 +98,14 @@
 //!
 //! A route that commits to a bin a racing scale event has just drained is
 //! **undone** and retried against the fresh topology (counted under
-//! `membership.rejected_routes_to_draining` — never silent). The recheck
-//! costs one atomic read — the topology cell's epoch against the epoch the
-//! route chose under — and only a publication in between makes it look at
-//! lifecycle states: a single route at its bin, a routed group once per
-//! distinct bin *after* its grouped commit (a drained bin's whole delta is
-//! taken back and exactly its keys re-routed). With one caller the race
-//! cannot occur. Draining bins keep their residents and tickets until
+//! `membership.rejected_routes_to_draining` — never silent). Every route is
+//! a routed group, a single `route` a group of one, so there is one recheck:
+//! one atomic read after the group's commit — the topology cell's epoch
+//! against the epoch the group chose under — and only a publication in
+//! between makes it look at lifecycle states. It then takes each drained
+//! bin's whole delta back, re-chooses exactly its keys under that fresh view,
+//! commits them and looks again. With one caller the race cannot occur.
+//! Draining bins keep their residents and tickets until
 //! released or force-migrated ([`ConcurrentRouter::migrate_drained`]); a
 //! `Remove` retires a slot only at zero occupancy (ledger + loads).
 
@@ -137,10 +138,11 @@ thread_local! {
 }
 
 thread_local! {
-    /// Per-thread scratch of the grouped paths (`Core::serve`,
-    /// `Core::route_many_into`): a `&self` core cannot
-    /// keep one buffer for all its callers, so each caller thread keeps its
-    /// own and a warmed thread serves a run without allocating.
+    /// Per-thread scratch of the request path (`Core::serve`, and the
+    /// routes `Core::route` and `Core::route_many_into` serve through it): a
+    /// `&self` core cannot keep one buffer for all its callers, so each
+    /// caller thread keeps its own and a warmed thread serves a run without
+    /// allocating.
     static GROUP_COMMIT: std::cell::RefCell<GroupCommit> =
         std::cell::RefCell::new(GroupCommit::default());
 }
@@ -156,8 +158,21 @@ struct GroupCommit {
     keys: Vec<u64>,
     /// The bins its releases took balls out of, in request order.
     departed: Vec<u32>,
-    /// `Core::route_many_into`'s tickets, lent out for the call.
+    /// `Core::serve_routes`'s tickets, lent out for the call.
     tickets: Vec<Option<Ticket>>,
+    /// Per bin, the load change the sub-group's observer events have still
+    /// to tell (`Core::notify_group`), lent out for the walk; zero between
+    /// walks.
+    net: Vec<i32>,
+}
+
+/// The placement a served route's ticket records.
+fn placement(ticket: &Option<Ticket>) -> Placement {
+    let ticket = ticket.expect("every route is issued a ticket");
+    Placement {
+        ticket,
+        bin: ticket.bin(),
+    }
 }
 
 /// How a shell lends the core one piece of single-writer state: the sole
@@ -535,7 +550,9 @@ impl ConcurrentRouter {
     /// Routes one key from any thread: chooses a bin against the current
     /// epoch snapshot, commits the placement (atomic increment), issues a
     /// [`Ticket`], and — if this ball completes a batch — advances the
-    /// boundary and publishes the next snapshot.
+    /// boundary and publishes the next snapshot. It is
+    /// [`ConcurrentRouter::route_many`] on a group of one, through the same
+    /// per-thread scratch, so a warmed call allocates nothing.
     ///
     /// Routing is infallible (the `Result` is the shared router surface);
     /// the error arm is never taken.
@@ -555,8 +572,9 @@ impl ConcurrentRouter {
     /// per touched shard and whole-group counter adds.
     ///
     /// With one caller this is bit-identical to looping
-    /// [`ConcurrentRouter::route`] (property-tested across every policy ×
-    /// weights × thread count); with `k` callers the group's placements
+    /// [`ConcurrentRouter::route`], a group of one (property-tested across
+    /// every policy × weights × thread count); with `k` callers the group's
+    /// placements
     /// interleave with other callers' exactly as individual routes would,
     /// and every boundary still closes after `batch_size` routed balls.
     pub fn route_many(&self, keys: &[u64]) -> Result<Vec<Placement>, RouteError> {
@@ -648,10 +666,11 @@ impl ConcurrentRouter {
     /// gap trajectory, counters and [`ShardStats`] (property-tested). When
     /// the open batch has no route yet and its first route will price
     /// thresholds or apply staged changes, releases ahead of that route are
-    /// settled first, so both see them as the loop does. With an observer
-    /// registered each request takes the one-at-a-time path, so events fire
-    /// as the loop fires them. A `None` reaches neither the loads nor the
-    /// observers nor `route.rejected_unknown_ticket`.
+    /// settled first, so both see them as the loop does. Observers hear each
+    /// sub-group's events once it is settled, in request order and before
+    /// the boundary it may close, each carrying what the loop reports. A
+    /// `None` reaches neither the loads nor the observers nor
+    /// `route.rejected_unknown_ticket`.
     pub fn serve_wire(&self, requests: &[WireRequest], out: &mut Vec<Option<Ticket>>) {
         out.clear();
         let core = &self.shared.core;
@@ -1069,64 +1088,43 @@ impl Core {
         self.has_observers.store(true, Ordering::Release);
     }
 
-    /// Routes one key: choose against the published snapshot, commit, issue
-    /// a ticket, and close the batch this ball completes.
+    /// Routes one key: [`Core::serve`] over a run of one route.
     pub(crate) fn route(&self, writer: &mut Writer<'_>, key: u64) -> Result<Placement, RouteError> {
-        self.apply_staged_at_batch_open(writer);
-        let bin = self.choose_and_place(key);
-        let id = self.stamp();
-        self.placed.fetch_add(1, Ordering::AcqRel);
-        self.routed.fetch_add(1, Ordering::AcqRel);
-        if let Some(metrics) = &self.metrics {
-            metrics.routed.inc();
-            metrics.placed.inc();
-            metrics.bin_commits.inc(bin);
-        }
-        let ticket = self.ledger.issue(id, bin);
-        if self.has_observers.load(Ordering::Acquire) {
-            // The per-arrival tap trace recorders hang off. Fires before the
-            // boundary this arrival may complete, so a recorder sees the
-            // arrival strictly before its batch event.
-            let event = RouteEvent {
-                key,
-                ticket,
-                resident: self.resident_now(),
-            };
-            let chain = self.observers.lock().expect("observer chain");
-            self.each_observer(&chain.0, |observer| observer.on_route(&event));
-        }
-        let open = self.open_routed.fetch_add(1, Ordering::AcqRel) + 1;
-        if open >= self.config.batch_size as u64 {
-            self.close_routed_batches(writer, false);
-        }
-        Ok(Placement { ticket, bin })
+        Ok(self.serve_routes(writer, &[key], |tickets| placement(&tickets[0])))
     }
 
-    /// Routes a group of keys into `out` (overwritten), bit-identical (with
-    /// one caller) to looping [`Core::route`]: [`Core::serve`] over a run of
-    /// routes only; see [`ConcurrentRouter::route_many`].
+    /// Routes a group of keys into `out` (overwritten): [`Core::serve`] over
+    /// a run of routes only; see [`ConcurrentRouter::route_many`].
     pub(crate) fn route_many_into(
         &self,
         writer: &mut Writer<'_>,
         keys: &[u64],
         out: &mut Vec<Placement>,
     ) -> Result<(), RouteError> {
+        self.serve_routes(writer, keys, |tickets| {
+            out.clear();
+            out.extend(tickets.iter().map(placement));
+        });
+        Ok(())
+    }
+
+    /// Serves a run of routes into this thread's ticket scratch (see
+    /// `GROUP_COMMIT`) and hands `f` their tickets, one per key.
+    fn serve_routes<T>(
+        &self,
+        writer: &mut Writer<'_>,
+        keys: &[u64],
+        f: impl FnOnce(&[Option<Ticket>]) -> T,
+    ) -> T {
         let lend = |scratch: &std::cell::RefCell<GroupCommit>| {
             std::mem::take(&mut scratch.borrow_mut().tickets)
         };
         let mut tickets = GROUP_COMMIT.with(lend);
         tickets.clear();
         self.serve(writer, keys, |&key| WireRequest::Route(key), &mut tickets);
-        out.clear();
-        out.extend(tickets.iter().map(|ticket| {
-            let ticket = ticket.expect("every route is issued a ticket");
-            Placement {
-                ticket,
-                bin: ticket.bin(),
-            }
-        }));
+        let result = f(&tickets);
         GROUP_COMMIT.with(|scratch| scratch.borrow_mut().tickets = tickets);
-        Ok(())
+        result
     }
 
     /// Serves a run of routes and releases in request order, appending one
@@ -1143,13 +1141,7 @@ impl Core {
             let (take, routes) = self.sub_group(rest, kind);
             let (group, tail) = rest.split_at(take);
             rest = tail;
-            // A request alone amortizes nothing, and observers must hear
-            // every request as the loop tells it.
-            if group.len() == 1 || self.has_observers.load(Ordering::Acquire) {
-                self.serve_one_by_one(writer, group, kind, out);
-            } else {
-                self.serve_group(writer, group, routes, kind, out);
-            }
+            self.serve_group(writer, group, routes, kind, out);
         }
     }
 
@@ -1201,7 +1193,7 @@ impl Core {
             self.apply_staged_at_batch_open(writer);
         }
         let settled = out.len();
-        GROUP_COMMIT.with(|scratch| {
+        let taken = GROUP_COMMIT.with(|scratch| {
             let GroupCommit {
                 chosen,
                 settle,
@@ -1216,7 +1208,7 @@ impl Core {
             }));
             let base = if routes > 0 {
                 // Read once per sub-group what `route` reads once per key.
-                let (seen, ()) = self.with_route_chooser(|chooser| {
+                let (seen, ()) = self.with_route_chooser(|_, chooser| {
                     commit::choose_into(chooser, keys, |&key| key, Execution::INLINE, chosen)
                 });
                 self.commit_group(seen, keys, chosen, settle)
@@ -1250,7 +1242,13 @@ impl Core {
                     metrics.released.add(taken);
                 }
             }
+            taken
         });
+        if self.has_observers.load(Ordering::Acquire) {
+            // Before the boundary this sub-group may close, so a recorder
+            // sees each arrival strictly before its batch event.
+            self.notify_group(group, kind, &out[settled..], routes, taken);
+        }
         if routes > 0 {
             let open = self.open_routed.fetch_add(routes as u64, Ordering::AcqRel) + routes as u64;
             if open >= self.config.batch_size as u64 {
@@ -1259,31 +1257,55 @@ impl Core {
         }
     }
 
-    /// Serves a sub-group one request at a time: `route`, or a one-id
-    /// ledger settle and `depart`, each firing its observer events.
-    fn serve_one_by_one<R>(
+    /// Fires each served request's `on_route` or `on_release`, in request
+    /// order, through the observers in chain order. With one caller every
+    /// event reports what serving its request alone does: the resident count
+    /// and each departure's bin load are walked back from what the sub-group
+    /// left — `routes` balls placed, `taken` departed.
+    fn notify_group<R>(
         &self,
-        writer: &mut Writer<'_>,
         group: &[R],
-        kind: impl Fn(&R) -> WireRequest + Copy,
-        out: &mut Vec<Option<Ticket>>,
+        kind: impl Fn(&R) -> WireRequest,
+        served: &[Option<Ticket>],
+        routes: usize,
+        taken: u64,
     ) {
-        for request in group {
-            match kind(request) {
-                WireRequest::Route(key) => {
-                    let placement = self.route(writer, key).expect("routing is infallible");
-                    out.push(Some(placement.ticket));
-                }
-                WireRequest::Release(_) => {
-                    self.ledger
-                        .settle(std::slice::from_ref(request), kind, 0, &[], out);
-                    if let Some(&Some(ticket)) = out.last() {
-                        let departed = self.depart(ticket, ticket.bin());
-                        departed.expect("a redeemed ball held a load unit");
-                    }
-                }
+        let told = || {
+            let served = group.iter().map(&kind).zip(served);
+            served.filter_map(|(request, ticket)| Some((request, (*ticket)?)))
+        };
+        let change = |request| match request {
+            WireRequest::Route(_) => 1,
+            WireRequest::Release(_) => -1,
+        };
+        // `net[bin]`: the change the requests not yet told make to `bin`, so
+        // its load after a request is its load now less `net[bin]`.
+        let mut net = GROUP_COMMIT.with(|scratch| std::mem::take(&mut scratch.borrow_mut().net));
+        net.resize(self.capacity(), 0);
+        told().for_each(|(request, ticket)| net[ticket.bin()] += change(request));
+        let mut resident = (self.resident_now() + taken).saturating_sub(routes as u64);
+        let chain = self.observers.lock().expect("observer chain");
+        for (request, ticket) in told() {
+            let bin = ticket.bin();
+            net[bin] -= change(request);
+            resident = resident.saturating_add_signed(change(request).into());
+            if let WireRequest::Route(key) = request {
+                let event = RouteEvent {
+                    key,
+                    ticket,
+                    resident,
+                };
+                self.each_observer(&chain.0, |observer| observer.on_route(&event));
+            } else {
+                let event = ReleaseEvent {
+                    ticket,
+                    load_after: self.bins.load(bin).saturating_add_signed(-net[bin]),
+                    resident,
+                };
+                self.each_observer(&chain.0, |observer| observer.on_release(&event));
             }
         }
+        GROUP_COMMIT.with(|scratch| scratch.borrow_mut().net = net);
     }
 
     /// Commits the routes of a sub-group chosen under topology epoch `seen` —
@@ -1298,15 +1320,9 @@ impl Core {
         chosen: &mut [u32],
         scratch: &mut SettleScratch,
     ) -> u64 {
-        let bin_commits = self.metrics.as_ref().map(|m| &m.bin_commits);
-        self.bins
-            .place_unrecorded_with(chosen, scratch, |bin, count| {
-                if let Some(bin_commits) = bin_commits {
-                    bin_commits.add(bin, count as u64);
-                }
-            });
+        self.place_unrecorded(chosen, scratch);
         if self.topology_moved_since(seen) {
-            self.reroute_drained(&self.topology.load(), group, chosen);
+            self.reroute_drained(group, chosen, scratch);
         }
         let take = group.len() as u64;
         let base = self.next_ball.fetch_add(take, Ordering::AcqRel);
@@ -1320,36 +1336,56 @@ impl Core {
         base
     }
 
-    /// The cold half of a grouped commit's draining recheck: for every bin of
-    /// `chosen` that `fresh` no longer serves, takes the group's whole delta
-    /// back (one grouped decrement per distinct bin), counts one
-    /// `membership.rejected_routes_to_draining` per ball and re-routes
-    /// exactly those keys, overwriting their slots in `chosen`.
-    fn reroute_drained(&self, fresh: &Topology, keys: &[u64], chosen: &mut [u32]) {
-        let drained = |bin: u32| fresh.states[bin as usize] != BinState::Active;
-        let undone: Vec<u32> = chosen.iter().copied().filter(|&bin| drained(bin)).collect();
-        if undone.is_empty() {
-            return;
-        }
-        let taken_back = self.bins.release_group(&undone);
-        assert_eq!(
-            taken_back,
-            undone.len() as u64,
-            "undo of placements just made"
-        );
-        if let Some(metrics) = &self.metrics {
-            let rejected = &metrics.membership.rejected_routes_to_draining;
-            rejected.add(undone.len() as u64);
-            for &bin in &undone {
-                metrics.bin_commits.retract(bin as usize, 1);
-            }
-        }
-        for (slot, &key) in chosen.iter_mut().zip(keys) {
-            if drained(*slot) {
-                *slot = self.choose_and_place(key) as u32;
-                if let Some(metrics) = &self.metrics {
-                    metrics.bin_commits.inc(*slot as usize);
+    /// Places `bins` into the group `scratch` holds open, one atomic
+    /// increment per distinct bin, each counted under `bin_commits`.
+    fn place_unrecorded(&self, bins: &[u32], scratch: &mut SettleScratch) {
+        let bin_commits = self.metrics.as_ref().map(|m| &m.bin_commits);
+        self.bins
+            .place_unrecorded_with(bins, scratch, |bin, count| {
+                if let Some(bin_commits) = bin_commits {
+                    bin_commits.add(bin, count as u64);
                 }
+            });
+    }
+
+    /// The cold half of a grouped commit's draining recheck, once a topology
+    /// was published after the group chose: under the fresh view, every ball
+    /// of `chosen` whose bin it no longer serves is taken back (one grouped
+    /// decrement per distinct bin), counted under
+    /// `membership.rejected_routes_to_draining`, re-chosen under that same
+    /// view and placed again — then the re-placed balls are rechecked, until
+    /// no publication came in between.
+    fn reroute_drained(&self, keys: &[u64], chosen: &mut [u32], scratch: &mut SettleScratch) {
+        let mut moving: Vec<usize> = (0..chosen.len()).collect();
+        loop {
+            let mut undone = Vec::new();
+            let (seen, ()) = self.with_route_chooser(|fresh, chooser| {
+                moving.retain(|&at| fresh.states[chosen[at] as usize] != BinState::Active);
+                for &at in &moving {
+                    let again = chooser.choose_one(keys[at]);
+                    undone.push(std::mem::replace(&mut chosen[at], again));
+                }
+            });
+            if undone.is_empty() {
+                return;
+            }
+            let taken_back = self.bins.release_group(&undone);
+            assert_eq!(
+                taken_back,
+                undone.len() as u64,
+                "undo of placements just made"
+            );
+            if let Some(metrics) = &self.metrics {
+                let rejected = &metrics.membership.rejected_routes_to_draining;
+                rejected.add(undone.len() as u64);
+                for &bin in &undone {
+                    metrics.bin_commits.retract(bin as usize, 1);
+                }
+            }
+            let again: Vec<u32> = moving.iter().map(|&at| chosen[at]).collect();
+            self.place_unrecorded(&again, scratch);
+            if !self.topology_moved_since(seen) {
+                return;
             }
         }
     }
@@ -1366,31 +1402,18 @@ impl Core {
         evicted
     }
 
-    /// Releases one routed ball: redeem, depart, notify.
+    /// Releases one routed ball: redeem, depart, count, notify.
     pub(crate) fn release(&self, ticket: Ticket) -> Result<(), RouteError> {
-        match self.ledger.redeem(ticket) {
-            Ok(bin) => self.depart(ticket, bin),
-            Err(err) => {
-                if let Some(metrics) = &self.metrics {
-                    metrics.rejected_unknown_ticket.inc();
-                }
-                Err(err)
-            }
-        }
-    }
-
-    /// The rest of one release once the ledger has taken `ticket`'s ball out
-    /// of `bin`: depart, count, notify.
-    fn depart(&self, ticket: Ticket, bin: usize) -> Result<(), RouteError> {
-        if !self.bins.depart(bin) {
-            // Defensive: a redeemed ticket names a resident ball, so its bin
-            // cannot be empty unless ledger and bins diverged (a bug, not a
-            // caller error). Fail the release rather than corrupt loads.
+        // A redeemed ticket names a resident ball, so its bin is empty only
+        // if ledger and bins diverged (a bug, not a caller error): the
+        // release then fails rather than corrupt loads.
+        let redeemed = self.ledger.redeem(ticket).ok();
+        let Some(bin) = redeemed.filter(|&bin| self.bins.depart(bin)) else {
             if let Some(metrics) = &self.metrics {
                 metrics.rejected_unknown_ticket.inc();
             }
             return Err(RouteError::UnknownTicket { ticket });
-        }
+        };
         self.departed.fetch_add(1, Ordering::AcqRel);
         self.released.fetch_add(1, Ordering::AcqRel);
         if let Some(metrics) = &self.metrics {
@@ -1643,9 +1666,10 @@ impl Core {
     /// thresholds, priced once, at its first route (lazily, so the priced
     /// resident count includes every release up to the moment the batch
     /// opens) — and returns the topology epoch `f` chose under with its
-    /// result. Both cells are read under their read locks, not cloned out:
-    /// `f` only chooses.
-    fn with_route_chooser<R>(&self, f: impl FnOnce(&Chooser<'_>) -> R) -> (u64, R) {
+    /// result. `f` is handed that topology too, so a draining recheck judges
+    /// bins by the view it re-chooses under. Both cells are read under their
+    /// read locks, not cloned out: `f` only chooses.
+    fn with_route_chooser<R>(&self, f: impl FnOnce(&Topology, &Chooser<'_>) -> R) -> (u64, R) {
         let policy = self.config.policy;
         self.topology.with(|seen, topology| {
             let priced;
@@ -1658,22 +1682,9 @@ impl Core {
             };
             self.published.with(|_, stale| {
                 let ctx = self.choice_ctx(topology, stale, flat, capacity);
-                (seen, f(&Chooser::new(policy, &ctx)))
+                (seen, f(topology, &Chooser::new(policy, &ctx)))
             })
         })
-    }
-
-    /// The bin-selection core of one route: choose against the published
-    /// epoch snapshot and commit the placement, retrying while
-    /// [`Core::place_if_active`] refuses it. Returns the bin the ball landed
-    /// in.
-    fn choose_and_place(&self, key: u64) -> usize {
-        loop {
-            let (seen, bin) = self.with_route_chooser(|chooser| chooser.choose_one(key));
-            if self.place_if_active(seen, bin as usize) {
-                return bin as usize;
-            }
-        }
     }
 
     /// Whether a topology was published after epoch `seen` — the question
@@ -1686,25 +1697,6 @@ impl Core {
         #[cfg(test)]
         TOPOLOGY_RECHECKS.with(|count| count.set(count.get() + moved as u64));
         moved
-    }
-
-    /// Commits one placement to `bin`, chosen under topology epoch `seen`. A
-    /// scale event applied since may have drained the bin between choose and
-    /// place; if so the placement is undone, counted
-    /// (`membership.rejected_routes_to_draining`) and `false` returned: the
-    /// caller retries against the fresh topology. With one caller the race
-    /// cannot occur.
-    fn place_if_active(&self, seen: u64, bin: usize) -> bool {
-        self.bins.place(bin);
-        let still_active = !self.topology_moved_since(seen)
-            || self.topology.load().states[bin] == BinState::Active;
-        if !still_active {
-            assert!(self.bins.depart(bin), "undo of a placement just made");
-            if let Some(metrics) = &self.metrics {
-                metrics.membership.rejected_routes_to_draining.inc();
-            }
-        }
-        still_active
     }
 
     /// Applies everything staged — membership events first (the topology the
@@ -2110,7 +2102,7 @@ mod tests {
     /// returns the topology epoch the group chose under.
     fn choose_group(core: &Core, group: &[u64], scratch: &mut CommitScratch) -> u64 {
         let chosen = &mut scratch.chosen;
-        let choose = |chooser: &Chooser<'_>| {
+        let choose = |_: &Topology, chooser: &Chooser<'_>| {
             commit::choose_into(chooser, group, |&key| key, Execution::INLINE, chosen)
         };
         core.with_route_chooser(choose).0
@@ -2127,82 +2119,54 @@ mod tests {
 
     #[test]
     fn a_group_whose_bin_drains_before_its_commit_takes_it_back_and_reroutes() {
-        let router = settled_router();
-        let core = &router.shared.core;
-        let group = keys(32, 2);
-        let (mut scratch, mut settle) = (CommitScratch::default(), SettleScratch::default());
+        // A group of 32, and a group of one: what `route(key)` serves.
+        for size in [32, 1] {
+            let router = settled_router();
+            let core = &router.shared.core;
+            let group = keys(size, 2);
+            let (mut scratch, mut settle) = (CommitScratch::default(), SettleScratch::default());
 
-        // Step 1: the group chooses, under topology epoch 0.
-        let seen = choose_group(core, &group, &mut scratch);
-        assert_eq!(seen, 0);
-        let first_choice = scratch.chosen.clone();
-        let victim = first_choice[0] as usize;
-        let hits = first_choice.iter().filter(|&&bin| bin as usize == victim);
-        let hits = hits.count() as u64;
-        let load_before = router.load(victim);
-        assert!(
-            load_before > 0,
-            "the undo must not be able to hide in a zero"
-        );
+            // Step 1: the group chooses, under topology epoch 0.
+            let seen = choose_group(core, &group, &mut scratch);
+            assert_eq!(seen, 0);
+            let first_choice = scratch.chosen.clone();
+            let victim = first_choice[0] as usize;
+            let hits = first_choice.iter().filter(|&&bin| bin as usize == victim);
+            let hits = hits.count() as u64;
+            let load_before = router.load(victim);
+            assert!(
+                load_before > 0,
+                "the undo must not be able to hide in a zero"
+            );
 
-        // Step 2: a scale event drains one of the chosen bins — epoch 1.
-        drain_now(&router, victim);
-        assert_eq!(core.topology.epoch(), 1);
-        assert_eq!(rejected_routes(&router), 0);
+            // Step 2: a scale event drains one of the chosen bins — epoch 1.
+            drain_now(&router, victim);
+            assert_eq!(core.topology.epoch(), 1);
+            assert_eq!(rejected_routes(&router), 0);
 
-        // Step 3: the group commits. One look at the fresh topology; the
-        // victim's whole delta comes back; exactly its keys move.
-        let rechecks = topology_rechecks();
-        let base = core.commit_group(seen, &group, &mut scratch.chosen, &mut settle);
-        let tickets = core.ledger.issue_many(base, &scratch.chosen);
-        assert_eq!(topology_rechecks() - rechecks, 1);
-        assert_eq!(rejected_routes(&router), hits);
-        assert_eq!(router.load(victim), load_before);
-        for (ticket, &first) in tickets.iter().zip(&first_choice) {
-            if first as usize == victim {
-                assert_ne!(ticket.bin(), victim, "re-routed off the drained bin");
-            } else {
-                assert_eq!(ticket.bin(), first as usize, "everyone else stays put");
+            // Step 3: the group commits. One look at the fresh topology; the
+            // victim's whole delta comes back; exactly its keys move.
+            let rechecks = topology_rechecks();
+            let base = core.commit_group(seen, &group, &mut scratch.chosen, &mut settle);
+            let tickets = core.ledger.issue_many(base, &scratch.chosen);
+            assert_eq!(topology_rechecks() - rechecks, 1);
+            assert_eq!(rejected_routes(&router), hits);
+            assert_eq!(router.load(victim), load_before);
+            for (ticket, &first) in tickets.iter().zip(&first_choice) {
+                if first as usize == victim {
+                    assert_ne!(ticket.bin(), victim, "re-routed off the drained bin");
+                } else {
+                    assert_eq!(ticket.bin(), first as usize, "everyone else stays put");
+                }
             }
+            let metrics = router.metrics().unwrap();
+            assert_eq!(metrics.bin_commits.total(), metrics.placed.get());
+            assert_eq!(metrics.bin_commits.get(victim), load_before as u64);
+            assert!(router.conserves_balls());
+            router.release_many(&tickets).expect("every ticket redeems");
+            assert_eq!(router.resident(), 64);
+            assert!(router.conserves_balls());
         }
-        let metrics = router.metrics().unwrap();
-        assert_eq!(metrics.bin_commits.total(), metrics.placed.get());
-        assert_eq!(metrics.bin_commits.get(victim), load_before as u64);
-        assert!(router.conserves_balls());
-        router.release_many(&tickets).expect("every ticket redeems");
-        assert_eq!(router.resident(), 64);
-        assert!(router.conserves_balls());
-    }
-
-    #[test]
-    fn a_route_whose_bin_drains_before_its_commit_is_undone_counted_and_retried() {
-        let router = settled_router();
-        let core = &router.shared.core;
-        let key = 0xfeed;
-
-        // Step 1: choose under epoch 0. Step 2: the chosen bin drains.
-        let (seen, bin) = core.with_route_chooser(|chooser| chooser.choose_one(key) as usize);
-        assert_eq!(seen, 0);
-        let load_before = router.load(bin);
-        drain_now(&router, bin);
-
-        // Step 3: the commit is refused — placed, found drained, undone.
-        assert!(!core.place_if_active(seen, bin));
-        assert_eq!(rejected_routes(&router), 1);
-        assert_eq!(router.load(bin), load_before);
-        assert!(router.conserves_balls());
-
-        // The retry decides against the fresh topology and sticks.
-        let rechecks = topology_rechecks();
-        let placement = router.route(key).unwrap();
-        assert_ne!(placement.bin, bin);
-        assert_eq!(topology_rechecks(), rechecks);
-        assert_eq!(rejected_routes(&router), 1);
-        router
-            .release(placement.ticket)
-            .expect("the ticket redeems");
-        assert_eq!(router.resident(), 64);
-        assert!(router.conserves_balls());
     }
 
     #[test]
@@ -2211,11 +2175,8 @@ mod tests {
         let core = &router.shared.core;
         let rechecks = topology_rechecks();
         // Nothing staged, then an empty plan staged and applied: no
-        // publication, so no commit — single or grouped — loads a topology.
+        // publication, so no commit loads a topology.
         for round in 0..2 {
-            for key in keys(64, 10 + round) {
-                router.route(key).unwrap();
-            }
             for group in keys(256, 20 + round).chunks(32) {
                 router.route_many(group).unwrap();
             }
@@ -2304,6 +2265,37 @@ mod tests {
         assert_eq!(router.snapshot_epoch(), 40);
         assert_eq!(router.gap_trajectory().len(), 40);
         assert_eq!(*router.stale_loads(), router.loads(), "at a boundary");
+    }
+
+    #[test]
+    fn a_poisoned_observer_costs_one_error_per_event_it_misses() {
+        struct Deaf;
+        impl RouterObserver for Deaf {}
+        let router = settled_router();
+        let held = router.route_many(&keys(16, 7)).unwrap();
+        let victim = Arc::new(Mutex::new(Deaf));
+        router.add_observer(victim.clone());
+        let poisoned = std::thread::spawn(move || {
+            let _guard = victim.lock().expect("the first locker");
+            panic!("poisoning the observer's lock");
+        });
+        assert!(poisoned.join().is_err());
+        // 16 routes and 16 releases interleaved: one sub-group (the open
+        // batch has room for every route), 32 events, none of them heard.
+        let run: Vec<WireRequest> = keys(16, 8)
+            .into_iter()
+            .zip(&held)
+            .flat_map(|(key, placement)| {
+                let wire = router.wire_id(&placement.ticket);
+                [WireRequest::Route(key), WireRequest::Release(wire)]
+            })
+            .collect();
+        let errors = &router.metrics().unwrap().observer_errors;
+        let before = errors.get();
+        let mut out = Vec::new();
+        router.serve_wire(&run, &mut out);
+        assert!(out.iter().all(Option::is_some) && router.batches() == 1);
+        assert_eq!(errors.get() - before, run.len() as u64);
     }
 
     #[test]

@@ -1014,39 +1014,6 @@ mod tests {
     }
 
     #[test]
-    fn observers_see_every_batch_and_release() {
-        use pba_model::router::{BatchEvent, ReleaseEvent, RouterObserver};
-        #[derive(Default)]
-        struct Counter {
-            batches: u64,
-            balls: u64,
-            releases: u64,
-        }
-        impl RouterObserver for Counter {
-            fn on_batch(&mut self, event: &BatchEvent<'_>) {
-                self.batches += 1;
-                self.balls += event.batch_len as u64;
-            }
-            fn on_release(&mut self, _event: &ReleaseEvent) {
-                self.releases += 1;
-            }
-        }
-        let counter = Arc::new(Mutex::new(Counter::default()));
-        let mut s = StreamAllocator::new(StreamConfig::new(8).batch_size(4).seed(9));
-        s.add_observer(counter.clone());
-        let mut tickets = Vec::new();
-        for key in 0..20u64 {
-            tickets.push(s.route(key).unwrap().ticket);
-        }
-        s.release(tickets[0]).unwrap();
-        s.release(tickets[1]).unwrap();
-        let seen = counter.lock().unwrap();
-        assert_eq!(seen.batches, 5);
-        assert_eq!(seen.balls, 20);
-        assert_eq!(seen.releases, 2);
-    }
-
-    #[test]
     fn with_resident_loads_matches_an_organically_grown_engine() {
         // Grow an engine to a boundary, then clone its loads into a fresh
         // engine via with_resident_loads: both must drain an identical suffix

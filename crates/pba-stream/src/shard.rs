@@ -133,9 +133,9 @@ impl ShardedBins {
         (s * self.len()).div_ceil(self.shards)
     }
 
-    /// Places one ball into `bin` and updates the owning shard's stats —
-    /// the single-route commit; groups go through
-    /// [`ShardedBins::place_group_with`].
+    /// Places one ball into `bin` and updates the owning shard's stats — a
+    /// migration's commit; routes, a single one included, go through
+    /// [`ShardedBins::place_unrecorded_with`].
     pub fn place(&self, bin: usize) {
         let new_load = self.bins.add(bin);
         let mut stats = self.stats[self.shard_of(bin)].lock().expect("shard lock");

@@ -295,7 +295,9 @@ proptest! {
     /// id and a stale id in a reused slot spliced in, through arbitrary
     /// partitions into `serve_wire` runs of releases: the per-id outcomes,
     /// the observer events and the final loads are the loop's — decode each
-    /// id (it names a resident ball or nothing), release what it names.
+    /// id (it names a resident ball or nothing), release what it names. The
+    /// runs' events come from the grouped walk over each sub-group, cut
+    /// wherever the partition cuts; the loop's from `release`.
     #[test]
     fn serve_wire_release_partitions_match_the_decode_and_release_loop(
         bins_exp in 2u32..6,
@@ -853,7 +855,9 @@ proptest! {
     /// exactly the state the same stream leaves fed one line per `feed`:
     /// reply bytes, stats, loads, shard stats with their peaks, the gap
     /// trajectory, the snapshot epoch, the resident tickets and, with an
-    /// observer attached, its event stream.
+    /// observer attached, its event stream. Both sides tell events by the
+    /// same grouped walk, over sub-groups cut differently: whole runs, or
+    /// runs of one line.
     #[test]
     fn a_mixed_run_served_whole_matches_one_line_per_feed(
         shape in 0usize..36,

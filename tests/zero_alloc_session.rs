@@ -14,9 +14,10 @@
 //!   fills the open batch, so a window holds one, or two when it closes a
 //!   batch with requests after the closing route.
 //!
-//! `ConcurrentRouter::release_many` is a loop of `release`: a warmed call on
-//! 32 live tickets allocates **nothing** and takes exactly **32** ledger
-//! locks, one per ticket.
+//! A single call is a run of one: a warmed `route` — on the handle or on the
+//! sole owner, `StreamAllocator` — and a warmed `release` each allocate
+//! **nothing** and take exactly **one** ledger lock. `release_many` is a
+//! loop of `release`: on 32 live tickets, nothing allocated and 32 locks.
 //!
 //! Both counters are per thread (`tests/support/counting_alloc.rs`, and a
 //! thread-local in the ledger): libtest runs tests on parallel threads.
@@ -215,32 +216,48 @@ fn a_warmed_window_takes_one_ledger_lock_per_home_shard_per_sub_group() {
     }
 }
 
+/// Runs `f`, returning its result with the heap allocations and ledger locks
+/// it made on this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
+    let locks_before = SharedTicketLedger::locks_taken();
+    let mut result = None;
+    let allocations = allocations_during(|| result = Some(f()));
+    let locks = SharedTicketLedger::locks_taken() - locks_before;
+    (result.expect("ran"), (allocations, locks))
+}
+
 #[test]
-fn a_warmed_release_many_allocates_nothing_and_locks_once_per_ticket() {
+fn a_warmed_single_route_or_release_allocates_nothing_and_locks_once() {
     let router = serving_router();
+    let mut owner = StreamAllocator::new(router.config().clone());
     let mut keys = SplitMix64::new(0x5e55);
     let mut held = VecDeque::new();
-    let mut route_group = |held: &mut VecDeque<Ticket>| {
-        let group: Vec<u64> = (0..RUN).map(|_| keys.next_u64()).collect();
-        let placed = router.route_many(&group).expect("routing is infallible");
-        held.extend(placed.into_iter().map(|placement| placement.ticket));
-    };
-    // 4096 residents, then FIFO churn: a group of 32 routed, the 32 oldest
-    // released. The first 256 groups warm up; the next 256 are measured.
-    for _ in 0..4096 / RUN {
-        route_group(&mut held);
-    }
-    for window in 0..512 {
-        route_group(&mut held);
-        let oldest: Vec<Ticket> = held.drain(..RUN).collect();
-        let locks_before = SharedTicketLedger::locks_taken();
-        let release = || router.release_many(&oldest).expect("live tickets release");
-        let allocations = allocations_during(release);
-        let locks = SharedTicketLedger::locks_taken() - locks_before;
-        if window >= 256 {
-            assert_eq!((allocations, locks), (0, RUN as u64), "window {window}");
+    // 4096 residents on each, then FIFO churn: one key routed on each and
+    // each one's oldest ball released, per step. The first 16 384 steps warm
+    // up; the next 16 384 are measured, across 64 batch boundaries.
+    const WARM: usize = 4096 + 16_384;
+    for step in 0..WARM + 16_384 {
+        let key = keys.next_u64();
+        let (shared, shared_route) = counted(|| router.route(key).expect("infallible"));
+        let (owned, owned_route) = counted(|| owner.route(key).expect("infallible"));
+        assert_eq!(shared.bin, owned.bin, "step {step}: one core");
+        held.push_back((shared.ticket, owned.ticket));
+        if step < 4096 {
+            continue;
+        }
+        let (shared, owned) = held.pop_front().expect("a held ball");
+        let ((), shared_release) = counted(|| router.release(shared).expect("a live ticket"));
+        let ((), owned_release) = counted(|| owner.release(owned).expect("a live ticket"));
+        if step >= WARM {
+            let costs = [shared_route, owned_route, shared_release, owned_release];
+            assert_eq!(costs, [(0, 1); 4], "step {step}: (allocations, locks)");
         }
     }
-    assert_eq!(router.resident(), 4096);
+    assert_eq!(router.loads(), owner.loads());
+    // `release_many` is the loop of `release`: 32 tickets, 32 locks.
+    let oldest: Vec<Ticket> = held.drain(..RUN).map(|(shared, _)| shared).collect();
+    let ((), cost) = counted(|| router.release_many(&oldest).expect("live tickets"));
+    assert_eq!(cost, (0, RUN as u64));
+    assert_eq!(router.resident(), 4096 - RUN as u64);
     assert!(router.conserves_balls());
 }
