@@ -9,9 +9,9 @@
 //! ```
 //!
 //! For every committed trace the binary replays the full
-//! **schedule-deterministic** matrix — `stream` (drain threads 0 and 4) and
-//! `concurrent1` across all six policies under uniform weights, a weighted
-//! `stream` row, and one `oneshot` row — and renders each outcome as one
+//! **schedule-deterministic** matrix — a `concurrent1` row per policy under
+//! uniform weights, a weighted `concurrent1` row, and one `oneshot` row
+//! where the trace admits it — and renders each outcome as one
 //! stable [`pba_replay::golden_line`] (FNV-1a hashes of placements, loads
 //! and gap trajectories plus the scalar counters). Any placement drift — a
 //! policy tweak, an RNG reordering, a batching change — shows up as the
@@ -145,42 +145,28 @@ fn snapshot(trace: &Trace) -> String {
     let group = if trace.name == "mini-batched" { 7 } else { 0 };
     let mut lines = Vec::new();
     for policy in policies() {
-        for threads in [0usize, 4] {
-            let config = ReplayConfig::stream(policy)
-                .num_threads(threads)
-                .route_group(group);
-            let outcome = replay(trace, &config).expect("stream replay");
-            lines.push(golden_line(
-                &outcome,
-                &policy.name(),
-                &config.weights.name(),
-                threads,
-            ));
-        }
-        // The 1-caller concurrent twin only replays non-reweighting traces.
         let config = ReplayConfig::concurrent(policy, 1).route_group(group);
-        if let Ok(outcome) = replay(trace, &config) {
-            lines.push(golden_line(
-                &outcome,
-                &policy.name(),
-                &config.weights.name(),
-                0,
-            ));
-        }
+        let outcome = replay(trace, &config).expect("concurrent1 replay");
+        lines.push(golden_line(
+            &outcome,
+            &policy.name(),
+            &config.weights.name(),
+        ));
     }
-    // One weighted stream row: half the bins at double weight.
+    // One weighted row: half the bins at double weight.
     let tiers = BinWeights::power_of_two_tiers(&[(trace.bins / 2, 1), (trace.bins / 2, 0)]);
-    let config = ReplayConfig::stream(Policy::WeightedTwoChoice).weights(tiers);
-    let outcome = replay(trace, &config).expect("weighted stream replay");
+    let config = ReplayConfig::concurrent(Policy::WeightedTwoChoice, 1)
+        .weights(tiers)
+        .route_group(group);
+    let outcome = replay(trace, &config).expect("weighted concurrent1 replay");
     lines.push(golden_line(
         &outcome,
         &Policy::WeightedTwoChoice.name(),
         &config.weights.name(),
-        0,
     ));
     // One precomputed one-shot row (keys ignored by the adapter's contract).
     if let Ok(outcome) = replay(trace, &ReplayConfig::one_shot()) {
-        lines.push(golden_line(&outcome, "heavy", "uniform", 0));
+        lines.push(golden_line(&outcome, "heavy", "uniform"));
     }
     let mut out = lines.join("\n");
     out.push('\n');

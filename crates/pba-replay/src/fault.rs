@@ -1,8 +1,12 @@
 //! [`FaultPlan`]: scripted fault injection over a trace replay, with named
 //! counters and invariant checks after every fault.
 //!
-//! A fault plan replays a [`Trace`] on a [`StreamAllocator`] exactly like
-//! [`crate::replay`], but injects failures at scripted arrival points:
+//! A fault plan replays a [`Trace`] on the 1-caller [`ConcurrentRouter`]
+//! through the clean replay's own event loop ([`crate::replay`]). It edits
+//! the loop's schedule before the run — a delay moves a release to a later
+//! arrival point, a reorder window reverses its arrivals — and injects every
+//! other fault through the loop's hooks once its arrival point has settled.
+//! An empty plan is therefore the clean replay, bit for bit.
 //!
 //! | fault | injection | named counter |
 //! |---|---|---|
@@ -18,30 +22,35 @@
 //! After each injection the harness runs the [`crate::invariants`] checks —
 //! conservation, ledger consistency, counter identities — and records the
 //! result per fault in a [`FaultCheck`]. The acceptance rule: **every
-//! injected fault class leaves the invariants intact and its named counter
-//! non-zero** (plus, where the engine itself rejects something, the engine's
-//! own no-silent-drops counter fires too: a duplicated release shows up in
-//! `route.rejected_unknown_ticket`, a poisoned observer in
-//! `observer.errors`).
+//! scripted fault is injected, leaves the invariants intact and fires its
+//! named counter** (plus, where the engine itself rejects something, the
+//! engine's own no-silent-drops counter fires too: a duplicated release
+//! shows up in `route.rejected_unknown_ticket`, a poisoned observer in
+//! `observer.errors`). A fault the run never reaches — a point past the
+//! last arrival, a ball the trace never releases — still leaves its one
+//! check, with `fired = 0`, so it fails.
 //!
-//! Out-of-order delivery at the **ingress** (the concurrent push path) needs
-//! the shared-handle engine; [`inject_ingress_reorder`] covers it via
+//! Out-of-order delivery at the **ingress** (the push path, which replay
+//! never takes) is [`inject_ingress_reorder`]'s, via
 //! [`ConcurrentRouter::stamp_delayed`], tripping `ingress.late_arrivals`.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use pba_model::router::{RouteEvent, RouterObserver, Ticket};
 use pba_obs::{FaultCounters, MetricsRegistry};
-use pba_stream::{ConcurrentRouter, MembershipPlan, Policy, StreamAllocator, StreamConfig};
+use pba_stream::{ConcurrentRouter, MembershipPlan, Policy, StreamConfig};
 
 use crate::invariants;
-use crate::replay::{release_schedule, streaming_outcome, ReplayEngine, ReplayOutcome};
+use crate::replay::{
+    replay_events, stage, stream_config, streaming_outcome, ReplayConfig, ReplayEngine,
+    ReplayHooks, ReplayOutcome, Schedule,
+};
 use crate::trace::{Trace, TraceEvent};
 
 /// One scripted fault. Arrival points are trace arrival ids; a fault "at
 /// `after_arrival = j`" injects right after arrival `j` has been routed (and
-/// its scripted releases applied).
+/// its scripted releases applied), also inside a reversed window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fault {
     /// Crash `bin` after arrival `after_arrival`: every ticketed resident of
@@ -53,7 +62,8 @@ pub enum Fault {
         bin: usize,
     },
     /// Postpone the scripted release of ball `arrival` until after arrival
-    /// `until` has been routed (clamped to the end of the trace).
+    /// `until` has been routed (clamped to the end of the trace). Counted at
+    /// the ball's scripted release point.
     DelayRelease {
         /// The ball whose release is delayed.
         arrival: u64,
@@ -66,7 +76,9 @@ pub enum Fault {
         /// The ball released twice.
         arrival: u64,
     },
-    /// Deliver arrivals `[start, start + len)` in reverse order.
+    /// Deliver arrivals `[start, start + len)` in reverse order (clamped to
+    /// the end of the trace; a window overlapping an earlier one of the
+    /// plan is not injected). Counted once the window's first point settles.
     ReorderWindow {
         /// First arrival of the reversed window.
         start: u64,
@@ -82,6 +94,7 @@ pub enum Fault {
     },
     /// Attach an observer whose event queue holds at most `capacity` events;
     /// overflow is shed (and counted) instead of blocking the engine.
+    /// Counted once the last arrival point settles.
     Backpressure {
         /// Queue bound.
         capacity: usize,
@@ -155,12 +168,22 @@ pub struct FaultCheck {
 impl FaultCheck {
     /// The evidence of `fault` right after its injection: its counter's
     /// value and the engine's invariants at this instant.
-    fn after(stream: &StreamAllocator, fault: &Fault, fired: u64) -> Self {
+    fn after(router: &ConcurrentRouter, fault: &Fault, fired: u64) -> Self {
         Self {
             fault: fault.name().into(),
             counter: fault.counter().into(),
             fired,
-            invariant_error: invariants::check_stream(stream, false).err(),
+            invariant_error: invariants::check(router, false).err(),
+        }
+    }
+
+    /// The evidence of a fault the run never reached: it fired nothing.
+    fn never_injected(fault: &Fault) -> Self {
+        Self {
+            fault: fault.name().into(),
+            counter: fault.counter().into(),
+            fired: 0,
+            invariant_error: None,
         }
     }
 
@@ -186,7 +209,7 @@ pub struct FaultPlan {
 pub struct FaultRun {
     /// Final state, same shape as a clean [`crate::replay::replay`] outcome.
     pub outcome: ReplayOutcome,
-    /// One check per injected fault, in injection order.
+    /// One check per scripted fault, in plan order.
     pub checks: Vec<FaultCheck>,
     /// The registry the run recorded into (engine counters + `fault.*`).
     pub registry: Arc<MetricsRegistry>,
@@ -227,12 +250,13 @@ impl FaultPlan {
         }
     }
 
-    /// Replays `trace` on a [`StreamAllocator`] under `policy`, injecting
-    /// every scripted fault and checking invariants after each. Reweight
-    /// events in the trace apply as in a clean replay.
+    /// Replays `trace` on the 1-caller handle under `policy`, injecting
+    /// every scripted fault and checking invariants after each. Reweight and
+    /// membership events in the trace apply as in a clean replay, which an
+    /// empty plan is.
     pub fn run(&self, trace: &Trace, policy: Policy) -> FaultRun {
         let registry = Arc::new(MetricsRegistry::new());
-        let fault_counters = FaultCounters::resolve(&registry);
+        let counters = FaultCounters::resolve(&registry);
         // Size the reserve so neither the trace's own `m add` lines nor the
         // injected scale-ups can be rejected for lack of a retired slot.
         let injected_adds = self
@@ -240,262 +264,85 @@ impl FaultPlan {
             .iter()
             .filter(|f| matches!(f, Fault::AddBinMidTrace { .. }))
             .count();
-        let mut stream = StreamAllocator::new(
-            StreamConfig::new(trace.bins)
-                .policy(policy)
-                .batch_size(trace.batch_size)
-                .seed(trace.seed)
-                .reserve_bins(trace.needed_reserve() + injected_adds),
-        );
-        stream.install_metrics(registry.clone());
-
-        // Index the scripted faults by their injection coordinates.
-        let mut crash_at: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut poison_at: HashSet<u64> = HashSet::new();
-        let mut delays: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut duplicates: HashSet<u64> = HashSet::new();
-        let mut reorder_at: HashMap<u64, usize> = HashMap::new();
-        let mut add_bin_at: HashMap<u64, Vec<f64>> = HashMap::new();
-        let mut drain_bin_at: HashMap<u64, Vec<u32>> = HashMap::new();
-        let mut queue_capacity: Option<usize> = None;
-        for fault in &self.faults {
-            match *fault {
-                Fault::CrashBin { after_arrival, bin } => {
-                    crash_at.entry(after_arrival).or_default().push(bin);
-                }
-                Fault::DelayRelease { arrival, until } => {
-                    delays.insert(arrival, until);
-                }
-                Fault::DuplicateRelease { arrival } => {
-                    duplicates.insert(arrival);
-                }
-                Fault::ReorderWindow { start, len } => {
-                    reorder_at.insert(start, len);
-                }
-                Fault::PoisonObserver { after_arrival } => {
-                    poison_at.insert(after_arrival);
-                }
-                Fault::Backpressure { capacity } => queue_capacity = Some(capacity),
-                Fault::AddBinMidTrace {
-                    after_arrival,
-                    weight,
-                } => {
-                    add_bin_at.entry(after_arrival).or_default().push(weight);
-                }
-                Fault::DrainBinMidTrace { after_arrival, bin } => {
-                    drain_bin_at.entry(after_arrival).or_default().push(bin);
-                }
-            }
-        }
+        let config = stream_config(trace, &ReplayConfig::concurrent(policy, 1))
+            .reserve_bins(trace.needed_reserve() + injected_adds);
+        let mut router = ConcurrentRouter::with_metrics(config, registry.clone());
 
         // The harness observer: backpressure bound when scripted (a huge
         // bound otherwise — attached regardless so the poisoning fault has a
         // lock to break and `on_route` traffic flows either way).
+        let capacity = self.faults.iter().rev().find_map(|f| match f {
+            Fault::Backpressure { capacity } => Some(*capacity),
+            _ => None,
+        });
         let observer = Arc::new(Mutex::new(BoundedLog {
             seen: Vec::new(),
-            capacity: queue_capacity.unwrap_or(usize::MAX),
-            shed: fault_counters.backpressure_dropped.clone(),
+            capacity: capacity.unwrap_or(usize::MAX),
+            shed: counters.backpressure_dropped.clone(),
         }));
-        stream.add_observer(observer.clone());
+        router.add_observer(observer.clone());
 
-        // One pre-scan: each arrival's key and scripted release point, and
-        // the reweight and scripted membership events keyed by the arrival
-        // id they precede.
-        let mut arrivals: Vec<u64> = Vec::new();
-        let mut scripted_release: Vec<Option<u64>> = Vec::new();
-        let mut reweight_before: HashMap<u64, Vec<&[f64]>> = HashMap::new();
-        let mut membership_before: HashMap<u64, MembershipPlan> = HashMap::new();
-        for event in &trace.events {
-            let id = arrivals.len() as u64;
-            match event {
-                TraceEvent::Arrival { key, release_after } => {
-                    arrivals.push(*key);
-                    scripted_release.push(*release_after);
+        // Edit the clean schedule, and index every other fault by the
+        // arrival point whose settling injects it.
+        let m = trace.arrivals();
+        let mut schedule = Schedule::of(trace);
+        let mut at: HashMap<u64, Vec<usize>> = HashMap::new();
+        for (i, fault) in self.faults.iter().enumerate() {
+            let point = match *fault {
+                Fault::DelayRelease { arrival, until } => {
+                    let mut due = schedule.due.iter_mut();
+                    let Some((&scripted, balls)) = due.find(|(_, b)| b.contains(&arrival)) else {
+                        continue;
+                    };
+                    balls.retain(|&ball| ball != arrival);
+                    let effective = until.max(scripted).min(m - 1);
+                    let moved = schedule.due.entry(effective).or_default();
+                    moved.push(arrival);
+                    moved.sort_unstable();
+                    scripted
                 }
-                TraceEvent::Reweight { weights } => {
-                    reweight_before.entry(id).or_default().push(weights);
+                Fault::ReorderWindow { start, len } => {
+                    let end = (start + len as u64).min(m);
+                    let overlaps = schedule
+                        .reversed
+                        .iter()
+                        .any(|(&from, &to)| start < to && from < end);
+                    if start >= end || overlaps {
+                        continue;
+                    }
+                    schedule.reversed.insert(start, end);
+                    start
                 }
-                TraceEvent::Membership { event } => {
-                    membership_before
-                        .entry(id)
-                        .or_default()
-                        .extend(MembershipPlan::new().push(*event));
-                }
-            }
-        }
-        let m = arrivals.len() as u64;
-        // The clean replay's release schedule, with each delayed ball moved
-        // from its scripted point to its effective one (lists stay in id
-        // order, as a scan of the trace would build them).
-        let mut due = release_schedule(trace);
-        let mut delay_notice_at: HashMap<u64, Vec<u64>> = HashMap::new();
-        for (&ball, &until) in &delays {
-            let Some(&Some(after)) = scripted_release.get(ball as usize) else {
-                continue;
+                Fault::CrashBin { after_arrival, .. }
+                | Fault::PoisonObserver { after_arrival }
+                | Fault::AddBinMidTrace { after_arrival, .. }
+                | Fault::DrainBinMidTrace { after_arrival, .. } => after_arrival,
+                // The shed count is read once the last point settles.
+                Fault::Backpressure { .. } => m.saturating_sub(1),
+                // Injected by the release hook.
+                Fault::DuplicateRelease { .. } => continue,
             };
-            let effective = until.max(after).min(m.saturating_sub(1));
-            if let Some(scripted) = due.get_mut(&after) {
-                scripted.retain(|&id| id != ball);
-            }
-            let moved = due.entry(effective).or_default();
-            moved.push(ball);
-            moved.sort_unstable();
-            delay_notice_at.entry(after).or_default().push(ball);
+            at.entry(point).or_default().push(i);
         }
 
-        let mut checks: Vec<FaultCheck> = Vec::new();
-        let mut placements = vec![0u32; arrivals.len()];
-        let mut tickets: Vec<Option<Ticket>> = vec![None; arrivals.len()];
-
-        let mut route_one = |stream: &mut StreamAllocator,
-                             placements: &mut Vec<u32>,
-                             tickets: &mut Vec<Option<Ticket>>,
-                             id: u64| {
-            for weights in reweight_before.remove(&id).unwrap_or_default() {
-                stream.set_weights(Trace::weights_of(weights));
-            }
-            if let Some(plan) = membership_before.remove(&id) {
-                stream.stage_membership(plan);
-            }
-            let placement = stream
-                .route(arrivals[id as usize])
-                .expect("streaming route is infallible");
-            placements[id as usize] = placement.bin as u32;
-            tickets[id as usize] = Some(placement.ticket);
+        let mut injector = Injector {
+            faults: &self.faults,
+            arrivals: m,
+            counters,
+            observer,
+            at,
+            checks: vec![None; self.faults.len()],
         };
-
-        // Releases everything due at `point`; duplicate and crashed-ball
-        // releases turn into their respective counters instead of panics.
-        let mut settle_point = |stream: &mut StreamAllocator,
-                                tickets: &mut Vec<Option<Ticket>>,
-                                checks: &mut Vec<FaultCheck>,
-                                point: u64| {
-            for ball in delay_notice_at.remove(&point).unwrap_or_default() {
-                fault_counters.delayed_releases.inc();
-                let fault = Fault::DelayRelease {
-                    arrival: ball,
-                    until: 0,
-                };
-                let fired = fault_counters.delayed_releases.get();
-                checks.push(FaultCheck::after(stream, &fault, fired));
-            }
-            for ball in due.remove(&point).unwrap_or_default() {
-                let ticket = tickets[ball as usize]
-                    .take()
-                    .expect("trace schedules each release once");
-                if stream.release(ticket).is_err() {
-                    // The ball died earlier (bin crash): the scripted
-                    // release is dropped, visibly.
-                    fault_counters.dropped_releases.inc();
-                    continue;
-                }
-                if duplicates.contains(&ball) {
-                    let rejected = stream.release(ticket).is_err();
-                    assert!(rejected, "a duplicate release must be rejected");
-                    fault_counters.duplicated_releases.inc();
-                    let fault = Fault::DuplicateRelease { arrival: ball };
-                    let fired = fault_counters.duplicated_releases.get();
-                    checks.push(FaultCheck::after(stream, &fault, fired));
-                }
-            }
-        };
-
-        let mut id = 0u64;
-        while id < m {
-            if let Some(len) = reorder_at.remove(&id) {
-                // Deliver the window in reverse, then settle its release
-                // points in ascending order (a scripted release may name a
-                // ball the reversal routes later).
-                let end = (id + len as u64).min(m);
-                for j in (id..end).rev() {
-                    route_one(&mut stream, &mut placements, &mut tickets, j);
-                }
-                fault_counters.reordered_arrivals.add(end - id);
-                let fault = Fault::ReorderWindow {
-                    start: id,
-                    len: (end - id) as usize,
-                };
-                let fired = fault_counters.reordered_arrivals.get();
-                checks.push(FaultCheck::after(&stream, &fault, fired));
-                for j in id..end {
-                    settle_point(&mut stream, &mut tickets, &mut checks, j);
-                }
-                id = end;
-                continue;
-            }
-            route_one(&mut stream, &mut placements, &mut tickets, id);
-            settle_point(&mut stream, &mut tickets, &mut checks, id);
-            for bin in crash_at.remove(&id).unwrap_or_default() {
-                let evicted = stream.crash_bin(bin);
-                fault_counters.bin_crash_releases.add(evicted);
-                // The crash released the bin's tickets: a later scripted
-                // release of one of them fails and counts under
-                // `fault.dropped_releases`.
-                let fault = Fault::CrashBin {
-                    after_arrival: id,
-                    bin,
-                };
-                let fired = fault_counters.bin_crash_releases.get();
-                checks.push(FaultCheck::after(&stream, &fault, fired));
-            }
-            for weight in add_bin_at.remove(&id).unwrap_or_default() {
-                stream.stage_membership(MembershipPlan::new().add(weight));
-                fault_counters.bins_added.inc();
-                let fault = Fault::AddBinMidTrace {
-                    after_arrival: id,
-                    weight,
-                };
-                let fired = fault_counters.bins_added.get();
-                checks.push(FaultCheck::after(&stream, &fault, fired));
-            }
-            for bin in drain_bin_at.remove(&id).unwrap_or_default() {
-                stream.stage_membership(MembershipPlan::new().drain(bin));
-                fault_counters.bins_drained.inc();
-                let fault = Fault::DrainBinMidTrace {
-                    after_arrival: id,
-                    bin,
-                };
-                let fired = fault_counters.bins_drained.get();
-                checks.push(FaultCheck::after(&stream, &fault, fired));
-            }
-            if poison_at.remove(&id) {
-                // Poison the observer's lock from a scratch thread: the
-                // panic stays contained there, the lock stays poisoned here.
-                // The hook swap keeps the intentional panic out of stderr.
-                let victim = observer.clone();
-                let previous_hook = std::panic::take_hook();
-                std::panic::set_hook(Box::new(|_| {}));
-                let _ = std::thread::spawn(move || {
-                    let _guard = victim.lock().expect("first poisoner takes the lock");
-                    panic!("injected observer poisoning");
-                })
-                .join();
-                std::panic::set_hook(previous_hook);
-                fault_counters.poisoned_observers.inc();
-                let fault = Fault::PoisonObserver { after_arrival: id };
-                let fired = fault_counters.poisoned_observers.get();
-                checks.push(FaultCheck::after(&stream, &fault, fired));
-            }
-            id += 1;
-        }
-        stream.flush();
-
-        if let Some(capacity) = queue_capacity {
-            let fault = Fault::Backpressure { capacity };
-            let fired = fault_counters.backpressure_dropped.get();
-            checks.push(FaultCheck::after(&stream, &fault, fired));
-        }
-
-        let outcome = streaming_outcome(
-            ReplayEngine::Stream,
-            placements,
-            &stream,
-            stream.gap_trajectory().to_vec(),
-            stream.conserves_balls(),
-            stream.snapshot_epoch(),
-            stream.resident_tickets(),
-            &registry,
-        );
+        let placements = replay_events(&mut router, trace, 0, &schedule, &mut injector);
+        router.flush();
+        let engine = ReplayEngine::Concurrent { callers: 1 };
+        let outcome = streaming_outcome(engine, placements, &router, &registry);
+        let checks = self
+            .faults
+            .iter()
+            .zip(injector.checks)
+            .map(|(fault, check)| check.unwrap_or_else(|| FaultCheck::never_injected(fault)))
+            .collect();
         FaultRun {
             outcome,
             checks,
@@ -504,14 +351,117 @@ impl FaultPlan {
     }
 }
 
+/// A plan's injections, fired through the replay loop's hooks: one check
+/// slot per fault, filled when the fault fires.
+struct Injector<'a> {
+    faults: &'a [Fault],
+    arrivals: u64,
+    counters: FaultCounters,
+    observer: Arc<Mutex<BoundedLog>>,
+    /// Plan indices of the faults injected once each arrival point settles.
+    at: HashMap<u64, Vec<usize>>,
+    checks: Vec<Option<FaultCheck>>,
+}
+
+impl ReplayHooks<ConcurrentRouter> for Injector<'_> {
+    fn stage(&mut self, router: &mut ConcurrentRouter, event: &TraceEvent) {
+        stage(router, event);
+    }
+
+    // Duplicate and crashed-ball releases turn into their counters instead of
+    // panics.
+    fn release(&mut self, router: &mut ConcurrentRouter, ball: u64, ticket: Ticket) {
+        if router.release(ticket).is_err() {
+            // The ball died earlier (bin crash): the scripted release is
+            // dropped, visibly.
+            self.counters.dropped_releases.inc();
+        }
+        for (i, fault) in self.faults.iter().enumerate() {
+            if *fault == (Fault::DuplicateRelease { arrival: ball }) {
+                let rejected = router.release(ticket).is_err();
+                assert!(rejected, "a duplicate release must be rejected");
+                self.counters.duplicated_releases.inc();
+                let fired = self.counters.duplicated_releases.get();
+                self.checks[i] = Some(FaultCheck::after(router, fault, fired));
+            }
+        }
+    }
+
+    fn settled(&mut self, router: &mut ConcurrentRouter, point: u64) {
+        for i in self.at.remove(&point).unwrap_or_default() {
+            let fault = self.faults[i];
+            let counter = match fault {
+                Fault::CrashBin { bin, .. } => {
+                    // The crash released the bin's tickets: a later scripted
+                    // release of one of them fails and counts under
+                    // `fault.dropped_releases`.
+                    let evicted = router.crash_bin(bin);
+                    self.counters.bin_crash_releases.add(evicted);
+                    &self.counters.bin_crash_releases
+                }
+                Fault::DelayRelease { .. } => {
+                    self.counters.delayed_releases.inc();
+                    &self.counters.delayed_releases
+                }
+                Fault::ReorderWindow { start, len } => {
+                    let end = (start + len as u64).min(self.arrivals);
+                    self.counters.reordered_arrivals.add(end - start);
+                    &self.counters.reordered_arrivals
+                }
+                Fault::PoisonObserver { .. } => {
+                    poison(&self.observer);
+                    self.counters.poisoned_observers.inc();
+                    &self.counters.poisoned_observers
+                }
+                Fault::AddBinMidTrace { weight, .. } => {
+                    router.stage_membership(MembershipPlan::new().add(weight));
+                    self.counters.bins_added.inc();
+                    &self.counters.bins_added
+                }
+                Fault::DrainBinMidTrace { bin, .. } => {
+                    router.stage_membership(MembershipPlan::new().drain(bin));
+                    self.counters.bins_drained.inc();
+                    &self.counters.bins_drained
+                }
+                Fault::Backpressure { .. } => &self.counters.backpressure_dropped,
+                Fault::DuplicateRelease { .. } => unreachable!("injected by the release hook"),
+            };
+            let fired = counter.get();
+            self.checks[i] = Some(FaultCheck::after(router, &fault, fired));
+        }
+    }
+}
+
+/// Poisons the observer's lock from a scratch thread: the panic stays
+/// contained there, the lock stays poisoned here. The hook swap keeps the
+/// intentional panic out of stderr.
+fn poison(observer: &Arc<Mutex<BoundedLog>>) {
+    let victim = observer.clone();
+    let previous_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let _ = std::thread::spawn(move || {
+        let _guard = victim.lock().expect("first poisoner takes the lock");
+        panic!("injected observer poisoning");
+    })
+    .join();
+    std::panic::set_hook(previous_hook);
+}
+
 /// Injects **ingress-level** out-of-order delivery into the concurrent push
 /// path: one ball per `gap` is stamped early but delivered only after a
 /// drain has taken a later id, so the next drain counts it late
 /// (`ingress.late_arrivals`) and merges it by id into what is still
-/// undrained — the documented reordering behaviour, with its named counters. Returns the
-/// check plus the router's invariant status at quiescence.
+/// undrained — the documented reordering behaviour, with its named counters.
+/// Returns the check plus the `ingress.late_arrivals` count. Panics unless
+/// the trace holds arrivals only: every arrival is pushed before the drain,
+/// so a reweight or membership event has no position to be staged at.
 pub fn inject_ingress_reorder(trace: &Trace, policy: Policy, gap: u64) -> (FaultCheck, u64) {
     assert!(gap >= 2, "a reorder gap below 2 cannot hold a ball back");
+    assert!(
+        !trace.has_reweights() && !trace.has_membership(),
+        "ingress reordering pushes every arrival before it drains: it cannot stage \
+         the trace's reweight or membership events where the trace has them"
+    );
     let registry = Arc::new(MetricsRegistry::new());
     let fault_counters = FaultCounters::resolve(&registry);
     let router = ConcurrentRouter::with_metrics(
@@ -522,17 +472,15 @@ pub fn inject_ingress_reorder(trace: &Trace, policy: Policy, gap: u64) -> (Fault
         registry.clone(),
     );
     let mut held = Vec::new();
-    let mut id = 0u64;
-    for event in &trace.events {
+    for (id, event) in (0u64..).zip(&trace.events) {
         let TraceEvent::Arrival { key, .. } = event else {
-            continue; // weights are fixed at construction on this engine
+            unreachable!("the trace holds arrivals only");
         };
         if id.is_multiple_of(gap) {
             held.push(router.stamp_delayed(*key));
         } else {
             router.push(*key);
         }
-        id += 1;
     }
     // The drain takes ids beyond the held balls'…
     router.drain_ready();
@@ -548,7 +496,7 @@ pub fn inject_ingress_reorder(trace: &Trace, policy: Policy, gap: u64) -> (Fault
         fault: "reordered-ingress".into(),
         counter: "fault.reordered_arrivals".into(),
         fired: fault_counters.reordered_arrivals.get(),
-        invariant_error: invariants::check_concurrent(&router, false)
+        invariant_error: invariants::check(&router, false)
             .err()
             .or_else(|| (late == 0).then(|| "ingress.late_arrivals did not fire".to_string())),
     };
@@ -574,6 +522,11 @@ mod tests {
                 },
                 Fault::DuplicateRelease { arrival: 10 },
                 Fault::ReorderWindow { start: 24, len: 6 },
+                // Inside the reversed window: injected once point 26 settles.
+                Fault::CrashBin {
+                    after_arrival: 26,
+                    bin: 5,
+                },
                 Fault::PoisonObserver { after_arrival: 42 },
                 Fault::Backpressure { capacity: 4 },
             ],
@@ -672,6 +625,69 @@ mod tests {
         assert_eq!(snap.counter("membership.drains"), 2); // 1 scripted + 1 injected
         assert_eq!(snap.counter("membership.removes"), 1);
         assert_eq!(snap.counter("membership.rejected_adds"), 0);
+    }
+
+    #[test]
+    fn an_empty_plan_is_the_clean_replay() {
+        let policies = [
+            Policy::OneChoice,
+            Policy::TwoChoice,
+            Policy::DChoice(3),
+            Policy::Threshold { d: 2, slack: 1 },
+            Policy::WeightedTwoChoice,
+            Policy::CapacityThreshold { d: 2, slack: 2 },
+        ];
+        for trace in [
+            Trace::mini(),
+            Trace::mini_reweighted(),
+            Trace::mini_membership(),
+        ] {
+            for policy in policies {
+                let clean = crate::replay::replay(&trace, &ReplayConfig::concurrent(policy, 1));
+                let faulted = FaultPlan::default().run(&trace, policy);
+                assert_eq!(
+                    faulted.outcome,
+                    clean.unwrap(),
+                    "{} {}",
+                    trace.name,
+                    policy.name()
+                );
+                assert!(faulted.checks.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn faults_the_run_never_reaches_fail_with_nothing_fired() {
+        let trace = Trace::mini();
+        let m = trace.arrivals();
+        let scripted = trace.scripted_releases();
+        let unreleased = (0..m).find(|ball| !scripted.contains(ball)).unwrap();
+        for fault in [
+            Fault::DelayRelease {
+                arrival: unreleased,
+                until: m - 1,
+            },
+            Fault::DuplicateRelease {
+                arrival: unreleased,
+            },
+            Fault::CrashBin {
+                after_arrival: m,
+                bin: 0,
+            },
+            Fault::PoisonObserver { after_arrival: m },
+        ] {
+            let run = FaultPlan::single(fault).run(&trace, Policy::TwoChoice);
+            assert_eq!(run.checks.len(), 1, "{}", fault.name());
+            assert_eq!(run.checks[0].fired, 0, "{}", fault.name());
+            assert!(!run.all_passed(), "{} passed vacuously", fault.name());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ingress reordering pushes every arrival")]
+    fn ingress_reorder_refuses_a_trace_with_staged_events() {
+        inject_ingress_reorder(&Trace::mini_reweighted(), Policy::TwoChoice, 8);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! batching change — fails loudly with the exact line that moved.
 //!
 //! Only **schedule-deterministic** configurations belong in a golden file:
-//! `stream`, `concurrent1` and `oneshot` rows (any `num_threads`). Multi-
-//! caller rows are schedule-dependent by design and are asserted through
-//! invariants instead.
+//! `concurrent1` and `oneshot` rows. Multi-caller rows are
+//! schedule-dependent by design and are asserted through invariants
+//! instead.
 
 use crate::replay::ReplayOutcome;
 
@@ -46,19 +46,13 @@ pub fn hash_f64s(values: &[f64]) -> String {
 
 /// Renders one golden line for `outcome` under the labels that identify its
 /// configuration. Stable text: hashes for the vectors, `{:.4}` for the gap.
-pub fn golden_line(
-    outcome: &ReplayOutcome,
-    policy_name: &str,
-    weights_name: &str,
-    threads: usize,
-) -> String {
+pub fn golden_line(outcome: &ReplayOutcome, policy_name: &str, weights_name: &str) -> String {
     format!(
-        "{} policy={} weights={} threads={} placements={} loads={} gaps={} \
+        "{} policy={} weights={} placements={} loads={} gaps={} \
          batches={} final_gap={:.4} resident={} released={} drops={} conserved={}",
         outcome.engine,
         policy_name,
         weights_name,
-        threads,
         hash_u32s(&outcome.placements),
         hash_u32s(&outcome.loads),
         hash_f64s(&outcome.gap_trajectory),

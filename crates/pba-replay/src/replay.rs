@@ -1,26 +1,23 @@
 //! The replay driver: push any [`Trace`] through any engine × policy ×
-//! weights × thread count, producing a stable [`ReplayOutcome`].
+//! weights, producing a stable [`ReplayOutcome`].
 //!
 //! Replay is route-by-route: the `i`-th arrival of the trace is the `i`-th
 //! `route(key)` call, and a ball scripted `r=<j>` is released immediately
 //! after arrival `j` routes. Because every engine stamps sequential ball
-//! ids, the replayed ids equal the trace's arrival ids, and the
-//! single-caller determinism contract of the workspace carries over:
-//! replaying the same trace on [`StreamAllocator`] and a 1-caller
-//! [`ConcurrentRouter`] — two ownership shells of one engine core — yields
-//! bit-identical placements, loads, gap trajectories and batch counts — the
-//! regression anchor `tests/replay_properties.rs` and the golden files pin.
-//! Every deterministic replay (both shells and the one-shot adapter) runs
-//! one event loop, generic over [`Router`]; the streaming fingerprint is
-//! built in one place for both shells and every caller count.
+//! ids, the replayed ids equal the trace's arrival ids. Every
+//! deterministic replay — the 1-caller [`ConcurrentRouter`] and the one-shot
+//! adapter — runs one event loop, generic over [`Router`], and so does the
+//! fault harness: [`crate::fault::FaultPlan`] edits the loop's release and
+//! reversal schedule and injects through its hooks, so an empty plan *is* the
+//! clean replay. The streaming fingerprint is built in one place for every
+//! caller count.
 //!
-//! With [`ReplayConfig::route_group`] ≥ 1 the deterministic engines
-//! (`Stream`, `Concurrent { callers: 1 }` and `OneShot`) replay through the
-//! batched `route_many` surface instead: consecutive arrivals are buffered into
-//! groups of up to `route_group` keys and routed in one call. Groups are cut
-//! early at every point where route-by-route replay would interleave a
-//! side effect — an arrival whose id carries scripted releases ends its
-//! group (so the releases fire at exactly the same point in the call
+//! With [`ReplayConfig::route_group`] ≥ 1 the deterministic engines replay
+//! through the batched `route_many` surface instead: consecutive arrivals are
+//! buffered into groups of up to `route_group` keys and routed in one call.
+//! Groups are cut early at every point where route-by-route replay would
+//! interleave a side effect — an arrival whose id carries scripted releases
+//! ends its group (so the releases fire at exactly the same point in the call
 //! sequence), and any `Reweight`/`Membership` event flushes the buffer
 //! before staging. Because `route_many` is bit-identical to a loop of
 //! `route` calls, grouped replay pins the *same* golden lines as
@@ -36,15 +33,15 @@
 //! [`OneShotRouter`] (keys are ignored there by contract — the documented
 //! deviation of the adapter), exercising the same release schedule.
 //!
-//! v2 traces (membership events) replay on `Stream` and `Concurrent
-//! { callers: 1 }` — each `m` line stages the change exactly where the
-//! trace interleaves it, the engine applies it at its next batch boundary,
-//! and the 1-caller bit-identity contract extends through scale events. With
-//! k > 1 callers there is no deterministic staging point relative to the
-//! dealt arrivals, and the one-shot adapter has no boundaries at all, so
-//! both refuse with [`ReplayError::UnsupportedMembership`]. The engines are
-//! sized with [`Trace::needed_reserve`] reserve slots so every scripted
-//! `m add` finds a retired slot to commission.
+//! Reweighting and v2 (membership) traces replay on `Concurrent { callers: 1
+//! }` — each `w` or `m` line stages the change exactly where the trace
+//! interleaves it, and the engine applies it at its next batch boundary.
+//! With k > 1 callers there is no deterministic staging point relative to
+//! the dealt arrivals, and the one-shot adapter has no boundaries at all, so
+//! both refuse with [`ReplayError::UnsupportedReweight`] or
+//! [`ReplayError::UnsupportedMembership`]. The engines are sized with
+//! [`Trace::needed_reserve`] reserve slots so every scripted `m add` finds a
+//! retired slot to commission.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -53,18 +50,17 @@ use std::sync::Arc;
 use pba_algorithms::HeavyAllocator;
 use pba_model::router::{OneShotRouter, Placement, Router, Ticket};
 use pba_model::weights::BinWeights;
+use pba_model::Allocator;
 use pba_obs::MetricsRegistry;
-use pba_stream::{ConcurrentRouter, MembershipPlan, Policy, StreamAllocator, StreamConfig};
+use pba_stream::{ConcurrentRouter, MembershipPlan, Policy, StreamConfig};
 
 use crate::trace::{Trace, TraceEvent};
 
 /// Which engine a replay drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayEngine {
-    /// The single-threaded [`StreamAllocator`], via its `route` surface.
-    Stream,
     /// The shared-handle [`ConcurrentRouter`] with `callers` caller threads
-    /// (`1` is the bit-identical twin of [`ReplayEngine::Stream`]).
+    /// (`1` is the deterministic streaming replay).
     Concurrent {
         /// Caller threads routing the trace concurrently.
         callers: usize,
@@ -79,14 +75,13 @@ impl ReplayEngine {
     /// Short label used in golden-snapshot lines.
     pub fn label(&self) -> String {
         match self {
-            Self::Stream => "stream".into(),
             Self::Concurrent { callers } => format!("concurrent{callers}"),
             Self::OneShot => "oneshot".into(),
         }
     }
 }
 
-/// One replay configuration: engine × policy × weights × drain threads.
+/// One replay configuration: engine × policy × weights.
 #[derive(Debug, Clone)]
 pub struct ReplayConfig {
     /// The engine to drive.
@@ -96,10 +91,6 @@ pub struct ReplayConfig {
     /// Bin weights (must prescribe the trace's bin count when non-uniform;
     /// ignored by [`ReplayEngine::OneShot`]).
     pub weights: BinWeights,
-    /// Drain threads (`0` = the ambient count / `PBA_THREADS`); placements
-    /// are bit-identical for every value — the knob the golden matrix varies
-    /// to prove it.
-    pub num_threads: usize,
     /// Arrival grouping for the deterministic replays: `0` (the default)
     /// replays route-by-route through `route(key)`; `n ≥ 1` buffers up to
     /// `n` consecutive arrivals and routes each group through `route_many`,
@@ -111,23 +102,14 @@ pub struct ReplayConfig {
 }
 
 impl ReplayConfig {
-    /// A stream replay with the given policy, uniform weights, ambient
-    /// thread count.
-    pub fn stream(policy: Policy) -> Self {
-        Self {
-            engine: ReplayEngine::Stream,
-            policy,
-            weights: BinWeights::Uniform,
-            num_threads: 0,
-            route_group: 0,
-        }
-    }
-
-    /// A `callers`-thread concurrent replay with the given policy.
+    /// A `callers`-thread concurrent replay with the given policy and
+    /// uniform weights.
     pub fn concurrent(policy: Policy, callers: usize) -> Self {
         Self {
             engine: ReplayEngine::Concurrent { callers },
-            ..Self::stream(policy)
+            policy,
+            weights: BinWeights::Uniform,
+            route_group: 0,
         }
     }
 
@@ -135,19 +117,13 @@ impl ReplayConfig {
     pub fn one_shot() -> Self {
         Self {
             engine: ReplayEngine::OneShot,
-            ..Self::stream(Policy::TwoChoice)
+            ..Self::concurrent(Policy::TwoChoice, 1)
         }
     }
 
     /// Sets the weights (builder style).
     pub fn weights(mut self, weights: BinWeights) -> Self {
         self.weights = weights;
-        self
-    }
-
-    /// Sets the drain worker count (builder style).
-    pub fn num_threads(mut self, threads: usize) -> Self {
-        self.num_threads = threads;
         self
     }
 
@@ -162,18 +138,17 @@ impl ReplayConfig {
 /// Replay failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplayError {
-    /// The trace reweights mid-stream, which only [`ReplayEngine::Stream`]
-    /// supports (concurrent and one-shot engines fix weights at
-    /// construction).
+    /// The trace reweights mid-stream, which replays deterministically only
+    /// on a 1-caller [`ReplayEngine::Concurrent`]: k callers have no
+    /// well-defined staging point relative to the dealt arrivals, and the
+    /// one-shot adapter has no batch boundaries to apply at.
     UnsupportedReweight {
         /// The engine that cannot replay the trace.
         engine: String,
     },
     /// The trace stages membership changes, which replay deterministically
-    /// only on [`ReplayEngine::Stream`] and a 1-caller
-    /// [`ReplayEngine::Concurrent`] (a k-caller schedule has no well-defined
-    /// staging point relative to the dealt arrivals, and the one-shot
-    /// adapter has no batch boundaries to apply at).
+    /// only on a 1-caller [`ReplayEngine::Concurrent`], for the same reasons
+    /// as [`ReplayError::UnsupportedReweight`].
     UnsupportedMembership {
         /// The engine that cannot replay the trace.
         engine: String,
@@ -200,13 +175,13 @@ impl std::error::Error for ReplayError {}
 
 /// The stable outcome of one replay: everything the golden snapshot hashes
 /// or prints.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOutcome {
     /// Engine label (see [`ReplayEngine::label`]).
     pub engine: String,
-    /// Bin chosen per arrival id. Deterministic for `Stream`,
-    /// `Concurrent { callers: 1 }` and `OneShot`; schedule-dependent for
-    /// k > 1 callers (still recorded — each run's own evidence).
+    /// Bin chosen per arrival id. Deterministic for `Concurrent { callers: 1
+    /// }` and `OneShot`; schedule-dependent for k > 1 callers (still
+    /// recorded — each run's own evidence).
     pub placements: Vec<u32>,
     /// Final per-bin loads.
     pub loads: Vec<u32>,
@@ -229,20 +204,74 @@ pub struct ReplayOutcome {
     pub conserved: bool,
 }
 
-/// Scripted releases of a trace, grouped by release point: entry `j` lists
-/// the arrival ids to release right after arrival `j` routes.
-pub(crate) fn release_schedule(trace: &Trace) -> HashMap<u64, Vec<u64>> {
-    let mut due: HashMap<u64, Vec<u64>> = HashMap::new();
-    let mut id = 0u64;
-    for event in &trace.events {
-        if let TraceEvent::Arrival { release_after, .. } = event {
-            if let Some(after) = release_after {
-                due.entry(*after).or_default().push(id);
+/// What the event loop delivers besides the trace's own order: the releases
+/// due at each arrival point and the arrival windows delivered in reverse.
+/// [`Schedule::of`] is the clean replay's; the fault harness edits it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Schedule {
+    /// Ball ids released right after each arrival point routes, in id order.
+    pub(crate) due: HashMap<u64, Vec<u64>>,
+    /// Arrival windows `[start, end)` delivered in reverse, keyed by `start`.
+    pub(crate) reversed: HashMap<u64, u64>,
+}
+
+impl Schedule {
+    /// The trace's scripted releases, delivered in trace order.
+    pub(crate) fn of(trace: &Trace) -> Self {
+        let mut due: HashMap<u64, Vec<u64>> = HashMap::new();
+        let mut id = 0u64;
+        for event in &trace.events {
+            if let TraceEvent::Arrival { release_after, .. } = event {
+                if let Some(after) = release_after {
+                    due.entry(*after).or_default().push(id);
+                }
+                id += 1;
             }
-            id += 1;
+        }
+        Self {
+            due,
+            reversed: HashMap::new(),
         }
     }
-    due
+}
+
+/// The calls the event loop makes into its caller. Each default is the
+/// clean replay's: stage nothing, release plainly, inject nothing.
+pub(crate) trait ReplayHooks<R: Router> {
+    /// Stages a reweight or membership event where the trace has it.
+    fn stage(&mut self, _router: &mut R, _event: &TraceEvent) {}
+
+    /// Releases scripted ball `ball`, whose ticket is `ticket`.
+    fn release(&mut self, router: &mut R, _ball: u64, ticket: Ticket) {
+        router.release(ticket).expect("scripted ticket is resident");
+    }
+
+    /// Runs once arrival point `point` has routed and its releases are done.
+    fn settled(&mut self, _router: &mut R, _point: u64) {}
+}
+
+/// A clean replay's hooks: the handle stages the trace's events, the
+/// one-shot adapter admits none.
+pub(crate) struct Clean;
+
+impl ReplayHooks<ConcurrentRouter> for Clean {
+    fn stage(&mut self, router: &mut ConcurrentRouter, event: &TraceEvent) {
+        stage(router, event);
+    }
+}
+
+impl<A: Allocator> ReplayHooks<OneShotRouter<A>> for Clean {}
+
+/// Stages a trace's reweight or membership event on the handle; the engine
+/// applies it at its next batch boundary.
+pub(crate) fn stage(router: &ConcurrentRouter, event: &TraceEvent) {
+    match event {
+        TraceEvent::Reweight { weights } => router.set_weights(Trace::weights_of(weights)),
+        TraceEvent::Membership { event } => {
+            router.stage_membership(MembershipPlan::new().push(*event));
+        }
+        TraceEvent::Arrival { .. } => unreachable!("arrivals route, they are not staged"),
+    }
 }
 
 /// Replays `trace` under `config`. See the [module docs](self) for the
@@ -250,7 +279,6 @@ pub(crate) fn release_schedule(trace: &Trace) -> HashMap<u64, Vec<u64>> {
 pub fn replay(trace: &Trace, config: &ReplayConfig) -> Result<ReplayOutcome, ReplayError> {
     config.engine.admit(trace)?;
     Ok(match config.engine {
-        ReplayEngine::Stream => replay_stream(trace, config),
         ReplayEngine::Concurrent { callers } => replay_concurrent(trace, config, callers),
         ReplayEngine::OneShot => replay_one_shot(trace, config),
     })
@@ -263,7 +291,7 @@ impl ReplayEngine {
         let engine = self.label();
         match *self {
             Self::Concurrent { callers: 0 } => Err(ReplayError::NoCallers),
-            Self::Concurrent { .. } | Self::OneShot if trace.has_reweights() => {
+            Self::Concurrent { callers: 2.. } | Self::OneShot if trace.has_reweights() => {
                 Err(ReplayError::UnsupportedReweight { engine })
             }
             Self::Concurrent { callers: 2.. } | Self::OneShot if trace.has_membership() => {
@@ -274,82 +302,131 @@ impl ReplayEngine {
     }
 }
 
-fn stream_config(trace: &Trace, config: &ReplayConfig) -> StreamConfig {
+pub(crate) fn stream_config(trace: &Trace, config: &ReplayConfig) -> StreamConfig {
     StreamConfig::new(trace.bins)
         .policy(config.policy)
         .batch_size(trace.batch_size)
         .seed(trace.seed)
-        .num_threads(config.num_threads)
         .weights(config.weights.clone())
         .reserve_bins(trace.needed_reserve())
 }
 
 /// The event-ordered replay every deterministic engine runs, returning the
-/// bin chosen per arrival: each arrival routes (or joins its `route_many`
-/// group when `group ≥ 1`) where the trace has it, its scripted releases fire
-/// right after it, and each reweight or membership event goes to `stage`
-/// exactly where the trace interleaves it, after the buffered group routes
-/// (a streaming engine applies it at its next batch boundary).
-fn replay_events<R: Router>(
+/// bin chosen per arrival. Each arrival routes (or joins its `route_many`
+/// group when `group ≥ 1`), after the reweight and membership events the
+/// trace puts before it go to [`ReplayHooks::stage`]. Then each arrival
+/// point settles: the releases `schedule` has due there go to
+/// [`ReplayHooks::release`], and [`ReplayHooks::settled`] runs. A reversed
+/// window routes its arrivals last to first, each with its staged events,
+/// then settles its points in ascending order. With `group ≥ 1` a point
+/// settles with arrivals since the last cut still buffered; the fault
+/// harness replays route-by-route.
+pub(crate) fn replay_events<R: Router>(
     router: &mut R,
     trace: &Trace,
     group: usize,
-    mut stage: impl FnMut(&mut R, &TraceEvent),
+    schedule: &Schedule,
+    hooks: &mut impl ReplayHooks<R>,
 ) -> Vec<u32> {
-    let due = release_schedule(trace);
-    let mut placed: Vec<Placement> = Vec::with_capacity(trace.arrivals() as usize);
-    let mut buffered: Vec<u64> = Vec::with_capacity(group);
-    let mut id = 0u64;
-    for event in &trace.events {
-        let TraceEvent::Arrival { key, .. } = event else {
-            route_buffered(router, &mut buffered, &mut placed);
-            stage(router, event);
-            continue;
-        };
-        if group == 0 {
-            placed.push(router.route(*key).expect("the engine routes every arrival"));
-        } else {
-            buffered.push(*key);
-            // An arrival with scripted releases ends its group so the
-            // releases fire at the same point as route-by-route.
-            if due.contains_key(&id) || buffered.len() >= group {
-                route_buffered(router, &mut buffered, &mut placed);
+    // Each arrival's key, with the events the trace stages before it.
+    let mut arrivals: Vec<(&[TraceEvent], u64)> = Vec::new();
+    let mut from = 0;
+    for (at, event) in trace.events.iter().enumerate() {
+        if let TraceEvent::Arrival { key, .. } = event {
+            arrivals.push((&trace.events[from..at], *key));
+            from = at + 1;
+        }
+    }
+    let m = arrivals.len() as u64;
+    let mut routed = Routed {
+        group,
+        placed: vec![None; arrivals.len()],
+        keys: Vec::with_capacity(group),
+        ids: Vec::with_capacity(group),
+    };
+    let mut start = 0u64;
+    while start < m {
+        let end = schedule
+            .reversed
+            .get(&start)
+            .map_or(start + 1, |&end| end.clamp(start + 1, m));
+        for id in (start..end).rev() {
+            let (staged, key) = arrivals[id as usize];
+            for event in staged {
+                routed.flush(router);
+                hooks.stage(router, event);
             }
+            routed.push(router, id, key);
         }
-        for &ball in due.get(&id).into_iter().flatten() {
-            let ticket = placed[ball as usize].ticket;
-            router.release(ticket).expect("scripted ticket is resident");
+        for point in start..end {
+            if let Some(balls) = schedule.due.get(&point) {
+                routed.flush(router);
+                for &ball in balls {
+                    let placed = routed.placed[ball as usize];
+                    let ticket = placed.expect("a ball routes before its release").ticket;
+                    hooks.release(router, ball, ticket);
+                }
+            }
+            hooks.settled(router, point);
         }
-        id += 1;
+        start = end;
     }
-    route_buffered(router, &mut buffered, &mut placed);
-    placed.iter().map(|p| p.bin as u32).collect()
+    routed.flush(router);
+    for event in &trace.events[from..] {
+        hooks.stage(router, event);
+    }
+    let placed = routed
+        .placed
+        .into_iter()
+        .map(|p| p.expect("every arrival routes"));
+    placed.map(|p| p.bin as u32).collect()
 }
 
-/// Routes a buffered arrival group through `route_many` (grouped replay
-/// only; route-by-route replay never fills the buffer).
-fn route_buffered<R: Router>(router: &mut R, buffered: &mut Vec<u64>, placed: &mut Vec<Placement>) {
-    if !buffered.is_empty() {
-        let routed = router.route_many(buffered);
-        placed.extend(routed.expect("the engine routes every arrival"));
-        buffered.clear();
+/// The arrivals placed so far, by id, and the group still buffered for
+/// `route_many` (grouped replay only; route-by-route never buffers).
+struct Routed {
+    group: usize,
+    placed: Vec<Option<Placement>>,
+    keys: Vec<u64>,
+    ids: Vec<u64>,
+}
+
+impl Routed {
+    fn push<R: Router>(&mut self, router: &mut R, id: u64, key: u64) {
+        if self.group == 0 {
+            let placement = router.route(key).expect("the engine routes every arrival");
+            self.placed[id as usize] = Some(placement);
+            return;
+        }
+        self.keys.push(key);
+        self.ids.push(id);
+        if self.keys.len() >= self.group {
+            self.flush(router);
+        }
+    }
+
+    fn flush<R: Router>(&mut self, router: &mut R) {
+        if self.keys.is_empty() {
+            return;
+        }
+        let placements = router
+            .route_many(&self.keys)
+            .expect("the engine routes every arrival");
+        self.keys.clear();
+        for (id, placement) in self.ids.drain(..).zip(placements) {
+            self.placed[id as usize] = Some(placement);
+        }
     }
 }
 
-/// The fingerprint of a flushed streaming engine, either shell: counters
-/// and loads through its [`Router`] face, the rest from the shell's own
-/// readings. `conserved` is the conservation invariant *and* the books
+/// The fingerprint of a flushed handle, for every caller count and for the
+/// fault harness. `conserved` is the conservation invariant *and* the books
 /// agreeing with the counters: one snapshot epoch per batch boundary, one
 /// resident ticket per unreleased route.
-#[allow(clippy::too_many_arguments)] // the shell's raw readings
 pub(crate) fn streaming_outcome(
     engine: ReplayEngine,
     placements: Vec<u32>,
-    router: &dyn Router,
-    gap_trajectory: Vec<f64>,
-    conserves_balls: bool,
-    snapshot_epoch: u64,
-    resident_tickets: usize,
+    router: &ConcurrentRouter,
     registry: &MetricsRegistry,
 ) -> ReplayOutcome {
     let stats = router.stats();
@@ -357,74 +434,42 @@ pub(crate) fn streaming_outcome(
         engine: engine.label(),
         placements,
         loads: router.loads(),
-        gap_trajectory,
+        gap_trajectory: router.gap_trajectory(),
         batches: stats.batches,
         final_gap: stats.gap,
         resident: stats.resident,
         routed: stats.routed,
         released: stats.released,
         drops: pba_obs::drops_of(&registry.snapshot()),
-        conserved: conserves_balls
-            && snapshot_epoch == stats.batches
-            && resident_tickets as u64 == stats.routed - stats.released,
+        conserved: router.conserves_balls()
+            && router.snapshot_epoch() == stats.batches
+            && router.resident_tickets() as u64 == stats.routed - stats.released,
     }
-}
-
-fn replay_stream(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
-    let registry = Arc::new(MetricsRegistry::new());
-    let mut stream = StreamAllocator::new(stream_config(trace, config));
-    stream.install_metrics(registry.clone());
-    let stage = |stream: &mut StreamAllocator, event: &TraceEvent| match event {
-        TraceEvent::Reweight { weights } => stream.set_weights(Trace::weights_of(weights)),
-        TraceEvent::Membership { event } => {
-            stream.stage_membership(MembershipPlan::new().push(*event));
-        }
-        TraceEvent::Arrival { .. } => unreachable!("arrivals route, they are not staged"),
-    };
-    let placements = replay_events(&mut stream, trace, config.route_group, stage);
-    stream.flush();
-    streaming_outcome(
-        ReplayEngine::Stream,
-        placements,
-        &stream,
-        stream.gap_trajectory().to_vec(),
-        stream.conserves_balls(),
-        stream.snapshot_epoch(),
-        stream.resident_tickets(),
-        &registry,
-    )
 }
 
 fn replay_concurrent(trace: &Trace, config: &ReplayConfig, callers: usize) -> ReplayOutcome {
     let registry = Arc::new(MetricsRegistry::new());
     let mut router = ConcurrentRouter::with_metrics(stream_config(trace, config), registry.clone());
     let placements = if callers == 1 {
-        replay_events(&mut router, trace, config.route_group, |router, event| {
-            let TraceEvent::Membership { event } = event else {
-                unreachable!("the handle admits no reweighting trace");
-            };
-            router.stage_membership(MembershipPlan::new().push(*event));
-        })
+        let schedule = Schedule::of(trace);
+        replay_events(
+            &mut router,
+            trace,
+            config.route_group,
+            &schedule,
+            &mut Clean,
+        )
     } else {
         replay_dealt(&router, trace, callers)
     };
     router.flush();
-    streaming_outcome(
-        ReplayEngine::Concurrent { callers },
-        placements,
-        &router,
-        router.gap_trajectory(),
-        router.conserves_balls(),
-        router.snapshot_epoch(),
-        router.resident_tickets(),
-        &registry,
-    )
+    streaming_outcome(config.engine, placements, &router, &registry)
 }
 
 /// The k-caller replay: deals the arrivals round-robin over `callers`
 /// threads sharing `router` and returns the bin chosen per arrival.
 fn replay_dealt(router: &ConcurrentRouter, trace: &Trace, callers: usize) -> Vec<u32> {
-    let due = release_schedule(trace);
+    let due = Schedule::of(trace).due;
     let keys: Vec<u64> = trace
         .events
         .iter()
@@ -437,7 +482,7 @@ fn replay_dealt(router: &ConcurrentRouter, trace: &Trace, callers: usize) -> Vec
     // Deal arrivals round-robin: caller `t` routes ids `t, t+k, t+2k, …` in
     // trace order and releases its *own* scripted balls once its routing
     // cursor passes their release point. With one caller this would be the
-    // stream schedule — route arrival j, then release everything due at j.
+    // 1-caller schedule — route arrival j, then release everything due at j.
     let mut workers = Vec::new();
     for t in 0..callers {
         let router = router.clone();
@@ -498,9 +543,14 @@ fn replay_one_shot(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
     let arrivals = trace.arrivals();
     let mut router =
         OneShotRouter::new(HeavyAllocator::default(), arrivals, trace.bins, trace.seed);
-    let placements = replay_events(&mut router, trace, config.route_group, |_, _| {
-        unreachable!("the one-shot adapter admits no staged event")
-    });
+    let schedule = Schedule::of(trace);
+    let placements = replay_events(
+        &mut router,
+        trace,
+        config.route_group,
+        &schedule,
+        &mut Clean,
+    );
     let stats = router.stats();
     ReplayOutcome {
         engine: ReplayEngine::OneShot.label(),
@@ -522,40 +572,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stream_and_one_caller_concurrent_replays_are_bit_identical() {
-        let trace = Trace::mini();
-        for policy in [Policy::TwoChoice, Policy::Threshold { d: 2, slack: 1 }] {
-            let stream = replay(&trace, &ReplayConfig::stream(policy)).unwrap();
-            let concurrent = replay(&trace, &ReplayConfig::concurrent(policy, 1)).unwrap();
-            assert_eq!(stream.placements, concurrent.placements);
-            assert_eq!(stream.loads, concurrent.loads);
-            assert_eq!(stream.gap_trajectory, concurrent.gap_trajectory);
-            assert_eq!(stream.batches, concurrent.batches);
-            assert_eq!(stream.drops, 0);
-            assert!(stream.conserved && concurrent.conserved);
-        }
-    }
-
-    #[test]
     fn grouped_replay_is_bit_identical_to_route_by_route() {
         // Every group size — aligned, misaligned, bigger than a batch — must
         // reproduce the route-by-route outcome exactly, on every
-        // deterministic engine, including across membership staging points
-        // (which the one-shot adapter refuses).
+        // deterministic engine, including across reweight and membership
+        // staging points (which the one-shot adapter refuses).
         for trace in [
             Trace::mini(),
             Trace::mini_batched(),
+            Trace::mini_reweighted(),
             Trace::mini_membership(),
         ] {
             for policy in [
                 Policy::TwoChoice,
                 Policy::CapacityThreshold { d: 2, slack: 2 },
             ] {
-                let mut configs = vec![
-                    ReplayConfig::stream(policy),
-                    ReplayConfig::concurrent(policy, 1),
-                ];
-                if !trace.has_membership() {
+                let mut configs = vec![ReplayConfig::concurrent(policy, 1)];
+                if !trace.has_membership() && !trace.has_reweights() {
                     configs.push(ReplayConfig::one_shot());
                 }
                 for config in configs {
@@ -603,10 +636,14 @@ mod tests {
 
     #[test]
     fn reweighting_traces_replay_on_stream_only() {
+        // The streaming replay is the 1-caller handle, which stages the
+        // reweights where the trace has them; k callers have no staging point.
         let trace = Trace::mini_reweighted();
-        assert!(replay(&trace, &ReplayConfig::stream(Policy::TwoChoice)).is_ok());
+        let outcome = replay(&trace, &ReplayConfig::concurrent(Policy::TwoChoice, 1)).unwrap();
+        assert!(outcome.conserved);
+        assert_eq!(outcome.drops, 0);
         assert!(matches!(
-            replay(&trace, &ReplayConfig::concurrent(Policy::TwoChoice, 1)),
+            replay(&trace, &ReplayConfig::concurrent(Policy::TwoChoice, 2)),
             Err(ReplayError::UnsupportedReweight { .. })
         ));
         assert!(matches!(
@@ -616,28 +653,22 @@ mod tests {
     }
 
     #[test]
-    fn membership_traces_replay_bit_identically_on_stream_and_one_caller() {
+    fn membership_traces_replay_on_one_caller() {
         let trace = Trace::mini_membership();
         for policy in [Policy::TwoChoice, Policy::Threshold { d: 2, slack: 1 }] {
-            let stream = replay(&trace, &ReplayConfig::stream(policy)).unwrap();
-            let concurrent = replay(&trace, &ReplayConfig::concurrent(policy, 1)).unwrap();
-            assert_eq!(stream.placements, concurrent.placements);
-            assert_eq!(stream.loads, concurrent.loads);
-            assert_eq!(stream.gap_trajectory, concurrent.gap_trajectory);
-            assert_eq!(stream.batches, concurrent.batches);
+            let outcome = replay(&trace, &ReplayConfig::concurrent(policy, 1)).unwrap();
             // `drops` folds in the *visible* policy fallbacks (the threshold
-            // rule legitimately falls back under drain pressure); bit-identity
-            // makes the twins agree on those too. Plain two-choice has no
-            // fallback path, so there the sum must be exactly zero.
-            assert_eq!(stream.drops, concurrent.drops);
+            // rule legitimately falls back under drain pressure). Plain
+            // two-choice has no fallback path, so there the sum must be
+            // exactly zero.
             if policy == Policy::TwoChoice {
-                assert_eq!(stream.drops, 0, "membership replay must not drop silently");
+                assert_eq!(outcome.drops, 0, "membership replay must not drop silently");
             }
-            assert!(stream.conserved && concurrent.conserved);
+            assert!(outcome.conserved);
             // The drained-then-removed slot 5 ends the trace recommissioned
             // (the first re-add reuses it), and the second add grew the
             // cluster past the recorded bin count.
-            assert_eq!(stream.loads.len(), trace.bins + trace.needed_reserve());
+            assert_eq!(outcome.loads.len(), trace.bins + trace.needed_reserve());
         }
     }
 
@@ -663,19 +694,5 @@ mod tests {
         assert_eq!(a.loads, b.loads);
         assert!(a.conserved);
         assert_eq!(a.routed, 48);
-    }
-
-    #[test]
-    fn num_threads_does_not_change_stream_replay() {
-        let trace = Trace::mini();
-        let ambient = replay(&trace, &ReplayConfig::stream(Policy::TwoChoice)).unwrap();
-        let dedicated = replay(
-            &trace,
-            &ReplayConfig::stream(Policy::TwoChoice).num_threads(4),
-        )
-        .unwrap();
-        assert_eq!(ambient.placements, dedicated.placements);
-        assert_eq!(ambient.loads, dedicated.loads);
-        assert_eq!(ambient.gap_trajectory, dedicated.gap_trajectory);
     }
 }

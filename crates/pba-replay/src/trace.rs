@@ -158,9 +158,10 @@ impl Trace {
             .count() as u64
     }
 
-    /// True when the trace contains at least one reweight event (which the
-    /// concurrent and one-shot engines cannot replay — weights are fixed at
-    /// construction there).
+    /// True when the trace contains at least one reweight event, which
+    /// replays only on the 1-caller handle (a k-caller replay has no
+    /// deterministic staging point and the one-shot adapter has no
+    /// boundaries at all).
     pub fn has_reweights(&self) -> bool {
         self.events
             .iter()
@@ -168,10 +169,8 @@ impl Trace {
     }
 
     /// True when the trace contains at least one membership event — making
-    /// it a v2 trace, replayable only on engines that expose
-    /// `stage_membership` (the stream engine and the 1-caller concurrent
-    /// twin; a k-caller replay has no deterministic staging point and the
-    /// one-shot adapter has no boundaries at all).
+    /// it a v2 trace, replayable only on the 1-caller handle, as
+    /// [`Trace::has_reweights`].
     pub fn has_membership(&self) -> bool {
         self.events
             .iter()
@@ -201,8 +200,8 @@ impl Trace {
     /// Arrival ids that carry a scripted release (`r=<j>`), in id order —
     /// the valid targets for release-directed faults
     /// ([`crate::fault::Fault::DelayRelease`] /
-    /// [`crate::fault::Fault::DuplicateRelease`], which no-op against a ball
-    /// the trace never releases).
+    /// [`crate::fault::Fault::DuplicateRelease`], which fail unfired against
+    /// a ball the trace never releases).
     pub fn scripted_releases(&self) -> Vec<u64> {
         let mut id = 0u64;
         let mut balls = Vec::new();
@@ -270,7 +269,7 @@ impl Trace {
 
     /// A reweighting variant of [`Trace::mini`]: same shape plus a switch to
     /// 2:1 tiers a third of the way in and back to uniform two thirds in.
-    /// Stream-engine only (see [`Trace::has_reweights`]).
+    /// 1-caller replay only (see [`Trace::has_reweights`]).
     pub fn mini_reweighted() -> Self {
         let mut trace = Self::mini();
         let tiers: Vec<f64> = (0..trace.bins)

@@ -1417,7 +1417,7 @@ pub fn e17_socket_serving(quick: bool) -> Table {
 }
 
 /// E18 — replay determinism and fault tolerance: a recorded churn trace is
-/// replayed on the streaming engine, then replayed again under every scripted
+/// replayed on the 1-caller handle, then replayed again under every scripted
 /// fault class of `pba-replay`'s [`FaultPlan`](pba_replay::FaultPlan) (bin
 /// crash mid-batch, delayed release, duplicated release, reversed arrival
 /// window, observer poisoning, observer backpressure) plus ingress-level
@@ -1451,7 +1451,7 @@ pub fn e18_replay_faults(quick: bool) -> Table {
         "the churn trace must script releases for E18's fault targets"
     );
 
-    let clean = replay(&trace, &ReplayConfig::stream(policy)).expect("clean replay");
+    let clean = replay(&trace, &ReplayConfig::concurrent(policy, 1)).expect("clean replay");
     let mut table = Table::with_alignments(
         "E18: replay determinism and fault injection — every fault class fires its counter and keeps the invariants",
         &[

@@ -3,15 +3,14 @@
 //!
 //! A churn workload (uniform arrivals, ticket releases after warm-up) is
 //! frozen into a portable text trace, round-tripped through the codec
-//! byte-identically, and replayed on three engines: the classic
-//! `StreamAllocator`, a 1-caller `ConcurrentRouter` (bit-identical by
-//! contract — the example asserts placements, loads and gap trajectories all
-//! agree), and a 4-caller concurrent replay (schedule-dependent placements,
-//! same conservation guarantees). Then the whole fault catalogue runs
-//! against the trace: a mid-batch bin crash, a delayed and a duplicated
-//! release, a reversed arrival window, observer poisoning and backpressure —
-//! each must fire its named `fault.*` counter while conservation and the
-//! ticket ledger stay intact.
+//! byte-identically, and replayed on the 1-caller `ConcurrentRouter` (the
+//! deterministic replay), through the fault harness with an empty plan (the
+//! same event loop, so the example asserts the outcome is identical), and on
+//! 4 callers (schedule-dependent placements, same conservation guarantees).
+//! Then the whole fault catalogue runs against the trace: a mid-batch bin
+//! crash, a delayed and a duplicated release, a reversed arrival window,
+//! observer poisoning and backpressure — each must fire its named `fault.*`
+//! counter while conservation and the ticket ledger stay intact.
 //!
 //! Run with: `cargo run --release --example replay_faults`
 
@@ -38,16 +37,14 @@ fn main() {
     println!("codec round trip: byte-identical\n");
 
     // 2. Replay it on every engine.
-    let stream = replay(&trace, &ReplayConfig::stream(Policy::TwoChoice)).unwrap();
     let concurrent1 = replay(&trace, &ReplayConfig::concurrent(Policy::TwoChoice, 1)).unwrap();
-    assert_eq!(stream.placements, concurrent1.placements);
-    assert_eq!(stream.loads, concurrent1.loads);
-    assert_eq!(stream.gap_trajectory, concurrent1.gap_trajectory);
+    let unfaulted = FaultPlan::default().run(&trace, Policy::TwoChoice);
+    assert_eq!(unfaulted.outcome, concurrent1);
     println!(
-        "stream ≡ concurrent(1): {} placements, {} batches, final gap {:.3} — bit-identical",
-        stream.placements.len(),
-        stream.batches,
-        stream.final_gap
+        "concurrent(1) ≡ empty fault plan: {} placements, {} batches, final gap {:.3} — identical",
+        concurrent1.placements.len(),
+        concurrent1.batches,
+        concurrent1.final_gap
     );
     let concurrent4 = replay(&trace, &ReplayConfig::concurrent(Policy::TwoChoice, 4)).unwrap();
     assert!(concurrent4.conserved);

@@ -2,16 +2,16 @@
 //!
 //! 1. the trace codec round-trips byte-identically, and the committed
 //!    `tests/golden/mini.trace` equals its canonical constructor's encoding;
-//! 2. a committed trace replays **bit-identically** on `StreamAllocator` and
-//!    a 1-caller `ConcurrentRouter` for all six policies under
-//!    `num_threads ∈ {1, 4}` (and matches the committed golden snapshot);
+//! 2. a committed trace replays on the 1-caller `ConcurrentRouter` to the
+//!    committed golden snapshot's lines, for all six policies, route-by-route
+//!    and through `route_many`;
 //! 3. the one-shot adapter replays the same trace deterministically with a
 //!    conserved ledger;
 //! 4. every fault class of the `FaultPlan` harness fires its named `fault.*`
 //!    counter while conservation and ledger invariants hold.
 //!
-//! CI runs this suite under `PBA_THREADS=4` as well: no assertion here may
-//! depend on the ambient pool width (that is assertion 2's whole point).
+//! CI runs this suite under `PBA_THREADS=4` as well: the ingress reorder
+//! fault pushes and drains, so it runs on a 4-thread drain pool there.
 
 use parallel_balanced_allocations::replay::{
     diff_golden, golden_line, inject_ingress_reorder,
@@ -71,49 +71,28 @@ fn committed_batched_golden_matches_a_grouped_replay() {
     let trace = Trace::decode(&committed("mini-batched.trace")).expect("v1 trace decodes");
     let snap = committed("mini-batched.snap");
     for policy in [Policy::TwoChoice, Policy::DChoice(3)] {
-        for threads in [0usize, 4] {
-            for group in [0usize, 7] {
-                let config = ReplayConfig::stream(policy)
-                    .num_threads(threads)
-                    .route_group(group);
-                let outcome = replay(&trace, &config).expect("stream replay");
-                let line = golden_line(&outcome, &policy.name(), "uniform", threads);
-                assert!(
-                    snap.lines().any(|l| l == line),
-                    "batched golden lacks the line just produced (group={group}):\n  {line}"
-                );
-            }
+        for group in [0usize, 7] {
+            let config = ReplayConfig::concurrent(policy, 1).route_group(group);
+            let outcome = replay(&trace, &config).expect("concurrent1 replay");
+            let line = golden_line(&outcome, &policy.name(), "uniform");
+            assert!(
+                snap.lines().any(|l| l == line),
+                "batched golden lacks the line just produced (group={group}):\n  {line}"
+            );
         }
-        let outcome = replay(&trace, &ReplayConfig::concurrent(policy, 1).route_group(7))
-            .expect("concurrent1 grouped replay");
-        let line = golden_line(&outcome, &policy.name(), "uniform", 0);
-        assert!(
-            snap.lines().any(|l| l == line),
-            "batched golden lacks the concurrent1 line:\n  {line}"
-        );
     }
 }
 
 #[test]
 fn committed_membership_golden_matches_a_fresh_replay() {
-    // The drain/remove/re-add cycle of the v2 golden replays bit-identically
-    // on the stream engine (threads 0 and 4) and the 1-caller concurrent
-    // twin; the committed snapshot pins all three rows per policy.
+    // The drain/remove/re-add cycle of the v2 golden replays on the
+    // 1-caller handle to the committed snapshot's row per policy.
     let trace = Trace::decode(&committed("mini-membership.trace")).expect("v2 trace decodes");
     assert!(trace.has_membership());
     let snap = committed("mini-membership.snap");
     for policy in [Policy::TwoChoice, Policy::Threshold { d: 2, slack: 1 }] {
-        for threads in [0usize, 4] {
-            let config = ReplayConfig::stream(policy).num_threads(threads);
-            let outcome = replay(&trace, &config).expect("stream replay");
-            let line = golden_line(&outcome, &policy.name(), "uniform", threads);
-            assert!(
-                snap.lines().any(|l| l == line),
-                "membership golden lacks the line just produced:\n  {line}"
-            );
-        }
         let outcome = replay(&trace, &ReplayConfig::concurrent(policy, 1)).expect("concurrent1");
-        let line = golden_line(&outcome, &policy.name(), "uniform", 0);
+        let line = golden_line(&outcome, &policy.name(), "uniform");
         assert!(
             snap.lines().any(|l| l == line),
             "membership golden lacks the concurrent1 line:\n  {line}"
@@ -143,51 +122,20 @@ fn decoder_rejects_malformed_input() {
 }
 
 #[test]
-fn stream_and_one_caller_concurrent_are_bit_identical_for_all_policies() {
-    let trace = Trace::decode(&committed("mini.trace")).unwrap();
-    for policy in POLICIES {
-        for threads in [1usize, 4] {
-            let stream = replay(&trace, &ReplayConfig::stream(policy).num_threads(threads))
-                .expect("stream replay");
-            let concurrent = replay(
-                &trace,
-                &ReplayConfig::concurrent(policy, 1).num_threads(threads),
-            )
-            .expect("concurrent replay");
-            assert_eq!(
-                stream.placements,
-                concurrent.placements,
-                "placements diverged: {} threads={threads}",
-                policy.name()
-            );
-            assert_eq!(stream.loads, concurrent.loads);
-            assert_eq!(stream.gap_trajectory, concurrent.gap_trajectory);
-            assert_eq!(stream.batches, concurrent.batches);
-            assert_eq!(stream.drops, 0);
-            assert_eq!(concurrent.drops, 0);
-            assert!(stream.conserved && concurrent.conserved);
-        }
-    }
-}
-
-#[test]
 fn replay_matches_the_committed_golden_snapshot() {
-    // Re-render the stream rows the golden file pins (threads 0 and 4,
-    // uniform weights) and check them line by line against the committed
-    // snapshot — the same comparison `replay_golden` runs over the full
-    // matrix, here gated on every `cargo test`.
+    // Re-render the concurrent1 rows the golden file pins (uniform
+    // weights) and check them line by line against the committed snapshot —
+    // the same comparison `replay_golden` runs over the full matrix, here
+    // gated on every `cargo test`.
     let trace = Trace::decode(&committed("mini.trace")).unwrap();
     let snap = committed("mini.snap");
     for policy in POLICIES {
-        for threads in [0usize, 4] {
-            let config = ReplayConfig::stream(policy).num_threads(threads);
-            let outcome = replay(&trace, &config).unwrap();
-            let line = golden_line(&outcome, &policy.name(), "uniform", threads);
-            assert!(
-                snap.lines().any(|l| l == line),
-                "golden file lacks the line just produced:\n  {line}"
-            );
-        }
+        let outcome = replay(&trace, &ReplayConfig::concurrent(policy, 1)).unwrap();
+        let line = golden_line(&outcome, &policy.name(), "uniform");
+        assert!(
+            snap.lines().any(|l| l == line),
+            "golden file lacks the line just produced:\n  {line}"
+        );
     }
     // And the whole-file diff helper agrees with itself.
     assert!(diff_golden("mini", &snap, &snap).is_none());
@@ -206,8 +154,10 @@ fn one_shot_replay_is_deterministic_and_conserves() {
 
 #[test]
 fn reweighting_traces_replay_on_stream_only() {
+    // The streaming replay is the 1-caller handle, which stages the
+    // reweights where the trace has them; k callers have no staging point.
     let trace = Trace::mini_reweighted();
-    assert!(replay(&trace, &ReplayConfig::stream(Policy::TwoChoice)).is_ok());
+    assert!(replay(&trace, &ReplayConfig::concurrent(Policy::TwoChoice, 1)).is_ok());
     assert!(matches!(
         replay(&trace, &ReplayConfig::concurrent(Policy::TwoChoice, 2)),
         Err(ReplayError::UnsupportedReweight { .. })
@@ -235,19 +185,14 @@ fn multi_caller_replay_conserves_for_every_policy() {
         if !load_dependent_fallback {
             assert_eq!(outcome.drops, 0, "drops under {}", policy.name());
         }
-        // With one caller, and on the stream engine, the schedule is fixed
-        // and the sum is exact for every policy; every scripted release fires
-        // under any schedule, so the four callers end with the same counts.
-        for config in [
-            ReplayConfig::concurrent(policy, 1),
-            ReplayConfig::stream(policy),
-        ] {
-            let fixed = replay(&trace, &config).unwrap();
-            assert!(fixed.conserved, "conservation under {}", policy.name());
-            assert_eq!(fixed.drops, 0, "drops under {}", policy.name());
-            assert_eq!(outcome.released, fixed.released);
-            assert_eq!(outcome.resident, fixed.resident);
-        }
+        // With one caller the schedule is fixed and the sum is exact for
+        // every policy; every scripted release fires under any schedule, so
+        // the four callers end with the same counts.
+        let fixed = replay(&trace, &ReplayConfig::concurrent(policy, 1)).unwrap();
+        assert!(fixed.conserved, "conservation under {}", policy.name());
+        assert_eq!(fixed.drops, 0, "drops under {}", policy.name());
+        assert_eq!(outcome.released, fixed.released);
+        assert_eq!(outcome.resident, fixed.resident);
     }
 }
 
