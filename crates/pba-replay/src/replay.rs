@@ -263,10 +263,19 @@ impl ReplayHooks<ConcurrentRouter> for Clean {
 impl<A: Allocator> ReplayHooks<OneShotRouter<A>> for Clean {}
 
 /// Stages a trace's reweight or membership event on the handle; the engine
-/// applies it at its next batch boundary.
+/// applies it at its next batch boundary. A `w` line weighs the trace's bins;
+/// the engine's reserve slots past them keep their current weight.
 pub(crate) fn stage(router: &ConcurrentRouter, event: &TraceEvent) {
     match event {
-        TraceEvent::Reweight { weights } => router.set_weights(Trace::weights_of(weights)),
+        TraceEvent::Reweight { weights } if weights.is_empty() => {
+            router.set_weights(BinWeights::Uniform);
+        }
+        TraceEvent::Reweight { weights } => {
+            let reserve = (weights.len()..router.capacity()).map(|bin| router.slot_weight(bin));
+            router.set_weights(BinWeights::explicit(
+                weights.iter().copied().chain(reserve).collect(),
+            ));
+        }
         TraceEvent::Membership { event } => {
             router.stage_membership(MembershipPlan::new().push(*event));
         }

@@ -46,7 +46,6 @@
 use std::fmt;
 
 use pba_model::rng::SplitMix64;
-use pba_model::weights::BinWeights;
 use pba_stream::MembershipEvent;
 
 /// The codec header every v1 (membership-free) trace starts with.
@@ -574,15 +573,6 @@ impl Trace {
             seed,
             events,
         })
-    }
-
-    /// The reweight vector as a [`BinWeights`] (uniform for an empty list).
-    pub(crate) fn weights_of(weights: &[f64]) -> BinWeights {
-        if weights.is_empty() {
-            BinWeights::Uniform
-        } else {
-            BinWeights::explicit(weights.to_vec())
-        }
     }
 }
 

@@ -28,10 +28,16 @@ use crate::shard::{GroupScratch, ShardedBins};
 /// two such spans is chosen on the calling thread, so below that the
 /// `parallel` flag and the thread count are no-ops.
 ///
-/// A ball costs ≈ 6 ns to choose, so the 4096-ball batch of the
-/// `stream-drain` workload is ≈ 25 µs of work in all — about what spawning
-/// one scoped thread costs. Measured on the 2-vCPU build host with a
-/// throw-away harness (ticks of `B` pushes + `drain_ready` on a
+/// A ball costs ≈ 8 ns to choose, so the 4096-ball batch of the
+/// `stream-drain` workload is ≈ 33 µs of work in all — about what spawning
+/// one scoped thread costs. That figure is two-choice over 1000 or 1024
+/// bins, from a throw-away harness timing `Chooser::choose_span` over 4096
+/// keys on the 2-vCPU build host: median 8.2 ns and best 4.2 of twelve
+/// runs, where the same harness read 10.8 ns at 1024 bins and 18.2 at 1000
+/// while each candidate was a `SplitMix64` draw ranged by division.
+///
+/// The cutoff itself was measured on that host when the kernel read ≈ 6 ns,
+/// with another throw-away harness (ticks of `B` pushes + `drain_ready` on a
 /// `StreamAllocator`, two-choice over 1024 bins, metrics installed;
 /// `.sequential()` against `.num_threads(2)`, each thread choosing `B/2`
 /// balls; best of three per side, four runs). Handing a span to a parked

@@ -12,23 +12,39 @@
 //! [`candidate_bins`]), so a repeated key always contends for the same
 //! candidate set — the consistent-hashing behaviour of a real router.
 //!
+//! ## One hash per key
+//!
+//! The model asks only that a ball's candidates be uniform, independent
+//! across balls and a pure function of `(seed, key)`. So uniform candidates
+//! are drawn from **one 64-bit hash of the key**: `h = mix64(key ^
+//! stream_key)`, where `stream_key` is [`SplitMix64::stream_key`] of the seed
+//! and the candidate stream, computed once per batch. `h` and the words after
+//! it (`w' = mix64(w + 0x9e37_79b9_7f4a_7c15)`) are cut into 32-bit draws,
+//! high half first, and each draw is ranged into the sampling domain `[0, D)`
+//! by Lemire's multiply-shift: the index is `(x·D) >> 32` for the first draw
+//! `x` whose low 32 bits of `x·D` are at least `(2³² − D) mod D`. That is
+//! exactly uniform, the threshold is computed once per batch so no draw
+//! divides, and a power-of-two `D` never rejects. A two-choice ball over any
+//! bin count costs one `mix64`.
+//!
 //! ## Weighted (heterogeneous) policies
 //!
 //! Two policies are **weight-aware**: [`Policy::WeightedTwoChoice`] and
 //! [`Policy::CapacityThreshold`]. When the stream carries non-uniform
 //! [`BinWeights`](pba_model::weights::BinWeights), they sample candidates
-//! proportionally to weight (alias table) and balance the **normalized load**
-//! `load_i / w_i` instead of the raw load. The remaining policies are
+//! proportionally to weight (alias table, driven by the key's
+//! [`SplitMix64::for_substream`] generator) and balance the **normalized
+//! load** `load_i / w_i` instead of the raw load. The remaining policies are
 //! deliberately weight-*oblivious* — they serve as the "what if the router
 //! ignored capacities" baseline that experiment E13 measures against.
 //!
 //! When the weights are uniform, [`BinWeights::resolve`](pba_model::weights::BinWeights::resolve)
 //! canonicalises them to `None` and [`choose_bin`] takes exactly the
-//! unweighted code path (same RNG stream, same comparisons), so a uniform
+//! unweighted code path (same draws, same comparisons), so a uniform
 //! weighted configuration is a **strict no-op** — bit-identical to the
 //! unweighted engine, as enforced by `tests/weighted_properties.rs`.
 
-use pba_model::rng::SplitMix64;
+use pba_model::rng::{mix64, SplitMix64};
 use pba_model::weights::ResolvedWeights;
 
 use crate::metrics::PolicyCounters;
@@ -198,8 +214,10 @@ impl ChoiceCtx<'_> {
 /// candidates live on the chooser's stack — and stays in the signature for
 /// the callers outside this crate that still pass a scratch vector.
 ///
-/// With `ctx.weights == None` this consumes the RNG stream exactly like
-/// [`candidate_bins`] + [`Policy::pick`] — the strict uniform no-op.
+/// With `ctx.weights == None` and no membership, the ball's first attempt is
+/// exactly [`candidate_bins`] + [`Policy::pick`] — the strict uniform no-op.
+/// A weight-aware policy on non-uniform weights samples through the alias
+/// table instead, from the key's [`SplitMix64::for_substream`] generator.
 pub fn choose_bin(
     policy: Policy,
     ctx: &ChoiceCtx<'_>,
@@ -210,18 +228,19 @@ pub fn choose_bin(
 }
 
 /// Everything about a choice that is constant across a batch, decided once:
-/// the sampling domain and `d` clamped to it, whether candidates are drawn
-/// weight-proportionally, and the `(seed, CANDIDATE_STREAM)` half of each
-/// ball's RNG derivation. [`Chooser::choose_span`] is then the choose loop of
-/// every drain, route and migration.
+/// the sampling domain and `d` clamped to it, the domain's multiply-shift
+/// rejection threshold, whether candidates are drawn weight-proportionally,
+/// and the `(seed, CANDIDATE_STREAM)` half of each ball's hash.
+/// [`Chooser::choose_span`] is then the choose loop of every drain, route
+/// and migration.
 pub(crate) struct Chooser<'a> {
     policy: Policy,
     ctx: ChoiceCtx<'a>,
     /// Candidates per attempt: `d` clamped to `[1, domain]`.
     d: usize,
-    /// Size of the sampling domain: the active slots under membership, every
-    /// bin otherwise.
-    domain: usize,
+    /// Uniform indices over the sampling domain: the active slots under
+    /// membership, every bin otherwise.
+    range: UniformRange,
     /// The alias table candidates are drawn from — in the index space of the
     /// domain — when the policy is weight-aware and the weights non-uniform.
     sampler: Option<&'a ResolvedWeights>,
@@ -231,10 +250,10 @@ pub(crate) struct Chooser<'a> {
 impl<'a> Chooser<'a> {
     pub(crate) fn new(policy: Policy, ctx: &ChoiceCtx<'a>) -> Self {
         // Elastic membership: draw over the active domain, then map the drawn
-        // positions to global slot indices. The RNG consumption is exactly
-        // that of a fixed engine over `active.len()` bins, so an identity
-        // active set is a strict no-op and a gapped one matches the
-        // compacted fresh engine bit for bit.
+        // positions to global slot indices. The draws are exactly those of a
+        // fixed engine over `active.len()` bins, so an identity active set is
+        // a strict no-op and a gapped one matches the compacted fresh engine
+        // bit for bit.
         let (domain, weights) = match ctx.active {
             Some(active) => (active.len(), ctx.active_weights),
             None => (ctx.bins, ctx.weights),
@@ -245,27 +264,36 @@ impl<'a> Chooser<'a> {
             policy,
             ctx: *ctx,
             d: policy.choices().min(domain.max(1)),
-            domain,
+            range: UniformRange::new(domain),
             sampler,
             stream_key: SplitMix64::stream_key(ctx.seed, CANDIDATE_STREAM),
         }
     }
 
     /// Chooses the bin of every item of a span: `out[i]` is the bin of the
-    /// ball with key `key_of(&items[i])`. The one choose loop; the `match`
-    /// only picks the candidate buffer it runs over, so that for the `d` the
-    /// policies actually use the buffer is a stack array whose length the
-    /// compiler knows — candidates then live in registers, and the sampling
-    /// and comparison loops unroll. A larger `d` runs the same loop over a
-    /// heap buffer.
+    /// ball with key `key_of(&items[i])`. The one choose loop. The sampler
+    /// is matched once here, not per ball; the `d` match then only picks the
+    /// candidate buffer the loop runs over, so that for the `d` the policies
+    /// actually use the buffer is a stack array whose length the compiler
+    /// knows — candidates then live in registers, and the sampling and
+    /// comparison loops unroll. A larger `d` runs the same loop over a heap
+    /// buffer.
     pub(crate) fn choose_span<K>(&self, items: &[K], key_of: impl Fn(&K) -> u64, out: &mut [u32]) {
         debug_assert_eq!(items.len(), out.len());
-        match self.d {
-            1 => self.span_over([0; 1], items, key_of, out),
-            2 => self.span_over([0; 2], items, key_of, out),
-            3 => self.span_over([0; 3], items, key_of, out),
-            4 => self.span_over([0; 4], items, key_of, out),
-            d => self.span_over(vec![0; d], items, key_of, out),
+        match self.sampler {
+            None => self.span_with(
+                items,
+                |item| KeyDraws::new(self.stream_key, key_of(item)),
+                out,
+            ),
+            Some(weights) => self.span_with(
+                items,
+                |item| WeightedDraws {
+                    rng: SplitMix64::for_substream(self.stream_key, key_of(item)),
+                    weights,
+                },
+                out,
+            ),
         }
     }
 
@@ -277,28 +305,38 @@ impl<'a> Chooser<'a> {
     }
 
     #[inline(always)]
-    fn span_over<K, B: AsMut<[u32]> + Clone>(
+    fn span_with<K, D: Draws>(&self, items: &[K], draws_of: impl Fn(&K) -> D, out: &mut [u32]) {
+        match self.d {
+            1 => self.span_over([0; 1], items, draws_of, out),
+            2 => self.span_over([0; 2], items, draws_of, out),
+            3 => self.span_over([0; 3], items, draws_of, out),
+            4 => self.span_over([0; 4], items, draws_of, out),
+            d => self.span_over(vec![0; d], items, draws_of, out),
+        }
+    }
+
+    #[inline(always)]
+    fn span_over<K, D: Draws, B: AsMut<[u32]> + Clone>(
         &self,
         mut first: B,
         items: &[K],
-        key_of: impl Fn(&K) -> u64,
+        draws_of: impl Fn(&K) -> D,
         out: &mut [u32],
     ) {
         // The overflow retry's second attempt: same length, its own buffer.
         let mut retry = first.clone();
         let (first, retry) = (first.as_mut(), retry.as_mut());
         for (slot, item) in out.iter_mut().zip(items) {
-            *slot = self.choose(key_of(item), first, retry);
+            *slot = self.choose(draws_of(item), first, retry);
         }
     }
 
-    /// The bin of the ball with key `key`; `first` and `retry` are `d` slots
-    /// of candidate scratch each.
+    /// The bin of the ball whose candidates `draws` yields; `first` and
+    /// `retry` are `d` slots of candidate scratch each.
     #[inline(always)]
-    fn choose(&self, key: u64, first: &mut [u32], retry: &mut [u32]) -> u32 {
+    fn choose(&self, mut draws: impl Draws, first: &mut [u32], retry: &mut [u32]) -> u32 {
         let ctx = &self.ctx;
-        let mut rng = SplitMix64::for_substream(self.stream_key, key);
-        self.sample(&mut rng, first);
+        self.sample(&mut draws, first);
         match self.policy {
             Policy::OneChoice => first[0],
             Policy::TwoChoice | Policy::DChoice(_) => least_loaded(ctx.snapshot, first),
@@ -324,7 +362,7 @@ impl<'a> Chooser<'a> {
                 if let Some(counters) = ctx.counters {
                     counters.overflow_retry.inc();
                 }
-                self.sample(&mut rng, retry);
+                self.sample(&mut draws, retry);
                 if let Some(c) = first_below_capacity(ctx, retry) {
                     return c;
                 }
@@ -338,28 +376,143 @@ impl<'a> Chooser<'a> {
         }
     }
 
-    /// Fills `out` (one attempt, `d` slots) with distinct candidates:
-    /// weight-proportional for a weight-aware policy on non-uniform weights,
-    /// uniform otherwise (the exact [`candidate_bins`] stream).
+    /// Fills `out` (one attempt, `d` slots) with distinct candidates from
+    /// the ball's draws, mapped to slots under membership.
     #[inline(always)]
-    fn sample(&self, rng: &mut SplitMix64, out: &mut [u32]) {
-        match self.sampler {
-            Some(weights) => {
-                let fallback_draws = weights.fill_distinct(rng, out);
-                if fallback_draws > 0 {
-                    if let Some(counters) = self.ctx.counters {
-                        counters
-                            .weighted_uniform_fallback
-                            .add(fallback_draws as u64);
-                    }
-                }
-            }
-            None => rng.fill_distinct(self.domain, out),
-        }
+    fn sample(&self, draws: &mut impl Draws, out: &mut [u32]) {
+        draws.fill(self, out);
         if let Some(active) = self.ctx.active {
             for slot in out {
                 *slot = active[*slot as usize];
             }
+        }
+    }
+}
+
+/// One ball's candidate draws. Each [`Draws::fill`] writes one attempt of
+/// distinct domain indices and continues the ball's stream, so the overflow
+/// retry draws a fresh set that is still a pure function of `(seed, key)`.
+trait Draws {
+    fn fill(&mut self, chooser: &Chooser<'_>, out: &mut [u32]);
+}
+
+/// Weight-proportional candidates: the alias table over the key's
+/// [`SplitMix64::for_substream`] generator.
+struct WeightedDraws<'w> {
+    rng: SplitMix64,
+    weights: &'w ResolvedWeights,
+}
+
+impl Draws for WeightedDraws<'_> {
+    #[inline(always)]
+    fn fill(&mut self, chooser: &Chooser<'_>, out: &mut [u32]) {
+        let fallback_draws = self.weights.fill_distinct(&mut self.rng, out);
+        if fallback_draws > 0 {
+            if let Some(counters) = chooser.ctx.counters {
+                counters
+                    .weighted_uniform_fallback
+                    .add(fallback_draws as u64);
+            }
+        }
+    }
+}
+
+/// Added to a word of a key's hash to derive the next word.
+const WORD_STEP: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// A ball's uniform 32-bit draws: the halves of `mix64(key ^ stream_key)`
+/// and of the words after it, high half first (see the [module
+/// docs](self)). A word is mixed only when its first half is drawn.
+#[derive(Debug, Clone, Copy)]
+struct KeyDraws {
+    word: u64,
+    drawn: u32,
+}
+
+impl KeyDraws {
+    #[inline(always)]
+    fn new(stream_key: u64, key: u64) -> Self {
+        Self {
+            word: mix64(key ^ stream_key),
+            drawn: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn next(&mut self) -> u32 {
+        let high = self.drawn.is_multiple_of(2);
+        if high && self.drawn > 0 {
+            self.word = mix64(self.word.wrapping_add(WORD_STEP));
+        }
+        self.drawn += 1;
+        if high {
+            (self.word >> 32) as u32
+        } else {
+            self.word as u32
+        }
+    }
+}
+
+impl Draws for KeyDraws {
+    #[inline(always)]
+    fn fill(&mut self, chooser: &Chooser<'_>, out: &mut [u32]) {
+        chooser.range.fill(self, out);
+    }
+}
+
+/// Exactly uniform indices in `[0, len)` from 32-bit draws, by Lemire's
+/// multiply-shift: `(x·len) >> 32` for the first draw `x` whose low 32 bits
+/// of `x·len` reach `reject_below = (2³² − len) mod len`. The threshold is
+/// the only division, paid once; it is 0 when `len` is a power of two.
+#[derive(Debug, Clone, Copy)]
+struct UniformRange {
+    len: u32,
+    reject_below: u32,
+}
+
+impl UniformRange {
+    /// The range over `len` indices. An empty domain ranges as `len = 1`
+    /// would reject (never) but yields index 0, as a chooser over no bins
+    /// always has.
+    fn new(len: usize) -> Self {
+        let len = u32::try_from(len).expect("a sampling domain has at most u32::MAX bins");
+        let divisor = len.max(1);
+        Self {
+            len,
+            reject_below: divisor.wrapping_neg() % divisor,
+        }
+    }
+
+    #[inline(always)]
+    fn index(&self, draws: &mut KeyDraws) -> u32 {
+        loop {
+            let product = u64::from(draws.next()) * u64::from(self.len);
+            if product as u32 >= self.reject_below {
+                return (product >> 32) as u32;
+            }
+        }
+    }
+
+    /// Fills `out` with distinct indices, slot by slot (so that over an
+    /// array every index is a constant), redrawing a repeat. `out` may be at
+    /// most `len` long (one slot over an empty domain); at exactly `len` it
+    /// becomes `0..len` and nothing is drawn.
+    #[inline(always)]
+    fn fill(&self, draws: &mut KeyDraws, out: &mut [u32]) {
+        debug_assert!(out.len() <= self.len.max(1) as usize);
+        if out.len() == self.len as usize {
+            for (slot, index) in out.iter_mut().zip(0u32..) {
+                *slot = index;
+            }
+            return;
+        }
+        for filled in 0..out.len() {
+            out[filled] = loop {
+                let candidate = self.index(draws);
+                if !out[..filled].contains(&candidate) {
+                    break candidate;
+                }
+            };
         }
     }
 }
@@ -412,11 +565,15 @@ fn least_loaded(snapshot: &[u32], candidates: &[u32]) -> u32 {
 }
 
 /// Derives the candidate bins of a ball with key `key`: `d` distinct bins
-/// (fewer only when `n < d`), a pure function of `(seed, key)`.
+/// (fewer only when `n < d`), a pure function of `(seed, key)` — the
+/// reference for the uniform candidates every policy draws. The key is
+/// hashed once and its 32-bit draws are ranged into `[0, n)` by
+/// multiply-shift, as the [module docs](self) specify.
 pub fn candidate_bins(seed: u64, key: u64, d: usize, n: usize, out: &mut Vec<u32>) {
     out.clear();
-    let mut rng = SplitMix64::for_stream(seed, CANDIDATE_STREAM, key);
-    rng.sample_distinct(n, d.max(1).min(n.max(1)), out);
+    out.resize(d.max(1).min(n), 0);
+    let mut draws = KeyDraws::new(SplitMix64::stream_key(seed, CANDIDATE_STREAM), key);
+    UniformRange::new(n).fill(&mut draws, out);
 }
 
 #[cfg(test)]
@@ -510,13 +667,61 @@ mod tests {
         }
     }
 
+    /// The uniform draw stream of the module docs, transcribed literally:
+    /// `w0 = mix64(key ^ stream_key)`, `w(i+1) = mix64(w(i) + 0x9e37…7c15)`,
+    /// each word two 32-bit draws, high half first.
+    fn reference_draws(seed: u64, key: u64) -> impl Iterator<Item = u32> {
+        let h = mix64(key ^ SplitMix64::stream_key(seed, CANDIDATE_STREAM));
+        std::iter::successors(Some(h), |w| {
+            Some(mix64(w.wrapping_add(0x9e37_79b9_7f4a_7c15)))
+        })
+        .flat_map(|w| [(w >> 32) as u32, w as u32])
+    }
+
+    /// An index in `[0, d)`: `(x·d) >> 32` for the first draw `x` whose low
+    /// 32 bits of `x·d` are at least `t = (2³² − d) mod d`, with `t` taken
+    /// over `d.max(1)`.
+    fn reference_index(draws: &mut impl Iterator<Item = u32>, d: usize) -> u32 {
+        let d = d as u64;
+        let t = ((1u64 << 32) - d.max(1)) % d.max(1);
+        loop {
+            let product = u64::from(draws.next().expect("the stream is endless")) * d;
+            if product % (1 << 32) >= t {
+                return (product >> 32) as u32;
+            }
+        }
+    }
+
+    /// `k` distinct uniform indices in `[0, n)` appended to `out` (every
+    /// index, drawing nothing, when `k ≥ n`).
+    fn reference_distinct(
+        draws: &mut impl Iterator<Item = u32>,
+        n: usize,
+        k: usize,
+        out: &mut Vec<u32>,
+    ) {
+        let start = out.len();
+        if k >= n {
+            out.extend(0..n as u32);
+            return;
+        }
+        while out.len() - start < k {
+            let candidate = reference_index(draws, n);
+            if !out[start..].contains(&candidate) {
+                out.push(candidate);
+            }
+        }
+    }
+
     #[test]
     fn choose_bin_matches_candidate_bins_plus_pick_when_unweighted() {
         // The uniform no-op invariant at the policy level: choose_bin must be
-        // byte-for-byte the candidate_bins + pick composition.
+        // byte-for-byte the candidate_bins + pick composition, and
+        // candidate_bins the literal derivation.
         let snapshot: Vec<u32> = (0..64u32).map(|i| (i * 7) % 13).collect();
         let mut scratch = Vec::new();
         let mut reference = Vec::new();
+        let mut literal = Vec::new();
         for policy in [
             Policy::OneChoice,
             Policy::TwoChoice,
@@ -527,17 +732,29 @@ mod tests {
             for key in 0..500u64 {
                 let chosen = choose_bin(policy, &ctx, key, &mut scratch);
                 candidate_bins(ctx.seed, key, policy.choices(), ctx.bins, &mut reference);
+                literal.clear();
+                let mut draws = reference_draws(ctx.seed, key);
+                reference_distinct(&mut draws, ctx.bins, policy.choices(), &mut literal);
+                assert_eq!(reference, literal, "policy {} key {key}", policy.name());
                 let expected = policy.pick(&snapshot, &reference, ctx.batch_threshold);
                 assert_eq!(chosen, expected, "policy {} key {key}", policy.name());
             }
         }
     }
 
-    /// `choose_bin` as it stood before the chooser — candidates in a `Vec`,
-    /// one rejection loop over the whole vector, nothing hoisted — kept as
-    /// the reference the chooser must reproduce draw for draw.
+    /// `choose_bin` as the derivation specifies it — candidates in a `Vec`,
+    /// one rejection loop over the whole vector, nothing hoisted: uniform
+    /// candidates from [`reference_draws`], weight-proportional ones from
+    /// the key's `for_stream` generator — kept as the reference the chooser
+    /// must reproduce draw for draw.
     fn reference_choose_bin(policy: Policy, ctx: &ChoiceCtx<'_>, key: u64) -> u32 {
-        fn sample(policy: Policy, ctx: &ChoiceCtx<'_>, rng: &mut SplitMix64, out: &mut Vec<u32>) {
+        fn sample(
+            policy: Policy,
+            ctx: &ChoiceCtx<'_>,
+            rng: &mut SplitMix64,
+            draws: &mut impl Iterator<Item = u32>,
+            out: &mut Vec<u32>,
+        ) {
             let (n, weights) = match ctx.active {
                 Some(active) => (active.len(), ctx.active_weights),
                 None => (ctx.bins, ctx.weights),
@@ -565,15 +782,7 @@ mod tests {
                         }
                     }
                 }
-                None if k >= n => out.extend(0..n as u32),
-                None => {
-                    while out.len() - start < k {
-                        let candidate = rng.gen_index(n) as u32;
-                        if !out[start..].contains(&candidate) {
-                            out.push(candidate);
-                        }
-                    }
-                }
+                None => reference_distinct(draws, n, k, out),
             }
             if let Some(active) = ctx.active {
                 for slot in &mut out[start..] {
@@ -583,7 +792,8 @@ mod tests {
         }
         let mut candidates = Vec::new();
         let mut rng = SplitMix64::for_stream(ctx.seed, CANDIDATE_STREAM, key);
-        sample(policy, ctx, &mut rng, &mut candidates);
+        let mut draws = reference_draws(ctx.seed, key);
+        sample(policy, ctx, &mut rng, &mut draws, &mut candidates);
         match policy {
             Policy::OneChoice => candidates[0],
             Policy::TwoChoice | Policy::DChoice(_) => least_loaded(ctx.snapshot, &candidates),
@@ -598,7 +808,7 @@ mod tests {
                     return c;
                 }
                 let retry_start = candidates.len();
-                sample(policy, ctx, &mut rng, &mut candidates);
+                sample(policy, ctx, &mut rng, &mut draws, &mut candidates);
                 first_below_capacity(ctx, &candidates[retry_start..])
                     .unwrap_or_else(|| least_normalized(ctx, &candidates, &[]))
             }
@@ -693,6 +903,110 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Pearson's statistic of `counts` against equal expected counts.
+    fn chi_square(counts: &[u64]) -> f64 {
+        let total: u64 = counts.iter().sum();
+        let expected = total as f64 / counts.len() as f64;
+        counts
+            .iter()
+            .map(|&c| (c as f64 - expected).powi(2) / expected)
+            .sum()
+    }
+
+    /// The χ² critical value at p = 10⁻⁶ for `df` degrees of freedom, by
+    /// Wilson–Hilferty (z = 4.7534 is the normal's 10⁻⁶ upper quantile).
+    fn critical(df: usize) -> f64 {
+        let df = df as f64;
+        let v = 2.0 / (9.0 * df);
+        df * (1.0 - v + 4.753_424 * v.sqrt()).powi(3)
+    }
+
+    #[test]
+    fn uniform_candidates_pass_chi_square() {
+        const KEYS: usize = 1 << 16;
+        let sequential: Vec<u64> = (0..KEYS as u64).collect();
+        let mut rng = SplitMix64::new(0x0c41);
+        let hashed: Vec<u64> = (0..KEYS).map(|_| rng.next_u64()).collect();
+        let mut out = Vec::new();
+        for d in [64usize, 100] {
+            for (label, keys) in [("sequential", &sequential), ("splitmix", &hashed)] {
+                let mut first = vec![0u64; d];
+                let mut second = vec![0u64; d];
+                let mut pair = vec![0u64; d * d];
+                let mut adjacent = vec![0u64; d * d];
+                let mut previous = None;
+                for (i, &key) in keys.iter().enumerate() {
+                    candidate_bins(3, key, 2, d, &mut out);
+                    let (a, b) = (out[0] as usize, out[1] as usize);
+                    assert_ne!(a, b);
+                    first[a] += 1;
+                    second[b] += 1;
+                    pair[a * d + b] += 1;
+                    // Keys 2j and 2j + 1: disjoint pairs, so the cells are
+                    // independent samples.
+                    if i % 2 == 1 {
+                        adjacent[previous.expect("an even key came first") * d + a] += 1;
+                    }
+                    previous = Some(a);
+                }
+                // A pair never repeats a bin: only its d·(d − 1) off-diagonal
+                // cells can fill.
+                let off_diagonal: Vec<u64> = (0..d * d)
+                    .filter(|cell| cell / d != cell % d)
+                    .map(|cell| pair[cell])
+                    .collect();
+                for (what, counts) in [
+                    ("first", &first[..]),
+                    ("second", &second[..]),
+                    ("pair", &off_diagonal[..]),
+                    ("adjacent firsts", &adjacent[..]),
+                ] {
+                    let (statistic, bound) = (chi_square(counts), critical(counts.len() - 1));
+                    assert!(
+                        statistic < bound,
+                        "{label} keys, d = {d}, {what}: χ² = {statistic:.1} ≥ {bound:.1}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ranged_indices_stay_below_the_domain_and_powers_of_two_never_reject() {
+        for len in [
+            1usize,
+            2,
+            3,
+            7,
+            64,
+            100,
+            1000,
+            1024,
+            1 << 31,
+            (1 << 31) + 1,
+            u32::MAX as usize,
+        ] {
+            let range = UniformRange::new(len);
+            let t = ((1u64 << 32) - len as u64) % len as u64;
+            assert_eq!(u64::from(range.reject_below), t, "len {len}");
+            assert_eq!(t == 0, len.is_power_of_two(), "len {len}");
+            for key in 0..2000u64 {
+                let mut draws = KeyDraws::new(0x5eed, key);
+                assert!(
+                    (range.index(&mut draws) as usize) < len,
+                    "len {len} key {key}"
+                );
+                if len.is_power_of_two() {
+                    assert_eq!(draws.drawn, 1, "len {len} key {key} rejected a draw");
+                }
+            }
+        }
+        // An empty domain ranges as one index and draws it.
+        let empty = UniformRange::new(0);
+        assert_eq!(empty.reject_below, 0);
+        assert_eq!(empty.index(&mut KeyDraws::new(0, 9)), 0);
     }
 
     #[test]
