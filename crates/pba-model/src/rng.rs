@@ -196,8 +196,7 @@ impl SplitMix64 {
     /// candidates in a fixed buffer. `out` may be at most `bound` long; at
     /// exactly `bound` it becomes `0..bound` and no randomness is consumed.
     // Always inlined: over a fixed-length array the loops below unroll and
-    // the candidates stay in registers, which is the streaming chooser's
-    // whole per-ball budget.
+    // the candidates stay in registers.
     #[inline(always)]
     pub fn fill_distinct(&mut self, bound: usize, out: &mut [u32]) {
         debug_assert!(out.len() <= bound);
