@@ -1,7 +1,7 @@
 //! # pba-obs
 //!
 //! The **observability substrate** of the workspace: a lock-light
-//! [`MetricsRegistry`] of named metrics plus pluggable [`MetricSink`]s.
+//! [`MetricsRegistry`] of named metrics and the snapshots it renders.
 //!
 //! The paper's guarantees are stated in rounds, messages and gap; a serving
 //! system additionally needs *operational* numbers — how many requests were
@@ -26,8 +26,6 @@
 //!   lock guards only name→handle interning and snapshotting.
 //! * [`MetricsSnapshot`] — a point-in-time copy of every metric, renderable
 //!   as text or JSON.
-//! * [`MetricSink`] / [`SinkHub`] — pluggable snapshot consumers (stderr log,
-//!   JSON-lines file, in-memory for tests) with on-demand or periodic flush.
 //!
 //! ## The "no silent drops" rule
 //!
@@ -52,9 +50,7 @@
 pub mod fault;
 pub mod histogram;
 pub mod registry;
-pub mod sink;
 
 pub use fault::{drops_of, FaultCounters};
 pub use histogram::{Histogram, HistogramSummary, LocalHistogram};
 pub use registry::{Counter, CounterVec, Gauge, HistogramHandle, MetricsRegistry, MetricsSnapshot};
-pub use sink::{JsonLinesSink, MemorySink, MetricSink, SinkHub, StderrSink};

@@ -229,7 +229,7 @@ impl MetricsRegistry {
 }
 
 /// A point-in-time copy of a registry's metrics, in deterministic (sorted)
-/// name order — what sinks consume and tests assert on.
+/// name order — what reports print and tests assert on.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
@@ -269,8 +269,7 @@ impl MetricsSnapshot {
             .sum()
     }
 
-    /// Renders the snapshot as one aligned text line per metric (the stderr
-    /// sink format).
+    /// Renders the snapshot as one aligned text line per metric.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         for (name, value) in &self.counters {
@@ -295,8 +294,8 @@ impl MetricsSnapshot {
         out
     }
 
-    /// Renders the snapshot as one compact JSON object (the JSON-lines sink
-    /// format). Hand-rolled — metric names are plain identifiers, but quotes
+    /// Renders the snapshot as one compact JSON object, fit for one line of
+    /// a JSON-lines log. Hand-rolled — metric names are plain identifiers, but quotes
     /// and backslashes are escaped anyway.
     pub fn render_json(&self) -> String {
         fn esc(s: &str) -> String {

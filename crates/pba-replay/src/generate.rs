@@ -1,7 +1,7 @@
 //! Trace generators: snapshot the workspace's arrival processes into
 //! replayable [`Trace`]s.
 //!
-//! Each generator builds a [`StreamAllocator`] for the requested shape,
+//! Each generator builds a [`ConcurrentRouter`] for the requested shape,
 //! attaches a [`TraceRecorder`], drives the standard scenario runner
 //! ([`pba_stream::run_scenario_on`]) and returns the recorded trace — so a
 //! generated trace is *exactly* the workload the scenario machinery would
@@ -11,20 +11,20 @@
 
 use std::sync::{Arc, Mutex};
 
-use pba_stream::{run_scenario_on, ArrivalProcess, ScenarioConfig, StreamAllocator, StreamConfig};
+use pba_stream::{run_scenario_on, ArrivalProcess, ConcurrentRouter, ScenarioConfig, StreamConfig};
 
 use crate::record::TraceRecorder;
 use crate::trace::Trace;
 
-/// Records `scenario` against a stream built from `config`, returning the
+/// Records `scenario` against a router built from `config`, returning the
 /// trace under `name`. The generic entry point the canned generators wrap.
 pub fn record_scenario(name: &str, scenario: &ScenarioConfig, config: StreamConfig) -> Trace {
     let recorder = Arc::new(Mutex::new(TraceRecorder::new()));
-    let mut stream = StreamAllocator::new(config.clone());
-    stream.add_observer(recorder.clone());
-    run_scenario_on(scenario, stream);
+    let router = ConcurrentRouter::new(config.clone());
+    router.add_observer(recorder.clone());
+    run_scenario_on(scenario, router);
     Arc::try_unwrap(recorder)
-        .expect("scenario runner dropped its stream — no other handle remains")
+        .expect("scenario runner dropped its router — no other handle remains")
         .into_inner()
         .expect("recorder lock cannot be poisoned after a clean run")
         .into_trace(name, config.bins, config.batch_size, config.seed)

@@ -51,13 +51,12 @@
 //!   as the first client of the observer hooks) and [`ReweightLog`].
 //! * [`arrival`] — [`ArrivalProcess`]: uniform, Zipf-skewed and bursty
 //!   arrival streams.
-//! * [`scenario`] — [`run_scenario`]: ticks of arrivals + optional churn
-//!   (ticket releases, load- or capacity-proportional) driving a
-//!   [`StreamAllocator`], reporting online gap trajectories.
-//! * [`autoscale`] — [`ScaleScenario`] / [`run_scale_scenario`]: the elastic
-//!   counterpart — scripted scale events (ramp-up, flash crowd, rolling
-//!   restart, scale-to-zero) staged against a live stream, with migration
-//!   volume, availability and active-fraction measured per run (E19).
+//! * [`scenario`] — [`ScenarioConfig`] / [`run_scenario`]: the one scenario
+//!   driver. Ticks of arrivals, optional churn (ticket releases, load- or
+//!   capacity-proportional) and an optional script of scale events
+//!   ([`ScaleEvent`]: ramp-up, flash crowd, rolling restart, scale-to-zero)
+//!   drive the 1-caller [`ConcurrentRouter`]; the [`ScenarioReport`] carries
+//!   the online gap, migration volume, availability and active fraction.
 //!
 //! Drain parallelism is explicit: [`StreamConfig::num_threads`] gives an
 //! engine its own thread count (`0` = the ambient count: an installed
@@ -104,7 +103,6 @@
 #![warn(missing_docs)]
 
 pub mod arrival;
-pub mod autoscale;
 mod commit;
 pub mod concurrent;
 pub mod engine;
@@ -117,16 +115,16 @@ pub mod shard;
 pub mod snapshot;
 
 pub use arrival::{ArrivalProcess, ArrivalSampler, UNIQUE_KEYS};
-pub use autoscale::{
-    run_scale_scenario, run_scale_scenario_on, ScaleAction, ScaleEvent, ScaleReport, ScaleScenario,
-};
 pub use commit::PARALLEL_MIN_SPAN;
 pub use concurrent::{ConcurrentRouter, DelayedArrival};
 pub use engine::{StreamAllocator, StreamConfig};
 pub use metrics::{MembershipCounters, PolicyCounters, StreamMetrics};
 pub use observer::{GapTrajectoryObserver, ReweightLog, ReweightRecord};
 pub use policy::{candidate_bins, choose_bin, ChoiceCtx, Policy};
-pub use scenario::{run_scenario, run_scenario_on, ChurnMode, ScenarioConfig, ScenarioReport};
+pub use scenario::{
+    run_scenario, run_scenario_on, ChurnMode, ScaleAction, ScaleEvent, ScenarioConfig,
+    ScenarioReport,
+};
 pub use shard::{ShardStats, ShardedBins};
 pub use snapshot::StreamSnapshot;
 

@@ -1,27 +1,61 @@
-//! Scenario driver: an arrival process, optional churn, and a policy, run for
-//! a fixed number of ticks.
+//! Scenario driver: an arrival process, optional churn, an optional script
+//! of scale events and a policy, run for a fixed number of ticks on the
+//! 1-caller [`ConcurrentRouter`].
 //!
-//! This is the piece that turns the incremental [`StreamAllocator`] API into
-//! end-to-end experiments: each tick **routes** the process's arrivals
-//! through the handle-based router surface (batch boundaries advance
-//! automatically every `batch_size` placements, exactly as a `push` + drain
-//! loop would) and, after a warm-up, retires residents at a configurable
-//! churn rate by **releasing their tickets**. Two service models are
-//! supported ([`ChurnMode`]):
+//! This is the piece that turns the router API into end-to-end experiments.
+//! Each tick runs three steps, in order:
 //!
-//! * [`ChurnMode::LoadProportional`] — a departing ball is drawn uniformly
-//!   over *residents*, so a bin is hit proportionally to its load (the
-//!   standard M/M/∞-style model).
-//! * [`ChurnMode::CapacityProportional`] — the departing bin is drawn
-//!   proportionally to its **weight**: big backends drain connections faster,
-//!   the service-rate-∝-capacity model heterogeneous fleets actually exhibit.
-//!   Under uniform weights this degrades to a uniformly random (non-empty)
-//!   bin.
+//! 1. **Arrivals.** The process's arrivals are routed (batch boundaries
+//!    advance automatically every `batch_size` placements, exactly as a
+//!    `push` + drain loop would).
+//! 2. **Churn.** After a warm-up, residents retire at a configurable rate by
+//!    **releasing their tickets**. Two service models are supported
+//!    ([`ChurnMode`]):
+//!    * [`ChurnMode::LoadProportional`] — a departing ball is drawn
+//!      uniformly over *residents*, so a bin is hit proportionally to its
+//!      load (the standard M/M/∞-style model).
+//!    * [`ChurnMode::CapacityProportional`] — the departing bin is drawn
+//!      proportionally to its **weight**: big backends drain connections
+//!      faster, the service-rate-∝-capacity model heterogeneous fleets
+//!      actually exhibit. Under uniform weights this degrades to a uniformly
+//!      random (non-empty) slot.
+//! 3. **Staging.** Every due [`ScaleEvent`] of the script whose precondition
+//!    holds is staged through [`ConcurrentRouter::stage_membership`]; the
+//!    engine applies it at its next batch boundary, exactly as a live
+//!    operator driving the `ADD` / `DRAIN` / `REMOVE` socket verbs would.
+//!    An empty script is the fixed cluster.
+//!
+//! **Legality is the driver's job, not the script author's.** A scripted
+//! drain waits until its bin is `Active`. A scripted remove first
+//! force-migrates the bin's residents ([`ConcurrentRouter::migrate_drained`])
+//! and waits until the bin is both `Draining` and empty. A scripted add
+//! waits until the retired slots outnumber the adds already staged and not
+//! yet applied. Deferred events retry every following tick, so a script
+//! spaced tighter than the batch cadence still executes, just later, and the
+//! engine's `membership.rejected_*` counters stay at zero for any
+//! well-formed script. Events still pending when the ticks run out are
+//! reported in [`ScenarioReport::events_unapplied`].
+//!
+//! The four canonical scale shapes of experiment E19 ship as constructors:
+//!
+//! | pattern | shape |
+//! |---|---|
+//! | [`ScenarioConfig::ramp_up`] | start small, add one bin at a fixed cadence |
+//! | [`ScenarioConfig::flash_crowd`] | surge bins in at a spike, drain + retire them after |
+//! | [`ScenarioConfig::rolling_restart`] | drain → migrate → remove → re-add each bin in turn |
+//! | [`ScenarioConfig::scale_to_zero_and_back`] | retire everything but a core, recommission later |
+//!
+//! Availability is measured, not assumed: the report carries
+//! `routed / offered` (which the lock-free boundary machinery keeps at 1.0 —
+//! no scale event ever pauses routing) and the minimum active-bin fraction
+//! the cluster passed through.
 
+use pba_membership::{BinState, MembershipPlan};
 use pba_model::rng::SplitMix64;
 
 use crate::arrival::{ArrivalProcess, ArrivalSampler};
-use crate::engine::{StreamAllocator, StreamConfig};
+use crate::concurrent::ConcurrentRouter;
+use crate::engine::StreamConfig;
 
 /// Stream used for arrival-key randomness.
 const ARRIVAL_STREAM: u64 = 0xa331_7a15;
@@ -52,9 +86,44 @@ impl ChurnMode {
     }
 }
 
+/// One scripted scale action.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ScaleAction {
+    /// Commission a bin with the given capacity weight. Deferred until a
+    /// retired slot is free for it ([`run_scenario`] sizes the reserve so a
+    /// well-formed script always finds one eventually).
+    Add {
+        /// Capacity weight of the commissioned bin.
+        weight: f64,
+    },
+    /// Start draining `bin`. Deferred until the bin is `Active`.
+    Drain {
+        /// The bin slot to drain.
+        bin: u32,
+    },
+    /// Retire `bin`: force-migrate its residents off, then remove it once
+    /// empty. Deferred until the bin is `Draining` with zero occupancy.
+    Remove {
+        /// The bin slot to retire.
+        bin: u32,
+    },
+}
+
+/// A scale action scheduled at a tick of the scenario clock.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ScaleEvent {
+    /// First tick at which the driver may stage the action (it retries every
+    /// later tick until the action's precondition holds).
+    pub at_tick: u64,
+    /// The action to stage.
+    pub action: ScaleAction,
+}
+
 /// A complete streaming scenario.
 #[derive(Debug, Clone)]
 pub struct ScenarioConfig {
+    /// Name of the pattern (used in experiment tables).
+    pub name: String,
     /// Ticks to simulate.
     pub ticks: u64,
     /// The arrival process.
@@ -66,22 +135,30 @@ pub struct ScenarioConfig {
     pub churn_mode: ChurnMode,
     /// Ticks before churn starts (lets the system fill up first).
     pub warmup_ticks: u64,
-    /// Whether to close the final partial batch at the end of the run (so its
-    /// boundary is recorded in the gap trajectory).
-    pub flush_at_end: bool,
+    /// The scale script; empty for a fixed cluster. Events are staged in
+    /// `at_tick` order.
+    pub events: Vec<ScaleEvent>,
 }
 
 impl ScenarioConfig {
-    /// A growth-only scenario: `ticks` ticks of the given arrivals, no churn.
+    /// A growth-only scenario on a fixed cluster: `ticks` ticks of the given
+    /// arrivals, no churn, no scale events.
     pub fn growth(ticks: u64, arrivals: ArrivalProcess) -> Self {
         Self {
+            name: "growth".into(),
             ticks,
             arrivals,
             churn: 0.0,
             churn_mode: ChurnMode::default(),
             warmup_ticks: 0,
-            flush_at_end: true,
+            events: Vec::new(),
         }
+    }
+
+    /// Renames the scenario (builder style).
+    pub fn named(mut self, name: &str) -> Self {
+        self.name = name.into();
+        self
     }
 
     /// Adds churn after a warm-up period (builder style).
@@ -96,98 +173,293 @@ impl ScenarioConfig {
         self.churn_mode = mode;
         self
     }
+
+    /// A scenario named `name` running `events`.
+    fn scripted(name: &str, ticks: u64, arrivals: ArrivalProcess, events: Vec<ScaleEvent>) -> Self {
+        Self {
+            events,
+            ..Self::growth(ticks, arrivals).named(name)
+        }
+    }
+
+    /// **Ramp-up**: commission `extra` unit-weight bins, one every
+    /// `every` ticks starting at `start_at`.
+    pub fn ramp_up(
+        ticks: u64,
+        arrivals: ArrivalProcess,
+        extra: usize,
+        start_at: u64,
+        every: u64,
+    ) -> Self {
+        let events = (0..extra)
+            .map(|i| ScaleEvent {
+                at_tick: start_at + i as u64 * every,
+                action: ScaleAction::Add { weight: 1.0 },
+            })
+            .collect();
+        Self::scripted("ramp-up", ticks, arrivals, events)
+    }
+
+    /// **Flash crowd**: `surge` unit-weight bins commissioned together at
+    /// `surge_at`; once the spike passes (`surge_at + hold`), the surge bins
+    /// are drained and — after migration — retired again. The surge slots
+    /// are the `surge` slots right above the initial bin count.
+    pub fn flash_crowd(
+        ticks: u64,
+        arrivals: ArrivalProcess,
+        initial_bins: usize,
+        surge: usize,
+        surge_at: u64,
+        hold: u64,
+    ) -> Self {
+        let mut events = Vec::new();
+        for i in 0..surge {
+            events.push(ScaleEvent {
+                at_tick: surge_at,
+                action: ScaleAction::Add { weight: 1.0 },
+            });
+            let bin = (initial_bins + i) as u32;
+            events.push(ScaleEvent {
+                at_tick: surge_at + hold,
+                action: ScaleAction::Drain { bin },
+            });
+            events.push(ScaleEvent {
+                at_tick: surge_at + hold + 2,
+                action: ScaleAction::Remove { bin },
+            });
+        }
+        Self::scripted("flash-crowd", ticks, arrivals, events)
+    }
+
+    /// **Rolling restart**: each of `bins` in turn is drained, migrated,
+    /// retired and recommissioned (the re-add reuses the just-retired slot),
+    /// one bin every `every` ticks starting at `start_at`.
+    pub fn rolling_restart(
+        ticks: u64,
+        arrivals: ArrivalProcess,
+        bins: usize,
+        start_at: u64,
+        every: u64,
+    ) -> Self {
+        let mut events = Vec::new();
+        for (i, bin) in (0..bins as u32).enumerate() {
+            let base = start_at + i as u64 * every;
+            events.push(ScaleEvent {
+                at_tick: base,
+                action: ScaleAction::Drain { bin },
+            });
+            events.push(ScaleEvent {
+                at_tick: base + 2,
+                action: ScaleAction::Remove { bin },
+            });
+            events.push(ScaleEvent {
+                at_tick: base + 4,
+                action: ScaleAction::Add { weight: 1.0 },
+            });
+        }
+        Self::scripted("rolling-restart", ticks, arrivals, events)
+    }
+
+    /// **Scale to zero and back**: every bin above the `core` is drained,
+    /// migrated and retired at `idle_at`, then recommissioned at `busy_at`.
+    pub fn scale_to_zero_and_back(
+        ticks: u64,
+        arrivals: ArrivalProcess,
+        bins: usize,
+        core: usize,
+        idle_at: u64,
+        busy_at: u64,
+    ) -> Self {
+        assert!(core < bins, "the core must be a strict subset of the bins");
+        let mut events = Vec::new();
+        for bin in core as u32..bins as u32 {
+            events.push(ScaleEvent {
+                at_tick: idle_at,
+                action: ScaleAction::Drain { bin },
+            });
+            events.push(ScaleEvent {
+                at_tick: idle_at + 2,
+                action: ScaleAction::Remove { bin },
+            });
+            events.push(ScaleEvent {
+                at_tick: busy_at,
+                action: ScaleAction::Add { weight: 1.0 },
+            });
+        }
+        Self::scripted("scale-to-zero", ticks, arrivals, events)
+    }
+
+    /// Reserve slots the engine must pre-allocate so no scripted add is ever
+    /// rejected (0 without a script): adds first reuse slots freed by
+    /// earlier-scheduled removes (the lowest-retired-slot rule), the rest
+    /// need fresh reserve. Same simulation as `Trace::needed_reserve` in the
+    /// replay crate.
+    pub fn needed_reserve(&self) -> usize {
+        let mut ordered = self.events.clone();
+        ordered.sort_by_key(|e| e.at_tick);
+        let mut freed = 0usize;
+        let mut reserve = 0usize;
+        for event in &ordered {
+            match event.action {
+                ScaleAction::Remove { .. } => freed += 1,
+                ScaleAction::Add { .. } if freed > 0 => freed -= 1,
+                ScaleAction::Add { .. } => reserve += 1,
+                ScaleAction::Drain { .. } => {}
+            }
+        }
+        reserve
+    }
 }
 
 /// Outcome of a scenario run.
 #[derive(Debug)]
 pub struct ScenarioReport {
-    /// The allocator in its final state (loads, stats, trajectory).
-    pub stream: StreamAllocator,
-    /// Total arrivals generated.
+    /// The router in its final state (loads, stats, trajectory).
+    pub router: ConcurrentRouter,
+    /// Pattern name (from the scenario).
+    pub name: String,
+    /// Arrivals the scenario routed (all it offered — routing never pauses).
     pub arrived: u64,
-    /// Total departures executed.
+    /// Departures executed by churn.
     pub departed: u64,
-    /// Gap after the final batch (`0` when no batch was drained).
+    /// Tickets force-migrated off draining bins.
+    pub migrated: u64,
+    /// Scale events staged (each exactly once, after its precondition held).
+    pub events_staged: u64,
+    /// Scripted events still deferred when the ticks ran out (0 for a
+    /// well-formed script with trailing ticks).
+    pub events_unapplied: u64,
+    /// `routed / offered` — 1.0 means no arrival was ever refused or paused
+    /// by a scale event.
+    pub availability: f64,
+    /// Minimum over ticks of `active bins / peak commissioned bins`.
+    pub min_active_fraction: f64,
+    /// Gap after the final boundary (`0` when no batch was closed).
     pub final_gap: f64,
-    /// Maximum gap observed at any batch boundary.
+    /// Maximum gap at any boundary.
     pub max_gap: f64,
-    /// Mean gap over all batch boundaries.
+    /// Mean gap over all boundaries.
     pub mean_gap: f64,
 }
 
-/// Runs `scenario` on a fresh [`StreamAllocator`] built from `config`.
+/// Runs `scenario` on a fresh [`ConcurrentRouter`] built from `config`, with
+/// the reserve widened to [`ScenarioConfig::needed_reserve`].
 pub fn run_scenario(scenario: &ScenarioConfig, config: StreamConfig) -> ScenarioReport {
-    run_scenario_on(scenario, StreamAllocator::new(config))
+    let reserve = config.reserve_bins.max(scenario.needed_reserve());
+    let router = ConcurrentRouter::new(config.reserve_bins(reserve));
+    run_scenario_on(scenario, router)
 }
 
-/// Runs `scenario` on an already-constructed [`StreamAllocator`] — the entry
-/// point to use when observers must be attached (or state pre-seeded) before
-/// the run. The stream should be freshly constructed; arrival and departure
-/// randomness derive from its configured seed.
-pub fn run_scenario_on(scenario: &ScenarioConfig, mut stream: StreamAllocator) -> ScenarioReport {
-    let seed = stream.config().seed;
-    let n = stream.config().bins;
+/// Runs `scenario` on an already-constructed [`ConcurrentRouter`] — the
+/// entry point to use when observers or a metrics registry must be attached
+/// (or residents pre-seeded) before the run. The reserve must already cover
+/// the script's adds. Arrival and departure randomness derive from the
+/// router's configured seed; the report counts only the scenario's own
+/// arrivals and departures.
+pub fn run_scenario_on(scenario: &ScenarioConfig, router: ConcurrentRouter) -> ScenarioReport {
+    let seed = router.config().seed;
     let sampler = ArrivalSampler::new(scenario.arrivals.clone());
     let mut key_rng = SplitMix64::for_stream(seed, ARRIVAL_STREAM, 0);
     let mut depart_rng = SplitMix64::for_stream(seed, DEPART_STREAM, 0);
     // Fractional churn accumulates across ticks so e.g. 0.5 retires one ball
     // every other arrival on average.
     let mut churn_credit = 0.0f64;
+    let mut script = Script::new(&scenario.events);
+    let start = router.stats();
+    let mut offered = 0u64;
+    let mut peak_bins = commissioned(&router.bin_states());
+    let mut min_active_fraction = 1.0f64;
 
     for tick in 0..scenario.ticks {
         let arrivals = sampler.arrivals_at(tick);
         for _ in 0..arrivals {
             let key = sampler.sample_key(&mut key_rng);
-            stream.route(key).expect("streaming route is infallible");
+            router.route(key).expect("streaming route is infallible");
         }
+        offered += arrivals as u64;
 
         if scenario.churn > 0.0 && tick >= scenario.warmup_ticks {
             churn_credit += scenario.churn * arrivals as f64;
-            match scenario.churn_mode {
-                ChurnMode::LoadProportional => {
-                    if churn_credit >= 1.0 && stream.resident_tickets() > 0 {
-                        // One O(n) Fenwick build per tick, then O(log n) per
-                        // departure — the per-departure linear scan would make
-                        // churn cost O(departures · n).
-                        let mut tree = LoadTree::build_from(&stream, n);
-                        while churn_credit >= 1.0 && tree.total() > 0 {
-                            churn_credit -= 1.0;
-                            let bin = tree.sample_and_remove(depart_rng.gen_range(tree.total()));
-                            release_resident_in(&mut stream, bin);
-                        }
-                    }
-                }
-                ChurnMode::CapacityProportional => {
-                    // Track the releasable count locally: `resident_tickets`
-                    // is cheap, but the loop should not re-query per step.
-                    let mut residents = stream.resident_tickets() as u64;
-                    while churn_credit >= 1.0 && residents > 0 {
-                        churn_credit -= 1.0;
-                        residents -= 1;
-                        let bin = sample_capacity_bin(&stream, &mut depart_rng, n);
-                        release_resident_in(&mut stream, bin);
-                    }
+            churn(
+                &router,
+                scenario.churn_mode,
+                &mut churn_credit,
+                &mut depart_rng,
+            );
+        }
+
+        script.stage_due(&router, tick);
+        let states = router.bin_states();
+        peak_bins = peak_bins.max(commissioned(&states));
+        let active = states.iter().filter(|s| **s == BinState::Active).count();
+        min_active_fraction = min_active_fraction.min(active as f64 / peak_bins as f64);
+    }
+    router.flush();
+    // Settle the tail of the script: each flush closes a boundary, applying
+    // whatever is staged, which can unlock the next deferred event (a remove
+    // waiting on its drain, an add waiting on its remove). Bounded — every
+    // pass either stages an event or stops.
+    for _ in 0..scenario.events.len() + 2 {
+        if script.stage_due(&router, u64::MAX) == 0 {
+            break;
+        }
+        router.flush();
+    }
+
+    let end = router.stats();
+    let arrived = end.routed - start.routed;
+    let gaps = router.gap_stats();
+    let finite = |x: f64| if x.is_nan() { 0.0 } else { x };
+    ScenarioReport {
+        name: scenario.name.clone(),
+        arrived,
+        departed: end.released - start.released,
+        migrated: script.migrated,
+        events_staged: script.staged.iter().filter(|&&s| s).count() as u64,
+        events_unapplied: script.staged.iter().filter(|&&s| !s).count() as u64,
+        // `route` is infallible and never paused by membership changes; the
+        // identity is still *measured* so a regression shows up here.
+        availability: if offered == 0 {
+            1.0
+        } else {
+            arrived as f64 / offered as f64
+        },
+        min_active_fraction,
+        final_gap: router.gap_trajectory().last().copied().unwrap_or(0.0),
+        max_gap: finite(gaps.max()),
+        mean_gap: finite(gaps.mean()),
+        router,
+    }
+}
+
+/// Releases up to `credit` whole departures (leaving the fraction), drawn by
+/// `mode`'s sampler over every capacity slot.
+fn churn(router: &ConcurrentRouter, mode: ChurnMode, credit: &mut f64, rng: &mut SplitMix64) {
+    match mode {
+        ChurnMode::LoadProportional => {
+            if *credit >= 1.0 && router.resident_tickets() > 0 {
+                // One O(n) Fenwick build per tick, then O(log n) per
+                // departure — the per-departure linear scan would make churn
+                // cost O(departures · n).
+                let mut tree = LoadTree::build_from(router);
+                while *credit >= 1.0 && tree.total() > 0 {
+                    *credit -= 1.0;
+                    let bin = tree.sample_and_remove(rng.gen_range(tree.total()));
+                    release_resident_in(router, bin);
                 }
             }
         }
-    }
-    if scenario.flush_at_end {
-        stream.flush();
-    }
-
-    let trajectory = stream.gap_trajectory();
-    let final_gap = trajectory.last().copied().unwrap_or(0.0);
-    let max_gap = stream.gap_stats().max();
-    let max_gap = if max_gap.is_nan() { 0.0 } else { max_gap };
-    let mean_gap = stream.gap_stats().mean();
-    let snapshot = stream.snapshot();
-    ScenarioReport {
-        arrived: snapshot.arrived,
-        departed: snapshot.departed,
-        final_gap,
-        max_gap,
-        mean_gap,
-        stream,
+        ChurnMode::CapacityProportional => {
+            // Track the releasable count locally: `resident_tickets` is
+            // cheap, but the loop should not re-query per step.
+            let mut residents = router.resident_tickets() as u64;
+            while *credit >= 1.0 && residents > 0 {
+                *credit -= 1.0;
+                residents -= 1;
+                let bin = sample_capacity_bin(router, rng);
+                release_resident_in(router, bin);
+            }
+        }
     }
 }
 
@@ -195,40 +467,41 @@ pub fn run_scenario_on(scenario: &ScenarioConfig, mut stream: StreamAllocator) -
 /// resident *tickets*, so one always exists; which resident is
 /// arbitrary-but-deterministic — balls are exchangeable for every load-level
 /// property).
-fn release_resident_in(stream: &mut StreamAllocator, bin: usize) {
-    let ticket = stream
+fn release_resident_in(router: &ConcurrentRouter, bin: usize) {
+    let ticket = router
         .ticket_in(bin)
         .expect("churn chose a bin without resident tickets");
-    stream
+    router
         .release(ticket)
         .expect("ticket was just read from the ledger");
 }
 
 /// Draws the departing bin with probability proportional to its weight
-/// (uniformly when the stream is unweighted). A drawn ticketless bin is
-/// redrawn up to [`MAX_EMPTY_DRAWS`] times — under pathological skew the
-/// heavy bins may all be empty — after which the draw falls forward
-/// cyclically to the first bin holding a ticket, so the sample always
-/// terminates in O(n) worst case while staying a pure function of the RNG
-/// stream. Only *ticketed* residents are releasable, so the ledger, not the
-/// raw load, decides eligibility (a pre-seeded engine may hold anonymous
+/// (uniformly over the capacity slots when the router is unweighted). A
+/// drawn ticketless bin is redrawn up to [`MAX_EMPTY_DRAWS`] times — under
+/// pathological skew the heavy bins may all be empty — after which the draw
+/// falls forward cyclically to the first bin holding a ticket, so the sample
+/// always terminates in O(n) worst case while staying a pure function of the
+/// RNG stream. Only *ticketed* residents are releasable, so the ledger, not
+/// the raw load, decides eligibility (a pre-seeded engine may hold anonymous
 /// balls on top).
-fn sample_capacity_bin(stream: &StreamAllocator, rng: &mut SplitMix64, n: usize) -> usize {
-    debug_assert!(stream.resident_tickets() > 0);
+fn sample_capacity_bin(router: &ConcurrentRouter, rng: &mut SplitMix64) -> usize {
+    debug_assert!(router.resident_tickets() > 0);
+    let n = router.capacity();
     let mut bin = 0usize;
-    let weights = stream.weights();
+    let weights = router.weights();
     for _ in 0..MAX_EMPTY_DRAWS {
         bin = match &weights {
             Some(weights) => weights.sample(rng) as usize,
             None => rng.gen_index(n),
         };
-        if stream.tickets_in(bin) > 0 {
+        if router.tickets_in(bin) > 0 {
             return bin;
         }
     }
     (0..n)
         .map(|step| (bin + step) % n)
-        .find(|&candidate| stream.tickets_in(candidate) > 0)
+        .find(|&candidate| router.tickets_in(candidate) > 0)
         .expect("resident_tickets > 0 guarantees a ticketed bin")
 }
 
@@ -236,10 +509,10 @@ fn sample_capacity_bin(stream: &StreamAllocator, rng: &mut SplitMix64, n: usize)
 /// falls forward to the nearest bin holding a ticket.
 const MAX_EMPTY_DRAWS: usize = 64;
 
-/// Fenwick (binary indexed) tree over per-bin **resident-ticket** counts,
+/// Fenwick (binary indexed) tree over per-slot **resident-ticket** counts,
 /// used to sample a departing ball uniformly over the releasable residents:
 /// bin `i` is drawn with probability `tickets_i / total`, in `O(log n)` per
-/// draw after an `O(n)` build. For a stream whose balls were all routed (the
+/// draw after an `O(n)` build. For a router whose balls were all routed (the
 /// scenario driver's own arrivals) this is identical to sampling by load;
 /// anonymous residents of a pre-seeded engine are excluded — they cannot be
 /// released.
@@ -250,11 +523,13 @@ struct LoadTree {
 }
 
 impl LoadTree {
-    fn build_from(stream: &StreamAllocator, n: usize) -> Self {
+    /// Builds the tree over every capacity slot of `router`.
+    fn build_from(router: &ConcurrentRouter) -> Self {
+        let n = router.capacity();
         let mut tree = vec![0u64; n + 1];
         let mut total = 0u64;
         for bin in 0..n {
-            let tickets = stream.tickets_in(bin) as u64;
+            let tickets = router.tickets_in(bin) as u64;
             total += tickets;
             tree[bin + 1] += tickets;
             let parent = (bin + 1) + ((bin + 1) & (bin + 1).wrapping_neg());
@@ -298,25 +573,131 @@ impl LoadTree {
     }
 }
 
+/// The driver's side of a scale script: which events it has staged, and
+/// what the engine has not applied yet.
+struct Script<'a> {
+    events: &'a [ScaleEvent],
+    /// Event indices in `at_tick` order (stable, so same-tick events keep
+    /// their script order).
+    order: Vec<usize>,
+    staged: Vec<bool>,
+    /// Adds staged since the engine last applied a plan: each will take a
+    /// retired slot when it applies.
+    adds_in_flight: usize,
+    /// The slot states when something was last staged. A staged plan is
+    /// applied whole, and each event the driver stages changes a slot's
+    /// state when it applies, so states that differ from these mean nothing
+    /// staged is in flight any more.
+    staged_against: Vec<BinState>,
+    migrated: u64,
+}
+
+impl<'a> Script<'a> {
+    fn new(events: &'a [ScaleEvent]) -> Self {
+        let mut order: Vec<usize> = (0..events.len()).collect();
+        order.sort_by_key(|&i| events[i].at_tick);
+        Self {
+            events,
+            order,
+            staged: vec![false; events.len()],
+            adds_in_flight: 0,
+            staged_against: Vec::new(),
+            migrated: 0,
+        }
+    }
+
+    /// Stages every unstaged event due by `tick` whose precondition holds
+    /// right now; returns how many it staged. Draining residents are
+    /// migrated when a remove is blocked on occupancy.
+    fn stage_due(&mut self, router: &ConcurrentRouter, tick: u64) -> usize {
+        let states = router.bin_states();
+        if states != self.staged_against {
+            self.adds_in_flight = 0;
+        }
+        let retired = states.iter().filter(|s| **s == BinState::Retired).count();
+        let mut staged = 0;
+        for &i in &self.order {
+            let event = self.events[i];
+            if self.staged[i] || event.at_tick > tick {
+                continue;
+            }
+            let plan = match event.action {
+                // Two adds staged before one boundary would both pass a
+                // "some slot is retired" check and the second be rejected.
+                ScaleAction::Add { .. } if retired <= self.adds_in_flight => continue,
+                ScaleAction::Add { weight } => {
+                    self.adds_in_flight += 1;
+                    MembershipPlan::new().add(weight)
+                }
+                ScaleAction::Drain { bin } => {
+                    if states.get(bin as usize) != Some(&BinState::Active) {
+                        continue;
+                    }
+                    MembershipPlan::new().drain(bin)
+                }
+                ScaleAction::Remove { bin } => {
+                    if states.get(bin as usize) != Some(&BinState::Draining) {
+                        continue;
+                    }
+                    let slot = bin as usize;
+                    let occupied =
+                        |r: &ConcurrentRouter| r.load(slot) > 0 || r.tickets_in(slot) > 0;
+                    if occupied(router) {
+                        self.migrated += router.migrate_drained();
+                    }
+                    if occupied(router) {
+                        // Anonymous residents (pushed balls) cannot be
+                        // migrated by ticket; the remove stays deferred.
+                        continue;
+                    }
+                    MembershipPlan::new().remove(bin)
+                }
+            };
+            router.stage_membership(plan);
+            self.staged[i] = true;
+            staged += 1;
+        }
+        if staged > 0 {
+            self.staged_against = states;
+        }
+        staged
+    }
+}
+
+/// Commissioned slots: active and draining (they still hold residents), not
+/// the retired reserve.
+fn commissioned(states: &[BinState]) -> usize {
+    states.iter().filter(|s| **s != BinState::Retired).count()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arrival::UNIQUE_KEYS;
     use crate::policy::Policy;
+
+    fn uniform(rate: usize) -> ArrivalProcess {
+        ArrivalProcess::Uniform {
+            keys: UNIQUE_KEYS,
+            rate,
+        }
+    }
+
+    fn base(bins: usize) -> StreamConfig {
+        StreamConfig::new(bins)
+            .policy(Policy::TwoChoice)
+            .batch_size(32)
+            .seed(41)
+    }
 
     #[test]
     fn growth_scenario_allocates_every_arrival() {
-        let scenario = ScenarioConfig::growth(
-            50,
-            ArrivalProcess::Uniform {
-                keys: crate::arrival::UNIQUE_KEYS,
-                rate: 40,
-            },
-        );
+        let scenario = ScenarioConfig::growth(50, uniform(40));
         let report = run_scenario(&scenario, StreamConfig::new(64).batch_size(100).seed(1));
         assert_eq!(report.arrived, 2000);
         assert_eq!(report.departed, 0);
-        assert_eq!(report.stream.resident(), 2000);
-        assert!(report.stream.conserves_balls());
+        assert_eq!(report.router.resident(), 2000);
+        assert!(report.router.conserves_balls());
         assert!(report.final_gap >= 0.0);
         assert!(report.max_gap >= report.final_gap);
     }
@@ -327,28 +708,21 @@ mod tests {
         // must sample over the ticket ledger, not raw loads, or it would pick
         // a bin whose load is anonymous-only and panic. Both churn modes.
         for mode in [ChurnMode::LoadProportional, ChurnMode::CapacityProportional] {
-            let n = 32usize;
-            let seeded_loads = vec![4u32; n]; // 128 anonymous residents
-            let stream = StreamAllocator::with_resident_loads(
-                StreamConfig::new(n).batch_size(16).seed(5),
-                &seeded_loads,
-            );
-            let scenario = ScenarioConfig::growth(
-                120,
-                ArrivalProcess::Uniform {
-                    keys: crate::arrival::UNIQUE_KEYS,
-                    rate: 8,
-                },
-            )
-            .with_churn(1.0, 10)
-            .with_churn_mode(mode);
-            let report = run_scenario_on(&scenario, stream);
+            let router = ConcurrentRouter::new(StreamConfig::new(32).batch_size(16).seed(5));
+            for key in 0..128u64 {
+                router.push(key); // 128 anonymous residents
+            }
+            router.flush();
+            let scenario = ScenarioConfig::growth(120, uniform(8))
+                .with_churn(1.0, 10)
+                .with_churn_mode(mode);
+            let report = run_scenario_on(&scenario, router);
             assert!(report.departed > 0, "churn must run ({mode:?})");
-            assert!(report.stream.conserves_balls());
+            assert!(report.router.conserves_balls());
             // The anonymous seed population is untouchable: residents can
             // never drop below it.
             assert!(
-                report.stream.resident() >= 128,
+                report.router.resident() >= 128,
                 "anonymous residents were released ({mode:?})"
             );
         }
@@ -356,19 +730,12 @@ mod tests {
 
     #[test]
     fn steady_state_churn_keeps_population_bounded() {
-        let scenario = ScenarioConfig::growth(
-            400,
-            ArrivalProcess::Uniform {
-                keys: crate::arrival::UNIQUE_KEYS,
-                rate: 64,
-            },
-        )
-        .with_churn(1.0, 100);
+        let scenario = ScenarioConfig::growth(400, uniform(64)).with_churn(1.0, 100);
         let report = run_scenario(&scenario, StreamConfig::new(64).batch_size(64).seed(2));
         assert!(report.departed > 0);
-        assert!(report.stream.conserves_balls());
+        assert!(report.router.conserves_balls());
         // Population ≈ warm-up intake; certainly far below total arrivals.
-        let resident = report.stream.resident();
+        let resident = report.router.resident();
         assert!(
             resident < report.arrived / 2,
             "churn failed to retire balls: {resident} of {}",
@@ -391,47 +758,47 @@ mod tests {
         let report = run_scenario(&scenario, StreamConfig::new(32).batch_size(64).seed(3));
         // 60 ticks: per window of 10 → 3·128 + 7·16 = 496; 6 windows = 2976.
         assert_eq!(report.arrived, 2976);
-        assert_eq!(report.stream.pending(), 0);
-        assert_eq!(report.stream.resident(), 2976);
+        assert_eq!(report.router.pending(), 0);
+        assert_eq!(report.router.resident(), 2976);
     }
 
     #[test]
     fn scenarios_are_deterministic() {
-        let scenario = ScenarioConfig::growth(
+        let fixed = ScenarioConfig::growth(
             100,
             ArrivalProcess::Zipf {
                 keys: 512,
                 exponent: 1.1,
                 rate: 32,
             },
-        )
-        .with_churn(0.5, 20);
-        let run = || {
-            let r = run_scenario(
-                &scenario,
-                StreamConfig::new(64)
-                    .policy(Policy::TwoChoice)
-                    .batch_size(128)
-                    .seed(9),
-            );
-            (r.stream.loads(), r.departed)
-        };
-        assert_eq!(run(), run());
+        );
+        let scripted = ScenarioConfig::rolling_restart(100, uniform(48), 8, 10, 8);
+        for scenario in [fixed, scripted] {
+            for mode in [ChurnMode::LoadProportional, ChurnMode::CapacityProportional] {
+                let scenario = scenario.clone().with_churn(0.5, 20).with_churn_mode(mode);
+                let run = || {
+                    let r = run_scenario(&scenario, base(8).batch_size(64));
+                    let gap = r.final_gap.to_bits();
+                    (r.router.loads(), r.departed, r.migrated, gap)
+                };
+                assert_eq!(run(), run(), "{} / {}", scenario.name, mode.name());
+            }
+        }
     }
 
     #[test]
     fn load_tree_sampling_matches_linear_scan_reference() {
         // Route (not push) so every resident is ticketed — the tree samples
-        // over the ticket ledger, which for an all-routed stream equals the
+        // over the ticket ledger, which for an all-routed router equals the
         // loads the linear reference scans.
-        let mut stream = StreamAllocator::new(StreamConfig::new(16).batch_size(16).seed(5));
+        let router = ConcurrentRouter::new(StreamConfig::new(16).batch_size(16).seed(5));
         for k in 0..200u64 {
-            stream.route(k).unwrap();
+            router.route(k).unwrap();
         }
-        let loads = stream.loads();
+        let loads = router.loads();
         let total: u64 = loads.iter().map(|&l| l as u64).sum();
         for target in 0..total {
-            let mut tree = LoadTree::build_from(&stream, 16);
+            let mut tree = LoadTree::build_from(&router);
             assert_eq!(tree.total(), total);
             let bin = tree.sample_and_remove(target);
             // Linear reference: first bin whose cumulative load exceeds target.
@@ -476,28 +843,22 @@ mod tests {
         // cannot reproduce the 8x per-bin ratio we assert.
         let n = 32usize;
         let weights = BinWeights::power_of_two_tiers(&[(4, 3), (28, 0)]);
-        let scenario = ScenarioConfig::growth(
-            400,
-            ArrivalProcess::Uniform {
-                keys: crate::arrival::UNIQUE_KEYS,
-                rate: n,
-            },
-        )
-        .with_churn(1.0, 50)
-        .with_churn_mode(ChurnMode::CapacityProportional);
+        let scenario = ScenarioConfig::growth(400, uniform(n))
+            .with_churn(1.0, 50)
+            .with_churn_mode(ChurnMode::CapacityProportional);
         let census = Arc::new(Mutex::new(ReleaseCensus(vec![0; n])));
-        let mut stream = StreamAllocator::new(
+        let router = ConcurrentRouter::new(
             StreamConfig::new(n)
                 .policy(Policy::WeightedTwoChoice)
                 .batch_size(n)
                 .seed(11)
                 .weights(weights),
         );
-        stream.add_observer(census.clone());
-        let report = run_scenario_on(&scenario, stream);
+        router.add_observer(census.clone());
+        let report = run_scenario_on(&scenario, router);
         assert!(report.departed > 0);
-        assert!(report.stream.conserves_balls());
-        let resident = report.stream.resident();
+        assert!(report.router.conserves_balls());
+        let resident = report.router.resident();
         assert!(
             resident < report.arrived / 2,
             "churn failed to retire balls: {resident} of {}",
@@ -513,29 +874,9 @@ mod tests {
             "heavy bins should retire ~8x per bin: heavy {heavy_per_bin:.1}, \
              light {light_per_bin:.1}"
         );
-        let stats = report.stream.shard_stats();
+        let stats = report.router.shard_stats();
         let departed_total: u64 = stats.iter().map(|s| s.departed).sum();
         assert_eq!(departed_total, report.departed);
-    }
-
-    #[test]
-    fn churn_modes_are_both_deterministic() {
-        for mode in [ChurnMode::LoadProportional, ChurnMode::CapacityProportional] {
-            let scenario = ScenarioConfig::growth(
-                120,
-                ArrivalProcess::Uniform {
-                    keys: 512,
-                    rate: 32,
-                },
-            )
-            .with_churn(0.8, 20)
-            .with_churn_mode(mode);
-            let run = || {
-                let r = run_scenario(&scenario, StreamConfig::new(64).batch_size(64).seed(3));
-                (r.stream.loads(), r.departed)
-            };
-            assert_eq!(run(), run(), "mode {}", mode.name());
-        }
     }
 
     #[test]
@@ -557,5 +898,99 @@ mod tests {
             two.final_gap,
             one.final_gap
         );
+    }
+
+    #[test]
+    fn ramp_up_commissions_every_scripted_bin() {
+        let scenario = ScenarioConfig::ramp_up(80, uniform(64), 8, 10, 4);
+        assert_eq!(scenario.needed_reserve(), 8);
+        let report = run_scenario(&scenario, base(8));
+        assert_eq!(report.events_unapplied, 0);
+        assert_eq!(report.events_staged, 8);
+        assert_eq!(report.availability, 1.0);
+        assert!(report.router.conserves_balls());
+        assert_eq!(report.router.active_bins().len(), 16);
+    }
+
+    #[test]
+    fn flash_crowd_returns_to_the_initial_cluster() {
+        let scenario =
+            ScenarioConfig::flash_crowd(120, uniform(64), 16, 4, 20, 40).with_churn(0.9, 10);
+        assert_eq!(scenario.needed_reserve(), 4);
+        let report = run_scenario(&scenario, base(16));
+        assert_eq!(report.events_unapplied, 0, "script must settle");
+        assert_eq!(report.availability, 1.0);
+        assert!(report.router.conserves_balls());
+        assert_eq!(
+            report.router.active_bins().len(),
+            16,
+            "surge bins retired again"
+        );
+        let states = report.router.bin_states();
+        for (bin, &state) in states.iter().enumerate().skip(16) {
+            assert_eq!(state, BinState::Retired);
+            assert_eq!(report.router.load(bin), 0, "retired bins empty");
+        }
+    }
+
+    #[test]
+    fn rolling_restart_migrates_and_recommissions_every_bin() {
+        let scenario = ScenarioConfig::rolling_restart(140, uniform(64), 8, 10, 8);
+        assert_eq!(scenario.needed_reserve(), 0, "re-adds reuse retired slots");
+        let report = run_scenario(&scenario, base(8));
+        assert_eq!(report.events_unapplied, 0);
+        assert_eq!(report.events_staged, 24);
+        assert_eq!(report.availability, 1.0);
+        assert!(report.migrated > 0, "restarts must move residents");
+        assert!(report.router.conserves_balls());
+        assert_eq!(
+            report.router.active_bins().len(),
+            8,
+            "every bin recommissioned"
+        );
+        // Never fewer than 7 of the 8 peak bins active at once.
+        assert!(report.min_active_fraction >= 7.0 / 8.0);
+    }
+
+    #[test]
+    fn scale_to_zero_and_back_keeps_every_ball() {
+        let scenario = ScenarioConfig::scale_to_zero_and_back(100, uniform(48), 12, 4, 20, 60);
+        let report = run_scenario(&scenario, base(12));
+        assert_eq!(report.events_unapplied, 0);
+        assert_eq!(report.availability, 1.0);
+        assert!(report.migrated > 0, "idle bins hand their residents off");
+        assert!(report.router.conserves_balls());
+        assert_eq!(report.router.active_bins().len(), 12, "cluster restored");
+        assert!(report.min_active_fraction <= 4.0 / 12.0 + 1e-9);
+    }
+
+    #[test]
+    fn adds_staged_before_one_boundary_each_get_a_slot() {
+        // Two adds due together with one retired slot free: the second must
+        // wait for the slot the remove frees, not be staged (and rejected)
+        // against the same one.
+        let at = |action| ScaleEvent { at_tick: 0, action };
+        let scenario = ScenarioConfig {
+            events: vec![
+                at(ScaleAction::Drain { bin: 3 }),
+                at(ScaleAction::Remove { bin: 3 }),
+                at(ScaleAction::Add { weight: 1.0 }),
+                at(ScaleAction::Add { weight: 1.0 }),
+            ],
+            ..ScenarioConfig::growth(40, uniform(8))
+        };
+        assert_eq!(scenario.needed_reserve(), 1);
+        let registry = std::sync::Arc::new(pba_obs::MetricsRegistry::new());
+        let config = StreamConfig::new(4).batch_size(4).seed(1).reserve_bins(1);
+        let router = ConcurrentRouter::with_metrics(config, registry.clone());
+        let report = run_scenario_on(&scenario, router);
+        assert_eq!(report.events_unapplied, 0);
+        assert_eq!(report.events_staged, 4);
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("membership.rejected_adds"), 0);
+        assert_eq!(snap.counter("membership.adds"), 2);
+        let states = report.router.bin_states();
+        assert_eq!(states[3], BinState::Active, "the freed slot is reused");
+        assert_eq!(states[4], BinState::Active, "the reserve slot is used");
     }
 }

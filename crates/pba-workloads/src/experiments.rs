@@ -19,8 +19,8 @@
 //! every scripted fault class of `pba-replay`, each fault firing its named
 //! counter while conservation and ledger invariants hold; E19 measures
 //! **elastic membership** — the canonical autoscaling shapes (ramp-up, flash
-//! crowd, rolling restart, scale-to-zero) run as scripted `ScaleScenario`s
-//! against a live stream, with migration volume, availability and the final
+//! crowd, rolling restart, scale-to-zero) run as scripted `ScenarioConfig`s
+//! against a live router, with migration volume, availability and the final
 //! gap compared against a never-scaled cluster's two-choice envelope.
 //!
 //! The paper is a theory paper without numbered tables/figures, so each
@@ -851,10 +851,10 @@ pub fn e12_stream_churn(quick: bool) -> Table {
             );
             agg.record("arrived", report.arrived as f64);
             agg.record("departed", report.departed as f64);
-            agg.record("resident", report.stream.resident() as f64);
+            agg.record("resident", report.router.resident() as f64);
             agg.record("final_gap", report.final_gap);
             agg.record("max_gap", report.max_gap);
-            agg.record("max_norm", report.stream.max_normalized_load());
+            agg.record("max_norm", report.router.max_normalized_load());
         }
         table.push_row([
             Cell::from(n),
@@ -1539,7 +1539,7 @@ pub fn e18_replay_faults(quick: bool) -> Table {
 
 /// E19: elastic cluster membership under the canonical autoscaling shapes.
 ///
-/// Each row runs one [`pba_stream::ScaleScenario`] — a scripted schedule of
+/// Each row runs one scripted [`ScenarioConfig`] — a schedule of
 /// `Add`/`Drain`/`Remove` events staged against a live stream — under the
 /// same arrival/churn process as a **never-scaled baseline** of the same
 /// initial size. The acceptance bar is the paper-side envelope: scaling may
@@ -1550,8 +1550,6 @@ pub fn e18_replay_faults(quick: bool) -> Table {
 /// pauses the data path), migrations are counted one ticket at a time, and
 /// conservation must hold at the end of every run.
 pub fn e19_autoscale(quick: bool) -> Table {
-    use pba_stream::{run_scale_scenario, ScaleScenario};
-
     let (bins, ticks, rate): (usize, u64, usize) = if quick { (16, 64, 8) } else { (64, 240, 32) };
     let arrivals = ArrivalProcess::Uniform {
         keys: u64::MAX,
@@ -1564,28 +1562,28 @@ pub fn e19_autoscale(quick: bool) -> Table {
         .batch_size(bins)
         .seed(19);
 
-    let scenarios: Vec<ScaleScenario> = if quick {
+    let scenarios: Vec<ScenarioConfig> = if quick {
         vec![
-            ScaleScenario::steady("static-baseline", ticks, arrivals.clone()),
-            ScaleScenario::ramp_up(ticks, arrivals.clone(), 4, 8, 4),
-            ScaleScenario::flash_crowd(ticks, arrivals.clone(), bins, 4, 12, 12),
-            ScaleScenario::rolling_restart(ticks, arrivals.clone(), 4, 8, 6),
-            ScaleScenario::scale_to_zero_and_back(ticks, arrivals.clone(), bins, bins / 2, 10, 20),
+            ScenarioConfig::growth(ticks, arrivals.clone()).named("static-baseline"),
+            ScenarioConfig::ramp_up(ticks, arrivals.clone(), 4, 8, 4),
+            ScenarioConfig::flash_crowd(ticks, arrivals.clone(), bins, 4, 12, 12),
+            ScenarioConfig::rolling_restart(ticks, arrivals.clone(), 4, 8, 6),
+            ScenarioConfig::scale_to_zero_and_back(ticks, arrivals.clone(), bins, bins / 2, 10, 20),
         ]
     } else {
         vec![
-            ScaleScenario::steady("static-baseline", ticks, arrivals.clone()),
-            ScaleScenario::ramp_up(ticks, arrivals.clone(), 16, 24, 4),
-            ScaleScenario::flash_crowd(ticks, arrivals.clone(), bins, 16, 40, 60),
-            ScaleScenario::rolling_restart(ticks, arrivals.clone(), 8, 24, 8),
-            ScaleScenario::scale_to_zero_and_back(ticks, arrivals.clone(), bins, bins / 2, 40, 80),
+            ScenarioConfig::growth(ticks, arrivals.clone()).named("static-baseline"),
+            ScenarioConfig::ramp_up(ticks, arrivals.clone(), 16, 24, 4),
+            ScenarioConfig::flash_crowd(ticks, arrivals.clone(), bins, 16, 40, 60),
+            ScenarioConfig::rolling_restart(ticks, arrivals.clone(), 8, 24, 8),
+            ScenarioConfig::scale_to_zero_and_back(ticks, arrivals.clone(), bins, bins / 2, 40, 80),
         ]
     };
 
     // The never-scaled cluster sets the envelope every elastic run must
     // re-enter: its worst transient gap plus the batched-model slack
     // O(b/n + log n) with unit constants.
-    let baseline = run_scale_scenario(
+    let baseline = run_scenario(
         &scenarios[0].clone().with_churn(churn, warmup),
         config.clone(),
     );
@@ -1611,7 +1609,7 @@ pub fn e19_autoscale(quick: bool) -> Table {
     );
     for scenario in &scenarios {
         let scenario = scenario.clone().with_churn(churn, warmup);
-        let report = run_scale_scenario(&scenario, config.clone());
+        let report = run_scenario(&scenario, config.clone());
         let within = report.final_gap <= envelope;
         table.push_row([
             Cell::from(report.name.as_str()),
@@ -1625,7 +1623,7 @@ pub fn e19_autoscale(quick: bool) -> Table {
             Cell::from(report.final_gap),
             Cell::from(report.max_gap),
             Cell::from(if within { "yes" } else { "NO" }),
-            Cell::from(if report.stream.conserves_balls() {
+            Cell::from(if report.router.conserves_balls() {
                 "yes"
             } else {
                 "NO"

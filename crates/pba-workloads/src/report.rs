@@ -172,8 +172,9 @@ fn commentary(title: &str) -> &'static str {
     }
         "E19" => {
         "Elastic cluster membership: each row runs one scripted autoscaling shape (ramp-up, \
-         flash crowd, rolling restart, scale-to-zero-and-back) against a live stream — \
-         `Add`/`Drain`/`Remove` events staged through the `&self` handle and applied only at \
+         flash crowd, rolling restart, scale-to-zero-and-back) through the one scenario driver \
+         of E11/E12 — `Add`/`Drain`/`Remove` events staged through the 1-caller \
+         `ConcurrentRouter` handle and applied only at \
          batch boundaries, with draining bins leaving the sampling set while their residents \
          are migrated through the ticket ledger. The paper-side claim is the batched-model \
          envelope: membership churn may move the gap transiently (the max-gap column shows the \

@@ -19,7 +19,7 @@
 
 use parallel_balanced_allocations::prelude::{BinState, MetricsRegistry};
 use parallel_balanced_allocations::stream::{
-    run_scale_scenario_on, ArrivalProcess, Policy, ScaleScenario, StreamAllocator, StreamConfig,
+    run_scenario_on, ArrivalProcess, ConcurrentRouter, Policy, ScenarioConfig, StreamConfig,
 };
 
 /// Zipf-skewed arrivals: a hot-key workload, the hard case for rebalancing.
@@ -31,11 +31,10 @@ fn zipf(rate: usize) -> ArrivalProcess {
     }
 }
 
-fn run(scenario: &ScaleScenario, config: StreamConfig) {
+fn run(scenario: &ScenarioConfig, config: StreamConfig) {
     let registry = std::sync::Arc::new(MetricsRegistry::new());
-    let mut stream = StreamAllocator::new(config);
-    stream.install_metrics(registry.clone());
-    let report = run_scale_scenario_on(scenario, stream);
+    let router = ConcurrentRouter::with_metrics(config, registry.clone());
+    let report = run_scenario_on(scenario, router);
 
     println!(
         "{:>16}: {} events staged ({} unapplied), {} residents migrated, \
@@ -56,9 +55,9 @@ fn run(scenario: &ScaleScenario, config: StreamConfig) {
 
     // Conservation through every topology change: arrived − departed =
     // resident, and the ticket ledger agrees with the bin loads.
-    let stream = &report.stream;
+    let router = &report.router;
     assert!(
-        stream.conserves_balls(),
+        router.conserves_balls(),
         "conservation must survive scaling"
     );
 
@@ -83,12 +82,12 @@ fn run(scenario: &ScaleScenario, config: StreamConfig) {
 
     // Retired slots must be empty: a bin leaves the cluster only after its
     // residents were released or migrated.
-    let table = stream.membership();
-    for bin in 0..stream.capacity() {
-        if table.state(bin) == BinState::Retired {
-            assert_eq!(stream.load(bin), 0, "retired bin {bin} still holds load");
+    let states = router.bin_states();
+    for (bin, &state) in states.iter().enumerate() {
+        if state == BinState::Retired {
+            assert_eq!(router.load(bin), 0, "retired bin {bin} still holds load");
             assert_eq!(
-                stream.tickets_in(bin),
+                router.tickets_in(bin),
                 0,
                 "retired bin {bin} still holds tickets"
             );
@@ -97,9 +96,7 @@ fn run(scenario: &ScaleScenario, config: StreamConfig) {
     println!(
         "{:>16}  conservation ok, zero silent drops, {} retired slots all empty\n",
         "",
-        (0..stream.capacity())
-            .filter(|&b| table.state(b) == BinState::Retired)
-            .count()
+        states.iter().filter(|&&s| s == BinState::Retired).count()
     );
 }
 
@@ -113,13 +110,13 @@ fn main() {
     // Act 1: rolling restart of the first half of the cluster. Reserve is
     // zero — every re-add reuses the slot its remove just freed.
     let restart =
-        ScaleScenario::rolling_restart(120, zipf(16), bins / 2, 10, 5).with_churn(0.3, 10);
+        ScenarioConfig::rolling_restart(120, zipf(16), bins / 2, 10, 5).with_churn(0.3, 10);
     assert_eq!(restart.needed_reserve(), 0, "restarts recycle their slots");
     run(&restart, config.clone());
 
     // Act 2: flash crowd — 8 surge bins commissioned at tick 20, drained at
     // tick 60, retired once empty. They need real reserve slots.
-    let crowd = ScaleScenario::flash_crowd(120, zipf(16), bins, 8, 20, 40).with_churn(0.3, 10);
+    let crowd = ScenarioConfig::flash_crowd(120, zipf(16), bins, 8, 20, 40).with_churn(0.3, 10);
     run(&crowd, config.reserve_bins(crowd.needed_reserve()));
 
     println!("autoscale example: all invariants held");

@@ -21,8 +21,8 @@
 //!    no-silent-drops ledger, per-bin commits summing to the placed total, a
 //!    nonzero route-latency histogram covering every route — then repeats a
 //!    short smoke pass with `force_fallback_poller` so both `Poller`
-//!    implementations are exercised in one run; each pass ships its
-//!    snapshot through a `MetricSink` the way a deployment would.
+//!    implementations are exercised in one run; each pass logs its
+//!    snapshot's text rendering to stderr, the way a deployment would.
 //!
 //! Run with: `cargo run --release --example reactor_serving`
 
@@ -30,7 +30,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
-use parallel_balanced_allocations::obs::{MetricSink, MetricsRegistry, StderrSink};
+use parallel_balanced_allocations::obs::MetricsRegistry;
 use parallel_balanced_allocations::prelude::*;
 use parallel_balanced_allocations::stream::Policy;
 
@@ -199,8 +199,8 @@ fn serve_round(force_fallback: bool, clients: usize, requests: u64) -> u64 {
         latency.p99 as f64 / 1e3,
         latency.count
     );
-    // Ship the snapshot through a sink, the way a deployment would.
-    StderrSink.emit(&snap).expect("stderr sink never fails");
+    // Log the snapshot, the way a deployment would.
+    eprint!("{}", snap.render_text());
     total
 }
 

@@ -42,14 +42,14 @@ fn main() {
 
     println!("\nonline gap trajectory (two-choice), every 16th batch:");
     println!("{:>8} {:>10}", "batch", "gap");
-    let trajectory = two.stream.gap_trajectory();
+    let trajectory = two.router.gap_trajectory();
     for (i, gap) in trajectory.iter().enumerate() {
         if i % 16 == 0 || i + 1 == trajectory.len() {
             println!("{:>8} {:>10.2}", i + 1, gap);
         }
     }
 
-    let snap = two.stream.snapshot();
+    let snap = two.router.snapshot();
     println!("\ntwo-choice final state:");
     println!("  arrived   = {}", snap.arrived);
     println!("  placed    = {}", snap.placed);
@@ -61,7 +61,7 @@ fn main() {
         snap.load_quantiles[2],
         snap.load_quantiles[3]
     );
-    for (s, stats) in two.stream.shard_stats().iter().enumerate() {
+    for (s, stats) in two.router.shard_stats().iter().enumerate() {
         println!(
             "  shard {s}: accepted = {}, peak load = {}",
             stats.accepted, stats.peak_load
@@ -77,7 +77,7 @@ fn main() {
         two.mean_gap, one.mean_gap
     );
 
-    assert!(two.stream.conserves_balls(), "conservation violated");
+    assert!(two.router.conserves_balls(), "conservation violated");
     assert!(
         two.final_gap < one.final_gap,
         "two-choice ({}) must beat single-choice ({}) on this stream",

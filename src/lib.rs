@@ -23,7 +23,7 @@
 //! | [`membership`] | `pba-membership` | elastic bin lifecycle: [`Membership`](membership::Membership) state machine (active/draining/retired slots), [`MembershipPlan`](membership::MembershipPlan)s staged via `&self` handles and applied at batch boundaries |
 //! | [`stream`] | `pba-stream` | the online, sharded, batched streaming allocation engine (two-choice on stale loads, weighted two-choice and capacity-aware thresholds for heterogeneous backends, arrival processes, ticket-based churn scenarios, runtime reweighting) — a native [`Router`](model::Router) — plus the **concurrent serving core** ([`ConcurrentRouter`](stream::ConcurrentRouter): a cloneable shared handle routing from many threads at once over epoch-published snapshots, and a `Router` too) |
 //! | [`stats`] | `pba-stats` | tails, histograms, load metrics, fits, tables, multi-seed aggregation |
-//! | [`obs`] | `pba-obs` | the observability substrate: [`MetricsRegistry`](obs::MetricsRegistry) (counters, gauges, log-bucketed latency histograms), pluggable [`MetricSink`](obs::MetricSink)s, the "no silent drops" counter inventory |
+//! | [`obs`] | `pba-obs` | the observability substrate: [`MetricsRegistry`](obs::MetricsRegistry) (counters, gauges, log-bucketed latency histograms) and its text/JSON snapshots, the "no silent drops" counter inventory |
 //! | [`replay`] | `pba-replay` | deterministic trace replay: the versioned trace codec ([`Trace`](replay::Trace)), [`TraceRecorder`](replay::TraceRecorder), the [`replay()`](replay::replay::replay) driver (any engine × all policies), golden-snapshot hashing, and the scripted fault-injection harness ([`FaultPlan`](replay::FaultPlan)) with post-fault invariant checks |
 //! | [`net`] | `pba-net` | the serving path, whole: the line protocol and its zero-allocation codec, the socket-free [`Session`](net::Session) executor (wire ids resolved through the router's ticket ledger, line splitting, batched `ROUTE`/`RELEASE` pipelining), the [`ReactorServer`](net::ReactorServer) TCP front-end (a fixed pool of reactor threads driving nonblocking connections via raw `epoll` on Linux, portable poll-loop fallback elsewhere) and the blocking [`LineClient`](net::LineClient) |
 //! | [`workloads`] | `pba-workloads` | experiment configurations and the E1–E19 experiment definitions |
@@ -76,7 +76,7 @@ pub mod prelude {
     pub use pba_net::{
         LineClient, ReactorConfig, ReactorServer, Session, MAX_ADD_TIER, MAX_LINE_LEN,
     };
-    pub use pba_obs::{MetricsRegistry, MetricsSnapshot, SinkHub};
+    pub use pba_obs::{MetricsRegistry, MetricsSnapshot};
     pub use pba_replay::{
         replay::replay, Fault, FaultPlan, ReplayConfig, ReplayEngine, Trace, TraceRecorder,
     };
