@@ -155,12 +155,6 @@ impl ScenarioConfig {
         }
     }
 
-    /// Renames the scenario (builder style).
-    pub fn named(mut self, name: &str) -> Self {
-        self.name = name.into();
-        self
-    }
-
     /// Adds churn after a warm-up period (builder style).
     pub fn with_churn(mut self, churn: f64, warmup_ticks: u64) -> Self {
         self.churn = churn;
@@ -177,8 +171,9 @@ impl ScenarioConfig {
     /// A scenario named `name` running `events`.
     fn scripted(name: &str, ticks: u64, arrivals: ArrivalProcess, events: Vec<ScaleEvent>) -> Self {
         Self {
+            name: name.into(),
             events,
-            ..Self::growth(ticks, arrivals).named(name)
+            ..Self::growth(ticks, arrivals)
         }
     }
 

@@ -1562,9 +1562,13 @@ pub fn e19_autoscale(quick: bool) -> Table {
         .batch_size(bins)
         .seed(19);
 
-    let scenarios: Vec<ScenarioConfig> = if quick {
+    let never_scaled = ScenarioConfig {
+        name: "static-baseline".into(),
+        ..ScenarioConfig::growth(ticks, arrivals.clone())
+    };
+    let scenarios = if quick {
         vec![
-            ScenarioConfig::growth(ticks, arrivals.clone()).named("static-baseline"),
+            never_scaled,
             ScenarioConfig::ramp_up(ticks, arrivals.clone(), 4, 8, 4),
             ScenarioConfig::flash_crowd(ticks, arrivals.clone(), bins, 4, 12, 12),
             ScenarioConfig::rolling_restart(ticks, arrivals.clone(), 4, 8, 6),
@@ -1572,7 +1576,7 @@ pub fn e19_autoscale(quick: bool) -> Table {
         ]
     } else {
         vec![
-            ScenarioConfig::growth(ticks, arrivals.clone()).named("static-baseline"),
+            never_scaled,
             ScenarioConfig::ramp_up(ticks, arrivals.clone(), 16, 24, 4),
             ScenarioConfig::flash_crowd(ticks, arrivals.clone(), bins, 16, 40, 60),
             ScenarioConfig::rolling_restart(ticks, arrivals.clone(), 8, 24, 8),
