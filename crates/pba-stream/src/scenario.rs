@@ -617,8 +617,8 @@ impl<'a> Script<'a> {
                 continue;
             }
             let plan = match event.action {
-                // Two adds staged before one boundary would both pass a
-                // "some slot is retired" check and the second be rejected.
+                // Each staged add takes a retired slot when its plan
+                // applies; one staged beyond the free slots is rejected.
                 ScaleAction::Add { .. } if retired <= self.adds_in_flight => continue,
                 ScaleAction::Add { weight } => {
                     self.adds_in_flight += 1;
