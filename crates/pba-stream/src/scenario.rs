@@ -782,6 +782,36 @@ mod tests {
     }
 
     #[test]
+    fn churn_modes_are_both_deterministic() {
+        for mode in [ChurnMode::LoadProportional, ChurnMode::CapacityProportional] {
+            let scenario = ScenarioConfig::growth(
+                120,
+                ArrivalProcess::Uniform {
+                    keys: 512,
+                    rate: 32,
+                },
+            )
+            .with_churn(0.8, 20)
+            .with_churn_mode(mode);
+            let run = || {
+                let r = run_scenario(&scenario, StreamConfig::new(64).batch_size(64).seed(3));
+                (r.router.loads(), r.departed)
+            };
+            assert_eq!(run(), run(), "mode {}", mode.name());
+        }
+    }
+
+    #[test]
+    fn scale_runs_are_deterministic() {
+        let scenario = ScenarioConfig::rolling_restart(100, uniform(48), 8, 10, 8);
+        let run = || {
+            let r = run_scenario(&scenario, base(8));
+            (r.router.loads(), r.migrated, r.final_gap.to_bits())
+        };
+        assert_eq!(run(), run());
+    }
+
+    #[test]
     fn load_tree_sampling_matches_linear_scan_reference() {
         // Route (not push) so every resident is ticketed — the tree samples
         // over the ticket ledger, which for an all-routed router equals the
