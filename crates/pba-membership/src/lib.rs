@@ -150,6 +150,33 @@ impl MembershipPlan {
     pub fn extend(&mut self, other: MembershipPlan) {
         self.events.extend(other.events);
     }
+
+    /// Retired slots an engine must reserve so that no `Add` of this plan,
+    /// applied in order, finds its capacity exhausted: an add first reuses a
+    /// slot freed by an earlier `Remove` (the lowest-retired-slot rule of
+    /// [`Membership::apply`]), and only the adds that find none need fresh
+    /// reserve.
+    pub fn needed_reserve(&self) -> usize {
+        let mut freed = 0usize;
+        let mut reserve = 0usize;
+        for event in &self.events {
+            match event {
+                MembershipEvent::Remove { .. } => freed += 1,
+                MembershipEvent::Add { .. } if freed > 0 => freed -= 1,
+                MembershipEvent::Add { .. } => reserve += 1,
+                MembershipEvent::Drain { .. } => {}
+            }
+        }
+        reserve
+    }
+}
+
+impl FromIterator<MembershipEvent> for MembershipPlan {
+    fn from_iter<I: IntoIterator<Item = MembershipEvent>>(events: I) -> Self {
+        Self {
+            events: events.into_iter().collect(),
+        }
+    }
 }
 
 /// What one [`Membership::apply`] call actually did: the accepted changes
@@ -235,11 +262,6 @@ impl Membership {
         &self.active
     }
 
-    /// Number of active slots.
-    pub fn active_count(&self) -> usize {
-        self.active.len()
-    }
-
     /// The lifecycle state of `bin`.
     pub fn state(&self, bin: usize) -> BinState {
         self.states[bin]
@@ -248,18 +270,6 @@ impl Membership {
     /// All per-slot states.
     pub fn states(&self) -> &[BinState] {
         &self.states
-    }
-
-    /// True when `bin` is `Active`.
-    pub fn is_active(&self, bin: usize) -> bool {
-        self.states[bin] == BinState::Active
-    }
-
-    /// Currently draining slots, ascending.
-    pub fn draining(&self) -> Vec<u32> {
-        (0..self.states.len() as u32)
-            .filter(|&b| self.states[b as usize] == BinState::Draining)
-            .collect()
     }
 
     /// Per-slot weights (`len == capacity`); only entries of non-retired
@@ -357,7 +367,7 @@ mod tests {
         assert_eq!(m.state(2), BinState::Active);
         assert_eq!(m.state(3), BinState::Retired);
         assert_eq!(m.slot_weights(), &[1.0, 2.0, 3.0, 1.0, 1.0]);
-        assert!(m.draining().is_empty());
+        assert!(!m.states().contains(&BinState::Draining));
     }
 
     #[test]
@@ -390,7 +400,7 @@ mod tests {
         );
         assert_eq!(out.added, vec![(2, 1.0)]);
         assert_eq!(out.rejected_adds, 3, "full capacity + NaN + zero weight");
-        assert_eq!(m.active_count(), 3);
+        assert_eq!(m.active(), &[0, 1, 2]);
     }
 
     #[test]
@@ -445,7 +455,7 @@ mod tests {
         assert_eq!(out.added.len(), 1);
         assert_eq!(out.rejected_removes, 1);
         assert!(out.changed());
-        assert_eq!(m.active_count(), 3);
+        assert_eq!(m.active(), &[0, 1, 2]);
     }
 
     #[test]
@@ -454,6 +464,22 @@ mod tests {
         a.extend(MembershipPlan::new().add(2.0));
         assert_eq!(a.events().len(), 2);
         assert!(matches!(a.events()[1], MembershipEvent::Add { .. }));
+    }
+
+    #[test]
+    fn needed_reserve_counts_adds_no_earlier_remove_frees_a_slot_for() {
+        assert_eq!(MembershipPlan::new().needed_reserve(), 0);
+        // The first add finds no freed slot; the second reuses bin 0's.
+        let plan = MembershipPlan::new().add(1.0).drain(0).remove(0).add(1.0);
+        assert_eq!(plan.needed_reserve(), 1);
+        // A remove after the add cannot lend it its slot.
+        let plan: MembershipPlan = [
+            MembershipEvent::Add { weight: 1.0 },
+            MembershipEvent::Remove { bin: 0 },
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(plan.needed_reserve(), 1);
     }
 
     #[test]

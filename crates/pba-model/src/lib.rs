@@ -62,8 +62,8 @@ pub use outcome::{AllocationOutcome, Allocator};
 pub use protocol::{Protocol, RoundCtx};
 pub use rng::{SeedSeq, SplitMix64};
 pub use router::{
-    BatchEvent, MembershipChange, OneShotRouter, Placement, RegistryObserver, ReleaseEvent,
-    ReweightEvent, RouteError, RouteEvent, Router, RouterObserver, RouterStats, SharedTicketLedger,
-    Ticket, WireRequest,
+    BatchEvent, MembershipChange, OneShotRouter, Placement, ReleaseEvent, ReweightEvent,
+    RouteError, RouteEvent, Router, RouterObserver, RouterStats, SharedTicketLedger, Ticket,
+    WireRequest,
 };
 pub use weights::{AliasTable, BinWeights, ResolvedWeights, WeightTier};

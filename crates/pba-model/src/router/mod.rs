@@ -45,8 +45,7 @@ mod tests;
 
 pub use ledger::SharedTicketLedger;
 pub use observer::{
-    BatchEvent, MembershipChange, RegistryObserver, ReleaseEvent, ReweightEvent, RouteEvent,
-    RouterObserver,
+    BatchEvent, MembershipChange, ReleaseEvent, ReweightEvent, RouteEvent, RouterObserver,
 };
 pub use one_shot::OneShotRouter;
 

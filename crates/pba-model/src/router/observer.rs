@@ -1,6 +1,5 @@
 //! Observer hooks of the [`Router`](super::Router) surface: the boundary
-//! events streaming engines fire, the [`RouterObserver`] sink trait, and
-//! [`RegistryObserver`], the bridge from those events to `router.*` metrics.
+//! events streaming engines fire and the [`RouterObserver`] sink trait.
 
 use super::Ticket;
 use crate::weights::ResolvedWeights;
@@ -104,65 +103,4 @@ pub trait RouterObserver {
 
     /// A resident ball departed through [`Router::release`](super::Router::release).
     fn on_release(&mut self, _event: &ReleaseEvent) {}
-}
-
-/// The [`RouterObserver`] → [`MetricsRegistry`](pba_obs::MetricsRegistry)
-/// bridge: translates every boundary event into registry metrics, so any
-/// engine that accepts observers gets `router.*` metrics without
-/// engine-specific wiring.
-///
-/// Metrics written (handles resolved once, at construction):
-///
-/// | name | kind | meaning |
-/// |---|---|---|
-/// | `router.batches` | counter | boundaries crossed |
-/// | `router.batch_balls` | counter | balls placed via batches |
-/// | `router.gap` | gauge | gap at the latest boundary |
-/// | `router.resident` | gauge | resident balls at the latest event |
-/// | `router.reweights` | counter | weight changes taken effect |
-/// | `router.observed_releases` | counter | departures seen via `on_release` |
-///
-/// Observers are write-only metrics sinks — the bridge never feeds anything
-/// back into the engine, so installing it cannot perturb placements.
-#[derive(Debug)]
-pub struct RegistryObserver {
-    batches: pba_obs::Counter,
-    batch_balls: pba_obs::Counter,
-    gap: pba_obs::Gauge,
-    resident: pba_obs::Gauge,
-    reweights: pba_obs::Counter,
-    releases: pba_obs::Counter,
-}
-
-impl RegistryObserver {
-    /// Resolves the `router.*` handles against `registry`.
-    pub fn new(registry: &pba_obs::MetricsRegistry) -> Self {
-        Self {
-            batches: registry.counter("router.batches"),
-            batch_balls: registry.counter("router.batch_balls"),
-            gap: registry.gauge("router.gap"),
-            resident: registry.gauge("router.resident"),
-            reweights: registry.counter("router.reweights"),
-            releases: registry.counter("router.observed_releases"),
-        }
-    }
-}
-
-impl RouterObserver for RegistryObserver {
-    fn on_batch(&mut self, event: &BatchEvent<'_>) {
-        self.batches.inc();
-        self.batch_balls.add(event.batch_len as u64);
-        self.gap.set(event.gap);
-        self.resident.set(event.resident as f64);
-    }
-
-    fn on_reweight(&mut self, event: &ReweightEvent<'_>) {
-        self.reweights.inc();
-        self.resident.set(event.resident as f64);
-    }
-
-    fn on_release(&mut self, event: &ReleaseEvent) {
-        self.releases.inc();
-        self.resident.set(event.resident as f64);
-    }
 }

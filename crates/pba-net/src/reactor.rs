@@ -640,9 +640,13 @@ mod tests {
             client.route(key).unwrap();
         }
         client.flush().unwrap();
-        let states = server.router().bin_states();
-        assert_eq!(states[3], BinState::Draining);
-        assert_eq!(states[8], BinState::Active, "commissioned reserve slot");
+        let membership = server.router().membership();
+        assert_eq!(membership.state(3), BinState::Draining);
+        assert_eq!(
+            membership.state(8),
+            BinState::Active,
+            "commissioned reserve slot"
+        );
         let migrated = client.migrate().unwrap();
         assert_eq!(server.router().tickets_in(3), 0);
         client.stage_remove(3).unwrap();
@@ -650,7 +654,7 @@ mod tests {
             client.route(key).unwrap();
         }
         client.flush().unwrap();
-        assert_eq!(server.router().bin_states()[3], BinState::Retired);
+        assert_eq!(server.router().membership().state(3), BinState::Retired);
         // Every id still redeems, migrated or not, and the reply names the
         // bin the ball left: the one `tickets_in` counted it in, never 3.
         assert!(ids.iter().any(|&(bin, _)| bin == 3), "bin 3 had residents");

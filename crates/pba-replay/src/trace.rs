@@ -46,7 +46,7 @@
 use std::fmt;
 
 use pba_model::rng::SplitMix64;
-use pba_stream::MembershipEvent;
+use pba_stream::{MembershipEvent, MembershipPlan};
 
 /// The codec header every v1 (membership-free) trace starts with.
 pub const TRACE_HEADER: &str = "pba-trace v1";
@@ -177,23 +177,18 @@ impl Trace {
     }
 
     /// Reserve slots an engine must pre-allocate to admit every `m add` of
-    /// the trace: adds first reuse slots freed by earlier removes (the
-    /// lowest-retired-slot reuse rule of `pba_membership`), and only the
-    /// adds that find no freed slot need fresh reserve capacity.
+    /// the trace: [`MembershipPlan::needed_reserve`] of its `m` lines, in
+    /// trace order.
     pub fn needed_reserve(&self) -> usize {
-        let mut freed = 0usize;
-        let mut reserve = 0usize;
-        for event in &self.events {
-            if let TraceEvent::Membership { event } = event {
-                match event {
-                    MembershipEvent::Remove { .. } => freed += 1,
-                    MembershipEvent::Add { .. } if freed > 0 => freed -= 1,
-                    MembershipEvent::Add { .. } => reserve += 1,
-                    MembershipEvent::Drain { .. } => {}
-                }
-            }
-        }
-        reserve
+        let plan: MembershipPlan = self
+            .events
+            .iter()
+            .filter_map(|event| match event {
+                TraceEvent::Membership { event } => Some(*event),
+                _ => None,
+            })
+            .collect();
+        plan.needed_reserve()
     }
 
     /// Arrival ids that carry a scripted release (`r=<j>`), in id order —

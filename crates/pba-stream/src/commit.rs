@@ -25,8 +25,8 @@ use crate::policy::Chooser;
 use crate::shard::{GroupScratch, ShardedBins};
 
 /// Fewest balls a thread is handed in the choose step; a batch shorter than
-/// two such spans is chosen on the calling thread, so below that the
-/// `parallel` flag and the thread count are no-ops.
+/// two such spans is chosen on the calling thread, so below that the thread
+/// count is a no-op.
 ///
 /// A ball costs ≈ 8 ns to choose, so the 4096-ball batch of the
 /// `stream-drain` workload is ≈ 33 µs of work in all — about what spawning
@@ -49,26 +49,6 @@ use crate::shard::{GroupScratch, ShardedBins};
 /// split, and this is half of it.
 pub const PARALLEL_MIN_SPAN: usize = 1 << 15;
 
-/// Which threads a choose step may use.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Execution<'a> {
-    /// [`StreamConfig::parallel`](crate::StreamConfig::parallel): whether a
-    /// long batch may be cut into spans at all.
-    pub(crate) parallel: bool,
-    /// The engine's thread count
-    /// ([`StreamConfig::num_threads`](crate::StreamConfig::num_threads));
-    /// `None` uses the ambient one.
-    pub(crate) pool: Option<&'a ThreadPool>,
-}
-
-impl Execution<'static> {
-    /// The calling thread only — what a routed group uses.
-    pub(crate) const INLINE: Self = Self {
-        parallel: false,
-        pool: None,
-    };
-}
-
 /// Reusable buffers of a commit, owned by whoever commits repeatedly (an
 /// engine's drain side, a routing thread), so a warmed commit allocates
 /// nothing.
@@ -81,19 +61,22 @@ pub(crate) struct CommitScratch {
 }
 
 /// Step 1 — choose: overwrites `chosen` with the bin of every item, in item
-/// order. A pure function of `(chooser, keys)`, so the spans of a long batch
-/// can run in any order on any thread and still fill the same vector: each
-/// span is [`Chooser::choose_span`] over its own window of `chosen`.
+/// order, on the threads `pool` allows (the engine's own
+/// [`StreamConfig::num_threads`](crate::StreamConfig::num_threads); `None`
+/// is the ambient count). A pure function of `(chooser, keys)`, so the spans
+/// of a long batch can run in any order on any thread and still fill the
+/// same vector: each span is [`Chooser::choose_span`] over its own window of
+/// `chosen`. A routed group never spawns: it calls `choose_span` itself.
 pub(crate) fn choose_into<K: Sync>(
     chooser: &Chooser<'_>,
     items: &[K],
     key_of: impl Fn(&K) -> u64 + Sync,
-    execution: Execution<'_>,
+    pool: Option<&ThreadPool>,
     chosen: &mut Vec<u32>,
 ) {
     // Every slot is overwritten below; only the length matters.
     chosen.resize(items.len(), 0);
-    if !execution.parallel || items.len() < 2 * PARALLEL_MIN_SPAN {
+    if items.len() < 2 * PARALLEL_MIN_SPAN {
         return chooser.choose_span(items, key_of, chosen);
     }
     let spans: Vec<&[K]> = items.chunks(PARALLEL_MIN_SPAN).collect();
@@ -104,7 +87,7 @@ pub(crate) fn choose_into<K: Sync>(
             .with_min_len(1)
             .for_each(|(window, span)| chooser.choose_span(span, &key_of, window))
     };
-    match execution.pool {
+    match pool {
         Some(pool) => pool.install(run),
         None => run(),
     }
@@ -158,14 +141,10 @@ mod tests {
             .num_threads(3)
             .build()
             .expect("pool");
-        let mut inline = Vec::new();
+        let mut inline = vec![0; keys.len()];
         let mut pooled = Vec::new();
-        choose_into(&chooser, &keys, |&k| k, Execution::INLINE, &mut inline);
-        let execution = Execution {
-            parallel: true,
-            pool: Some(&pool),
-        };
-        choose_into(&chooser, &keys, |&k| k, execution, &mut pooled);
+        chooser.choose_span(&keys, |&k| k, &mut inline);
+        choose_into(&chooser, &keys, |&k| k, Some(&pool), &mut pooled);
         assert_eq!(inline, pooled);
         let mut candidates = Vec::new();
         for (at, &key) in keys.iter().enumerate().step_by(997) {
@@ -188,7 +167,7 @@ mod tests {
         for policy in [Policy::TwoChoice, Policy::DChoice(3), Policy::OneChoice] {
             let chooser = Chooser::new(policy, &ctx);
             let chosen = &mut scratch.chosen;
-            choose_into(&chooser, &keys, |&k| k, Execution::INLINE, chosen);
+            choose_into(&chooser, &keys, |&k| k, None, chosen);
             place_chosen(&grouped, &mut scratch, Some(&commits));
             for (&key, &bin) in keys.iter().zip(&scratch.chosen) {
                 assert_eq!(bin, choose_bin(policy, &ctx, key, &mut candidates));

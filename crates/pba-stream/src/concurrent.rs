@@ -121,7 +121,7 @@ use pba_model::router::{
 use pba_model::weights::{normalized_loads, BinWeights, ResolvedWeights};
 use pba_stats::OnlineStats;
 
-use crate::commit::{self, CommitScratch, Execution};
+use crate::commit::{self, CommitScratch};
 use crate::engine::StreamConfig;
 use crate::ingress::{Inbox, PendingBall};
 use crate::metrics::StreamMetrics;
@@ -503,7 +503,7 @@ impl ConcurrentRouter {
     ///
     /// The full [`StreamConfig`] vocabulary applies — policy, batch size,
     /// shards (which also shard the ticket ledger),
-    /// seed, weights, `parallel`/`num_threads` for the drain path.
+    /// seed, weights, `num_threads` for the drain path.
     pub fn new(config: StreamConfig) -> Self {
         Self::build(config, None)
     }
@@ -781,15 +781,13 @@ impl ConcurrentRouter {
         self.shared.core.capacity()
     }
 
-    /// The sorted active bins (every configured bin until a scale event
-    /// says otherwise).
-    pub fn active_bins(&self) -> Vec<u32> {
-        self.shared.core.topology.load().active.clone()
-    }
-
-    /// Per-slot lifecycle states, one per capacity slot.
-    pub fn bin_states(&self) -> Vec<BinState> {
-        self.shared.core.topology.load().states.clone()
+    /// A copy of the membership lifecycle table, taken under the membership
+    /// lock: every configured bin active (and every reserved slot retired)
+    /// until a staged plan says otherwise. Staged events show only once a
+    /// boundary has applied them.
+    pub fn membership(&self) -> Membership {
+        let side = self.shared.membership.lock().expect("membership lock");
+        side.table().clone()
     }
 
     /// Fresh per-bin loads.
@@ -1209,7 +1207,8 @@ impl Core {
             let base = if routes > 0 {
                 // Read once per sub-group what `route` reads once per key.
                 let (seen, ()) = self.with_route_chooser(|_, chooser| {
-                    commit::choose_into(chooser, keys, |&key| key, Execution::INLINE, chosen)
+                    chosen.resize(keys.len(), 0);
+                    chooser.choose_span(keys, |&key| key, chosen)
                 });
                 self.commit_group(seen, keys, chosen, settle)
             } else {
@@ -2009,15 +2008,11 @@ impl Core {
         let stale = self.published.load();
         let ctx = self.choice_ctx(&topology, &stale, threshold, capacity);
         let chooser = Chooser::new(self.config.policy, &ctx);
-        let execution = Execution {
-            parallel: self.config.parallel,
-            pool: self.pool.as_ref(),
-        };
         commit::choose_into(
             &chooser,
             batch,
             |ball| ball.key,
-            execution,
+            self.pool.as_ref(),
             &mut scratch.chosen,
         );
         let bin_commits = self.metrics.as_ref().map(|m| &m.bin_commits);
@@ -2095,7 +2090,7 @@ mod tests {
         apply_now(router, |router| {
             router.stage_membership(MembershipPlan::new().drain(bin as u32))
         });
-        assert_eq!(router.bin_states()[bin], BinState::Draining);
+        assert_eq!(router.membership().state(bin), BinState::Draining);
     }
 
     /// The choose half of a routed sub-group, as `route_many` runs it;
@@ -2103,7 +2098,8 @@ mod tests {
     fn choose_group(core: &Core, group: &[u64], scratch: &mut CommitScratch) -> u64 {
         let chosen = &mut scratch.chosen;
         let choose = |_: &Topology, chooser: &Chooser<'_>| {
-            commit::choose_into(chooser, group, |&key| key, Execution::INLINE, chosen)
+            chosen.resize(group.len(), 0);
+            chooser.choose_span(group, |&key| key, chosen)
         };
         core.with_route_chooser(choose).0
     }

@@ -78,12 +78,6 @@ pub struct StreamConfig {
     pub policy: Policy,
     /// Master seed; together with each ball's key it determines candidates.
     pub seed: u64,
-    /// Whether `drain` may cut a long batch's choose step into spans for
-    /// scoped threads (`true`) or always runs on the calling thread
-    /// (`false`). Both produce identical loads, and batches below 64 Ki
-    /// balls run on the calling thread either way (below that a thread spawn
-    /// costs more than the choosing it hands off).
-    pub parallel: bool,
     /// Most recent per-batch gap entries retained in the trajectory. A
     /// long-running stream drains batches forever, so the trajectory must not
     /// grow with uptime; [`OnlineStats`] keeps the full-history summary
@@ -93,9 +87,12 @@ pub struct StreamConfig {
     /// ambient count — whatever `ThreadPool::install` scope the caller runs
     /// drains under, else `PBA_THREADS`, else the core count. A positive
     /// value gives this engine its **own** thread count, so engine
-    /// parallelism is configured here instead of ambiently. Results are
+    /// parallelism is configured here instead of ambiently; `1` is the
+    /// sequential drain ([`StreamConfig::sequential`]). Results are
     /// bit-identical for every thread count (parallelism only partitions
-    /// index ranges; it never reorders RNG consumption).
+    /// index ranges; it never reorders RNG consumption), and batches below
+    /// 64 Ki balls run on the calling thread whatever the count (below that
+    /// a thread spawn costs more than the choosing it hands off).
     ///
     /// Caveat: when the drain itself runs *inside* a chunk of another
     /// parallel operation (e.g. engines driven from a `par_chunks_mut`),
@@ -116,7 +113,8 @@ pub struct StreamConfig {
 }
 
 impl StreamConfig {
-    /// A reasonable default: two-choice, batch = n, 4 shards, parallel drain.
+    /// A reasonable default: two-choice, batch = n, 4 shards, a drain on the
+    /// ambient thread count.
     pub fn new(bins: usize) -> Self {
         Self {
             bins,
@@ -124,7 +122,6 @@ impl StreamConfig {
             batch_size: bins.max(1),
             policy: Policy::TwoChoice,
             seed: 0,
-            parallel: true,
             trajectory_cap: 1 << 16,
             num_threads: 0,
             weights: BinWeights::Uniform,
@@ -156,10 +153,10 @@ impl StreamConfig {
         self
     }
 
-    /// Selects the sequential drain path (builder style).
-    pub fn sequential(mut self) -> Self {
-        self.parallel = false;
-        self
+    /// Selects the sequential drain: a thread count of one, so every batch
+    /// is chosen on the calling thread (builder style).
+    pub fn sequential(self) -> Self {
+        self.num_threads(1)
     }
 
     /// Sets the parallel drain's thread count (builder style); `0` keeps the

@@ -56,7 +56,7 @@
 //!   capacity-proportional) and an optional script of scale events
 //!   ([`ScaleEvent`]: ramp-up, flash crowd, rolling restart, scale-to-zero)
 //!   drive the 1-caller [`ConcurrentRouter`]; the [`ScenarioReport`] carries
-//!   the online gap, migration volume, availability and active fraction.
+//!   the online gap, migration volume and active fraction.
 //!
 //! Drain parallelism is explicit: [`StreamConfig::num_threads`] gives an
 //! engine its own thread count (`0` = the ambient count: an installed
@@ -122,8 +122,7 @@ pub use metrics::{MembershipCounters, PolicyCounters, StreamMetrics};
 pub use observer::{GapTrajectoryObserver, ReweightLog, ReweightRecord};
 pub use policy::{candidate_bins, choose_bin, ChoiceCtx, Policy};
 pub use scenario::{
-    run_scenario, run_scenario_on, ChurnMode, ScaleAction, ScaleEvent, ScenarioConfig,
-    ScenarioReport,
+    run_scenario, run_scenario_on, ChurnMode, ScaleEvent, ScenarioConfig, ScenarioReport,
 };
 pub use shard::{ShardStats, ShardedBins};
 pub use snapshot::StreamSnapshot;
@@ -137,7 +136,7 @@ pub use pba_model::weights::{BinWeights, ResolvedWeights};
 
 // Re-exported so elastic stream configurations need only this crate: stage a
 // `MembershipPlan` on either shell, inspect `BinState`s through the
-// topology accessors.
+// `membership()` accessor.
 pub use pba_membership::{ApplyOutcome, BinState, MembershipEvent, MembershipPlan};
 
 // Re-exported so callers can set a drain's thread count without naming the

@@ -19,22 +19,29 @@
 //!      faster, the service-rate-∝-capacity model heterogeneous fleets
 //!      actually exhibit. Under uniform weights this degrades to a uniformly
 //!      random (non-empty) slot.
-//! 3. **Staging.** Every due [`ScaleEvent`] of the script whose precondition
-//!    holds is staged through [`ConcurrentRouter::stage_membership`]; the
-//!    engine applies it at its next batch boundary, exactly as a live
-//!    operator driving the `ADD` / `DRAIN` / `REMOVE` socket verbs would.
-//!    An empty script is the fixed cluster.
+//! 3. **Staging.** Every due [`ScaleEvent`] of the script that the membership
+//!    state machine accepts is staged through
+//!    [`ConcurrentRouter::stage_membership`]; the engine applies it at its
+//!    next batch boundary, exactly as a live operator driving the `ADD` /
+//!    `DRAIN` / `REMOVE` socket verbs would. An empty script is the fixed
+//!    cluster.
 //!
-//! **Legality is the driver's job, not the script author's.** A scripted
-//! drain waits until its bin is `Active`. A scripted remove first
-//! force-migrates the bin's residents ([`ConcurrentRouter::migrate_drained`])
-//! and waits until the bin is both `Draining` and empty. A scripted add
-//! waits until the retired slots outnumber the adds already staged and not
-//! yet applied. Deferred events retry every following tick, so a script
-//! spaced tighter than the batch cadence still executes, just later, and the
-//! engine's `membership.rejected_*` counters stay at zero for any
-//! well-formed script. Events still pending when the ticks run out are
-//! reported in [`ScenarioReport::events_unapplied`].
+//! **Legality is the driver's job, not the script author's, and
+//! [`Membership::apply`] is its one rulebook.** The driver keeps a
+//! *projected* table: the router's applied table with every event it has
+//! staged applied in staging order. A due event is staged only when
+//! `Membership::apply` accepts it on the projection; the engine applies the
+//! same events in the same order at its boundary, so it rejects none of
+//! them. A bin counts as occupied until the applied table has it `Draining`
+//! (routes can land on it until then) and while it holds load or tickets,
+//! so a remove waits for its drain to apply and its bin to empty; once the
+//! drain has applied, the driver force-migrates the bin's residents
+//! ([`ConcurrentRouter::migrate_drained`]) first. Deferred events retry
+//! every following tick, so a script spaced tighter than the batch cadence
+//! still executes, just later, and the engine's `membership.rejected_*`
+//! counters stay at zero for any script. Events still pending when the
+//! ticks run out — an illegal one, say, a drain of the last active bin —
+//! are reported in [`ScenarioReport::events_unapplied`].
 //!
 //! The four canonical scale shapes of experiment E19 ship as constructors:
 //!
@@ -45,12 +52,10 @@
 //! | [`ScenarioConfig::rolling_restart`] | drain → migrate → remove → re-add each bin in turn |
 //! | [`ScenarioConfig::scale_to_zero_and_back`] | retire everything but a core, recommission later |
 //!
-//! Availability is measured, not assumed: the report carries
-//! `routed / offered` (which the lock-free boundary machinery keeps at 1.0 —
-//! no scale event ever pauses routing) and the minimum active-bin fraction
-//! the cluster passed through.
+//! The report also carries the minimum active-bin fraction the cluster
+//! passed through.
 
-use pba_membership::{BinState, MembershipPlan};
+use pba_membership::{BinState, Membership, MembershipEvent, MembershipPlan};
 use pba_model::rng::SplitMix64;
 
 use crate::arrival::{ArrivalProcess, ArrivalSampler};
@@ -86,38 +91,26 @@ impl ChurnMode {
     }
 }
 
-/// One scripted scale action.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ScaleAction {
-    /// Commission a bin with the given capacity weight. Deferred until a
-    /// retired slot is free for it ([`run_scenario`] sizes the reserve so a
-    /// well-formed script always finds one eventually).
-    Add {
-        /// Capacity weight of the commissioned bin.
-        weight: f64,
-    },
-    /// Start draining `bin`. Deferred until the bin is `Active`.
-    Drain {
-        /// The bin slot to drain.
-        bin: u32,
-    },
-    /// Retire `bin`: force-migrate its residents off, then remove it once
-    /// empty. Deferred until the bin is `Draining` with zero occupancy.
-    Remove {
-        /// The bin slot to retire.
-        bin: u32,
-    },
-}
-
-/// A scale action scheduled at a tick of the scenario clock.
+/// A membership event scheduled at a tick of the scenario clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleEvent {
-    /// First tick at which the driver may stage the action (it retries every
-    /// later tick until the action's precondition holds).
+    /// First tick at which the driver may stage the event (it retries every
+    /// later tick until [`Membership::apply`] accepts it on the driver's
+    /// projected table).
     pub at_tick: u64,
-    /// The action to stage.
-    pub action: ScaleAction,
+    /// The event to stage. [`run_scenario`] sizes the reserve so that every
+    /// `Add` finds a retired slot eventually.
+    pub event: MembershipEvent,
 }
+
+impl ScaleEvent {
+    fn new(at_tick: u64, event: MembershipEvent) -> Self {
+        Self { at_tick, event }
+    }
+}
+
+/// The unit-weight `Add` every scale shape commissions.
+const ADD: MembershipEvent = MembershipEvent::Add { weight: 1.0 };
 
 /// A complete streaming scenario.
 #[derive(Debug, Clone)]
@@ -187,10 +180,7 @@ impl ScenarioConfig {
         every: u64,
     ) -> Self {
         let events = (0..extra)
-            .map(|i| ScaleEvent {
-                at_tick: start_at + i as u64 * every,
-                action: ScaleAction::Add { weight: 1.0 },
-            })
+            .map(|i| ScaleEvent::new(start_at + i as u64 * every, ADD))
             .collect();
         Self::scripted("ramp-up", ticks, arrivals, events)
     }
@@ -209,19 +199,12 @@ impl ScenarioConfig {
     ) -> Self {
         let mut events = Vec::new();
         for i in 0..surge {
-            events.push(ScaleEvent {
-                at_tick: surge_at,
-                action: ScaleAction::Add { weight: 1.0 },
-            });
             let bin = (initial_bins + i) as u32;
-            events.push(ScaleEvent {
-                at_tick: surge_at + hold,
-                action: ScaleAction::Drain { bin },
-            });
-            events.push(ScaleEvent {
-                at_tick: surge_at + hold + 2,
-                action: ScaleAction::Remove { bin },
-            });
+            events.extend([
+                ScaleEvent::new(surge_at, ADD),
+                ScaleEvent::new(surge_at + hold, MembershipEvent::Drain { bin }),
+                ScaleEvent::new(surge_at + hold + 2, MembershipEvent::Remove { bin }),
+            ]);
         }
         Self::scripted("flash-crowd", ticks, arrivals, events)
     }
@@ -239,18 +222,11 @@ impl ScenarioConfig {
         let mut events = Vec::new();
         for (i, bin) in (0..bins as u32).enumerate() {
             let base = start_at + i as u64 * every;
-            events.push(ScaleEvent {
-                at_tick: base,
-                action: ScaleAction::Drain { bin },
-            });
-            events.push(ScaleEvent {
-                at_tick: base + 2,
-                action: ScaleAction::Remove { bin },
-            });
-            events.push(ScaleEvent {
-                at_tick: base + 4,
-                action: ScaleAction::Add { weight: 1.0 },
-            });
+            events.extend([
+                ScaleEvent::new(base, MembershipEvent::Drain { bin }),
+                ScaleEvent::new(base + 2, MembershipEvent::Remove { bin }),
+                ScaleEvent::new(base + 4, ADD),
+            ]);
         }
         Self::scripted("rolling-restart", ticks, arrivals, events)
     }
@@ -268,41 +244,23 @@ impl ScenarioConfig {
         assert!(core < bins, "the core must be a strict subset of the bins");
         let mut events = Vec::new();
         for bin in core as u32..bins as u32 {
-            events.push(ScaleEvent {
-                at_tick: idle_at,
-                action: ScaleAction::Drain { bin },
-            });
-            events.push(ScaleEvent {
-                at_tick: idle_at + 2,
-                action: ScaleAction::Remove { bin },
-            });
-            events.push(ScaleEvent {
-                at_tick: busy_at,
-                action: ScaleAction::Add { weight: 1.0 },
-            });
+            events.extend([
+                ScaleEvent::new(idle_at, MembershipEvent::Drain { bin }),
+                ScaleEvent::new(idle_at + 2, MembershipEvent::Remove { bin }),
+                ScaleEvent::new(busy_at, ADD),
+            ]);
         }
         Self::scripted("scale-to-zero", ticks, arrivals, events)
     }
 
-    /// Reserve slots the engine must pre-allocate so no scripted add is ever
-    /// rejected (0 without a script): adds first reuse slots freed by
-    /// earlier-scheduled removes (the lowest-retired-slot rule), the rest
-    /// need fresh reserve. Same simulation as `Trace::needed_reserve` in the
-    /// replay crate.
+    /// Reserve slots the engine must pre-allocate so every scripted add
+    /// finds a retired slot (0 without a script):
+    /// [`MembershipPlan::needed_reserve`] of the script in tick order.
     pub fn needed_reserve(&self) -> usize {
         let mut ordered = self.events.clone();
         ordered.sort_by_key(|e| e.at_tick);
-        let mut freed = 0usize;
-        let mut reserve = 0usize;
-        for event in &ordered {
-            match event.action {
-                ScaleAction::Remove { .. } => freed += 1,
-                ScaleAction::Add { .. } if freed > 0 => freed -= 1,
-                ScaleAction::Add { .. } => reserve += 1,
-                ScaleAction::Drain { .. } => {}
-            }
-        }
-        reserve
+        let plan: MembershipPlan = ordered.iter().map(|e| e.event).collect();
+        plan.needed_reserve()
     }
 }
 
@@ -313,20 +271,19 @@ pub struct ScenarioReport {
     pub router: ConcurrentRouter,
     /// Pattern name (from the scenario).
     pub name: String,
-    /// Arrivals the scenario routed (all it offered — routing never pauses).
+    /// Arrivals the scenario routed (all it offered: a refused route would
+    /// panic the run).
     pub arrived: u64,
     /// Departures executed by churn.
     pub departed: u64,
     /// Tickets force-migrated off draining bins.
     pub migrated: u64,
-    /// Scale events staged (each exactly once, after its precondition held).
+    /// Scale events staged (each exactly once, once the projected table
+    /// accepted it).
     pub events_staged: u64,
     /// Scripted events still deferred when the ticks ran out (0 for a
     /// well-formed script with trailing ticks).
     pub events_unapplied: u64,
-    /// `routed / offered` — 1.0 means no arrival was ever refused or paused
-    /// by a scale event.
-    pub availability: f64,
     /// Minimum over ticks of `active bins / peak commissioned bins`.
     pub min_active_fraction: f64,
     /// Gap after the final boundary (`0` when no batch was closed).
@@ -359,10 +316,9 @@ pub fn run_scenario_on(scenario: &ScenarioConfig, router: ConcurrentRouter) -> S
     // Fractional churn accumulates across ticks so e.g. 0.5 retires one ball
     // every other arrival on average.
     let mut churn_credit = 0.0f64;
-    let mut script = Script::new(&scenario.events);
+    let mut script = Script::new(&scenario.events, router.membership());
     let start = router.stats();
-    let mut offered = 0u64;
-    let mut peak_bins = commissioned(&router.bin_states());
+    let mut peak_bins = commissioned(router.membership().states());
     let mut min_active_fraction = 1.0f64;
 
     for tick in 0..scenario.ticks {
@@ -371,7 +327,6 @@ pub fn run_scenario_on(scenario: &ScenarioConfig, router: ConcurrentRouter) -> S
             let key = sampler.sample_key(&mut key_rng);
             router.route(key).expect("streaming route is infallible");
         }
-        offered += arrivals as u64;
 
         if scenario.churn > 0.0 && tick >= scenario.warmup_ticks {
             churn_credit += scenario.churn * arrivals as f64;
@@ -384,9 +339,9 @@ pub fn run_scenario_on(scenario: &ScenarioConfig, router: ConcurrentRouter) -> S
         }
 
         script.stage_due(&router, tick);
-        let states = router.bin_states();
-        peak_bins = peak_bins.max(commissioned(&states));
-        let active = states.iter().filter(|s| **s == BinState::Active).count();
+        let applied = router.membership();
+        peak_bins = peak_bins.max(commissioned(applied.states()));
+        let active = applied.active().len();
         min_active_fraction = min_active_fraction.min(active as f64 / peak_bins as f64);
     }
     router.flush();
@@ -402,23 +357,15 @@ pub fn run_scenario_on(scenario: &ScenarioConfig, router: ConcurrentRouter) -> S
     }
 
     let end = router.stats();
-    let arrived = end.routed - start.routed;
     let gaps = router.gap_stats();
     let finite = |x: f64| if x.is_nan() { 0.0 } else { x };
     ScenarioReport {
         name: scenario.name.clone(),
-        arrived,
+        arrived: end.routed - start.routed,
         departed: end.released - start.released,
         migrated: script.migrated,
         events_staged: script.staged.iter().filter(|&&s| s).count() as u64,
         events_unapplied: script.staged.iter().filter(|&&s| !s).count() as u64,
-        // `route` is infallible and never paused by membership changes; the
-        // identity is still *measured* so a regression shows up here.
-        availability: if offered == 0 {
-            1.0
-        } else {
-            arrived as f64 / offered as f64
-        },
         min_active_fraction,
         final_gap: router.gap_trajectory().last().copied().unwrap_or(0.0),
         max_gap: finite(gaps.max()),
@@ -569,91 +516,66 @@ impl LoadTree {
 }
 
 /// The driver's side of a scale script: which events it has staged, and
-/// what the engine has not applied yet.
+/// the table they leave once the engine has applied them.
 struct Script<'a> {
     events: &'a [ScaleEvent],
     /// Event indices in `at_tick` order (stable, so same-tick events keep
     /// their script order).
     order: Vec<usize>,
     staged: Vec<bool>,
-    /// Adds staged since the engine last applied a plan: each will take a
-    /// retired slot when it applies.
-    adds_in_flight: usize,
-    /// The slot states when something was last staged. A staged plan is
-    /// applied whole, and each event the driver stages changes a slot's
-    /// state when it applies, so states that differ from these mean nothing
-    /// staged is in flight any more.
-    staged_against: Vec<BinState>,
+    /// The router's applied table with every staged event applied in
+    /// staging order — what the engine's table becomes at its next boundary.
+    projected: Membership,
     migrated: u64,
 }
 
 impl<'a> Script<'a> {
-    fn new(events: &'a [ScaleEvent]) -> Self {
+    fn new(events: &'a [ScaleEvent], applied: Membership) -> Self {
         let mut order: Vec<usize> = (0..events.len()).collect();
         order.sort_by_key(|&i| events[i].at_tick);
         Self {
             events,
             order,
             staged: vec![false; events.len()],
-            adds_in_flight: 0,
-            staged_against: Vec::new(),
+            projected: applied,
             migrated: 0,
         }
     }
 
-    /// Stages every unstaged event due by `tick` whose precondition holds
-    /// right now; returns how many it staged. Draining residents are
-    /// migrated when a remove is blocked on occupancy.
+    /// Stages every unstaged event due by `tick` that [`Membership::apply`]
+    /// accepts on the projected table; returns how many it staged. A remove
+    /// of a draining bin that still holds residents migrates them first.
     fn stage_due(&mut self, router: &ConcurrentRouter, tick: u64) -> usize {
-        let states = router.bin_states();
-        if states != self.staged_against {
-            self.adds_in_flight = 0;
-        }
-        let retired = states.iter().filter(|s| **s == BinState::Retired).count();
+        let applied = router.membership();
+        let draining = |bin: u32| applied.states().get(bin as usize) == Some(&BinState::Draining);
+        // Routes can land on a bin until a boundary has applied its drain.
+        let occupied = |bin: u32| {
+            let slot = bin as usize;
+            !draining(bin) || router.load(slot) > 0 || router.tickets_in(slot) > 0
+        };
         let mut staged = 0;
         for &i in &self.order {
-            let event = self.events[i];
-            if self.staged[i] || event.at_tick > tick {
+            let ScaleEvent { at_tick, event } = self.events[i];
+            if self.staged[i] || at_tick > tick {
                 continue;
             }
-            let plan = match event.action {
-                // Each staged add takes a retired slot when its plan
-                // applies; one staged beyond the free slots is rejected.
-                ScaleAction::Add { .. } if retired <= self.adds_in_flight => continue,
-                ScaleAction::Add { weight } => {
-                    self.adds_in_flight += 1;
-                    MembershipPlan::new().add(weight)
+            if let MembershipEvent::Remove { bin } = event {
+                if draining(bin) && occupied(bin) {
+                    self.migrated += router.migrate_drained();
                 }
-                ScaleAction::Drain { bin } => {
-                    if states.get(bin as usize) != Some(&BinState::Active) {
-                        continue;
-                    }
-                    MembershipPlan::new().drain(bin)
-                }
-                ScaleAction::Remove { bin } => {
-                    if states.get(bin as usize) != Some(&BinState::Draining) {
-                        continue;
-                    }
-                    let slot = bin as usize;
-                    let occupied =
-                        |r: &ConcurrentRouter| r.load(slot) > 0 || r.tickets_in(slot) > 0;
-                    if occupied(router) {
-                        self.migrated += router.migrate_drained();
-                    }
-                    if occupied(router) {
-                        // Anonymous residents (pushed balls) cannot be
-                        // migrated by ticket; the remove stays deferred.
-                        continue;
-                    }
-                    MembershipPlan::new().remove(bin)
-                }
-            };
+            }
+            let plan = MembershipPlan::new().push(event);
+            let mut projected = self.projected.clone();
+            if projected.apply(&plan, occupied).rejected() > 0 {
+                // Not legal yet; retried next tick. (A bin holding anonymous
+                // residents — pushed balls, which cannot be migrated by
+                // ticket — keeps its remove deferred.)
+                continue;
+            }
+            self.projected = projected;
             router.stage_membership(plan);
             self.staged[i] = true;
             staged += 1;
-        }
-        if staged > 0 {
-            self.staged_against = states;
         }
         staged
     }
@@ -932,9 +854,8 @@ mod tests {
         let report = run_scenario(&scenario, base(8));
         assert_eq!(report.events_unapplied, 0);
         assert_eq!(report.events_staged, 8);
-        assert_eq!(report.availability, 1.0);
         assert!(report.router.conserves_balls());
-        assert_eq!(report.router.active_bins().len(), 16);
+        assert_eq!(report.router.membership().active().len(), 16);
     }
 
     #[test]
@@ -944,15 +865,10 @@ mod tests {
         assert_eq!(scenario.needed_reserve(), 4);
         let report = run_scenario(&scenario, base(16));
         assert_eq!(report.events_unapplied, 0, "script must settle");
-        assert_eq!(report.availability, 1.0);
         assert!(report.router.conserves_balls());
-        assert_eq!(
-            report.router.active_bins().len(),
-            16,
-            "surge bins retired again"
-        );
-        let states = report.router.bin_states();
-        for (bin, &state) in states.iter().enumerate().skip(16) {
+        let membership = report.router.membership();
+        assert_eq!(membership.active().len(), 16, "surge bins retired again");
+        for (bin, &state) in membership.states().iter().enumerate().skip(16) {
             assert_eq!(state, BinState::Retired);
             assert_eq!(report.router.load(bin), 0, "retired bins empty");
         }
@@ -965,11 +881,10 @@ mod tests {
         let report = run_scenario(&scenario, base(8));
         assert_eq!(report.events_unapplied, 0);
         assert_eq!(report.events_staged, 24);
-        assert_eq!(report.availability, 1.0);
         assert!(report.migrated > 0, "restarts must move residents");
         assert!(report.router.conserves_balls());
         assert_eq!(
-            report.router.active_bins().len(),
+            report.router.membership().active().len(),
             8,
             "every bin recommissioned"
         );
@@ -982,40 +897,63 @@ mod tests {
         let scenario = ScenarioConfig::scale_to_zero_and_back(100, uniform(48), 12, 4, 20, 60);
         let report = run_scenario(&scenario, base(12));
         assert_eq!(report.events_unapplied, 0);
-        assert_eq!(report.availability, 1.0);
         assert!(report.migrated > 0, "idle bins hand their residents off");
         assert!(report.router.conserves_balls());
-        assert_eq!(report.router.active_bins().len(), 12, "cluster restored");
+        assert_eq!(
+            report.router.membership().active().len(),
+            12,
+            "cluster restored"
+        );
         assert!(report.min_active_fraction <= 4.0 / 12.0 + 1e-9);
     }
 
     #[test]
     fn adds_staged_before_one_boundary_each_get_a_slot() {
-        // Two adds due together with one retired slot free: the second must
-        // wait for the slot the remove frees, not be staged (and rejected)
-        // against the same one.
-        let at = |action| ScaleEvent { at_tick: 0, action };
-        let scenario = ScenarioConfig {
-            events: vec![
-                at(ScaleAction::Drain { bin: 3 }),
-                at(ScaleAction::Remove { bin: 3 }),
-                at(ScaleAction::Add { weight: 1.0 }),
-                at(ScaleAction::Add { weight: 1.0 }),
-            ],
-            ..ScenarioConfig::growth(40, uniform(8))
-        };
-        assert_eq!(scenario.needed_reserve(), 1);
-        let registry = std::sync::Arc::new(pba_obs::MetricsRegistry::new());
-        let config = StreamConfig::new(4).batch_size(4).seed(1).reserve_bins(1);
-        let router = ConcurrentRouter::with_metrics(config, registry.clone());
-        let report = run_scenario_on(&scenario, router);
-        assert_eq!(report.events_unapplied, 0);
-        assert_eq!(report.events_staged, 4);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("membership.rejected_adds"), 0);
-        assert_eq!(snap.counter("membership.adds"), 2);
-        let states = report.router.bin_states();
-        assert_eq!(states[3], BinState::Active, "the freed slot is reused");
-        assert_eq!(states[4], BinState::Active, "the reserve slot is used");
+        use MembershipEvent::{Add, Drain, Remove};
+        // Events due before one boundary, each of which is legal only
+        // against the table the earlier ones leave: two adds with one free
+        // slot (the second waits for the slot the remove frees), one bin
+        // drained twice, both bins of two drained, one bin removed twice.
+        // Rows: bins, script of `(at_tick, event)`, events left unapplied.
+        let (add, drain, remove) = (
+            Add { weight: 1.0 },
+            |bin| Drain { bin },
+            |bin| Remove { bin },
+        );
+        let rows: [(usize, &[_], u64); 4] = [
+            (4, &[(0, drain(3)), (0, remove(3)), (0, add), (0, add)], 0),
+            (4, &[(0, drain(3)), (0, drain(3))], 1),
+            (2, &[(0, drain(0)), (0, drain(1))], 1),
+            (4, &[(0, drain(3)), (2, remove(3)), (2, remove(3))], 1),
+        ];
+        for (bins, script, unapplied) in rows {
+            let scenario = ScenarioConfig {
+                events: script
+                    .iter()
+                    .map(|&(at, e)| ScaleEvent::new(at, e))
+                    .collect(),
+                ..ScenarioConfig::growth(40, uniform(8))
+            };
+            let registry = std::sync::Arc::new(pba_obs::MetricsRegistry::new());
+            let config = StreamConfig::new(bins)
+                .batch_size(4)
+                .seed(1)
+                .reserve_bins(scenario.needed_reserve());
+            let router = ConcurrentRouter::with_metrics(config, registry.clone());
+            let report = run_scenario_on(&scenario, router);
+            let snap = registry.snapshot();
+            let mut accepted = 0;
+            for verb in ["adds", "drains", "removes"] {
+                let rejected = snap.counter(&format!("membership.rejected_{verb}"));
+                assert_eq!(rejected, 0, "{verb} of {script:?}");
+                accepted += snap.counter(&format!("membership.{verb}"));
+            }
+            assert_eq!(
+                report.events_staged + report.events_unapplied,
+                script.len() as u64
+            );
+            assert_eq!(report.events_unapplied, unapplied, "{script:?}");
+            assert_eq!(accepted, report.events_staged, "{script:?}");
+        }
     }
 }

@@ -20,8 +20,9 @@
 //! counter while conservation and ledger invariants hold; E19 measures
 //! **elastic membership** — the canonical autoscaling shapes (ramp-up, flash
 //! crowd, rolling restart, scale-to-zero) run as scripted `ScenarioConfig`s
-//! against a live router, with migration volume, availability and the final
-//! gap compared against a never-scaled cluster's two-choice envelope.
+//! against a live router, with migration volume, the minimum active fraction
+//! and the final gap compared against a never-scaled cluster's two-choice
+//! envelope.
 //!
 //! The paper is a theory paper without numbered tables/figures, so each
 //! experiment here plays the role of a table: it validates one theorem, claim or
@@ -1546,10 +1547,62 @@ pub fn e18_replay_faults(quick: bool) -> Table {
 /// perturb the gap transiently, but the final gap must stay within the
 /// two-choice envelope of the static cluster
 /// (`baseline max gap + b/n + log₂ n`), every scripted event must apply
-/// (`unapplied = 0`), routing availability must stay 1.0 (staging never
-/// pauses the data path), migrations are counted one ticket at a time, and
+/// (`unapplied = 0`), migrations are counted one ticket at a time, and
 /// conservation must hold at the end of every run.
 pub fn e19_autoscale(quick: bool) -> Table {
+    let (config, scenarios) = e19_scenarios(quick);
+    let bins = config.bins;
+
+    // The never-scaled cluster sets the envelope every elastic run must
+    // re-enter: its worst transient gap plus the batched-model slack
+    // O(b/n + log n) with unit constants.
+    let baseline = run_scenario(&scenarios[0], config.clone());
+    let envelope = baseline.max_gap + config.batch_size as f64 / bins as f64 + (bins as f64).log2();
+
+    let mut table = Table::with_alignments(
+        "E19: elastic membership — autoscaling scenarios vs a never-scaled cluster (TwoChoice, \
+         final gap must re-enter the static envelope)",
+        &[
+            ("scenario", Align::Left),
+            ("events", Align::Right),
+            ("staged", Align::Right),
+            ("unapplied", Align::Right),
+            ("migrated", Align::Right),
+            ("arrived", Align::Right),
+            ("min active", Align::Right),
+            ("final gap", Align::Right),
+            ("max gap", Align::Right),
+            ("within envelope", Align::Left),
+            ("conserved", Align::Left),
+        ],
+    );
+    for scenario in &scenarios {
+        let report = run_scenario(scenario, config.clone());
+        let within = report.final_gap <= envelope;
+        table.push_row([
+            Cell::from(report.name.as_str()),
+            Cell::from(scenario.events.len()),
+            Cell::from(report.events_staged),
+            Cell::from(report.events_unapplied),
+            Cell::from(report.migrated),
+            Cell::from(report.arrived),
+            Cell::from(report.min_active_fraction),
+            Cell::from(report.final_gap),
+            Cell::from(report.max_gap),
+            Cell::from(if within { "yes" } else { "NO" }),
+            Cell::from(if report.router.conserves_balls() {
+                "yes"
+            } else {
+                "NO"
+            }),
+        ]);
+    }
+    table
+}
+
+/// E19's router configuration and its scenarios, churn included: the
+/// never-scaled baseline first, then the four scale shapes.
+fn e19_scenarios(quick: bool) -> (StreamConfig, Vec<ScenarioConfig>) {
     let (bins, ticks, rate): (usize, u64, usize) = if quick { (16, 64, 8) } else { (64, 240, 32) };
     let arrivals = ArrivalProcess::Uniform {
         keys: u64::MAX,
@@ -1584,57 +1637,11 @@ pub fn e19_autoscale(quick: bool) -> Table {
         ]
     };
 
-    // The never-scaled cluster sets the envelope every elastic run must
-    // re-enter: its worst transient gap plus the batched-model slack
-    // O(b/n + log n) with unit constants.
-    let baseline = run_scenario(
-        &scenarios[0].clone().with_churn(churn, warmup),
-        config.clone(),
-    );
-    let envelope = baseline.max_gap + config.batch_size as f64 / bins as f64 + (bins as f64).log2();
-
-    let mut table = Table::with_alignments(
-        "E19: elastic membership — autoscaling scenarios vs a never-scaled cluster (TwoChoice, \
-         final gap must re-enter the static envelope)",
-        &[
-            ("scenario", Align::Left),
-            ("events", Align::Right),
-            ("staged", Align::Right),
-            ("unapplied", Align::Right),
-            ("migrated", Align::Right),
-            ("arrived", Align::Right),
-            ("availability", Align::Right),
-            ("min active", Align::Right),
-            ("final gap", Align::Right),
-            ("max gap", Align::Right),
-            ("within envelope", Align::Left),
-            ("conserved", Align::Left),
-        ],
-    );
-    for scenario in &scenarios {
-        let scenario = scenario.clone().with_churn(churn, warmup);
-        let report = run_scenario(&scenario, config.clone());
-        let within = report.final_gap <= envelope;
-        table.push_row([
-            Cell::from(report.name.as_str()),
-            Cell::from(scenario.events.len()),
-            Cell::from(report.events_staged),
-            Cell::from(report.events_unapplied),
-            Cell::from(report.migrated),
-            Cell::from(report.arrived),
-            Cell::from(report.availability),
-            Cell::from(report.min_active_fraction),
-            Cell::from(report.final_gap),
-            Cell::from(report.max_gap),
-            Cell::from(if within { "yes" } else { "NO" }),
-            Cell::from(if report.router.conserves_balls() {
-                "yes"
-            } else {
-                "NO"
-            }),
-        ]);
-    }
-    table
+    let scenarios = scenarios
+        .into_iter()
+        .map(|scenario| scenario.with_churn(churn, warmup))
+        .collect();
+    (config, scenarios)
 }
 
 /// One experiment: its tables, in quick (`true`) or full mode.
@@ -1947,7 +1954,7 @@ mod tests {
         let t = e19_autoscale(true);
         // static baseline + ramp-up + flash crowd + rolling restart + scale-to-zero.
         assert_eq!(t.n_rows(), 5);
-        assert_eq!(t.n_cols(), 12);
+        assert_eq!(t.n_cols(), 11);
         let mut saw_migration = false;
         for row in t.rows() {
             let unapplied: u64 = row[3].0.parse().unwrap();
@@ -1956,14 +1963,8 @@ mod tests {
                 "{}: every scripted event must apply",
                 row[0].0
             );
-            let availability: f64 = row[6].0.parse().unwrap();
-            assert!(
-                (availability - 1.0).abs() < 1e-9,
-                "{}: staging must never pause routing",
-                row[0].0
-            );
-            assert_eq!(row[10].0, "yes", "{}: final gap outside envelope", row[0].0);
-            assert_eq!(row[11].0, "yes", "{}: conservation", row[0].0);
+            assert_eq!(row[9].0, "yes", "{}: final gap outside envelope", row[0].0);
+            assert_eq!(row[10].0, "yes", "{}: conservation", row[0].0);
             saw_migration |= row[4].0.parse::<u64>().unwrap() > 0;
         }
         assert!(
@@ -1972,6 +1973,20 @@ mod tests {
         );
         assert_eq!(t.rows()[0][0].0, "static-baseline");
         assert_eq!(t.rows()[0][4].0, "0", "the baseline never migrates");
+
+        // The engine itself rejects none of the events the driver staged.
+        let (config, scenarios) = e19_scenarios(true);
+        for scenario in &scenarios[1..] {
+            let registry = std::sync::Arc::new(pba_obs::MetricsRegistry::new());
+            let config = config.clone().reserve_bins(scenario.needed_reserve());
+            let router = pba_stream::ConcurrentRouter::with_metrics(config, registry.clone());
+            pba_stream::run_scenario_on(scenario, router);
+            let snap = registry.snapshot();
+            for verb in ["adds", "drains", "removes"] {
+                let rejected = snap.counter(&format!("membership.rejected_{verb}"));
+                assert_eq!(rejected, 0, "{}: rejected {verb}", scenario.name);
+            }
+        }
     }
 
     #[test]

@@ -181,10 +181,10 @@ fn commentary(title: &str) -> &'static str {
          spike), but once the topology settles, two-choice on stale loads re-converges — the \
          final gap must re-enter the never-scaled cluster's envelope (baseline max gap + b/n + \
          log₂ n, the Los–Sauerwald slack with unit constants). Structurally, every scripted \
-         event must apply (unapplied = 0; the driver defers events until legal rather than \
-         letting the engine reject them), availability must read 1.0 (staging never pauses the \
-         data path), every force-migration is counted by name in `membership.migrations`, and \
-         conservation must survive every topology change."
+         event must apply (unapplied = 0; the driver stages an event only once the membership \
+         state machine accepts it on the table the staged events will leave, rather than \
+         letting the engine reject it), every force-migration is counted by name in \
+         `membership.migrations`, and conservation must survive every topology change."
     }
         _ => "",
     }

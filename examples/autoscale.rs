@@ -38,19 +38,19 @@ fn run(scenario: &ScenarioConfig, config: StreamConfig) {
 
     println!(
         "{:>16}: {} events staged ({} unapplied), {} residents migrated, \
-         availability {:.3}, min active fraction {:.3}, final gap {:.3} (max {:.3})",
+         min active fraction {:.3}, final gap {:.3} (max {:.3})",
         report.name,
         report.events_staged,
         report.events_unapplied,
         report.migrated,
-        report.availability,
         report.min_active_fraction,
         report.final_gap,
         report.max_gap,
     );
 
-    // Every scripted event must have applied — the driver defers events
-    // until their precondition holds, so nothing is left pending.
+    // Every scripted event must have applied — the driver defers an event
+    // until the membership state machine accepts it, so nothing is left
+    // pending.
     assert_eq!(report.events_unapplied, 0, "scripted events must all apply");
 
     // Conservation through every topology change: arrived − departed =
@@ -82,8 +82,8 @@ fn run(scenario: &ScenarioConfig, config: StreamConfig) {
 
     // Retired slots must be empty: a bin leaves the cluster only after its
     // residents were released or migrated.
-    let states = router.bin_states();
-    for (bin, &state) in states.iter().enumerate() {
+    let membership = router.membership();
+    for (bin, &state) in membership.states().iter().enumerate() {
         if state == BinState::Retired {
             assert_eq!(router.load(bin), 0, "retired bin {bin} still holds load");
             assert_eq!(
@@ -96,7 +96,11 @@ fn run(scenario: &ScenarioConfig, config: StreamConfig) {
     println!(
         "{:>16}  conservation ok, zero silent drops, {} retired slots all empty\n",
         "",
-        states.iter().filter(|&&s| s == BinState::Retired).count()
+        membership
+            .states()
+            .iter()
+            .filter(|&&s| s == BinState::Retired)
+            .count()
     );
 }
 

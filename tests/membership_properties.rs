@@ -293,7 +293,10 @@ fn concurrent_single_caller_matches_stream_allocator_through_scale_events() {
         }
         assert_eq!(concurrent.loads(), reference.loads());
         assert_eq!(concurrent.gap_trajectory(), reference.gap_trajectory());
-        assert_eq!(concurrent.active_bins(), reference.membership().active());
+        assert_eq!(
+            concurrent.membership().active(),
+            reference.membership().active()
+        );
         assert_eq!(concurrent.stats().bins, 16, "15 survivors + 1 commissioned");
         assert!(concurrent.conserves_balls());
         assert!(reference.conserves_balls());
@@ -397,7 +400,7 @@ fn concurrent_scale_cycle_under_contention_conserves() {
     }
     // Scale events race the traffic: drain two bins, migrate, re-add.
     router.stage_membership(MembershipPlan::new().drain(0).drain(7));
-    while router.bin_states()[0] != BinState::Draining {
+    while router.membership().state(0) != BinState::Draining {
         std::thread::yield_now();
     }
     router.migrate_drained();
