@@ -790,6 +790,13 @@ impl ConcurrentRouter {
         side.table().clone()
     }
 
+    /// [`Self::membership`] and whether membership events wait for the next
+    /// boundary, read under one lock so no boundary falls between the two.
+    pub(crate) fn membership_and_staged(&self) -> (Membership, bool) {
+        let side = self.shared.membership.lock().expect("membership lock");
+        (side.table().clone(), !side.pending.is_empty())
+    }
+
     /// Fresh per-bin loads.
     pub fn loads(&self) -> Vec<u32> {
         self.shared.core.loads()

@@ -39,9 +39,13 @@
 //! ([`ConcurrentRouter::migrate_drained`]) first. Deferred events retry
 //! every following tick, so a script spaced tighter than the batch cadence
 //! still executes, just later, and the engine's `membership.rejected_*`
-//! counters stay at zero for any script. Events still pending when the
-//! ticks run out — an illegal one, say, a drain of the last active bin —
-//! are reported in [`ScenarioReport::events_unapplied`].
+//! counters stay at zero. The projection is reset to the applied table at
+//! every tick with nothing staged, so events staged on the router past the
+//! driver (before the run, or on a clone of the handle) enter it once a
+//! boundary applies them; until then the driver cannot see them, and the
+//! engine may reject a driver event they made illegal. Events still pending
+//! when the ticks run out — an illegal one, say, a drain of the last active
+//! bin — are reported in [`ScenarioReport::events_unapplied`].
 //!
 //! The four canonical scale shapes of experiment E19 ship as constructors:
 //!
@@ -523,8 +527,10 @@ struct Script<'a> {
     /// their script order).
     order: Vec<usize>,
     staged: Vec<bool>,
-    /// The router's applied table with every staged event applied in
-    /// staging order — what the engine's table becomes at its next boundary.
+    /// The router's applied table with every event the driver staged since
+    /// the last boundary applied in staging order — what the engine's table
+    /// becomes at its next boundary. Reset to the applied table at every
+    /// tick with nothing staged.
     projected: Membership,
     migrated: u64,
 }
@@ -546,7 +552,13 @@ impl<'a> Script<'a> {
     /// accepts on the projected table; returns how many it staged. A remove
     /// of a draining bin that still holds residents migrates them first.
     fn stage_due(&mut self, router: &ConcurrentRouter, tick: u64) -> usize {
-        let applied = router.membership();
+        let (applied, staged_ahead) = router.membership_and_staged();
+        if !staged_ahead {
+            // Nothing waits for a boundary, so the applied table is the
+            // projection; events staged past the driver (on a clone of the
+            // handle, or before the run) show here once applied.
+            self.projected = applied.clone();
+        }
         let draining = |bin: u32| applied.states().get(bin as usize) == Some(&BinState::Draining);
         // Routes can land on a bin until a boundary has applied its drain.
         let occupied = |bin: u32| {
@@ -909,24 +921,68 @@ mod tests {
 
     #[test]
     fn adds_staged_before_one_boundary_each_get_a_slot() {
+        use BinState::{Active as A, Draining as D, Retired as R};
         use MembershipEvent::{Add, Drain, Remove};
+        struct Row {
+            bins: usize,
+            script: &'static [(u64, MembershipEvent)],
+            reserve: usize,
+            unapplied: u64,
+            /// Accepted adds, drains and removes.
+            accepted: [u64; 3],
+            states: &'static [BinState],
+        }
+        const ADD: MembershipEvent = Add { weight: 1.0 };
         // Events due before one boundary, each of which is legal only
         // against the table the earlier ones leave: two adds with one free
-        // slot (the second waits for the slot the remove frees), one bin
-        // drained twice, both bins of two drained, one bin removed twice.
-        // Rows: bins, script of `(at_tick, event)`, events left unapplied.
-        let (add, drain, remove) = (
-            Add { weight: 1.0 },
-            |bin| Drain { bin },
-            |bin| Remove { bin },
-        );
-        let rows: [(usize, &[_], u64); 4] = [
-            (4, &[(0, drain(3)), (0, remove(3)), (0, add), (0, add)], 0),
-            (4, &[(0, drain(3)), (0, drain(3))], 1),
-            (2, &[(0, drain(0)), (0, drain(1))], 1),
-            (4, &[(0, drain(3)), (2, remove(3)), (2, remove(3))], 1),
+        // slot (the second waits for the slot the remove frees, so slot 3
+        // is reused and reserve slot 4 used), one bin drained twice, both
+        // bins of two drained, one bin removed twice.
+        let rows = [
+            Row {
+                bins: 4,
+                script: &[
+                    (0, Drain { bin: 3 }),
+                    (0, Remove { bin: 3 }),
+                    (0, ADD),
+                    (0, ADD),
+                ],
+                reserve: 1,
+                unapplied: 0,
+                accepted: [2, 1, 1],
+                states: &[A, A, A, A, A],
+            },
+            Row {
+                bins: 4,
+                script: &[(0, Drain { bin: 3 }), (0, Drain { bin: 3 })],
+                reserve: 0,
+                unapplied: 1,
+                accepted: [0, 1, 0],
+                states: &[A, A, A, D],
+            },
+            Row {
+                bins: 2,
+                script: &[(0, Drain { bin: 0 }), (0, Drain { bin: 1 })],
+                reserve: 0,
+                unapplied: 1,
+                accepted: [0, 1, 0],
+                states: &[D, A],
+            },
+            Row {
+                bins: 4,
+                script: &[
+                    (0, Drain { bin: 3 }),
+                    (2, Remove { bin: 3 }),
+                    (2, Remove { bin: 3 }),
+                ],
+                reserve: 0,
+                unapplied: 1,
+                accepted: [0, 1, 1],
+                states: &[A, A, A, R],
+            },
         ];
-        for (bins, script, unapplied) in rows {
+        for row in rows {
+            let script = row.script;
             let scenario = ScenarioConfig {
                 events: script
                     .iter()
@@ -934,26 +990,67 @@ mod tests {
                     .collect(),
                 ..ScenarioConfig::growth(40, uniform(8))
             };
+            assert_eq!(scenario.needed_reserve(), row.reserve, "{script:?}");
             let registry = std::sync::Arc::new(pba_obs::MetricsRegistry::new());
-            let config = StreamConfig::new(bins)
+            let config = StreamConfig::new(row.bins)
                 .batch_size(4)
                 .seed(1)
-                .reserve_bins(scenario.needed_reserve());
+                .reserve_bins(row.reserve);
             let router = ConcurrentRouter::with_metrics(config, registry.clone());
             let report = run_scenario_on(&scenario, router);
             let snap = registry.snapshot();
             let mut accepted = 0;
-            for verb in ["adds", "drains", "removes"] {
+            for (verb, expected) in ["adds", "drains", "removes"].into_iter().zip(row.accepted) {
                 let rejected = snap.counter(&format!("membership.rejected_{verb}"));
                 assert_eq!(rejected, 0, "{verb} of {script:?}");
-                accepted += snap.counter(&format!("membership.{verb}"));
+                let count = snap.counter(&format!("membership.{verb}"));
+                assert_eq!(count, expected, "{verb} of {script:?}");
+                accepted += count;
             }
             assert_eq!(
                 report.events_staged + report.events_unapplied,
                 script.len() as u64
             );
-            assert_eq!(report.events_unapplied, unapplied, "{script:?}");
+            assert_eq!(report.events_unapplied, row.unapplied, "{script:?}");
             assert_eq!(accepted, report.events_staged, "{script:?}");
+            assert_eq!(
+                report.router.membership().states(),
+                row.states,
+                "{script:?}"
+            );
         }
+    }
+
+    #[test]
+    fn events_staged_outside_the_driver_resync_its_projection() {
+        // A drain and an add staged on the router before the run reach the
+        // driver's projection once a boundary applies them: the scripted
+        // remove of the drained bin then goes through (without the resync
+        // it would stay deferred), and the scripted add reuses the slot it
+        // frees, since the router's own add took reserve slot 4.
+        let registry = std::sync::Arc::new(pba_obs::MetricsRegistry::new());
+        let config = StreamConfig::new(4).batch_size(4).seed(1).reserve_bins(2);
+        let router = ConcurrentRouter::with_metrics(config, registry.clone());
+        router.stage_membership(MembershipPlan::new().drain(1).add(1.0));
+        let scenario = ScenarioConfig {
+            events: vec![
+                ScaleEvent::new(0, MembershipEvent::Remove { bin: 1 }),
+                ScaleEvent::new(0, MembershipEvent::Add { weight: 1.0 }),
+            ],
+            ..ScenarioConfig::growth(40, uniform(8))
+        };
+        let report = run_scenario_on(&scenario, router);
+        assert_eq!(report.events_unapplied, 0);
+        let snap = registry.snapshot();
+        for verb in ["adds", "drains", "removes"] {
+            assert_eq!(
+                snap.counter(&format!("membership.rejected_{verb}")),
+                0,
+                "{verb}"
+            );
+        }
+        use BinState::{Active as A, Retired as R};
+        assert_eq!(report.router.membership().states(), &[A, A, A, A, A, R]);
+        assert!(report.router.conserves_balls());
     }
 }
