@@ -109,12 +109,6 @@ impl SplitMix64 {
         mix64(self.state)
     }
 
-    /// Next 32 uniformly random bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform integer in `[0, bound)`. Returns `0` when `bound == 0`.
     ///
     /// Uses rejection sampling on the top bits so the result is exactly uniform.

@@ -1,5 +1,6 @@
-//! The **commit** stage of the streaming pipeline: turning a group of keys —
-//! one drained batch, or one routed group — into bin placements.
+//! The **choose** step of the streaming pipeline's commit stage: turning a
+//! group of keys — one drained batch, or one routed group — into the bin of
+//! every ball.
 //!
 //! A commit is two steps, run by the one engine core for a drained batch and
 //! a routed group alike (which is how `route` ≡ `push` + `drain` holds):
@@ -11,18 +12,19 @@
 //!    runs on the calling thread, and only a batch long enough to pay for a
 //!    thread spawn ([`PARALLEL_MIN_SPAN`]) is cut into contiguous spans that
 //!    scoped threads run the same loop over.
-//! 2. **commit** ([`ShardedBins::place_group_with`]) — the chosen bins are
-//!    counted into a per-bin delta scratch, then committed with one atomic
-//!    add per distinct bin, one stats-lock acquisition per touched shard and
-//!    one `route.bin_commits` add per distinct bin. Always on the calling
+//! 2. **place** — the shard layer's grouped commit
+//!    ([`place_unrecorded_with`], then [`settle_group_with`]):
+//!    one atomic add and one `route.bin_commits` add per distinct bin, one
+//!    stats-lock acquisition per touched shard. Always on the calling
 //!    thread: at a few atomics per distinct bin there is nothing to fan out.
+//!
+//! [`place_unrecorded_with`]: crate::shard::ShardedBins::place_unrecorded_with
+//! [`settle_group_with`]: crate::shard::ShardedBins::settle_group_with
 
-use pba_obs::CounterVec;
 use rayon::prelude::*;
 use rayon::ThreadPool;
 
 use crate::policy::Chooser;
-use crate::shard::{GroupScratch, ShardedBins};
 
 /// Fewest balls a thread is handed in the choose step; a batch shorter than
 /// two such spans is chosen on the calling thread, so below that the thread
@@ -49,18 +51,7 @@ use crate::shard::{GroupScratch, ShardedBins};
 /// split, and this is half of it.
 pub const PARALLEL_MIN_SPAN: usize = 1 << 15;
 
-/// Reusable buffers of a commit, owned by whoever commits repeatedly (an
-/// engine's drain side, a routing thread), so a warmed commit allocates
-/// nothing.
-#[derive(Debug, Default)]
-pub(crate) struct CommitScratch {
-    /// The chosen bin of every ball of the group, in group order.
-    pub(crate) chosen: Vec<u32>,
-    /// The grouped commit's per-bin and per-shard counters.
-    pub(crate) group: GroupScratch,
-}
-
-/// Step 1 — choose: overwrites `chosen` with the bin of every item, in item
+/// Overwrites `chosen` with the bin of every item, in item
 /// order, on the threads `pool` allows (the engine's own
 /// [`StreamConfig::num_threads`](crate::StreamConfig::num_threads); `None`
 /// is the ambient count). A pure function of `(chooser, keys)`, so the spans
@@ -93,25 +84,12 @@ pub(crate) fn choose_into<K: Sync>(
     }
 }
 
-/// Step 2 — commit: places `scratch.chosen` (see
-/// [`ShardedBins::place_group_with`]), counting each distinct bin's balls
-/// into `bin_commits` when metrics are installed.
-pub(crate) fn place_chosen(
-    bins: &ShardedBins,
-    scratch: &mut CommitScratch,
-    bin_commits: Option<&CounterVec>,
-) {
-    bins.place_group_with(&scratch.chosen, &mut scratch.group, |bin, count| {
-        if let Some(bin_commits) = bin_commits {
-            bin_commits.add(bin, count as u64);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::{choose_bin, ChoiceCtx, Policy};
+    use crate::shard::{SettleScratch, ShardedBins};
+    use pba_obs::CounterVec;
 
     fn ctx(snapshot: &[u32]) -> ChoiceCtx<'_> {
         ChoiceCtx {
@@ -162,14 +140,17 @@ mod tests {
         let grouped = ShardedBins::new(30, 4);
         let looped = ShardedBins::new(30, 4);
         let commits = CounterVec::detached(30);
-        let mut scratch = CommitScratch::default();
+        let (mut chosen, mut scratch) = (Vec::new(), SettleScratch::default());
         let mut candidates = Vec::new();
         for policy in [Policy::TwoChoice, Policy::DChoice(3), Policy::OneChoice] {
             let chooser = Chooser::new(policy, &ctx);
-            let chosen = &mut scratch.chosen;
-            choose_into(&chooser, &keys, |&k| k, None, chosen);
-            place_chosen(&grouped, &mut scratch, Some(&commits));
-            for (&key, &bin) in keys.iter().zip(&scratch.chosen) {
+            choose_into(&chooser, &keys, |&k| k, None, &mut chosen);
+            grouped.place_unrecorded_with(&chosen, &mut scratch, |bin, count| {
+                commits.add(bin, count as u64)
+            });
+            let places = std::iter::repeat_n(true, chosen.len());
+            grouped.settle_group_with(&chosen, &[], places, &mut scratch);
+            for (&key, &bin) in keys.iter().zip(&chosen) {
                 assert_eq!(bin, choose_bin(policy, &ctx, key, &mut candidates));
                 looped.place(bin as usize);
             }

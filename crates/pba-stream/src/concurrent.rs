@@ -121,7 +121,7 @@ use pba_model::router::{
 use pba_model::weights::{normalized_loads, BinWeights, ResolvedWeights};
 use pba_stats::OnlineStats;
 
-use crate::commit::{self, CommitScratch};
+use crate::commit;
 use crate::engine::StreamConfig;
 use crate::ingress::{Inbox, PendingBall};
 use crate::metrics::StreamMetrics;
@@ -280,8 +280,10 @@ pub(crate) struct DrainSide {
     /// Arrivals in arrival order, not yet drained: the sole owner pushes
     /// here directly, the handle's drainer moves its inbox in whole.
     pub(crate) buffer: Vec<PendingBall>,
-    /// Scratch of the commit stage (reused).
-    commit: CommitScratch,
+    /// Scratch: the chosen bin of every ball of the batch being drained.
+    chosen: Vec<u32>,
+    /// Scratch of the batch's grouped load commit.
+    settle: SettleScratch,
     /// Scratch: per-bin capacity thresholds of the batch being drained.
     capacity: Vec<u32>,
 }
@@ -1977,18 +1979,20 @@ impl Core {
         let batch_size = self.config.batch_size;
         let DrainSide {
             buffer,
-            commit,
+            chosen,
+            settle,
             capacity,
         } = side;
+        let mut drain = |batch| self.drain_batch(writer, batch, chosen, settle, capacity);
         let mut drained = 0;
         let mut start = 0;
         while buffer.len() - start >= batch_size {
-            self.drain_batch(writer, &buffer[start..start + batch_size], commit, capacity);
+            drain(&buffer[start..start + batch_size]);
             start += batch_size;
             drained += 1;
         }
         if include_partial && start < buffer.len() {
-            self.drain_batch(writer, &buffer[start..], commit, capacity);
+            drain(&buffer[start..]);
             start = buffer.len();
             drained += 1;
         }
@@ -1997,13 +2001,14 @@ impl Core {
     }
 
     /// Allocates one pushed batch against the published snapshot — choose,
-    /// commit (the two steps of [`crate::commit`]) — and advances the
-    /// boundary.
+    /// then the grouped commit every served sub-group makes (the two steps
+    /// of [`crate::commit`]) — and advances the boundary.
     fn drain_batch(
         &self,
         writer: &mut Writer<'_>,
         batch: &[PendingBall],
-        scratch: &mut CommitScratch,
+        chosen: &mut Vec<u32>,
+        settle: &mut SettleScratch,
         capacity: &mut Vec<u32>,
     ) {
         // A batch starts here, so staged changes take effect — unless a
@@ -2015,15 +2020,10 @@ impl Core {
         let stale = self.published.load();
         let ctx = self.choice_ctx(&topology, &stale, threshold, capacity);
         let chooser = Chooser::new(self.config.policy, &ctx);
-        commit::choose_into(
-            &chooser,
-            batch,
-            |ball| ball.key,
-            self.pool.as_ref(),
-            &mut scratch.chosen,
-        );
-        let bin_commits = self.metrics.as_ref().map(|m| &m.bin_commits);
-        commit::place_chosen(&self.bins, scratch, bin_commits);
+        commit::choose_into(&chooser, batch, |ball| ball.key, self.pool.as_ref(), chosen);
+        self.place_unrecorded(chosen, settle);
+        let places = std::iter::repeat_n(true, chosen.len());
+        self.bins.settle_group_with(chosen, &[], places, settle);
         self.placed.fetch_add(batch.len() as u64, Ordering::AcqRel);
         if let Some(metrics) = &self.metrics {
             metrics.placed.add(batch.len() as u64);
@@ -2102,8 +2102,7 @@ mod tests {
 
     /// The choose half of a routed sub-group, as `route_many` runs it;
     /// returns the topology epoch the group chose under.
-    fn choose_group(core: &Core, group: &[u64], scratch: &mut CommitScratch) -> u64 {
-        let chosen = &mut scratch.chosen;
+    fn choose_group(core: &Core, group: &[u64], chosen: &mut Vec<u32>) -> u64 {
         let choose = |_: &Topology, chooser: &Chooser<'_>| {
             chosen.resize(group.len(), 0);
             chooser.choose_span(group, |&key| key, chosen)
@@ -2127,12 +2126,12 @@ mod tests {
             let router = settled_router();
             let core = &router.shared.core;
             let group = keys(size, 2);
-            let (mut scratch, mut settle) = (CommitScratch::default(), SettleScratch::default());
+            let (mut chosen, mut settle) = (Vec::new(), SettleScratch::default());
 
             // Step 1: the group chooses, under topology epoch 0.
-            let seen = choose_group(core, &group, &mut scratch);
+            let seen = choose_group(core, &group, &mut chosen);
             assert_eq!(seen, 0);
-            let first_choice = scratch.chosen.clone();
+            let first_choice = chosen.clone();
             let victim = first_choice[0] as usize;
             let hits = first_choice.iter().filter(|&&bin| bin as usize == victim);
             let hits = hits.count() as u64;
@@ -2150,8 +2149,8 @@ mod tests {
             // Step 3: the group commits. One look at the fresh topology; the
             // victim's whole delta comes back; exactly its keys move.
             let rechecks = topology_rechecks();
-            let base = core.commit_group(seen, &group, &mut scratch.chosen, &mut settle);
-            let tickets = core.ledger.issue_many(base, &scratch.chosen);
+            let base = core.commit_group(seen, &group, &mut chosen, &mut settle);
+            let tickets = core.ledger.issue_many(base, &chosen);
             assert_eq!(topology_rechecks() - rechecks, 1);
             assert_eq!(rejected_routes(&router), hits);
             assert_eq!(router.load(victim), load_before);
@@ -2193,15 +2192,15 @@ mod tests {
         // A publication that drains nothing costs the one commit it races
         // one look, rejects nothing and moves nobody.
         let group = keys(32, 3);
-        let (mut scratch, mut settle) = (CommitScratch::default(), SettleScratch::default());
-        let seen = choose_group(core, &group, &mut scratch);
-        let chosen = scratch.chosen.clone();
+        let (mut chosen, mut settle) = (Vec::new(), SettleScratch::default());
+        let seen = choose_group(core, &group, &mut chosen);
+        let first_choice = chosen.clone();
         apply_now(&router, |router| router.set_weights(BinWeights::Uniform));
         assert_eq!(core.topology.epoch(), 1);
-        let base = core.commit_group(seen, &group, &mut scratch.chosen, &mut settle);
-        core.ledger.issue_many(base, &scratch.chosen);
+        let base = core.commit_group(seen, &group, &mut chosen, &mut settle);
+        core.ledger.issue_many(base, &chosen);
         assert_eq!(topology_rechecks(), rechecks + 1);
-        assert_eq!((scratch.chosen, rejected_routes(&router)), (chosen, 0));
+        assert_eq!((chosen, rejected_routes(&router)), (first_choice, 0));
         router.route_many(&keys(32, 4)).unwrap();
         router.route(7).unwrap();
         assert_eq!(topology_rechecks(), rechecks + 1);

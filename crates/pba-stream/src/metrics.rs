@@ -156,41 +156,11 @@ impl StreamMetrics {
             registry,
         }
     }
-
-    /// Records one drained batch: the per-bin commits, the boundary gauges,
-    /// and the batch/placed totals. Called once per boundary — never inside
-    /// the choose loop — so instrumentation cost is amortised over the batch.
-    pub fn record_batch(&self, batch_bins: &[u32], gap: f64, resident: u64) {
-        self.batches.inc();
-        self.placed.add(batch_bins.len() as u64);
-        for &bin in batch_bins {
-            self.bin_commits.inc(bin as usize);
-        }
-        self.gap.set(gap);
-        self.resident.set(resident as f64);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_batch_accumulates_per_bin_and_totals() {
-        let registry = Arc::new(MetricsRegistry::new());
-        let metrics = StreamMetrics::resolve(Arc::clone(&registry), 4);
-        metrics.record_batch(&[0, 1, 1, 3], 0.75, 4);
-        metrics.record_batch(&[2], 0.25, 5);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("router.stream_batches"), 2);
-        assert_eq!(snap.counter("route.placed"), 5);
-        assert_eq!(
-            snap.counter_vecs.get("route.bin_commits").unwrap(),
-            &vec![1, 2, 1, 1]
-        );
-        assert_eq!(snap.gauge("router.stream_gap"), 0.25);
-        assert_eq!(snap.gauge("router.stream_resident"), 5.0);
-    }
 
     #[test]
     fn clones_share_underlying_cells() {

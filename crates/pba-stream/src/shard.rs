@@ -23,32 +23,21 @@ pub struct ShardStats {
     pub peak_load: u32,
 }
 
-/// Reusable scratch of the grouped commits
-/// ([`ShardedBins::place_group_with`], and the settle pair through
-/// [`SettleScratch`]):
-/// owned by whoever commits repeatedly, so a warmed commit allocates nothing.
-/// Every counter in it is zero between commits.
+/// Reusable scratch of a grouped commit — [`ShardedBins::place_unrecorded_with`]
+/// and then [`ShardedBins::settle_group_with`], the commit of every drained
+/// batch and every served sub-group — owned by whoever commits repeatedly (an
+/// engine's drain side, a caller thread), so a warmed commit allocates
+/// nothing. Every counter in it is zero between commits.
 #[derive(Debug, Default)]
-pub struct GroupScratch {
+pub struct SettleScratch {
     /// Balls of the group per bin.
     delta: Vec<u32>,
     /// Room for the bins with a non-zero delta, in first-touch order (as
-    /// long as the longest group committed so far).
+    /// long as the longest group counted so far).
     touched: Vec<u32>,
-    /// Per shard: balls committed, and the peak load among its touched bins.
-    shards: Vec<(u64, u32)>,
-}
-
-/// Reusable scratch of a group whose departures interleave with its places
-/// ([`ShardedBins::place_unrecorded_with`], then
-/// [`ShardedBins::settle_group_with`]), owned like a [`GroupScratch`].
-#[derive(Debug, Default)]
-pub struct SettleScratch {
-    /// Per-bin counting, as in the other grouped commits.
-    group: GroupScratch,
-    /// Per bin, during a settle: the running load relative to the group's
-    /// start, and its largest value at a place — `(0, i32::MIN)` between
-    /// commits.
+    /// Per bin, during a settle that walks the request order: the running
+    /// load relative to the group's start, and its largest value at a place
+    /// — `(0, i32::MIN)` between commits; empty until a group interleaves.
     running: Vec<(i32, i32)>,
     /// Per shard: the bookkeeping the open group owes it, zero between
     /// commits (the place half counts `accepted`).
@@ -144,70 +133,45 @@ impl ShardedBins {
     }
 
     /// Places `count` balls into `bin` with **one** atomic increment (no
-    /// shard stats; fold via [`ShardedBins::record_batch`]); returns the new
+    /// shard stats; the engine folds them in when it seeds); returns the new
     /// load. Used when whole per-bin populations are committed at once, e.g.
     /// seeding resident loads.
     pub fn place_many_unrecorded(&self, bin: usize, count: u32) -> u32 {
         self.bins.add_many(bin, count)
     }
 
-    /// Places a group of balls — one entry of `bins` per ball — committing
-    /// **one** atomic increment per distinct bin and taking each touched
-    /// shard's stats lock once; `per_bin(bin, count)` runs once per distinct
-    /// bin (the per-bin metrics hook). Equivalent to calling
-    /// [`ShardedBins::place`] once per entry: loads only grow inside a
-    /// commit, so the loop's running peak over a shard is the largest final
-    /// load among the bins the group touched there, which is exactly what
-    /// the grouped commit records. This is the commit of every drained batch
-    /// and every routed group.
-    pub fn place_group_with(
-        &self,
-        bins: &[u32],
-        scratch: &mut GroupScratch,
-        mut per_bin: impl FnMut(usize, u32),
-    ) {
-        let GroupScratch {
-            delta,
-            touched,
-            shards,
-        } = scratch;
-        shards.resize(self.shards, (0, 0));
-        for_each_distinct(bins, self.len(), delta, touched, |bin, count| {
-            let new_load = self.bins.add_many(bin, count);
-            let (accepted, peak) = &mut shards[self.shard_of(bin)];
-            *accepted += count as u64;
-            *peak = (*peak).max(new_load);
-            per_bin(bin, count);
-        });
-        for (shard, (accepted, peak)) in shards.iter_mut().enumerate() {
-            if *accepted > 0 {
-                self.record_batch(shard, *accepted, *peak);
-                (*accepted, *peak) = (0, 0);
-            }
-        }
-    }
-
-    /// [`ShardedBins::place_group_with`] on a scratch of its own: the
+    /// Places a group of balls — one entry of `bins` per ball — with **one**
+    /// atomic increment per distinct bin and one stats-lock acquisition per
+    /// touched shard: the grouped commit's pair, on a scratch of its own.
+    /// Equivalent to calling [`ShardedBins::place`] once per entry. The
     /// allocating convenience form, for callers that commit a group once.
     pub fn place_group(&self, bins: &[u32]) {
-        self.place_group_with(bins, &mut GroupScratch::default(), |_, _| {});
+        let mut scratch = SettleScratch::default();
+        self.place_unrecorded_with(bins, &mut scratch, |_, _| {});
+        let places = std::iter::repeat_n(true, bins.len());
+        self.settle_group_with(bins, &[], places, &mut scratch);
     }
 
     /// Places a group of balls — one entry of `bins` per ball — with **one**
     /// atomic increment per distinct bin, calling `per_bin(bin, count)` once
-    /// per distinct bin, and counts them as accepted into `scratch`, with
-    /// each shard's peak as [`ShardedBins::place_group_with`] takes it; the
-    /// shard stats are written by the [`ShardedBins::settle_group_with`]
-    /// that must follow. The first half of a group whose releases interleave
-    /// with its places.
+    /// per distinct bin (the per-bin metrics hook), and counts them as
+    /// accepted into `scratch`, each shard's peak the largest final load
+    /// among the bins the group touched there; the shard stats are written
+    /// by the [`ShardedBins::settle_group_with`] that must follow. Loads
+    /// only grow in this half, so that peak is the running peak of a loop
+    /// of [`ShardedBins::place`].
     pub fn place_unrecorded_with(
         &self,
         bins: &[u32],
         scratch: &mut SettleScratch,
         mut per_bin: impl FnMut(usize, u32),
     ) {
-        let SettleScratch { group, settled, .. } = scratch;
-        let GroupScratch { delta, touched, .. } = group;
+        let SettleScratch {
+            delta,
+            touched,
+            settled,
+            ..
+        } = scratch;
         settled.resize(self.shards, ShardStats::default());
         for_each_distinct(bins, self.len(), delta, touched, |bin, count| {
             let new_load = self.bins.add_many(bin, count);
@@ -228,7 +192,9 @@ impl ShardedBins {
     /// [`ShardedBins::place`] and [`ShardedBins::depart`] records. Once a
     /// departure precedes a place, loads can fall inside a group, so the
     /// largest final load is no longer the peak; until then it is, and the
-    /// peaks the place half took stand. Returns how many balls departed.
+    /// peaks the place half took stand. With `placed` or `departed` empty no
+    /// departure can precede a place, so `order` is not walked. Returns how
+    /// many balls departed.
     pub fn settle_group_with(
         &self,
         placed: &[u32],
@@ -237,20 +203,21 @@ impl ShardedBins {
         scratch: &mut SettleScratch,
     ) -> u64 {
         let SettleScratch {
-            group,
+            delta,
+            touched,
             running,
             settled,
         } = scratch;
-        let GroupScratch { delta, touched, .. } = group;
         settled.resize(self.shards, ShardStats::default());
-        running.resize(self.len(), (0, i32::MIN));
         let mut taken = 0u64;
         for_each_distinct(departed, self.len(), delta, touched, |bin, count| {
             let released = self.bins.try_release_many(bin, count) as u64;
             settled[self.shard_of(bin)].departed += released;
             taken += released;
         });
-        if order.clone().skip_while(|&place| place).any(|place| place) {
+        let mixed = !placed.is_empty() && !departed.is_empty();
+        if mixed && order.clone().skip_while(|&place| place).any(|place| place) {
+            running.resize(self.len(), (0, i32::MIN));
             self.settle_peaks(placed, departed, order, running, settled);
         }
         for (shard, owed) in settled.iter_mut().enumerate() {
@@ -304,8 +271,8 @@ impl ShardedBins {
         }
     }
 
-    /// Folds one batch's worth of per-shard bookkeeping under the shard lock.
-    pub fn record_batch(&self, shard: usize, accepted: u64, peak_load: u32) {
+    /// Folds seeded balls into shard `shard`'s bookkeeping under its lock.
+    pub(crate) fn record_batch(&self, shard: usize, accepted: u64, peak_load: u32) {
         let mut stats = self.stats[shard].lock().expect("shard lock");
         stats.accepted += accepted;
         stats.peak_load = stats.peak_load.max(peak_load);
@@ -472,7 +439,7 @@ mod tests {
         // One shard; shards that divide the bins and shards that do not; one
         // bin per shard; a single bin.
         let mut rng = SplitMix64::new(5);
-        let mut scratch = GroupScratch::default();
+        let mut scratch = SettleScratch::default();
         for (n, shards) in [(1, 1), (8, 1), (8, 4), (8, 3), (30, 4), (7, 7), (1000, 7)] {
             let grouped = ShardedBins::new(n, shards);
             let looped = ShardedBins::new(n, shards);
@@ -486,10 +453,12 @@ mod tests {
                     5 => vec![(n - 1) as u32; 5],
                     _ => (0..len).map(|_| rng.gen_index(n) as u32).collect(),
                 };
-                grouped.place_group_with(&group, &mut scratch, |bin, count| {
+                grouped.place_unrecorded_with(&group, &mut scratch, |bin, count| {
                     assert!(count > 0, "only touched bins are reported");
                     commits[bin] += count as u64;
                 });
+                let places = std::iter::repeat_n(true, group.len());
+                grouped.settle_group_with(&group, &[], places, &mut scratch);
                 for &bin in &group {
                     looped.place(bin as usize);
                     expected_commits[bin as usize] += 1;
@@ -554,6 +523,27 @@ mod tests {
                 assert_eq!(grouped.all_shard_stats(), looped.all_shard_stats(), "{at}");
             }
         }
+    }
+
+    #[test]
+    fn a_settle_walks_the_request_order_only_when_departures_meet_places() {
+        let sb = ShardedBins::new(8, 3);
+        let mut scratch = SettleScratch::default();
+        let group = [7, 0, 2, 2, 6];
+        sb.place_unrecorded_with(&group, &mut scratch, |_, _| {});
+        let places = std::iter::repeat_n(true, group.len());
+        sb.settle_group_with(&group, &[], places, &mut scratch);
+        assert!(scratch.running.is_empty(), "a departure-free settle");
+        // A place-free settle: what `release_group` runs.
+        let departures = std::iter::repeat_n(false, 3);
+        sb.settle_group_with(&[], &[2, 6, 0], departures, &mut scratch);
+        assert!(scratch.running.is_empty(), "a place-free settle");
+        // A departure before a place: the walk runs, and leaves every slot
+        // of `running` at rest.
+        sb.place_unrecorded_with(&[2], &mut scratch, |_, _| {});
+        sb.settle_group_with(&[2], &[7], [false, true].into_iter(), &mut scratch);
+        assert_eq!(scratch.running, vec![(0, i32::MIN); 8]);
+        assert_eq!(sb.snapshot(), vec![0, 0, 2, 0, 0, 0, 0, 0]);
     }
 
     #[test]

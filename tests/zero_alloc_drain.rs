@@ -1,9 +1,12 @@
 //! Counting-allocator proof that a warmed streaming drain touches the heap
 //! **zero** times: one tick — `batch` pushes and the `drain_ready` that
 //! chooses, commits and closes the batch — reuses the engine's own buffers
-//! for everything (the pending balls, the chosen bins, the commit's per-bin
-//! deltas, the capacity thresholds, the stale snapshot, the active-load
-//! gather of a membership engine, the capped gap trajectory). At the
+//! for everything (the pending balls, the chosen bins, the grouped commit's
+//! per-bin deltas and per-shard bookkeeping, the capacity thresholds, the
+//! stale snapshot, the active-load gather of a membership engine, the capped
+//! gap trajectory). Both shells are ticked: the owned `StreamAllocator`, and
+//! the shared `ConcurrentRouter` handle, whose pushes go through its inbox
+//! and whose drain swaps that inbox into its locked drain side. At the
 //! benchmark's batch size the drain also runs on the calling thread whatever
 //! `num_threads` says, so no thread is spawned either.
 //!
@@ -18,7 +21,9 @@ use std::sync::Arc;
 use counting_alloc::allocations_during;
 use parallel_balanced_allocations::model::rng::SplitMix64;
 use parallel_balanced_allocations::prelude::*;
-use parallel_balanced_allocations::stream::{Policy, StreamAllocator, StreamConfig};
+use parallel_balanced_allocations::stream::{
+    ConcurrentRouter, Policy, StreamAllocator, StreamConfig,
+};
 
 const BINS: usize = 1024;
 const BATCH: usize = 4096;
@@ -26,11 +31,18 @@ const BATCH: usize = 4096;
 /// measured ticks include its compaction.
 const TRAJECTORY_CAP: usize = 8;
 
-fn tick(engine: &mut StreamAllocator, keys: &mut SplitMix64) {
-    for _ in 0..BATCH {
-        engine.push(keys.next_u64());
-    }
-    assert_eq!(engine.drain_ready(), 1);
+/// Warms an engine with ticks of `tick` (push one batch, drain it), then
+/// asserts that as many ticks again allocate nothing.
+fn assert_warm_ticks_never_allocate(at: &str, mut tick: impl FnMut(&mut SplitMix64) -> usize) {
+    let mut keys = SplitMix64::new(0xd7a1);
+    let mut ticks = |keys: &mut SplitMix64| {
+        for _ in 0..4 * TRAJECTORY_CAP {
+            assert_eq!(tick(keys), 1);
+        }
+    };
+    ticks(&mut keys);
+    let allocations = allocations_during(|| ticks(&mut keys));
+    assert_eq!(allocations, 0, "{at}: a warmed tick allocated");
 }
 
 #[test]
@@ -70,33 +82,34 @@ fn a_warmed_push_and_drain_tick_never_touches_the_heap() {
             if weighted {
                 config = config.weights(tiers.clone());
             }
-            let mut engine = StreamAllocator::new(config);
-            engine.install_metrics(Arc::new(MetricsRegistry::new()));
+            let mut owned = StreamAllocator::new(config.clone());
+            owned.install_metrics(Arc::new(MetricsRegistry::new()));
+            let shared = ConcurrentRouter::with_metrics(config, Arc::new(MetricsRegistry::new()));
             if gapped {
                 let mut plan = MembershipPlan::new();
                 for bin in (0..BINS as u32).step_by(16) {
                     plan = plan.drain(bin);
                 }
-                engine.stage_membership(plan);
+                owned.stage_membership(plan.clone());
+                shared.stage_membership(plan);
             }
-            let mut keys = SplitMix64::new(0xd7a1);
-            for _ in 0..4 * TRAJECTORY_CAP {
-                tick(&mut engine, &mut keys);
-            }
-            let allocations = allocations_during(|| {
-                for _ in 0..4 * TRAJECTORY_CAP {
-                    tick(&mut engine, &mut keys);
+            let at = format!("{name}, num_threads({threads})");
+            assert_warm_ticks_never_allocate(&format!("{at}, StreamAllocator"), |keys| {
+                for _ in 0..BATCH {
+                    owned.push(keys.next_u64());
                 }
+                owned.drain_ready()
             });
-            assert_eq!(
-                allocations, 0,
-                "{name}, num_threads({threads}): a warmed tick allocated"
-            );
-            assert!(engine.conserves_balls());
-            assert_eq!(
-                engine.gap_trajectory().len().min(TRAJECTORY_CAP),
-                TRAJECTORY_CAP
-            );
+            assert_warm_ticks_never_allocate(&format!("{at}, ConcurrentRouter"), |keys| {
+                for _ in 0..BATCH {
+                    shared.push(keys.next_u64());
+                }
+                shared.drain_ready()
+            });
+            assert!(owned.conserves_balls() && shared.conserves_balls());
+            for trajectory in [owned.gap_trajectory(), &shared.gap_trajectory()] {
+                assert_eq!(trajectory.len().min(TRAJECTORY_CAP), TRAJECTORY_CAP);
+            }
         }
     }
 }
