@@ -1,8 +1,8 @@
 //! [`SharedTicketLedger`]: the resident-ball table behind every router.
 //!
 //! **Layout.** The bins are cut into contiguous shards, one mutex each (the
-//! same `⌊bin·S/n⌋` partition the streaming engine's `ShardedBins` uses). A
-//! ball's **home** is the shard of the bin it was issued to, and it keeps
+//! `⌊bin·S/n⌋` partition, `S` the streaming engine's configured shard
+//! count). A ball's **home** is the shard of the bin it was issued to, and it keeps
 //! that home, and its slot there, for life. A shard is a **slab**: a `Vec` of
 //! 16-byte entries `{ id, bin, idx }` whose vacant slots form a LIFO free
 //! list threaded through the entries themselves, plus one occupancy list of

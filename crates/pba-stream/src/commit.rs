@@ -12,19 +12,17 @@
 //!    runs on the calling thread, and only a batch long enough to pay for a
 //!    thread spawn ([`PARALLEL_MIN_SPAN`]) is cut into contiguous spans that
 //!    scoped threads run the same loop over.
-//! 2. **place** — the shard layer's grouped commit
-//!    ([`place_unrecorded_with`], then [`settle_group_with`]):
-//!    one atomic add and one `route.bin_commits` add per distinct bin, one
-//!    stats-lock acquisition per touched shard. Always on the calling
-//!    thread: at a few atomics per distinct bin there is nothing to fan out.
+//! 2. **place** — the shard layer's grouped commit ([`place_counted`]):
+//!    one atomic add and one `route.bin_commits` add per distinct bin, no
+//!    lock. Always on the calling thread: at a few atomics per distinct bin
+//!    there is nothing to fan out.
 //!
-//! [`place_unrecorded_with`]: crate::shard::ShardedBins::place_unrecorded_with
-//! [`settle_group_with`]: crate::shard::ShardedBins::settle_group_with
+//! [`place_counted`]: crate::shard::ShardedBins::place_counted
 
 use rayon::prelude::*;
 use rayon::ThreadPool;
 
-use crate::policy::Chooser;
+use crate::policy::{Chooser, Keyed};
 
 /// Fewest balls a thread is handed in the choose step; a batch shorter than
 /// two such spans is chosen on the calling thread, so below that the thread
@@ -58,17 +56,16 @@ pub const PARALLEL_MIN_SPAN: usize = 1 << 15;
 /// of a long batch can run in any order on any thread and still fill the
 /// same vector: each span is [`Chooser::choose_span`] over its own window of
 /// `chosen`. A routed group never spawns: it calls `choose_span` itself.
-pub(crate) fn choose_into<K: Sync>(
+pub(crate) fn choose_into<K: Keyed + Sync>(
     chooser: &Chooser<'_>,
     items: &[K],
-    key_of: impl Fn(&K) -> u64 + Sync,
     pool: Option<&ThreadPool>,
     chosen: &mut Vec<u32>,
 ) {
     // Every slot is overwritten below; only the length matters.
     chosen.resize(items.len(), 0);
     if items.len() < 2 * PARALLEL_MIN_SPAN {
-        return chooser.choose_span(items, key_of, chosen);
+        return chooser.choose_span(items, chosen);
     }
     let spans: Vec<&[K]> = items.chunks(PARALLEL_MIN_SPAN).collect();
     let mut run = || {
@@ -76,7 +73,7 @@ pub(crate) fn choose_into<K: Sync>(
             .par_chunks_mut(PARALLEL_MIN_SPAN)
             .zip(spans.par_iter())
             .with_min_len(1)
-            .for_each(|(window, span)| chooser.choose_span(span, &key_of, window))
+            .for_each(|(window, span)| chooser.choose_span(span, window))
     };
     match pool {
         Some(pool) => pool.install(run),
@@ -88,7 +85,7 @@ pub(crate) fn choose_into<K: Sync>(
 mod tests {
     use super::*;
     use crate::policy::{choose_bin, ChoiceCtx, Policy};
-    use crate::shard::{SettleScratch, ShardedBins};
+    use crate::shard::{GroupCounts, ShardedBins};
     use pba_obs::CounterVec;
 
     fn ctx(snapshot: &[u32]) -> ChoiceCtx<'_> {
@@ -121,8 +118,8 @@ mod tests {
             .expect("pool");
         let mut inline = vec![0; keys.len()];
         let mut pooled = Vec::new();
-        chooser.choose_span(&keys, |&k| k, &mut inline);
-        choose_into(&chooser, &keys, |&k| k, Some(&pool), &mut pooled);
+        chooser.choose_span(&keys, &mut inline);
+        choose_into(&chooser, &keys, Some(&pool), &mut pooled);
         assert_eq!(inline, pooled);
         let mut candidates = Vec::new();
         for (at, &key) in keys.iter().enumerate().step_by(997) {
@@ -136,27 +133,23 @@ mod tests {
         let snapshot: Vec<u32> = (0..30u32).map(|i| (i * 7) % 5).collect();
         let ctx = ctx(&snapshot);
         let keys: Vec<u64> = (0..500u64).map(|id| id * 31 + 5).collect();
-        // 30 bins in 4 shards: the shard ranges are uneven.
         let grouped = ShardedBins::new(30, 4);
         let looped = ShardedBins::new(30, 4);
         let commits = CounterVec::detached(30);
-        let (mut chosen, mut scratch) = (Vec::new(), SettleScratch::default());
+        let (mut chosen, mut counts) = (Vec::new(), GroupCounts::default());
         let mut candidates = Vec::new();
         for policy in [Policy::TwoChoice, Policy::DChoice(3), Policy::OneChoice] {
             let chooser = Chooser::new(policy, &ctx);
-            choose_into(&chooser, &keys, |&k| k, None, &mut chosen);
-            grouped.place_unrecorded_with(&chosen, &mut scratch, |bin, count| {
+            choose_into(&chooser, &keys, None, &mut chosen);
+            grouped.place_counted(&chosen, &mut counts, |bin, count| {
                 commits.add(bin, count as u64)
             });
-            let places = std::iter::repeat_n(true, chosen.len());
-            grouped.settle_group_with(&chosen, &[], places, &mut scratch);
             for (&key, &bin) in keys.iter().zip(&chosen) {
                 assert_eq!(bin, choose_bin(policy, &ctx, key, &mut candidates));
                 looped.place(bin as usize);
             }
         }
         assert_eq!(grouped.snapshot(), looped.snapshot());
-        assert_eq!(grouped.all_shard_stats(), looped.all_shard_stats());
         let loads: Vec<u64> = looped.snapshot().iter().map(|&l| l as u64).collect();
         assert_eq!(commits.values(), loads);
     }

@@ -51,7 +51,7 @@
 //!   stage).
 //! * [`StreamAllocator`](crate::StreamAllocator) — the sole owner — keeps
 //!   them as plain fields and lends by reborrowing, so nothing is locked, its
-//!   accessors hand out references, and its `push` is two plain increments
+//!   accessors hand out references, and its `push` is one plain increment
 //!   and a `Vec` push into that same buffer.
 //!
 //! ## Determinism contract
@@ -63,9 +63,9 @@
 //! directly — and stamping under the inbox lock keeps the inbox in arrival
 //! order, so with one caller thread `push`/`drain_ready`/`flush` on the
 //! handle are bit-identical to the sole owner's: same loads, same gap
-//! trajectory, same shard stats, same batch count, for every policy
+//! trajectory, same batch count, for every policy
 //! (`tests/concurrent_properties.rs`, `tests/golden/drain.snap`). Candidate
-//! bins are a pure hash of `(seed, key)`, so each shard's placements are
+//! bins are a pure hash of `(seed, key)`, so every placement is
 //! reproducible from the arrival sequence alone.
 //!
 //! With **k caller threads**, placements of a batch race the boundary: a
@@ -127,7 +127,7 @@ use crate::ingress::{Inbox, PendingBall};
 use crate::metrics::StreamMetrics;
 use crate::observer::GapTrajectoryObserver;
 use crate::policy::{ChoiceCtx, Chooser};
-use crate::shard::{SettleScratch, ShardStats, ShardedBins};
+use crate::shard::{GroupCounts, ShardedBins};
 use crate::snapshot::{self, uses_thresholds, StreamSnapshot};
 
 #[cfg(test)]
@@ -152,8 +152,8 @@ thread_local! {
 struct GroupCommit {
     /// The chosen bins of a sub-group's routes.
     chosen: Vec<u32>,
-    /// The grouped load commit's counters.
-    settle: SettleScratch,
+    /// The grouped load commits' per-bin counts.
+    counts: GroupCounts,
     /// The route keys of the sub-group being served.
     keys: Vec<u64>,
     /// The bins its releases took balls out of, in request order.
@@ -283,7 +283,7 @@ pub(crate) struct DrainSide {
     /// Scratch: the chosen bin of every ball of the batch being drained.
     chosen: Vec<u32>,
     /// Scratch of the batch's grouped load commit.
-    settle: SettleScratch,
+    counts: GroupCounts,
     /// Scratch: per-bin capacity thresholds of the batch being drained.
     capacity: Vec<u32>,
 }
@@ -385,7 +385,7 @@ impl MembershipSide {
 #[derive(Debug)]
 pub(crate) struct Core {
     config: StreamConfig,
-    /// Lock-free load counters + per-shard stats.
+    /// Lock-free load counters.
     bins: ShardedBins,
     /// The epoch-published stale snapshot every route decides from.
     published: EpochCell<Vec<u32>>,
@@ -395,13 +395,15 @@ pub(crate) struct Core {
     route_thresholds: RwLock<Arc<OnceLock<RouteThresholds>>>,
     /// Balls routed since the last routed-batch boundary.
     open_routed: AtomicU64,
-    /// Next ball id (route and push share the arrival sequence).
+    /// Next ball id (route and push share the arrival sequence): every
+    /// arrival but the seeded balls.
     next_ball: AtomicU64,
-    arrived: AtomicU64,
+    /// Anonymous balls seeded at construction, arrived and placed at once.
+    seeded: u64,
     placed: AtomicU64,
+    /// Balls departed — every one a released ticket.
     departed: AtomicU64,
     routed: AtomicU64,
-    released: AtomicU64,
     /// External observer sinks (see [`ObserverChain`] for the lock order).
     observers: Mutex<ObserverChain>,
     /// Fast-path guard: skip the observer lock on routes/releases when no
@@ -568,10 +570,9 @@ impl ConcurrentRouter {
     /// each sub-group pays the per-route overhead **once**: one topology
     /// read, one thresholds fetch (priced lazily like the first route of a
     /// batch), one epoch-cell read, one grouped load commit
-    /// ([`ShardedBins::place_unrecorded_with`]) with one draining recheck
-    /// after it (an epoch compare; see the module docs), one ledger lock per
-    /// touched shard ([`SharedTicketLedger::settle`]), one shard-stats lock
-    /// per touched shard and whole-group counter adds.
+    /// ([`ShardedBins::place_counted`]) with one draining recheck after it
+    /// (an epoch compare; see the module docs), one ledger lock per touched
+    /// shard ([`SharedTicketLedger::settle`]) and whole-group counter adds.
     ///
     /// With one caller this is bit-identical to looping
     /// [`ConcurrentRouter::route`], a group of one (property-tested across
@@ -659,13 +660,12 @@ impl ConcurrentRouter {
     /// sub-group's routes are chosen under one view and committed with one
     /// draining recheck; one ledger pass ([`SharedTicketLedger::settle`])
     /// then issues and redeems in request order, locking each touched shard
-    /// once; the released balls depart in one grouped decrement, shard
-    /// stats are written once per touched shard — peaks from each bin's
-    /// running load in request order — and counters are added once.
+    /// once; the released balls depart in one grouped decrement, and
+    /// counters are added once.
     ///
     /// With one caller this leaves every observable exactly as serving the
     /// requests one at a time does — tickets, loads, snapshot epochs, the
-    /// gap trajectory, counters and [`ShardStats`] (property-tested). When
+    /// gap trajectory and counters (property-tested). When
     /// the open batch has no route yet and its first route will price
     /// thresholds or apply staged changes, releases ahead of that route are
     /// settled first, so both see them as the loop does. Observers hear each
@@ -903,11 +903,6 @@ impl ConcurrentRouter {
         self.shared.core.ticket_in(bin)
     }
 
-    /// Per-shard bookkeeping.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shared.core.shard_stats()
-    }
-
     /// A full point-in-time snapshot. Counters are read individually (no
     /// stop-the-world), so under concurrent traffic the fields are each
     /// correct but may straddle in-flight operations; at quiescence the
@@ -989,14 +984,13 @@ impl Core {
             route_thresholds: RwLock::new(Arc::new(OnceLock::new())),
             open_routed: AtomicU64::new(0),
             next_ball: AtomicU64::new(0),
-            arrived: AtomicU64::new(0),
+            seeded: 0,
             placed: AtomicU64::new(0),
             departed: AtomicU64::new(0),
             routed: AtomicU64::new(0),
-            released: AtomicU64::new(0),
             observers: Mutex::new(ObserverChain(Vec::new())),
             has_observers: AtomicBool::new(false),
-            ledger: SharedTicketLedger::new(capacity, bins.shard_count()),
+            ledger: SharedTicketLedger::new(capacity, config.shards),
             topology: EpochCell::new(Topology::of(&table)),
             has_pending_membership: AtomicBool::new(false),
             pool: (config.num_threads > 0).then(|| {
@@ -1034,31 +1028,21 @@ impl Core {
                 self.bins.place_many_unrecorded(bin, load);
             }
         }
-        // Fold the seeded balls into the shard bookkeeping so stats stay
-        // consistent with an engine that placed them one by one.
-        for s in 0..self.bins.shard_count() {
-            let range = self.bins.shard_start(s)..self.bins.shard_start(s + 1);
-            let accepted: u64 = loads[range.clone()].iter().map(|&l| l as u64).sum();
-            let peak = loads[range].iter().copied().max().unwrap_or(0);
-            self.bins.record_batch(s, accepted, peak);
-        }
         let total = self.bins.total();
         *self.placed.get_mut() = total;
-        *self.arrived.get_mut() = total;
+        self.seeded = total;
         self.published = EpochCell::new(loads.to_vec());
     }
 
     /// Stamps one arrival from any thread: the next id of the sequence route
     /// and push share.
     fn stamp(&self) -> u64 {
-        self.arrived.fetch_add(1, Ordering::AcqRel);
         self.next_ball.fetch_add(1, Ordering::AcqRel)
     }
 
     /// [`Core::stamp`] for the sole owner: `&mut` proves no other thread can
-    /// be stamping, so both counters advance by plain increments.
+    /// be stamping, so the counter advances by a plain increment.
     pub(crate) fn stamp_owned(&mut self) -> u64 {
-        *self.arrived.get_mut() += 1;
         let next = self.next_ball.get_mut();
         *next += 1;
         *next - 1
@@ -1185,9 +1169,9 @@ impl Core {
 
     /// Serves one sub-group in one pass: its routes chosen under one view and
     /// committed with one draining recheck, one ledger pass that issues and
-    /// redeems in request order, the redeemed balls departed and every
-    /// touched shard's stats written once, then the counters added once and
-    /// the batch closed if the sub-group filled it.
+    /// redeems in request order, the redeemed balls departed in one grouped
+    /// decrement, then the counters added once and the batch closed if the
+    /// sub-group filled it.
     fn serve_group<R>(
         &self,
         writer: &mut Writer<'_>,
@@ -1203,7 +1187,7 @@ impl Core {
         let taken = GROUP_COMMIT.with(|scratch| {
             let GroupCommit {
                 chosen,
-                settle,
+                counts,
                 keys,
                 departed,
                 ..
@@ -1217,25 +1201,21 @@ impl Core {
                 // Read once per sub-group what `route` reads once per key.
                 let (seen, ()) = self.with_route_chooser(|_, chooser| {
                     chosen.resize(keys.len(), 0);
-                    chooser.choose_span(keys, |&key| key, chosen)
+                    chooser.choose_span(keys, chosen)
                 });
-                self.commit_group(seen, keys, chosen, settle)
+                self.commit_group(seen, keys, chosen, counts)
             } else {
                 chosen.clear();
                 0
             };
             self.ledger.settle(group, kind, base, chosen, out);
-            let served = || group.iter().map(kind).zip(&out[settled..]);
+            let served = group.iter().map(kind).zip(&out[settled..]);
             departed.clear();
-            departed.extend(served().filter_map(|(request, ticket)| match request {
+            departed.extend(served.filter_map(|(request, ticket)| match request {
                 WireRequest::Route(_) => None,
                 WireRequest::Release(_) => ticket.map(|ticket| ticket.bin() as u32),
             }));
-            let order = served().filter_map(|(request, ticket)| match request {
-                WireRequest::Route(_) => Some(true),
-                WireRequest::Release(_) => ticket.map(|_| false),
-            });
-            let taken = self.bins.settle_group_with(chosen, departed, order, settle);
+            let taken = self.bins.release_counted(departed, counts);
             // Every redeemed ball held a load unit: nothing can underflow
             // unless ledger and bins diverged (a bug, as in `migrate_drained`).
             assert_eq!(
@@ -1245,7 +1225,6 @@ impl Core {
             );
             if taken > 0 {
                 self.departed.fetch_add(taken, Ordering::AcqRel);
-                self.released.fetch_add(taken, Ordering::AcqRel);
                 if let Some(metrics) = &self.metrics {
                     metrics.released.add(taken);
                 }
@@ -1317,24 +1296,22 @@ impl Core {
     }
 
     /// Commits the routes of a sub-group chosen under topology epoch `seen` —
-    /// one atomic increment per distinct bin, shard stats left for
-    /// [`ShardedBins::settle_group_with`] — re-routes whatever a scale event
-    /// published since has drained from under it, and returns the group's
-    /// first ball id, for the ledger to ticket `chosen` from.
+    /// one atomic increment per distinct bin — re-routes whatever a scale
+    /// event published since has drained from under it, and returns the
+    /// group's first ball id, for the ledger to ticket `chosen` from.
     fn commit_group(
         &self,
         seen: u64,
         group: &[u64],
         chosen: &mut [u32],
-        scratch: &mut SettleScratch,
+        counts: &mut GroupCounts,
     ) -> u64 {
-        self.place_unrecorded(chosen, scratch);
+        self.place(chosen, counts);
         if self.topology_moved_since(seen) {
-            self.reroute_drained(group, chosen, scratch);
+            self.reroute_drained(group, chosen, counts);
         }
         let take = group.len() as u64;
         let base = self.next_ball.fetch_add(take, Ordering::AcqRel);
-        self.arrived.fetch_add(take, Ordering::AcqRel);
         self.placed.fetch_add(take, Ordering::AcqRel);
         self.routed.fetch_add(take, Ordering::AcqRel);
         if let Some(metrics) = &self.metrics {
@@ -1344,16 +1321,15 @@ impl Core {
         base
     }
 
-    /// Places `bins` into the group `scratch` holds open, one atomic
-    /// increment per distinct bin, each counted under `bin_commits`.
-    fn place_unrecorded(&self, bins: &[u32], scratch: &mut SettleScratch) {
+    /// Places `bins`, one atomic increment per distinct bin, each counted
+    /// under `bin_commits`.
+    fn place(&self, bins: &[u32], counts: &mut GroupCounts) {
         let bin_commits = self.metrics.as_ref().map(|m| &m.bin_commits);
-        self.bins
-            .place_unrecorded_with(bins, scratch, |bin, count| {
-                if let Some(bin_commits) = bin_commits {
-                    bin_commits.add(bin, count as u64);
-                }
-            });
+        self.bins.place_counted(bins, counts, |bin, count| {
+            if let Some(bin_commits) = bin_commits {
+                bin_commits.add(bin, count as u64);
+            }
+        });
     }
 
     /// The cold half of a grouped commit's draining recheck, once a topology
@@ -1363,7 +1339,7 @@ impl Core {
     /// `membership.rejected_routes_to_draining`, re-chosen under that same
     /// view and placed again — then the re-placed balls are rechecked, until
     /// no publication came in between.
-    fn reroute_drained(&self, keys: &[u64], chosen: &mut [u32], scratch: &mut SettleScratch) {
+    fn reroute_drained(&self, keys: &[u64], chosen: &mut [u32], counts: &mut GroupCounts) {
         let mut moving: Vec<usize> = (0..chosen.len()).collect();
         loop {
             let mut undone = Vec::new();
@@ -1391,7 +1367,7 @@ impl Core {
                 }
             }
             let again: Vec<u32> = moving.iter().map(|&at| chosen[at]).collect();
-            self.place_unrecorded(&again, scratch);
+            self.place(&again, counts);
             if !self.topology_moved_since(seen) {
                 return;
             }
@@ -1423,7 +1399,6 @@ impl Core {
             return Err(RouteError::UnknownTicket { ticket });
         };
         self.departed.fetch_add(1, Ordering::AcqRel);
-        self.released.fetch_add(1, Ordering::AcqRel);
         if let Some(metrics) = &self.metrics {
             metrics.released.inc();
         }
@@ -1585,11 +1560,6 @@ impl Core {
         self.ledger.resident_in(bin)
     }
 
-    /// Per-shard bookkeeping.
-    pub(crate) fn shard_stats(&self) -> Vec<ShardStats> {
-        self.bins.all_shard_stats()
-    }
-
     /// A full point-in-time snapshot; `pending` and `batches` are the
     /// shell's to supply.
     pub(crate) fn snapshot(&self, pending: u64, batches: u64) -> StreamSnapshot {
@@ -1597,7 +1567,7 @@ impl Core {
         StreamSnapshot::assemble(
             self.bins.snapshot(),
             (*self.published.load()).clone(),
-            self.arrived.load(Ordering::Acquire),
+            self.arrived(),
             self.placed.load(Ordering::Acquire),
             self.departed.load(Ordering::Acquire),
             pending,
@@ -1611,8 +1581,12 @@ impl Core {
     /// `arrived == placed + pending`.
     pub(crate) fn conserves_balls(&self, pending: u64) -> bool {
         let placed = self.placed.load(Ordering::Acquire);
-        let arrived = self.arrived.load(Ordering::Acquire);
-        self.resident_now() == self.bins.total() && arrived == placed + pending
+        self.resident_now() == self.bins.total() && self.arrived() == placed + pending
+    }
+
+    /// Balls arrived so far: the seeded ones and every id stamped.
+    fn arrived(&self) -> u64 {
+        self.seeded + self.next_ball.load(Ordering::Acquire)
     }
 
     /// Aggregate routing statistics; `batches` is the shell's to supply.
@@ -1621,7 +1595,7 @@ impl Core {
         let topology = self.topology.load();
         RouterStats {
             routed: self.routed.load(Ordering::Acquire),
-            released: self.released.load(Ordering::Acquire),
+            released: self.departed.load(Ordering::Acquire),
             resident: loads.iter().map(|&l| l as u64).sum(),
             bins: topology.active.len(),
             batches,
@@ -1980,10 +1954,10 @@ impl Core {
         let DrainSide {
             buffer,
             chosen,
-            settle,
+            counts,
             capacity,
         } = side;
-        let mut drain = |batch| self.drain_batch(writer, batch, chosen, settle, capacity);
+        let mut drain = |batch| self.drain_batch(writer, batch, chosen, counts, capacity);
         let mut drained = 0;
         let mut start = 0;
         while buffer.len() - start >= batch_size {
@@ -2001,14 +1975,14 @@ impl Core {
     }
 
     /// Allocates one pushed batch against the published snapshot — choose,
-    /// then the grouped commit every served sub-group makes (the two steps
-    /// of [`crate::commit`]) — and advances the boundary.
+    /// then the grouped commit every served sub-group's routes make (the two
+    /// steps of [`crate::commit`]) — and advances the boundary.
     fn drain_batch(
         &self,
         writer: &mut Writer<'_>,
         batch: &[PendingBall],
         chosen: &mut Vec<u32>,
-        settle: &mut SettleScratch,
+        counts: &mut GroupCounts,
         capacity: &mut Vec<u32>,
     ) {
         // A batch starts here, so staged changes take effect — unless a
@@ -2020,10 +1994,8 @@ impl Core {
         let stale = self.published.load();
         let ctx = self.choice_ctx(&topology, &stale, threshold, capacity);
         let chooser = Chooser::new(self.config.policy, &ctx);
-        commit::choose_into(&chooser, batch, |ball| ball.key, self.pool.as_ref(), chosen);
-        self.place_unrecorded(chosen, settle);
-        let places = std::iter::repeat_n(true, chosen.len());
-        self.bins.settle_group_with(chosen, &[], places, settle);
+        commit::choose_into(&chooser, batch, self.pool.as_ref(), chosen);
+        self.place(chosen, counts);
         self.placed.fetch_add(batch.len() as u64, Ordering::AcqRel);
         if let Some(metrics) = &self.metrics {
             metrics.placed.add(batch.len() as u64);
@@ -2069,7 +2041,6 @@ mod tests {
         assert_eq!(concurrent.flush(), reference.flush());
         assert_eq!(concurrent.loads(), reference.loads());
         assert_eq!(concurrent.gap_trajectory(), reference.gap_trajectory());
-        assert_eq!(concurrent.shard_stats(), reference.shard_stats());
         assert!(concurrent.conserves_balls());
     }
 
@@ -2105,7 +2076,7 @@ mod tests {
     fn choose_group(core: &Core, group: &[u64], chosen: &mut Vec<u32>) -> u64 {
         let choose = |_: &Topology, chooser: &Chooser<'_>| {
             chosen.resize(group.len(), 0);
-            chooser.choose_span(group, |&key| key, chosen)
+            chooser.choose_span(group, chosen)
         };
         core.with_route_chooser(choose).0
     }
@@ -2126,7 +2097,7 @@ mod tests {
             let router = settled_router();
             let core = &router.shared.core;
             let group = keys(size, 2);
-            let (mut chosen, mut settle) = (Vec::new(), SettleScratch::default());
+            let (mut chosen, mut counts) = (Vec::new(), GroupCounts::default());
 
             // Step 1: the group chooses, under topology epoch 0.
             let seen = choose_group(core, &group, &mut chosen);
@@ -2149,7 +2120,7 @@ mod tests {
             // Step 3: the group commits. One look at the fresh topology; the
             // victim's whole delta comes back; exactly its keys move.
             let rechecks = topology_rechecks();
-            let base = core.commit_group(seen, &group, &mut chosen, &mut settle);
+            let base = core.commit_group(seen, &group, &mut chosen, &mut counts);
             let tickets = core.ledger.issue_many(base, &chosen);
             assert_eq!(topology_rechecks() - rechecks, 1);
             assert_eq!(rejected_routes(&router), hits);
@@ -2192,12 +2163,12 @@ mod tests {
         // A publication that drains nothing costs the one commit it races
         // one look, rejects nothing and moves nobody.
         let group = keys(32, 3);
-        let (mut chosen, mut settle) = (Vec::new(), SettleScratch::default());
+        let (mut chosen, mut counts) = (Vec::new(), GroupCounts::default());
         let seen = choose_group(core, &group, &mut chosen);
         let first_choice = chosen.clone();
         apply_now(&router, |router| router.set_weights(BinWeights::Uniform));
         assert_eq!(core.topology.epoch(), 1);
-        let base = core.commit_group(seen, &group, &mut chosen, &mut settle);
+        let base = core.commit_group(seen, &group, &mut chosen, &mut counts);
         core.ledger.issue_many(base, &chosen);
         assert_eq!(topology_rechecks(), rechecks + 1);
         assert_eq!((chosen, rejected_routes(&router)), (first_choice, 0));

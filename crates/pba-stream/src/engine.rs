@@ -17,7 +17,7 @@
 //! A sole owner adds only what `&mut self` lets it do better: the
 //! single-writer state — boundary book, membership side, drain side — sits
 //! in plain fields and is lent to the core by reborrow, so no call locks
-//! anything; [`StreamAllocator::push`] is two plain increments and a `Vec`
+//! anything; [`StreamAllocator::push`] is one plain increment and a `Vec`
 //! push, with no inbox to lock; and the accessors hand out references
 //! ([`StreamAllocator::gap_trajectory`], [`StreamAllocator::gap_stats`],
 //! [`StreamAllocator::membership`]) where the handle has to copy out from
@@ -32,7 +32,7 @@
 //! [`StreamAllocator::release`]. Because every placement of a batch is a pure
 //! function of `(stale snapshot, key)`, routing balls one at a time and
 //! advancing the snapshot every `batch_size` placements produces **bit
-//! identical** loads, gap trajectories and shard stats to buffering the same
+//! identical** loads and gap trajectories to buffering the same
 //! keys and draining them in batches — the batched model does not care who
 //! holds the buffer. (One caveat: the threshold policies project a *full*
 //! batch when routing, since a router cannot know how many requests a batch
@@ -55,21 +55,18 @@ use pba_model::router::{Placement, RouteError, Router, RouterObserver, RouterSta
 use pba_model::weights::{BinWeights, ResolvedWeights};
 use pba_stats::OnlineStats;
 
-// Re-exported here because the snapshot type was historically defined in this
-// module; `pba_stream::engine::StreamSnapshot` keeps resolving.
-pub use crate::snapshot::StreamSnapshot;
-
 use crate::concurrent::{BoundaryBook, Core, DrainSide, Lend, MembershipSide, Writer};
 use crate::ingress::PendingBall;
 use crate::policy::Policy;
-use crate::shard::ShardStats;
+use crate::snapshot::StreamSnapshot;
 
 /// Configuration of a [`StreamAllocator`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamConfig {
     /// Number of bins (`n`).
     pub bins: usize,
-    /// Number of bin shards for the parallel drain (clamped to `[1, bins]`).
+    /// Number of shards of the ticket ledger, which partitions the bins into
+    /// contiguous ranges with one lock each (clamped to `[1, bins]`).
     pub shards: usize,
     /// Batch size `b`: how many buffered balls one drain step allocates with
     /// one (stale) load snapshot.
@@ -431,11 +428,6 @@ impl StreamAllocator {
         self.core.ticket_in(bin)
     }
 
-    /// Per-shard bookkeeping.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.core.shard_stats()
-    }
-
     /// A full point-in-time snapshot.
     pub fn snapshot(&self) -> StreamSnapshot {
         self.core
@@ -559,7 +551,6 @@ mod tests {
         seq.flush();
         assert_eq!(par.loads(), seq.loads());
         assert_eq!(par.gap_trajectory(), seq.gap_trajectory());
-        assert_eq!(par.shard_stats(), seq.shard_stats());
         assert!(par.conserves_balls() && seq.conserves_balls());
     }
 
@@ -585,7 +576,6 @@ mod tests {
             dedicated.flush();
             assert_eq!(dedicated.loads(), ambient.loads(), "threads = {threads}");
             assert_eq!(dedicated.gap_trajectory(), ambient.gap_trajectory());
-            assert_eq!(dedicated.shard_stats(), ambient.shard_stats());
         }
     }
 
@@ -831,8 +821,8 @@ mod tests {
     fn route_matches_push_drain_bit_identically() {
         // The route path advances the snapshot every batch_size placements,
         // so for the same keys (m divisible by the batch) it must reproduce
-        // the push+drain engine exactly: loads, gap trajectory, shard stats
-        // and batch count — for every policy, weighted ones included.
+        // the push+drain engine exactly: loads, gap trajectory and batch
+        // count — for every policy, weighted ones included.
         use pba_model::weights::BinWeights;
         let weights = BinWeights::power_of_two_tiers(&[(8, 2), (16, 1), (40, 0)]);
         for policy in [
@@ -859,7 +849,6 @@ mod tests {
             pushed.drain_ready();
             assert_eq!(routed.loads(), pushed.loads(), "policy {}", policy.name());
             assert_eq!(routed.gap_trajectory(), pushed.gap_trajectory());
-            assert_eq!(routed.shard_stats(), pushed.shard_stats());
             assert_eq!(routed.snapshot().batches, pushed.snapshot().batches);
             assert!(routed.conserves_balls());
             assert_eq!(routed.resident_tickets(), 128 * 40);
@@ -1014,7 +1003,7 @@ mod tests {
     fn with_resident_loads_matches_an_organically_grown_engine() {
         // Grow an engine to a boundary, then clone its loads into a fresh
         // engine via with_resident_loads: both must drain an identical suffix
-        // (same loads, same per-batch gaps, same shard stats).
+        // (same loads, same per-batch gaps).
         let cfg = StreamConfig::new(32).batch_size(64).seed(8);
         let mut grown = StreamAllocator::new(cfg.clone());
         push_uniform(&mut grown, 640, 4);
@@ -1022,7 +1011,6 @@ mod tests {
         let mut seeded = StreamAllocator::with_resident_loads(cfg, &grown.loads());
         assert_eq!(seeded.loads(), grown.loads());
         assert_eq!(seeded.resident(), grown.resident());
-        assert_eq!(seeded.shard_stats(), grown.shard_stats());
         assert!(seeded.conserves_balls());
         let before = grown.gap_trajectory().len();
         push_uniform(&mut grown, 320, 5);

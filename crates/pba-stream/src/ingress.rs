@@ -28,6 +28,13 @@ pub(crate) struct PendingBall {
     pub key: u64,
 }
 
+impl crate::policy::Keyed for PendingBall {
+    #[inline(always)]
+    fn key(&self) -> u64 {
+        self.key
+    }
+}
+
 /// The shared handle's arrival buffer (see the module docs): what producers
 /// append to between two drains. Lives behind the handle's inbox mutex.
 #[derive(Debug, Default)]

@@ -35,10 +35,9 @@
 //!   is bit-identical to the sequential one. `route` / `release` and the drain
 //!   are the handle's by construction; the handle's pushes merely reach the
 //!   same buffer through a lock.
-//! * [`shard`] — [`ShardedBins`]: bins partitioned into contiguous shards;
-//!   lock-free atomic load counters (from [`pba_concurrent`]) plus per-shard
-//!   mutex-guarded bookkeeping, committed to one distinct bin (and one
-//!   touched shard) at a time.
+//! * [`shard`] — [`ShardedBins`]: the lock-free atomic load counters (from
+//!   [`pba_concurrent`]), the engine's only per-bin books; a group of balls
+//!   is counted per bin and committed with one atomic per distinct bin.
 //! * [`policy`] — [`Policy`]: single-choice, two-choice, `d`-choice and the
 //!   paper-style threshold rule, all over stale loads; candidate bins are a
 //!   consistent hash of the ball's key. Heterogeneous backends are served by
@@ -124,7 +123,7 @@ pub use policy::{candidate_bins, choose_bin, ChoiceCtx, Policy};
 pub use scenario::{
     run_scenario, run_scenario_on, ChurnMode, ScaleEvent, ScenarioConfig, ScenarioReport,
 };
-pub use shard::{ShardStats, ShardedBins};
+pub use shard::ShardedBins;
 pub use snapshot::StreamSnapshot;
 
 // Re-exported so weighted stream configurations need only this crate.

@@ -271,25 +271,26 @@ impl<'a> Chooser<'a> {
     }
 
     /// Chooses the bin of every item of a span: `out[i]` is the bin of the
-    /// ball with key `key_of(&items[i])`. The one choose loop. The sampler
+    /// ball with key `items[i].key()`. The one choose loop, instantiated
+    /// once per item type. The sampler
     /// is matched once here, not per ball; the `d` match then only picks the
     /// candidate buffer the loop runs over, so that for the `d` the policies
     /// actually use the buffer is a stack array whose length the compiler
     /// knows — candidates then live in registers, and the sampling and
     /// comparison loops unroll. A larger `d` runs the same loop over a heap
     /// buffer.
-    pub(crate) fn choose_span<K>(&self, items: &[K], key_of: impl Fn(&K) -> u64, out: &mut [u32]) {
+    pub(crate) fn choose_span<K: Keyed>(&self, items: &[K], out: &mut [u32]) {
         debug_assert_eq!(items.len(), out.len());
         match self.sampler {
             None => self.span_with(
                 items,
-                |item| KeyDraws::new(self.stream_key, key_of(item)),
+                |item| KeyDraws::new(self.stream_key, item.key()),
                 out,
             ),
             Some(weights) => self.span_with(
                 items,
                 |item| WeightedDraws {
-                    rng: SplitMix64::for_substream(self.stream_key, key_of(item)),
+                    rng: SplitMix64::for_substream(self.stream_key, item.key()),
                     weights,
                 },
                 out,
@@ -300,7 +301,7 @@ impl<'a> Chooser<'a> {
     /// The bin of the single ball with key `key` (a span of one).
     pub(crate) fn choose_one(&self, key: u64) -> u32 {
         let mut bin = 0;
-        self.choose_span(&[key], |&key| key, std::slice::from_mut(&mut bin));
+        self.choose_span(&[key], std::slice::from_mut(&mut bin));
         bin
     }
 
@@ -386,6 +387,21 @@ impl<'a> Chooser<'a> {
                 *slot = active[*slot as usize];
             }
         }
+    }
+}
+
+/// What [`Chooser::choose_span`] reads a ball's key from: a bare key, or a
+/// pushed ball. A trait rather than a key closure, so the choose loop is
+/// compiled once per item type instead of once per call site.
+pub(crate) trait Keyed {
+    /// The ball's router key.
+    fn key(&self) -> u64;
+}
+
+impl Keyed for u64 {
+    #[inline(always)]
+    fn key(&self) -> u64 {
+        *self
     }
 }
 
@@ -821,7 +837,7 @@ mod tests {
     fn assert_chooser_matches_reference(policy: Policy, ctx: &ChoiceCtx<'_>) {
         let keys: Vec<u64> = (0..200u64).map(|k| k * 0x9e37 + 5).collect();
         let mut span = vec![0u32; keys.len()];
-        Chooser::new(policy, ctx).choose_span(&keys, |&k| k, &mut span);
+        Chooser::new(policy, ctx).choose_span(&keys, &mut span);
         let picks = ctx.weights.is_none()
             && ctx.active.is_none()
             && !matches!(policy, Policy::CapacityThreshold { .. });

@@ -61,12 +61,6 @@ fn main() {
         snap.load_quantiles[2],
         snap.load_quantiles[3]
     );
-    for (s, stats) in two.router.shard_stats().iter().enumerate() {
-        println!(
-            "  shard {s}: accepted = {}, peak load = {}",
-            stats.accepted, stats.peak_load
-        );
-    }
 
     println!(
         "\nfinal gap:  two-choice = {:.2}   single-choice = {:.2}",

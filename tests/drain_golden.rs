@@ -7,8 +7,8 @@
 //! shape the `stream-drain` workload runs (1024 bins, batch 4096, a pool).
 //! This file pins that shape: one line per
 //! `(engine, policy, bins, batch, execution mode, weights)` with FNV-1a hashes
-//! of the final loads, the gap trajectory (bit patterns), `shard_stats()` and
-//! the `route.bin_commits` vector. A drain change that is meant to preserve
+//! of the final loads, the gap trajectory (bit patterns) and the
+//! `route.bin_commits` vector. A drain change that is meant to preserve
 //! behaviour must pass this test against the file as committed.
 //!
 //! Regenerate (only when a placement change is intended, and say why):
@@ -23,7 +23,7 @@ use parallel_balanced_allocations::model::rng::SplitMix64;
 use parallel_balanced_allocations::prelude::*;
 use parallel_balanced_allocations::replay::{diff_golden, fnv1a64};
 use parallel_balanced_allocations::stream::{
-    ConcurrentRouter, Policy, ShardStats, StreamAllocator, StreamConfig,
+    ConcurrentRouter, Policy, StreamAllocator, StreamConfig,
 };
 
 const POLICIES: [Policy; 6] = [
@@ -44,7 +44,6 @@ fn hash_u64s(values: impl IntoIterator<Item = u64>) -> String {
 struct Drained {
     loads: Vec<u32>,
     gaps: Vec<f64>,
-    shards: Vec<ShardStats>,
     commits: Vec<u64>,
     batches: u64,
 }
@@ -52,15 +51,10 @@ struct Drained {
 impl Drained {
     fn render(&self) -> String {
         format!(
-            "batches={} loads={} gaps={} shards={} commits={}",
+            "batches={} loads={} gaps={} commits={}",
             self.batches,
             hash_u64s(self.loads.iter().map(|&l| l as u64)),
             hash_u64s(self.gaps.iter().map(|g| g.to_bits())),
-            hash_u64s(self.shards.iter().flat_map(|s| [
-                s.accepted,
-                s.departed,
-                s.peak_load as u64
-            ])),
             hash_u64s(self.commits.iter().copied()),
         )
     }
@@ -102,7 +96,6 @@ impl PushDrain for StreamAllocator {
         Drained {
             loads: self.loads(),
             gaps: self.gap_trajectory().to_vec(),
-            shards: self.shard_stats(),
             commits: commits_of(registry),
             batches: self.stats().batches,
         }
@@ -127,7 +120,6 @@ impl PushDrain for ConcurrentRouter {
         Drained {
             loads: self.loads(),
             gaps: self.gap_trajectory(),
-            shards: self.shard_stats(),
             commits: commits_of(registry),
             batches: self.batches(),
         }

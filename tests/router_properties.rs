@@ -130,7 +130,6 @@ proptest! {
         pushed.drain_ready();
         prop_assert_eq!(routed.loads(), pushed.loads());
         prop_assert_eq!(routed.gap_trajectory(), pushed.gap_trajectory());
-        prop_assert_eq!(routed.shard_stats(), pushed.shard_stats());
     }
 
     /// Mid-stream reweighting conserves balls and the post-boundary drains

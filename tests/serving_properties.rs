@@ -24,8 +24,7 @@
 //! 6. **A mixed run is one call, exactly** — random interleaved
 //!    `ROUTE`/`RELEASE` streams fed whole (every run one `serve_wire` call)
 //!    and fed one line per `feed` leave identical replies, stats, loads,
-//!    shard stats (peaks included), gap trajectories, epochs, resident
-//!    tickets and observer events.
+//!    gap trajectories, epochs, resident tickets and observer events.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write as IoWrite};
@@ -835,11 +834,10 @@ fn served_state(shape: usize, seed: u64, stream: &[u8], whole: bool, observe: bo
         }
     }
     format!(
-        "replies {}\nstats {:?}\nloads {:?}\nshards {:?}\ngaps {:?}\nepoch {} tickets {}\nevents {:?}",
+        "replies {}\nstats {:?}\nloads {:?}\ngaps {:?}\nepoch {} tickets {}\nevents {:?}",
         String::from_utf8(replies).expect("ASCII replies"),
         router.stats(),
         router.loads(),
-        router.shard_stats(),
         router.gap_trajectory(),
         router.snapshot_epoch(),
         router.resident_tickets(),
@@ -853,8 +851,7 @@ proptest! {
     /// A stream fed whole — each maximal `ROUTE`/`RELEASE` run one
     /// `serve_wire` call, in sub-groups that cross batch boundaries — leaves
     /// exactly the state the same stream leaves fed one line per `feed`:
-    /// reply bytes, stats, loads, shard stats with their peaks, the gap
-    /// trajectory, the snapshot epoch, the resident tickets and, with an
+    /// reply bytes, stats, loads, the gap trajectory, the snapshot epoch, the resident tickets and, with an
     /// observer attached, its event stream. Both sides tell events by the
     /// same grouped walk, over sub-groups cut differently: whole runs, or
     /// runs of one line.
