@@ -8,15 +8,14 @@
 //! per fault class, resolved against the same [`MetricsRegistry`] the engine
 //! records into, so a single [`MetricsSnapshot`]
 //! shows engine-side effects (`route.rejected_unknown_ticket`,
-//! `ingress.late_arrivals`, `observer.errors`) next to the harness-side
-//! injection counts (`fault.*`).
+//! `observer.errors`) next to the harness-side injection counts (`fault.*`).
 //!
 //! | Counter | Incremented when |
 //! |---|---|
 //! | `fault.bin_crash_releases` | a bin crash force-released one ticket |
 //! | `fault.delayed_releases` | a scripted release was postponed past its due point |
 //! | `fault.duplicated_releases` | a release was replayed a second time (and rejected) |
-//! | `fault.reordered_arrivals` | an arrival was delivered out of stamped order |
+//! | `fault.reordered_arrivals` | an arrival was routed out of trace order (a reversed window) |
 //! | `fault.dropped_releases` | a scripted release was skipped entirely (its ball stays resident) |
 //! | `fault.poisoned_observers` | an observer was poisoned by an injected panic |
 //! | `fault.backpressure_dropped` | a bounded observer queue shed one event |
@@ -38,7 +37,6 @@ pub fn drops_of(snapshot: &MetricsSnapshot) -> u64 {
     snapshot.counter("route.rejected_unknown_ticket")
         + snapshot.counter("server.unknown_ticket")
         + snapshot.counter("server.bad_request")
-        + snapshot.counter("ingress.late_arrivals")
         + snapshot.counter("observer.errors")
         + snapshot.sum_counters("policy.")
 }
@@ -53,7 +51,7 @@ pub struct FaultCounters {
     pub delayed_releases: Counter,
     /// `fault.duplicated_releases` — releases replayed (and rejected) twice.
     pub duplicated_releases: Counter,
-    /// `fault.reordered_arrivals` — arrivals delivered out of stamped order.
+    /// `fault.reordered_arrivals` — arrivals routed out of trace order.
     pub reordered_arrivals: Counter,
     /// `fault.dropped_releases` — scripted releases skipped entirely.
     pub dropped_releases: Counter,

@@ -30,16 +30,17 @@
 //! last arrival, a ball the trace never releases — still leaves its one
 //! check, with `fired = 0`, so it fails.
 //!
-//! Out-of-order delivery at the **ingress** (the push path, which replay
-//! never takes) is [`inject_ingress_reorder`]'s, via
-//! [`ConcurrentRouter::stamp_delayed`], tripping `ingress.late_arrivals`.
+//! Out-of-order arrival is [`Fault::ReorderWindow`]'s, on the route path.
+//! The push path has no such fault: [`ConcurrentRouter::push`] stamps each
+//! arrival under the inbox lock, so no arrival can reach a drain behind a
+//! later one.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use pba_model::router::{RouteEvent, RouterObserver, Ticket};
 use pba_obs::{FaultCounters, MetricsRegistry};
-use pba_stream::{ConcurrentRouter, MembershipPlan, Policy, StreamConfig};
+use pba_stream::{ConcurrentRouter, MembershipPlan, Policy};
 
 use crate::invariants;
 use crate::replay::{
@@ -447,62 +448,6 @@ fn poison(observer: &Arc<Mutex<BoundedLog>>) {
     std::panic::set_hook(previous_hook);
 }
 
-/// Injects **ingress-level** out-of-order delivery into the concurrent push
-/// path: one ball per `gap` is stamped early but delivered only after a
-/// drain has taken a later id, so the next drain counts it late
-/// (`ingress.late_arrivals`) and merges it by id into what is still
-/// undrained — the documented reordering behaviour, with its named counters.
-/// Returns the check plus the `ingress.late_arrivals` count. Panics unless
-/// the trace holds arrivals only: every arrival is pushed before the drain,
-/// so a reweight or membership event has no position to be staged at.
-pub fn inject_ingress_reorder(trace: &Trace, policy: Policy, gap: u64) -> (FaultCheck, u64) {
-    assert!(gap >= 2, "a reorder gap below 2 cannot hold a ball back");
-    assert!(
-        !trace.has_reweights() && !trace.has_membership(),
-        "ingress reordering pushes every arrival before it drains: it cannot stage \
-         the trace's reweight or membership events where the trace has them"
-    );
-    let registry = Arc::new(MetricsRegistry::new());
-    let fault_counters = FaultCounters::resolve(&registry);
-    let router = ConcurrentRouter::with_metrics(
-        StreamConfig::new(trace.bins)
-            .policy(policy)
-            .batch_size(trace.batch_size)
-            .seed(trace.seed),
-        registry.clone(),
-    );
-    let mut held = Vec::new();
-    for (id, event) in (0u64..).zip(&trace.events) {
-        let TraceEvent::Arrival { key, .. } = event else {
-            unreachable!("the trace holds arrivals only");
-        };
-        if id.is_multiple_of(gap) {
-            held.push(router.stamp_delayed(*key));
-        } else {
-            router.push(*key);
-        }
-    }
-    // The drain takes ids beyond the held balls'…
-    router.drain_ready();
-    // …so delivering them now is out-of-order: the next drain counts them.
-    let reordered = held.len() as u64;
-    for ball in held {
-        router.deliver_delayed(ball);
-    }
-    fault_counters.reordered_arrivals.add(reordered);
-    router.flush();
-    let late = registry.snapshot().counter("ingress.late_arrivals");
-    let check = FaultCheck {
-        fault: "reordered-ingress".into(),
-        counter: "fault.reordered_arrivals".into(),
-        fired: fault_counters.reordered_arrivals.get(),
-        invariant_error: invariants::check(&router, false)
-            .err()
-            .or_else(|| (late == 0).then(|| "ingress.late_arrivals did not fire".to_string())),
-    };
-    (check, late)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,19 +627,5 @@ mod tests {
             assert_eq!(run.checks[0].fired, 0, "{}", fault.name());
             assert!(!run.all_passed(), "{} passed vacuously", fault.name());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "ingress reordering pushes every arrival")]
-    fn ingress_reorder_refuses_a_trace_with_staged_events() {
-        inject_ingress_reorder(&Trace::mini_reweighted(), Policy::TwoChoice, 8);
-    }
-
-    #[test]
-    fn ingress_reorder_trips_the_late_arrival_counter() {
-        let trace = Trace::mini();
-        let (check, late) = inject_ingress_reorder(&trace, Policy::TwoChoice, 8);
-        assert!(check.passed(), "{:?}", check.invariant_error);
-        assert!(late > 0, "held balls must be counted late");
     }
 }

@@ -32,7 +32,7 @@ pub mod record;
 pub mod replay;
 pub mod trace;
 
-pub use fault::{inject_ingress_reorder, Fault, FaultCheck, FaultPlan, FaultRun};
+pub use fault::{Fault, FaultCheck, FaultPlan, FaultRun};
 pub use generate::{bursty_trace, churn_trace, record_scenario, uniform_trace, zipf_trace};
 pub use golden::{diff_golden, fnv1a64, golden_line, hash_f64s, hash_u32s};
 pub use record::TraceRecorder;

@@ -123,7 +123,7 @@ use pba_stats::OnlineStats;
 
 use crate::commit;
 use crate::engine::StreamConfig;
-use crate::ingress::{Inbox, PendingBall};
+use crate::ingress::PendingBall;
 use crate::metrics::StreamMetrics;
 use crate::observer::GapTrajectoryObserver;
 use crate::policy::{ChoiceCtx, Chooser};
@@ -426,32 +426,14 @@ pub(crate) struct Core {
     metrics: Option<StreamMetrics>,
 }
 
-/// An arrival stamped into the sequence but **not yet delivered** to the
-/// inbox — the handle [`ConcurrentRouter::stamp_delayed`] returns and
-/// [`ConcurrentRouter::deliver_delayed`] consumes. Fault plans use the pair
-/// to script out-of-order arrival delivery: hold a stamped ball across a
-/// drain and its eventual delivery is a *late arrival* the ingress counts
-/// (`ingress.late_arrivals`) instead of silently reordering.
-#[derive(Debug)]
-pub struct DelayedArrival {
-    ball: PendingBall,
-}
-
-impl DelayedArrival {
-    /// The arrival id this ball was stamped with.
-    pub fn id(&self) -> u64 {
-        self.ball.id
-    }
-}
-
 /// What every [`ConcurrentRouter`] clone shares: the core, the single-writer
 /// state it borrows, each piece behind its own mutex. Lock order: drain,
 /// then inbox; drain, then boundary (see [`Writer`] for the rest).
 #[derive(Debug)]
 struct Shared {
     core: Core,
-    /// Pushed arrivals no drain has taken yet.
-    inbox: Mutex<Inbox>,
+    /// Pushed arrivals no drain has taken yet, in id order.
+    inbox: Mutex<Vec<PendingBall>>,
     drain: Mutex<DrainSide>,
     boundary: Mutex<BoundaryBook>,
     membership: Mutex<MembershipSide>,
@@ -528,7 +510,7 @@ impl ConcurrentRouter {
         }
         Self {
             shared: Arc::new(Shared {
-                inbox: Mutex::new(Inbox::default()),
+                inbox: Mutex::default(),
                 drain: Mutex::new(DrainSide::default()),
                 boundary: Mutex::new(book),
                 membership: Mutex::new(side),
@@ -599,31 +581,6 @@ impl ConcurrentRouter {
         self.shared.core.crash_bin(bin)
     }
 
-    /// Stamps one arriving ball with its arrival id **without delivering
-    /// it** — the fault-injection half of [`ConcurrentRouter::push`]. The
-    /// ball occupies its slot in the arrival sequence immediately (later
-    /// pushes get later ids), but it only reaches the inbox when the
-    /// returned [`DelayedArrival`] is handed to
-    /// [`ConcurrentRouter::deliver_delayed`]. Delivering after a drain has
-    /// already taken a later id makes it a **late arrival**: the next drain
-    /// counts it in `ingress.late_arrivals` and merges it by id into what is
-    /// still undrained (documented reordering, not a silent drop).
-    pub fn stamp_delayed(&self, key: u64) -> DelayedArrival {
-        DelayedArrival {
-            ball: PendingBall {
-                id: self.shared.core.stamp(),
-                key,
-            },
-        }
-    }
-
-    /// Delivers a ball previously stamped by
-    /// [`ConcurrentRouter::stamp_delayed`]; returns its arrival id.
-    pub fn deliver_delayed(&self, delayed: DelayedArrival) -> u64 {
-        self.inbox().deliver(delayed.ball);
-        delayed.ball.id
-    }
-
     /// Releases a routed ball from any thread: validates the ticket against
     /// the shared ledger (double releases and foreign tickets fail with
     /// [`RouteError::UnknownTicket`]), departs its bin, and notifies
@@ -686,11 +643,12 @@ impl ConcurrentRouter {
     pub fn push(&self, key: u64) -> u64 {
         let mut inbox = self.inbox();
         let id = self.shared.core.stamp();
+        debug_assert!(inbox.last().is_none_or(|last| last.id < id));
         inbox.push(PendingBall { id, key });
         id
     }
 
-    fn inbox(&self) -> MutexGuard<'_, Inbox> {
+    fn inbox(&self) -> MutexGuard<'_, Vec<PendingBall>> {
         self.shared.inbox.lock().expect("inbox lock")
     }
 
@@ -716,16 +674,20 @@ impl ConcurrentRouter {
         self.shared.core.flush(&mut self.shared.writer(), &mut side)
     }
 
-    /// Takes the drain lock and moves the inbox into its buffer (arrival
-    /// order), counting late arrivals.
+    /// Takes the drain lock and moves the inbox into its buffer. The buffer
+    /// holds at most the undrained remainder of earlier takes, and every
+    /// inbox id was stamped after that take, so the move is a swap or an
+    /// append and the buffer stays in arrival order.
     fn sequenced(&self) -> MutexGuard<'_, DrainSide> {
         let mut side = self.shared.drain.lock().expect("drain lock");
-        let late = self.inbox().take_into(&mut side.buffer);
-        if late > 0 {
-            if let Some(metrics) = self.metrics() {
-                metrics.ingress_late.add(late);
-            }
+        let mut inbox = self.inbox();
+        if side.buffer.is_empty() {
+            std::mem::swap(&mut side.buffer, &mut inbox);
+        } else {
+            side.buffer.append(&mut inbox);
         }
+        drop(inbox);
+        debug_assert!(side.buffer.is_sorted_by(|a, b| a.id < b.id));
         side
     }
 

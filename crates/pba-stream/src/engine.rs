@@ -292,14 +292,6 @@ impl StreamAllocator {
         Ok(placements)
     }
 
-    /// Simulates a **bin crash**: force-releases every *ticketed* resident of
-    /// `bin` and returns how many; see [`crate::ConcurrentRouter::crash_bin`].
-    /// Anonymous `push`-placed balls hold no tickets and survive, so fault
-    /// harnesses route their traffic to make crashes total.
-    pub fn crash_bin(&mut self, bin: usize) -> u64 {
-        self.core.crash_bin(bin)
-    }
-
     /// Releases a routed ball; double releases and foreign tickets fail with
     /// [`RouteError::UnknownTicket`]. See [`crate::ConcurrentRouter::release`].
     pub fn release(&mut self, ticket: Ticket) -> Result<(), RouteError> {
@@ -354,13 +346,6 @@ impl StreamAllocator {
     /// `bin` (commissioned slots included), 1.0 when uniform.
     pub fn slot_weight(&self, bin: usize) -> f64 {
         self.core.slot_weight(bin)
-    }
-
-    /// Total bin slots the engine is sized to: `bins + reserve_bins`. Every
-    /// per-bin array (loads, stale snapshot, ledger, thresholds) has this
-    /// length for the engine's whole lifetime; elasticity never reallocates.
-    pub fn capacity(&self) -> usize {
-        self.core.capacity()
     }
 
     /// The membership lifecycle table: every configured bin active (and

@@ -115,7 +115,7 @@ pub mod snapshot;
 
 pub use arrival::{ArrivalProcess, ArrivalSampler, UNIQUE_KEYS};
 pub use commit::PARALLEL_MIN_SPAN;
-pub use concurrent::{ConcurrentRouter, DelayedArrival};
+pub use concurrent::ConcurrentRouter;
 pub use engine::{StreamAllocator, StreamConfig};
 pub use metrics::{MembershipCounters, PolicyCounters, StreamMetrics};
 pub use observer::{GapTrajectoryObserver, ReweightLog, ReweightRecord};

@@ -20,7 +20,6 @@
 //! | `policy.overflow_retry` | [`Policy::CapacityThreshold`](crate::Policy) — first candidate set overflowed, fresh set drawn |
 //! | `policy.overflow_fallback` | [`Policy::CapacityThreshold`](crate::Policy) — both sets overflowed, least-normalized concession |
 //! | `policy.weighted_uniform_fallback` | weighted `sample_distinct` degraded to uniform draws |
-//! | `ingress.late_arrivals` | a held-back ball (`deliver_delayed`) reached the inbox after a drain had already taken a later id |
 //! | `observer.errors` | an external observer's lock was poisoned; its hooks were skipped |
 //! | `membership.rejected_adds` | `Add` staged with no retired slot left (or a bad weight) |
 //! | `membership.rejected_drains` | `Drain` of a non-active bin, or of the last active bin |
@@ -126,8 +125,6 @@ pub struct StreamMetrics {
     pub gap: Gauge,
     /// Resident balls at the latest boundary.
     pub resident: Gauge,
-    /// Balls delivered after a drain had already taken a later id.
-    pub ingress_late: Counter,
     /// External observers skipped because their lock was poisoned.
     pub observer_errors: Counter,
     /// The policy-level fallback counters.
@@ -149,7 +146,6 @@ impl StreamMetrics {
             batches: registry.counter("router.stream_batches"),
             gap: registry.gauge("router.stream_gap"),
             resident: registry.gauge("router.stream_resident"),
-            ingress_late: registry.counter("ingress.late_arrivals"),
             observer_errors: registry.counter("observer.errors"),
             policy: PolicyCounters::resolve(&registry),
             membership: MembershipCounters::resolve(&registry),

@@ -1421,8 +1421,7 @@ pub fn e17_socket_serving(quick: bool) -> Table {
 /// replayed on the 1-caller handle, then replayed again under every scripted
 /// fault class of `pba-replay`'s [`FaultPlan`](pba_replay::FaultPlan) (bin
 /// crash mid-batch, delayed release, duplicated release, reversed arrival
-/// window, observer poisoning, observer backpressure) plus ingress-level
-/// out-of-order delivery on the concurrent push path. Every fault row must
+/// window, observer poisoning, observer backpressure). Every fault row must
 /// show its named `fault.*` counter > 0 ("fired"), invariants "ok"
 /// (conservation + ledger consistency checked right after each injection),
 /// and conserved "yes" at the end — faults move the gap, never the
@@ -1431,9 +1430,7 @@ pub fn e17_socket_serving(quick: bool) -> Table {
 /// counters (`route.rejected_unknown_ticket`, `observer.errors`), surfaced
 /// in the drops column.
 pub fn e18_replay_faults(quick: bool) -> Table {
-    use pba_replay::{
-        churn_trace, inject_ingress_reorder, replay::replay, Fault, FaultPlan, ReplayConfig,
-    };
+    use pba_replay::{churn_trace, replay::replay, Fault, FaultPlan, ReplayConfig};
 
     let (bins, ticks, rate): (usize, u64, usize) = if quick { (16, 20, 8) } else { (64, 80, 16) };
     let policy = Policy::TwoChoice;
@@ -1520,21 +1517,6 @@ pub fn e18_replay_faults(quick: bool) -> Table {
             Cell::from(violation),
         ]);
     }
-
-    // Ingress-level reordering needs the concurrent push path (stamp a ball
-    // early, deliver it after a drain sequenced past it).
-    let (check, late) = inject_ingress_reorder(&trace, policy, 8);
-    table.push_row([
-        Cell::from("reordered-ingress"),
-        Cell::from(check.counter.clone()),
-        Cell::from(check.fired),
-        Cell::from("—"),
-        Cell::from("—"),
-        Cell::from("—"),
-        Cell::from(late),
-        Cell::from("yes"),
-        Cell::from(check.invariant_error.clone().unwrap_or_else(|| "ok".into())),
-    ]);
     table
 }
 
@@ -1931,8 +1913,8 @@ mod tests {
     #[test]
     fn e18_quick_every_fault_row_fires_and_holds_invariants() {
         let t = e18_replay_faults(true);
-        // clean + 6 fault classes + ingress reorder.
-        assert_eq!(t.n_rows(), 8);
+        // clean + 6 fault classes.
+        assert_eq!(t.n_rows(), 7);
         assert_eq!(t.n_cols(), 9);
         assert_eq!(t.rows()[0][0].0, "none (clean replay)");
         assert_eq!(t.rows()[0][6].0, "0", "a clean replay drops nothing");

@@ -147,10 +147,9 @@ fn commentary(title: &str) -> &'static str {
          quantiles are read back from the server's own log-bucketed `server.route_latency_ns` \
          histogram (≤ 12.5 % relative quantile error; per-connection local histograms merged at \
          close). The drops column sums every rejection/fallback counter of the no-silent-drops \
-         ledger (unknown tickets, bad requests, policy fallbacks, ingress re-sequencing stalls, \
-         observer errors) and must read 0 for this well-behaved workload — the zeros are \
-         evidence, since metrics-consistency tests force each of those paths and assert its \
-         counter fires. Conservation must hold at every caller count, and installing the \
+         ledger (unknown tickets, bad requests, policy fallbacks, observer errors) and must \
+         read 0 for this well-behaved workload — the zeros are evidence, since \
+         metrics-consistency tests force each of those paths and assert its counter fires. Conservation must hold at every caller count, and installing the \
          registry must not perturb placements (the 1-caller run stays bit-identical to the \
          uninstrumented engine; property-tested). On a 1-core container the caller threads \
          serialise, so req/s is a smoke number — the latency quantiles and structural columns \
@@ -162,13 +161,12 @@ fn commentary(title: &str) -> &'static str {
          engine — the clean row is bit-reproducible and is the same fingerprint the committed \
          golden files pin across engines and thread counts. Each fault row injects one scripted \
          failure class (bin crash mid-batch, delayed release, duplicated release, reversed \
-         arrival window, observer poisoning, observer backpressure, ingress-level out-of-order \
-         delivery) and must show three things at once: the fault's named `fault.*` counter \
-         fired (no silent faults), the conservation and ledger invariants held right after the \
-         injection (faults move the gap, never the accounting), and — where the engine itself \
-         rejects something — the engine's own no-silent-drops counter fired too (a duplicated \
-         release lands in `route.rejected_unknown_ticket`, a poisoned observer in \
-         `observer.errors`, a late ingress delivery in `ingress.late_arrivals`)."
+         arrival window, observer poisoning, observer backpressure) and must show three things \
+         at once: the fault's named `fault.*` counter fired (no silent faults), the \
+         conservation and ledger invariants held right after the injection (faults move the \
+         gap, never the accounting), and — where the engine itself rejects something — the \
+         engine's own no-silent-drops counter fired too (a duplicated release lands in \
+         `route.rejected_unknown_ticket`, a poisoned observer in `observer.errors`)."
     }
         "E19" => {
         "Elastic cluster membership: each row runs one scripted autoscaling shape (ramp-up, \

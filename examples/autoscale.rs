@@ -65,7 +65,6 @@ fn run(scenario: &ScenarioConfig, config: StreamConfig) {
     let snap = registry.snapshot();
     for counter in [
         "route.rejected_unknown_ticket",
-        "ingress.late_arrivals",
         "observer.errors",
         "membership.rejected_adds",
         "membership.rejected_drains",

@@ -15,7 +15,7 @@
 //! Run with: `cargo run --release --example replay_faults`
 
 use parallel_balanced_allocations::replay::{
-    churn_trace, inject_ingress_reorder, replay::replay, Fault, FaultPlan, ReplayConfig, Trace,
+    churn_trace, replay::replay, Fault, FaultPlan, ReplayConfig, Trace,
 };
 use parallel_balanced_allocations::stream::{Policy, StreamConfig};
 
@@ -97,11 +97,5 @@ fn main() {
             run.outcome.final_gap
         );
     }
-    let (check, late) = inject_ingress_reorder(&trace, Policy::TwoChoice, 8);
-    assert!(check.passed());
-    println!(
-        "  {:<20} {:<28} fired {:>5}×   {} counted late at the ingress",
-        "reordered-ingress", check.counter, check.fired, late
-    );
     println!("\nevery fault fired its counter; conservation and the ledger held throughout");
 }

@@ -19,6 +19,8 @@
 //!    conservation holds at quiescence, open tickets equal routed −
 //!    released, every live ticket releases exactly once, double releases are
 //!    rejected, and boundaries fire once per `batch_size` routed balls.
+//!    Producers pushing while another thread drains lose no ball, and the
+//!    batches come out as the id-ordered owner's.
 //! 3. **Snapshot-epoch monotonicity** — epochs observed by concurrent
 //!    readers never go backwards, equal the batch-boundary count at
 //!    quiescence, and fire once per `batch_size` routed balls.
@@ -27,7 +29,7 @@
 //!    O((k·b)/n + log n) for two-choice at k callers).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 
@@ -165,6 +167,76 @@ fn one_thread_push_drain_bit_identity_with_interleaved_routes() {
         assert_eq!(concurrent.gap_trajectory(), classic.gap_trajectory());
         assert_eq!(concurrent.pending(), 0);
         assert!(concurrent.conserves_balls());
+    }
+}
+
+/// Four producers `push` on clones of the handle while a fifth thread keeps
+/// calling `drain_ready`: whenever the drains fall, batches are cut from the
+/// arrival sequence in id order, so after a `flush` the loads and the gap
+/// trajectory equal the owner's fed the same keys in id order.
+#[test]
+fn k_producer_pushes_under_a_racing_drain_match_the_id_ordered_owner() {
+    let (n, batch, producers, per_producer) = (32usize, 64usize, 4u64, 1_000u64);
+    let pushes = producers * per_producer;
+    let seeds = SeedSeq::new(5, 0x9054);
+    for policy in POLICIES {
+        let cfg = StreamConfig::new(n)
+            .policy(policy)
+            .batch_size(batch)
+            .seed(17);
+        let router = ConcurrentRouter::new(cfg.clone());
+        let done = AtomicBool::new(false);
+        // Producers and drainer start together, so drains land mid-push.
+        let start = &Barrier::new(producers as usize + 1);
+        let mut arrivals: Vec<(u64, u64)> = std::thread::scope(|scope| {
+            let drainer = scope.spawn(|| {
+                start.wait();
+                loop {
+                    let last = done.load(Ordering::Acquire);
+                    router.drain_ready();
+                    if last {
+                        break;
+                    }
+                    std::thread::yield_now();
+                }
+            });
+            let handles: Vec<_> = (0..producers)
+                .map(|t| {
+                    let router = router.clone();
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut rng = seeds.rng(t);
+                        (0..per_producer)
+                            .map(|_| {
+                                let key = rng.next_u64();
+                                (router.push(key), key)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let arrivals = handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("producer thread"))
+                .collect();
+            done.store(true, Ordering::Release);
+            drainer.join().expect("drain thread");
+            arrivals
+        });
+        router.flush();
+        assert_eq!(router.pending(), 0);
+        assert_eq!(router.resident(), pushes);
+        assert!(router.conserves_balls());
+        assert_eq!(router.batches(), pushes.div_ceil(batch as u64));
+
+        arrivals.sort_unstable();
+        let mut owner = StreamAllocator::new(cfg);
+        for &(id, key) in &arrivals {
+            assert_eq!(owner.push(key), id, "{}", policy.name());
+        }
+        owner.flush();
+        assert_eq!(router.loads(), owner.loads(), "{}", policy.name());
+        assert_eq!(router.gap_trajectory(), owner.gap_trajectory());
     }
 }
 
