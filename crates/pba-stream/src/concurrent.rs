@@ -61,12 +61,13 @@
 //! caller they agree **by construction**. The shells differ only in how a
 //! pushed ball reaches the drain buffer — through a locked inbox or
 //! directly — and stamping under the inbox lock keeps the inbox in arrival
-//! order, so with one caller thread `push`/`drain_ready`/`flush` on the
-//! handle are bit-identical to the sole owner's: same loads, same gap
-//! trajectory, same batch count, for every policy
-//! (`tests/concurrent_properties.rs`, `tests/golden/drain.snap`). Candidate
-//! bins are a pure hash of `(seed, key)`, so every placement is
-//! reproducible from the arrival sequence alone.
+//! order. What one caller must get is written down once, as an executable
+//! model of the batched process (`tests/support/model.rs`), and
+//! `tests/model_properties.rs` drives the model, the sole owner and a
+//! 1-caller handle through the same random operations: after every one the
+//! three agree on placements, loads, batch count, gap trajectory and tickets,
+//! for every policy. Candidate bins are a pure hash of `(seed, key)`, so
+//! every placement is reproducible from the arrival sequence alone.
 //!
 //! With **k caller threads**, placements of a batch race the boundary: a
 //! ball may commit while another thread publishes the next snapshot, and the
@@ -1978,32 +1979,6 @@ mod tests {
     fn keys(count: u64, seed: u64) -> Vec<u64> {
         let mut rng = SplitMix64::new(seed);
         (0..count).map(|_| rng.next_u64()).collect()
-    }
-
-    #[test]
-    fn single_caller_push_drain_is_bit_identical_to_stream_allocator() {
-        use crate::engine::StreamAllocator;
-        let cfg = StreamConfig::new(32).batch_size(64).seed(9).shards(4);
-        let concurrent = ConcurrentRouter::new(cfg.clone());
-        let mut reference = StreamAllocator::new(cfg);
-        for key in keys(1000, 3) {
-            concurrent.push(key);
-            reference.push(key);
-        }
-        assert_eq!(concurrent.pending(), 1000);
-        assert_eq!(concurrent.drain_ready(), reference.drain_ready());
-        assert_eq!(concurrent.loads(), reference.loads());
-        assert_eq!(concurrent.pending(), reference.pending() as u64);
-        // `pending` sees the undrained remainder and the inbox together.
-        for key in keys(3, 4) {
-            concurrent.push(key);
-            reference.push(key);
-        }
-        assert_eq!(concurrent.pending(), 1000 % 64 + 3);
-        assert_eq!(concurrent.flush(), reference.flush());
-        assert_eq!(concurrent.loads(), reference.loads());
-        assert_eq!(concurrent.gap_trajectory(), reference.gap_trajectory());
-        assert!(concurrent.conserves_balls());
     }
 
     /// A router with metrics, 64 routed residents and no routed batch open —

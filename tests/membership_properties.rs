@@ -3,19 +3,24 @@
 //!
 //! 1. **Strict no-op** — staging an empty membership plan, or the weights
 //!    already in force, perturbs nothing: bit-identical placements (routed
-//!    one by one and in randomly cut groups), loads, gap trajectories, shard
-//!    stats, per-bin commit counts and batch counts versus an untouched twin,
-//!    for every policy and weight configuration, on both engines.
+//!    one by one and in randomly cut groups), loads, gap trajectories,
+//!    per-bin commit counts and batch counts versus an untouched twin, for
+//!    every policy and weight configuration.
 //! 2. **Post-drain suffix equivalence** — after a `Drain` takes effect, the
 //!    engine's subsequent drains are bit-identical (through the
 //!    order-preserving bijection of the sorted active set) to a *fresh*
 //!    engine built over only the surviving bins via `with_resident_loads` —
-//!    the membership sibling of the PR 3 reweight suffix-equivalence.
-//! 3. **1-caller engine equivalence** — `ConcurrentRouter` matches
-//!    `StreamAllocator` bit for bit through scale events.
-//! 4. **Lifecycle accounting** — a drain → migrate → remove → re-add cycle
+//!    the membership sibling of the reweighting suffix equivalence in
+//!    `tests/router_properties.rs`.
+//! 3. **Lifecycle accounting** — a drain → migrate → remove → re-add cycle
 //!    conserves balls, loses no tickets, and every accepted/rejected event
-//!    and migration shows up in the `membership.*` counters.
+//!    and migration shows up in the `membership.*` counters, on the sole
+//!    owner and, with caller threads racing the scale events, on the shared
+//!    handle.
+//!
+//! What one caller gets through scale events from either shell is pinned
+//! against the executable model of the batched process in
+//! `tests/model_properties.rs`, empty plans and re-staged weights included.
 
 use std::sync::Arc;
 
@@ -85,91 +90,70 @@ fn bin_commits(registry: &MetricsRegistry) -> Vec<u64> {
     registry.snapshot().counter_vecs["route.bin_commits"].clone()
 }
 
-/// One strict-no-op case on the engine `$build` makes from a config: route,
-/// stage `$noop` mid-batch, route one by one, in random groups and through
-/// `push` + `flush` — against an untouched `StreamAllocator` twin that sees
-/// the same calls. Nothing may differ, down to the RNG stream.
-macro_rules! assert_staging_is_a_strict_noop {
-    ($build:expr, $policy:expr, $weights:expr, $noop:expr, $seed:expr) => {{
-        let cfg = StreamConfig::new(32)
-            .policy($policy)
-            .batch_size(16)
-            .seed($seed)
-            .weights($weights.clone());
-        let staged_metrics = Arc::new(MetricsRegistry::new());
-        let untouched_metrics = Arc::new(MetricsRegistry::new());
-        #[allow(unused_mut)] // the shared handle stages and routes through `&self`
-        let mut staged = $build(cfg.clone(), Arc::clone(&staged_metrics));
-        let mut untouched = StreamAllocator::new(cfg);
-        untouched.install_metrics(Arc::clone(&untouched_metrics));
-        for key in keys(100, 1) {
-            assert_eq!(
-                staged.route(key).unwrap().bin,
-                untouched.route(key).unwrap().bin
-            );
-        }
-        match $noop {
-            NoOp::EmptyPlan => staged.stage_membership(MembershipPlan::new()),
-            NoOp::SameWeights => staged.set_weights($weights.clone()),
-        }
-        for key in keys(200, 2) {
-            assert_eq!(
-                staged.route(key).unwrap().bin,
-                untouched.route(key).unwrap().bin
-            );
-        }
-        for group in random_groups(&keys(600, 3), 4) {
-            assert_eq!(
-                ids_and_bins(&staged.route_many(group).unwrap()),
-                ids_and_bins(&untouched.route_many(group).unwrap())
-            );
-        }
-        for key in keys(150, 5) {
-            staged.push(key);
-            untouched.push(key);
-        }
-        assert_eq!(staged.flush(), untouched.flush());
-        assert_eq!(staged.loads(), untouched.loads());
-        assert_eq!(&staged.gap_trajectory()[..], untouched.gap_trajectory());
-        assert_eq!(staged.snapshot().batches, untouched.snapshot().batches);
+/// One strict-no-op case: route, stage `noop` mid-batch, route one by one,
+/// in random groups and through `push` + `flush` — against an untouched twin
+/// that sees the same calls. Nothing may differ, down to the RNG stream.
+fn assert_staging_is_a_strict_noop(policy: Policy, weights: &BinWeights, noop: NoOp) {
+    let cfg = StreamConfig::new(32)
+        .policy(policy)
+        .batch_size(16)
+        .seed(11)
+        .weights(weights.clone());
+    let staged_metrics = Arc::new(MetricsRegistry::new());
+    let untouched_metrics = Arc::new(MetricsRegistry::new());
+    let mut staged = StreamAllocator::new(cfg.clone());
+    staged.install_metrics(Arc::clone(&staged_metrics));
+    let mut untouched = StreamAllocator::new(cfg);
+    untouched.install_metrics(Arc::clone(&untouched_metrics));
+    for key in keys(100, 1) {
         assert_eq!(
-            bin_commits(&staged_metrics),
-            bin_commits(&untouched_metrics)
+            staged.route(key).unwrap().bin,
+            untouched.route(key).unwrap().bin
         );
-        assert!(staged.conserves_balls());
-    }};
+    }
+    match noop {
+        NoOp::EmptyPlan => staged.stage_membership(MembershipPlan::new()),
+        NoOp::SameWeights => staged.set_weights(weights.clone()),
+    }
+    for key in keys(200, 2) {
+        assert_eq!(
+            staged.route(key).unwrap().bin,
+            untouched.route(key).unwrap().bin
+        );
+    }
+    for group in random_groups(&keys(600, 3), 4) {
+        assert_eq!(
+            ids_and_bins(&staged.route_many(group).unwrap()),
+            ids_and_bins(&untouched.route_many(group).unwrap())
+        );
+    }
+    for key in keys(150, 5) {
+        staged.push(key);
+        untouched.push(key);
+    }
+    assert_eq!(staged.flush(), untouched.flush());
+    assert_eq!(staged.loads(), untouched.loads());
+    assert_eq!(staged.gap_trajectory(), untouched.gap_trajectory());
+    assert_eq!(staged.snapshot().batches, untouched.snapshot().batches);
+    assert_eq!(
+        bin_commits(&staged_metrics),
+        bin_commits(&untouched_metrics)
+    );
+    assert!(staged.conserves_balls());
 }
 
 /// Every policy × weight configuration × no-op staging; the last case named
 /// in a failing test's captured output is the one that failed.
-fn for_each_noop_case(case: impl Fn(Policy, &BinWeights, NoOp)) {
+#[test]
+fn empty_plan_is_a_strict_noop_on_the_stream_allocator() {
     for policy in POLICIES {
         for (label, weights) in weight_variants() {
             for noop in [NoOp::EmptyPlan, NoOp::SameWeights] {
                 eprintln!("case: policy {} weights {label} {noop:?}", policy.name());
-                case(policy, &weights, noop);
+                assert_staging_is_a_strict_noop(policy, &weights, noop);
             }
         }
     }
-}
-
-#[test]
-fn empty_plan_is_a_strict_noop_on_the_stream_allocator() {
-    let build = |cfg, metrics| {
-        let mut stream = StreamAllocator::new(cfg);
-        stream.install_metrics(metrics);
-        stream
-    };
-    for_each_noop_case(|policy, weights, noop| {
-        assert_staging_is_a_strict_noop!(build, policy, weights, noop, 11)
-    });
-}
-
-#[test]
-fn empty_plan_is_a_strict_noop_on_the_concurrent_router() {
-    for_each_noop_case(|policy, weights, noop| {
-        assert_staging_is_a_strict_noop!(ConcurrentRouter::with_metrics, policy, weights, noop, 13)
-    });
 }
 
 /// After a drain takes effect, every subsequent batch must be bit-identical
@@ -255,50 +239,6 @@ fn post_drain_suffix_is_bit_identical_to_a_compacted_fresh_engine() {
             );
             assert!(elastic.conserves_balls());
         }
-    }
-}
-
-#[test]
-fn concurrent_single_caller_matches_stream_allocator_through_scale_events() {
-    for policy in [
-        Policy::TwoChoice,
-        Policy::WeightedTwoChoice,
-        Policy::CapacityThreshold { d: 2, slack: 2 },
-    ] {
-        let cfg = StreamConfig::new(16)
-            .policy(policy)
-            .batch_size(32)
-            .seed(23)
-            .reserve_bins(4);
-        let concurrent = ConcurrentRouter::new(cfg.clone());
-        let mut reference = StreamAllocator::new(cfg);
-        for key in keys(96, 9) {
-            assert_eq!(
-                concurrent.route(key).unwrap().bin,
-                reference.route(key).unwrap().bin
-            );
-        }
-        // Same scale script on both: drain 3, commission a new bin.
-        let plan = || MembershipPlan::new().drain(3).add(1.5);
-        concurrent.stage_membership(plan());
-        reference.stage_membership(plan());
-        for key in keys(160, 10) {
-            assert_eq!(
-                concurrent.route(key).unwrap().bin,
-                reference.route(key).unwrap().bin,
-                "policy {}",
-                policy.name()
-            );
-        }
-        assert_eq!(concurrent.loads(), reference.loads());
-        assert_eq!(concurrent.gap_trajectory(), reference.gap_trajectory());
-        assert_eq!(
-            concurrent.membership().active(),
-            reference.membership().active()
-        );
-        assert_eq!(concurrent.stats().bins, 16, "15 survivors + 1 commissioned");
-        assert!(concurrent.conserves_balls());
-        assert!(reference.conserves_balls());
     }
 }
 
