@@ -1,15 +1,18 @@
 //! Committed fingerprints of the streaming **drain** (`tests/golden/drain.snap`).
 //!
-//! The sequential ≡ parallel and `StreamAllocator` ≡ `ConcurrentRouter`
-//! properties compare two runs of the *same* build, so a change to the commit
-//! stage moves both sides at once and they keep agreeing; the mini replay
-//! goldens run 16–64 bins with batches of a few dozen and never reach the
-//! shape the `stream-drain` workload runs (1024 bins, batch 4096, a pool).
-//! This file pins that shape: one line per
-//! `(engine, policy, bins, batch, execution mode, weights)` with FNV-1a hashes
-//! of the final loads, the gap trajectory (bit patterns) and the
-//! `route.bin_commits` vector. A drain change that is meant to preserve
-//! behaviour must pass this test against the file as committed.
+//! A property that compares two runs of the *same* build — the engine against
+//! the executable model of the batched process (`tests/model_properties.rs`),
+//! or a split drain against the sequential one — cannot see a change that
+//! moves both sides at once, such as a change to the policies both choose
+//! through. And the model test and the mini replay goldens run 16–64 bins with
+//! batches of a few dozen, never the shape the `stream-drain` workload runs
+//! (1024 bins, batch 4096, a pool). This file pins that shape: one line per
+//! `(policy, bins, batch, execution mode, weights)` with FNV-1a hashes of the
+//! final loads, the gap trajectory (bit patterns) and the `route.bin_commits`
+//! vector, drained by the sole owner. (The 1-caller handle runs the same
+//! drain; the model test checks it against the model op by op.) A drain
+//! change that is meant to preserve behaviour must pass this test against
+//! the file as committed.
 //!
 //! Regenerate (only when a placement change is intended, and say why):
 //!
@@ -22,9 +25,7 @@ use std::sync::Arc;
 use parallel_balanced_allocations::model::rng::SplitMix64;
 use parallel_balanced_allocations::prelude::*;
 use parallel_balanced_allocations::replay::{diff_golden, fnv1a64};
-use parallel_balanced_allocations::stream::{
-    ConcurrentRouter, Policy, StreamAllocator, StreamConfig,
-};
+use parallel_balanced_allocations::stream::{Policy, StreamAllocator, StreamConfig};
 
 const POLICIES: [Policy; 6] = [
     Policy::OneChoice,
@@ -40,35 +41,6 @@ fn hash_u64s(values: impl IntoIterator<Item = u64>) -> String {
     format!("fnv:{:016x}", fnv1a64(&bytes))
 }
 
-/// What a drained engine leaves behind, whichever engine it was.
-struct Drained {
-    loads: Vec<u32>,
-    gaps: Vec<f64>,
-    commits: Vec<u64>,
-    batches: u64,
-}
-
-impl Drained {
-    fn render(&self) -> String {
-        format!(
-            "batches={} loads={} gaps={} commits={}",
-            self.batches,
-            hash_u64s(self.loads.iter().map(|&l| l as u64)),
-            hash_u64s(self.gaps.iter().map(|g| g.to_bits())),
-            hash_u64s(self.commits.iter().copied()),
-        )
-    }
-}
-
-/// The push/drain surface the two engines share, so one driver feeds both.
-trait PushDrain {
-    fn push_key(&mut self, key: u64);
-    fn drain_full(&mut self);
-    fn flush_all(&mut self);
-    fn stage(&mut self, plan: MembershipPlan);
-    fn drained(&self, registry: &MetricsRegistry) -> Drained;
-}
-
 fn commits_of(registry: &MetricsRegistry) -> Vec<u64> {
     registry
         .snapshot()
@@ -78,73 +50,37 @@ fn commits_of(registry: &MetricsRegistry) -> Vec<u64> {
         .unwrap_or_default()
 }
 
-impl PushDrain for StreamAllocator {
-    fn push_key(&mut self, key: u64) {
-        self.push(key);
-    }
-    fn drain_full(&mut self) {
-        self.drain_ready();
-    }
-    fn flush_all(&mut self) {
-        self.flush();
-    }
-    fn stage(&mut self, plan: MembershipPlan) {
-        self.stage_membership(plan);
-    }
-    fn drained(&self, registry: &MetricsRegistry) -> Drained {
-        assert!(self.conserves_balls());
-        Drained {
-            loads: self.loads(),
-            gaps: self.gap_trajectory().to_vec(),
-            commits: commits_of(registry),
-            batches: self.stats().batches,
-        }
-    }
-}
-
-impl PushDrain for ConcurrentRouter {
-    fn push_key(&mut self, key: u64) {
-        self.push(key);
-    }
-    fn drain_full(&mut self) {
-        self.drain_ready();
-    }
-    fn flush_all(&mut self) {
-        self.flush();
-    }
-    fn stage(&mut self, plan: MembershipPlan) {
-        self.stage_membership(plan);
-    }
-    fn drained(&self, registry: &MetricsRegistry) -> Drained {
-        assert!(self.conserves_balls());
-        Drained {
-            loads: self.loads(),
-            gaps: self.gap_trajectory(),
-            commits: commits_of(registry),
-            batches: self.batches(),
-        }
-    }
+/// What a drained engine leaves behind, rendered.
+fn render_drained(stream: &StreamAllocator, registry: &MetricsRegistry) -> String {
+    assert!(stream.conserves_balls());
+    format!(
+        "batches={} loads={} gaps={} commits={}",
+        stream.stats().batches,
+        hash_u64s(stream.loads().iter().map(|&l| l as u64)),
+        hash_u64s(stream.gap_trajectory().iter().map(|g| g.to_bits())),
+        hash_u64s(commits_of(registry)),
+    )
 }
 
 /// Pushes in ticks that cover what a drain can meet: exactly one batch, two
 /// batches and a tail in one `drain_ready`, half a batch (nothing to drain),
 /// one more batch, and a final partial batch at `flush`. `plan`, when given,
 /// is staged after the first tick so the rest drains over a gapped topology.
-fn drive(engine: &mut dyn PushDrain, batch: usize, repeats: usize, plan: Option<MembershipPlan>) {
+fn drive(stream: &mut StreamAllocator, batch: usize, repeats: usize, plan: Option<MembershipPlan>) {
     let mut keys = SplitMix64::new(0xd7a1);
     let mut plan = plan;
     for _ in 0..repeats {
         for tick in [batch, 2 * batch + 7, batch / 2, batch] {
             for _ in 0..tick {
-                engine.push_key(keys.next_u64());
+                stream.push(keys.next_u64());
             }
-            engine.drain_full();
+            stream.drain_ready();
             if let Some(plan) = plan.take() {
-                engine.stage(plan);
+                stream.stage_membership(plan);
             }
         }
     }
-    engine.flush_all();
+    stream.flush();
 }
 
 /// Quarter of the bins at weight 4, a quarter at 2, the rest at 1.
@@ -152,28 +88,19 @@ fn tiered(bins: usize) -> BinWeights {
     BinWeights::power_of_two_tiers(&[(bins / 4, 2), (bins / 4, 1), (bins - 2 * (bins / 4), 0)])
 }
 
-/// Both engines over one configuration; returns the two rendered lines.
-fn rows(out: &mut String, label: &str, config: StreamConfig, plan: Option<MembershipPlan>) {
+/// The sole owner over one configuration; appends its rendered line.
+fn row(out: &mut String, label: &str, config: StreamConfig, plan: Option<MembershipPlan>) {
     let batch = config.batch_size;
     // Short batches get more of them, so every row crosses ≥ 18 boundaries
     // or ≥ 18k balls.
     let repeats = if batch < 1024 { 4 } else { 1 };
-
     let registry = Arc::new(MetricsRegistry::new());
-    let mut stream = StreamAllocator::new(config.clone());
+    let mut stream = StreamAllocator::new(config);
     stream.install_metrics(Arc::clone(&registry));
-    drive(&mut stream, batch, repeats, plan.clone());
+    drive(&mut stream, batch, repeats, plan);
     out.push_str(&format!(
         "stream {label} {}\n",
-        stream.drained(&registry).render()
-    ));
-
-    let registry = Arc::new(MetricsRegistry::new());
-    let mut router = ConcurrentRouter::with_metrics(config, Arc::clone(&registry));
-    drive(&mut router, batch, repeats, plan);
-    out.push_str(&format!(
-        "concurrent1 {label} {}\n",
-        router.drained(&registry).render()
+        render_drained(&stream, &registry)
     ));
 }
 
@@ -211,7 +138,7 @@ fn render() -> String {
                             },
                             if weighted { "tiered" } else { "uniform" },
                         );
-                        rows(&mut out, &label, config, None);
+                        row(&mut out, &label, config, None);
                     }
                 }
             }
@@ -252,7 +179,7 @@ fn render() -> String {
                     format!("threads{threads}")
                 },
             );
-            rows(&mut out, &label, config, Some(plan));
+            row(&mut out, &label, config, Some(plan));
         }
     }
     out
