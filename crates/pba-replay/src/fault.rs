@@ -174,7 +174,7 @@ impl FaultCheck {
             fault: fault.name().into(),
             counter: fault.counter().into(),
             fired,
-            invariant_error: invariants::check(router, false).err(),
+            invariant_error: invariants::check(router).err(),
         }
     }
 

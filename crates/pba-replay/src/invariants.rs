@@ -12,9 +12,9 @@
 use pba_stream::ConcurrentRouter;
 
 /// Checks the handle's invariants at quiescence — no route or release in
-/// flight. `all_routed` asserts the stricter ledger↔counter identity that
-/// holds when every ball entered via `route` (no anonymous pushes).
-pub fn check(router: &ConcurrentRouter, all_routed: bool) -> Result<(), String> {
+/// flight. The ledger↔counter identity holds under anonymous pushes too:
+/// `released` counts departures, and only a ticket release departs a ball.
+pub fn check(router: &ConcurrentRouter) -> Result<(), String> {
     if !router.conserves_balls() {
         return Err("conservation violated: placed − departed != Σ loads".into());
     }
@@ -47,7 +47,7 @@ pub fn check(router: &ConcurrentRouter, all_routed: bool) -> Result<(), String> 
              ledger holds {resident_tickets}"
         ));
     }
-    if all_routed && resident_tickets as u64 != stats.routed - stats.released {
+    if resident_tickets as u64 != stats.routed - stats.released {
         return Err(format!(
             "ledger out of step with counters: {resident_tickets} resident tickets vs \
              routed {} − released {}",
@@ -77,17 +77,32 @@ mod tests {
         }
         router.release(tickets[3]).unwrap();
         router.flush();
-        check(&router, true).expect("clean router");
+        check(&router).expect("clean router");
     }
 
     #[test]
-    fn anonymous_pushes_relax_only_the_counter_identity() {
+    fn anonymous_pushes_keep_every_identity() {
         let router = ConcurrentRouter::new(StreamConfig::new(8).batch_size(4).seed(2));
-        for key in 0..8u64 {
+        let mut tickets = Vec::new();
+        for key in 0..24u64 {
             router.push(key);
+            if key % 3 == 0 {
+                tickets.push(router.route(100 + key).unwrap().ticket);
+            }
+            if key % 5 == 0 {
+                router.drain_ready();
+            }
         }
+        router.release(tickets[1]).unwrap();
         router.flush();
-        router.route(42).unwrap();
-        check(&router, false).expect("mixed traffic, relaxed");
+        check(&router).expect("pushes, routes and a release");
+        // Pushed balls hold no ticket: the identity counts routed ones only.
+        let stats = router.stats();
+        assert_eq!(stats.resident, 24 + 8 - 1);
+        assert_eq!(
+            router.resident_tickets() as u64,
+            stats.routed - stats.released
+        );
+        assert_eq!((stats.routed, stats.released), (8, 1));
     }
 }

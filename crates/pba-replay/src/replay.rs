@@ -54,6 +54,7 @@ use pba_model::Allocator;
 use pba_obs::MetricsRegistry;
 use pba_stream::{ConcurrentRouter, MembershipPlan, Policy, StreamConfig};
 
+use crate::invariants;
 use crate::trace::{Trace, TraceEvent};
 
 /// Which engine a replay drives.
@@ -200,7 +201,9 @@ pub struct ReplayOutcome {
     /// Sum of every no-silent-drops counter the engine fired (0 on a clean
     /// replay; `OneShot` carries no registry and always reports 0).
     pub drops: u64,
-    /// Whether the engine's conservation invariant held at the end.
+    /// Whether the engine's books held at the end: [`invariants::check`] for
+    /// the streaming handle, `resident == routed − released` for a one-shot
+    /// router.
     pub conserved: bool,
 }
 
@@ -429,9 +432,10 @@ impl Routed {
 }
 
 /// The fingerprint of a flushed handle, for every caller count and for the
-/// fault harness. `conserved` is the conservation invariant *and* the books
-/// agreeing with the counters: one snapshot epoch per batch boundary, one
-/// resident ticket per unreleased route.
+/// fault harness. `conserved` is [`invariants::check`] passing: conservation
+/// *and* the books agreeing with each other and with the counters — one
+/// snapshot epoch per batch boundary, one resident ticket per unreleased
+/// route.
 pub(crate) fn streaming_outcome(
     engine: ReplayEngine,
     placements: Vec<u32>,
@@ -450,9 +454,7 @@ pub(crate) fn streaming_outcome(
         routed: stats.routed,
         released: stats.released,
         drops: pba_obs::drops_of(&registry.snapshot()),
-        conserved: router.conserves_balls()
-            && router.snapshot_epoch() == stats.batches
-            && router.resident_tickets() as u64 == stats.routed - stats.released,
+        conserved: invariants::check(router).is_ok(),
     }
 }
 
