@@ -220,7 +220,13 @@ fn run_rounds<P: Protocol + ?Sized>(
         let sample_for = |ball: u64, slots: &mut [u32]| {
             let mut rng = SplitMix64::for_stream_under(round_key, ball);
             if distinct {
-                sample_distinct_into(&mut rng, n, slots);
+                // With fewer bins than slots every bin is listed once and the
+                // last one repeated to keep slot arity (the ball simply
+                // contacts that bin once more).
+                let kept = slots.len().min(n);
+                rng.fill_distinct(n, &mut slots[..kept]);
+                let last = slots[kept - 1];
+                slots[kept..].fill(last);
             } else {
                 for slot in slots.iter_mut() {
                     *slot = rng.gen_index(n) as u32;
@@ -329,29 +335,6 @@ fn run_rounds<P: Protocol + ?Sized>(
     }
 }
 
-/// Fills `slots` with the bins [`SplitMix64::sample_distinct`] would return for
-/// `slots.len()` choices among `n` — the same draws, kept by the same rule — but
-/// in place, so a round allocates nothing per ball. With too few bins for that
-/// many distinct choices every bin is listed once and the last one repeated to
-/// keep slot arity (duplicates are harmless: the ball simply contacts that bin
-/// once more).
-fn sample_distinct_into(rng: &mut SplitMix64, n: usize, slots: &mut [u32]) {
-    if slots.len() >= n {
-        for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = i.min(n - 1) as u32;
-        }
-        return;
-    }
-    let mut filled = 0;
-    while filled < slots.len() {
-        let candidate = rng.gen_index(n) as u32;
-        if !slots[..filled].contains(&candidate) {
-            slots[filled] = candidate;
-            filled += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,8 +389,8 @@ mod tests {
                 for &ball in &unallocated {
                     let mut rng = SplitMix64::for_stream(seed, ball, round as u64);
                     if protocol.distinct_choices() && degree > 1 {
-                        let mut buf = Vec::new();
-                        rng.sample_distinct(n, degree, &mut buf);
+                        let mut buf = vec![0; degree.min(n)];
+                        rng.fill_distinct(n, &mut buf);
                         targets.extend((0..degree).map(|i| buf[i.min(buf.len() - 1)]));
                     } else {
                         targets.extend((0..degree).map(|_| rng.gen_index(n) as u32));
@@ -605,31 +588,6 @@ mod tests {
             let got = run_agent_engine_on(protocol.as_ref(), &subset, 40_000, *n, 5, &config);
             assert_same(&format!("{name}, subset"), &got, &want);
             assert!(got.per_round.is_empty());
-        }
-    }
-
-    #[test]
-    fn distinct_sampler_draws_what_the_vector_sampler_draws() {
-        for (n, k) in [
-            (1000usize, 1usize),
-            (1000, 4),
-            (7, 6),
-            (7, 7),
-            (3, 5),
-            (1, 2),
-        ] {
-            for ball in 0..200u64 {
-                let mut slots = vec![u32::MAX; k];
-                let mut in_place = SplitMix64::for_stream(9, ball, 2);
-                sample_distinct_into(&mut in_place, n, &mut slots);
-                let mut buf = Vec::new();
-                let mut vector = SplitMix64::for_stream(9, ball, 2);
-                vector.sample_distinct(n, k, &mut buf);
-                buf.resize(k, *buf.last().expect("n > 0"));
-                assert_eq!(slots, buf, "n={n} k={k} ball={ball}");
-                // Both consumed the same number of draws.
-                assert_eq!(in_place, vector, "n={n} k={k} ball={ball}");
-            }
         }
     }
 

@@ -176,19 +176,11 @@ impl SplitMix64 {
         }
     }
 
-    /// Samples `k` distinct indices from `[0, bound)` (or all of them if `k >= bound`),
-    /// appending to `out`. Uses rejection for small `k` relative to `bound`, which is
-    /// the regime every protocol in this workspace uses (`k ∈ O(1)` or `O(log n)`).
-    pub fn sample_distinct(&mut self, bound: usize, k: usize, out: &mut Vec<u32>) {
-        let start = out.len();
-        out.resize(start + k.min(bound), 0);
-        self.fill_distinct(bound, &mut out[start..]);
-    }
-
-    /// Fills `out` with `out.len()` distinct indices from `[0, bound)` — the
-    /// slice form of [`SplitMix64::sample_distinct`], for callers that keep
-    /// candidates in a fixed buffer. `out` may be at most `bound` long; at
-    /// exactly `bound` it becomes `0..bound` and no randomness is consumed.
+    /// Fills `out` with `out.len()` distinct indices from `[0, bound)`, drawn
+    /// slot by slot and redrawn on a repeat — rejection, which suits the
+    /// lengths every protocol in this workspace uses (`O(1)` or `O(log n)`
+    /// against `bound`). `out` may be at most `bound` long; at exactly
+    /// `bound` it becomes `0..bound` and no randomness is consumed.
     // Always inlined: over a fixed-length array the loops below unroll and
     // the candidates stay in registers.
     #[inline(always)]
@@ -416,33 +408,34 @@ mod tests {
     #[test]
     fn sample_distinct_properties() {
         let mut rng = SplitMix64::new(31);
-        let mut out = Vec::new();
-        rng.sample_distinct(100, 10, &mut out);
-        assert_eq!(out.len(), 10);
-        let mut dedup = out.clone();
+        let mut out = [0; 10];
+        rng.fill_distinct(100, &mut out);
+        let mut dedup = out.to_vec();
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), 10, "samples must be distinct");
         assert!(out.iter().all(|&x| x < 100));
 
-        // k >= bound returns all indices.
-        let mut all = Vec::new();
-        rng.sample_distinct(5, 10, &mut all);
-        assert_eq!(all, vec![0, 1, 2, 3, 4]);
+        // As many slots as indices: every index once, and no draw.
+        let mut all = [0; 5];
+        let before = rng.clone();
+        rng.fill_distinct(5, &mut all);
+        assert_eq!(all, [0, 1, 2, 3, 4]);
+        assert_eq!(rng, before);
 
-        // bound == 0 appends nothing.
-        let mut none = Vec::new();
-        rng.sample_distinct(0, 3, &mut none);
-        assert!(none.is_empty());
+        // No slots: nothing drawn.
+        rng.fill_distinct(0, &mut []);
+        assert_eq!(rng, before);
     }
 
     #[test]
     fn sample_distinct_appends_after_existing_content() {
+        // Filling the tail of a buffer leaves what is before (and after) it.
         let mut rng = SplitMix64::new(37);
-        let mut out = vec![999u32];
-        rng.sample_distinct(50, 5, &mut out);
-        assert_eq!(out.len(), 6);
-        assert_eq!(out[0], 999);
+        let mut out = [999u32; 7];
+        rng.fill_distinct(50, &mut out[1..6]);
+        assert_eq!((out[0], out[6]), (999, 999));
+        assert!(out[1..6].iter().all(|&x| x < 50));
     }
 
     #[test]

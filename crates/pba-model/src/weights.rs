@@ -238,33 +238,24 @@ impl ResolvedWeights {
         self.alias.sample(rng)
     }
 
-    /// Draws `k` **distinct** bins, each proportional to weight, appending to
-    /// `out` (all bins when `k >= n`). Duplicate draws are rejected and
-    /// redrawn; for each remaining slot the expected number of redraws is
-    /// `~1/(1 − s)` where `s` is the total share already drawn, so with the
-    /// small `k` the policies use (`k ∈ {1, 2, d}`, `d ≪ n`) and non-degenerate
-    /// weights this is a handful of draws. Pathological skew (one bin holding
-    /// share → 1) would make pure rejection effectively unbounded, so after
+    /// Fills `out` with `out.len()` **distinct** bins, each drawn
+    /// proportionally to weight. `out` may be at most
+    /// [`ResolvedWeights::len`] long; at exactly that it becomes `0..n` and no
+    /// randomness is consumed. Duplicate draws are rejected and redrawn; for
+    /// each remaining slot the expected number of redraws is `~1/(1 − s)`
+    /// where `s` is the total share already drawn, so with the small lengths
+    /// the policies use (`{1, 2, d}`, `d ≪ n`) and non-degenerate weights this
+    /// is a handful of draws. Pathological skew (one bin holding share → 1)
+    /// would make pure rejection effectively unbounded, so after
     /// `MAX_CONSECUTIVE_REJECTIONS` (64) collisions in a row the remaining
-    /// slots fall back to uniform draws — still deterministic in the RNG stream,
-    /// guaranteed to terminate, and only reachable when the weighted
+    /// slots fall back to uniform draws — still deterministic in the RNG
+    /// stream, guaranteed to terminate, and only reachable when the weighted
     /// distribution over the remaining bins is near-degenerate anyway.
     ///
     /// Returns the number of **uniform-fallback draws** taken (0 on the normal
     /// path) so callers can surface the degradation in a metrics counter — the
     /// no-silent-drops rule: a fallback that changes the sampling distribution
     /// must be observable.
-    pub fn sample_distinct(&self, rng: &mut SplitMix64, k: usize, out: &mut Vec<u32>) -> u32 {
-        let start = out.len();
-        out.resize(start + k.min(self.len()), 0);
-        self.fill_distinct(rng, &mut out[start..])
-    }
-
-    /// Fills `out` with `out.len()` distinct weight-proportional indices —
-    /// the slice form of [`ResolvedWeights::sample_distinct`] (same draws,
-    /// same fallback, same return value). `out` may be at most
-    /// [`ResolvedWeights::len`] long; at exactly that it becomes `0..n` and
-    /// no randomness is consumed.
     pub fn fill_distinct(&self, rng: &mut SplitMix64, out: &mut [u32]) -> u32 {
         let n = self.len();
         debug_assert!(out.len() <= n);
@@ -295,7 +286,7 @@ impl ResolvedWeights {
 }
 
 /// Consecutive duplicate draws tolerated by
-/// [`ResolvedWeights::sample_distinct`] before it degrades the remaining
+/// [`ResolvedWeights::fill_distinct`] before it degrades the remaining
 /// slots to uniform sampling. Hitting 64 collisions in a row has probability
 /// `s^64` when the already-drawn candidates hold share `s` of the weight —
 /// negligible below `s ≈ 0.9`, so the fallback only engages for
@@ -494,8 +485,8 @@ mod tests {
             .unwrap();
         let draw = |seed: u64| {
             let mut rng = SplitMix64::new(seed);
-            let mut out = Vec::new();
-            r.sample_distinct(&mut rng, 3, &mut out);
+            let mut out = [0; 3];
+            r.fill_distinct(&mut rng, &mut out);
             out
         };
         assert_eq!(draw(5), draw(5));
@@ -509,14 +500,16 @@ mod tests {
             .unwrap();
         let mut rng = SplitMix64::new(3);
         for _ in 0..100 {
-            let mut out = Vec::new();
-            r.sample_distinct(&mut rng, 2, &mut out);
-            assert_eq!(out.len(), 2);
+            let mut out = [0; 2];
+            r.fill_distinct(&mut rng, &mut out);
             assert_ne!(out[0], out[1]);
         }
-        let mut all = Vec::new();
-        r.sample_distinct(&mut rng, 10, &mut all);
-        assert_eq!(all, vec![0, 1, 2, 3]);
+        // As many slots as bins: every bin once, no draw.
+        let mut all = [0; 4];
+        let before = rng.clone();
+        r.fill_distinct(&mut rng, &mut all);
+        assert_eq!(all, [0, 1, 2, 3]);
+        assert_eq!(rng, before);
     }
 
     #[test]
@@ -530,9 +523,8 @@ mod tests {
         let mut rng = SplitMix64::new(2);
         let mut total_fallbacks = 0u64;
         for _ in 0..1_000 {
-            let mut out = Vec::new();
-            total_fallbacks += r.sample_distinct(&mut rng, 2, &mut out) as u64;
-            assert_eq!(out.len(), 2);
+            let mut out = [0; 2];
+            total_fallbacks += r.fill_distinct(&mut rng, &mut out) as u64;
             assert_ne!(out[0], out[1]);
         }
         assert!(
@@ -548,12 +540,10 @@ mod tests {
             .unwrap();
         let mut rng = SplitMix64::new(9);
         for _ in 0..200 {
-            let mut out = Vec::new();
-            assert_eq!(r.sample_distinct(&mut rng, 2, &mut out), 0);
+            assert_eq!(r.fill_distinct(&mut rng, &mut [0; 2]), 0);
         }
-        // The k >= n clamp path is also fallback-free.
-        let mut all = Vec::new();
-        assert_eq!(r.sample_distinct(&mut rng, 10, &mut all), 0);
+        // The all-bins path is also fallback-free.
+        assert_eq!(r.fill_distinct(&mut rng, &mut [0; 4]), 0);
     }
 
     #[test]
@@ -564,8 +554,8 @@ mod tests {
         let mut rng = SplitMix64::new(11);
         let mut first_hits = 0u64;
         for _ in 0..20_000 {
-            let mut out = Vec::new();
-            r.sample_distinct(&mut rng, 1, &mut out);
+            let mut out = [0; 1];
+            r.fill_distinct(&mut rng, &mut out);
             if out[0] == 0 {
                 first_hits += 1;
             }

@@ -19,7 +19,7 @@
 //! | `policy.threshold_fallback` | [`Policy::Threshold`](crate::Policy) — all candidates at/above the batch threshold |
 //! | `policy.overflow_retry` | [`Policy::CapacityThreshold`](crate::Policy) — first candidate set overflowed, fresh set drawn |
 //! | `policy.overflow_fallback` | [`Policy::CapacityThreshold`](crate::Policy) — both sets overflowed, least-normalized concession |
-//! | `policy.weighted_uniform_fallback` | weighted `sample_distinct` degraded to uniform draws |
+//! | `policy.weighted_uniform_fallback` | weighted `fill_distinct` degraded to uniform draws |
 //! | `observer.errors` | an external observer's lock was poisoned; its hooks were skipped |
 //! | `membership.rejected_adds` | `Add` staged with no retired slot left (or a bad weight) |
 //! | `membership.rejected_drains` | `Drain` of a non-active bin, or of the last active bin |
