@@ -1221,10 +1221,8 @@ pub fn e15_execution_layer(quick: bool) -> Table {
 /// transport-less server loop of the ROADMAP's serving layer). Wall-clock
 /// scales with callers only on multi-core hardware — on a 1-core container
 /// the threads serialise and the throughput column is noise — so the
-/// structural columns carry the reproduction: conservation at shutdown, one
-/// batch boundary per `batch_size` routed balls (epoch == batches), and the
-/// 1-caller run being **bit-identical** to the single-threaded `&mut`
-/// engine's `route()` path.
+/// structural columns carry the reproduction: conservation at shutdown and
+/// one batch boundary per `batch_size` routed balls (epoch == batches).
 pub fn e16_concurrent_routing(quick: bool) -> Table {
     use pba_stream::ConcurrentRouter;
     use std::time::Instant;
@@ -1245,24 +1243,11 @@ pub fn e16_concurrent_routing(quick: bool) -> Table {
             ("batches", Align::Right),
             ("final gap", Align::Right),
             ("conserved", Align::Left),
-            ("≡ &mut route()", Align::Left),
         ],
     )
     // Wall-clock readings, and the gap: at k > 1 callers the interleaving
     // decides which stale snapshot each route reads.
     .varying(&["wall ms", "Mroutes/s", "speedup vs 1", "final gap"]);
-
-    // The 1-caller reference: the classic `&mut self` engine routing the
-    // same key sequence — the concurrent pipeline must reproduce it bit for
-    // bit when there is no concurrency.
-    let reference_loads = {
-        let mut stream = StreamAllocator::new(StreamConfig::new(n).batch_size(batch).seed(seed));
-        let mut keys = pba_model::rng::SplitMix64::for_stream(seed, 0xe16, 0);
-        for _ in 0..m {
-            stream.route(keys.next_u64()).expect("infallible");
-        }
-        stream.loads()
-    };
 
     let mut baseline = None;
     for &callers in callers_list {
@@ -1283,15 +1268,6 @@ pub fn e16_concurrent_routing(quick: bool) -> Table {
         let seconds = start.elapsed().as_secs_f64();
         let base = *baseline.get_or_insert(seconds);
         let stats = router.stats();
-        let identity = if callers == 1 {
-            if router.loads() == reference_loads {
-                "yes"
-            } else {
-                "NO"
-            }
-        } else {
-            ""
-        };
         table.push_row([
             Cell::from(callers),
             Cell::from(stats.routed),
@@ -1305,7 +1281,6 @@ pub fn e16_concurrent_routing(quick: bool) -> Table {
             } else {
                 "NO"
             }),
-            Cell::from(identity),
         ]);
     }
     table
@@ -1870,7 +1845,7 @@ mod tests {
     }
 
     #[test]
-    fn e16_quick_conserves_and_matches_the_mut_engine_at_one_caller() {
+    fn e16_quick_conserves_and_fires_one_boundary_per_batch() {
         let t = e16_concurrent_routing(true);
         assert_eq!(t.n_rows(), 3, "callers 1, 2, 4");
         for row in t.rows() {
@@ -1885,10 +1860,7 @@ mod tests {
             let throughput: f64 = row[3].0.parse().unwrap();
             assert!(throughput > 0.0);
         }
-        // The 1-caller run is bit-identical to the &mut engine; the check
-        // only applies (and must pass) on the first row.
-        assert_eq!(t.rows()[0][8].0, "yes", "1-caller bit-identity");
-        assert!(t.rows()[1][8].0.is_empty());
+        assert_eq!(t.n_cols(), 8);
     }
 
     #[test]

@@ -135,11 +135,12 @@ fn commentary(title: &str) -> &'static str {
          lock-free atomic increments, tickets flow through a bin-sharded ledger, and one thread \
          per batch advances the boundary. This is the paper's \"balls as parallel agents\" \
          regime made executable: the batched model guarantees survive any interleaving, so the \
-         conserved column must read yes at every caller count, batches must equal routed/b \
-         (one boundary per batch), and the 1-caller run must be bit-identical to the \
-         single-threaded &mut engine (the \"≡ &mut route()\" column). Wall-clock scales with \
-         callers only on multi-core hardware; on a 1-core container the threads serialise and \
-         the throughput/speedup columns are noise — read the structural columns instead."
+         conserved column must read yes at every caller count and batches must equal routed/b \
+         (one boundary per batch). What one caller gets is pinned against an executable model \
+         of the batched process in the test suite (tests/model_properties.rs). Wall-clock \
+         scales with callers only on multi-core hardware; on a 1-core container the threads \
+         serialise and the throughput/speedup columns are noise — read the structural columns \
+         instead."
     }
         "E17" => {
         "The observability layer under serving load: loopback clients drive the metrics-\
