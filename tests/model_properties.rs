@@ -252,7 +252,7 @@ impl Run {
                 let weights = match op {
                     Op::WeightsUniform => BinWeights::Uniform,
                     Op::WeightsTiered => tiered(self.slots),
-                    _ => BinWeights::explicit(self.model.slot_weights().to_vec()),
+                    _ => BinWeights::explicit(self.model.table().slot_weights().to_vec()),
                 };
                 self.model.set_weights(weights.clone());
                 self.owner.set_weights(weights.clone());
@@ -350,8 +350,9 @@ impl Run {
         prop_assert_eq!(self.handle.batches(), model.batches());
         prop_assert_eq!(bits(self.owner.gap_trajectory()), bits(model.gaps()));
         prop_assert_eq!(bits(&self.handle.gap_trajectory()), bits(model.gaps()));
-        for bin in 0..self.slots {
-            let tickets = model.tickets_in(bin);
+        let mut tickets = vec![0; self.slots];
+        model.tickets().values().for_each(|&bin| tickets[bin] += 1);
+        for (bin, &tickets) in tickets.iter().enumerate() {
             prop_assert_eq!(self.owner.tickets_in(bin), tickets, "owner bin {}", bin);
             prop_assert_eq!(self.handle.tickets_in(bin), tickets, "handle bin {}", bin);
         }

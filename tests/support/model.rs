@@ -202,18 +202,9 @@ impl Model {
         &self.gaps
     }
 
-    pub fn tickets_in(&self, bin: usize) -> usize {
-        self.tickets.values().filter(|&&at| at == bin).count()
-    }
-
     /// The resident routed balls: ball id → bin.
     pub fn tickets(&self) -> &BTreeMap<u64, usize> {
         &self.tickets
-    }
-
-    /// The slot weights in force.
-    pub fn slot_weights(&self) -> &[f64] {
-        self.table.slot_weights()
     }
 
     pub fn table(&self) -> &Membership {
@@ -294,23 +285,26 @@ impl Model {
 
     /// Prices a batch of `len` balls over the balls resident in active bins.
     fn price(&self, len: u64) -> Prices {
-        let post = self.active_loads().iter().map(|&l| l as u64).sum::<u64>() + len;
-        let active = self.table.active();
-        let (flat, capacity) = match (self.policy, self.weights().active) {
-            (Policy::CapacityThreshold { slack, .. }, Some(weights)) => {
-                let mut capacity = vec![0; self.loads.len()];
-                for (at, &bin) in active.iter().enumerate() {
-                    let share = (post as f64 * weights.share(at)).ceil() as u32;
-                    capacity[bin as usize] = share + slack;
+        let slack = match self.policy {
+            Policy::Threshold { slack, .. } | Policy::CapacityThreshold { slack, .. } => slack,
+            _ => {
+                return Prices {
+                    flat: 0,
+                    capacity: Vec::new(),
                 }
-                (post.div_ceil(active.len() as u64) as u32 + slack, capacity)
             }
-            (Policy::Threshold { slack, .. } | Policy::CapacityThreshold { slack, .. }, _) => (
-                post.div_ceil(active.len() as u64) as u32 + slack,
-                Vec::new(),
-            ),
-            _ => (0, Vec::new()),
         };
+        let active = self.table.active();
+        let post = self.active_loads().iter().map(|&l| l as u64).sum::<u64>() + len;
+        let mut capacity = Vec::new();
+        let weights = self.weights().active;
+        if let (Policy::CapacityThreshold { .. }, Some(weights)) = (self.policy, weights) {
+            capacity.resize(self.loads.len(), 0);
+            for (at, &bin) in active.iter().enumerate() {
+                capacity[bin as usize] = (post as f64 * weights.share(at)).ceil() as u32 + slack;
+            }
+        }
+        let flat = post.div_ceil(active.len() as u64) as u32 + slack;
         Prices { flat, capacity }
     }
 
