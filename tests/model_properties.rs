@@ -13,8 +13,9 @@
 //! and `crash_bin` exist on the handle only; the owner and the model apply
 //! the same requests and releases one at a time. Each shell gets its own
 //! random shard count and the ambient drain thread count. Every case runs all
-//! six policies × uniform and tiered weights × 0 and 2 reserve slots, and
-//! asserts that each operation kind fired in each of those 24 runs.
+//! six policies × uniform and tiered weights × 0 and 2 reserve slots, each
+//! over a random 8–24 bins and batch size 1–48, and asserts that each
+//! operation kind fired in each of those 24 runs.
 
 #[path = "support/model.rs"]
 mod model;
@@ -39,7 +40,6 @@ const POLICIES: [Policy; 6] = [
     Policy::CapacityThreshold { d: 2, slack: 2 },
 ];
 
-const BINS: usize = 16;
 /// Operations per (policy, weights, reserve) run.
 const OPS: usize = 240;
 
@@ -356,7 +356,12 @@ impl Run {
             prop_assert_eq!(self.owner.tickets_in(bin), tickets, "owner bin {}", bin);
             prop_assert_eq!(self.handle.tickets_in(bin), tickets, "handle bin {}", bin);
         }
-        prop_assert_eq!(self.owner.membership().active(), model.table().active());
+        let active = model.table().active();
+        prop_assert_eq!(self.owner.membership().active(), active);
+        prop_assert_eq!(self.handle.membership().active().to_vec(), active);
+        prop_assert_eq!(self.handle.stats().bins, active.len());
+        prop_assert_eq!(self.owner.pending(), model.pending());
+        prop_assert_eq!(self.handle.pending(), model.pending() as u64);
         prop_assert!(self.owner.conserves_balls() && self.handle.conserves_balls());
         Ok(())
     }
@@ -390,16 +395,16 @@ proptest! {
         for policy in POLICIES {
             for weighted in [false, true] {
                 for reserve in [0usize, 2] {
-                    let batch = 1 + rng.gen_index(32);
-                    let weights = if weighted { tiered(BINS) } else { BinWeights::Uniform };
-                    let config = StreamConfig::new(BINS)
+                    let (bins, batch) = (8 + rng.gen_index(17), 1 + rng.gen_index(48));
+                    let weights = if weighted { tiered(bins) } else { BinWeights::Uniform };
+                    let config = StreamConfig::new(bins)
                         .policy(policy)
                         .batch_size(batch)
                         .seed(rng.next_u64())
                         .weights(weights.clone())
                         .reserve_bins(reserve);
                     let case = format!(
-                        "{} weights {} reserve {reserve} batch {batch}",
+                        "{} weights {} bins {bins} reserve {reserve} batch {batch}",
                         policy.name(),
                         weights.name()
                     );

@@ -194,6 +194,11 @@ impl Model {
         &self.loads
     }
 
+    /// Pushed balls not yet drained.
+    pub fn pending(&self) -> usize {
+        self.pending.len()
+    }
+
     pub fn batches(&self) -> u64 {
         self.batches
     }
