@@ -1,13 +1,9 @@
-//! The concurrency contract of the `ConcurrentRouter` serving core:
+//! The concurrency contract of the `ConcurrentRouter` serving core. What one
+//! caller gets from it, grouped or not, is pinned against the executable
+//! model of the batched process (`tests/model_properties.rs`); this suite
+//! covers k callers:
 //!
-//! 1. **Grouped ≡ looped** — `ConcurrentRouter` and `StreamAllocator` are
-//!    two ownership shells over one engine core, and what one caller gets
-//!    from either is pinned against the executable model of the batched
-//!    process (`tests/model_properties.rs`). Here the batched `route_many`
-//!    surface, a grouped call on the handle, is bit-identical to a loop of
-//!    `route` calls on the owner, for all six policies under uniform *and*
-//!    tiered weights, drain threads {1, 4} and every group size.
-//! 2. **k-thread conservation** — under concurrent route/release churn from
+//! 1. **k-thread conservation** — under concurrent route/release churn from
 //!    many caller threads (one-at-a-time *and* grouped `route_many` calls,
 //!    with membership staging interleaved), no ball is lost or duplicated:
 //!    conservation holds at quiescence, open tickets equal routed −
@@ -15,10 +11,10 @@
 //!    rejected, and boundaries fire once per `batch_size` routed balls.
 //!    Producers pushing while another thread drains lose no ball, and the
 //!    batches come out as the id-ordered owner's.
-//! 3. **Snapshot-epoch monotonicity** — epochs observed by concurrent
+//! 2. **Snapshot-epoch monotonicity** — epochs observed by concurrent
 //!    readers never go backwards, equal the batch-boundary count at
 //!    quiescence, and fire once per `batch_size` routed balls.
-//! 4. **Gap trajectory bounds** — the measured online gap stays within the
+//! 3. **Gap trajectory bounds** — the measured online gap stays within the
 //!    batched-model envelope (staleness of at most the in-flight balls, so
 //!    O((k·b)/n + log n) for two-choice at k callers).
 
@@ -44,82 +40,6 @@ const POLICIES: [Policy; 6] = [
 /// A 4:2:1 tier mix over `n` bins (n must be a multiple of 8).
 fn tier_mix(n: usize) -> BinWeights {
     BinWeights::power_of_two_tiers(&[(n / 8, 2), (n / 4, 1), (5 * n / 8, 0)])
-}
-
-/// Every test derives its randomness from a [`SeedSeq`] family: one root per
-/// test, one stream tag per purpose, member index = thread/case — no two
-/// call sites share a hardcoded `(seed, stream, index)` triple by accident.
-fn keys(count: u64, seed: u64) -> Vec<u64> {
-    let mut rng = SeedSeq::new(seed, 0xc0c0).rng(0);
-    (0..count).map(|_| rng.next_u64()).collect()
-}
-
-/// Batched bit-identity: `route_many` groups of every shape — singletons,
-/// misaligned odd sizes, bigger than a whole batch — on the shared handle
-/// match a loop of `route` calls on the sole owner ball for ball, for all 6
-/// policies × uniform/tiered weights × drain threads {1, 4}, with releases
-/// interleaved between groups. Placements, ticket ids, loads, gap
-/// trajectories and batch counts must all agree exactly.
-#[test]
-fn route_many_is_bit_identical_to_looped_route() {
-    let n = 64usize;
-    let sizes = [1usize, 3, 8, 17, 33, 2];
-    for policy in POLICIES {
-        for weights in [BinWeights::Uniform, tier_mix(n)] {
-            for threads in [1usize, 4] {
-                let cfg = StreamConfig::new(n)
-                    .policy(policy)
-                    .batch_size(32)
-                    .seed(41)
-                    .num_threads(threads)
-                    .weights(weights.clone());
-                let mut looped = StreamAllocator::new(cfg.clone());
-                let grouped = ConcurrentRouter::new(cfg);
-                let keys = keys(32 * 10 + 13, 19);
-                let mut held_l = Vec::new();
-                let mut held_g = Vec::new();
-                let mut cursor = 0usize;
-                let mut wave = 0usize;
-                while cursor < keys.len() {
-                    let take = sizes[wave % sizes.len()].min(keys.len() - cursor);
-                    let group = &keys[cursor..cursor + take];
-                    for &key in group {
-                        held_l.push(looped.route(key).expect("infallible"));
-                    }
-                    let g = grouped.route_many(group).expect("infallible");
-                    assert_eq!(g.len(), take);
-                    for i in 0..take {
-                        let l = &held_l[cursor + i];
-                        assert_eq!(
-                            g[i].bin,
-                            l.bin,
-                            "group diverged: {} {} threads={threads} ball {}",
-                            policy.name(),
-                            weights.name(),
-                            cursor + i
-                        );
-                        assert_eq!(g[i].ticket.id(), l.ticket.id());
-                    }
-                    held_g.extend(g);
-                    // Retire an earlier ball every few groups so the grouped
-                    // engine sees departures between calls too.
-                    if wave % 4 == 3 {
-                        let at = cursor / 2;
-                        looped.release(held_l[at].ticket).expect("live ticket");
-                        grouped.release(held_g[at].ticket).expect("live ticket");
-                    }
-                    cursor += take;
-                    wave += 1;
-                }
-                assert_eq!(grouped.loads(), looped.loads(), "{}", policy.name());
-                assert_eq!(grouped.gap_trajectory(), looped.gap_trajectory());
-                assert_eq!(grouped.batches(), looped.snapshot().batches);
-                assert_eq!(grouped.flush(), looped.flush());
-                assert_eq!(grouped.gap_trajectory(), looped.gap_trajectory());
-                assert!(grouped.conserves_balls() && looped.conserves_balls());
-            }
-        }
-    }
 }
 
 /// Four producers `push` on clones of the handle while a fifth thread keeps

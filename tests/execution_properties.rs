@@ -4,17 +4,17 @@
 //! The rayon shim (under the ambient thread count or a
 //! `StreamConfig::num_threads` engine's own) may cut every batch into a
 //! different number of chunks, but parallelism only ever partitions index
-//! ranges — it never reorders RNG consumption — so the sequential drain, the
-//! sharded parallel drain under 1/2/4 threads, and the synchronous
-//! `Router::route` stream must all produce the same loads and gap
-//! trajectories, for all six policies, weighted and unweighted.
+//! ranges — it never reorders RNG consumption — so the sequential drain and
+//! the sharded parallel drain under 1/2/4 threads must produce the same loads
+//! and gap trajectories, for all six policies, weighted and unweighted.
 //!
 //! The drain splits a batch only from two spans of `PARALLEL_MIN_SPAN`
 //! (2 × 32 Ki balls) up — below that every thread count runs the same inline
 //! loop — so the drain property uses batches of exactly that size, plus a
 //! trailing partial batch that is chosen inline: the split code path is
-//! exercised even where the ambient machine is single-core. The routed
-//! property is synchronous and keeps short batches.
+//! exercised even where the ambient machine is single-core. Routes never
+//! split: a routed ball and a drained one are each checked against the
+//! executable model of the batched process (`tests/model_properties.rs`).
 
 use proptest::prelude::*;
 
@@ -35,8 +35,6 @@ const POLICIES: [Policy; 6] = [
 
 /// The shortest batch the drain cuts into spans for several threads.
 const POOLED_BATCH: usize = 1 << 16;
-const ROUTED_BATCH: usize = 4096;
-const ROUTED_BATCHES: usize = 4;
 
 fn keys(count: usize, key_seed: u64) -> Vec<u64> {
     let mut rng = SplitMix64::for_stream(key_seed, 0xec5, 0);
@@ -98,56 +96,6 @@ proptest! {
                         policy.name(),
                         threads
                     );
-                }
-            }
-        }
-    }
-
-    /// The synchronous `Router::route` stream reproduces the drained engines
-    /// bit for bit under every worker count (full batches, so the threshold
-    /// policies' projected batch length equals the true one).
-    #[test]
-    fn route_streams_are_bit_identical_for_any_worker_count(
-        seed in 0u64..1_000,
-        key_seed in 0u64..1_000,
-    ) {
-        let n = 64usize;
-        let stream_keys = keys(ROUTED_BATCH * ROUTED_BATCHES, key_seed);
-        for weights in weightings(n) {
-            for policy in POLICIES {
-                let cfg = StreamConfig::new(n)
-                    .policy(policy)
-                    .batch_size(ROUTED_BATCH)
-                    .shards(8)
-                    .seed(seed)
-                    .weights(weights.clone());
-                let mut reference = StreamAllocator::new(cfg.clone().sequential());
-                for &key in &stream_keys {
-                    reference.push(key);
-                }
-                reference.flush();
-                for threads in [1usize, 2, 4] {
-                    let mut routed = StreamAllocator::new(cfg.clone().num_threads(threads));
-                    for &key in &stream_keys {
-                        routed.route(key).expect("streaming route is infallible");
-                    }
-                    prop_assert_eq!(
-                        routed.loads(),
-                        reference.loads(),
-                        "route loads diverged: policy {}, weights {}, threads {}",
-                        policy.name(),
-                        weights.name(),
-                        threads
-                    );
-                    prop_assert_eq!(
-                        routed.gap_trajectory(),
-                        reference.gap_trajectory(),
-                        "route gap trajectory diverged: policy {}, threads {}",
-                        policy.name(),
-                        threads
-                    );
-                    prop_assert!(routed.conserves_balls());
-                    prop_assert_eq!(routed.resident_tickets(), stream_keys.len());
                 }
             }
         }

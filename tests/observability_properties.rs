@@ -3,9 +3,9 @@
 //! Three families of guarantees:
 //!
 //! 1. **Metrics are write-only** — installing a `MetricsRegistry` must not
-//!    perturb a single placement: the instrumented engines stay bit-identical
-//!    to their bare runs for every policy, weighting and caller count (the
-//!    allocation path never *reads* a metric, so it cannot steer on one).
+//!    perturb a single placement: the instrumented engine stays bit-identical
+//!    to its bare run for every policy and weighting (the allocation path
+//!    never *reads* a metric, so it cannot steer on one).
 //! 2. **The books balance** — under `k` concurrent callers with interleaved
 //!    releases, `route.routed − route.released` equals the resident-ticket
 //!    count, and the per-bin commit family sums to `route.placed` (the
@@ -44,8 +44,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// (1) Bit-identity: for every policy × weighting, the instrumented
-    /// `StreamAllocator` and the instrumented 1-caller `ConcurrentRouter`
-    /// both produce exactly the loads of the bare `StreamAllocator`.
+    /// `StreamAllocator` produces exactly the loads of the bare one. The
+    /// 1-caller `ConcurrentRouter` runs the same core, so the same metric
+    /// writes; the model test holds its placements to the model.
     #[test]
     fn installed_registry_never_perturbs_placements(
         seed in 1u64..1_000,
@@ -79,20 +80,6 @@ proptest! {
                     bare.loads(),
                     instrumented.loads(),
                     "instrumented StreamAllocator diverged under {:?}",
-                    policy
-                );
-
-                let concurrent = ConcurrentRouter::with_metrics(
-                    cfg.clone(),
-                    Arc::new(MetricsRegistry::new()),
-                );
-                for &key in &keys {
-                    concurrent.route(key).expect("infallible");
-                }
-                prop_assert_eq!(
-                    bare.loads(),
-                    concurrent.loads(),
-                    "instrumented 1-caller ConcurrentRouter diverged under {:?}",
                     policy
                 );
             }

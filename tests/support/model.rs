@@ -1,20 +1,15 @@
-//! The batched stale-snapshot process (Los & Sauerwald, *Balanced
-//! Allocations in Batches*) as DESIGN.md states it, written once and plainly:
-//! the one-caller semantics both streaming shells must have, and that every
-//! k-caller history has to order into.
+//! The batched stale-snapshot process (Los & Sauerwald, *Balanced Allocations
+//! in Batches*) as DESIGN.md states it: what one caller gets from either
+//! streaming shell, and what every k-caller history has to order into.
 //!
-//! Every ball decides from the loads of the last batch boundary. A boundary
-//! falls when `batch_size` balls have been routed since the last routed one
-//! (or a flush closes the partial batch), and at every drained batch of
-//! pushed balls. A threshold policy prices `⌈(resident + b)/n⌉ + slack` and
-//! the capacity shares over the active bins: a routed batch at its first
-//! route, with the full `batch_size`; a drained batch with its true length;
-//! a migration with its volume. Staged membership and weights apply through
-//! [`Membership::apply`] only where no routed batch is open. Choices go
-//! through the public [`choose_bin`].
-//!
-//! No atomics, shards, epochs, sub-groups or scratch buffers: a `Vec` of
-//! loads, its stale copy, the lifecycle table and a map of tickets.
+//! Every ball decides from the loads of the last batch boundary, which falls
+//! after `batch_size` routed balls, when a flush closes a partial routed
+//! batch, and at every drained batch. A threshold policy prices over the
+//! active bins: a routed batch at its first route with the full `batch_size`,
+//! a drained batch with its length, a migration with its volume. Staged
+//! changes apply through [`Membership::apply`] only where no routed batch is
+//! open, and every choice is the public [`choose_bin`]. No atomics, shards,
+//! epochs, sub-groups or scratch buffers.
 
 use std::collections::BTreeMap;
 
@@ -24,68 +19,49 @@ use parallel_balanced_allocations::stream::{
     choose_bin, BinWeights, ChoiceCtx, Policy, StreamConfig,
 };
 
-/// The thresholds one batch is priced at: the flat one and, for a weighted
-/// capacity threshold, one per slot (empty otherwise).
-struct Prices {
-    flat: u32,
-    capacity: Vec<u32>,
-}
+/// A batch's flat threshold and, for a weighted capacity threshold, one per
+/// slot (empty otherwise).
+type Prices = (u32, Vec<u32>);
 
-/// The weights a choice and a gap are taken under: restricted to the active
-/// bins, and over every slot for load comparisons; both `None` when the
-/// active bins are uniform.
-struct Weights {
-    active: Option<ResolvedWeights>,
-    slots: Option<ResolvedWeights>,
-}
-
-/// `weights` over `slots` slots, uniform ones (any constant) as `1.0` each.
+/// `weights` over `slots` slots; uniform ones (any constant) are 1.0 each.
 fn per_slot(weights: &BinWeights, slots: usize) -> Vec<f64> {
-    match weights.resolve(slots) {
-        Some(resolved) => resolved.weights().to_vec(),
-        None => vec![1.0; slots],
-    }
+    let resolved = weights.resolve(slots);
+    resolved.map_or_else(|| vec![1.0; slots], |resolved| resolved.weights().to_vec())
 }
 
-/// One streaming engine's state, with one caller.
+/// One streaming engine with one caller.
 pub struct Model {
-    policy: Policy,
-    seed: u64,
-    batch_size: usize,
+    pub config: StreamConfig,
     /// Fresh loads, one per capacity slot.
-    loads: Vec<u32>,
+    pub loads: Vec<u32>,
     /// The loads of the last boundary: what every choice reads.
     stale: Vec<u32>,
-    table: Membership,
-    staged_plan: MembershipPlan,
-    staged_weights: Option<BinWeights>,
-    /// Balls routed since the last routed boundary.
+    pub table: Membership,
+    staged: (MembershipPlan, Option<BinWeights>),
+    /// Balls routed since the last routed boundary, and the thresholds the
+    /// first of them priced.
     open_routed: usize,
-    /// The open routed batch's thresholds, once its first route priced them.
     route_prices: Option<Prices>,
     /// Pushed keys not yet drained, in arrival order.
-    pending: Vec<u64>,
+    pub pending: Vec<u64>,
     /// Resident routed balls: ball id → bin.
-    tickets: BTreeMap<u64, usize>,
+    pub tickets: BTreeMap<u64, usize>,
     /// The next ball id; routes and pushes share the sequence.
     next_id: u64,
-    batches: u64,
-    gaps: Vec<f64>,
+    pub batches: u64,
+    pub gaps: Vec<f64>,
 }
 
 impl Model {
     pub fn new(config: &StreamConfig) -> Self {
-        let capacity = config.bins + config.reserve_bins;
+        let slots = config.bins + config.reserve_bins;
         let weights = per_slot(&config.weights, config.bins);
         Self {
-            policy: config.policy,
-            seed: config.seed,
-            batch_size: config.batch_size,
-            loads: vec![0; capacity],
-            stale: vec![0; capacity],
-            table: Membership::new(config.bins, capacity, &weights),
-            staged_plan: MembershipPlan::new(),
-            staged_weights: None,
+            config: config.clone(),
+            loads: vec![0; slots],
+            stale: vec![0; slots],
+            table: Membership::new(config.bins, slots, &weights),
+            staged: (MembershipPlan::new(), None),
             open_routed: 0,
             route_prices: None,
             pending: Vec::new(),
@@ -100,14 +76,14 @@ impl Model {
     pub fn route(&mut self, key: u64) -> (u64, usize) {
         if self.open_routed == 0 {
             self.apply_staged();
-            self.route_prices = Some(self.price(self.batch_size as u64));
+            self.route_prices = Some(self.price(self.config.batch_size as u64));
         }
         let bin = self.choose(key, self.route_prices.as_ref().expect("priced"));
         self.loads[bin] += 1;
         let id = self.stamp();
         self.tickets.insert(id, bin);
         self.open_routed += 1;
-        if self.open_routed == self.batch_size {
+        if self.open_routed == self.config.batch_size {
             self.close_routed_batch();
         }
         (id, bin)
@@ -138,45 +114,40 @@ impl Model {
 
     /// Drains every full batch; returns how many.
     pub fn drain_ready(&mut self) -> usize {
-        let full = self.pending.len() / self.batch_size;
-        (0..full).for_each(|_| self.drain(self.batch_size));
+        let full = self.pending.len() / self.config.batch_size;
+        (0..full).for_each(|_| self.drain(self.config.batch_size));
         full
     }
 
-    /// Closes an open routed batch and drains everything pushed; returns the
-    /// boundaries that produced.
+    /// Closes an open routed batch and drains everything pushed; returns how
+    /// many boundaries that made.
     pub fn flush(&mut self) -> usize {
-        let closed = self.open_routed > 0;
-        if closed {
+        let mut boundaries = (self.open_routed > 0) as usize;
+        if boundaries > 0 {
             self.close_routed_batch();
-        } else {
-            self.apply_staged();
         }
-        let mut boundaries = closed as usize;
+        self.apply_staged();
         while !self.pending.is_empty() {
-            self.drain(self.pending.len().min(self.batch_size));
+            self.drain(self.pending.len().min(self.config.batch_size));
             boundaries += 1;
         }
         boundaries
     }
 
     pub fn stage_membership(&mut self, plan: MembershipPlan) {
-        self.staged_plan.extend(plan);
+        self.staged.0.extend(plan);
     }
 
     pub fn set_weights(&mut self, weights: BinWeights) {
-        self.staged_weights = Some(weights);
+        self.staged.1 = Some(weights);
     }
 
     /// Moves every ticketed ball of a draining bin through the policy, keyed
-    /// by its id and priced with the volume; returns how many moved.
+    /// by its id; returns how many moved.
     pub fn migrate_drained(&mut self) -> u64 {
-        let moving: Vec<(u64, usize)> = self
-            .tickets
-            .iter()
-            .filter(|&(_, &bin)| self.table.state(bin) == BinState::Draining)
-            .map(|(&id, &bin)| (id, bin))
-            .collect();
+        let draining = |bin: usize| self.table.state(bin) == BinState::Draining;
+        let tickets = self.tickets.iter().map(|(&id, &bin)| (id, bin));
+        let moving: Vec<(u64, usize)> = tickets.filter(|&(_, bin)| draining(bin)).collect();
         if moving.is_empty() {
             return 0;
         }
@@ -190,32 +161,6 @@ impl Model {
         moving.len() as u64
     }
 
-    pub fn loads(&self) -> &[u32] {
-        &self.loads
-    }
-
-    /// Pushed balls not yet drained.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    pub fn batches(&self) -> u64 {
-        self.batches
-    }
-
-    pub fn gaps(&self) -> &[f64] {
-        &self.gaps
-    }
-
-    /// The resident routed balls: ball id → bin.
-    pub fn tickets(&self) -> &BTreeMap<u64, usize> {
-        &self.tickets
-    }
-
-    pub fn table(&self) -> &Membership {
-        &self.table
-    }
-
     fn stamp(&mut self) -> u64 {
         self.next_id += 1;
         self.next_id - 1
@@ -227,8 +172,7 @@ impl Model {
             self.apply_staged();
         }
         let prices = self.price(len as u64);
-        let batch: Vec<u64> = self.pending.drain(..len).collect();
-        for key in batch {
+        for key in self.pending.drain(..len).collect::<Vec<_>>() {
             let bin = self.choose(key, &prices);
             self.loads[bin] += 1;
         }
@@ -242,17 +186,17 @@ impl Model {
         self.apply_staged();
     }
 
-    /// A batch boundary: the fresh loads become the stale copy, and their gap
-    /// joins the trajectory.
+    /// A batch boundary: the fresh loads become the stale copy, and the gap
+    /// of the active bins under their weights joins the trajectory.
     fn boundary(&mut self) {
         self.batches += 1;
         self.stale.clone_from(&self.loads);
-        let active: Vec<u32> = self.active_loads();
-        let gap = match self.weights().active {
+        let active = self.active_loads();
+        let gap = match self.weights().0 {
             Some(weights) => weighted_gap(&active, &weights),
             None => {
-                let max = active.iter().copied().max().unwrap_or(0) as f64;
                 let total: u64 = active.iter().map(|&l| l as u64).sum();
+                let max = active.iter().copied().max().unwrap_or(0) as f64;
                 max - total as f64 / active.len() as f64
             }
         };
@@ -261,14 +205,13 @@ impl Model {
 
     /// Applies what is staged: membership first, then weights.
     fn apply_staged(&mut self) {
-        let plan = std::mem::take(&mut self.staged_plan);
+        let (plan, weights) = std::mem::take(&mut self.staged);
         let (loads, tickets) = (&self.loads, &self.tickets);
-        self.table.apply(&plan, |bin| {
-            loads[bin as usize] > 0 || tickets.values().any(|&at| at == bin as usize)
-        });
-        if let Some(weights) = self.staged_weights.take() {
-            self.table
-                .set_slot_weights(&per_slot(&weights, self.loads.len()));
+        let occupied = |bin| loads[bin] > 0 || tickets.values().any(|&at| at == bin);
+        self.table.apply(&plan, |bin| occupied(bin as usize));
+        if let Some(weights) = weights {
+            let slots = self.loads.len();
+            self.table.set_slot_weights(&per_slot(&weights, slots));
         }
     }
 
@@ -277,7 +220,9 @@ impl Model {
         active.map(|&bin| self.loads[bin as usize]).collect()
     }
 
-    fn weights(&self) -> Weights {
+    /// The weights of the active bins and of every slot, both `None` while
+    /// the active bins are uniform.
+    fn weights(&self) -> (Option<ResolvedWeights>, Option<ResolvedWeights>) {
         let slot_weights = self.table.slot_weights();
         let active = self.table.active().iter();
         let active: Vec<f64> = active.map(|&bin| slot_weights[bin as usize]).collect();
@@ -285,49 +230,44 @@ impl Model {
         let slots = active
             .as_ref()
             .map(|_| ResolvedWeights::new(slot_weights.to_vec()));
-        Weights { active, slots }
+        (active, slots)
     }
 
     /// Prices a batch of `len` balls over the balls resident in active bins.
     fn price(&self, len: u64) -> Prices {
-        let slack = match self.policy {
+        let slack = match self.config.policy {
             Policy::Threshold { slack, .. } | Policy::CapacityThreshold { slack, .. } => slack,
-            _ => {
-                return Prices {
-                    flat: 0,
-                    capacity: Vec::new(),
-                }
-            }
+            _ => return (0, Vec::new()),
         };
         let active = self.table.active();
         let post = self.active_loads().iter().map(|&l| l as u64).sum::<u64>() + len;
         let mut capacity = Vec::new();
-        let weights = self.weights().active;
-        if let (Policy::CapacityThreshold { .. }, Some(weights)) = (self.policy, weights) {
+        if let (Policy::CapacityThreshold { .. }, Some(weights)) =
+            (self.config.policy, self.weights().0)
+        {
             capacity.resize(self.loads.len(), 0);
             for (at, &bin) in active.iter().enumerate() {
                 capacity[bin as usize] = (post as f64 * weights.share(at)).ceil() as u32 + slack;
             }
         }
-        let flat = post.div_ceil(active.len() as u64) as u32 + slack;
-        Prices { flat, capacity }
+        (post.div_ceil(active.len() as u64) as u32 + slack, capacity)
     }
 
     /// The bin the policy picks for `key` from the stale copy.
-    fn choose(&self, key: u64, prices: &Prices) -> usize {
-        let weights = self.weights();
+    fn choose(&self, key: u64, (flat, capacity): &Prices) -> usize {
+        let (active_weights, weights) = self.weights();
         let active = self.table.active();
         let ctx = ChoiceCtx {
             snapshot: &self.stale,
-            weights: weights.slots.as_ref(),
-            batch_threshold: prices.flat,
-            capacity_thresholds: &prices.capacity,
-            seed: self.seed,
+            weights: weights.as_ref(),
+            batch_threshold: *flat,
+            capacity_thresholds: capacity,
+            seed: self.config.seed,
             bins: self.loads.len(),
             active: (active.len() < self.loads.len()).then_some(active),
-            active_weights: weights.active.as_ref(),
+            active_weights: active_weights.as_ref(),
             counters: None,
         };
-        choose_bin(self.policy, &ctx, key, &mut Vec::new()) as usize
+        choose_bin(self.config.policy, &ctx, key, &mut Vec::new()) as usize
     }
 }
