@@ -220,13 +220,7 @@ fn run_rounds<P: Protocol + ?Sized>(
         let sample_for = |ball: u64, slots: &mut [u32]| {
             let mut rng = SplitMix64::for_stream_under(round_key, ball);
             if distinct {
-                // With fewer bins than slots every bin is listed once and the
-                // last one repeated to keep slot arity (the ball simply
-                // contacts that bin once more).
-                let kept = slots.len().min(n);
-                rng.fill_distinct(n, &mut slots[..kept]);
-                let last = slots[kept - 1];
-                slots[kept..].fill(last);
+                fill_distinct_slots(&mut rng, n, slots);
             } else {
                 for slot in slots.iter_mut() {
                     *slot = rng.gen_index(n) as u32;
@@ -333,6 +327,20 @@ fn run_rounds<P: Protocol + ?Sized>(
         per_round,
         census,
     }
+}
+
+/// Fills `slots` with [`SplitMix64::fill_distinct`]'s draws; with fewer bins
+/// than slots every bin is listed once and the last one repeated to keep slot
+/// arity (the ball simply contacts that bin once more). Kept out of line:
+/// inlined into the round's sampling closure, the always-inlined draw loop
+/// slowed `A_heavy`'s degree-1 phase 1, which never takes this branch, by
+/// 7.6 % (`oneshot-heavy` throughput, 2-vCPU host, 6 runs a side).
+#[inline(never)]
+fn fill_distinct_slots(rng: &mut SplitMix64, n: usize, slots: &mut [u32]) {
+    let kept = slots.len().min(n);
+    rng.fill_distinct(n, &mut slots[..kept]);
+    let last = slots[kept - 1];
+    slots[kept..].fill(last);
 }
 
 #[cfg(test)]
