@@ -7,11 +7,15 @@
 //!
 //! 1. **choose** ([`choose_into`]) — every ball picks its bin as a pure
 //!    function of `(stale snapshot, key)`. Everything constant across the
-//!    batch is decided once, in the [`Chooser`]; the per-ball kernel keeps its
-//!    candidates in a fixed buffer and touches no heap. There is one loop: it
-//!    runs on the calling thread, and only a batch long enough to pay for a
-//!    thread spawn ([`PARALLEL_MIN_SPAN`]) is cut into contiguous spans that
-//!    scoped threads run the same loop over.
+//!    batch is decided once, in the [`Chooser`], and the sampler, the
+//!    policy's rule and the candidate buffer once per span; so the per-ball
+//!    kernel is one rule's loop, which matches no policy, keeps its
+//!    candidates in a fixed buffer and touches no heap. A uniform ball's
+//!    first attempt is read straight off its key's hash; only a ball whose
+//!    draws reject or repeat runs the redraw loop. The span runs on the
+//!    calling thread, and only a batch long enough to pay for a thread spawn
+//!    ([`PARALLEL_MIN_SPAN`]) is cut into contiguous spans that scoped
+//!    threads run the same loop over.
 //! 2. **place** — the shard layer's grouped commit ([`place_counted`]):
 //!    one atomic add and one `route.bin_commits` add per distinct bin, no
 //!    lock. Always on the calling thread: at a few atomics per distinct bin
@@ -28,13 +32,17 @@ use crate::policy::{Chooser, Keyed};
 /// two such spans is chosen on the calling thread, so below that the thread
 /// count is a no-op.
 ///
-/// A ball costs ≈ 8 ns to choose, so the 4096-ball batch of the
-/// `stream-drain` workload is ≈ 33 µs of work in all — about what spawning
-/// one scoped thread costs. That figure is two-choice over 1000 or 1024
-/// bins, from a throw-away harness timing `Chooser::choose_span` over 4096
-/// keys on the 2-vCPU build host: median 8.2 ns and best 4.2 of twelve
-/// runs, where the same harness read 10.8 ns at 1024 bins and 18.2 at 1000
-/// while each candidate was a `SplitMix64` draw ranged by division.
+/// A two-choice ball costs ≈ 3–4.5 ns to choose, so the 4096-ball batch of
+/// the `stream-drain` workload is ≈ 12–18 µs of work in all — under half of
+/// what spawning one scoped thread costs. That figure is two-choice over
+/// 1000 or 1024 bins, from a throw-away harness timing
+/// `Chooser::choose_span` over 4096 pushed balls on the 2-vCPU build host:
+/// over three passes of fifteen runs, medians of 3.0–4.4 ns at 1024 bins
+/// and 3.1–4.9 at 1000 (best 2.6 and 3.1), where the same harness read
+/// 4.2–7.1 and 4.1–7.0 on the per-ball policy match the per-rule loops
+/// replaced. Before that the kernel read a median of 8.2 ns, and 10.8 at
+/// 1024 bins and 18.2 at 1000 while each candidate was a `SplitMix64` draw
+/// ranged by division.
 ///
 /// The cutoff itself was measured on that host when the kernel read ≈ 6 ns,
 /// with another throw-away harness (ticks of `B` pushes + `drain_ready` on a
@@ -46,7 +54,10 @@ use crate::policy::{Chooser, Keyed};
 /// 32 Ki, and from 64 Ki up between 0.92 and 1.55. Spawning a scoped thread
 /// per drain instead, they ran at 1.22–1.68 at 64 Ki, 1.18–1.61 at 128 Ki
 /// and 1.16–1.74 at 256 Ki. 64 Ki is therefore the shortest batch that is
-/// split, and this is half of it.
+/// split, and this is half of it. A faster kernel makes this cutoff *less*
+/// likely to pay for a thread, not more: the spawn costs the same, and a
+/// span of this length now holds less work than it did then. It is not
+/// retuned, since no host with a free second CPU has been measured.
 pub const PARALLEL_MIN_SPAN: usize = 1 << 15;
 
 /// Overwrites `chosen` with the bin of every item, in item

@@ -231,8 +231,8 @@ pub fn choose_bin(
 /// the sampling domain and `d` clamped to it, the domain's multiply-shift
 /// rejection threshold, whether candidates are drawn weight-proportionally,
 /// and the `(seed, CANDIDATE_STREAM)` half of each ball's hash.
-/// [`Chooser::choose_span`] is then the choose loop of every drain, route
-/// and migration.
+/// [`Chooser::choose_span`] then runs one rule's choose loop over each
+/// drain, routed group and migration.
 pub(crate) struct Chooser<'a> {
     policy: Policy,
     ctx: ChoiceCtx<'a>,
@@ -271,30 +271,31 @@ impl<'a> Chooser<'a> {
     }
 
     /// Chooses the bin of every item of a span: `out[i]` is the bin of the
-    /// ball with key `items[i].key()`. The one choose loop, instantiated
-    /// once per item type. The sampler
-    /// is matched once here, not per ball; the `d` match then only picks the
-    /// candidate buffer the loop runs over, so that for the `d` the policies
-    /// actually use the buffer is a stack array whose length the compiler
-    /// knows — candidates then live in registers, and the sampling and
-    /// comparison loops unroll. A larger `d` runs the same loop over a heap
-    /// buffer.
+    /// ball with key `items[i].key()`. Everything but the ball is decided
+    /// here, once per span: the sampler, whether a uniform draw can reject
+    /// at all, the policy's rule and the candidate buffer. The loop that
+    /// runs is compiled once per rule (and buffer and item type), so no ball
+    /// matches a policy. For uniform candidates and `d` up to 4 the buffer
+    /// is a stack array whose length the compiler knows: candidates then
+    /// live in registers, and the sampling and comparison loops unroll. Any
+    /// other `d`, and the alias-table sampler, run over runtime-length
+    /// buffers.
     pub(crate) fn choose_span<K: Keyed>(&self, items: &[K], out: &mut [u32]) {
         debug_assert_eq!(items.len(), out.len());
-        match self.sampler {
-            None => self.span_with(
-                items,
-                |item| KeyDraws::new(self.stream_key, item.key()),
-                out,
-            ),
-            Some(weights) => self.span_with(
-                items,
-                |item| WeightedDraws {
-                    rng: SplitMix64::for_substream(self.stream_key, item.key()),
-                    weights,
-                },
-                out,
-            ),
+        let Some(weights) = self.sampler else {
+            return self.uniform_span(items, out);
+        };
+        // The alias table's own draws dominate a weighted ball: its two
+        // rules run over runtime-length buffers.
+        let weighted = Weighted {
+            weights,
+            stream_key: self.stream_key,
+            counters: self.ctx.counters,
+        };
+        if matches!(self.policy, Policy::CapacityThreshold { .. }) {
+            self.span_sized(weighted, first_below_capacity, items, out)
+        } else {
+            self.span_sized(weighted, pick_least_normalized, items, out)
         }
     }
 
@@ -305,93 +306,144 @@ impl<'a> Chooser<'a> {
         bin
     }
 
+    /// [`choose_span`](Self::choose_span) with uniform candidates.
     #[inline(always)]
-    fn span_with<K, D: Draws>(&self, items: &[K], draws_of: impl Fn(&K) -> D, out: &mut [u32]) {
-        match self.d {
-            1 => self.span_over([0; 1], items, draws_of, out),
-            2 => self.span_over([0; 2], items, draws_of, out),
-            3 => self.span_over([0; 3], items, draws_of, out),
-            4 => self.span_over([0; 4], items, draws_of, out),
-            d => self.span_over(vec![0; d], items, draws_of, out),
+    fn uniform_span<K: Keyed>(&self, items: &[K], out: &mut [u32]) {
+        match self.policy {
+            Policy::OneChoice if self.exact() => {
+                self.span_over(self.uniform::<false>(), pick_first, [0], [0], items, out)
+            }
+            Policy::OneChoice => {
+                self.span_over(self.uniform::<true>(), pick_first, [0], [0], items, out)
+            }
+            // Membership left uniform survivors of non-uniform weights.
+            Policy::WeightedTwoChoice if self.ctx.weights.is_some() => {
+                self.span_sized(self.uniform::<true>(), pick_least_normalized, items, out)
+            }
+            // Under uniform weights the normalized order is the raw one.
+            Policy::TwoChoice | Policy::DChoice(_) | Policy::WeightedTwoChoice => {
+                self.span_with(pick_least_loaded, items, out)
+            }
+            Policy::Threshold { .. } => self.span_with(pick_below_threshold, items, out),
+            Policy::CapacityThreshold { .. } => self.span_with(first_below_capacity, items, out),
         }
     }
 
+    /// `rule`'s loop with uniform candidates: over stack arrays for `d` up
+    /// to 4, over runtime-length buffers past it. At `d = 2`, the width of
+    /// every two-candidate policy, an exact domain's loop skips the
+    /// rejection test; a wider attempt keeps it, as a small share of its
+    /// draws.
     #[inline(always)]
-    fn span_over<K, D: Draws, B: AsMut<[u32]> + Clone>(
+    fn span_with<K: Keyed>(
         &self,
-        mut first: B,
+        rule: impl Fn(&ChoiceCtx<'_>, &[u32]) -> Option<u32>,
         items: &[K],
-        draws_of: impl Fn(&K) -> D,
         out: &mut [u32],
     ) {
-        // The overflow retry's second attempt: same length, its own buffer.
-        let mut retry = first.clone();
+        match self.d {
+            2 if self.exact() => {
+                self.span_over(self.uniform::<false>(), rule, [0; 2], [0; 2], items, out)
+            }
+            2 => self.span_over(self.uniform::<true>(), rule, [0; 2], [0; 2], items, out),
+            3 => self.span_over(self.uniform::<true>(), rule, [0; 3], [0; 3], items, out),
+            4 => self.span_over(self.uniform::<true>(), rule, [0; 4], [0; 4], items, out),
+            _ => self.span_sized(self.uniform::<true>(), rule, items, out),
+        }
+    }
+
+    /// True when the domain is a power of two, so no uniform draw rejects.
+    fn exact(&self) -> bool {
+        self.range.reject_below == 0
+    }
+
+    /// The uniform sampler, testing each first-attempt draw for rejection
+    /// iff `REJECTS`.
+    #[inline(always)]
+    fn uniform<const REJECTS: bool>(&self) -> Uniform<REJECTS> {
+        Uniform {
+            range: self.range,
+            stream_key: self.stream_key,
+        }
+    }
+
+    /// `rule`'s loop over two runtime-length buffers of `d` slots: halves of
+    /// one stack array, or of a vector for a `d` past it.
+    #[inline(always)]
+    fn span_sized<K: Keyed>(
+        &self,
+        sampler: impl Sampler,
+        rule: impl Fn(&ChoiceCtx<'_>, &[u32]) -> Option<u32>,
+        items: &[K],
+        out: &mut [u32],
+    ) {
+        const STACK: usize = 8;
+        let (mut stack, mut heap) = ([0; 2 * STACK], Vec::new());
+        let buffer = if self.d <= STACK {
+            &mut stack[..]
+        } else {
+            heap.resize(2 * self.d, 0);
+            &mut heap[..]
+        };
+        let (first, retry) = buffer.split_at_mut(self.d);
+        self.span_over(sampler, rule, first, &mut retry[..self.d], items, out)
+    }
+
+    /// The choose loop of one rule: each ball's first attempt goes into
+    /// `first`, the overflow retry's second into `retry`, both `d` slots.
+    #[inline(always)]
+    fn span_over<K: Keyed, B: AsMut<[u32]>>(
+        &self,
+        sampler: impl Sampler,
+        rule: impl Fn(&ChoiceCtx<'_>, &[u32]) -> Option<u32>,
+        mut first: B,
+        mut retry: B,
+        items: &[K],
+        out: &mut [u32],
+    ) {
+        let (ctx, active) = (&self.ctx, self.ctx.active);
         let (first, retry) = (first.as_mut(), retry.as_mut());
         for (slot, item) in out.iter_mut().zip(items) {
-            *slot = self.choose(draws_of(item), first, retry);
-        }
-    }
-
-    /// The bin of the ball whose candidates `draws` yields; `first` and
-    /// `retry` are `d` slots of candidate scratch each.
-    #[inline(always)]
-    fn choose(&self, mut draws: impl Draws, first: &mut [u32], retry: &mut [u32]) -> u32 {
-        let ctx = &self.ctx;
-        self.sample(&mut draws, first);
-        match self.policy {
-            Policy::OneChoice => first[0],
-            Policy::TwoChoice | Policy::DChoice(_) => least_loaded(ctx.snapshot, first),
-            Policy::Threshold { .. } => {
-                for &c in first.iter() {
-                    if ctx.snapshot[c as usize] < ctx.batch_threshold {
-                        return c;
+            let mut draws = sampler.first(item.key(), first);
+            to_slots(active, first);
+            *slot = match rule(ctx, first) {
+                Some(bin) => bin,
+                None => {
+                    // Overflow retry: every first-attempt candidate is at or
+                    // above its capacity share, so draw one fresh set from
+                    // the same stream (still a pure function of (seed, key))
+                    // before giving up.
+                    if let Some(counters) = ctx.counters {
+                        counters.overflow_retry.inc();
                     }
+                    sampler.again(&mut draws, retry);
+                    to_slots(active, retry);
+                    first_below_capacity(ctx, retry).unwrap_or_else(|| {
+                        // Both sets overflowed: concede and take the least
+                        // normalized load among everything seen.
+                        if let Some(counters) = ctx.counters {
+                            counters.overflow_fallback.inc();
+                        }
+                        least_normalized(ctx, first, retry)
+                    })
                 }
-                if let Some(counters) = ctx.counters {
-                    counters.threshold_fallback.inc();
-                }
-                least_loaded(ctx.snapshot, first)
-            }
-            Policy::WeightedTwoChoice => least_normalized(ctx, first, &[]),
-            Policy::CapacityThreshold { .. } => {
-                if let Some(c) = first_below_capacity(ctx, first) {
-                    return c;
-                }
-                // Overflow retry: every first-attempt candidate is at or above
-                // its capacity share, so draw one fresh set from the same stream
-                // (still a pure function of (seed, key)) before giving up.
-                if let Some(counters) = ctx.counters {
-                    counters.overflow_retry.inc();
-                }
-                self.sample(&mut draws, retry);
-                if let Some(c) = first_below_capacity(ctx, retry) {
-                    return c;
-                }
-                // Both sets overflowed: concede and take the least normalized
-                // load among everything seen.
-                if let Some(counters) = ctx.counters {
-                    counters.overflow_fallback.inc();
-                }
-                least_normalized(ctx, first, retry)
-            }
+            };
         }
     }
+}
 
-    /// Fills `out` (one attempt, `d` slots) with distinct candidates from
-    /// the ball's draws, mapped to slots under membership.
-    #[inline(always)]
-    fn sample(&self, draws: &mut impl Draws, out: &mut [u32]) {
-        draws.fill(self, out);
-        if let Some(active) = self.ctx.active {
-            for slot in out {
-                *slot = active[*slot as usize];
-            }
+/// Maps drawn domain positions to global slots under membership.
+#[inline(always)]
+fn to_slots(active: Option<&[u32]>, candidates: &mut [u32]) {
+    if let Some(active) = active {
+        for slot in candidates {
+            *slot = active[*slot as usize];
         }
     }
 }
 
 /// What [`Chooser::choose_span`] reads a ball's key from: a bare key, or a
-/// pushed ball. A trait rather than a key closure, so the choose loop is
+/// pushed ball. A trait rather than a key closure, so the choose loops are
 /// compiled once per item type instead of once per call site.
 pub(crate) trait Keyed {
     /// The ball's router key.
@@ -405,26 +457,105 @@ impl Keyed for u64 {
     }
 }
 
-/// One ball's candidate draws. Each [`Draws::fill`] writes one attempt of
-/// distinct domain indices and continues the ball's stream, so the overflow
-/// retry draws a fresh set that is still a pure function of `(seed, key)`.
-trait Draws {
-    fn fill(&mut self, chooser: &Chooser<'_>, out: &mut [u32]);
+// The rules a ball picks its bin by, one per choose loop: each returns the
+// chosen candidate (slot), or `None` to ask for the overflow retry, which
+// only `first_below_capacity` (capacity threshold) does.
+
+/// One-choice: the first candidate, unconditionally.
+#[inline(always)]
+fn pick_first(_: &ChoiceCtx<'_>, candidates: &[u32]) -> Option<u32> {
+    Some(candidates[0])
+}
+
+/// Two-choice, `d`-choice, and weighted two-choice under uniform weights:
+/// the least stale load.
+#[inline(always)]
+fn pick_least_loaded(ctx: &ChoiceCtx<'_>, candidates: &[u32]) -> Option<u32> {
+    Some(least_loaded(ctx.snapshot, candidates))
+}
+
+/// Threshold: the first candidate below the batch threshold, else the
+/// least loaded.
+#[inline(always)]
+fn pick_below_threshold(ctx: &ChoiceCtx<'_>, candidates: &[u32]) -> Option<u32> {
+    let below = candidates
+        .iter()
+        .copied()
+        .find(|&c| ctx.snapshot[c as usize] < ctx.batch_threshold);
+    Some(below.unwrap_or_else(|| {
+        if let Some(counters) = ctx.counters {
+            counters.threshold_fallback.inc();
+        }
+        least_loaded(ctx.snapshot, candidates)
+    }))
+}
+
+/// Weighted two-choice: the least normalized load.
+#[inline(always)]
+fn pick_least_normalized(ctx: &ChoiceCtx<'_>, candidates: &[u32]) -> Option<u32> {
+    Some(least_normalized(ctx, candidates, &[]))
+}
+
+/// Where a span's balls draw their candidates from, chosen once per span.
+/// A ball's draws are one stream: [`Sampler::again`] continues it where
+/// the first attempt stopped, so the overflow retry draws a fresh set that
+/// is still a pure function of `(seed, key)`.
+trait Sampler {
+    /// A ball's place in its draw stream.
+    type Draws;
+    /// Starts the stream of the ball with key `key` and fills its first
+    /// attempt with distinct domain indices.
+    fn first(&self, key: u64, out: &mut [u32]) -> Self::Draws;
+    /// Fills the ball's next attempt.
+    fn again(&self, draws: &mut Self::Draws, out: &mut [u32]);
+}
+
+/// Uniform candidates: the key's hash ranged into the domain, testing the
+/// first attempt's draws for rejection iff `REJECTS`.
+struct Uniform<const REJECTS: bool> {
+    range: UniformRange,
+    stream_key: u64,
+}
+
+impl<const REJECTS: bool> Sampler for Uniform<REJECTS> {
+    type Draws = KeyDraws;
+
+    #[inline(always)]
+    fn first(&self, key: u64, out: &mut [u32]) -> KeyDraws {
+        let mut draws = KeyDraws::new(self.stream_key, key);
+        self.range.fill_first::<REJECTS>(&mut draws, out);
+        draws
+    }
+
+    #[inline(always)]
+    fn again(&self, draws: &mut KeyDraws, out: &mut [u32]) {
+        self.range.fill(draws, out);
+    }
 }
 
 /// Weight-proportional candidates: the alias table over the key's
 /// [`SplitMix64::for_substream`] generator.
-struct WeightedDraws<'w> {
-    rng: SplitMix64,
+struct Weighted<'w> {
     weights: &'w ResolvedWeights,
+    stream_key: u64,
+    counters: Option<&'w PolicyCounters>,
 }
 
-impl Draws for WeightedDraws<'_> {
+impl Sampler for Weighted<'_> {
+    type Draws = SplitMix64;
+
     #[inline(always)]
-    fn fill(&mut self, chooser: &Chooser<'_>, out: &mut [u32]) {
-        let fallback_draws = self.weights.fill_distinct(&mut self.rng, out);
+    fn first(&self, key: u64, out: &mut [u32]) -> SplitMix64 {
+        let mut rng = SplitMix64::for_substream(self.stream_key, key);
+        self.again(&mut rng, out);
+        rng
+    }
+
+    #[inline(always)]
+    fn again(&self, rng: &mut SplitMix64, out: &mut [u32]) {
+        let fallback_draws = self.weights.fill_distinct(rng, out);
         if fallback_draws > 0 {
-            if let Some(counters) = chooser.ctx.counters {
+            if let Some(counters) = self.counters {
                 counters
                     .weighted_uniform_fallback
                     .add(fallback_draws as u64);
@@ -469,13 +600,6 @@ impl KeyDraws {
     }
 }
 
-impl Draws for KeyDraws {
-    #[inline(always)]
-    fn fill(&mut self, chooser: &Chooser<'_>, out: &mut [u32]) {
-        chooser.range.fill(self, out);
-    }
-}
-
 /// Exactly uniform indices in `[0, len)` from 32-bit draws, by Lemire's
 /// multiply-shift: `(x·len) >> 32` for the first draw `x` whose low 32 bits
 /// of `x·len` reach `reject_below = (2³² − len) mod len`. The threshold is
@@ -507,6 +631,36 @@ impl UniformRange {
                 return (product >> 32) as u32;
             }
         }
+    }
+
+    /// [`UniformRange::fill`] from the start of a ball's stream, with a fast
+    /// first attempt: the first `out.len()` draws are ranged straight into
+    /// `out` and kept when none rejects and no index repeats. The redraw
+    /// loop would have drawn exactly those and yielded exactly that, so the
+    /// stream is left where the loop would leave it. Otherwise the loop runs
+    /// from the stream's start. An attempt that covers the whole domain
+    /// never tries: the loop writes `0..len` there without drawing. Without
+    /// `REJECTS` the draws are not tested for rejection, which is exact only
+    /// over a domain that never rejects.
+    #[inline(always)]
+    fn fill_first<const REJECTS: bool>(&self, draws: &mut KeyDraws, out: &mut [u32]) {
+        debug_assert_eq!(draws.drawn, 0);
+        debug_assert!(REJECTS || self.reject_below == 0);
+        if out.len() < self.len as usize {
+            let start = *draws;
+            let mut clean = true;
+            for filled in 0..out.len() {
+                let product = u64::from(draws.next()) * u64::from(self.len);
+                clean &= !REJECTS || product as u32 >= self.reject_below;
+                out[filled] = (product >> 32) as u32;
+                clean &= !out[..filled].contains(&out[filled]);
+            }
+            if clean {
+                return;
+            }
+            *draws = start;
+        }
+        self.fill(draws, out);
     }
 
     /// Fills `out` with distinct indices, slot by slot (so that over an
@@ -595,6 +749,7 @@ pub fn candidate_bins(seed: u64, key: u64, d: usize, n: usize, out: &mut Vec<u32
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ingress::PendingBall;
 
     #[test]
     fn one_choice_ignores_loads() {
@@ -831,26 +986,47 @@ mod tests {
         }
     }
 
-    /// One grid cell: a span of keys through the chooser against the
-    /// reference, the one-key entry point and — where it applies, i.e. no
+    /// One grid cell: spans of 0, 1 and 4096 balls through the chooser, as
+    /// bare keys and as pushed balls, against the reference; and on the
+    /// first keys the one-key entry point and — where it applies, i.e. no
     /// weights, no membership and no retry — `candidate_bins` + `pick`.
     fn assert_chooser_matches_reference(policy: Policy, ctx: &ChoiceCtx<'_>) {
-        let keys: Vec<u64> = (0..200u64).map(|k| k * 0x9e37 + 5).collect();
-        let mut span = vec![0u32; keys.len()];
-        Chooser::new(policy, ctx).choose_span(&keys, &mut span);
+        let keys: Vec<u64> = (0..4096u64).map(|k| k * 0x9e37 + 5).collect();
+        let balls: Vec<PendingBall> = (keys.iter().copied().zip(1000..))
+            .map(|(key, id)| PendingBall { id, key })
+            .collect();
+        let chooser = Chooser::new(policy, ctx);
+        let label = format!(
+            "policy {} n {} weighted {} active {:?}",
+            policy.name(),
+            ctx.bins,
+            ctx.weights.is_some(),
+            ctx.active.map(<[u32]>::len),
+        );
+        // The long span first: the short ones must be its prefixes.
+        let mut span = Vec::new();
+        for len in [keys.len(), 1, 0] {
+            // No chooser writes u32::MAX: every slot must be overwritten.
+            let (mut by_key, mut by_ball) = (vec![u32::MAX; len], vec![u32::MAX; len]);
+            chooser.choose_span(&keys[..len], &mut by_key);
+            chooser.choose_span(&balls[..len], &mut by_ball);
+            assert_eq!(by_key, by_ball, "{label} span {len}");
+            if span.is_empty() {
+                span = by_key;
+            } else {
+                assert_eq!(by_key[..], span[..len], "{label} span {len}");
+            }
+        }
         let picks = ctx.weights.is_none()
             && ctx.active.is_none()
             && !matches!(policy, Policy::CapacityThreshold { .. });
         let mut scratch = Vec::new();
-        for (&key, &chosen) in keys.iter().zip(&span) {
-            let label = format!(
-                "policy {} n {} weighted {} active {:?} key {key}",
-                policy.name(),
-                ctx.bins,
-                ctx.weights.is_some(),
-                ctx.active.map(<[u32]>::len),
-            );
+        for (at, (&key, &chosen)) in keys.iter().zip(&span).enumerate() {
+            let label = format!("{label} key {key}");
             assert_eq!(chosen, reference_choose_bin(policy, ctx, key), "{label}");
+            if at >= 200 {
+                continue;
+            }
             assert_eq!(
                 chosen,
                 choose_bin(policy, ctx, key, &mut scratch),
@@ -867,7 +1043,7 @@ mod tests {
     #[test]
     fn chooser_reproduces_the_reference_stream_on_the_whole_grid() {
         use pba_model::weights::BinWeights;
-        for n in [1usize, 2, 3, 7, 64, 1000] {
+        for n in [1usize, 2, 3, 7, 64, 1000, 1024] {
             // Loads that differ between neighbours and repeat, so ties, strict
             // orders and threshold crossings all occur.
             let snapshot: Vec<u32> = (0..n as u32).map(|i| (i * 7) % 13).collect();
@@ -1023,6 +1199,53 @@ mod tests {
         let empty = UniformRange::new(0);
         assert_eq!(empty.reject_below, 0);
         assert_eq!(empty.index(&mut KeyDraws::new(0, 9)), 0);
+    }
+
+    #[test]
+    fn fast_first_attempt_is_the_redraw_loop() {
+        // Domains whose draws reject (3·2³⁰ rejects a quarter of them),
+        // repeat (3 and 4), cover the domain (n = 2, d = 2) or never reject
+        // (powers of two, which may skip the test).
+        for (len, widths) in [
+            (2usize, &[1usize, 2][..]),
+            (3, &[1, 2, 3]),
+            (4, &[2, 3]),
+            (1000, &[2, 3, 5]),
+            (1024, &[1, 2, 3, 5]),
+            (3 << 30, &[1, 2, 3, 5]),
+        ] {
+            let range = UniformRange::new(len);
+            for &d in widths {
+                let mut redrawn = 0;
+                for key in 0..3000u64 {
+                    let label = format!("len {len} d {d} key {key}");
+                    let mut sequential = KeyDraws::new(0x5eed, key);
+                    let mut expected = vec![u32::MAX; d];
+                    range.fill(&mut sequential, &mut expected);
+                    if sequential.drawn as usize > d {
+                        redrawn += 1;
+                    }
+                    let mut attempts = vec![(KeyDraws::new(0x5eed, key), vec![u32::MAX; d])];
+                    if range.reject_below == 0 {
+                        attempts.push(attempts[0].clone());
+                        let (draws, out) = &mut attempts[1];
+                        range.fill_first::<false>(draws, out);
+                    }
+                    let (draws, out) = &mut attempts[0];
+                    range.fill_first::<true>(draws, out);
+                    for (draws, out) in &attempts {
+                        assert_eq!(out, &expected, "{label}");
+                        // A retry continues where the redraw loop stopped.
+                        assert_eq!(draws.word, sequential.word, "{label}");
+                        assert_eq!(draws.drawn, sequential.drawn, "{label}");
+                    }
+                }
+                // The fallback really ran where draws reject or often repeat.
+                if d < len && (len == 3 << 30 || (len < 1000 && d > 1)) {
+                    assert!(redrawn > 300, "len {len} d {d}: {redrawn} redrawn");
+                }
+            }
+        }
     }
 
     #[test]

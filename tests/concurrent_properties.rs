@@ -18,6 +18,9 @@
 //!    batched-model envelope (staleness of at most the in-flight balls, so
 //!    O((k·b)/n + log n) for two-choice at k callers).
 
+#[path = "support/policies.rs"]
+mod policies;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -27,15 +30,7 @@ use parallel_balanced_allocations::model::rng::SeedSeq;
 use parallel_balanced_allocations::model::weights::BinWeights;
 use parallel_balanced_allocations::prelude::*;
 use parallel_balanced_allocations::stream::Policy;
-
-const POLICIES: [Policy; 6] = [
-    Policy::OneChoice,
-    Policy::TwoChoice,
-    Policy::DChoice(3),
-    Policy::Threshold { d: 2, slack: 1 },
-    Policy::WeightedTwoChoice,
-    Policy::CapacityThreshold { d: 2, slack: 2 },
-];
+use policies::POLICIES;
 
 /// A 4:2:1 tier mix over `n` bins (n must be a multiple of 8).
 fn tier_mix(n: usize) -> BinWeights {

@@ -20,21 +20,16 @@
 //! cargo test --test drain_golden -- --ignored bless
 //! ```
 
+#[path = "support/policies.rs"]
+mod policies;
+
 use std::sync::Arc;
 
 use parallel_balanced_allocations::model::rng::SplitMix64;
 use parallel_balanced_allocations::prelude::*;
 use parallel_balanced_allocations::replay::{diff_golden, fnv1a64};
 use parallel_balanced_allocations::stream::{Policy, StreamAllocator, StreamConfig};
-
-const POLICIES: [Policy; 6] = [
-    Policy::OneChoice,
-    Policy::TwoChoice,
-    Policy::DChoice(3),
-    Policy::Threshold { d: 2, slack: 1 },
-    Policy::WeightedTwoChoice,
-    Policy::CapacityThreshold { d: 2, slack: 2 },
-];
+use policies::POLICIES;
 
 fn hash_u64s(values: impl IntoIterator<Item = u64>) -> String {
     let bytes: Vec<u8> = values.into_iter().flat_map(u64::to_le_bytes).collect();

@@ -16,22 +16,15 @@
 //! split: a routed ball and a drained one are each checked against the
 //! executable model of the batched process (`tests/model_properties.rs`).
 
+#[path = "support/policies.rs"]
+mod policies;
+
 use proptest::prelude::*;
 
 use parallel_balanced_allocations::model::rng::SplitMix64;
 use parallel_balanced_allocations::model::BinWeights;
-use parallel_balanced_allocations::stream::{Policy, StreamAllocator, StreamConfig};
-
-/// All six streaming policies (the weight-aware ones degrade to their
-/// unweighted twins under uniform weights — still distinct code paths).
-const POLICIES: [Policy; 6] = [
-    Policy::OneChoice,
-    Policy::TwoChoice,
-    Policy::DChoice(3),
-    Policy::Threshold { d: 2, slack: 1 },
-    Policy::WeightedTwoChoice,
-    Policy::CapacityThreshold { d: 2, slack: 2 },
-];
+use parallel_balanced_allocations::stream::{StreamAllocator, StreamConfig};
+use policies::POLICIES;
 
 /// The shortest batch the drain cuts into spans for several threads.
 const POOLED_BATCH: usize = 1 << 16;

@@ -22,6 +22,9 @@
 //! against the executable model of the batched process in
 //! `tests/model_properties.rs`, empty plans and re-staged weights included.
 
+#[path = "support/policies.rs"]
+mod policies;
+
 use std::sync::Arc;
 
 use parallel_balanced_allocations::membership::BinState;
@@ -31,20 +34,12 @@ use parallel_balanced_allocations::obs::MetricsRegistry;
 use parallel_balanced_allocations::stream::{
     BinWeights, ConcurrentRouter, MembershipPlan, Policy, StreamAllocator, StreamConfig,
 };
+use policies::POLICIES;
 
 fn keys(count: u64, seed: u64) -> Vec<u64> {
     let mut rng = SplitMix64::for_stream(seed, 0x3117, 0);
     (0..count).map(|_| rng.next_u64()).collect()
 }
-
-const POLICIES: [Policy; 6] = [
-    Policy::OneChoice,
-    Policy::TwoChoice,
-    Policy::DChoice(3),
-    Policy::Threshold { d: 2, slack: 1 },
-    Policy::WeightedTwoChoice,
-    Policy::CapacityThreshold { d: 2, slack: 2 },
-];
 
 fn weight_variants() -> Vec<(&'static str, BinWeights)> {
     vec![

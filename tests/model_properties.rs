@@ -10,6 +10,9 @@
 //! uniform and tiered weights × 0 and 2 reserve slots (8–24 bins, batches of
 //! 1–48), and every operation kind must fire in each of those 24 runs.
 
+#[path = "support/policies.rs"]
+mod policies;
+
 #[path = "support/model.rs"]
 mod model;
 
@@ -20,18 +23,10 @@ use proptest::prelude::*;
 use model::Model;
 use parallel_balanced_allocations::model::rng::SplitMix64;
 use parallel_balanced_allocations::stream::{
-    BinState, BinWeights, ConcurrentRouter, MembershipPlan, Placement, Policy, Router,
-    StreamAllocator, StreamConfig, Ticket, WireRequest,
+    BinState, BinWeights, ConcurrentRouter, MembershipPlan, Placement, Router, StreamAllocator,
+    StreamConfig, Ticket, WireRequest,
 };
-
-const POLICIES: [Policy; 6] = [
-    Policy::OneChoice,
-    Policy::TwoChoice,
-    Policy::DChoice(3),
-    Policy::Threshold { d: 2, slack: 1 },
-    Policy::WeightedTwoChoice,
-    Policy::CapacityThreshold { d: 2, slack: 2 },
-];
+use policies::POLICIES;
 
 /// Operations per (policy, weights, reserve) run.
 const OPS: usize = 240;

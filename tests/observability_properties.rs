@@ -15,6 +15,9 @@
 //!    retry, the weighted sampler's uniform degradation) must leave a visible
 //!    increment in its named counter.
 
+#[path = "support/policies.rs"]
+mod policies;
+
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -25,15 +28,7 @@ use parallel_balanced_allocations::obs::MetricsRegistry;
 use parallel_balanced_allocations::stream::{
     ConcurrentRouter, Policy, StreamAllocator, StreamConfig,
 };
-
-const POLICIES: [Policy; 6] = [
-    Policy::OneChoice,
-    Policy::TwoChoice,
-    Policy::DChoice(3),
-    Policy::Threshold { d: 2, slack: 1 },
-    Policy::WeightedTwoChoice,
-    Policy::CapacityThreshold { d: 2, slack: 2 },
-];
+use policies::POLICIES;
 
 fn keys(count: usize, key_seed: u64) -> Vec<u64> {
     let mut rng = SplitMix64::for_stream(key_seed, 0x0b5, 0);

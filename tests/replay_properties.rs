@@ -14,21 +14,16 @@
 //! pushes, so the drain pool's size must not reach a single fingerprint, and
 //! the committed goldens hold with a 4-thread pool as with the default.
 
+#[path = "support/policies.rs"]
+mod policies;
+
 use parallel_balanced_allocations::replay::{
     diff_golden, golden_line,
     replay::{replay, ReplayError},
     Fault, FaultPlan, ReplayConfig, Trace, TraceError, TraceEvent, TRACE_HEADER,
 };
 use parallel_balanced_allocations::stream::Policy;
-
-const POLICIES: [Policy; 6] = [
-    Policy::OneChoice,
-    Policy::TwoChoice,
-    Policy::DChoice(3),
-    Policy::Threshold { d: 2, slack: 1 },
-    Policy::WeightedTwoChoice,
-    Policy::CapacityThreshold { d: 2, slack: 2 },
-];
+use policies::POLICIES;
 
 fn committed(name: &str) -> String {
     let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));

@@ -16,22 +16,17 @@
 //! executable model of the batched process (`tests/model_properties.rs`),
 //! which chooses both the same way from the same stale snapshot.
 
+#[path = "support/policies.rs"]
+mod policies;
+
 use proptest::prelude::*;
 
 use parallel_balanced_allocations::model::rng::SplitMix64;
 use parallel_balanced_allocations::model::router::{OneShotRouter, RouteError, Router};
 use parallel_balanced_allocations::model::weights::BinWeights;
 use parallel_balanced_allocations::prelude::*;
-use parallel_balanced_allocations::stream::{Policy, ReweightLog};
-
-const POLICIES: [Policy; 6] = [
-    Policy::OneChoice,
-    Policy::TwoChoice,
-    Policy::DChoice(3),
-    Policy::Threshold { d: 2, slack: 1 },
-    Policy::WeightedTwoChoice,
-    Policy::CapacityThreshold { d: 2, slack: 2 },
-];
+use parallel_balanced_allocations::stream::ReweightLog;
+use policies::POLICIES;
 
 /// A 4:2:1 tier mix over `n` bins (n must be a multiple of 8).
 fn tier_mix(n: usize) -> BinWeights {

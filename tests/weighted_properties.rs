@@ -10,6 +10,9 @@
 //!    unweighted asymmetric algorithm exactly; tiered capacities keep its
 //!    constant-round, `O(1)`-normalized-excess guarantees.
 
+#[path = "support/policies.rs"]
+mod policies;
+
 use proptest::prelude::*;
 
 use parallel_balanced_allocations::algorithms::{
@@ -18,6 +21,7 @@ use parallel_balanced_allocations::algorithms::{
 use parallel_balanced_allocations::model::rng::SplitMix64;
 use parallel_balanced_allocations::prelude::*;
 use parallel_balanced_allocations::stream::Policy;
+use policies::POLICIES;
 
 fn push_keys(stream: &mut StreamAllocator, count: u64, key_seed: u64) {
     let mut rng = SplitMix64::for_stream(key_seed, 0x3e1, 0);
@@ -25,16 +29,6 @@ fn push_keys(stream: &mut StreamAllocator, count: u64, key_seed: u64) {
         stream.push(rng.next_u64());
     }
 }
-
-/// All policies, including the weight-aware ones.
-const POLICIES: [Policy; 6] = [
-    Policy::OneChoice,
-    Policy::TwoChoice,
-    Policy::DChoice(3),
-    Policy::Threshold { d: 2, slack: 1 },
-    Policy::WeightedTwoChoice,
-    Policy::CapacityThreshold { d: 2, slack: 2 },
-];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
