@@ -32,17 +32,12 @@ use crate::policy::{Chooser, Keyed};
 /// two such spans is chosen on the calling thread, so below that the thread
 /// count is a no-op.
 ///
-/// A two-choice ball costs ≈ 3–4.5 ns to choose, so the 4096-ball batch of
-/// the `stream-drain` workload is ≈ 12–18 µs of work in all — under half of
-/// what spawning one scoped thread costs. That figure is two-choice over
-/// 1000 or 1024 bins, from a throw-away harness timing
+/// A two-choice ball costs ≈ 3–6.5 ns to choose, so the 4096-ball batch of
+/// the `stream-drain` workload is ≈ 12–27 µs of work in all. That figure is
+/// two-choice over 1000 or 1024 bins, from a throw-away harness timing
 /// `Chooser::choose_span` over 4096 pushed balls on the 2-vCPU build host:
-/// over three passes of fifteen runs, medians of 3.0–4.4 ns at 1024 bins
-/// and 3.1–4.9 at 1000 (best 2.6 and 3.1), where the same harness read
-/// 4.2–7.1 and 4.1–7.0 on the per-ball policy match the per-rule loops
-/// replaced. Before that the kernel read a median of 8.2 ns, and 10.8 at
-/// 1024 bins and 18.2 at 1000 while each candidate was a `SplitMix64` draw
-/// ranged by division.
+/// medians of fifteen runs, ranging that far between passes on a shared
+/// host.
 ///
 /// The cutoff itself was measured on that host when the kernel read ≈ 6 ns,
 /// with another throw-away harness (ticks of `B` pushes + `drain_ready` on a

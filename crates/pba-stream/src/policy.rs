@@ -272,30 +272,36 @@ impl<'a> Chooser<'a> {
 
     /// Chooses the bin of every item of a span: `out[i]` is the bin of the
     /// ball with key `items[i].key()`. Everything but the ball is decided
-    /// here, once per span: the sampler, whether a uniform draw can reject
-    /// at all, the policy's rule and the candidate buffer. The loop that
-    /// runs is compiled once per rule (and buffer and item type), so no ball
-    /// matches a policy. For uniform candidates and `d` up to 4 the buffer
-    /// is a stack array whose length the compiler knows: candidates then
-    /// live in registers, and the sampling and comparison loops unroll. Any
-    /// other `d`, and the alias-table sampler, run over runtime-length
+    /// here, once per span: the sampler, the policy's rule and the
+    /// candidate buffer. The loop that runs is compiled once per rule (and
+    /// buffer and item type), so no ball matches a policy. For uniform
+    /// candidates and `d` up to 4 the buffer is a stack array whose length
+    /// the compiler knows: candidates then live in registers, and the
+    /// sampling and comparison loops unroll; so do the alias-table
+    /// sampler's at `d = 2`. Any other `d` runs over runtime-length
     /// buffers.
     pub(crate) fn choose_span<K: Keyed>(&self, items: &[K], out: &mut [u32]) {
         debug_assert_eq!(items.len(), out.len());
         let Some(weights) = self.sampler else {
             return self.uniform_span(items, out);
         };
-        // The alias table's own draws dominate a weighted ball: its two
-        // rules run over runtime-length buffers.
+        // The alias table's own draws dominate a weighted ball: past the
+        // two candidates of weighted two-choice its rules run over
+        // runtime-length buffers.
         let weighted = Weighted {
             weights,
             stream_key: self.stream_key,
             counters: self.ctx.counters,
         };
-        if matches!(self.policy, Policy::CapacityThreshold { .. }) {
-            self.span_sized(weighted, first_below_capacity, items, out)
-        } else {
-            self.span_sized(weighted, pick_least_normalized, items, out)
+        match (self.policy, self.d) {
+            (Policy::CapacityThreshold { .. }, 2) => {
+                self.span_over(weighted, first_below_capacity, [0; 2], [0; 2], items, out)
+            }
+            (Policy::CapacityThreshold { .. }, _) => {
+                self.span_sized(weighted, first_below_capacity, items, out)
+            }
+            (_, 2) => self.span_over(weighted, pick_least_normalized, [0; 2], [0; 2], items, out),
+            _ => self.span_sized(weighted, pick_least_normalized, items, out),
         }
     }
 
@@ -310,15 +316,10 @@ impl<'a> Chooser<'a> {
     #[inline(always)]
     fn uniform_span<K: Keyed>(&self, items: &[K], out: &mut [u32]) {
         match self.policy {
-            Policy::OneChoice if self.exact() => {
-                self.span_over(self.uniform::<false>(), pick_first, [0], [0], items, out)
-            }
-            Policy::OneChoice => {
-                self.span_over(self.uniform::<true>(), pick_first, [0], [0], items, out)
-            }
+            Policy::OneChoice => self.span_over(self.uniform(), pick_first, [0], [0], items, out),
             // Membership left uniform survivors of non-uniform weights.
             Policy::WeightedTwoChoice if self.ctx.weights.is_some() => {
-                self.span_sized(self.uniform::<true>(), pick_least_normalized, items, out)
+                self.span_sized(self.uniform(), pick_least_normalized, items, out)
             }
             // Under uniform weights the normalized order is the raw one.
             Policy::TwoChoice | Policy::DChoice(_) | Policy::WeightedTwoChoice => {
@@ -330,10 +331,7 @@ impl<'a> Chooser<'a> {
     }
 
     /// `rule`'s loop with uniform candidates: over stack arrays for `d` up
-    /// to 4, over runtime-length buffers past it. At `d = 2`, the width of
-    /// every two-candidate policy, an exact domain's loop skips the
-    /// rejection test; a wider attempt keeps it, as a small share of its
-    /// draws.
+    /// to 4, over runtime-length buffers past it.
     #[inline(always)]
     fn span_with<K: Keyed>(
         &self,
@@ -342,25 +340,16 @@ impl<'a> Chooser<'a> {
         out: &mut [u32],
     ) {
         match self.d {
-            2 if self.exact() => {
-                self.span_over(self.uniform::<false>(), rule, [0; 2], [0; 2], items, out)
-            }
-            2 => self.span_over(self.uniform::<true>(), rule, [0; 2], [0; 2], items, out),
-            3 => self.span_over(self.uniform::<true>(), rule, [0; 3], [0; 3], items, out),
-            4 => self.span_over(self.uniform::<true>(), rule, [0; 4], [0; 4], items, out),
-            _ => self.span_sized(self.uniform::<true>(), rule, items, out),
+            2 => self.span_over(self.uniform(), rule, [0; 2], [0; 2], items, out),
+            3 => self.span_over(self.uniform(), rule, [0; 3], [0; 3], items, out),
+            4 => self.span_over(self.uniform(), rule, [0; 4], [0; 4], items, out),
+            _ => self.span_sized(self.uniform(), rule, items, out),
         }
     }
 
-    /// True when the domain is a power of two, so no uniform draw rejects.
-    fn exact(&self) -> bool {
-        self.range.reject_below == 0
-    }
-
-    /// The uniform sampler, testing each first-attempt draw for rejection
-    /// iff `REJECTS`.
+    /// The uniform sampler.
     #[inline(always)]
-    fn uniform<const REJECTS: bool>(&self) -> Uniform<REJECTS> {
+    fn uniform(&self) -> Uniform {
         Uniform {
             range: self.range,
             stream_key: self.stream_key,
@@ -510,20 +499,19 @@ trait Sampler {
     fn again(&self, draws: &mut Self::Draws, out: &mut [u32]);
 }
 
-/// Uniform candidates: the key's hash ranged into the domain, testing the
-/// first attempt's draws for rejection iff `REJECTS`.
-struct Uniform<const REJECTS: bool> {
+/// Uniform candidates: the key's hash ranged into the domain.
+struct Uniform {
     range: UniformRange,
     stream_key: u64,
 }
 
-impl<const REJECTS: bool> Sampler for Uniform<REJECTS> {
+impl Sampler for Uniform {
     type Draws = KeyDraws;
 
     #[inline(always)]
     fn first(&self, key: u64, out: &mut [u32]) -> KeyDraws {
         let mut draws = KeyDraws::new(self.stream_key, key);
-        self.range.fill_first::<REJECTS>(&mut draws, out);
+        self.range.fill_first(&mut draws, out);
         draws
     }
 
@@ -639,19 +627,16 @@ impl UniformRange {
     /// loop would have drawn exactly those and yielded exactly that, so the
     /// stream is left where the loop would leave it. Otherwise the loop runs
     /// from the stream's start. An attempt that covers the whole domain
-    /// never tries: the loop writes `0..len` there without drawing. Without
-    /// `REJECTS` the draws are not tested for rejection, which is exact only
-    /// over a domain that never rejects.
+    /// never tries: the loop writes `0..len` there without drawing.
     #[inline(always)]
-    fn fill_first<const REJECTS: bool>(&self, draws: &mut KeyDraws, out: &mut [u32]) {
+    fn fill_first(&self, draws: &mut KeyDraws, out: &mut [u32]) {
         debug_assert_eq!(draws.drawn, 0);
-        debug_assert!(REJECTS || self.reject_below == 0);
         if out.len() < self.len as usize {
             let start = *draws;
             let mut clean = true;
             for filled in 0..out.len() {
                 let product = u64::from(draws.next()) * u64::from(self.len);
-                clean &= !REJECTS || product as u32 >= self.reject_below;
+                clean &= product as u32 >= self.reject_below;
                 out[filled] = (product >> 32) as u32;
                 clean &= !out[..filled].contains(&out[filled]);
             }
@@ -1205,7 +1190,7 @@ mod tests {
     fn fast_first_attempt_is_the_redraw_loop() {
         // Domains whose draws reject (3·2³⁰ rejects a quarter of them),
         // repeat (3 and 4), cover the domain (n = 2, d = 2) or never reject
-        // (powers of two, which may skip the test).
+        // (powers of two).
         for (len, widths) in [
             (2usize, &[1usize, 2][..]),
             (3, &[1, 2, 3]),
@@ -1225,20 +1210,13 @@ mod tests {
                     if sequential.drawn as usize > d {
                         redrawn += 1;
                     }
-                    let mut attempts = vec![(KeyDraws::new(0x5eed, key), vec![u32::MAX; d])];
-                    if range.reject_below == 0 {
-                        attempts.push(attempts[0].clone());
-                        let (draws, out) = &mut attempts[1];
-                        range.fill_first::<false>(draws, out);
-                    }
-                    let (draws, out) = &mut attempts[0];
-                    range.fill_first::<true>(draws, out);
-                    for (draws, out) in &attempts {
-                        assert_eq!(out, &expected, "{label}");
-                        // A retry continues where the redraw loop stopped.
-                        assert_eq!(draws.word, sequential.word, "{label}");
-                        assert_eq!(draws.drawn, sequential.drawn, "{label}");
-                    }
+                    let mut draws = KeyDraws::new(0x5eed, key);
+                    let mut out = vec![u32::MAX; d];
+                    range.fill_first(&mut draws, &mut out);
+                    assert_eq!(out, expected, "{label}");
+                    // A retry continues where the redraw loop stopped.
+                    assert_eq!(draws.word, sequential.word, "{label}");
+                    assert_eq!(draws.drawn, sequential.drawn, "{label}");
                 }
                 // The fallback really ran where draws reject or often repeat.
                 if d < len && (len == 3 << 30 || (len < 1000 && d > 1)) {
