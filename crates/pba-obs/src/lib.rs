@@ -13,8 +13,6 @@
 //!   hot-path primitive: routing threads only ever touch counters.
 //! * [`Gauge`] — a last-value `f64` (gap, resident count), set at batch
 //!   boundaries.
-//! * [`CounterVec`] — a fixed-length family of counters indexed by bin, for
-//!   per-backend commit accounting.
 //! * [`Histogram`] — a log-bucketed latency histogram (~12.5 % relative
 //!   resolution over the full `u64` nanosecond range). Atomic, so it can be
 //!   recorded into directly; latency-critical recorders accumulate into a
@@ -53,4 +51,4 @@ pub mod registry;
 
 pub use fault::{drops_of, FaultCounters};
 pub use histogram::{Histogram, HistogramSummary, LocalHistogram};
-pub use registry::{Counter, CounterVec, Gauge, HistogramHandle, MetricsRegistry, MetricsSnapshot};
+pub use registry::{Counter, Gauge, HistogramHandle, MetricsRegistry, MetricsSnapshot};

@@ -62,63 +62,6 @@ impl Gauge {
     }
 }
 
-/// A fixed-length family of counters indexed by a small integer (per-bin
-/// commit counts). One relaxed `fetch_add` per event, like [`Counter`].
-#[derive(Debug, Clone)]
-pub struct CounterVec(Arc<Vec<AtomicU64>>);
-
-impl CounterVec {
-    /// A free-standing counter family of `len` slots.
-    pub fn detached(len: usize) -> Self {
-        Self(Arc::new((0..len).map(|_| AtomicU64::new(0)).collect()))
-    }
-
-    /// Adds 1 to slot `index`.
-    #[inline]
-    pub fn inc(&self, index: usize) {
-        self.add(index, 1);
-    }
-
-    /// Adds `n` to slot `index` (one `fetch_add`, for grouped events).
-    #[inline]
-    pub fn add(&self, index: usize, n: u64) {
-        self.0[index].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Takes back `n` events [`CounterVec::add`] counted in advance on slot
-    /// `index` — a grouped commit counts its whole group first and learns
-    /// only afterwards that part of it has to be undone.
-    #[inline]
-    pub fn retract(&self, index: usize, n: u64) {
-        self.0[index].fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Current value of slot `index`.
-    pub fn get(&self, index: usize) -> u64 {
-        self.0[index].load(Ordering::Relaxed)
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True when the family has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Sum over all slots.
-    pub fn total(&self) -> u64 {
-        self.0.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
-    /// All slot values, in index order.
-    pub fn values(&self) -> Vec<u64> {
-        self.0.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-    }
-}
-
 /// A shared histogram handle (see [`Histogram`]).
 pub type HistogramHandle = Arc<Histogram>;
 
@@ -126,7 +69,6 @@ pub type HistogramHandle = Arc<Histogram>;
 struct RegistryInner {
     counters: BTreeMap<String, Counter>,
     gauges: BTreeMap<String, Gauge>,
-    counter_vecs: BTreeMap<String, CounterVec>,
     histograms: BTreeMap<String, HistogramHandle>,
 }
 
@@ -170,25 +112,6 @@ impl MetricsRegistry {
             .clone()
     }
 
-    /// The counter family named `name` with `len` slots. First use fixes the
-    /// length; later calls must agree (panics on mismatch — a name collision
-    /// between two differently-shaped families is a bug, not data).
-    pub fn counter_vec(&self, name: &str, len: usize) -> CounterVec {
-        let mut inner = self.lock();
-        let vec = inner
-            .counter_vecs
-            .entry(name.to_string())
-            .or_insert_with(|| CounterVec::detached(len))
-            .clone();
-        assert_eq!(
-            vec.len(),
-            len,
-            "counter family {name:?} already registered with {} slots",
-            vec.len()
-        );
-        vec
-    }
-
     /// The histogram named `name` (created empty on first use).
     pub fn histogram(&self, name: &str) -> HistogramHandle {
         self.lock()
@@ -214,11 +137,6 @@ impl MetricsRegistry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            counter_vecs: inner
-                .counter_vecs
-                .iter()
-                .map(|(k, v)| (k.clone(), v.values()))
-                .collect(),
             histograms: inner
                 .histograms
                 .iter()
@@ -236,8 +154,6 @@ pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
     /// Gauge values by name.
     pub gauges: BTreeMap<String, f64>,
-    /// Counter-family values by name (slot order).
-    pub counter_vecs: BTreeMap<String, Vec<u64>>,
     /// Histogram summaries by name.
     pub histograms: BTreeMap<String, HistogramSummary>,
 }
@@ -278,13 +194,6 @@ impl MetricsSnapshot {
         for (name, value) in &self.gauges {
             out.push_str(&format!("gauge   {name} = {value:.3}\n"));
         }
-        for (name, values) in &self.counter_vecs {
-            let total: u64 = values.iter().sum();
-            out.push_str(&format!(
-                "family  {name} = total {total} over {} slots\n",
-                values.len()
-            ));
-        }
         for (name, h) in &self.histograms {
             out.push_str(&format!(
                 "hist    {name} = count {} p50 {} p90 {} p99 {} max {}\n",
@@ -314,15 +223,6 @@ impl MetricsSnapshot {
             .map(|(k, v)| format!("\"{}\":{v}", esc(k)))
             .collect();
         parts.push(format!("\"gauges\":{{{}}}", gauges.join(",")));
-        let families: Vec<String> = self
-            .counter_vecs
-            .iter()
-            .map(|(k, v)| {
-                let vals: Vec<String> = v.iter().map(|x| x.to_string()).collect();
-                format!("\"{}\":[{}]", esc(k), vals.join(","))
-            })
-            .collect();
-        parts.push(format!("\"families\":{{{}}}", families.join(",")));
         let hists: Vec<String> = self
             .histograms
             .iter()
@@ -359,11 +259,6 @@ mod tests {
         let g = reg.gauge("demo.gap");
         g.set(1.5);
         assert_eq!(reg.gauge("demo.gap").get(), 1.5);
-        let v = reg.counter_vec("demo.bins", 4);
-        v.inc(3);
-        v.inc(3);
-        assert_eq!(reg.counter_vec("demo.bins", 4).get(3), 2);
-        assert_eq!(v.total(), 2);
         let h = reg.histogram("demo.lat");
         h.record(100);
         assert_eq!(reg.histogram("demo.lat").count(), 1);
@@ -377,7 +272,6 @@ mod tests {
         reg.counter("drop.x").add(3);
         reg.counter("drop.y").add(4);
         reg.gauge("gap").set(0.5);
-        reg.counter_vec("bins", 2).inc(1);
         reg.histogram("lat").record(7);
         let snap = reg.snapshot();
         assert_eq!(snap.counter("a.first"), 1);
@@ -393,16 +287,7 @@ mod tests {
         let json = snap.render_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"a.first\":1"));
-        assert!(json.contains("\"bins\":[0,1]"));
         assert!(json.contains("\"count\":1"));
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn counter_vec_length_collision_panics() {
-        let reg = MetricsRegistry::new();
-        reg.counter_vec("bins", 4);
-        reg.counter_vec("bins", 8);
     }
 
     #[test]
@@ -427,9 +312,5 @@ mod tests {
         let c = Counter::detached();
         c.inc();
         assert_eq!(c.get(), 1);
-        let v = CounterVec::detached(2);
-        assert!(!v.is_empty());
-        v.inc(0);
-        assert_eq!(v.values(), vec![1, 0]);
     }
 }

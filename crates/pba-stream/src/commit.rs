@@ -17,8 +17,8 @@
 //!    ([`PARALLEL_MIN_SPAN`]) is cut into contiguous spans that scoped
 //!    threads run the same loop over.
 //! 2. **place** — the shard layer's grouped commit ([`place_counted`]):
-//!    one atomic add and one `route.bin_commits` add per distinct bin, no
-//!    lock. Always on the calling thread: at a few atomics per distinct bin
+//!    one atomic add per distinct bin to the loads, the engine's only
+//!    per-bin books; no lock. Always on the calling thread: at a few atomics per distinct bin
 //!    there is nothing to fan out.
 //!
 //! [`place_counted`]: crate::shard::ShardedBins::place_counted
@@ -92,7 +92,6 @@ mod tests {
     use super::*;
     use crate::policy::{choose_bin, ChoiceCtx, Policy};
     use crate::shard::{GroupCounts, ShardedBins};
-    use pba_obs::CounterVec;
 
     fn ctx(snapshot: &[u32]) -> ChoiceCtx<'_> {
         ChoiceCtx {
@@ -141,22 +140,17 @@ mod tests {
         let keys: Vec<u64> = (0..500u64).map(|id| id * 31 + 5).collect();
         let grouped = ShardedBins::new(30, 4);
         let looped = ShardedBins::new(30, 4);
-        let commits = CounterVec::detached(30);
         let (mut chosen, mut counts) = (Vec::new(), GroupCounts::default());
         let mut candidates = Vec::new();
         for policy in [Policy::TwoChoice, Policy::DChoice(3), Policy::OneChoice] {
             let chooser = Chooser::new(policy, &ctx);
             choose_into(&chooser, &keys, None, &mut chosen);
-            grouped.place_counted(&chosen, &mut counts, |bin, count| {
-                commits.add(bin, count as u64)
-            });
+            grouped.place_counted(&chosen, &mut counts);
             for (&key, &bin) in keys.iter().zip(&chosen) {
                 assert_eq!(bin, choose_bin(policy, &ctx, key, &mut candidates));
                 looped.place(bin as usize);
             }
         }
         assert_eq!(grouped.snapshot(), looped.snapshot());
-        let loads: Vec<u64> = looped.snapshot().iter().map(|&l| l as u64).collect();
-        assert_eq!(commits.values(), loads);
     }
 }

@@ -780,9 +780,9 @@ impl ConcurrentRouter {
     /// Balls pushed and not yet drained: the inbox plus what earlier drains
     /// left below one batch, read under both locks (in the drainer's order)
     /// so a ball moving from one to the other is never missed.
-    pub fn pending(&self) -> u64 {
+    pub fn pending(&self) -> usize {
         let side = self.shared.drain.lock().expect("drain lock");
-        (side.buffer.len() + self.inbox().len()) as u64
+        side.buffer.len() + self.inbox().len()
     }
 
     /// Batch boundaries completed so far (== the snapshot epoch).
@@ -871,7 +871,9 @@ impl ConcurrentRouter {
     /// correct but may straddle in-flight operations; at quiescence the
     /// snapshot is exact.
     pub fn snapshot(&self) -> StreamSnapshot {
-        self.shared.core.snapshot(self.pending(), self.batches())
+        self.shared
+            .core
+            .snapshot(self.pending() as u64, self.batches())
     }
 
     /// The conservation invariant: `placed − departed == Σ loads` and
@@ -879,7 +881,7 @@ impl ConcurrentRouter {
     /// in flight); under concurrent traffic the reads may straddle an
     /// in-flight ball.
     pub fn conserves_balls(&self) -> bool {
-        self.shared.core.conserves_balls(self.pending())
+        self.shared.core.conserves_balls(self.pending() as u64)
     }
 
     /// Aggregate routing statistics.
@@ -977,7 +979,7 @@ impl Core {
     /// Resolves the metric handles the engine records into (write-only; see
     /// [`StreamMetrics`]).
     pub(crate) fn install_metrics(&mut self, registry: Arc<pba_obs::MetricsRegistry>) {
-        self.metrics = Some(StreamMetrics::resolve(registry, self.capacity()));
+        self.metrics = Some(StreamMetrics::resolve(registry));
     }
 
     /// Seeds the bins with `loads` **anonymous** resident balls (no tickets)
@@ -1269,7 +1271,7 @@ impl Core {
         chosen: &mut [u32],
         counts: &mut GroupCounts,
     ) -> u64 {
-        self.place(chosen, counts);
+        self.bins.place_counted(chosen, counts);
         if self.topology_moved_since(seen) {
             self.reroute_drained(group, chosen, counts);
         }
@@ -1282,17 +1284,6 @@ impl Core {
             metrics.placed.add(take);
         }
         base
-    }
-
-    /// Places `bins`, one atomic increment per distinct bin, each counted
-    /// under `bin_commits`.
-    fn place(&self, bins: &[u32], counts: &mut GroupCounts) {
-        let bin_commits = self.metrics.as_ref().map(|m| &m.bin_commits);
-        self.bins.place_counted(bins, counts, |bin, count| {
-            if let Some(bin_commits) = bin_commits {
-                bin_commits.add(bin, count as u64);
-            }
-        });
     }
 
     /// The cold half of a grouped commit's draining recheck, once a topology
@@ -1325,12 +1316,9 @@ impl Core {
             if let Some(metrics) = &self.metrics {
                 let rejected = &metrics.membership.rejected_routes_to_draining;
                 rejected.add(undone.len() as u64);
-                for &bin in &undone {
-                    metrics.bin_commits.retract(bin as usize, 1);
-                }
             }
             let again: Vec<u32> = moving.iter().map(|&at| chosen[at]).collect();
-            self.place(&again, counts);
+            self.bins.place_counted(&again, counts);
             if !self.topology_moved_since(seen) {
                 return;
             }
@@ -1434,7 +1422,6 @@ impl Core {
                     migrated += 1;
                     if let Some(metrics) = &self.metrics {
                         metrics.membership.migrations.inc();
-                        metrics.bin_commits.inc(target);
                     }
                 } else {
                     // The resident raced a concurrent release; undo the
@@ -1958,7 +1945,7 @@ impl Core {
         let ctx = self.choice_ctx(&topology, &stale, threshold, capacity);
         let chooser = Chooser::new(self.config.policy, &ctx);
         commit::choose_into(&chooser, batch, self.pool.as_ref(), chosen);
-        self.place(chosen, counts);
+        self.bins.place_counted(chosen, counts);
         self.placed.fetch_add(batch.len() as u64, Ordering::AcqRel);
         if let Some(metrics) = &self.metrics {
             metrics.placed.add(batch.len() as u64);
@@ -2070,8 +2057,7 @@ mod tests {
                 }
             }
             let metrics = router.metrics().unwrap();
-            assert_eq!(metrics.bin_commits.total(), metrics.placed.get());
-            assert_eq!(metrics.bin_commits.get(victim), load_before as u64);
+            assert_eq!(metrics.placed.get(), 64 + size, "a reroute adds no ball");
             assert!(router.conserves_balls());
             router.release_many(&tickets).expect("every ticket redeems");
             assert_eq!(router.resident(), 64);

@@ -378,6 +378,11 @@ impl StreamAllocator {
         self.drain.buffer.len()
     }
 
+    /// Batch boundaries completed so far (== the snapshot epoch).
+    pub fn batches(&self) -> u64 {
+        self.book.batches()
+    }
+
     /// The epoch of the stale snapshot the next batch decides from: 0 at
     /// birth, +1 per batch boundary.
     pub fn snapshot_epoch(&self) -> u64 {
@@ -415,8 +420,7 @@ impl StreamAllocator {
 
     /// A full point-in-time snapshot.
     pub fn snapshot(&self) -> StreamSnapshot {
-        self.core
-            .snapshot(self.pending() as u64, self.book.batches())
+        self.core.snapshot(self.pending() as u64, self.batches())
     }
 
     /// The conservation invariant every streaming run must satisfy:

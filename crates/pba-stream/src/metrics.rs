@@ -32,7 +32,7 @@
 
 use std::sync::Arc;
 
-use pba_obs::{Counter, CounterVec, Gauge, MetricsRegistry};
+use pba_obs::{Counter, Gauge, MetricsRegistry};
 
 /// Counters for the policy-level fallback paths, shared by reference with
 /// every choose worker of a parallel drain (handles are `Sync`; increments
@@ -115,10 +115,9 @@ pub struct StreamMetrics {
     pub released: Counter,
     /// `release` calls rejected with `UnknownTicket`.
     pub rejected_unknown_ticket: Counter,
-    /// Balls committed to bins by drained batches.
+    /// Balls committed to bins by drained batches and routed groups
+    /// (migrations and reroutes move a ball, so they leave it alone).
     pub placed: Counter,
-    /// Per-bin commit counts (slot = bin index).
-    pub bin_commits: CounterVec,
     /// Batch boundaries crossed.
     pub batches: Counter,
     /// Gap at the latest boundary.
@@ -134,15 +133,13 @@ pub struct StreamMetrics {
 }
 
 impl StreamMetrics {
-    /// Resolves every streaming handle against `registry` for an engine with
-    /// `bins` bins.
-    pub fn resolve(registry: Arc<MetricsRegistry>, bins: usize) -> Self {
+    /// Resolves every streaming handle against `registry`.
+    pub fn resolve(registry: Arc<MetricsRegistry>) -> Self {
         Self {
             routed: registry.counter("route.routed"),
             released: registry.counter("route.released"),
             rejected_unknown_ticket: registry.counter("route.rejected_unknown_ticket"),
             placed: registry.counter("route.placed"),
-            bin_commits: registry.counter_vec("route.bin_commits", bins),
             batches: registry.counter("router.stream_batches"),
             gap: registry.gauge("router.stream_gap"),
             resident: registry.gauge("router.stream_resident"),
@@ -161,7 +158,7 @@ mod tests {
     #[test]
     fn clones_share_underlying_cells() {
         let registry = Arc::new(MetricsRegistry::new());
-        let a = StreamMetrics::resolve(Arc::clone(&registry), 2);
+        let a = StreamMetrics::resolve(Arc::clone(&registry));
         let b = a.clone();
         a.routed.inc();
         b.routed.inc();

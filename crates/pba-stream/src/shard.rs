@@ -98,22 +98,15 @@ impl ShardedBins {
     /// once per entry. The allocating convenience form, for callers that
     /// commit a group once.
     pub fn place_group(&self, bins: &[u32]) {
-        self.place_counted(bins, &mut GroupCounts::default(), |_, _| {});
+        self.place_counted(bins, &mut GroupCounts::default());
     }
 
     /// Places a group of balls — one entry of `bins` per ball — with **one**
-    /// atomic increment per distinct bin, calling `per_bin(bin, count)` once
-    /// per distinct bin (the per-bin metrics hook): the commit of every
-    /// drained batch and every served sub-group's routes.
-    pub fn place_counted(
-        &self,
-        bins: &[u32],
-        counts: &mut GroupCounts,
-        mut per_bin: impl FnMut(usize, u32),
-    ) {
+    /// atomic increment per distinct bin: the commit of every drained batch
+    /// and every served sub-group's routes.
+    pub fn place_counted(&self, bins: &[u32], counts: &mut GroupCounts) {
         counts.for_each_distinct(bins, self.len(), |bin, count| {
             self.bins.add_many(bin, count);
-            per_bin(bin, count);
         });
     }
 
@@ -224,8 +217,6 @@ mod tests {
         for n in [1, 8, 30, 7, 1000] {
             let grouped = ShardedBins::new(n, 4);
             let looped = ShardedBins::new(n, 4);
-            let mut commits = vec![0u64; n];
-            let mut expected_commits = vec![0u64; n];
             // Empty, singleton, one bin repeated, sparse, and a group several
             // times longer than `n` (every bin repeated) — each on top of the
             // loads the earlier groups left, through one reused scratch.
@@ -234,16 +225,11 @@ mod tests {
                     5 => vec![(n - 1) as u32; 5],
                     _ => (0..len).map(|_| rng.gen_index(n) as u32).collect(),
                 };
-                grouped.place_counted(&group, &mut counts, |bin, count| {
-                    assert!(count > 0, "only touched bins are reported");
-                    commits[bin] += count as u64;
-                });
+                grouped.place_counted(&group, &mut counts);
                 for &bin in &group {
                     looped.place(bin as usize);
-                    expected_commits[bin as usize] += 1;
                 }
                 assert_eq!(grouped.snapshot(), looped.snapshot(), "n {n}");
-                assert_eq!(commits, expected_commits);
                 // Release a prefix of what was just placed, the same way.
                 let leaving = &group[..len / 2];
                 let departed = grouped.release_counted(leaving, &mut counts);

@@ -8,8 +8,8 @@
 //! batches of a few dozen, never the shape the `stream-drain` workload runs
 //! (1024 bins, batch 4096, a pool). This file pins that shape: one line per
 //! `(policy, bins, batch, execution mode, weights)` with FNV-1a hashes of the
-//! final loads, the gap trajectory (bit patterns) and the `route.bin_commits`
-//! vector, drained by the sole owner. (The 1-caller handle runs the same
+//! final loads and the gap trajectory (bit patterns), drained by the sole
+//! owner with metrics installed. (The 1-caller handle runs the same
 //! drain; the model test checks it against the model op by op.) A drain
 //! change that is meant to preserve behaviour must pass this test against
 //! the file as committed.
@@ -36,24 +36,14 @@ fn hash_u64s(values: impl IntoIterator<Item = u64>) -> String {
     format!("fnv:{:016x}", fnv1a64(&bytes))
 }
 
-fn commits_of(registry: &MetricsRegistry) -> Vec<u64> {
-    registry
-        .snapshot()
-        .counter_vecs
-        .get("route.bin_commits")
-        .cloned()
-        .unwrap_or_default()
-}
-
 /// What a drained engine leaves behind, rendered.
-fn render_drained(stream: &StreamAllocator, registry: &MetricsRegistry) -> String {
+fn render_drained(stream: &StreamAllocator) -> String {
     assert!(stream.conserves_balls());
     format!(
-        "batches={} loads={} gaps={} commits={}",
+        "batches={} loads={} gaps={}",
         stream.stats().batches,
         hash_u64s(stream.loads().iter().map(|&l| l as u64)),
         hash_u64s(stream.gap_trajectory().iter().map(|g| g.to_bits())),
-        hash_u64s(commits_of(registry)),
     )
 }
 
@@ -89,14 +79,10 @@ fn row(out: &mut String, label: &str, config: StreamConfig, plan: Option<Members
     // Short batches get more of them, so every row crosses ≥ 18 boundaries
     // or ≥ 18k balls.
     let repeats = if batch < 1024 { 4 } else { 1 };
-    let registry = Arc::new(MetricsRegistry::new());
     let mut stream = StreamAllocator::new(config);
-    stream.install_metrics(Arc::clone(&registry));
+    stream.install_metrics(Arc::new(MetricsRegistry::new()));
     drive(&mut stream, batch, repeats, plan);
-    out.push_str(&format!(
-        "stream {label} {}\n",
-        render_drained(&stream, &registry)
-    ));
+    out.push_str(&format!("stream {label} {}\n", render_drained(&stream)));
 }
 
 /// Every pinned row, rendered. 1000 bins keep the rejection-sampling draw and

@@ -3,8 +3,8 @@
 //!
 //! 1. **Strict no-op** — staging an empty membership plan, or the weights
 //!    already in force, perturbs nothing: bit-identical placements (routed
-//!    one by one and in randomly cut groups), loads, gap trajectories,
-//!    per-bin commit counts and batch counts versus an untouched twin, for
+//!    one by one and in randomly cut groups), loads, gap trajectories and
+//!    batch counts versus an untouched twin, for
 //!    every policy and weight configuration.
 //! 2. **Post-drain suffix equivalence** — after a `Drain` takes effect, the
 //!    engine's subsequent drains are bit-identical (through the
@@ -81,10 +81,6 @@ fn ids_and_bins(placements: &[Placement]) -> Vec<(u64, usize)> {
     placements.iter().map(|p| (p.ticket.id(), p.bin)).collect()
 }
 
-fn bin_commits(registry: &MetricsRegistry) -> Vec<u64> {
-    registry.snapshot().counter_vecs["route.bin_commits"].clone()
-}
-
 /// One strict-no-op case: route, stage `noop` mid-batch, route one by one,
 /// in random groups and through `push` + `flush` — against an untouched twin
 /// that sees the same calls. Nothing may differ, down to the RNG stream.
@@ -130,10 +126,6 @@ fn assert_staging_is_a_strict_noop(policy: Policy, weights: &BinWeights, noop: N
     assert_eq!(staged.loads(), untouched.loads());
     assert_eq!(staged.gap_trajectory(), untouched.gap_trajectory());
     assert_eq!(staged.snapshot().batches, untouched.snapshot().batches);
-    assert_eq!(
-        bin_commits(&staged_metrics),
-        bin_commits(&untouched_metrics)
-    );
     assert!(staged.conserves_balls());
 }
 

@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use model::Model;
 use parallel_balanced_allocations::model::rng::SplitMix64;
 use parallel_balanced_allocations::stream::{
-    BinState, BinWeights, ConcurrentRouter, MembershipPlan, Placement, Router, StreamAllocator,
+    BinState, BinWeights, ConcurrentRouter, MembershipPlan, Placement, StreamAllocator,
     StreamConfig, Ticket, WireRequest,
 };
 use policies::POLICIES;
@@ -249,7 +249,7 @@ impl Run {
         let bits = |gaps: &[f64]| gaps.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(&owner.loads(), &model.loads, "owner loads");
         prop_assert_eq!(&handle.loads(), &model.loads, "handle loads");
-        let batches = (Router::stats(owner).batches, handle.batches());
+        let batches = (owner.batches(), handle.batches());
         prop_assert_eq!(batches, (model.batches, model.batches));
         prop_assert_eq!(bits(owner.gap_trajectory()), bits(&model.gaps));
         prop_assert_eq!(bits(&handle.gap_trajectory()), bits(&model.gaps));
@@ -263,7 +263,7 @@ impl Run {
         prop_assert_eq!(owner.membership().active(), active);
         prop_assert_eq!(handle.membership().active().to_vec(), active);
         prop_assert_eq!(handle.stats().bins, active.len());
-        let pending = (owner.pending(), handle.pending() as usize);
+        let pending = (owner.pending(), handle.pending());
         prop_assert_eq!(pending, (model.pending.len(), model.pending.len()));
         prop_assert!(owner.conserves_balls() && handle.conserves_balls());
         Ok(())

@@ -8,8 +8,8 @@
 //!    never *reads* a metric, so it cannot steer on one).
 //! 2. **The books balance** — under `k` concurrent callers with interleaved
 //!    releases, `route.routed − route.released` equals the resident-ticket
-//!    count, and the per-bin commit family sums to `route.placed` (the
-//!    metrics-side image of the conservation invariant).
+//!    count, and `route.placed − route.released` equals the resident balls
+//!    (the metrics-side image of the conservation invariant).
 //! 3. **No silent drops** — each forced rejection/fallback path (a forged
 //!    ticket, the threshold all-above fallthrough, the capacity overflow
 //!    retry, the weighted sampler's uniform degradation) must leave a visible
@@ -82,8 +82,9 @@ proptest! {
     }
 
     /// (2) Under k callers with interleaved releases, the registry's books
-    /// balance: `routed − released == resident tickets`, per-bin commits sum
-    /// to `placed`, and the batch counter matches the router's boundary book.
+    /// balance: `routed − released == resident tickets`, `placed == routed`,
+    /// `placed − released == resident` and the batch counter matches the
+    /// router's boundary book.
     #[test]
     fn counters_balance_under_concurrent_callers(
         seed in 1u64..1_000,
@@ -126,14 +127,13 @@ proptest! {
             "routed − released must equal resident tickets at quiescence"
         );
         prop_assert_eq!(routed - released, router.resident());
-        let commits: u64 = snap
-            .counter_vecs
-            .get("route.bin_commits")
-            .expect("bin commit family")
-            .iter()
-            .sum();
-        prop_assert_eq!(commits, snap.counter("route.placed"));
-        prop_assert_eq!(commits, routed, "route-path placements all commit");
+        let placed = snap.counter("route.placed");
+        prop_assert_eq!(placed, routed, "route-path placements all commit");
+        prop_assert_eq!(
+            placed - released,
+            router.resident(),
+            "the counters' image of conservation"
+        );
         prop_assert_eq!(snap.counter("router.stream_batches"), router.batches());
         prop_assert!(router.conserves_balls());
     }
