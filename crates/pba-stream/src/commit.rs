@@ -18,8 +18,8 @@
 //!    threads run the same loop over.
 //! 2. **place** — the shard layer's grouped commit ([`place_counted`]):
 //!    one atomic add per distinct bin to the loads, the engine's only
-//!    per-bin books; no lock. Always on the calling thread: at a few atomics per distinct bin
-//!    there is nothing to fan out.
+//!    per-bin books; no lock. Always on the calling thread: at one atomic
+//!    per distinct bin there is nothing to fan out.
 //!
 //! [`place_counted`]: crate::shard::ShardedBins::place_counted
 
