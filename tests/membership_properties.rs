@@ -90,12 +90,10 @@ fn assert_staging_is_a_strict_noop(policy: Policy, weights: &BinWeights, noop: N
         .batch_size(16)
         .seed(11)
         .weights(weights.clone());
-    let staged_metrics = Arc::new(MetricsRegistry::new());
-    let untouched_metrics = Arc::new(MetricsRegistry::new());
     let mut staged = StreamAllocator::new(cfg.clone());
-    staged.install_metrics(Arc::clone(&staged_metrics));
+    staged.install_metrics(Arc::new(MetricsRegistry::new()));
     let mut untouched = StreamAllocator::new(cfg);
-    untouched.install_metrics(Arc::clone(&untouched_metrics));
+    untouched.install_metrics(Arc::new(MetricsRegistry::new()));
     for key in keys(100, 1) {
         assert_eq!(
             staged.route(key).unwrap().bin,
