@@ -19,9 +19,9 @@
 //!    same line protocol to show the elastic path works over the reactor;
 //! 4. snapshots the registry and asserts the books balance — the
 //!    no-silent-drops ledger, placed minus released equal to the resident
-//!    balls, a nonzero route-latency histogram covering every route — then repeats a
-//!    short smoke pass with `force_fallback_poller` so both `Poller`
-//!    implementations are exercised in one run; each pass logs its
+//!    balls, a nonzero route-latency histogram covering every route — then
+//!    repeats a short smoke pass with `force_fallback_poller` so both
+//!    `Poller` implementations are exercised in one run; each pass logs its
 //!    snapshot's text rendering to stderr, the way a deployment would.
 //!
 //! Run with: `cargo run --release --example reactor_serving`
