@@ -39,8 +39,10 @@ pub struct HeavyConfig {
     pub slack_exponent: f64,
     /// Configuration of the phase-2 `A_light` subroutine.
     pub light: LightConfig,
-    /// Run per-ball sampling through the rayon shim (see
-    /// [`EngineConfig::parallel`](pba_model::engine::EngineConfig::parallel)).
+    /// Passed on as
+    /// [`EngineConfig::parallel`](pba_model::engine::EngineConfig::parallel),
+    /// which the agent engine does not read: it changes no result and no
+    /// speed.
     pub parallel: bool,
     /// Track per-ball sent-message counts (costs `O(m)` memory).
     pub track_per_ball: bool,

@@ -38,8 +38,10 @@ pub struct LightConfig {
     /// Safety cap on rounds (`log* n` is at most 5 for any feasible `n`, so this
     /// is generous).
     pub max_rounds: usize,
-    /// Run per-ball sampling through the rayon shim (see
-    /// [`EngineConfig::parallel`](pba_model::engine::EngineConfig::parallel)).
+    /// Passed on as
+    /// [`EngineConfig::parallel`](pba_model::engine::EngineConfig::parallel),
+    /// which the agent engine does not read: it changes no result and no
+    /// speed.
     pub parallel: bool,
 }
 

@@ -22,8 +22,10 @@ pub struct NaiveThresholdAllocator {
     pub degree: usize,
     /// Safety cap on rounds.
     pub max_rounds: usize,
-    /// Run per-ball sampling through the rayon shim (see
-    /// [`EngineConfig::parallel`](pba_model::engine::EngineConfig::parallel)).
+    /// Passed on as
+    /// [`EngineConfig::parallel`](pba_model::engine::EngineConfig::parallel),
+    /// which the agent engine does not read: it changes no result and no
+    /// speed.
     pub parallel: bool,
 }
 

@@ -12,60 +12,36 @@
 //! The only state carried across rounds is each bin's committed load and the set
 //! of unallocated balls, exactly as in the model.
 //!
-//! # One blocked pass per round
+//! # One pass per round
 //!
-//! A round is **one pass over fixed-size blocks of balls**: a block's targets
-//! are sampled into a cache-resident scratch, the block is resolved in arrival
-//! order, and the scratch is reused for the next block. Beyond the result
-//! itself a round therefore holds `O(n + block + leftover)` memory — the
-//! per-bin vectors, one block of targets and identities, and the list of balls
-//! rejected so far — never `O(m)`:
+//! A round is **one pass over the unallocated balls**, in arrival order: a
+//! ball samples its targets and is answered at once. Within the round a bin
+//! keeps its quota and one counter, the requests it has heard, so beyond its
+//! result a round holds `O(n + leftover)` memory, never `O(m)`:
 //!
-//! * **No request-count pass.** A bin grants `min(quota, requests)` accepts,
-//!   in arrival order. When a request is resolved, the accepts its bin has
-//!   granted so far number at most the *earlier* requests to that bin, which is
-//!   fewer than all of them; so "fewer than `min(quota, requests)` granted" is
-//!   exactly "fewer than `quota` granted", for every degree, distinct choices
-//!   or not. The quota vector, computed once at the top of the round from the
-//!   committed loads, is all a bin needs — which is the paper's model.
+//! * **No request-count pass.** A bin grants `min(quota, requests)` accepts
+//!   in arrival order, so when a request is resolved its bin has granted at
+//!   most as many accepts as it has heard *earlier* requests, which are fewer
+//!   than all of them: "granted < `min(quota, requests)`" is exactly "earlier
+//!   requests < `quota`", for every degree, distinct choices or not.
+//! * **No per-ball commit at degree 1.** A bin that heard `h` requests
+//!   accepted `min(h, quota)`, each of which joined it, so the round's loads,
+//!   accepts and commits are folded from the counters at its end.
 //! * **No identity vector.** Until the first round that rejects a ball, the
-//!   unallocated set of [`run_agent_engine`] *is* the range `0..m`; it is walked
-//!   block by block, and the list of unallocated balls grows from empty (to
-//!   `m̃₁ ≈ m^{2/3} n^{1/3}` under `A_heavy`'s schedule, not `m`).
+//!   unallocated set of [`run_agent_engine`] *is* the range `0..m`; the list
+//!   of unallocated balls grows from empty (to `m̃₁ ≈ m^{2/3} n^{1/3}` under
+//!   `A_heavy`'s schedule, not `m`).
 //!
-//! Sampling (step 1) is the dominant cost and optionally goes through the rayon
-//! shim, block by block; because every ball's choices are a pure function of
-//! `(seed, ball, round)`, parallel and sequential executions produce identical
-//! requests and therefore identical results. (A block is below the shim's
-//! split cutoff, so the parallel path runs on the calling thread too; see
-//! `BLOCK_SLOTS`.) The seed and round halves of that function are mixed once
-//! per round into [`SplitMix64::substream_key`], so a degree-1 request costs
-//! three `mix64`s — the ball's, the generator state's and the draw — where
-//! [`SplitMix64::for_stream`] per ball would cost five.
-
-use rayon::prelude::*;
+//! The seed and round halves of a ball's stream are mixed once per round into
+//! [`SplitMix64::substream_key`], so a degree-1 request costs three `mix64`s —
+//! the ball's, the generator state's and the draw — where
+//! [`SplitMix64::for_stream`] per ball would cost five; the bins' range is
+//! built once per run ([`IndexRange`]). [`EngineConfig::parallel`] is unread.
 
 use crate::engine::{EngineConfig, EngineResult};
 use crate::metrics::{MessageCensus, MessageTotals, RoundRecord};
 use crate::protocol::{Protocol, RoundCtx};
-use crate::rng::SplitMix64;
-
-/// Request slots (balls × degree) sampled and then resolved at a time, in both
-/// execution modes. At 16 Ki slots the block's scratch — 4 B per target, 8 B per
-/// identity, 192 KiB at most — is still cache-resident when the resolve reads
-/// it back, beside the per-bin vectors. With sampling at three mixes per ball,
-/// blocks four times and a quarter the size each ran `A_heavy` (2^22 balls,
-/// 2^10 bins) at 0.97–0.98 of this size's throughput, the median of 12
-/// alternating runs (7.4 ns per ball here, 7.5–7.6 there): neither is faster.
-///
-/// A block is also shorter than the 2 × 32 Ki items the rayon shim needs
-/// before it spawns a second thread, so [`EngineConfig::parallel`] never
-/// splits one: it changes no result and uses no other thread. It is not free
-/// either: in alternating runs of `A_heavy` (2^22 balls, 2^10 bins, 14 pairs)
-/// the flag ran at 0.86 of the sequential speed in the median — the cost of
-/// the `par_chunks_mut` call site, since the plain loop in both branches
-/// measures 1.00. The flag stays while the benchmark names it.
-const BLOCK_SLOTS: usize = 1 << 14;
+use crate::rng::{IndexRange, SplitMix64};
 
 /// The balls a run starts with.
 #[derive(Clone, Copy)]
@@ -76,7 +52,7 @@ enum Balls<'a> {
     Listed(&'a [u64]),
 }
 
-impl<'a> Balls<'a> {
+impl Balls<'_> {
     fn len(&self) -> usize {
         match *self {
             Balls::All(m) => m as usize,
@@ -84,26 +60,21 @@ impl<'a> Balls<'a> {
         }
     }
 
-    /// The identities at positions `start..start + len`: a window of the list,
-    /// or that piece of the range written into `scratch`.
-    fn block<'s>(&self, start: usize, len: usize, scratch: &'s mut Vec<u64>) -> &'s [u64]
-    where
-        'a: 's,
-    {
-        match *self {
-            Balls::All(_) => {
-                scratch.clear();
-                scratch.extend(start as u64..(start + len) as u64);
-                scratch
-            }
-            Balls::Listed(list) => &list[start..start + len],
-        }
-    }
-
-    fn to_vec(self) -> Vec<u64> {
+    /// Calls `visit` on every identity, in arrival order (plain loops, which
+    /// inline `visit`).
+    #[inline(always)]
+    fn for_each(self, mut visit: impl FnMut(u64)) {
         match self {
-            Balls::All(m) => (0..m).collect(),
-            Balls::Listed(list) => list.to_vec(),
+            Balls::All(m) => {
+                for ball in 0..m {
+                    visit(ball);
+                }
+            }
+            Balls::Listed(list) => {
+                for &ball in list {
+                    visit(ball);
+                }
+            }
         }
     }
 }
@@ -174,11 +145,11 @@ fn run_rounds<P: Protocol + ?Sized>(
     let mut rejected: Vec<u64> = Vec::new();
     let mut sampled = false;
 
-    // Scratch reused across blocks and rounds: accepts each bin may still grant
-    // this round, and one block of targets and identities.
-    let mut room: Vec<u32> = vec![0; n];
-    let mut targets: Vec<u32> = Vec::new();
-    let mut block_ids: Vec<u64> = Vec::new();
+    // Scratch reused across rounds; `slots` holds one ball's targets.
+    let mut quota: Vec<u32> = vec![0; n];
+    let mut heard: Vec<u64> = vec![0; n];
+    let mut slots: Vec<u32> = Vec::new();
+    let range = IndexRange::new(n as u64);
 
     for round in 0..protocol.max_rounds() {
         let balls = if sampled {
@@ -215,57 +186,62 @@ fn run_rounds<P: Protocol + ?Sized>(
             }
             continue;
         }
-        let distinct = protocol.distinct_choices() && degree > 1;
         let round_key = SplitMix64::substream_key(seed, round as u64);
-        let sample_for = |ball: u64, slots: &mut [u32]| {
-            let mut rng = SplitMix64::for_stream_under(round_key, ball);
-            if distinct {
-                fill_distinct_slots(&mut rng, n, slots);
-            } else {
-                for slot in slots.iter_mut() {
-                    *slot = rng.gen_index(n) as u32;
-                }
-            }
-        };
-
-        for (b, room) in room.iter_mut().enumerate() {
-            *room = protocol.bin_quota(b as u32, committed[b], &ctx);
+        for (b, quota) in quota.iter_mut().enumerate() {
+            *quota = protocol.bin_quota(b as u32, committed[b], &ctx);
         }
+        heard.fill(0);
         rejected.clear();
         let mut round_accepts: u64 = 0;
         let mut round_committed: u64 = 0;
         let mut round_notifications: u64 = 0;
 
-        let block_balls = (BLOCK_SLOTS / degree).max(1);
-        targets.resize(block_balls.min(u) * degree, 0);
-        for start in (0..u).step_by(block_balls) {
-            let ids = balls.block(start, block_balls.min(u - start), &mut block_ids);
-            let targets = &mut targets[..ids.len() * degree];
-
-            // ---- Step 1: the block's balls sample their target bins. ----
-            if config.parallel {
-                targets
-                    .par_chunks_mut(degree)
-                    .zip(ids.par_iter())
-                    .for_each(|(slots, &ball)| sample_for(ball, slots));
-            } else {
-                for (slots, &ball) in targets.chunks_mut(degree).zip(ids) {
-                    sample_for(ball, slots);
-                }
+        if degree == 1 {
+            // Step 3 is folded from the counters below. Inlined: as a call,
+            // this closure ran `A_heavy` at 6.4–6.7 ns per ball, not 5.7.
+            balls.for_each(
+                #[inline(always)]
+                |ball| {
+                    let b =
+                        range.sample(&mut SplitMix64::for_stream_under(round_key, ball)) as usize;
+                    let earlier = heard[b];
+                    heard[b] = earlier + 1;
+                    if earlier >= u64::from(quota[b]) {
+                        rejected.push(ball);
+                    }
+                    if tracks_balls {
+                        census.per_ball_sent[ball as usize] += 1;
+                    }
+                },
+            );
+            for ((load, &heard), &quota) in committed.iter_mut().zip(&heard).zip(&quota) {
+                let accepted = heard.min(u64::from(quota));
+                *load += accepted as u32;
+                round_committed += accepted;
             }
-
-            // ---- Steps 2 and 3: bins answer in arrival order; balls commit and
-            // notify. ----
-            for (slots, &ball) in targets.chunks(degree).zip(ids) {
-                // The ball joins the first bin that accepts it; an accept after
-                // the first only costs a notification to that bin.
+            round_accepts = round_committed;
+        } else {
+            let distinct = protocol.distinct_choices();
+            slots.resize(degree, 0);
+            balls.for_each(|ball| {
+                // ---- Step 1: the ball samples its target bins. ----
+                let mut rng = SplitMix64::for_stream_under(round_key, ball);
+                if distinct {
+                    fill_distinct_slots(&range, &mut rng, n, &mut slots);
+                } else {
+                    for slot in slots.iter_mut() {
+                        *slot = range.sample(&mut rng) as u32;
+                    }
+                }
+                // ---- Steps 2 and 3: the ball joins the first bin that accepts
+                // it; a later accept costs a notification to that bin. ----
                 let mut joined = 0u32;
                 let mut accepts_for_ball = 0u32;
-                for &t in slots {
+                for &t in &slots {
                     let b = t as usize;
-                    census.per_bin_received[b] += 1;
-                    if room[b] > 0 {
-                        room[b] -= 1;
+                    let earlier = heard[b];
+                    heard[b] = earlier + 1;
+                    if earlier < u64::from(quota[b]) {
                         if accepts_for_ball == 0 {
                             joined = t;
                         } else {
@@ -286,7 +262,10 @@ fn run_rounds<P: Protocol + ?Sized>(
                 if tracks_balls {
                     census.per_ball_sent[ball as usize] += degree as u32 + extra;
                 }
-            }
+            });
+        }
+        for (received, &heard) in census.per_bin_received.iter_mut().zip(&heard) {
+            *received += heard;
         }
 
         let round_requests = (u * degree) as u64;
@@ -313,32 +292,30 @@ fn run_rounds<P: Protocol + ?Sized>(
 
     // Only a run in which no round sampled (no balls, no rounds, or the protocol
     // gave up at once) still has to list its initial balls.
-    let remaining_balls = if sampled {
-        unallocated
-    } else {
-        initial.to_vec()
-    };
+    if !sampled {
+        initial.for_each(|ball| unallocated.push(ball));
+    }
     EngineResult {
         loads: committed,
         rounds: rounds_run,
-        remaining: remaining_balls.len() as u64,
-        remaining_balls,
+        remaining: unallocated.len() as u64,
+        remaining_balls: unallocated,
         totals,
         per_round,
         census,
     }
 }
 
-/// Fills `slots` with [`SplitMix64::fill_distinct`]'s draws; with fewer bins
-/// than slots every bin is listed once and the last one repeated to keep slot
-/// arity (the ball simply contacts that bin once more). Kept out of line:
-/// inlined into the round's sampling closure, the always-inlined draw loop
-/// slowed `A_heavy`'s degree-1 phase 1, which never takes this branch, by
-/// 7.6 % (`oneshot-heavy` throughput, 2-vCPU host, 6 runs a side).
+/// Fills `slots` with [`IndexRange::fill_distinct`]'s draws from `0..n`; with
+/// fewer bins than slots every bin is listed once and the last one repeated
+/// to keep slot arity (the ball simply contacts that bin once more). Kept out
+/// of line: inlined into the round's sampling closure, the always-inlined
+/// draw loop slowed `A_heavy`'s degree-1 phase 1, which never takes this
+/// branch, by 7.6 % (`oneshot-heavy` throughput, 2-vCPU host, 6 runs a side).
 #[inline(never)]
-fn fill_distinct_slots(rng: &mut SplitMix64, n: usize, slots: &mut [u32]) {
+fn fill_distinct_slots(range: &IndexRange, rng: &mut SplitMix64, n: usize, slots: &mut [u32]) {
     let kept = slots.len().min(n);
-    rng.fill_distinct(n, &mut slots[..kept]);
+    range.fill_distinct(rng, &mut slots[..kept]);
     let last = slots[kept - 1];
     slots[kept..].fill(last);
 }
@@ -352,10 +329,10 @@ mod tests {
         m.div_ceil(n as u64) as u32
     }
 
-    /// The executable spec: the round as the engine played it before it was
-    /// blocked, transcribed literally — sample every ball, count requests and
-    /// grant `min(quota, requests)` per bin, resolve in arrival order — with
-    /// every buffer the blocked loop does without.
+    /// The executable spec: the three-step round transcribed literally —
+    /// sample every ball, count requests and grant `min(quota, requests)` per
+    /// bin, resolve in arrival order — with every buffer the one-pass loop
+    /// does without.
     fn reference_engine(
         protocol: &dyn Protocol,
         initial_balls: &[u64],
@@ -398,7 +375,7 @@ mod tests {
                     let mut rng = SplitMix64::for_stream(seed, ball, round as u64);
                     if protocol.distinct_choices() && degree > 1 {
                         let mut buf = vec![0; degree.min(n)];
-                        rng.fill_distinct(n, &mut buf);
+                        IndexRange::new(n as u64).fill_distinct(&mut rng, &mut buf);
                         targets.extend((0..degree).map(|i| buf[i.min(buf.len() - 1)]));
                     } else {
                         targets.extend((0..degree).map(|_| rng.gen_index(n) as u32));
@@ -533,7 +510,7 @@ mod tests {
     }
 
     #[test]
-    fn blocked_rounds_equal_the_three_step_reference_field_by_field() {
+    fn one_pass_rounds_equal_the_three_step_reference_field_by_field() {
         let fixed = |t, d| Box::new(FixedThresholdProtocol::new(t, d)) as Box<dyn Protocol>;
         let mut too_tight = FixedThresholdProtocol::new(3, 1);
         too_tight.max_rounds = 7;
@@ -564,26 +541,27 @@ mod tests {
                 Box::new(PerBinThresholdProtocol::new((0..300).collect(), 2).with_max_rounds(9)),
                 300,
             ),
+            // Bin 0 has no room from the start, and the low bins fill in round
+            // 0 and start later rounds with quota 0.
+            (
+                "per-bin thresholds d=1",
+                Box::new(PerBinThresholdProtocol::new((0..300).collect(), 1).with_max_rounds(9)),
+                300,
+            ),
             ("doubling", Box::new(Doubling), 40_000),
             ("fewer bins than choices", fixed(22_000, 5), 3),
         ];
-        // Nothing, one ball, and both sides of one block of degree 1 (which is
-        // `d` blocks of degree `d`).
-        let sizes = [0, 1, BLOCK_SLOTS - 1, BLOCK_SLOTS, BLOCK_SLOTS + 1];
+        // Nothing, one ball, and both sides of 16 Ki balls.
+        let sizes = [0, 1, 16_383, 16_384, 16_385];
         for (name, protocol, n) in &cases {
             for (i, &m) in sizes.iter().enumerate() {
-                let m = m as u64;
                 let seed = 1000 + i as u64;
                 for track in [false, true] {
                     let config = EngineConfig::sequential().with_per_ball_tracking(track);
                     let all: Vec<u64> = (0..m).collect();
                     let want = reference_engine(protocol.as_ref(), &all, m, *n, seed, &config);
-                    for parallel in [false, true] {
-                        let config = EngineConfig { parallel, ..config };
-                        let got = run_agent_engine(protocol.as_ref(), m, *n, seed, &config);
-                        let label = format!("{name}, m={m}, track={track}, parallel={parallel}");
-                        assert_same(&label, &got, &want);
-                    }
+                    let got = run_agent_engine(protocol.as_ref(), m, *n, seed, &config);
+                    assert_same(&format!("{name}, m={m}, track={track}"), &got, &want);
                 }
             }
             // An explicit subset, in an order that is not sorted, of a larger

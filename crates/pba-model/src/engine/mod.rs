@@ -4,13 +4,12 @@
 //!
 //! * the [**agent engine**](agent::run_agent_engine) simulates every ball:
 //!   it samples each ball's bin choices from its own deterministic stream and
-//!   plays the three-step round of Section 3 exactly, as one pass over
-//!   fixed-size blocks of balls. A round holds `O(n + block + leftover)`
-//!   memory — per-bin vectors, one block of targets, the balls rejected so
-//!   far — never a buffer sized by `m`. It optionally tracks per-ball message
-//!   counts and can sample a block's balls through the rayon shim; parallel
-//!   and sequential executions are bit-identical because every random choice
-//!   is a pure function of `(seed, ball, round)`.
+//!   plays the three-step round of Section 3 exactly, as one pass over the
+//!   unallocated balls in which each bin counts the requests it has heard. A
+//!   round holds `O(n + leftover)` memory — per-bin vectors and the balls
+//!   rejected so far — never a buffer sized by `m`. It optionally tracks
+//!   per-ball message counts, and runs on the calling thread: every random
+//!   choice is a pure function of `(seed, ball, round)`.
 //! * the [**count engine**](counts::run_count_engine) tracks only per-bin request
 //!   *counts* per round (a multinomial sample), which is sufficient for degree-1
 //!   protocols whose quotas depend only on counts. It scales to instances far
@@ -31,9 +30,9 @@ use crate::outcome::AllocationOutcome;
 /// Execution options for the engines.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
-    /// Sample per-ball choices through the rayon shim (agent engine only). A
-    /// block is shorter than the shim's split cutoff, so this runs on the
-    /// calling thread too and changes no result.
+    /// Not read by either engine: the agent engine's round is one pass on the
+    /// calling thread. The field stays while the benchmark sets it (through
+    /// `HeavyConfig::parallel`).
     pub parallel: bool,
     /// Track per-ball sent-message counts (agent engine only; costs `O(m)` memory).
     pub track_per_ball: bool,
@@ -57,7 +56,7 @@ impl EngineConfig {
         Self::default()
     }
 
-    /// Rayon-parallel execution with round tracing.
+    /// The default with [`EngineConfig::parallel`] set, which changes nothing.
     pub fn parallel() -> Self {
         Self {
             parallel: true,

@@ -27,7 +27,7 @@
 //!   interface both engines execute.
 //! * [`sampling`] — binomial / multinomial samplers used by the count engine.
 //! * [`engine`] — two executors:
-//!   the **agent engine** (exact per-ball simulation, sequential or rayon-parallel)
+//!   the **agent engine** (exact per-ball simulation, one pass per round)
 //!   and the **count engine** (per-bin multinomial counts only; scales to huge `m`).
 //! * [`outcome`] — the [`AllocationOutcome`] result type
 //!   and the [`Allocator`] trait shared by every algorithm and

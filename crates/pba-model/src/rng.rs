@@ -2,9 +2,9 @@
 //!
 //! Reproducibility requirement: an algorithm run is fully determined by
 //! `(algorithm, m, n, seed)`. Inside a round, every ball's random bin choices are
-//! a pure function of `(seed, ball_id, round, draw_index)`, so the agent engine can
-//! sample them in any order (sequentially or from rayon worker threads) and still
-//! produce bit-identical executions.
+//! a pure function of `(seed, ball_id, round, draw_index)`, so an engine can
+//! sample them in any order (ball by ball, or split across worker threads) and
+//! still produce bit-identical executions.
 //!
 //! We use the SplitMix64 generator (Steele, Lea, Flood 2014) — a tiny, fast,
 //! full-period 64-bit generator that is more than adequate for simulation work —
@@ -109,25 +109,10 @@ impl SplitMix64 {
         mix64(self.state)
     }
 
-    /// Uniform integer in `[0, bound)`. Returns `0` when `bound == 0`.
-    ///
-    /// Uses rejection sampling on the top bits so the result is exactly uniform.
+    /// Uniform integer in `[0, bound)` (see [`IndexRange`]).
     #[inline]
     pub fn gen_range(&mut self, bound: u64) -> u64 {
-        if bound == 0 {
-            return 0;
-        }
-        if bound.is_power_of_two() {
-            return self.next_u64() & (bound - 1);
-        }
-        // Rejection sampling: draw from the largest multiple of `bound` below 2^64.
-        let zone = u64::MAX - (u64::MAX % bound);
-        loop {
-            let v = self.next_u64();
-            if v < zone {
-                return v % bound;
-            }
-        }
+        IndexRange::new(bound).sample(self)
     }
 
     /// Uniform `usize` in `[0, bound)`.
@@ -175,18 +160,56 @@ impl SplitMix64 {
             xs.swap(i, j);
         }
     }
+}
 
-    /// Fills `out` with `out.len()` distinct indices from `[0, bound)`, drawn
+/// The integers `[0, bound)`, sampled exactly uniformly: a power of two is
+/// masked, any other bound redraws a draw at or above its largest multiple
+/// below 2^64 (the zone). The zone costs a division, so it is worked out once
+/// per range, not per draw; an empty range samples `0` without drawing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IndexRange {
+    bound: u64,
+    zone: u64,
+}
+
+impl IndexRange {
+    /// The range `[0, bound)`.
+    #[inline]
+    pub fn new(bound: u64) -> Self {
+        let zone = if bound == 0 || bound.is_power_of_two() {
+            0
+        } else {
+            u64::MAX - u64::MAX % bound
+        };
+        Self { bound, zone }
+    }
+
+    /// One uniform integer in the range, from `rng`.
+    #[inline]
+    pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
+        if self.bound.is_power_of_two() {
+            return rng.next_u64() & (self.bound - 1);
+        }
+        while self.bound > 0 {
+            let v = rng.next_u64();
+            if v < self.zone {
+                return v % self.bound;
+            }
+        }
+        0
+    }
+
+    /// Fills `out` with `out.len()` distinct integers of the range, drawn
     /// slot by slot and redrawn on a repeat — rejection, which suits the
     /// lengths every protocol in this workspace uses (`O(1)` or `O(log n)`
-    /// against `bound`). `out` may be at most `bound` long; at exactly
+    /// against the bound). `out` may be at most `bound` long; at exactly
     /// `bound` it becomes `0..bound` and no randomness is consumed.
     // Always inlined: over a fixed-length array the loops below unroll and
     // the candidates stay in registers.
     #[inline(always)]
-    pub fn fill_distinct(&mut self, bound: usize, out: &mut [u32]) {
-        debug_assert!(out.len() <= bound);
-        if out.len() == bound {
+    pub fn fill_distinct(&self, rng: &mut SplitMix64, out: &mut [u32]) {
+        debug_assert!(out.len() as u64 <= self.bound);
+        if out.len() as u64 == self.bound {
             for (slot, index) in out.iter_mut().zip(0u32..) {
                 *slot = index;
             }
@@ -195,7 +218,7 @@ impl SplitMix64 {
         // Slot by slot, so that over an array every index is a constant.
         for filled in 0..out.len() {
             out[filled] = loop {
-                let candidate = self.gen_index(bound) as u32;
+                let candidate = self.sample(rng) as u32;
                 if !out[..filled].contains(&candidate) {
                     break candidate;
                 }
@@ -318,6 +341,41 @@ mod tests {
         }
     }
 
+    /// `gen_range`'s body before the zone moved into `IndexRange`, verbatim.
+    fn gen_range_with_the_zone_per_draw(rng: &mut SplitMix64, bound: u64) -> u64 {
+        if bound == 0 {
+            return 0;
+        }
+        if bound.is_power_of_two() {
+            return rng.next_u64() & (bound - 1);
+        }
+        let zone = u64::MAX - (u64::MAX % bound);
+        loop {
+            let v = rng.next_u64();
+            if v < zone {
+                return v % bound;
+            }
+        }
+    }
+
+    #[test]
+    fn an_index_range_draws_what_gen_range_draws() {
+        // 3·2^62 rejects a quarter of all draws, so its redraws are exercised.
+        for bound in [0, 1, 2, 3, 1000, 1024, 3 << 30, 3 << 62] {
+            let range = IndexRange::new(bound);
+            let mut spec = SplitMix64::new(bound);
+            let mut via_range = spec.clone();
+            let mut via_gen_range = spec.clone();
+            for _ in 0..2_000 {
+                let want = gen_range_with_the_zone_per_draw(&mut spec, bound);
+                assert_eq!(range.sample(&mut via_range), want, "bound {bound}");
+                assert_eq!(via_gen_range.gen_range(bound), want, "bound {bound}");
+            }
+            assert_eq!(via_range, spec, "bound {bound}: generator state");
+            assert_eq!(via_gen_range, spec, "bound {bound}: generator state");
+        }
+    }
+
     #[test]
     fn gen_range_is_roughly_uniform() {
         let mut rng = SplitMix64::new(11);
@@ -409,7 +467,7 @@ mod tests {
     fn sample_distinct_properties() {
         let mut rng = SplitMix64::new(31);
         let mut out = [0; 10];
-        rng.fill_distinct(100, &mut out);
+        IndexRange::new(100).fill_distinct(&mut rng, &mut out);
         let mut dedup = out.to_vec();
         dedup.sort_unstable();
         dedup.dedup();
@@ -419,12 +477,12 @@ mod tests {
         // As many slots as indices: every index once, and no draw.
         let mut all = [0; 5];
         let before = rng.clone();
-        rng.fill_distinct(5, &mut all);
+        IndexRange::new(5).fill_distinct(&mut rng, &mut all);
         assert_eq!(all, [0, 1, 2, 3, 4]);
         assert_eq!(rng, before);
 
         // No slots: nothing drawn.
-        rng.fill_distinct(0, &mut []);
+        IndexRange::new(0).fill_distinct(&mut rng, &mut []);
         assert_eq!(rng, before);
     }
 
@@ -433,7 +491,7 @@ mod tests {
         // Filling the tail of a buffer leaves what is before (and after) it.
         let mut rng = SplitMix64::new(37);
         let mut out = [999u32; 7];
-        rng.fill_distinct(50, &mut out[1..6]);
+        IndexRange::new(50).fill_distinct(&mut rng, &mut out[1..6]);
         assert_eq!((out[0], out[6]), (999, 999));
         assert!(out[1..6].iter().all(|&x| x < 50));
     }

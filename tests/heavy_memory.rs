@@ -1,9 +1,9 @@
 //! Memory is part of the round engine's contract: beyond its result, a round
-//! holds `O(n + block + leftover)` bytes, never a buffer sized by the number
-//! of balls. This test runs `A_heavy` under a byte-counting allocator and
-//! bounds the **peak live heap** of one call by a budget no `O(m)` buffer
-//! fits in — a `Vec<u64>` of identities alone is 8 bytes per ball, a
-//! `Vec<u32>` of targets another 4 — so neither can creep back unseen.
+//! holds `O(n + leftover)` bytes, never a buffer sized by the number of balls.
+//! This test runs `A_heavy` under a byte-counting allocator and bounds the
+//! **peak live heap** of one call by a budget no `O(m)` buffer fits in — a
+//! `Vec<u64>` of identities alone is 8 bytes per ball, a `Vec<u32>` of targets
+//! another 4 — so neither can creep back unseen.
 //!
 //! The counter is the per-thread `#[global_allocator]` of
 //! `tests/support/counting_alloc.rs`: libtest and any neighbouring test
