@@ -10,7 +10,7 @@
 
 use crossbeam::channel;
 
-use pba_model::rng::SplitMix64;
+use pba_model::rng::{IndexRange, SplitMix64};
 
 use crate::executor::ConcurrentOutcome;
 
@@ -55,6 +55,7 @@ pub fn run_actor_threshold(
     let mut unallocated: Vec<u64> = (0..m).collect();
     let mut rounds = 0usize;
     let mut requests = 0u64;
+    let range = IndexRange::new(n as u64);
 
     for round in 0..max_rounds {
         if unallocated.is_empty() {
@@ -73,8 +74,7 @@ pub fn run_actor_threshold(
         }
         let round_key = SplitMix64::substream_key(seed, round as u64);
         for &ball in &unallocated {
-            let mut rng = SplitMix64::for_stream_under(round_key, ball);
-            let bin = rng.gen_index(n);
+            let bin = range.sample(&mut SplitMix64::for_stream_under(round_key, ball)) as usize;
             let shard = shard_of_bin(bin);
             let local = (bin - shard_start(shard)) as u32;
             senders[shard]

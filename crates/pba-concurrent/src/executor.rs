@@ -12,7 +12,7 @@
 use rayon::prelude::*;
 
 use pba_algorithms::schedule::ThresholdSchedule;
-use pba_model::rng::SplitMix64;
+use pba_model::rng::{IndexRange, SplitMix64};
 use pba_stats::LoadMetrics;
 
 use crate::atomic_bins::AtomicBins;
@@ -91,6 +91,7 @@ fn run_rounds(m: u64, n: usize, seed: u64, thresholds: &[u32]) -> ConcurrentOutc
     let mut unallocated: Vec<u64> = (0..m).collect();
     let mut rounds = 0usize;
     let mut requests = 0u64;
+    let range = IndexRange::new(n as u64);
 
     for (round, &threshold) in thresholds.iter().enumerate() {
         if unallocated.is_empty() {
@@ -102,8 +103,7 @@ fn run_rounds(m: u64, n: usize, seed: u64, thresholds: &[u32]) -> ConcurrentOutc
         unallocated = unallocated
             .par_iter()
             .filter_map(|&ball| {
-                let mut rng = SplitMix64::for_stream_under(round_key, ball);
-                let bin = rng.gen_index(n);
+                let bin = range.sample(&mut SplitMix64::for_stream_under(round_key, ball)) as usize;
                 if bins.try_acquire(bin, threshold) {
                     None
                 } else {
