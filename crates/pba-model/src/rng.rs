@@ -187,16 +187,16 @@ impl IndexRange {
     /// One uniform integer in the range, from `rng`.
     #[inline]
     pub fn sample(&self, rng: &mut SplitMix64) -> u64 {
-        if self.bound.is_power_of_two() {
-            return rng.next_u64() & (self.bound - 1);
+        match self.bound {
+            bound if bound.is_power_of_two() => rng.next_u64() & (bound - 1),
+            0 => 0,
+            bound => loop {
+                let v = rng.next_u64();
+                if v < self.zone {
+                    break v % bound;
+                }
+            },
         }
-        while self.bound > 0 {
-            let v = rng.next_u64();
-            if v < self.zone {
-                return v % self.bound;
-            }
-        }
-        0
     }
 
     /// Fills `out` with `out.len()` distinct integers of the range, drawn
