@@ -16,17 +16,23 @@
 //!    calling thread, and only a batch long enough to pay for a thread spawn
 //!    ([`PARALLEL_MIN_SPAN`]) is cut into contiguous spans that scoped
 //!    threads run the same loop over.
-//! 2. **place** — the shard layer's grouped commit ([`place_counted`]):
-//!    one atomic add per distinct bin to the loads, the engine's only
-//!    per-bin books; no lock. Always on the calling thread: at one atomic
-//!    per distinct bin there is nothing to fan out.
+//! 2. **place** — the shard layer's grouped commit: the balls are counted
+//!    per bin, then each distinct bin's count is added to the loads, the
+//!    engine's only per-bin books, with no lock. A routed group adds with
+//!    one atomic read-modify-write per distinct bin ([`place_counted`]), as
+//!    any number of callers may commit at once; a drained batch has one
+//!    writer, the drain holder, so it adds with a plain load and store into
+//!    the loads' push lane ([`place_pushed`]), no locked instruction at
+//!    all. Always on the calling thread: at one write per distinct bin
+//!    there is nothing to fan out.
 //!
 //! [`place_counted`]: crate::shard::ShardedBins::place_counted
+//! [`place_pushed`]: crate::shard::ShardedBins::place_pushed
 
 use rayon::prelude::*;
 use rayon::ThreadPool;
 
-use crate::policy::{Chooser, Keyed};
+use crate::policy::Chooser;
 
 /// Fewest balls a thread is handed in the choose step; a batch shorter than
 /// two such spans is chosen on the calling thread, so below that the thread
@@ -55,25 +61,25 @@ use crate::policy::{Chooser, Keyed};
 /// retuned, since no host with a free second CPU has been measured.
 pub const PARALLEL_MIN_SPAN: usize = 1 << 15;
 
-/// Overwrites `chosen` with the bin of every item, in item
+/// Overwrites `chosen` with the bin of every key, in key
 /// order, on the threads `pool` allows (the engine's own
 /// [`StreamConfig::num_threads`](crate::StreamConfig::num_threads); `None`
 /// is the ambient count). A pure function of `(chooser, keys)`, so the spans
 /// of a long batch can run in any order on any thread and still fill the
 /// same vector: each span is [`Chooser::choose_span`] over its own window of
 /// `chosen`. A routed group never spawns: it calls `choose_span` itself.
-pub(crate) fn choose_into<K: Keyed + Sync>(
+pub(crate) fn choose_into(
     chooser: &Chooser<'_>,
-    items: &[K],
+    keys: &[u64],
     pool: Option<&ThreadPool>,
     chosen: &mut Vec<u32>,
 ) {
     // Every slot is overwritten below; only the length matters.
-    chosen.resize(items.len(), 0);
-    if items.len() < 2 * PARALLEL_MIN_SPAN {
-        return chooser.choose_span(items, chosen);
+    chosen.resize(keys.len(), 0);
+    if keys.len() < 2 * PARALLEL_MIN_SPAN {
+        return chooser.choose_span(keys, chosen);
     }
-    let spans: Vec<&[K]> = items.chunks(PARALLEL_MIN_SPAN).collect();
+    let spans: Vec<&[u64]> = keys.chunks(PARALLEL_MIN_SPAN).collect();
     let mut run = || {
         chosen
             .par_chunks_mut(PARALLEL_MIN_SPAN)

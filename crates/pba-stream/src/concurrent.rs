@@ -27,9 +27,10 @@
 //!   [`pba_concurrent::EpochCell`]: readers clone an `Arc`, the boundary
 //!   thread refills the buffer the previous boundary displaced, swaps it in
 //!   and bumps a monotone epoch. Epoch == batch boundaries completed.
-//! * **Commit** — placements are lock-free atomic increments on
-//!   [`pba_concurrent::AtomicBins`] (via [`ShardedBins`]); tickets are issued
-//!   and released through the bin-sharded
+//! * **Commit** — routes are lock-free atomic increments on
+//!   [`pba_concurrent::AtomicBins`] (the route lane of [`ShardedBins`]); a
+//!   drained batch, which has one writer, is plain stores to the bins' push
+//!   lane. Tickets are issued and released through the bin-sharded
 //!   [`pba_model::router::SharedTicketLedger`] — a slab per shard that the
 //!   ticket indexes, so neither direction hashes.
 //!
@@ -124,11 +125,10 @@ use pba_stats::OnlineStats;
 
 use crate::commit;
 use crate::engine::StreamConfig;
-use crate::ingress::PendingBall;
 use crate::metrics::StreamMetrics;
 use crate::observer::GapTrajectoryObserver;
 use crate::policy::{ChoiceCtx, Chooser};
-use crate::shard::{GroupCounts, ShardedBins};
+use crate::shard::{GroupCounts, PushLane, ShardedBins};
 use crate::snapshot::{self, uses_thresholds, StreamSnapshot};
 
 #[cfg(test)]
@@ -276,11 +276,15 @@ struct DeferredBatchEvent {
 
 /// Drain-side state (the push path), written by one thread at a time so
 /// exactly one thread batches and drains while routes proceed.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct DrainSide {
-    /// Arrivals in arrival order, not yet drained: the sole owner pushes
-    /// here directly, the handle's drainer moves its inbox in whole.
-    pub(crate) buffer: Vec<PendingBall>,
+    /// The keys of the arrivals not yet drained, in arrival order: the sole
+    /// owner pushes here directly, the handle's drainer moves its inbox in
+    /// whole.
+    pub(crate) buffer: Vec<u64>,
+    /// The one writer's right to the loads' push lane, which every drained
+    /// batch commits into.
+    lane: PushLane,
     /// Scratch: the chosen bin of every ball of the batch being drained.
     chosen: Vec<u32>,
     /// Scratch of the batch's grouped load commit.
@@ -433,8 +437,8 @@ pub(crate) struct Core {
 #[derive(Debug)]
 struct Shared {
     core: Core,
-    /// Pushed arrivals no drain has taken yet, in id order.
-    inbox: Mutex<Vec<PendingBall>>,
+    /// The keys of pushed arrivals no drain has taken yet, in id order.
+    inbox: Mutex<Vec<u64>>,
     drain: Mutex<DrainSide>,
     boundary: Mutex<BoundaryBook>,
     membership: Mutex<MembershipSide>,
@@ -505,14 +509,14 @@ impl ConcurrentRouter {
     }
 
     fn build(config: StreamConfig, registry: Option<Arc<pba_obs::MetricsRegistry>>) -> Self {
-        let (mut core, book, side) = Core::new(config);
+        let (mut core, book, side, drain) = Core::new(config);
         if let Some(registry) = registry {
             core.install_metrics(registry);
         }
         Self {
             shared: Arc::new(Shared {
                 inbox: Mutex::default(),
-                drain: Mutex::new(DrainSide::default()),
+                drain: Mutex::new(drain),
                 boundary: Mutex::new(book),
                 membership: Mutex::new(side),
                 core,
@@ -644,12 +648,11 @@ impl ConcurrentRouter {
     pub fn push(&self, key: u64) -> u64 {
         let mut inbox = self.inbox();
         let id = self.shared.core.stamp();
-        debug_assert!(inbox.last().is_none_or(|last| last.id < id));
-        inbox.push(PendingBall { id, key });
+        inbox.push(key);
         id
     }
 
-    fn inbox(&self) -> MutexGuard<'_, Vec<PendingBall>> {
+    fn inbox(&self) -> MutexGuard<'_, Vec<u64>> {
         self.shared.inbox.lock().expect("inbox lock")
     }
 
@@ -688,7 +691,6 @@ impl ConcurrentRouter {
             side.buffer.append(&mut inbox);
         }
         drop(inbox);
-        debug_assert!(side.buffer.is_sorted_by(|a, b| a.id < b.id));
         side
     }
 
@@ -917,8 +919,9 @@ impl Router for ConcurrentRouter {
 
 impl Core {
     /// An empty engine over `config.bins` bins, with the single-writer state
-    /// its shell is to own: the boundary book and the membership side.
-    pub(crate) fn new(config: StreamConfig) -> (Self, BoundaryBook, MembershipSide) {
+    /// its shell is to own: the boundary book, the membership side and the
+    /// drain side, which holds the one token of the loads' push lane.
+    pub(crate) fn new(config: StreamConfig) -> (Self, BoundaryBook, MembershipSide, DrainSide) {
         assert!(config.bins > 0, "a stream needs at least one bin");
         let config = StreamConfig {
             batch_size: config.batch_size.max(1),
@@ -938,7 +941,7 @@ impl Core {
             None => vec![1.0; config.bins],
         };
         let table = Membership::new(config.bins, capacity, &slot_weights);
-        let bins = ShardedBins::new(capacity, config.shards);
+        let (bins, lane) = ShardedBins::with_push_lane(capacity);
         let book = BoundaryBook {
             batches: 0,
             gap: GapTrajectoryObserver::new(config.trajectory_cap),
@@ -973,7 +976,14 @@ impl Core {
             pending: MembershipPlan::new(),
             pending_weights: None,
         };
-        (core, book, side)
+        let drain = DrainSide {
+            buffer: Vec::new(),
+            lane,
+            chosen: Vec::new(),
+            counts: GroupCounts::default(),
+            capacity: Vec::new(),
+        };
+        (core, book, side, drain)
     }
 
     /// Resolves the metric handles the engine records into (write-only; see
@@ -1903,11 +1913,12 @@ impl Core {
         let batch_size = self.config.batch_size;
         let DrainSide {
             buffer,
+            lane,
             chosen,
             counts,
             capacity,
         } = side;
-        let mut drain = |batch| self.drain_batch(writer, batch, chosen, counts, capacity);
+        let mut drain = |batch| self.drain_batch(writer, batch, lane, chosen, counts, capacity);
         let mut drained = 0;
         let mut start = 0;
         while buffer.len() - start >= batch_size {
@@ -1930,7 +1941,8 @@ impl Core {
     fn drain_batch(
         &self,
         writer: &mut Writer<'_>,
-        batch: &[PendingBall],
+        batch: &[u64],
+        lane: &mut PushLane,
         chosen: &mut Vec<u32>,
         counts: &mut GroupCounts,
         capacity: &mut Vec<u32>,
@@ -1945,7 +1957,7 @@ impl Core {
         let ctx = self.choice_ctx(&topology, &stale, threshold, capacity);
         let chooser = Chooser::new(self.config.policy, &ctx);
         commit::choose_into(&chooser, batch, self.pool.as_ref(), chosen);
-        self.bins.place_counted(chosen, counts);
+        self.bins.place_pushed(chosen, counts, lane);
         self.placed.fetch_add(batch.len() as u64, Ordering::AcqRel);
         if let Some(metrics) = &self.metrics {
             metrics.placed.add(batch.len() as u64);

@@ -56,7 +56,6 @@ use pba_model::weights::{BinWeights, ResolvedWeights};
 use pba_stats::OnlineStats;
 
 use crate::concurrent::{BoundaryBook, Core, DrainSide, Lend, MembershipSide, Writer};
-use crate::ingress::PendingBall;
 use crate::policy::Policy;
 use crate::snapshot::StreamSnapshot;
 
@@ -196,12 +195,12 @@ pub struct StreamAllocator {
 impl StreamAllocator {
     /// Creates an empty stream over `config.bins` bins.
     pub fn new(config: StreamConfig) -> Self {
-        let (core, book, side) = Core::new(config);
+        let (core, book, side, drain) = Core::new(config);
         Self {
             core,
             book,
             side,
-            drain: DrainSide::default(),
+            drain,
         }
     }
 
@@ -251,7 +250,7 @@ impl StreamAllocator {
     /// [`StreamAllocator::flush`]) runs.
     pub fn push(&mut self, key: u64) -> u64 {
         let id = self.core.stamp_owned();
-        self.drain.buffer.push(PendingBall { id, key });
+        self.drain.buffer.push(key);
         id
     }
 

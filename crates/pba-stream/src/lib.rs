@@ -35,9 +35,11 @@
 //!   is bit-identical to the sequential one. `route` / `release` and the drain
 //!   are the handle's by construction; the handle's pushes merely reach the
 //!   same buffer through a lock.
-//! * [`shard`] — [`ShardedBins`]: the lock-free atomic load counters (from
-//!   [`pba_concurrent`]), the engine's only per-bin books; a group of balls
-//!   is counted per bin and committed with one atomic per distinct bin.
+//! * [`shard`] — [`ShardedBins`]: the lock-free load counters, the engine's
+//!   only per-bin books; a group of balls is counted per bin and committed
+//!   with one write per distinct bin: an atomic add to the route lane (from
+//!   [`pba_concurrent`]) for routes, a plain store to the push lane, which
+//!   the one drain holder alone writes, for a drained batch.
 //! * [`policy`] — [`Policy`]: single-choice, two-choice, `d`-choice and the
 //!   paper-style threshold rule, all over stale loads; candidate bins are a
 //!   consistent hash of the ball's key. Heterogeneous backends are served by

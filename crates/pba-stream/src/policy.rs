@@ -270,20 +270,20 @@ impl<'a> Chooser<'a> {
         }
     }
 
-    /// Chooses the bin of every item of a span: `out[i]` is the bin of the
-    /// ball with key `items[i].key()`. Everything but the ball is decided
-    /// here, once per span: the sampler, the policy's rule and the
-    /// candidate buffer. The loop that runs is compiled once per rule (and
-    /// buffer and item type), so no ball matches a policy. For uniform
+    /// Chooses the bin of every ball of a span: `out[i]` is the bin of the
+    /// ball with key `keys[i]`. Everything but the ball is decided here,
+    /// once per span: the sampler, the policy's rule and the candidate
+    /// buffer. The loop that runs is compiled once per rule (and buffer), so
+    /// no ball matches a policy. For uniform
     /// candidates and `d` up to 4 the buffer is a stack array whose length
     /// the compiler knows: candidates then live in registers, and the
     /// sampling and comparison loops unroll; so do the alias-table
     /// sampler's at `d = 2`. Any other `d` runs over runtime-length
     /// buffers.
-    pub(crate) fn choose_span<K: Keyed>(&self, items: &[K], out: &mut [u32]) {
-        debug_assert_eq!(items.len(), out.len());
+    pub(crate) fn choose_span(&self, keys: &[u64], out: &mut [u32]) {
+        debug_assert_eq!(keys.len(), out.len());
         let Some(weights) = self.sampler else {
-            return self.uniform_span(items, out);
+            return self.uniform_span(keys, out);
         };
         // The alias table's own draws dominate a weighted ball: past the
         // two candidates of weighted two-choice its rules run over
@@ -295,13 +295,13 @@ impl<'a> Chooser<'a> {
         };
         match (self.policy, self.d) {
             (Policy::CapacityThreshold { .. }, 2) => {
-                self.span_over(weighted, first_below_capacity, [0; 2], [0; 2], items, out)
+                self.span_over(weighted, first_below_capacity, [0; 2], [0; 2], keys, out)
             }
             (Policy::CapacityThreshold { .. }, _) => {
-                self.span_sized(weighted, first_below_capacity, items, out)
+                self.span_sized(weighted, first_below_capacity, keys, out)
             }
-            (_, 2) => self.span_over(weighted, pick_least_normalized, [0; 2], [0; 2], items, out),
-            _ => self.span_sized(weighted, pick_least_normalized, items, out),
+            (_, 2) => self.span_over(weighted, pick_least_normalized, [0; 2], [0; 2], keys, out),
+            _ => self.span_sized(weighted, pick_least_normalized, keys, out),
         }
     }
 
@@ -314,36 +314,36 @@ impl<'a> Chooser<'a> {
 
     /// [`choose_span`](Self::choose_span) with uniform candidates.
     #[inline(always)]
-    fn uniform_span<K: Keyed>(&self, items: &[K], out: &mut [u32]) {
+    fn uniform_span(&self, keys: &[u64], out: &mut [u32]) {
         match self.policy {
-            Policy::OneChoice => self.span_over(self.uniform(), pick_first, [0], [0], items, out),
+            Policy::OneChoice => self.span_over(self.uniform(), pick_first, [0], [0], keys, out),
             // Membership left uniform survivors of non-uniform weights.
             Policy::WeightedTwoChoice if self.ctx.weights.is_some() => {
-                self.span_sized(self.uniform(), pick_least_normalized, items, out)
+                self.span_sized(self.uniform(), pick_least_normalized, keys, out)
             }
             // Under uniform weights the normalized order is the raw one.
             Policy::TwoChoice | Policy::DChoice(_) | Policy::WeightedTwoChoice => {
-                self.span_with(pick_least_loaded, items, out)
+                self.span_with(pick_least_loaded, keys, out)
             }
-            Policy::Threshold { .. } => self.span_with(pick_below_threshold, items, out),
-            Policy::CapacityThreshold { .. } => self.span_with(first_below_capacity, items, out),
+            Policy::Threshold { .. } => self.span_with(pick_below_threshold, keys, out),
+            Policy::CapacityThreshold { .. } => self.span_with(first_below_capacity, keys, out),
         }
     }
 
     /// `rule`'s loop with uniform candidates: over stack arrays for `d` up
     /// to 4, over runtime-length buffers past it.
     #[inline(always)]
-    fn span_with<K: Keyed>(
+    fn span_with(
         &self,
         rule: impl Fn(&ChoiceCtx<'_>, &[u32]) -> Option<u32>,
-        items: &[K],
+        keys: &[u64],
         out: &mut [u32],
     ) {
         match self.d {
-            2 => self.span_over(self.uniform(), rule, [0; 2], [0; 2], items, out),
-            3 => self.span_over(self.uniform(), rule, [0; 3], [0; 3], items, out),
-            4 => self.span_over(self.uniform(), rule, [0; 4], [0; 4], items, out),
-            _ => self.span_sized(self.uniform(), rule, items, out),
+            2 => self.span_over(self.uniform(), rule, [0; 2], [0; 2], keys, out),
+            3 => self.span_over(self.uniform(), rule, [0; 3], [0; 3], keys, out),
+            4 => self.span_over(self.uniform(), rule, [0; 4], [0; 4], keys, out),
+            _ => self.span_sized(self.uniform(), rule, keys, out),
         }
     }
 
@@ -359,11 +359,11 @@ impl<'a> Chooser<'a> {
     /// `rule`'s loop over two runtime-length buffers of `d` slots: halves of
     /// one stack array, or of a vector for a `d` past it.
     #[inline(always)]
-    fn span_sized<K: Keyed>(
+    fn span_sized(
         &self,
         sampler: impl Sampler,
         rule: impl Fn(&ChoiceCtx<'_>, &[u32]) -> Option<u32>,
-        items: &[K],
+        keys: &[u64],
         out: &mut [u32],
     ) {
         const STACK: usize = 8;
@@ -375,25 +375,25 @@ impl<'a> Chooser<'a> {
             &mut heap[..]
         };
         let (first, retry) = buffer.split_at_mut(self.d);
-        self.span_over(sampler, rule, first, &mut retry[..self.d], items, out)
+        self.span_over(sampler, rule, first, &mut retry[..self.d], keys, out)
     }
 
     /// The choose loop of one rule: each ball's first attempt goes into
     /// `first`, the overflow retry's second into `retry`, both `d` slots.
     #[inline(always)]
-    fn span_over<K: Keyed, B: AsMut<[u32]>>(
+    fn span_over<B: AsMut<[u32]>>(
         &self,
         sampler: impl Sampler,
         rule: impl Fn(&ChoiceCtx<'_>, &[u32]) -> Option<u32>,
         mut first: B,
         mut retry: B,
-        items: &[K],
+        keys: &[u64],
         out: &mut [u32],
     ) {
         let (ctx, active) = (&self.ctx, self.ctx.active);
         let (first, retry) = (first.as_mut(), retry.as_mut());
-        for (slot, item) in out.iter_mut().zip(items) {
-            let mut draws = sampler.first(item.key(), first);
+        for (slot, &key) in out.iter_mut().zip(keys) {
+            let mut draws = sampler.first(key, first);
             to_slots(active, first);
             *slot = match rule(ctx, first) {
                 Some(bin) => bin,
@@ -428,21 +428,6 @@ fn to_slots(active: Option<&[u32]>, candidates: &mut [u32]) {
         for slot in candidates {
             *slot = active[*slot as usize];
         }
-    }
-}
-
-/// What [`Chooser::choose_span`] reads a ball's key from: a bare key, or a
-/// pushed ball. A trait rather than a key closure, so the choose loops are
-/// compiled once per item type instead of once per call site.
-pub(crate) trait Keyed {
-    /// The ball's router key.
-    fn key(&self) -> u64;
-}
-
-impl Keyed for u64 {
-    #[inline(always)]
-    fn key(&self) -> u64 {
-        *self
     }
 }
 
@@ -734,7 +719,6 @@ pub fn candidate_bins(seed: u64, key: u64, d: usize, n: usize, out: &mut Vec<u32
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingress::PendingBall;
 
     #[test]
     fn one_choice_ignores_loads() {
@@ -971,15 +955,12 @@ mod tests {
         }
     }
 
-    /// One grid cell: spans of 0, 1 and 4096 balls through the chooser, as
-    /// bare keys and as pushed balls, against the reference; and on the
-    /// first keys the one-key entry point and — where it applies, i.e. no
-    /// weights, no membership and no retry — `candidate_bins` + `pick`.
+    /// One grid cell: spans of 0, 1 and 4096 keys through the chooser
+    /// against the reference; and on the first keys the one-key entry point
+    /// and — where it applies, i.e. no weights, no membership and no retry —
+    /// `candidate_bins` + `pick`.
     fn assert_chooser_matches_reference(policy: Policy, ctx: &ChoiceCtx<'_>) {
         let keys: Vec<u64> = (0..4096u64).map(|k| k * 0x9e37 + 5).collect();
-        let balls: Vec<PendingBall> = (keys.iter().copied().zip(1000..))
-            .map(|(key, id)| PendingBall { id, key })
-            .collect();
         let chooser = Chooser::new(policy, ctx);
         let label = format!(
             "policy {} n {} weighted {} active {:?}",
@@ -992,10 +973,8 @@ mod tests {
         let mut span = Vec::new();
         for len in [keys.len(), 1, 0] {
             // No chooser writes u32::MAX: every slot must be overwritten.
-            let (mut by_key, mut by_ball) = (vec![u32::MAX; len], vec![u32::MAX; len]);
+            let mut by_key = vec![u32::MAX; len];
             chooser.choose_span(&keys[..len], &mut by_key);
-            chooser.choose_span(&balls[..len], &mut by_ball);
-            assert_eq!(by_key, by_ball, "{label} span {len}");
             if span.is_empty() {
                 span = by_key;
             } else {
