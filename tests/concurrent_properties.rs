@@ -10,7 +10,10 @@
 //!    released, every live ticket releases exactly once, double releases are
 //!    rejected, and boundaries fire once per `batch_size` routed balls.
 //!    Producers pushing while another thread drains lose no ball, and the
-//!    batches come out as the id-ordered owner's.
+//!    batches come out as the id-ordered owner's. Drains racing routes and
+//!    releases on the same few bins keep every book: the drain's commits
+//!    (the loads' push lane) and the routes' and releases' (the route lane)
+//!    never take or lose each other's balls.
 //! 2. **Snapshot-epoch monotonicity** — epochs observed by concurrent
 //!    readers never go backwards, equal the batch-boundary count at
 //!    quiescence, and fire once per `batch_size` routed balls.
@@ -27,6 +30,7 @@ use std::sync::{Arc, Barrier};
 use proptest::prelude::*;
 
 use parallel_balanced_allocations::model::rng::SeedSeq;
+use parallel_balanced_allocations::model::router::WireRequest;
 use parallel_balanced_allocations::model::weights::BinWeights;
 use parallel_balanced_allocations::prelude::*;
 use parallel_balanced_allocations::stream::Policy;
@@ -104,6 +108,107 @@ fn k_producer_pushes_under_a_racing_drain_match_the_id_ordered_owner() {
         owner.flush();
         assert_eq!(router.loads(), owner.loads(), "{}", policy.name());
         assert_eq!(router.gap_trajectory(), owner.gap_trajectory());
+    }
+}
+
+/// One thread pushes and drains for as long as three callers route, serve
+/// wire runs and release over the same four bins, so every drain's commit
+/// (the one writer of the loads' push lane) races routes and releases (the
+/// route lane) on every bin. At quiescence the books reconcile; once every
+/// ticket is released, exactly the pushed balls remain.
+#[test]
+fn drains_racing_routes_and_releases_on_the_same_bins_keep_the_books() {
+    let (n, batch, callers, waves) = (4usize, 16usize, 3u64, 300usize);
+    let seeds = SeedSeq::new(9, 0xd7a1);
+    for policy in POLICIES {
+        let router = ConcurrentRouter::new(
+            StreamConfig::new(n)
+                .policy(policy)
+                .batch_size(batch)
+                .seed(seeds.root()),
+        );
+        let done = AtomicBool::new(false);
+        let start = &Barrier::new(callers as usize + 1);
+        let (kept, pushes): (Vec<Ticket>, u64) = std::thread::scope(|scope| {
+            let pusher = scope.spawn(|| {
+                start.wait();
+                let mut rng = seeds.rng(callers);
+                let mut pushes = 0u64;
+                while !done.load(Ordering::Acquire) {
+                    for _ in 0..24 {
+                        router.push(rng.next_u64());
+                    }
+                    pushes += 24;
+                    router.drain_ready();
+                }
+                pushes
+            });
+            let handles: Vec<_> = (0..callers)
+                .map(|t| {
+                    let router = router.clone();
+                    scope.spawn(move || {
+                        start.wait();
+                        let mut rng = seeds.rng(t);
+                        let mut kept = Vec::new();
+                        let mut served = Vec::new();
+                        for wave in 0..waves {
+                            let size = rng.next_u64() as usize % 12 + 1;
+                            let group: Vec<u64> = (0..size).map(|_| rng.next_u64()).collect();
+                            let placements = router.route_many(&group).expect("infallible");
+                            // Release a third by ticket, a third by wire id in
+                            // a run with fresh routes, and keep the rest.
+                            let mut run = Vec::new();
+                            for (i, placement) in placements.into_iter().enumerate() {
+                                let ticket = placement.ticket;
+                                match (wave + i) % 3 {
+                                    0 => router.release(ticket).expect("fresh ticket"),
+                                    1 => {
+                                        run.push(WireRequest::Route(rng.next_u64()));
+                                        run.push(WireRequest::Release(router.wire_id(&ticket)));
+                                    }
+                                    _ => kept.push(ticket),
+                                }
+                            }
+                            router.serve_wire(&run, &mut served);
+                            for (request, ticket) in run.iter().zip(&served) {
+                                let ticket = ticket.expect("a resident ball releases by wire id");
+                                if let WireRequest::Route(_) = request {
+                                    kept.push(ticket);
+                                }
+                            }
+                        }
+                        kept
+                    })
+                })
+                .collect();
+            // Stop the pusher before a failed caller's panic is raised, or
+            // the scope would wait on it forever.
+            let callers: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+            done.store(true, Ordering::Release);
+            let pushes = pusher.join().expect("push thread");
+            let kept = callers
+                .into_iter()
+                .flat_map(|caller| caller.expect("caller thread"))
+                .collect();
+            (kept, pushes)
+        });
+        router.flush();
+        let name = policy.name();
+        assert_eq!(router.pending(), 0, "{name}");
+        assert!(router.conserves_balls(), "{name}");
+        let loads = router.loads();
+        let total: u64 = loads.iter().map(|&load| load as u64).sum();
+        assert_eq!(total, router.resident(), "{name}");
+        assert_eq!(router.resident(), pushes + kept.len() as u64, "{name}");
+        for (bin, &load) in loads.iter().enumerate() {
+            assert!(load as usize >= router.tickets_in(bin), "{name} bin {bin}");
+        }
+        for ticket in kept {
+            router.release(ticket).expect("kept tickets release once");
+        }
+        let total: u64 = router.loads().iter().map(|&load| load as u64).sum();
+        assert_eq!(total, pushes, "{name}: the pushed balls remain");
+        assert!(router.conserves_balls(), "{name}");
     }
 }
 
