@@ -61,8 +61,8 @@ use crate::policy::Chooser;
 /// retuned, since no host with a free second CPU has been measured.
 pub const PARALLEL_MIN_SPAN: usize = 1 << 15;
 
-/// Overwrites `chosen` with the bin of every key, in key
-/// order, on the threads `pool` allows (the engine's own
+/// Overwrites `chosen` with the bin of every key, in key order, on the
+/// threads `pool` allows (the engine's own
 /// [`StreamConfig::num_threads`](crate::StreamConfig::num_threads); `None`
 /// is the ambient count). A pure function of `(chooser, keys)`, so the spans
 /// of a long batch can run in any order on any thread and still fill the

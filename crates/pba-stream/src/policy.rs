@@ -274,12 +274,11 @@ impl<'a> Chooser<'a> {
     /// ball with key `keys[i]`. Everything but the ball is decided here,
     /// once per span: the sampler, the policy's rule and the candidate
     /// buffer. The loop that runs is compiled once per rule (and buffer), so
-    /// no ball matches a policy. For uniform
-    /// candidates and `d` up to 4 the buffer is a stack array whose length
-    /// the compiler knows: candidates then live in registers, and the
-    /// sampling and comparison loops unroll; so do the alias-table
-    /// sampler's at `d = 2`. Any other `d` runs over runtime-length
-    /// buffers.
+    /// no ball matches a policy. For uniform candidates and `d` up to 4 the
+    /// buffer is a stack array whose length the compiler knows: candidates
+    /// then live in registers, and the sampling and comparison loops unroll;
+    /// so do the alias-table sampler's at `d = 2`. Any other `d` runs over
+    /// runtime-length buffers.
     pub(crate) fn choose_span(&self, keys: &[u64], out: &mut [u32]) {
         debug_assert_eq!(keys.len(), out.len());
         let Some(weights) = self.sampler else {
